@@ -8,8 +8,10 @@ benchmark x machine x configuration.
 
 Each ``(benchmark x machine x config)`` cell is an independent executor
 work unit (:class:`Figure20Task`): the worker runs the configuration's
-pipeline (memoized per process, since both machines tune the same
-optimized program) and then the tuning protocol on a fresh clone.  Cells
+pipeline and executes the optimized program once, recording its region
+profile (both memoized per process, since both machines tune the same
+optimized program and its execution depends on neither), and then
+prices the tuning protocol from that profile on a fresh clone.  Cells
 come back in task order, so the rendered figure is byte-identical for
 any worker count.
 """
@@ -24,11 +26,12 @@ from repro.experiments.executor import merge_task_traces, run_tasks
 from repro.experiments.pipeline import (CONFIGS, Config, PipelineResult,
                                         run_config)
 from repro.experiments.reporting import bar_chart
-from repro.experiments.tuning import TuningResult, tune
+from repro.experiments.tuning import TuningResult, record_profile, tune
 from repro.perfect import all_benchmarks
 from repro.perfect.suite import Benchmark
-from repro.runtime.machine import AMD_OPTERON, INTEL_MAC, MachineModel
-from repro.trace import Tracer
+from repro.runtime.machine import (AMD_OPTERON, INTEL_MAC, MachineModel,
+                                   RegionProfile)
+from repro.trace import NULL_TRACER, Tracer
 
 MACHINES = (INTEL_MAC, AMD_OPTERON)
 
@@ -40,7 +43,8 @@ class SpeedupCell:
     config: str
     tuning: TuningResult
     #: per-phase wall-clock seconds this cell actually spent (pipeline
-    #: phases only on the cell that ran them; 'tune' always)
+    #: phases and 'profile', the program's one execution, only on the
+    #: cell that ran them; 'price', the protocol on a clone, always)
     timings: Dict[str, float] = field(default_factory=dict)
     #: worker-local :meth:`repro.trace.Tracer.export`, when requested
     trace: Optional[Dict[str, Any]] = None
@@ -61,10 +65,12 @@ class Figure20Task:
     trace: bool = False
 
 
-#: (source digest, config kind) -> finished pipeline result, so the cells
-#: for both machine models (and repeated calls) share one pipeline run
-#: per process
-_PIPELINE_CACHE: Dict[Tuple[str, str], PipelineResult] = {}
+#: (source digest, config kind) -> finished pipeline result and the
+#: region profile of its program's one execution, so the cells for both
+#: machine models (and repeated calls) share one pipeline run and one
+#: execution per process
+_PIPELINE_CACHE: Dict[Tuple[str, str],
+                      Tuple[PipelineResult, RegionProfile]] = {}
 
 
 def clear_pipeline_cache() -> None:
@@ -74,29 +80,33 @@ def clear_pipeline_cache() -> None:
 def run_cell_task(task: Figure20Task) -> SpeedupCell:
     tracer = Tracer(label=f"figure20 {task.benchmark.name}/"
                           f"{task.machine.name}/{task.kind}") \
-        if task.trace else None
+        if task.trace else NULL_TRACER
+    ids = dict(benchmark=task.benchmark.name, machine=task.machine.name,
+               config=task.kind)
     key = (task.benchmark.digest(), task.kind)
-    result = _PIPELINE_CACHE.get(key)
-    if result is None:
+    entry = _PIPELINE_CACHE.get(key)
+    if entry is None:
         result = run_config(task.benchmark, Config(task.kind),
                             tracer=tracer)
-        _PIPELINE_CACHE[key] = result
         timings = dict(result.report.timings)
+        t0 = perf_counter()
+        with tracer.span("profile", **ids):
+            profile = record_profile(result.program, task.benchmark.inputs)
+        timings["profile"] = perf_counter() - t0
+        entry = _PIPELINE_CACHE[key] = (result, profile)
     else:
-        timings = {}  # pipeline time already attributed to an earlier cell
+        timings = {}  # pipeline and execution: attributed to an earlier cell
+    result, profile = entry
     t0 = perf_counter()
-    # tuning mutates the program: use a fresh clone per machine
-    program = result.program.clone()
-    if tracer is not None:
-        with tracer.span("tune", benchmark=task.benchmark.name,
-                         machine=task.machine.name, config=task.kind):
-            tuning = tune(program, task.machine, task.benchmark.inputs)
-    else:
-        tuning = tune(program, task.machine, task.benchmark.inputs)
-    timings["tune"] = timings.get("tune", 0.0) + (perf_counter() - t0)
+    with tracer.span("price", **ids):
+        # tuning mutates the program: use a fresh clone per machine
+        program = result.program.clone()
+        tuning = tune(program, task.machine, task.benchmark.inputs,
+                      profile=profile)
+    timings["price"] = perf_counter() - t0
     return SpeedupCell(task.benchmark.name, task.machine.name, task.kind,
                        tuning, timings,
-                       tracer.export() if tracer else None)
+                       tracer.export() if task.trace else None)
 
 
 def figure20_cells(benchmark: Benchmark,

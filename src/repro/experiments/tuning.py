@@ -5,22 +5,29 @@ loops, we used empirical performance tuning to disable a selected set of
 loops from being parallelized if their parallelization incurs a slowdown
 of the overall execution time."
 
-Greedy procedure on the optimized program: measure the simulated time;
-for each parallel directive (worst offenders first: smallest loops), try
-running with that directive disabled; keep the removal whenever it
-improves end-to-end time.  Operates on the final (reverse-inlined) AST,
-so it applies identically to all three configurations.
+Greedy procedure on the optimized program: measure the simulated time
+and every directive's serial-body vs parallel cost; disable each
+directive whose parallel execution is not a net win; repeat until none
+is left.  Operates on the final (reverse-inlined) AST, so it applies
+identically to all three configurations.
+
+Execute once, price many: simulated cost is ``W + sum of region
+deltas`` with the work ``W`` independent of machine and directives, so
+one recorded execution (:func:`record_profile`) serves the serial cost,
+the initial cost and every round, on every machine —
+:func:`repro.runtime.machine.price` does the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro.fortran import ast
 from repro.program import Program
 from repro.runtime.backend import make_interpreter
-from repro.runtime.machine import MachineModel
+from repro.runtime.interpreter import number_omp_sites
+from repro.runtime.machine import MachineModel, RegionProfile, Site, price
 
 
 @dataclass
@@ -59,47 +66,53 @@ def _directive_sites(program: Program):
     return sites
 
 
-def _measure(program: Program, machine: Optional[MachineModel],
-             inputs: Sequence[float]):
-    interp = make_interpreter(program, machine=machine,
-                              honor_directives=machine is not None,
-                              inputs=list(inputs))
-    cost = interp.run().cost
-    return cost, interp.omp_stats
+def record_profile(program: Program,
+                   inputs: Sequence[float] = ()) -> RegionProfile:
+    """The one execution the protocol needs: directives honoured, no
+    machine, so the recorded iteration costs are base costs."""
+    return make_interpreter(program, machine=None, honor_directives=True,
+                            inputs=list(inputs)).run().regions
 
 
 def tune(program: Program, machine: MachineModel,
-         inputs: Sequence[float] = (), max_rounds: int = 4) -> TuningResult:
+         inputs: Sequence[float] = (), max_rounds: int = 4,
+         profile: Optional[RegionProfile] = None) -> TuningResult:
     """Disable harmful directives in place.
 
-    Instead of re-measuring per directive (one execution each), a single
-    instrumented run yields every directive's accumulated serial-body vs
-    parallel cost; every directive whose parallel execution is not a net
-    win is disabled, and the process repeats (disabling an outer region
+    The program is executed at most once, and not at all when the caller
+    supplies the ``profile`` of an earlier :func:`record_profile` of this
+    program or of a clone (sites are named structurally, and the
+    execution depends on neither the machine nor the directives).  Every
+    cost of the protocol is then priced from that profile: the serial
+    cost is its work, the initial cost prices it with every directive
+    on, and each greedy round prices it with the directives disabled so
+    far — yielding every directive's accumulated serial-body vs parallel
+    cost, from which every directive whose parallel execution is not a
+    net win is disabled.  Rounds repeat (disabling an outer region
     changes the fork costs of the regions nested inside it) until a
-    fixed point, typically 2-3 executions total.
+    fixed point.
     """
-    serial, _ = _measure(program, None, inputs)
-    initial, stats = _measure(program, machine, inputs)
+    if profile is None:
+        profile = record_profile(program, inputs)
+    site_of = number_omp_sites(program)
+    off: Set[Site] = set()
+    initial, stats = price(profile, machine, off)
     best = initial
     disabled: List[str] = []
     for _ in range(max_rounds):
-        harmful_ids = {key for key, (s_cost, p_cost) in stats.items()
-                       if p_cost >= s_cost}
-        if not harmful_ids:
+        harmful = {site for site, (s_cost, p_cost) in stats.items()
+                   if p_cost >= s_cost}
+        if not harmful:
             break
-        changed = False
         for body, idx, omp in _directive_sites(program):
             if isinstance(body[idx], ast.OmpParallelDo) \
-                    and id(body[idx]) in harmful_ids:
+                    and site_of.get(id(omp)) in harmful:
                 label = f"{omp.loop.var}@{getattr(omp.loop, 'origin', '?')}"
                 body[idx] = omp.loop
                 disabled.append(label)
-                changed = True
-        if not changed:
-            break
-        best, stats = _measure(program, machine, inputs)
+        off |= harmful
+        best, stats = price(profile, machine, off)
     kept = [f"{omp.loop.var}@{getattr(omp.loop, 'origin', '?')}"
             for body, idx, omp in _directive_sites(program)
             if isinstance(body[idx], ast.OmpParallelDo)]
-    return TuningResult(initial, best, serial, disabled, kept)
+    return TuningResult(initial, best, profile.work, disabled, kept)

@@ -18,8 +18,9 @@ checks:
     in-order-parallel and in a **permuted** schedule;
 ``backend-divergence``
     :func:`repro.runtime.difftest.backend_equivalence` — the compiled
-    closure backend produces bit-identical output, cost, COMMON memory
-    and stop/error messages to the tree-walker in every execution mode;
+    closure backend produces bit-identical output, cost, COMMON memory,
+    stop/error messages and recorded region trees to the tree-walker in
+    every execution mode;
 ``unparse-semantics``
     the unparsed transformed program re-parses and serially re-executes
     to the baseline (directives and restored CALLs survive the text

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
 import uuid
 from contextlib import contextmanager
@@ -60,8 +61,12 @@ _config = _Config()
 class RotatingFileSink:
     """Append-only log file with size-based keep-N rotation.
 
-    Safe for concurrent writers (pool workers, cluster nodes sharing a
-    path) without cross-process locks:
+    Safe for concurrent writers.  Threads sharing one sink serialise on
+    its lock, which guards the fd state (``_fd``/``_ino``): without it
+    one thread's rotation could ``os.close()`` the fd another is about to
+    ``os.write()`` — ``EBADF`` at best, at worst the fd number has been
+    reused and the line lands in a socket.  Processes sharing a path
+    (pool workers, cluster nodes) need no cross-process lock:
 
     * each record is a single ``os.write`` on an ``O_APPEND`` fd — the
       kernel makes the append atomic, so lines never interleave;
@@ -80,9 +85,11 @@ class RotatingFileSink:
         self.path = path
         self.max_bytes = int(max_bytes)
         self.keep = max(1, int(keep))
+        self._lock = threading.Lock()
         self._fd: Optional[int] = None
         self._ino: Optional[int] = None
 
+    # _open/_current_fd/_rotate run with self._lock held
     def _open(self) -> int:
         fd = os.open(self.path,
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
@@ -134,27 +141,29 @@ class RotatingFileSink:
 
     def write(self, text: str) -> None:
         data = text.encode("utf-8", "replace")
-        fd = self._current_fd()
-        if self.max_bytes > 0:
-            try:
-                size = os.fstat(fd).st_size
-            except OSError:
-                size = 0
-            if size > 0 and size + len(data) > self.max_bytes:
-                self._rotate()
-                fd = self._fd  # type: ignore[assignment]
-        os.write(fd, data)
+        with self._lock:
+            fd = self._current_fd()
+            if self.max_bytes > 0:
+                try:
+                    size = os.fstat(fd).st_size
+                except OSError:
+                    size = 0
+                if size > 0 and size + len(data) > self.max_bytes:
+                    self._rotate()
+                    fd = self._fd  # type: ignore[assignment]
+            os.write(fd, data)
 
     def flush(self) -> None:  # O_APPEND writes are unbuffered
         pass
 
     def close(self) -> None:
-        if self._fd is not None:
-            try:
-                os.close(self._fd)
-            except OSError:
-                pass
-            self._fd = None
+        with self._lock:
+            if self._fd is not None:
+                try:
+                    os.close(self._fd)
+                except OSError:
+                    pass
+                self._fd = None
 
     def generations(self) -> List[str]:
         """Existing files, newest first (live file, then .1, .2, ...)."""
@@ -220,6 +229,16 @@ def configured_level() -> str:
             return name
     return "warning"
 
+
+def _unlock_sink_after_fork() -> None:
+    # a pool worker forked while another thread was mid-write inherits
+    # the sink's lock held by a thread that does not exist in the child
+    stream = _config.stream
+    if isinstance(stream, RotatingFileSink):
+        stream._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_unlock_sink_after_fork)
 
 # established from the environment once at import so library use (no CLI
 # entry point) still honours REPRO_LOG

@@ -33,7 +33,7 @@ class LoopVerdict:
 
 #: canonical display order of the pipeline's timed phases
 PHASES = ("parse", "normalize", "summaries", "dependence",
-          "infer", "inline", "reverse", "tune")
+          "infer", "inline", "reverse", "profile", "price")
 
 
 def merge_timings(into: Dict[str, float],

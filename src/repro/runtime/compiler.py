@@ -25,12 +25,13 @@ The cost-accounting contract of the tree-walker is preserved *exactly*:
   cost delta measured around a parallel iteration) sees the identical
   running total.
 
-Because :class:`~repro.runtime.machine.MachineModel.parallel_time` is fed
-the identical per-iteration costs, Figure 20 is bit-for-bit identical
-under either backend.  Compiled units are cached process-wide per unit
-content hash (alongside the parse cache's program hash), so repeated
-executions of the same program — the tuning loop, Table II's config
-sweep — re-lower nothing.
+Because the recorded region tree holds, and
+:class:`~repro.runtime.machine.MachineModel.parallel_time` is fed, the
+identical per-iteration costs, Figure 20 is bit-for-bit identical under
+either backend.  Compiled units are cached process-wide per unit content
+hash (alongside the parse cache's program hash), so repeated executions
+of the same program — the differential tester's modes, the fuzz
+oracle — re-lower nothing.
 
 The tree-walker remains the differential oracle: see
 :func:`repro.runtime.difftest.backend_equivalence` and the fuzzer's
@@ -55,11 +56,11 @@ from repro.fortran.symbols import build_symbol_table, expr_type
 from repro.program import Program
 from repro.runtime.interpreter import (ORDER_PERMUTED, ExecutionResult,
                                        Interpreter, _GotoSignal,
-                                       _ReturnSignal)
+                                       _ReturnSignal, collect_omp_sites)
 from repro.runtime.intrinsics import call_intrinsic
 from repro.runtime.values import ArrayView, ScalarRef
 
-__all__ = ["CompiledInterpreter", "collect_omp_sites", "compile_cache_info",
+__all__ = ["CompiledInterpreter", "compile_cache_info",
            "clear_compile_cache"]
 
 
@@ -140,30 +141,6 @@ def compile_cache_info() -> Dict[str, int]:
 def clear_compile_cache() -> None:
     _TEMPLATE_CACHE.clear()
     _CACHE_STATS["hits"] = _CACHE_STATS["misses"] = 0
-
-
-def collect_omp_sites(body: Sequence[ast.Stmt]) -> List[ast.OmpParallelDo]:
-    """Every OmpParallelDo in ``body``, in the deterministic preorder the
-    compiler uses to number directive sites.  Both compilation (on the
-    template's structural twin) and per-interpreter binding (on the live
-    unit) call this, so site index ``k`` always resolves to the node the
-    tuning pass knows by identity."""
-    out: List[ast.OmpParallelDo] = []
-
-    def walk(stmts: Sequence[ast.Stmt]) -> None:
-        for s in stmts:
-            if isinstance(s, ast.OmpParallelDo):
-                out.append(s)
-                walk(s.loop.body)
-            elif isinstance(s, ast.DoLoop):
-                walk(s.body)
-            elif isinstance(s, ast.IfBlock):
-                for _cond, arm in s.arms:
-                    walk(arm)
-            # TaggedBlock bodies are summaries, never executed or compiled
-
-    walk(body)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1778,6 +1755,8 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
             vint = var.typename == "INTEGER"
         else:
             vbuf = None
+        ex._enter_region(ex._omp_site(fr.unit, site_idx), iteration_costs)
+        completed = False
         try:
             ex.parallel_depth += 1
             try:
@@ -1800,8 +1779,10 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
                         pc = binstrs[pc](ex, fr, bls)
                     ic_append(ex.cost - before)
                 var.set(start + trips * step)
+                completed = True
             finally:
                 ex.parallel_depth -= 1
+                ex._regions.leave(completed)
         except _CrossGoto as cg:
             if cg.levels <= 1:
                 return cg.cell[0]
@@ -1870,9 +1851,7 @@ class CompiledInterpreter(Interpreter):
                     f"GOTO {g.label} has no target in {main.name}")
         except FortranStop as stop:
             stop_message = stop.message or ""
-        return ExecutionResult(self.output, self.cost,
-                               {k: v.copy() for k, v in self.commons.items()},
-                               stop_message)
+        return self._result(stop_message)
 
     def _call(self, name: str, args: Sequence[ast.Expr],
               frame) -> Optional[float]:

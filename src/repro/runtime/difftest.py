@@ -143,7 +143,7 @@ def backend_equivalence(program: Program,
     Unlike :func:`diff_test` (which compares *modes* under tolerances,
     testing the parallelization), this compares *backends* exactly —
     output strings, cost, steps, COMMON contents bit-for-bit, stop and
-    error messages — because the compiled backend claims to be a perfect
+    error messages, and the recorded region tree — because the compiled backend claims to be a perfect
     stand-in for the tree-walker.
     """
     inputs = list(inputs or [])
@@ -182,4 +182,29 @@ def backend_equivalence(program: Program,
             # matches NaNs to themselves, unlike array_equal
             if a.shape != b.shape or a.tobytes() != b.tobytes():
                 return f"{mode}: COMMON /{name}/ contents diverge"
+        if tree.regions != comp.regions:
+            return (f"{mode}: region trees diverge ("
+                    + _first_region_divergence(tree.regions.roots,
+                                               comp.regions.roots, "")
+                    + ")")
     return None
+
+
+def _first_region_divergence(tree_nodes, comp_nodes, path: str) -> str:
+    """Where two lists of recorded region executions first differ."""
+    if len(tree_nodes) != len(comp_nodes):
+        return (f"{path or 'top level'}: {len(tree_nodes)} vs "
+                f"{len(comp_nodes)} region executions")
+    for i, (a, b) in enumerate(zip(tree_nodes, comp_nodes)):
+        here = f"{path}/{a.site[0]}#{a.site[1]}[{i}]"
+        if a.site != b.site:
+            return f"{here}: site {a.site} vs {b.site}"
+        if a.costs != b.costs:
+            return f"{here}: iteration costs differ"
+        if [pos for pos, _ in a.children] != [pos for pos, _ in b.children]:
+            return f"{here}: inner regions in different iterations"
+        if a != b:
+            return _first_region_divergence(
+                [kid for _, kid in a.children],
+                [kid for _, kid in b.children], here)
+    return "profiles differ outside the tree"

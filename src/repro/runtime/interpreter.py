@@ -21,6 +21,13 @@ permuted iteration order to validate independence dynamically.
 Cost accounting: every visited expression node and executed statement
 charges ~1 work unit; the simulated time of a parallel region is
 ``fork_join + max over threads of assigned iteration cost``.
+
+Whenever directives are honoured the run also records its region tree
+(:class:`~repro.runtime.machine.RegionProfile`, returned as
+``ExecutionResult.regions``): one node per executed parallel region with
+the cost charged inside each iteration.  Made with ``machine=None`` those
+are base costs, and :func:`repro.runtime.machine.price` replays the tree
+for any machine and any set of disabled directives.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from repro.fortran.intrinsics import is_intrinsic
 from repro.fortran.symbols import SymbolTable, VarInfo, build_symbol_table
 from repro.program import Program
 from repro.runtime.intrinsics import call_intrinsic
-from repro.runtime.machine import MachineModel
+from repro.runtime.machine import (MachineModel, RegionProfile,
+                                   RegionRecorder, Site)
 from repro.runtime.values import ArrayView, ScalarRef
 
 _MAX_STEPS = 200_000_000
@@ -45,6 +53,37 @@ _MAX_STEPS = 200_000_000
 class _GotoSignal(Exception):
     def __init__(self, label: int):
         self.label = label
+
+
+def collect_omp_sites(body: Sequence[ast.Stmt]) -> List[ast.OmpParallelDo]:
+    """Every OmpParallelDo in ``body``, in the deterministic preorder
+    that numbers directive sites.  Compilation (on the template's
+    structural twin), region recording and the tuning pass (on the live
+    unit) all call this, so site index ``k`` names the same directive in
+    a program and in every clone of it."""
+    out: List[ast.OmpParallelDo] = []
+
+    def walk(stmts: Sequence[ast.Stmt]) -> None:
+        for s in stmts:
+            if isinstance(s, ast.OmpParallelDo):
+                out.append(s)
+                walk(s.loop.body)
+            elif isinstance(s, ast.DoLoop):
+                walk(s.body)
+            elif isinstance(s, ast.IfBlock):
+                for _cond, arm in s.arms:
+                    walk(arm)
+            # TaggedBlock bodies are summaries, never executed or compiled
+
+    walk(body)
+    return out
+
+
+def number_omp_sites(program: Program) -> Dict[int, Site]:
+    """Directive identity -> site, for every directive of ``program``."""
+    return {id(node): (unit.name, index)
+            for unit in program.units
+            for index, node in enumerate(collect_omp_sites(unit.body))}
 
 
 def outputs_equal(a: List[str], b: List[str], rtol: float = 1e-9) -> bool:
@@ -80,6 +119,8 @@ class ExecutionResult:
     cost: float
     commons: Dict[str, np.ndarray]
     stop_message: Optional[str] = None
+    #: the region tree, when the run honoured directives
+    regions: Optional[RegionProfile] = None
 
     def memory_equal(self, other: "ExecutionResult",
                      rtol: float = 1e-9) -> bool:
@@ -143,6 +184,9 @@ class Interpreter:
         #: per-directive accumulated (serial_body_cost, parallel_cost),
         #: keyed by node identity — consumed by the tuning pass
         self.omp_stats: Dict[int, List[float]] = {}
+        #: the region tree of this run, and directive identity -> site
+        self._regions = RegionRecorder()
+        self._sites: Optional[Dict[int, Site]] = None
         self._allocate_commons()
 
     # ------------------------------------------------------------------
@@ -320,9 +364,14 @@ class Interpreter:
             self._exec_unit(main, [])
         except FortranStop as stop:
             stop_message = stop.message or ""
+        return self._result(stop_message)
+
+    def _result(self, stop_message: Optional[str]) -> ExecutionResult:
+        regions = self._regions.profile(self.cost, self.machine) \
+            if self.honor else None
         return ExecutionResult(self.output, self.cost,
                                {k: v.copy() for k, v in self.commons.items()},
-                               stop_message)
+                               stop_message, regions)
 
     def _exec_unit(self, unit: ast.ProgramUnit,
                    bound: Sequence[Tuple[str, Union[ScalarRef, ArrayView]]]
@@ -473,6 +522,8 @@ class Interpreter:
             order = list(reversed(range(trips - 1))) + [trips - 1]
 
         iteration_costs: List[float] = []
+        self._enter_region(s, iteration_costs)
+        completed = False
         self.parallel_depth += 1
         try:
             for pos, k in enumerate(order):
@@ -488,8 +539,10 @@ class Interpreter:
                 self._exec_block(loop.body, frame)
                 iteration_costs.append(self.cost - before)
             var.set(start + trips * step)
+            completed = True
         finally:
             self.parallel_depth -= 1
+            self._regions.leave(completed)
         if self.machine is not None:
             serial_cost = sum(iteration_costs)
             parallel_cost = self.machine.parallel_time(
@@ -498,6 +551,14 @@ class Interpreter:
             stat = self.omp_stats.setdefault(id(s), [0.0, 0.0])
             stat[0] += serial_cost
             stat[1] += parallel_cost
+
+    def _enter_region(self, s: ast.OmpParallelDo,
+                      iteration_costs: List[float]) -> None:
+        """Start recording an execution of ``s``; ``iteration_costs`` is
+        the live list its iterations' costs are appended to."""
+        if self._sites is None:
+            self._sites = number_omp_sites(self.program)
+        self._regions.enter(self._sites[id(s)], iteration_costs)
 
     def _private_storage(self, names: Sequence[str], frame: _Frame):
         slices = []

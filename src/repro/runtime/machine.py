@@ -9,11 +9,25 @@ whose total work comfortably exceeds a few thousand operations" — which
 is exactly why most PERFECT benchmarks, with their small input sizes, see
 at most ~10% end-to-end improvement and why the empirical tuning step
 must disable some parallelized loops.
+
+Beside the model lives the *pricer*.  Every simulated cost is
+``W + sum of deltas``: the work ``W`` and each iteration's base cost do
+not depend on the machine or on which directives are on, and each
+executed parallel region adds ``parallel_time(iterations) - serial sum``.
+An interpreter that honours directives records the dynamic region tree
+(:class:`RegionProfile`), and :func:`price` replays it for any machine
+and any set of disabled directives — so the tuning protocol executes a
+program once and prices it many times.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+#: a directive site: (unit name, preorder index from collect_omp_sites)
+Site = Tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -58,3 +72,111 @@ INTEL_MAC = MachineModel("intel-mac", threads=8, fork_join_overhead=1800.0,
 AMD_OPTERON = MachineModel("amd-opteron", threads=4,
                            fork_join_overhead=1200.0,
                            per_thread_overhead=50.0)
+
+
+@dataclass(slots=True)
+class RegionNode:
+    """One dynamic execution of an ``OmpParallelDo``."""
+
+    site: Site
+    #: cost charged inside each iteration, in execution order, as packed
+    #: doubles (equal vectors of one profile are one object); ``None``
+    #: for a region left by ``STOP`` or a ``GOTO`` out of it, which the
+    #: in-run model never prices; the interpreter's live list while the
+    #: region is still executing
+    costs: Optional[Union[array, List[float]]]
+    #: (position of the iteration in ``costs``, region executed in it)
+    children: Sequence[Tuple[int, "RegionNode"]]
+
+
+@dataclass(frozen=True)
+class RegionProfile:
+    """The region tree of one directive-honouring execution."""
+
+    #: total cost of the recorded run
+    work: float
+    #: the regions entered outside any other region
+    roots: Tuple[RegionNode, ...]
+    #: the machine the run was priced under; iteration costs are base
+    #: costs, and the profile can be priced, only when this is ``None``
+    machine: Optional[MachineModel] = None
+
+
+class RegionRecorder:
+    """Builds the region tree of one execution from the interpreter's
+    enter/leave calls."""
+
+    def __init__(self) -> None:
+        self._roots: List[RegionNode] = []
+        #: the regions still executing, innermost last
+        self._open: List[RegionNode] = []
+        self._vectors: Dict[bytes, array] = {}
+
+    def enter(self, site: Site, iteration_costs: List[float]) -> None:
+        """A region execution begins; ``iteration_costs`` is the live
+        list the interpreter appends each finished iteration's cost to
+        (its length is the position of the iteration in progress)."""
+        node = RegionNode(site, iteration_costs, [])
+        if self._open:
+            parent = self._open[-1]
+            parent.children.append((len(parent.costs), node))
+        else:
+            self._roots.append(node)
+        self._open.append(node)
+
+    def leave(self, completed: bool) -> None:
+        """The innermost region ends: pack and intern its iteration
+        costs, or mark it never priced when control left it early."""
+        node = self._open.pop()
+        node.children = tuple(node.children)
+        if completed:
+            packed = array("d", node.costs)
+            node.costs = self._vectors.setdefault(packed.tobytes(), packed)
+        else:
+            node.costs = None
+
+    def profile(self, work: float,
+                machine: Optional[MachineModel]) -> RegionProfile:
+        return RegionProfile(work, tuple(self._roots), machine)
+
+
+def price(profile: RegionProfile, machine: MachineModel,
+          disabled=frozenset()
+          ) -> Tuple[float, Dict[Site, Tuple[float, float]]]:
+    """Cost of the profiled execution on ``machine`` with the directives
+    at the ``disabled`` sites replaced by their loops, and each priced
+    site's accumulated ``(serial, parallel)`` cost — what an execution
+    with ``machine=machine`` of that program reports as ``cost`` and
+    ``omp_stats``, exactly (base costs are multiples of 0.5, so while the
+    machine's overheads are too, every sum here is exact in any order).
+
+    An active region's iteration costs are its base costs plus the
+    deltas of the regions inside it, priced nested; a disabled region
+    passes its inner regions through at the enclosing nesting level.
+    """
+    if profile.machine is not None:
+        raise ValueError("profile was recorded under in-run pricing; "
+                         "its iteration costs are not base costs")
+    stats: Dict[Site, List[float]] = {}
+
+    def delta(node: RegionNode, nested: bool) -> float:
+        active = node.site not in disabled
+        if node.costs is None or not active:
+            inner = nested or active
+            return sum(delta(kid, inner) for _pos, kid in node.children)
+        costs = node.costs
+        base = serial = sum(costs)
+        if node.children:
+            costs = list(costs)
+            for pos, kid in node.children:
+                inner = delta(kid, True)
+                costs[pos] += inner
+                serial += inner
+        parallel = machine.parallel_time(costs, nested)
+        stat = stats.setdefault(node.site, [0.0, 0.0])
+        stat[0] += serial
+        stat[1] += parallel
+        return parallel - base
+
+    cost = profile.work + sum(delta(node, False) for node in profile.roots)
+    return cost, {site: tuple(stat) for site, stat in stats.items()}

@@ -1,6 +1,7 @@
 """Size-based log rotation: atomic keep-N generations, no interleave."""
 
 import os
+import sys
 import threading
 
 from repro.obs.logging import RotatingFileSink
@@ -47,33 +48,55 @@ class TestRotatingFileSink:
         assert max(rotated.split()) < min(live.split())
 
     def test_no_interleaved_lines_across_threads(self, tmp_path):
+        """Threads sharing one sink: no write fails, no record is lost.
+
+        ``max_bytes`` below two records makes every other write rotate,
+        the barrier releases all writers into that at once, and a short
+        switch interval preempts them mid-``write`` — so without the
+        sink's lock a rotation closes the fd another thread is about to
+        write (``EBADF``) or two rotations shift each other's
+        generations away.  ``keep`` covers every rotation, so with the
+        lock each record must survive exactly once.
+        """
         path = str(tmp_path / "repro.log")
-        sink = RotatingFileSink(path, max_bytes=2000, keep=4)
+        tags, per_thread = ("aa", "bb", "cc", "dd"), 60
+        sink = RotatingFileSink(path, max_bytes=40,
+                                keep=len(tags) * per_thread)
+        barrier = threading.Barrier(len(tags))
+        errors = []
 
         def writer(tag):
-            for i in range(50):
-                sink.write(f"{tag}:{i:03d}:" + "payload" * 3 + "\n")
+            try:
+                barrier.wait(timeout=10)
+                for i in range(per_thread):
+                    sink.write(f"{tag}:{i:03d}:" + "payload" * 3 + "\n")
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(f"{tag}: {type(exc).__name__}: {exc}")
 
         threads = [threading.Thread(target=writer, args=(t,))
-                   for t in ("aa", "bb", "cc")]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+                   for t in tags]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         sink.close()
+        assert errors == []
         seen = []
         for f in sink.generations():
             with open(f) as fh:
                 for line in fh:
                     assert line.endswith("\n")
                     tag, num, payload = line.rstrip("\n").split(":")
-                    assert tag in ("aa", "bb", "cc")
                     assert payload == "payload" * 3
                     seen.append((tag, num))
-        # nothing lost: every (tag, seq) pair lands in some generation
-        # that still exists, and the newest records always survive
-        for tag in ("aa", "bb", "cc"):
-            assert (tag, "049") in seen
+        assert sorted(seen) == [(tag, f"{i:03d}") for tag in tags
+                                for i in range(per_thread)]
 
     def test_follows_external_rotation(self, tmp_path):
         path = str(tmp_path / "repro.log")

@@ -19,8 +19,8 @@ from repro.program import Program
 from repro.runtime import CompiledInterpreter, Interpreter
 from repro.runtime.backend import (BACKEND_ENV, BACKENDS, default_backend,
                                    make_interpreter)
-from repro.runtime.compiler import (clear_compile_cache, collect_omp_sites,
-                                    compile_cache_info)
+from repro.runtime.compiler import clear_compile_cache, compile_cache_info
+from repro.runtime.interpreter import collect_omp_sites
 from repro.runtime.difftest import backend_equivalence
 from repro.runtime.interpreter import outputs_equal
 from repro.runtime.machine import INTEL_MAC
@@ -61,18 +61,24 @@ def test_benchmark_equivalence(bench, config):
 def test_figure20_cells_identical(monkeypatch):
     """Figure 20 cells (tuning costs and verdicts) are byte-identical
     across backends — the compiled backend only changes wall-clock."""
-    from repro.experiments.figure20 import figure20_cells
+    from repro.experiments.figure20 import (clear_pipeline_cache,
+                                            figure20_cells)
 
     def cells_under(backend):
         monkeypatch.setenv(BACKEND_ENV, backend)
+        # the cached profile is the other backend's execution
+        clear_pipeline_cache()
         bench = get_benchmark("TRFD")
         return [(c.benchmark, c.machine, c.config,
                  c.tuning.initial_cost, c.tuning.tuned_cost,
                  c.tuning.serial_cost, tuple(c.tuning.disabled),
                  tuple(c.tuning.kept))
-                for c in figure20_cells(bench, machines=[INTEL_MAC])]
+                for c in figure20_cells(bench)]
 
-    assert cells_under("tree") == cells_under("compiled")
+    try:
+        assert cells_under("tree") == cells_under("compiled")
+    finally:
+        clear_pipeline_cache()
 
 
 class TestBackendSwitch:
