@@ -478,7 +478,7 @@ def cmd_serve(args) -> int:
     host, port = server.start()
     print(f"repro service listening on {host}:{port} "
           f"({server.workers} worker{'s' if server.workers != 1 else ''}, "
-          f"queue capacity {server.queue.capacity})", flush=True)
+          f"queue capacity {server.ledger.capacity})", flush=True)
     _drain_on_sigterm(lambda: server.stop(drain=True), "repro serve")
     try:
         server.wait()

@@ -1,103 +1,52 @@
-"""The cluster gateway: an asyncio front door for the parallelization
-service.
+"""The cluster gateway: an asyncio shell around the job ledger.
 
 One :class:`ClusterGateway` multiplexes thousands of concurrent client
 sessions over a single event loop while speaking exactly the protocol of
 the single-node daemon — the synchronous
 :class:`repro.service.client.ServiceClient` works unchanged, frame for
-frame (``submit``/``status``/``result``/``cancel``/``health``/
-``metrics``/``shutdown``).
-
-Scale-out happens behind that front door:
+frame.  Every decision about a job is the
+:class:`~repro.service.ledger.JobLedger`'s, the same one the daemon
+wraps; the gateway adds the cluster's transport:
 
 * the result cache is a :class:`repro.cluster.shardcache.ShardedCache` —
-  payload digests route over a consistent-hash ring to cache-shard
-  nodes;
-* execution happens on a worker fleet (:mod:`repro.cluster.workers`)
-  speaking five extra ops: ``work-pull`` (batched lease of queued jobs,
-  long-poll), ``work-start`` (lease validity check — refused when the
-  job was stolen, canceled, or re-assigned after a presumed death),
-  ``work-done``, ``work-fail`` (kind: ``crash``/``error``/``timeout``),
-  and ``heartbeat`` (liveness + a metrics-registry delta tagged with a
-  monotonic sequence number, merged exactly once);
-* an idle puller facing an empty queue *steals* an unstarted leased job
-  from the node with the largest backlog — the victim's later
-  ``work-start`` for it is refused, so a job never runs twice;
-* a sweeper declares nodes dead after ``heartbeat_timeout`` silent
-  seconds: their unstarted leases re-enter the queue immediately and
-  their running jobs take the crash-retry path (exponential backoff,
-  attempts respected) — the same semantics PR 2 gave in-process worker
-  crashes;
-* an observability plane: traced submissions (a ``trace_ctx`` beside
-  the payload, like ``ctx``) open gateway spans for the cache lookup,
-  queue wait, execution, and the whole job; worker/shard spans arrive
-  piggybacked on heartbeats and cache responses together with remote
-  wall clocks that feed a per-node :class:`ClockModel`; a ``telemetry``
-  op streams merged metric snapshots + health events, and a
-  ``trace-export`` op hands everything to ``repro trace-collect`` for
-  cross-node stitching.
+  payload digests route over a consistent-hash ring to shard nodes;
+* a worker fleet (:mod:`repro.cluster.workers`) drives the ledger's
+  lease transitions over five extra ops: ``work-pull`` (batched
+  ``claim``, long-poll, ``steal`` when the queue stays empty),
+  ``work-start``, ``work-done``, ``work-fail`` (kind: ``crash``/
+  ``error``/``timeout``) and ``heartbeat``;
+* tasks run the dead-node ``sweep`` every quarter ``heartbeat_timeout``
+  and publish telemetry snapshots; retry delays are ``loop.call_later``;
+* ``local_workers`` embedded executors are local ledger nodes driven
+  through the *same* transitions as remote ones, so one process can
+  serve a full cluster surface (tests, small deployments).
 
-Concurrency model: all mutable state (job table, queue, leases, node
-table) is owned by the event loop and touched only from coroutines, so
-there are no locks; the only blocking work — shard-cache socket I/O and
-the optional embedded worker pool — is pushed through
-``asyncio.to_thread``, with dedup re-checked after every ``await`` that
-could have admitted a competitor.
-
-A gateway with ``local_workers > 0`` embeds its own executor fleet
-driven through the *same* lease machinery as remote nodes, so one
-process can serve a full cluster surface (tests, small deployments).
+Concurrency model: the ledger is owned by the event loop and touched
+only from coroutines, so there are no locks; blocking work (shard-cache
+socket I/O, the embedded worker pool) goes through
+``asyncio.to_thread``, and ``admit`` re-checks dedup after the cache
+probe's ``await`` could have admitted a competitor.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import os
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.shardcache import LocalShard, ShardedCache
-from repro.experiments.executor import (WorkerCrashError, WorkerPool,
-                                        WorkerTimeout, resolve_jobs)
+from repro.experiments.executor import WorkerPool, resolve_jobs
 from repro.obs import logging as obs_logging
-from repro.obs import metrics as obs_metrics
-from repro.obs.distributed import (ClockModel, SpanRecorder, TraceContext)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import SpanStore, TelemetryStore
-from repro.service import ops, protocol
-from repro.service.execution import PAYLOAD_KINDS, run_job_observed
-from repro.service.jobs import (FINAL_STATES, Job, JobState, payload_digest)
+from repro.service import protocol
+from repro.service.execution import run_leased
+from repro.service.jobs import FINAL_STATES, Job, QueueFullError
+from repro.service.ledger import (DEFAULT_HEARTBEAT_TIMEOUT, JobLedger, Node,
+                                  job_response)
 
 _log = obs_logging.get_logger("repro.cluster.gateway")
-
-_LIVE_STATES = (JobState.QUEUED, JobState.RUNNING)
-
-#: a node silent for this many seconds is declared dead
-DEFAULT_HEARTBEAT_TIMEOUT = 5.0
-
-
-class _Node:
-    """Loop-owned view of one worker node (remote or embedded)."""
-
-    __slots__ = ("name", "local", "last_seen", "last_seq", "boot",
-                 "unstarted", "running", "lease_at", "done", "failed",
-                 "stolen_from", "info")
-
-    def __init__(self, name: str, local: bool = False):
-        self.name = name
-        self.local = local
-        self.last_seen = time.monotonic()
-        self.last_seq = 0            # highest merged metrics/span seq
-        self.boot: Optional[str] = None  # node process incarnation id
-        self.unstarted: set = set()  # leased job ids not yet started
-        self.running: set = set()    # leased job ids executing
-        self.lease_at: Dict[str, float] = {}  # job id -> lease monotonic
-        self.done = 0
-        self.failed = 0
-        self.stolen_from = 0
-        self.info: Dict[str, Any] = {}
 
 
 class ClusterGateway:
@@ -122,97 +71,61 @@ class ClusterGateway:
                  run_id: Optional[str] = None):
         self.host = host
         self.port = port
-        self.queue_capacity = queue_capacity
-        self.default_deadline = default_deadline
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.drain_timeout = drain_timeout
-        self.heartbeat_timeout = heartbeat_timeout
         self.local_workers = local_workers
         self.telemetry_interval = telemetry_interval
-        self.metrics = MetricsRegistry()
+        self._work_available = asyncio.Event()
+        self._waiters: Dict[str, asyncio.Event] = {}  # awaited job ids
+        self.ledger = JobLedger(
+            "cluster", "gateway", run_id or f"gw-{os.getpid()}",
+            clock=time.monotonic, wall=time.time,
+            capacity=queue_capacity, default_deadline=default_deadline,
+            max_retries=max_retries, retry_backoff=retry_backoff,
+            heartbeat_timeout=heartbeat_timeout,
+            telemetry_dir=telemetry_dir,
+            on_work=self._work_available.set, on_finish=self._wake)
+        self.run_id = self.ledger.run_id
+        self.metrics = self.ledger.metrics
+        self.telemetry = self.ledger.telemetry
         self.cache = shards if shards is not None else ShardedCache(
             {"local": LocalShard()}, registry=self.metrics)
+        self.cache.set_span_sink(self.ledger.ingest_spans)
         self.pool = WorkerPool(resolve_jobs(local_workers or 1),
                                inline=inline) if local_workers else None
 
-        # observability plane: spans recorded here + shipped from
-        # workers/shards, wall-clock offsets per node, periodic
-        # snapshots/events (persisted when telemetry_dir is given)
-        self.run_id = run_id or f"gw-{os.getpid()}"
-        self.clock = ClockModel()
-        self.spans = SpanRecorder("gateway")
-        self.span_store = SpanStore(telemetry_dir, self.run_id)
-        self.telemetry = TelemetryStore(telemetry_dir, self.run_id)
-        self._traced: Dict[str, Dict[str, Any]] = {}  # job id -> trace
-        self.cache.set_span_sink(self._ingest_spans)
-
         self.address: Optional[Tuple[str, int]] = None
-        self._jobs: Dict[str, Job] = {}
-        self._by_digest: Dict[str, str] = {}
-        self._pending: deque = deque()            # job ids awaiting lease
-        self._waiters: Dict[str, asyncio.Event] = {}
-        self._nodes: Dict[str, _Node] = {}
-
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._work_available: Optional[asyncio.Event] = None
-        self._stopped_async: Optional[asyncio.Event] = None
+        self._stopped_async = asyncio.Event()
         self._tasks: List[asyncio.Task] = []
-        self._draining = False
-        self._stopping = False
-        self._started_at: Optional[float] = None
         self._ready = threading.Event()    # address bound (background mode)
         self._finished = threading.Event()  # loop exited (background mode)
         self._thread: Optional[threading.Thread] = None
 
         m = self.metrics
-        self._m_submitted = m.counter(
-            "repro_jobs_submitted_total", "jobs accepted into the queue")
-        self._m_rejected = m.counter(
-            "repro_jobs_rejected_total", "submissions rejected (queue full)")
-        self._m_deduped = m.counter(
-            "repro_jobs_deduped_total", "submissions joined to an "
-            "in-flight job with the same digest")
-        self._m_retried = m.counter(
-            "repro_jobs_retried_total", "crash retries re-enqueued")
-        self._m_completed = m.counter(
-            "repro_jobs_completed_total", "jobs reaching a final state, "
-            "by state")
-        self._m_cache_hits = m.counter(
-            "repro_cache_hits_total", "submissions answered from the "
-            "result cache")
-        self._m_cache_misses = m.counter(
-            "repro_cache_misses_total", "submissions that had to run")
-        self._m_depth = m.gauge(
-            "repro_queue_depth", "jobs waiting in the queue")
-        self._m_running = m.gauge(
-            "repro_jobs_running", "jobs currently executing")
-        self._m_uptime = m.gauge(
-            "repro_uptime_seconds", "seconds since the gateway started")
-        self._m_latency = m.histogram(
-            "repro_job_latency_seconds", "submit-to-finish wall clock")
-        self._m_requests = m.counter(
-            "repro_requests_total", "protocol requests handled, by op")
         self._m_sessions = m.gauge(
             "repro_cluster_sessions", "connected protocol sessions")
         self._m_pulls = m.counter(
             "repro_cluster_pulls_total", "work-pull requests, by outcome "
             "(jobs/steal/empty)")
-        self._m_steals = m.counter(
-            "repro_cluster_steals_total", "jobs stolen from a busy "
-            "node's unstarted backlog")
-        self._m_dead = m.counter(
-            "repro_cluster_dead_nodes_total", "worker nodes declared "
-            "dead after missed heartbeats")
+        m.counter("repro_cluster_steals_total", "jobs stolen from a busy "
+                  "node's unstarted backlog")
+        m.counter("repro_cluster_dead_nodes_total", "worker nodes declared "
+                  "dead after missed heartbeats")
         self._m_heartbeats = m.counter(
             "repro_cluster_heartbeats_total", "worker heartbeats received")
-        self._m_loops_parallel = m.counter(
-            "repro_loops_parallel_total", "loops parallelized by "
-            "finished jobs")
-        self._m_loops_serial = m.counter(
-            "repro_loops_serial_total", "loops left serial by finished "
-            "jobs, by reason")
+
+        self.ledger.ops = {
+            "submit": self._op_submit,
+            **self.ledger.ops,
+            "result": self._op_result,
+            "health": self._op_health,
+            "work-pull": self._op_work_pull,
+            "work-start": self._op_work_start,
+            "work-done": self._op_work_done,
+            "work-fail": self._op_work_fail,
+            "heartbeat": self._op_heartbeat,
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -220,9 +133,7 @@ class ClusterGateway:
 
     async def start_async(self) -> Tuple[str, int]:
         self._loop = asyncio.get_running_loop()
-        self._work_available = asyncio.Event()
-        self._stopped_async = asyncio.Event()
-        self._started_at = time.monotonic()
+        self.ledger.started_at = time.monotonic()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port)
         self.address = self._server.sockets[0].getsockname()[:2]
@@ -243,9 +154,9 @@ class ClusterGateway:
         await self._stopped_async.wait()
 
     async def stop_async(self) -> None:
-        if self._stopping:
+        if self.ledger.stopping:
             return
-        self._stopping = True
+        self.ledger.stopping = True
         _log.info("gateway-stop", pending=self.pending_jobs())
         if self._server is not None:
             self._server.close()
@@ -268,14 +179,14 @@ class ClusterGateway:
 
     async def _shutdown_task(self, drain: bool,
                              drain_timeout: Optional[float]) -> None:
-        if drain and not self._stopping:
-            self._draining = True
+        if drain and not self.ledger.stopping:
+            self.ledger.draining = True
             budget = self.drain_timeout if drain_timeout is None \
                 else float(drain_timeout)
             deadline = time.monotonic() + max(0.0, budget)
             _log.info("drain-start", pending=self.pending_jobs())
             while self.pending_jobs() and time.monotonic() < deadline \
-                    and not self._stopping:
+                    and not self.ledger.stopping:
                 await asyncio.sleep(0.02)
             _log.info("drain-finish", pending=self.pending_jobs())
         await self.stop_async()
@@ -318,20 +229,11 @@ class ClusterGateway:
 
     @property
     def running(self) -> bool:
-        return self._started_at is not None and not self._stopping
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def uptime(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        return time.monotonic() - self._started_at
+        return self.ledger.started_at is not None \
+            and not self.ledger.stopping
 
     def pending_jobs(self) -> int:
-        return sum(1 for job in self._jobs.values()
-                   if job.state not in FINAL_STATES)
+        return self.ledger.unfinished()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -341,7 +243,7 @@ class ClusterGateway:
                                 writer: asyncio.StreamWriter) -> None:
         self._m_sessions.inc()
         try:
-            while not self._stopping:
+            while not self.ledger.stopping:
                 try:
                     request = await protocol.read_message_async(reader)
                 except protocol.ProtocolError:
@@ -351,26 +253,14 @@ class ClusterGateway:
                 except Exception as exc:
                     response = protocol.error_response(
                         f"{type(exc).__name__}: {exc}", code="internal")
-                shutdown = response.pop("_shutdown", False)
-                drain = response.pop("_drain", False)
-                drain_timeout = response.pop("_drain_timeout", None)
+                frame, shutdown = protocol.reply_frame(response)
                 try:
-                    await protocol.write_message_async(writer, response)
-                except protocol.ProtocolError as exc:
-                    # response exceeds the frame limit: tell the client
-                    # instead of silently dropping the connection
-                    try:
-                        await protocol.write_message_async(
-                            writer, protocol.error_response(
-                                f"response too large for one frame: {exc}",
-                                code="oversize"))
-                    except (OSError, protocol.ProtocolError):
-                        return
+                    writer.write(frame)
+                    await writer.drain()
                 except (OSError, ConnectionResetError):
                     return
-                if shutdown:
-                    asyncio.ensure_future(
-                        self._shutdown_task(drain, drain_timeout))
+                if shutdown is not None:
+                    asyncio.ensure_future(self._shutdown_task(**shutdown))
                     return
         except asyncio.CancelledError:
             return  # loop teardown mid-request (e.g. a worker long-poll)
@@ -386,314 +276,111 @@ class ClusterGateway:
     async def handle_request(self, request: Dict[str, Any]
                              ) -> Dict[str, Any]:
         """Answer one protocol request (also the unit-test entry point)."""
-        op = request.get("op")
-        handler = self._OPS.get(op) if isinstance(op, str) else None
-        if handler is None:
-            self._m_requests.inc(op="unknown")
-            return protocol.error_response(
-                f"unknown op {op!r}; expected submit/status/result/cancel/"
-                f"health/metrics/telemetry/trace-export/shutdown or "
-                f"work-pull/work-start/work-done/work-fail/heartbeat",
-                code="bad-op")
-        self._m_requests.inc(op=op)
-        return await handler(self, request)
+        response = self.ledger.dispatch(request)
+        if inspect.isawaitable(response):
+            response = await response
+        return response
 
     # ------------------------------------------------------------------
-    # client-facing ops (the single-node surface)
+    # client ops that need the loop (the rest are the ledger's)
     # ------------------------------------------------------------------
 
     async def _op_submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        payload = request.get("payload")
-        if not isinstance(payload, dict):
-            return protocol.error_response(
-                "submit needs a 'payload' object", code="bad-request")
-        kind = payload.get("kind")
-        if kind not in PAYLOAD_KINDS:
-            return protocol.error_response(
-                f"unknown payload kind {kind!r}; expected one of "
-                f"{PAYLOAD_KINDS}", code="bad-request")
-        ctx = request.get("ctx")
-        ctx_problem = ops.validate_ctx(ctx)
-        if ctx_problem:
-            return protocol.error_response(ctx_problem, code="bad-request")
-        trace_ctx = request.get("trace_ctx")
-        trace_problem = ops.validate_trace_ctx(trace_ctx)
-        if trace_problem:
-            return protocol.error_response(trace_problem,
-                                           code="bad-request")
-        trace = self._open_trace(trace_ctx)
-        if self._draining or self._stopping:
-            self._m_rejected.inc()
-            return protocol.error_response(
-                "service is draining before shutdown; no new jobs "
-                "accepted", code="backpressure")
-
-        digest = payload_digest(payload)
-        job, deduped = self._live_job(digest), True
-        if job is None:
-            # probe the shard tier off-loop; competitors may admit the
-            # same digest while we wait, so re-check dedup afterwards.
-            # When traced, the cache carries the job span's context and
-            # the shard piggybacks its own span on the response.
-            cached = await asyncio.to_thread(
-                self.cache.get, digest,
-                None if trace is None
-                else {"traceparent": trace["span"].to_traceparent()})
-            job = self._live_job(digest)
-            if job is not None:
-                self._m_deduped.inc()
-            elif self._draining or self._stopping:
-                self._m_rejected.inc()
-                return protocol.error_response(
-                    "service is draining before shutdown; no new jobs "
-                    "accepted", code="backpressure")
-            else:
-                deduped = False
-                job = self._admit(digest, payload, request, ctx, cached,
-                                  trace=trace)
-                if job is None:
-                    self._m_rejected.inc()
-                    return protocol.error_response(
-                        f"queue is full ({self.queue_capacity} jobs "
-                        f"waiting); retry after the backlog drains",
-                        code="backpressure")
-        else:
-            self._m_deduped.inc()
+        ledger = self.ledger
+        try:
+            digest, trace = ledger.open_submit(request)
+            cached = None
+            if ledger.live_job(digest) is None \
+                    and not (ledger.draining or ledger.stopping):
+                # probe the shard tier off-loop.  When traced, the cache
+                # carries the job span's context and the shard
+                # piggybacks its own span on the response.
+                cached = await asyncio.to_thread(
+                    self.cache.get, digest,
+                    None if trace is None
+                    else {"traceparent": trace["span"].to_traceparent()})
+            job, deduped = ledger.admit(request, digest, cached, trace)
+        except QueueFullError as exc:
+            return protocol.error_response(exc.reason, code="backpressure")
+        except ValueError as exc:
+            return protocol.error_response(str(exc), code="bad-request")
         if request.get("wait"):
             await self._wait_finished(job, request.get("wait_timeout"))
-        return ops.job_response(
+        return job_response(
             job, deduped=deduped,
             include_result=bool(request.get("wait")),
             include_trace=bool(request.get("include_trace")))
-
-    def _open_trace(self, trace_ctx: Any) -> Optional[Dict[str, Any]]:
-        """Open the gateway-side 'job' span for a traced submission.
-
-        Returns None for untraced submits (the overwhelmingly common
-        case — one dict lookup and an ``is None`` test is the whole
-        cost of tracing being off).
-        """
-        if trace_ctx is None:
-            return None
-        try:
-            root = TraceContext.from_dict(trace_ctx)
-        except ValueError:
-            return None  # validated earlier; defensive
-        if root is None:
-            return None
-        return {"root": root, "span": root.child(),
-                "submit_wall": time.time()}
-
-    def _live_job(self, digest: str) -> Optional[Job]:
-        live_id = self._by_digest.get(digest)
-        if live_id is None:
-            return None
-        live = self._jobs[live_id]
-        if live.state in _LIVE_STATES:
-            return live
-        del self._by_digest[digest]  # stale index entry
-        return None
-
-    def _admit(self, digest: str, payload: Dict[str, Any],
-               request: Dict[str, Any], ctx: Optional[Dict[str, Any]],
-               cached: Optional[Dict[str, Any]],
-               trace: Optional[Dict[str, Any]] = None) -> Optional[Job]:
-        deadline = request.get("deadline")
-        if deadline is None:
-            deadline = self.default_deadline
-        max_retries = request.get("max_retries")
-        if max_retries is None:
-            max_retries = self.max_retries
-        job = Job(digest=digest, payload=payload, deadline=deadline,
-                  max_retries=max_retries, ctx=dict(ctx or {}))
-        if trace is not None:
-            # workers receive the *job span's* context, so worker-side
-            # execute spans nest under the gateway's job span
-            job.trace_ctx = {"traceparent": trace["span"].to_traceparent()}
-            self._traced[job.id] = trace
-        if cached is not None:
-            self._m_cache_hits.inc()
-            job.cached = True
-            job.finish(JobState.DONE, result=cached)
-            self._m_completed.inc(state=JobState.DONE)
-            self._jobs[job.id] = job
-            if trace is not None:
-                self._record_job_span(job, trace)
-            return job
-        self._m_cache_misses.inc()
-        if len(self._pending) >= self.queue_capacity:
-            self._traced.pop(job.id, None)
-            return None
-        self._m_submitted.inc()
-        self._jobs[job.id] = job
-        self._by_digest[digest] = job.id
-        self._waiters[job.id] = asyncio.Event()
-        self._enqueue(job.id)
-        return job
-
-    def _enqueue(self, job_id: str, front: bool = False) -> None:
-        if front:
-            self._pending.appendleft(job_id)
-        else:
-            self._pending.append(job_id)
-        self._m_depth.set(len(self._pending))
-        if self._work_available is not None:
-            self._work_available.set()
 
     async def _wait_finished(self, job: Job,
                              timeout: Optional[float]) -> None:
         if job.state in FINAL_STATES:
             return
-        event = self._waiters.get(job.id)
-        if event is None:
-            return
+        event = self._waiters.setdefault(job.id, asyncio.Event())
         try:
             await asyncio.wait_for(event.wait(), timeout)
-        except TimeoutError:
+        except asyncio.TimeoutError:
             pass
 
-    def _lookup(self, request: Dict[str, Any]):
-        job_id = request.get("job_id")
-        job = self._jobs.get(job_id) if job_id else None
-        if job is None:
-            return None, protocol.error_response(
-                f"unknown job {job_id!r}", code="not-found")
-        return job, None
-
-    async def _op_status(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        job, err = self._lookup(request)
-        return err if err else ops.job_response(job)
+    def _wake(self, job: Job) -> None:
+        event = self._waiters.pop(job.id, None)
+        if event is not None:
+            event.set()
 
     async def _op_result(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        job, err = self._lookup(request)
+        job, err = self.ledger.lookup(request)
         if err:
             return err
         if request.get("wait"):
             await self._wait_finished(job, request.get("wait_timeout"))
-        if job.state == JobState.DONE:
-            return ops.job_response(
-                job, include_result=True,
-                include_trace=bool(request.get("include_trace")))
-        if job.state in FINAL_STATES:
-            return protocol.error_response(
-                f"job {job.id} finished as {job.state}: {job.error}",
-                code=job.state)
-        return protocol.error_response(
-            f"job {job.id} is still {job.state}", code="not-ready")
-
-    async def _op_cancel(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        job, err = self._lookup(request)
-        if err:
-            return err
-        if job.state != JobState.QUEUED:
-            ok, reason = False, f"job is {job.state}, not queued"
-        else:
-            # drop any unstarted lease so a later work-start is refused
-            for node in self._nodes.values():
-                node.unstarted.discard(job.id)
-                node.lease_at.pop(job.id, None)
-            self._finish_job(job, JobState.CANCELED,
-                             error="canceled by client")
-            ok, reason = True, "canceled"
-        response = ops.job_response(job)
-        response["canceled"] = ok
-        response["detail"] = reason
-        return response
+        return self.ledger.result_response(job, request)
 
     async def _op_health(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        states: Dict[str, int] = {}
-        for job in self._jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
-        now = time.monotonic()
-        workers = {}
-        for name, node in sorted(self._nodes.items()):
-            age = now - node.last_seen
-            leases = {job_id: round(now - at, 3)
-                      for job_id, at in sorted(node.lease_at.items())}
-            workers[name] = {
-                "local": node.local,
-                "alive": node.local or age <= self.heartbeat_timeout,
-                "heartbeat_age": round(age, 3),
-                "last_heartbeat_age": round(age, 3),
-                "boot": node.boot,
-                "unstarted": len(node.unstarted),
-                "running": len(node.running),
-                "leases": leases,
-                "oldest_lease_age": max(leases.values(), default=None),
-                "done": node.done,
-                "failed": node.failed,
-                "info": node.info,
-            }
         shard_stats = await asyncio.to_thread(self.cache.shard_stats)
-        return {
-            "ok": True,
-            "tier": "cluster",
-            "uptime": self.uptime(),
-            "draining": self.draining,
-            "workers": self.local_workers,
-            "pool_mode": ("inline" if self.pool.inline else "process")
-                         if self.pool is not None else "fleet",
-            "queue_depth": len(self._pending),
-            "queue_capacity": self.queue_capacity,
-            "jobs_by_state": states,
-            "cache_entries": sum(
-                s.get("entries", 0) for s in shard_stats.values()
-                if s.get("alive")),
-            "cache_stats": self.cache.stats(),
-            "cluster": {
+        health = self.ledger.op_health(request)
+        workers = self.ledger.nodes_view()
+        health.update(
+            workers=self.local_workers,
+            pool_mode=("inline" if self.pool.inline else "process")
+            if self.pool is not None else "fleet",
+            cache_entries=sum(s.get("entries", 0)
+                              for s in shard_stats.values()
+                              if s.get("alive")),
+            cache_stats=self.cache.stats(shard_stats),
+            cluster={
                 "ring": self.cache.ring_info(),
                 "shards": shard_stats,
                 "worker_nodes": workers,
                 "workers_alive": sum(
                     1 for w in workers.values() if w["alive"]),
-                "gateway_uptime": self.uptime(),
+                "gateway_uptime": health["uptime"],
                 "run_id": self.run_id,
-                "clock_offsets": self.clock.to_dict(),
-            },
-        }
+                "clock_offsets": self.ledger.clock_model.to_dict(),
+            })
+        return health
 
-    def _exported_metrics(self) -> MetricsRegistry:
-        combined = MetricsRegistry()
-        combined.merge(self.metrics.export())
-        combined.merge(obs_metrics.get_registry().export())
-        return combined
-
-    async def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._m_uptime.set(self.uptime())
-        fmt = request.get("format", "json")
-        if fmt == "prometheus":
-            return {"ok": True, "format": "prometheus",
-                    "text": self._exported_metrics().to_prometheus()}
-        if fmt != "json":
-            return protocol.error_response(
-                f"unknown metrics format {fmt!r}", code="bad-request")
-        return {"ok": True, "format": "json",
-                "metrics": self._exported_metrics().to_json()}
-
-    async def _op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        drain = bool(request.get("drain"))
-        if drain:
-            self._draining = True
-        return {"ok": True, "stopping": True, "draining": drain,
-                "_shutdown": True,
-                "_drain": drain,
-                "_drain_timeout": request.get("drain_timeout")}
+    async def _telemetry_loop(self) -> None:
+        interval = max(0.2, self.telemetry_interval)
+        while True:
+            await asyncio.sleep(interval)
+            try:
+                self.ledger.snapshot_telemetry(await self._op_health({}))
+            except asyncio.CancelledError:
+                raise
+            except Exception:
+                pass  # telemetry must never take the gateway down
 
     # ------------------------------------------------------------------
-    # worker-fleet ops
+    # worker-fleet ops: the wire form of the ledger's lease transitions
     # ------------------------------------------------------------------
 
-    def _touch_node(self, name: str, local: bool = False) -> _Node:
-        node = self._nodes.get(name)
-        if node is None:
-            node = _Node(name, local=local)
-            self._nodes[name] = node
-            _log.info("node-join", node=name, local=local)
-            self.telemetry.add_event("node-join", node=name, local=local)
-        node.last_seen = time.monotonic()
-        return node
+    def _claim(self, node: Node, limit: int) -> List[Job]:
+        claimed = self.ledger.claim(node, limit)
+        if not self.ledger.pending:
+            self._work_available.clear()
+        return claimed
 
-    def _job_descriptor(self, job: Job) -> Dict[str, Any]:
+    @staticmethod
+    def _job_descriptor(job: Job) -> Dict[str, Any]:
         descriptor = {"job_id": job.id, "digest": job.digest,
                       "payload": job.payload, "ctx": job.ctx,
                       "attempts": job.attempts,
@@ -703,54 +390,15 @@ class ClusterGateway:
             descriptor["trace_ctx"] = job.trace_ctx
         return descriptor
 
-    def _claim_jobs(self, node: _Node, limit: int) -> List[Job]:
-        """Lease up to ``limit`` queued jobs to ``node``, finalizing any
-        canceled/expired entries encountered on the way."""
-        claimed: List[Job] = []
-        while self._pending and len(claimed) < limit:
-            job_id = self._pending.popleft()
-            job = self._jobs.get(job_id)
-            if job is None or job.state != JobState.QUEUED:
-                continue  # canceled while queued
-            if job.expired():
-                self._finish_job(job, JobState.TIMEOUT,
-                                 error="deadline expired while queued")
-                continue
-            node.unstarted.add(job.id)
-            node.lease_at[job.id] = time.monotonic()
-            claimed.append(job)
-        self._m_depth.set(len(self._pending))
-        if not self._pending and self._work_available is not None:
-            self._work_available.clear()
-        return claimed
-
-    def _steal_job(self, thief: _Node) -> Optional[Job]:
-        """Move one unstarted lease from the most-backlogged other node."""
-        victim = None
-        for node in self._nodes.values():
-            if node is thief or not node.unstarted:
-                continue
-            if victim is None or len(node.unstarted) > len(victim.unstarted):
-                victim = node
-        if victim is None:
-            return None
-        for job_id in sorted(victim.unstarted):
-            job = self._jobs.get(job_id)
-            if job is None or job.state != JobState.QUEUED:
-                victim.unstarted.discard(job_id)
-                continue
-            victim.unstarted.discard(job_id)
-            victim.lease_at.pop(job_id, None)
-            victim.stolen_from += 1
-            thief.unstarted.add(job_id)
-            thief.lease_at[job_id] = time.monotonic()
-            self._m_steals.inc()
-            _log.info("job-stolen", job_id=job_id, victim=victim.name,
-                      thief=thief.name)
-            self.telemetry.add_event("job-stolen", job_id=job_id,
-                                     victim=victim.name, thief=thief.name)
-            return job
-        return None
+    @staticmethod
+    def _lease_ids(request: Dict[str, Any], what: str):
+        """``(node name, job id, None)`` of a worker report, or a
+        ``bad-request`` error in the third slot."""
+        name, job_id = request.get("node"), request.get("job_id")
+        if isinstance(name, str) and name and isinstance(job_id, str):
+            return name, job_id, None
+        return None, None, protocol.error_response(
+            f"{what} need 'node' and 'job_id'", code="bad-request")
 
     async def _op_work_pull(self, request: Dict[str, Any]
                             ) -> Dict[str, Any]:
@@ -758,148 +406,77 @@ class ClusterGateway:
         if not isinstance(name, str) or not name:
             return protocol.error_response(
                 "work-pull needs a 'node' name", code="bad-request")
-        node = self._touch_node(name)
-        if self._work_available is None:  # handler used without start_async
-            self._work_available = asyncio.Event()
+        ledger = self.ledger
         limit = max(1, int(request.get("max_jobs", 1)))
-        budget = float(request.get("wait", 0.0))
-        deadline = time.monotonic() + budget
-        claimed = self._claim_jobs(node, limit)
-        while not claimed and not self._stopping:
+        deadline = time.monotonic() + float(request.get("wait", 0.0))
+        claimed = self._claim(ledger.touch_node(name), limit)
+        while not claimed and not ledger.stopping:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             try:
                 await asyncio.wait_for(self._work_available.wait(),
                                        min(remaining, 0.5))
-            except TimeoutError:
+            except asyncio.TimeoutError:
                 pass
-            node.last_seen = time.monotonic()
-            claimed = self._claim_jobs(node, limit)
+            claimed = self._claim(ledger.touch_node(name), limit)
         outcome = "jobs"
         if not claimed:
-            stolen = self._steal_job(node)
-            if stolen is not None:
-                claimed = [stolen]
-                outcome = "steal"
-            else:
-                outcome = "empty"
+            stolen = ledger.steal(ledger.touch_node(name))
+            claimed = [stolen] if stolen is not None else []
+            outcome = "steal" if claimed else "empty"
         self._m_pulls.inc(outcome=outcome)
-        return {"ok": True, "draining": self._draining,
-                "stopping": self._stopping,
+        return {"ok": True, "draining": ledger.draining,
+                "stopping": ledger.stopping,
                 "jobs": [self._job_descriptor(job) for job in claimed]}
 
     async def _op_work_start(self, request: Dict[str, Any]
                              ) -> Dict[str, Any]:
-        name = request.get("node")
-        job_id = request.get("job_id")
-        node = self._touch_node(name) if isinstance(name, str) and name \
-            else None
-        if node is None or not isinstance(job_id, str):
-            return protocol.error_response(
-                "work-start needs 'node' and 'job_id'", code="bad-request")
-        job = self._jobs.get(job_id)
-        if job is None or job_id not in node.unstarted:
-            return {"ok": True, "granted": False,
-                    "reason": "lease moved (stolen, reassigned, or "
-                              "unknown job)"}
-        node.unstarted.discard(job_id)
-        if job.state != JobState.QUEUED:
-            node.lease_at.pop(job_id, None)
-            return {"ok": True, "granted": False,
-                    "reason": f"job is {job.state}"}
-        if job.expired():
-            node.lease_at.pop(job_id, None)
-            self._finish_job(job, JobState.TIMEOUT,
-                             error="deadline expired while queued")
-            return {"ok": True, "granted": False, "reason": "job timed out"}
-        job.state = JobState.RUNNING
-        job.started_at = time.monotonic()
-        job.attempts += 1
-        node.running.add(job_id)
-        self._m_running.inc()
-        trace = self._traced.get(job_id)
-        if trace is not None:
-            # submit -> first execution start = queue wait (includes any
-            # lease hand-offs); crash retries open a second segment
-            now = time.time()
-            self.spans.record(
-                "queue-wait", trace["span"].child(), cat="gateway",
-                start_wall=trace.get("last_wait", trace["submit_wall"]),
-                duration=max(0.0, now - trace.get("last_wait",
-                                                  trace["submit_wall"])),
-                parent_id=trace["span"].span_id, job_id=job_id,
-                node=node.name, attempt=job.attempts)
-            trace["last_wait"] = now
-        _log.info("job-start", job_id=job_id, node=node.name,
-                  attempt=job.attempts, digest=job.digest[:12])
+        name, job_id, err = self._lease_ids(request, "work-start")
+        if err:
+            return err
+        job, reason = self.ledger.start(self.ledger.touch_node(name),
+                                        job_id)
+        if job is None:
+            return {"ok": True, "granted": False, "reason": reason}
         return {"ok": True, "granted": True, "attempts": job.attempts,
                 "remaining": job.remaining()}
 
-    def _validate_report(self, request: Dict[str, Any]):
-        name = request.get("node")
-        job_id = request.get("job_id")
-        if not isinstance(name, str) or not name \
-                or not isinstance(job_id, str):
-            return None, None, protocol.error_response(
-                "worker reports need 'node' and 'job_id'",
-                code="bad-request")
-        node = self._touch_node(name)
-        job = self._jobs.get(job_id)
-        if job is None or job_id not in node.running \
-                or job.state != JobState.RUNNING:
-            # stale report: the node was declared dead and its lease
-            # re-assigned, or the job finished another way
-            return node, None, None
-        return node, job, None
+    @staticmethod
+    def _accepted(accepted: bool) -> Dict[str, Any]:
+        if accepted:
+            return {"ok": True, "accepted": True}
+        return {"ok": True, "accepted": False, "reason": "stale lease"}
 
     async def _op_work_done(self, request: Dict[str, Any]
                             ) -> Dict[str, Any]:
-        node, job, err = self._validate_report(request)
+        name, job_id, err = self._lease_ids(request, "worker reports")
         if err:
             return err
+        job = self.ledger.holds(name, job_id)
         if job is None:
-            return {"ok": True, "accepted": False, "reason": "stale lease"}
+            return self._accepted(False)
         result = request.get("result")
         if not isinstance(result, dict):
             return protocol.error_response(
                 "work-done needs a 'result' object", code="bad-request")
-        node.running.discard(job.id)
-        node.lease_at.pop(job.id, None)
-        node.done += 1
-        self._m_running.dec()
+        # the cache has the result before any waiter sees the job done;
+        # a duplicate report that slipped in meanwhile is refused below
         await asyncio.to_thread(self.cache.put, job.digest, result,
                                 job.trace_ctx)
-        self._finish_job(job, JobState.DONE, result=result)
-        _log.info("job-done", job_id=job.id, node=node.name,
-                  latency=round(job.latency() or 0.0, 4))
-        return {"ok": True, "accepted": True}
+        return self._accepted(self.ledger.done(name, job_id, result))
 
     async def _op_work_fail(self, request: Dict[str, Any]
                             ) -> Dict[str, Any]:
-        node, job, err = self._validate_report(request)
+        name, job_id, err = self._lease_ids(request, "worker reports")
         if err:
             return err
-        if job is None:
-            return {"ok": True, "accepted": False, "reason": "stale lease"}
-        kind = request.get("kind", "error")
-        error = str(request.get("error", ""))
-        node.running.discard(job.id)
-        node.lease_at.pop(job.id, None)
-        node.failed += 1
-        self._m_running.dec()
-        if kind == "timeout":
-            self._finish_job(job, JobState.TIMEOUT,
-                             error=error or "deadline expired while "
-                                            "running")
-        elif kind == "crash":
-            self._handle_crash(job, error or "worker crashed")
-        else:
-            self._finish_job(job, JobState.FAILED,
-                             error=error or "job failed")
-        _log.warning("job-fail", job_id=job.id, node=node.name,
-                     kind=kind, error=error)
-        return {"ok": True, "accepted": True}
+        accepted, delay = self.ledger.fail(
+            name, job_id, request.get("kind", "error"),
+            str(request.get("error", "")))
+        if delay is not None:
+            self._retry_later(job_id, delay)
+        return self._accepted(accepted)
 
     async def _op_heartbeat(self, request: Dict[str, Any]
                             ) -> Dict[str, Any]:
@@ -907,345 +484,56 @@ class ClusterGateway:
         if not isinstance(name, str) or not name:
             return protocol.error_response(
                 "heartbeat needs a 'node' name", code="bad-request")
-        node = self._touch_node(name)
         self._m_heartbeats.inc()
-        info = request.get("info")
-        if isinstance(info, dict):
-            node.info = info
-        boot = request.get("boot")
-        if isinstance(boot, str) and boot and boot != node.boot:
-            if node.boot is not None:
-                # the node process restarted: its sequence counter is
-                # back at zero, so accept its stream from scratch — a
-                # replayed heartbeat from the *old* incarnation carries
-                # the old boot id and never reaches this branch
-                _log.info("node-reboot", node=name, boot=boot,
-                          previous=node.boot)
-                self.telemetry.add_event("node-restart", node=name,
-                                         boot=boot, previous=node.boot)
-                node.last_seq = 0
-            node.boot = boot
-        wall = request.get("wall")
-        if isinstance(wall, (int, float)):
-            # one clock-offset sample per heartbeat: the worker's wall
-            # clock vs ours, biased by one-way delay — the ClockModel's
-            # min-filter keeps the least-delayed sample
-            self.clock.observe(name, float(wall))
-        seq = request.get("seq")
-        delta = request.get("metrics")
-        merged = False
-        if isinstance(seq, int) and isinstance(delta, dict) \
-                and seq > node.last_seq:
-            # exactly-once: deltas are cumulative per ship, tagged with a
-            # monotonic sequence; replays (worker retrying a heartbeat it
-            # never saw acked) never double-count.  Spans ride the same
-            # sequence, so they inherit the same guarantee.
-            obs_metrics.get_registry().merge(delta)
-            spans = request.get("spans")
-            if isinstance(spans, list) and spans:
-                self._ingest_spans(spans)
-            node.last_seq = seq
-            merged = True
-        return {"ok": True, "draining": self._draining,
-                "stopping": self._stopping, "merged": merged,
-                "seq": node.last_seq}
+        merged = self.ledger.heartbeat(name, request)
+        return {"ok": True, "draining": self.ledger.draining,
+                "stopping": self.ledger.stopping, "merged": merged,
+                "seq": self.ledger.nodes[name].last_seq}
 
     # ------------------------------------------------------------------
-    # telemetry plane: spans, snapshots, trace export
+    # retry delays, the dead-node sweeper, embedded local workers
     # ------------------------------------------------------------------
 
-    def _ingest_spans(self, spans: List[Dict[str, Any]],
-                      remote_wall: Optional[float] = None) -> None:
-        """Accept spans recorded on another node's clock.
+    def _retry_later(self, job_id: str, delay: float) -> None:
+        asyncio.get_running_loop().call_later(
+            delay, self.ledger.requeue, job_id)
 
-        ``remote_wall`` (the sender's clock at response/heartbeat time)
-        contributes one offset sample per distinct span node, so the
-        stitcher can rebase those lanes onto gateway time.
-        """
-        if remote_wall is not None:
-            local = time.time()
-            for node in {s.get("node") for s in spans
-                         if isinstance(s, dict)}:
-                if isinstance(node, str) and node:
-                    self.clock.observe(node, float(remote_wall), local)
-        self.span_store.add(spans)
-
-    async def _snapshot_telemetry(self) -> Dict[str, Any]:
-        """One merged metric+health snapshot (also drains gateway spans
-        into the store so ``trace-export`` sees them)."""
-        self._m_uptime.set(self.uptime())
-        self.span_store.add(self.spans.drain())
-        metrics = self._exported_metrics().export()
-        health = await self._op_health({})
-        health.pop("ok", None)
-        return self.telemetry.add_snapshot(metrics, health)
-
-    async def _telemetry_loop(self) -> None:
-        interval = max(0.2, self.telemetry_interval)
-        while True:
-            await asyncio.sleep(interval)
-            try:
-                await self._snapshot_telemetry()
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                pass  # telemetry must never take the gateway down
-
-    async def _op_telemetry(self, request: Dict[str, Any]
-                            ) -> Dict[str, Any]:
-        snapshot = await self._snapshot_telemetry()
-        since = request.get("events_since")
-        events = self.telemetry.events_since(
-            since if isinstance(since, int) else 0)
-        return {"ok": True, "tier": "cluster", "run_id": self.run_id,
-                "snapshot": snapshot, "events": events,
-                "event_seq": self.telemetry.event_seq(),
-                "spans_stored": len(self.span_store)}
-
-    async def _op_trace_export(self, request: Dict[str, Any]
-                               ) -> Dict[str, Any]:
-        """Everything ``repro trace-collect`` needs to stitch one run:
-        all stored spans (every tier), per-node clock offsets, and the
-        decision records of finished traced jobs stamped with the span
-        ids that produced them."""
-        from repro.trace.tracer import Tracer
-        self.span_store.add(self.spans.drain())
-        trace_id = request.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            return protocol.error_response(
-                "'trace_id' must be a string", code="bad-request")
-        spans = self.span_store.spans(trace_id)
-        seen: set = set()
-        decisions: List[Dict[str, Any]] = []
-        site_decisions: List[Dict[str, Any]] = []
-        for job_id, trace in list(self._traced.items()):
-            job = self._jobs.get(job_id)
-            if job is None or not isinstance(job.result, dict):
-                continue
-            if trace_id and trace["span"].trace_id != trace_id:
-                continue
-            export = job.result.get("trace")
-            if not isinstance(export, dict):
-                continue
-            link = {"job_id": job.id, "digest": job.digest,
-                    "span_id": trace["span"].span_id,
-                    "trace_id": trace["span"].trace_id}
-            for kind, field, out in (
-                    ("loop", "decisions", decisions),
-                    ("site", "site_decisions", site_decisions)):
-                for d in export.get(field) or ():
-                    if not isinstance(d, dict):
-                        continue
-                    # same identity rule as Tracer.merge: a crash-retried
-                    # job's re-exported decisions count exactly once
-                    key = Tracer._decision_key(job.digest, kind, d)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append({**d, **link})
-        return {"ok": True, "run_id": self.run_id, "spans": spans,
-                "clock_offsets": self.clock.to_dict(),
-                "trace_ids": self.span_store.trace_ids(),
-                "decisions": decisions,
-                "site_decisions": site_decisions,
-                "dropped": self.span_store.dropped + self.spans.dropped}
-
-    # ------------------------------------------------------------------
-    # crash retry + dead-node sweeping
-    # ------------------------------------------------------------------
-
-    def _handle_crash(self, job: Job, error: str) -> None:
-        if job.attempts > job.max_retries:
-            self._finish_job(
-                job, JobState.FAILED,
-                error=f"worker crashed {job.attempts} times "
-                      f"(retries exhausted): {error}")
-            return
-        self._m_retried.inc()
-        job.state = JobState.QUEUED
-        delay = self.retry_backoff * (2 ** (job.attempts - 1))
-        remaining = job.remaining()
-        if remaining is not None:
-            delay = min(delay, max(0.0, remaining))
-
-        def requeue() -> None:
-            if self._stopping:
-                self._finish_job(job, JobState.FAILED,
-                                 error="service stopped during crash "
-                                       "retry")
-                return
-            if job.state == JobState.QUEUED:
-                self._enqueue(job.id, front=True)
-
-        loop = self._loop
-        if loop is None:
-            try:
-                loop = asyncio.get_running_loop()
-            except RuntimeError:
-                loop = None
-        if delay <= 0 or loop is None:
-            requeue()
-        else:
-            loop.call_later(delay, requeue)
-
-    def _record_job_span(self, job: Job,
-                         trace: Dict[str, Any]) -> None:
-        """The whole-job span: submit to finish, child of the client's
-        root context, parent of queue-wait/execute/cache spans."""
-        if trace.get("recorded"):
-            return
-        trace["recorded"] = True
-        self.spans.record(
-            "job", trace["span"], cat="gateway",
-            start_wall=trace["submit_wall"],
-            duration=job.latency() or 0.0,
-            parent_id=trace["root"].span_id,
-            job_id=job.id, digest=job.digest, state=job.state,
-            cached=job.cached, attempts=job.attempts)
-
-    def _finish_job(self, job: Job, state: str,
-                    result: Optional[Dict[str, Any]] = None,
-                    error: str = "") -> None:
-        job.finish(state, result=result, error=error)
-        self._m_completed.inc(state=state)
-        trace = self._traced.get(job.id)
-        if trace is not None:
-            self._record_job_span(job, trace)
-        if self._by_digest.get(job.digest) == job.id:
-            del self._by_digest[job.digest]
-        event = self._waiters.get(job.id)
-        if event is not None:
-            event.set()
-        latency = job.latency()
-        if latency is not None:
-            self._m_latency.observe(latency)
-        if result is not None:
-            for phase, seconds in result.get("timings", {}).items():
-                self.metrics.histogram(
-                    f"repro_phase_{phase}_seconds",
-                    f"wall clock of the {phase} phase").observe(seconds)
-            count = result.get("parallel_count")
-            if isinstance(count, int):
-                self._m_loops_parallel.inc(count)
-            for reason, n in result.get("serial_reasons", {}).items():
-                self._m_loops_serial.inc(n, reason=reason)
+    def _sweep_dead_nodes(self) -> None:
+        for job_id, delay in self.ledger.sweep():
+            self._retry_later(job_id, delay)
 
     async def _sweep_loop(self) -> None:
-        interval = max(0.1, self.heartbeat_timeout / 4)
+        interval = max(0.1, self.ledger.heartbeat_timeout / 4)
         while True:
             await asyncio.sleep(interval)
             self._sweep_dead_nodes()
 
-    def _sweep_dead_nodes(self) -> None:
-        now = time.monotonic()
-        for name in list(self._nodes):
-            node = self._nodes[name]
-            if node.local:
-                continue
-            if now - node.last_seen <= self.heartbeat_timeout:
-                continue
-            if not node.unstarted and not node.running:
-                # silent but idle: just forget it (it can re-join)
-                del self._nodes[name]
-                continue
-            self._m_dead.inc()
-            _log.warning("node-dead", node=name,
-                         unstarted=len(node.unstarted),
-                         running=len(node.running),
-                         silent=round(now - node.last_seen, 3))
-            self.telemetry.add_event(
-                "node-dead", node=name, unstarted=len(node.unstarted),
-                running=len(node.running),
-                silent=round(now - node.last_seen, 3))
-            for job_id in sorted(node.unstarted):
-                job = self._jobs.get(job_id)
-                if job is not None and job.state == JobState.QUEUED:
-                    self._enqueue(job_id, front=True)
-            for job_id in sorted(node.running):
-                job = self._jobs.get(job_id)
-                if job is not None and job.state == JobState.RUNNING:
-                    self._m_running.dec()
-                    self._handle_crash(
-                        job, f"worker node {name} stopped heartbeating")
-            del self._nodes[name]
-
-    # ------------------------------------------------------------------
-    # embedded local workers (one-process cluster)
-    # ------------------------------------------------------------------
-
     async def _local_worker_loop(self, name: str) -> None:
-        """An embedded worker driven through the same lease machinery as
-        a remote node, so local and fleet execution share code paths."""
-        node = self._touch_node(name, local=True)
-        while not self._stopping:
-            node.last_seen = time.monotonic()
-            claimed = self._claim_jobs(node, 1)
-            if not claimed:
-                stolen = self._steal_job(node)
-                if stolen is not None:
-                    claimed = [stolen]
-            if not claimed:
-                try:
-                    await asyncio.wait_for(self._work_available.wait(),
-                                           0.2)
-                except TimeoutError:
-                    pass
+        """An embedded worker: a local ledger node driven through the
+        same lease transitions as a remote one."""
+        ledger = self.ledger
+        while not ledger.stopping:
+            node = ledger.touch_node(name, local=True)
+            claimed = self._claim(node, 1)
+            job = claimed[0] if claimed else ledger.steal(node)
+            if job is not None:
+                job, _reason = ledger.start(node, job.id)
+            if job is None:
+                if not ledger.pending:
+                    try:
+                        await asyncio.wait_for(
+                            self._work_available.wait(), 0.2)
+                    except asyncio.TimeoutError:
+                        pass
                 continue
-            job = claimed[0]
-            start = await self._op_work_start(
-                {"node": name, "job_id": job.id})
-            if not start.get("granted"):
-                continue
-            outcome = "done"
             t0_wall, t0 = time.time(), time.perf_counter()
-            try:
-                result, delta = await asyncio.to_thread(
-                    self.pool.run, run_job_observed,
-                    (job.payload, job.ctx), timeout=job.remaining())
-            except WorkerTimeout:
-                outcome = "timeout"
-                await self._op_work_fail(
-                    {"node": name, "job_id": job.id, "kind": "timeout",
-                     "error": "deadline expired while running"})
-            except WorkerCrashError as exc:
-                outcome = "crash"
-                await self._op_work_fail(
-                    {"node": name, "job_id": job.id, "kind": "crash",
-                     "error": str(exc)})
-            except Exception as exc:
-                outcome = "error"
-                await self._op_work_fail(
-                    {"node": name, "job_id": job.id, "kind": "error",
-                     "error": f"{type(exc).__name__}: {exc}"})
-            else:
-                if delta:
-                    obs_metrics.get_registry().merge(delta)
-                await self._op_work_done(
-                    {"node": name, "job_id": job.id, "result": result})
-            trace = self._traced.get(job.id)
-            if trace is not None:
-                self.spans.record(
-                    "execute", trace["span"].child(), cat="worker",
-                    start_wall=t0_wall,
-                    duration=time.perf_counter() - t0,
-                    parent_id=trace["span"].span_id, job_id=job.id,
-                    digest=job.digest, node=name, outcome=outcome,
-                    attempt=job.attempts)
-
-    # op dispatch table (client surface + worker surface)
-    _OPS = {
-        "submit": _op_submit,
-        "status": _op_status,
-        "result": _op_result,
-        "cancel": _op_cancel,
-        "health": _op_health,
-        "metrics": _op_metrics,
-        "shutdown": _op_shutdown,
-        "work-pull": _op_work_pull,
-        "work-start": _op_work_start,
-        "work-done": _op_work_done,
-        "work-fail": _op_work_fail,
-        "heartbeat": _op_heartbeat,
-        "telemetry": _op_telemetry,
-        "trace-export": _op_trace_export,
-    }
+            outcome, value = await asyncio.to_thread(
+                run_leased, self.pool, job.id, job.payload, job.ctx,
+                job.remaining())
+            if outcome == "done":
+                await asyncio.to_thread(self.cache.put, job.digest, value,
+                                        job.trace_ctx)
+            delay = ledger.settle(name, job, outcome, value, t0_wall,
+                                  time.perf_counter() - t0)
+            if delay is not None:
+                self._retry_later(job.id, delay)

@@ -24,7 +24,6 @@ correct — and every such failure is counted per shard
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -89,90 +88,51 @@ class LocalShard:
 
 
 class RemoteShard:
-    """A shard reached over the wire: persistent socket, one reconnect
-    attempt per request, :class:`ShardError` on failure."""
+    """A shard reached over the wire: one persistent
+    :class:`~repro.service.protocol.Link`, :class:`ShardError` on
+    failure."""
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
+        self._link = protocol.Link(host, port, timeout, ShardError, "shard")
         #: callable(spans, remote_wall) receiving spans the shard node
         #: piggybacked on a traced response (set by the gateway)
         self.on_spans = None
 
-    def _connect(self) -> socket.socket:
-        sock = socket.create_connection((self.host, self.port),
-                                        timeout=self.timeout)
-        return sock
-
     def request(self, message: Dict) -> Dict:
-        with self._lock:
-            for attempt in (0, 1):
-                try:
-                    if self._sock is None:
-                        self._sock = self._connect()
-                    protocol.send_message(self._sock, message)
-                    return protocol.recv_message(self._sock)
-                except (OSError, protocol.ProtocolError) as exc:
-                    # drop the (possibly half-dead) connection; retry
-                    # once with a fresh one before giving up
-                    if self._sock is not None:
-                        try:
-                            self._sock.close()
-                        except OSError:
-                            pass
-                        self._sock = None
-                    if attempt:
-                        raise ShardError(
-                            f"shard {self.host}:{self.port} unreachable "
-                            f"({exc})") from None
+        return self._link.request(message)
 
-    def _harvest_spans(self, response: Dict) -> None:
+    def _call(self, op: str, trace_ctx: Optional[Dict] = None,
+              **fields) -> Dict:
+        message = {"op": op, **fields}
+        if trace_ctx is not None:
+            message["trace_ctx"] = trace_ctx
+        response = self.request(message)
+        if not response.get("ok"):
+            raise ShardError(response.get("error", f"{op} failed"))
         spans = response.get("spans")
         if isinstance(spans, list) and spans and self.on_spans is not None:
             try:
                 self.on_spans(spans, response.get("wall"))
             except Exception:
                 pass  # span delivery must never fail a cache op
+        return response
 
     def get(self, digest: str, trace_ctx: Optional[Dict] = None
             ) -> Optional[Dict]:
-        message = {"op": "cache-get", "digest": digest}
-        if trace_ctx is not None:
-            message["trace_ctx"] = trace_ctx
-        response = self.request(message)
-        if not response.get("ok"):
-            raise ShardError(response.get("error", "cache-get failed"))
-        self._harvest_spans(response)
+        response = self._call("cache-get", trace_ctx, digest=digest)
         return response.get("result") if response.get("found") else None
 
     def put(self, digest: str, result: Dict,
             trace_ctx: Optional[Dict] = None) -> None:
-        message = {"op": "cache-put", "digest": digest, "result": result}
-        if trace_ctx is not None:
-            message["trace_ctx"] = trace_ctx
-        response = self.request(message)
-        if not response.get("ok"):
-            raise ShardError(response.get("error", "cache-put failed"))
-        self._harvest_spans(response)
+        self._call("cache-put", trace_ctx, digest=digest, result=result)
 
     def stats(self) -> Dict[str, object]:
-        response = self.request({"op": "cache-stats"})
-        if not response.get("ok"):
-            raise ShardError(response.get("error", "cache-stats failed"))
+        response = self._call("cache-stats")
         return {"entries": response.get("entries", 0),
                 **response.get("stats", {})}
 
     def close(self) -> None:
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+        self._link.close()
 
 
 def parse_shard_spec(spec: str) -> Tuple[str, int]:
@@ -291,10 +251,7 @@ class ShardedCache:
         remote = hasattr(shard, "on_spans")
         t0_wall, t0 = time.time(), time.perf_counter()
         try:
-            if trace_ctx is not None:
-                result = shard.get(digest, trace_ctx=trace_ctx)
-            else:
-                result = shard.get(digest)
+            result = shard.get(digest, trace_ctx)
         except ShardError as exc:
             self._m_requests.inc(shard=name, outcome="error")
             _log.warning("shard-get-failed", shard=name, error=str(exc))
@@ -315,10 +272,7 @@ class ShardedCache:
         remote = hasattr(shard, "on_spans")
         t0_wall, t0 = time.time(), time.perf_counter()
         try:
-            if trace_ctx is not None:
-                shard.put(digest, result, trace_ctx=trace_ctx)
-            else:
-                shard.put(digest, result)
+            shard.put(digest, result, trace_ctx)
         except ShardError as exc:
             self._m_requests.inc(shard=name, outcome="error")
             _log.warning("shard-put-failed", shard=name, error=str(exc))
@@ -328,11 +282,15 @@ class ShardedCache:
                              time.perf_counter() - t0)
         self._m_requests.inc(shard=name, outcome="put")
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self, per_shard: Optional[Dict[str, Dict]] = None
+              ) -> Dict[str, int]:
         """Aggregate lookup counters across reachable shards (the
-        single-node ``health`` shape)."""
+        single-node ``health`` shape), from ``per_shard`` when the
+        caller already holds a :meth:`shard_stats` answer."""
         totals = {"hits": 0, "disk_hits": 0, "misses": 0, "evictions": 0}
-        for stats in self.shard_stats().values():
+        if per_shard is None:
+            per_shard = self.shard_stats()
+        for stats in per_shard.values():
             for key in totals:
                 value = stats.get(key)
                 if isinstance(value, int):
@@ -367,141 +325,100 @@ class ShardedCache:
 # the shard node server
 # ---------------------------------------------------------------------------
 
-class CacheShardServer:
+class CacheShardServer(protocol.ThreadedServer):
     """One cache-shard node: a ResultCache behind the wire protocol.
 
-    Deliberately tiny — no queue, no workers, no job table.  Each
-    accepted connection gets a handler thread (the gateway holds one
-    persistent connection per shard, so thread count stays small).
+    Deliberately tiny — no queue, no workers, no job table: an op table
+    on the shared threaded serve loop (the gateway holds one persistent
+    connection per shard, so thread count stays small).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  capacity: int = 512, directory: Optional[str] = None,
                  max_bytes: Optional[int] = None,
                  name: Optional[str] = None):
+        super().__init__(host, port)
         self.cache = ResultCache(capacity, directory=directory,
                                  max_bytes=max_bytes)
-        self.host = host
-        self.port = port
         self.name = name
-        self.address: Optional[Tuple[str, int]] = None
-        self._sock: Optional[socket.socket] = None
-        self._stop = threading.Event()
-        self._threads: List[threading.Thread] = []
+        self._ops = {"cache-get": self._op_get, "cache-put": self._op_put,
+                     "cache-stats": self._op_stats,
+                     "health": self._op_stats,
+                     "shutdown": self._op_shutdown}
 
     def start(self) -> Tuple[str, int]:
         swept = self.cache.sweep()
         if swept:
             _log.warning("shard-sweep", removed=swept)
-        self._sock = socket.create_server((self.host, self.port))
-        self.address = self._sock.getsockname()[:2]
+        address = self._listen()
         if self.name is None:
-            self.name = f"shard:{self.address[0]}:{self.address[1]}"
-        t = threading.Thread(target=self._accept_loop,
-                             name="repro-shard-accept", daemon=True)
-        t.start()
-        self._threads.append(t)
-        return self.address
+            self.name = f"shard:{address[0]}:{address[1]}"
+        return address
 
-    def stop(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            if t is not threading.current_thread():
-                t.join(timeout=5.0)
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._stop.wait(timeout=timeout)
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._sock.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._serve_connection,
-                                 args=(conn,), daemon=True)
-            t.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    request = protocol.recv_message(conn)
-                except protocol.ProtocolError:
-                    return
-                try:
-                    response = self.handle_request(request)
-                except Exception as exc:
-                    response = protocol.error_response(
-                        f"{type(exc).__name__}: {exc}", code="internal")
-                shutdown = response.pop("_shutdown", False)
-                try:
-                    protocol.send_message(conn, response)
-                except (OSError, protocol.ProtocolError):
-                    return
-                if shutdown:
-                    threading.Thread(target=self.stop,
-                                     daemon=True).start()
-                    return
+    def stop(self, drain: bool = False,
+             drain_timeout: Optional[float] = None) -> None:
+        """Stop serving (nothing is in flight: ``drain`` changes
+        nothing)."""
+        if not self._stop.is_set():
+            self._close()
 
     def handle_request(self, request: Dict) -> Dict:
         op = request.get("op")
-        trace_ctx = request.get("trace_ctx")
-        if op == "cache-get":
-            digest = request.get("digest")
-            if not isinstance(digest, str):
-                return protocol.error_response("cache-get needs a "
-                                               "'digest'", "bad-request")
-            t0_wall, t0 = time.time(), time.perf_counter()
-            result = self.cache.get(digest)
-            response = {"ok": True, "found": result is not None,
-                        "result": result}
-            self._attach_span(response, "cache-get", trace_ctx, t0_wall,
-                              time.perf_counter() - t0,
-                              hit=result is not None)
-            return response
-        if op == "cache-put":
-            digest = request.get("digest")
-            result = request.get("result")
-            if not isinstance(digest, str) or not isinstance(result, dict):
-                return protocol.error_response(
-                    "cache-put needs 'digest' and a 'result' object",
-                    "bad-request")
-            t0_wall, t0 = time.time(), time.perf_counter()
-            self.cache.put(digest, result)
-            response = {"ok": True, "stored": True}
-            self._attach_span(response, "cache-put", trace_ctx, t0_wall,
-                              time.perf_counter() - t0)
-            return response
-        if op in ("cache-stats", "health"):
-            return {"ok": True, "role": "cache-shard",
-                    "entries": len(self.cache),
-                    "capacity": self.cache.capacity,
-                    "max_bytes": self.cache.max_bytes,
-                    "directory": self.cache.directory,
-                    "stats": self.cache.stats()}
-        if op == "shutdown":
-            return {"ok": True, "stopping": True, "_shutdown": True}
-        return protocol.error_response(
-            f"unknown op {op!r}; expected cache-get/cache-put/"
-            f"cache-stats/health/shutdown", code="bad-op")
+        handler = self._ops.get(op) if isinstance(op, str) else None
+        if handler is None:
+            return protocol.error_response(
+                f"unknown op {op!r}; expected {'/'.join(self._ops)}",
+                code="bad-op")
+        return handler(request)
 
-    def _attach_span(self, response: Dict, op: str, trace_ctx,
-                     t0_wall: float, duration: float, **args) -> None:
+    def _op_get(self, request: Dict) -> Dict:
+        digest = request.get("digest")
+        if not isinstance(digest, str):
+            return protocol.error_response("cache-get needs a 'digest'",
+                                           "bad-request")
+        t0_wall, t0 = time.time(), time.perf_counter()
+        result = self.cache.get(digest)
+        response = {"ok": True, "found": result is not None,
+                    "result": result}
+        self._attach_span(response, request, t0_wall, t0,
+                          hit=result is not None)
+        return response
+
+    def _op_put(self, request: Dict) -> Dict:
+        digest = request.get("digest")
+        result = request.get("result")
+        if not isinstance(digest, str) or not isinstance(result, dict):
+            return protocol.error_response(
+                "cache-put needs 'digest' and a 'result' object",
+                "bad-request")
+        t0_wall, t0 = time.time(), time.perf_counter()
+        self.cache.put(digest, result)
+        response = {"ok": True, "stored": True}
+        self._attach_span(response, request, t0_wall, t0)
+        return response
+
+    def _op_stats(self, request: Dict) -> Dict:
+        return {"ok": True, "role": "cache-shard",
+                "entries": len(self.cache),
+                "capacity": self.cache.capacity,
+                "max_bytes": self.cache.max_bytes,
+                "directory": self.cache.directory,
+                "stats": self.cache.stats()}
+
+    def _op_shutdown(self, request: Dict) -> Dict:
+        return {"ok": True, "stopping": True, "_shutdown": True}
+
+    def _attach_span(self, response: Dict, request: Dict,
+                     t0_wall: float, t0: float, **args) -> None:
         """Piggyback this operation's span (stamped with *this* node's
         wall clock) on the response; the caller's ``wall`` sample feeds
         its clock-offset estimate for our lane."""
+        trace_ctx = request.get("trace_ctx")
         if trace_ctx is None:
             return
         span = _cache_span(self.name or f"shard:{self.host}:{self.port}",
-                           op, trace_ctx, t0_wall, duration, **args)
+                           request["op"], trace_ctx, t0_wall,
+                           time.perf_counter() - t0, **args)
         if span is not None:
             response["spans"] = [span]
             response["wall"] = time.time()

@@ -37,14 +37,13 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.executor import (WorkerCrashError, WorkerPool,
-                                        WorkerTimeout, resolve_jobs)
+from repro.experiments.executor import WorkerPool, resolve_jobs
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.obs.distributed import SpanRecorder, TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.service import protocol
-from repro.service.execution import run_job_observed
+from repro.service.execution import run_leased
 
 _log = obs_logging.get_logger("repro.cluster.worker")
 
@@ -53,43 +52,17 @@ class GatewayUnreachable(Exception):
     """The gateway link failed and could not be re-established."""
 
 
-class GatewayLink:
+class GatewayLink(protocol.Link):
     """One persistent request/response connection to the gateway.
 
-    Not shared across threads — every executor thread and the heartbeat
-    thread carry their own link, so a long-poll on one never serializes
-    another's reports.  Each request retries once on a fresh socket
-    before raising :class:`GatewayUnreachable`.
+    Every executor thread and the heartbeat thread carry their own link,
+    so a long-poll on one never serializes another's reports.  Each
+    request retries once on a fresh socket before raising
+    :class:`GatewayUnreachable`.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._sock: Optional[socket.socket] = None
-
-    def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        for attempt in (0, 1):
-            try:
-                if self._sock is None:
-                    self._sock = socket.create_connection(
-                        (self.host, self.port), timeout=self.timeout)
-                protocol.send_message(self._sock, message)
-                return protocol.recv_message(self._sock)
-            except (OSError, protocol.ProtocolError) as exc:
-                self.close()
-                if attempt:
-                    raise GatewayUnreachable(
-                        f"gateway {self.host}:{self.port} unreachable "
-                        f"({exc})") from None
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        super().__init__(host, port, timeout, GatewayUnreachable, "gateway")
 
 
 class WorkerNode:
@@ -216,30 +189,13 @@ class WorkerNode:
             _log.info("lease-refused", node=self.name, job_id=job_id,
                       reason=start.get("reason"))
             return
-        report: Dict[str, Any]
-        outcome = "done"
         t0_wall, t0 = time.time(), time.perf_counter()
-        with obs_logging.log_context(job_id=job_id, **ctx):
-            try:
-                result, delta = self.pool.run(
-                    run_job_observed, (payload, ctx),
-                    timeout=start.get("remaining"))
-            except WorkerTimeout:
-                outcome = "timeout"
-                report = {"op": "work-fail", "kind": "timeout",
-                          "error": "deadline expired while running"}
-            except WorkerCrashError as exc:
-                outcome = "crash"
-                report = {"op": "work-fail", "kind": "crash",
-                          "error": str(exc)}
-            except Exception as exc:
-                outcome = "error"
-                report = {"op": "work-fail", "kind": "error",
-                          "error": f"{type(exc).__name__}: {exc}"}
-            else:
-                if delta:
-                    obs_metrics.get_registry().merge(delta)
-                report = {"op": "work-done", "result": result}
+        outcome, value = run_leased(self.pool, job_id, payload, ctx,
+                                    start.get("remaining"))
+        if outcome == "done":
+            report = {"op": "work-done", "result": value}
+        else:
+            report = {"op": "work-fail", "kind": outcome, "error": value}
         if trace_parent is not None:
             self.spans.record(
                 "execute", trace_parent.child(), cat="worker",

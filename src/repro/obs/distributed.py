@@ -114,8 +114,9 @@ class TraceContext:
 def validate_trace_ctx(obj: Any) -> Optional[str]:
     """Problem description for a wire ``trace_ctx`` field, or None.
 
-    Mirrors :func:`repro.service.ops.validate_ctx`: both ride beside the
-    payload and must be rejected loudly rather than silently dropped.
+    Like ``ctx`` (both checked by ``JobLedger.open_submit``) it rides
+    beside the payload and must be rejected loudly rather than silently
+    dropped.
     """
     if obj is None:
         return None

@@ -18,7 +18,8 @@ import signal
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.experiments.executor import WorkerCrashError, in_worker
+from repro.experiments.executor import (WorkerCrashError, WorkerTimeout,
+                                        in_worker)
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 
@@ -177,6 +178,31 @@ def run_job_observed(item: Tuple[Dict[str, Any], Dict[str, Any]]
         result = execute_payload(payload)
     return result, obs_metrics.MetricsRegistry.delta(before,
                                                      registry.export())
+
+
+def run_leased(pool, job_id: str, payload: Dict[str, Any],
+               ctx: Dict[str, Any], timeout: Optional[float]
+               ) -> Tuple[str, Any]:
+    """Run one leased job on ``pool`` and classify how it ended:
+    ``("done", result)``, or ``(kind, error text)`` with ``kind`` one of
+    the ``work-fail`` kinds — ``timeout`` (deadline miss), ``crash``
+    (worker death, retried by the ledger) or ``error`` (deterministic
+    failure, never retried).  Every executor — the daemon's dispatchers,
+    the gateway's embedded workers, remote worker nodes — reports these
+    four outcomes."""
+    with obs_logging.log_context(job_id=job_id, **ctx):
+        try:
+            result, delta = pool.run(run_job_observed, (payload, ctx),
+                                     timeout=timeout)
+        except WorkerTimeout:
+            return "timeout", "deadline expired while running"
+        except WorkerCrashError as exc:
+            return "crash", str(exc)
+        except Exception as exc:
+            return "error", f"{type(exc).__name__}: {exc}"
+    if delta:
+        obs_metrics.get_registry().merge(delta)
+    return "done", result
 
 
 def _execute_probe(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Job model and bounded FIFO queue for the parallelization service.
+"""Job model for the parallelization service.
 
 Lifecycle::
 
@@ -24,7 +24,6 @@ import itertools
 import json
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -93,11 +92,11 @@ class Job:
         return remaining is not None and remaining <= 0
 
     def finish(self, state: str, result: Optional[Dict[str, Any]] = None,
-               error: str = "") -> None:
+               error: str = "", now: Optional[float] = None) -> None:
         self.state = state
         self.result = result
         self.error = error
-        self.finished_at = time.monotonic()
+        self.finished_at = time.monotonic() if now is None else now
         self.finished.set()
 
     def latency(self) -> Optional[float]:
@@ -126,58 +125,3 @@ class QueueFullError(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-class JobQueue:
-    """Bounded FIFO of :class:`Job` with explicit backpressure.
-
-    ``put`` rejects (never blocks) when the queue is at capacity, so a
-    flooded server answers "try later" instead of stalling every client
-    connection.  Crash retries re-enter with ``force=True`` — the job
-    was already admitted once; bouncing it on re-entry would turn a
-    transient worker death into a spurious rejection.
-    """
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-
-    def put(self, job: Job, force: bool = False) -> None:
-        with self._cond:
-            if self._closed:
-                raise QueueFullError("service is shutting down")
-            if not force and len(self._items) >= self.capacity:
-                raise QueueFullError(
-                    f"queue is full ({self.capacity} jobs waiting); "
-                    f"retry after the backlog drains")
-            self._items.append(job)
-            self._cond.notify()
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Next job, or None when the wait times out / the queue closes."""
-        with self._cond:
-            while not self._items:
-                if self._closed:
-                    return None
-                if not self._cond.wait(timeout=timeout):
-                    return None
-            return self._items.popleft()
-
-    def close(self) -> None:
-        """Stop accepting work and wake every blocked consumer."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._closed
-
-    def depth(self) -> int:
-        with self._cond:
-            return len(self._items)

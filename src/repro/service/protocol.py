@@ -22,7 +22,8 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Any, Dict
+import threading
+from typing import Any, Callable, Dict, Optional, Tuple
 
 #: refuse frames beyond this many bytes (a full benchmark source tree is
 #: a few hundred KB; 32 MiB leaves room for batched sources)
@@ -119,3 +120,157 @@ async def write_message_async(writer: asyncio.StreamWriter,
 
 def error_response(error: str, code: str = "error") -> Dict[str, Any]:
     return {"ok": False, "error": error, "code": code}
+
+
+# -- the server side of one request/response exchange --------------------
+
+def reply_frame(response: Dict[str, Any]
+                ) -> Tuple[bytes, Optional[Dict[str, Any]]]:
+    """Encode a handler's response for the wire.
+
+    Returns the frame plus, when the handler asked for a shutdown
+    (``_shutdown``/``_drain``/``_drain_timeout`` markers, stripped
+    here so they never leak to the client), the keyword arguments for
+    the server's ``stop``.  A response too large for one frame is
+    answered with an ``oversize`` error instead of a silently dropped
+    connection.
+    """
+    shutdown = response.pop("_shutdown", False)
+    stop = {"drain": response.pop("_drain", False),
+            "drain_timeout": response.pop("_drain_timeout", None)}
+    try:
+        frame = encode(response)
+    except ProtocolError as exc:
+        frame = encode(error_response(
+            f"response too large for one frame: {exc}", code="oversize"))
+    return frame, stop if shutdown else None
+
+
+class ThreadedServer:
+    """A listening socket and the blocking framed-JSON server loop: one
+    daemon thread per connection answering requests in order through
+    the subclass's ``handle_request``.  A handler exception becomes an
+    ``internal`` error response; a shutdown request runs the subclass's
+    ``stop(drain=..., drain_timeout=...)`` on its own thread once the
+    reply is sent."""
+
+    def __init__(self, host: str, port: int):
+        self.host = host
+        self.port = port
+        self.address: Optional[Tuple[str, int]] = None
+        self._sock: Optional[socket.socket] = None
+        self._stop = threading.Event()
+        self._threads: list = []
+
+    def _listen(self) -> Tuple[str, int]:
+        self._sock = socket.create_server((self.host, self.port))
+        self.address = self._sock.getsockname()[:2]
+        self._spawn("repro-accept", self._accept_loop)
+        return self.address
+
+    def _spawn(self, name: str, target: Callable, *args: Any) -> None:
+        t = threading.Thread(target=target, args=args, name=name,
+                             daemon=True)
+        t.start()
+        self._threads.append(t)
+
+    def _close(self) -> None:
+        """Stop accepting and join the threads.  ``shutdown`` before
+        ``close``: ``close`` alone leaves a thread already blocked in
+        ``accept`` asleep on Linux."""
+        self._stop.set()
+        if self._sock is not None:
+            for step in (lambda: self._sock.shutdown(socket.SHUT_RDWR),
+                         self._sock.close):
+                try:
+                    step()
+                except OSError:
+                    pass
+        for t in self._threads:
+            if t is not threading.current_thread():
+                t.join(timeout=5.0)
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the server stops (the CLI foreground)."""
+        return self._stop.wait(timeout=timeout)
+
+    def _accept_loop(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _addr = self._sock.accept()
+            except OSError:
+                return  # listening socket closed by _close()
+            threading.Thread(target=self._session, args=(conn,),
+                             daemon=True).start()
+
+    def _session(self, conn: socket.socket) -> None:
+        with conn:
+            while not self._stop.is_set():
+                try:
+                    request = recv_message(conn)
+                except (OSError, ProtocolError):
+                    return
+                try:
+                    response = self.handle_request(request)
+                except Exception as exc:
+                    response = error_response(
+                        f"{type(exc).__name__}: {exc}", code="internal")
+                frame, shutdown = reply_frame(response)
+                try:
+                    conn.sendall(frame)
+                except OSError:
+                    return
+                if shutdown is not None:
+                    threading.Thread(target=self.stop, kwargs=shutdown,
+                                     daemon=True).start()
+                    return
+
+
+# -- the client side: one persistent connection --------------------------
+
+class Link:
+    """A persistent request/response connection to ``host:port``.
+
+    Each request retries once on a fresh socket (the old one may be
+    half-dead) before raising ``error`` — the exception type the owning
+    tier reports unreachable peers with.  Requests are serialized, so a
+    link may be shared across threads.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float,
+                 error: Callable[[str], Exception], peer: str):
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self._error = error
+        self._peer = peer
+        self._lock = threading.Lock()
+        self._sock: Optional[socket.socket] = None
+
+    def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        with self._lock:
+            for attempt in (0, 1):
+                try:
+                    if self._sock is None:
+                        self._sock = socket.create_connection(
+                            (self.host, self.port), timeout=self.timeout)
+                    send_message(self._sock, message)
+                    return recv_message(self._sock)
+                except (OSError, ProtocolError) as exc:
+                    self._drop()
+                    if attempt:
+                        raise self._error(
+                            f"{self._peer} {self.host}:{self.port} "
+                            f"unreachable ({exc})") from None
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop()

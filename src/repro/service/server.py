@@ -1,25 +1,19 @@
-"""The parallelization daemon.
+"""The parallelization daemon: a threaded shell around the job ledger.
 
-One :class:`ParallelizationServer` owns four cooperating pieces:
-
-* a listening TCP socket; each accepted connection gets a handler
-  thread that reads length-prefixed JSON requests (:mod:`.protocol`)
-  and answers them from the shared job table;
-* a bounded :class:`~repro.service.jobs.JobQueue` feeding N dispatcher
-  threads;
-* one :class:`~repro.experiments.executor.WorkerPool` shared by the
-  dispatchers — pipeline work runs in worker *processes* (crash
-  isolation, deadline abandonment), degrading to in-thread execution
-  where pools are unavailable;
-* a :class:`~repro.service.cache.ResultCache` plus a
-  :class:`~repro.service.metrics.MetricsRegistry`.
-
-Deduplication: submissions are keyed by
-:func:`~repro.service.jobs.payload_digest`.  A digest with a live
-(queued/running) job joins that job instead of enqueueing a duplicate;
-a digest with a cached result is answered instantly as an
-already-finished job.  Both paths are visible in the metrics
-(``repro_jobs_deduped_total``, ``repro_cache_hits_total``).
+Every decision about a job is the
+:class:`~repro.service.ledger.JobLedger`'s (admission, dedup, leases,
+crash retry, cancel — see its module docstring).
+:class:`ParallelizationServer` supplies what the ledger leaves open: a
+listening socket with a handler thread per connection
+(:func:`repro.service.protocol.serve_threaded`); one
+:class:`threading.Condition` that guards every ledger call and wakes
+idle dispatchers; N dispatcher threads, each a local ledger node that
+claims one lease at a time and runs it on the shared
+:class:`~repro.experiments.executor.WorkerPool` (worker *processes*,
+degrading to in-thread execution where pools are unavailable); the
+:class:`~repro.service.cache.ResultCache`, looked up inside the
+admission critical section; and a :class:`threading.Timer` per crash
+retry delay.
 """
 
 from __future__ import annotations
@@ -27,37 +21,20 @@ from __future__ import annotations
 import os
 import threading
 import time
-import socket
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.experiments.executor import (WorkerCrashError, WorkerPool,
-                                        WorkerTimeout, resolve_jobs)
+from repro.experiments.executor import WorkerPool, resolve_jobs
 from repro.obs import logging as obs_logging
-from repro.obs import metrics as obs_metrics
-from repro.obs.distributed import ClockModel, SpanRecorder, TraceContext
-from repro.obs.telemetry import SpanStore, TelemetryStore
-from repro.service import ops, protocol
+from repro.service import protocol
 from repro.service.cache import ResultCache
-# re-exported for compatibility: execution moved to its own module so the
-# cluster tier (gateway dispatchers, remote worker nodes) shares it
-from repro.service.execution import (PAYLOAD_KINDS,  # noqa: F401
-                                     _execute_probe, _run_pipeline,
-                                     execute_payload, run_job_observed)
-from repro.service.jobs import (FINAL_STATES, Job, JobQueue, JobState,
-                                QueueFullError, payload_digest)
-from repro.service.metrics import MetricsRegistry
-
-#: states a digest counts as "in flight" for deduplication
-_LIVE_STATES = (JobState.QUEUED, JobState.RUNNING)
+from repro.service.execution import run_leased
+from repro.service.jobs import Job, QueueFullError
+from repro.service.ledger import JobLedger, job_response
 
 _log = obs_logging.get_logger("repro.service")
 
 
-# ---------------------------------------------------------------------------
-# the server
-# ---------------------------------------------------------------------------
-
-class ParallelizationServer:
+class ParallelizationServer(protocol.ThreadedServer):
     """Long-running batch parallelization daemon (see module docstring).
 
     ``port=0`` binds an ephemeral port; read the actual one from
@@ -74,95 +51,48 @@ class ParallelizationServer:
                  inline: Optional[bool] = None,
                  telemetry_dir: Optional[str] = None,
                  run_id: Optional[str] = None):
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.workers = resolve_jobs(jobs)
-        self.default_deadline = default_deadline
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.drain_timeout = drain_timeout
-
-        self.queue = JobQueue(queue_capacity)
         self.cache = ResultCache(cache_capacity, directory=cache_dir)
-        self.metrics = MetricsRegistry()
         self.pool = WorkerPool(self.workers, inline=inline)
 
-        # observability plane (single-node flavor: everything on one
-        # clock, so ClockModel stays empty and stitching is trivial)
-        self.run_id = run_id or f"svc-{os.getpid()}"
-        self.clock = ClockModel()
-        self.spans = SpanRecorder("daemon")
-        self.span_store = SpanStore(telemetry_dir, self.run_id)
-        self.telemetry = TelemetryStore(telemetry_dir, self.run_id)
-        self._traced: Dict[str, Dict[str, Any]] = {}
-
-        self._jobs: Dict[str, Job] = {}          # job id -> Job
-        self._by_digest: Dict[str, str] = {}     # digest -> live job id
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._draining = threading.Event()
-        self._started_at: Optional[float] = None
-        self._sock: Optional[socket.socket] = None
-        self._threads: list = []
-        self.address: Optional[Tuple[str, int]] = None
-
-        m = self.metrics
-        self._m_submitted = m.counter(
-            "repro_jobs_submitted_total", "jobs accepted into the queue")
-        self._m_rejected = m.counter(
-            "repro_jobs_rejected_total", "submissions rejected (queue full)")
-        self._m_deduped = m.counter(
-            "repro_jobs_deduped_total", "submissions joined to an "
-            "in-flight job with the same digest")
-        self._m_retried = m.counter(
-            "repro_jobs_retried_total", "crash retries re-enqueued")
-        self._m_completed = m.counter(
-            "repro_jobs_completed_total", "jobs reaching a final state, "
-            "by state")
-        self._m_cache_hits = m.counter(
-            "repro_cache_hits_total", "submissions answered from the "
-            "result cache")
-        self._m_cache_misses = m.counter(
-            "repro_cache_misses_total", "submissions that had to run")
-        self._m_depth = m.gauge(
-            "repro_queue_depth", "jobs waiting in the queue")
-        self._m_running = m.gauge(
-            "repro_jobs_running", "jobs currently executing")
-        self._m_uptime = m.gauge(
-            "repro_uptime_seconds", "seconds since the server started")
-        self._m_latency = m.histogram(
-            "repro_job_latency_seconds", "submit-to-finish wall clock")
-        self._m_requests = m.counter(
-            "repro_requests_total", "protocol requests handled, by op")
-        self._m_request_seconds = m.histogram(
+        self._cond = threading.Condition()   # guards every ledger call
+        self.ledger = JobLedger(
+            "single-node", "daemon", run_id or f"svc-{os.getpid()}",
+            clock=time.monotonic, wall=time.time,
+            capacity=queue_capacity, default_deadline=default_deadline,
+            max_retries=max_retries, retry_backoff=retry_backoff,
+            telemetry_dir=telemetry_dir, on_work=self._cond.notify)
+        self.run_id = self.ledger.run_id
+        self.metrics = self.ledger.metrics
+        self.telemetry = self.ledger.telemetry
+        self._m_request_seconds = self.metrics.histogram(
             "repro_request_seconds", "protocol request handling time")
-        self._m_loops_parallel = m.counter(
-            "repro_loops_parallel_total", "loops parallelized by "
-            "finished jobs")
-        self._m_loops_serial = m.counter(
-            "repro_loops_serial_total", "loops left serial by finished "
-            "jobs, by reason")
+        self.ledger.ops = {
+            "submit": self._op_submit,
+            **{name: self._locked(op)
+               for name, op in self.ledger.ops.items()},
+            "result": self._op_result, "health": self._op_health}
+
+    def _locked(self, op):
+        def call(request: Dict[str, Any]) -> Dict[str, Any]:
+            with self._cond:
+                return op(request)
+        return call
 
     # -- lifecycle ---------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
         """Bind, spawn acceptor + dispatchers, return ``(host, port)``."""
-        self._started_at = time.monotonic()
+        self.ledger.started_at = time.monotonic()
         swept = self.cache.sweep()
         if swept:
             _log.warning("cache-sweep", removed=swept)
-        self._sock = socket.create_server((self.host, self.port))
-        self.address = self._sock.getsockname()[:2]
         for i in range(self.workers):
-            t = threading.Thread(target=self._dispatch_loop,
-                                 name=f"repro-dispatch-{i}", daemon=True)
-            t.start()
-            self._threads.append(t)
-        t = threading.Thread(target=self._accept_loop,
-                             name="repro-accept", daemon=True)
-        t.start()
-        self._threads.append(t)
-        return self.address
+            self._spawn(f"repro-dispatch-{i}", self._dispatch_loop,
+                        f"local-{i}")
+        return self._listen()
 
     def stop(self, drain: bool = False,
              drain_timeout: Optional[float] = None) -> None:
@@ -179,7 +109,7 @@ class ParallelizationServer:
         if self._stop.is_set():
             return
         if drain:
-            self._draining.set()
+            self.ledger.draining = True
             _log.info("drain-start", pending=self.pending_jobs())
             budget = self.drain_timeout if drain_timeout is None \
                 else drain_timeout
@@ -190,40 +120,21 @@ class ParallelizationServer:
             _log.info("drain-finish", pending=self.pending_jobs())
         if self._stop.is_set():
             return
-        self._stop.set()
-        self.queue.close()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            if t is not threading.current_thread():
-                t.join(timeout=5.0)
+        with self._cond:
+            self.ledger.stopping = True
+            self._cond.notify_all()
+        self._close()
         self.pool.shutdown()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the server stops (the ``serve`` CLI foreground)."""
-        return self._stop.wait(timeout=timeout)
 
     @property
     def running(self) -> bool:
-        return self._started_at is not None and not self._stop.is_set()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
+        return self.ledger.started_at is not None \
+            and not self._stop.is_set()
 
     def pending_jobs(self) -> int:
         """Accepted jobs not yet in a final state (queued or running)."""
-        with self._lock:
-            return sum(1 for job in self._jobs.values()
-                       if job.state not in FINAL_STATES)
-
-    def uptime(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        return time.monotonic() - self._started_at
+        with self._cond:
+            return self.ledger.unfinished()
 
     # -- submission --------------------------------------------------
 
@@ -238,509 +149,105 @@ class ParallelizationServer:
         carries the client's correlation IDs into the job's logs;
         ``trace_ctx`` carries a distributed trace context.  Neither
         participates in dedup (see :class:`Job`)."""
-        kind = payload.get("kind")
-        if kind not in PAYLOAD_KINDS:
-            raise ValueError(f"unknown payload kind {kind!r}; "
-                             f"expected one of {PAYLOAD_KINDS}")
-        if self._draining.is_set():
-            self._m_rejected.inc()
-            raise QueueFullError("service is draining before shutdown; "
-                                 "no new jobs accepted")
-        digest = payload_digest(payload)
-        if deadline is None:
-            deadline = self.default_deadline
-        if max_retries is None:
-            max_retries = self.max_retries
-        trace = self._open_trace(trace_ctx)
+        return self._admit({"payload": payload, "deadline": deadline,
+                            "max_retries": max_retries, "ctx": ctx,
+                            "trace_ctx": trace_ctx})[0]
 
-        with self._lock:
-            live_id = self._by_digest.get(digest)
-            if live_id is not None:
-                live = self._jobs[live_id]
-                if live.state in _LIVE_STATES:
-                    self._m_deduped.inc()
-                    return live
-                del self._by_digest[digest]  # stale index entry
-
-            job = Job(digest=digest, payload=payload, deadline=deadline,
-                      max_retries=max_retries, ctx=dict(ctx or {}))
-            if trace is not None:
-                job.trace_ctx = {
-                    "traceparent": trace["span"].to_traceparent()}
-                self._traced[job.id] = trace
-            t0_wall, t0 = time.time(), time.perf_counter()
-            cached = self.cache.get(digest)
-            if trace is not None:
-                self.spans.record(
-                    "cache-lookup", trace["span"].child(), cat="cache",
-                    start_wall=t0_wall,
-                    duration=time.perf_counter() - t0,
-                    parent_id=trace["span"].span_id,
-                    digest=digest, hit=cached is not None)
-            if cached is not None:
-                self._m_cache_hits.inc()
-                job.cached = True
-                job.finish(JobState.DONE, result=cached)
-                self._m_completed.inc(state=JobState.DONE)
-                self._jobs[job.id] = job
+    def _admit(self, request: Dict[str, Any]) -> Tuple[Job, bool]:
+        ledger = self.ledger
+        digest, trace = ledger.open_submit(request)
+        # one critical section from the dedup check to the enqueue, so
+        # the reported ``deduped`` flag is the decision that was made
+        with self._cond:
+            cached = None
+            if ledger.live_job(digest) is None and not ledger.draining:
+                t0_wall, t0 = time.time(), time.perf_counter()
+                cached = self.cache.get(digest)
                 if trace is not None:
-                    self._record_job_span(job, trace)
-                return job
-            self._m_cache_misses.inc()
-            try:
-                self.queue.put(job)
-            except QueueFullError:
-                self._m_rejected.inc()
-                self._traced.pop(job.id, None)
-                raise
-            self._m_submitted.inc()
-            self._jobs[job.id] = job
-            self._by_digest[digest] = job.id
-            self._m_depth.set(self.queue.depth())
-            return job
-
-    def _open_trace(self, trace_ctx: Optional[Dict[str, Any]]
-                    ) -> Optional[Dict[str, Any]]:
-        """Open the daemon-side 'job' span for a traced submission
-        (None — the common case — costs one ``is None`` test)."""
-        if trace_ctx is None:
-            return None
-        root = TraceContext.from_dict(trace_ctx)  # raises on malformed
-        if root is None:
-            return None
-        return {"root": root, "span": root.child(),
-                "submit_wall": time.time()}
-
-    def _record_job_span(self, job: Job, trace: Dict[str, Any]) -> None:
-        if trace.get("recorded"):
-            return
-        trace["recorded"] = True
-        self.spans.record(
-            "job", trace["span"], cat="daemon",
-            start_wall=trace["submit_wall"],
-            duration=job.latency() or 0.0,
-            parent_id=trace["root"].span_id,
-            job_id=job.id, digest=job.digest, state=job.state,
-            cached=job.cached, attempts=job.attempts)
+                    ledger.spans.record(
+                        "cache-lookup", trace["span"].child(), cat="cache",
+                        start_wall=t0_wall,
+                        duration=time.perf_counter() - t0,
+                        parent_id=trace["span"].span_id,
+                        digest=digest, hit=cached is not None)
+            return ledger.admit(request, digest, cached, trace)
 
     def get_job(self, job_id: str) -> Optional[Job]:
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    def cancel(self, job_id: str) -> Tuple[bool, str]:
-        """Cancel a queued job.  Running/finished jobs are not touched:
-        a busy worker cannot be interrupted selectively, and a finished
-        job has nothing to cancel."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return False, f"unknown job {job_id!r}"
-            if job.state != JobState.QUEUED:
-                return False, f"job is {job.state}, not queued"
-            job.finish(JobState.CANCELED, error="canceled by client")
-            self._m_completed.inc(state=JobState.CANCELED)
-            self._drop_digest(job)
-        return True, "canceled"
-
-    def _drop_digest(self, job: Job) -> None:
-        # caller holds self._lock
-        if self._by_digest.get(job.digest) == job.id:
-            del self._by_digest[job.digest]
+        with self._cond:
+            return self.ledger.jobs.get(job_id)
 
     # -- dispatching -------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.get(timeout=0.2)
-            self._m_depth.set(self.queue.depth())
+    def _dispatch_loop(self, name: str) -> None:
+        """One local ledger node: claim a lease, run it, settle it."""
+        ledger = self.ledger
+        with self._cond:
+            node = ledger.touch_node(name, local=True)
+        while True:
+            with self._cond:
+                if ledger.stopping:
+                    return
+                claimed = ledger.claim(node)
+                if not claimed:
+                    self._cond.wait(timeout=0.2)
+                    continue
+                job, _reason = ledger.start(node, claimed[0].id)
+                remaining = job.remaining() if job is not None else None
             if job is None:
-                continue
-            if job.state != JobState.QUEUED:
-                continue  # canceled while waiting
-            if job.expired():
-                self._finalize(job, JobState.TIMEOUT,
-                               error="deadline expired while queued")
-                continue
-            self._run_job(job)
+                continue  # canceled or expired between claim and start
+            t0_wall, t0 = time.time(), time.perf_counter()
+            outcome, value = run_leased(self.pool, job.id, job.payload,
+                                        job.ctx, remaining)
+            if outcome == "done":
+                self.cache.put(job.digest, value)
+            with self._cond:
+                delay = ledger.settle(name, job, outcome, value, t0_wall,
+                                      time.perf_counter() - t0)
+            if delay is not None:
+                timer = threading.Timer(delay, self._requeue, (job.id,))
+                timer.daemon = True
+                timer.start()
 
-    def _run_job(self, job: Job) -> None:
-        job.state = JobState.RUNNING
-        job.started_at = time.monotonic()
-        job.attempts += 1
-        self._m_running.inc()
-        trace = self._traced.get(job.id)
-        t0_wall, t0 = time.time(), time.perf_counter()
-        if trace is not None:
-            wait_from = trace.get("last_wait", trace["submit_wall"])
-            self.spans.record(
-                "queue-wait", trace["span"].child(), cat="daemon",
-                start_wall=wait_from,
-                duration=max(0.0, t0_wall - wait_from),
-                parent_id=trace["span"].span_id, job_id=job.id,
-                attempt=job.attempts)
-            trace["last_wait"] = t0_wall
-        with obs_logging.log_context(job_id=job.id, **job.ctx):
-            _log.info("job-start", digest=job.digest[:12],
-                      attempt=job.attempts,
-                      kind=job.payload.get("kind"))
-            try:
-                result, delta = self.pool.run(run_job_observed,
-                                              (job.payload, job.ctx),
-                                              timeout=job.remaining())
-            except WorkerTimeout:
-                self._finalize(job, JobState.TIMEOUT,
-                               error="deadline expired while running")
-                _log.warning("job-timeout", digest=job.digest[:12])
-            except WorkerCrashError as exc:
-                self._handle_crash(job, exc)
-                _log.warning("job-crash", digest=job.digest[:12],
-                             attempt=job.attempts, error=str(exc))
-            except Exception as exc:  # deterministic failure: no retry
-                self._finalize(job, JobState.FAILED,
-                               error=f"{type(exc).__name__}: {exc}")
-                _log.warning("job-failed", digest=job.digest[:12],
-                             error=f"{type(exc).__name__}: {exc}")
-            else:
-                if delta:
-                    obs_metrics.get_registry().merge(delta)
-                self.cache.put(job.digest, result)
-                self._finalize(job, JobState.DONE, result=result)
-                _log.info("job-done", digest=job.digest[:12],
-                          latency=round(job.latency() or 0.0, 4))
-            finally:
-                self._m_running.dec()
-                if trace is not None:
-                    self.spans.record(
-                        "execute", trace["span"].child(), cat="worker",
-                        start_wall=t0_wall,
-                        duration=time.perf_counter() - t0,
-                        parent_id=trace["span"].span_id, job_id=job.id,
-                        digest=job.digest, outcome=job.state,
-                        attempt=job.attempts)
-
-    def _handle_crash(self, job: Job, exc: WorkerCrashError) -> None:
-        if job.attempts > job.max_retries:
-            self._finalize(job, JobState.FAILED,
-                           error=f"worker crashed {job.attempts} times "
-                                 f"(retries exhausted): {exc}")
-            return
-        self._m_retried.inc()
-        job.state = JobState.QUEUED
-        delay = self.retry_backoff * (2 ** (job.attempts - 1))
-        remaining = job.remaining()
-        if remaining is not None:
-            delay = min(delay, max(0.0, remaining))
-
-        def requeue() -> None:
-            try:
-                self.queue.put(job, force=True)
-                self._m_depth.set(self.queue.depth())
-            except QueueFullError:  # closed: shutting down
-                self._finalize(job, JobState.FAILED,
-                               error="service stopped during crash retry")
-
-        if delay <= 0:
-            requeue()
-        else:
-            timer = threading.Timer(delay, requeue)
-            timer.daemon = True
-            timer.start()
-
-    def _finalize(self, job: Job, state: str,
-                  result: Optional[Dict[str, Any]] = None,
-                  error: str = "") -> None:
-        with self._lock:
-            job.finish(state, result=result, error=error)
-            self._m_completed.inc(state=state)
-            self._drop_digest(job)
-            trace = self._traced.get(job.id)
-            if trace is not None:
-                self._record_job_span(job, trace)
-        latency = job.latency()
-        if latency is not None:
-            self._m_latency.observe(latency)
-        if result is not None:
-            for phase, seconds in result.get("timings", {}).items():
-                self.metrics.histogram(
-                    f"repro_phase_{phase}_seconds",
-                    f"wall clock of the {phase} phase").observe(seconds)
-            count = result.get("parallel_count")
-            if isinstance(count, int):
-                self._m_loops_parallel.inc(count)
-            for reason, n in result.get("serial_reasons", {}).items():
-                self._m_loops_serial.inc(n, reason=reason)
+    def _requeue(self, job_id: str) -> None:
+        with self._cond:
+            self.ledger.requeue(job_id)
 
     # -- protocol handling -------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._sock.accept()
-            except OSError:
-                return  # listening socket closed by stop()
-            t = threading.Thread(target=self._serve_connection,
-                                 args=(conn,), daemon=True)
-            t.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    request = protocol.recv_message(conn)
-                except protocol.ProtocolError:
-                    return
-                try:
-                    response = self.handle_request(request)
-                except Exception as exc:
-                    response = protocol.error_response(
-                        f"{type(exc).__name__}: {exc}", code="internal")
-                shutdown = response.pop("_shutdown", False)
-                drain = response.pop("_drain", False)
-                drain_timeout = response.pop("_drain_timeout", None)
-                try:
-                    protocol.send_message(conn, response)
-                except protocol.ProtocolError as exc:
-                    # response exceeds the frame limit: tell the client
-                    # instead of silently dropping the connection
-                    try:
-                        protocol.send_message(conn, protocol.error_response(
-                            f"response too large for one frame: {exc}",
-                            code="oversize"))
-                    except (OSError, protocol.ProtocolError):
-                        return
-                except OSError:
-                    return
-                if shutdown:
-                    threading.Thread(
-                        target=self.stop, daemon=True,
-                        kwargs={"drain": drain,
-                                "drain_timeout": drain_timeout}).start()
-                    return
-
-    #: hyphenated wire ops that cannot be reached via ``_op_<name>``
-    #: attribute lookup (kept identical to the gateway's op names)
-    _OP_ALIASES = {"trace-export": "_op_trace_export"}
-
     def handle_request(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Answer one protocol request (also the unit-test entry point)."""
-        op = request.get("op")
-        alias = self._OP_ALIASES.get(op) if isinstance(op, str) else None
-        if alias is not None:
-            handler = getattr(self, alias)
-        else:
-            handler = getattr(self, f"_op_{op}", None) if op else None
-            if handler is not None and not str(op).isidentifier():
-                handler = None
-        if handler is None:
-            self._m_requests.inc(op="unknown")
-            return protocol.error_response(
-                f"unknown op {op!r}; expected submit/status/result/"
-                f"cancel/health/metrics/telemetry/trace-export/shutdown",
-                code="bad-op")
-        self._m_requests.inc(op=str(op))
         with self._m_request_seconds.time():
-            return handler(request)
-
-    def _job_response(self, job: Job, deduped: bool = False,
-                      include_result: bool = False,
-                      include_trace: bool = False) -> Dict[str, Any]:
-        return ops.job_response(job, deduped=deduped,
-                                include_result=include_result,
-                                include_trace=include_trace)
+            return self.ledger.dispatch(request)
 
     def _op_submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        payload = request.get("payload")
-        if not isinstance(payload, dict):
-            return protocol.error_response(
-                "submit needs a 'payload' object", code="bad-request")
-        before = None
-        with self._lock:
-            digest = payload_digest(payload)
-            live = self._by_digest.get(digest)
-            before = live if live else None
-        ctx = request.get("ctx")
-        ctx_problem = ops.validate_ctx(ctx)
-        if ctx_problem:
-            return protocol.error_response(ctx_problem, code="bad-request")
-        trace_ctx = request.get("trace_ctx")
-        trace_problem = ops.validate_trace_ctx(trace_ctx)
-        if trace_problem:
-            return protocol.error_response(trace_problem,
-                                           code="bad-request")
         try:
-            job = self.submit(payload,
-                              deadline=request.get("deadline"),
-                              max_retries=request.get("max_retries"),
-                              ctx=ctx, trace_ctx=trace_ctx)
+            job, deduped = self._admit(request)
         except QueueFullError as exc:
             return protocol.error_response(exc.reason, code="backpressure")
         except (ValueError, KeyError) as exc:
             return protocol.error_response(str(exc), code="bad-request")
-        deduped = before is not None and job.id == before
         if request.get("wait"):
             job.finished.wait(timeout=request.get("wait_timeout"))
-        return self._job_response(
+        return job_response(
             job, deduped=deduped,
             include_result=bool(request.get("wait")),
             include_trace=bool(request.get("include_trace")))
 
-    def _lookup(self, request: Dict[str, Any]):
-        job_id = request.get("job_id")
-        job = self.get_job(job_id) if job_id else None
-        if job is None:
-            return None, protocol.error_response(
-                f"unknown job {job_id!r}", code="not-found")
-        return job, None
-
-    def _op_status(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        job, err = self._lookup(request)
-        return err if err else self._job_response(job)
-
     def _op_result(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        job, err = self._lookup(request)
+        with self._cond:
+            job, err = self.ledger.lookup(request)
         if err:
             return err
         if request.get("wait"):
             job.finished.wait(timeout=request.get("wait_timeout"))
-        if job.state == JobState.DONE:
-            return self._job_response(
-                job, include_result=True,
-                include_trace=bool(request.get("include_trace")))
-        if job.state in FINAL_STATES:
-            return protocol.error_response(
-                f"job {job.id} finished as {job.state}: {job.error}",
-                code=job.state)
-        return protocol.error_response(
-            f"job {job.id} is still {job.state}", code="not-ready")
-
-    def _op_cancel(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        job, err = self._lookup(request)
-        if err:
-            return err
-        ok, reason = self.cancel(job.id)
-        response = self._job_response(job)
-        response["canceled"] = ok
-        response["detail"] = reason
-        return response
+        return self.ledger.result_response(job, request)
 
     def _op_health(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        with self._lock:
-            states: Dict[str, int] = {}
-            for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-        return {
-            "ok": True,
-            "tier": "single-node",
-            "uptime": self.uptime(),
-            "draining": self.draining,
-            "workers": self.workers,
-            "pool_mode": "inline" if self.pool.inline else "process",
-            "queue_depth": self.queue.depth(),
-            "queue_capacity": self.queue.capacity,
-            "jobs_by_state": states,
-            "cache_entries": len(self.cache),
-            "cache_stats": self.cache.stats(),
-        }
-
-    def _exported_metrics(self) -> MetricsRegistry:
-        """The server's own registry unioned with the process-default one.
-
-        Pipeline instrumentation from finished jobs (dependence tests,
-        cache lookups, …) is merged into the process-default registry;
-        the server keeps its service metrics in a private registry so
-        concurrent servers in one process (tests) don't share counts.
-        The metrics op must expose both.
-        """
-        combined = MetricsRegistry()
-        combined.merge(self.metrics.export())
-        combined.merge(obs_metrics.get_registry().export())
-        return combined
-
-    def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._m_uptime.set(self.uptime())
-        fmt = request.get("format", "json")
-        if fmt == "prometheus":
-            return {"ok": True, "format": "prometheus",
-                    "text": self._exported_metrics().to_prometheus()}
-        if fmt != "json":
-            return protocol.error_response(
-                f"unknown metrics format {fmt!r}", code="bad-request")
-        return {"ok": True, "format": "json",
-                "metrics": self._exported_metrics().to_json()}
-
-    def _snapshot_telemetry(self) -> Dict[str, Any]:
-        """One merged metric+health snapshot (the daemon has no
-        background telemetry loop; snapshots happen on demand)."""
-        self._m_uptime.set(self.uptime())
-        self.span_store.add(self.spans.drain())
-        metrics = self._exported_metrics().export()
-        health = self._op_health({})
-        health.pop("ok", None)
-        return self.telemetry.add_snapshot(metrics, health)
-
-    def _op_telemetry(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        snapshot = self._snapshot_telemetry()
-        since = request.get("events_since")
-        events = self.telemetry.events_since(
-            since if isinstance(since, int) else 0)
-        return {"ok": True, "tier": "single-node", "run_id": self.run_id,
-                "snapshot": snapshot, "events": events,
-                "event_seq": self.telemetry.event_seq(),
-                "spans_stored": len(self.span_store)}
-
-    def _op_trace_export(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Same shape as the gateway's ``trace-export``: all spans, the
-        (empty — one clock) offset table, and finished traced jobs'
-        decision records stamped with their producing span ids."""
-        from repro.trace.tracer import Tracer
-        self.span_store.add(self.spans.drain())
-        trace_id = request.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            return protocol.error_response(
-                "'trace_id' must be a string", code="bad-request")
-        spans = self.span_store.spans(trace_id)
-        seen: set = set()
-        decisions: List[Dict[str, Any]] = []
-        site_decisions: List[Dict[str, Any]] = []
-        with self._lock:
-            traced = list(self._traced.items())
-        for job_id, trace in traced:
-            job = self._jobs.get(job_id)
-            if job is None or not isinstance(job.result, dict):
-                continue
-            if trace_id and trace["span"].trace_id != trace_id:
-                continue
-            export = job.result.get("trace")
-            if not isinstance(export, dict):
-                continue
-            link = {"job_id": job.id, "digest": job.digest,
-                    "span_id": trace["span"].span_id,
-                    "trace_id": trace["span"].trace_id}
-            for kind, field, out in (
-                    ("loop", "decisions", decisions),
-                    ("site", "site_decisions", site_decisions)):
-                for d in export.get(field) or ():
-                    if not isinstance(d, dict):
-                        continue
-                    key = Tracer._decision_key(job.digest, kind, d)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append({**d, **link})
-        return {"ok": True, "run_id": self.run_id, "spans": spans,
-                "clock_offsets": self.clock.to_dict(),
-                "trace_ids": self.span_store.trace_ids(),
-                "decisions": decisions,
-                "site_decisions": site_decisions,
-                "dropped": self.span_store.dropped + self.spans.dropped}
-
-    def _op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        drain = bool(request.get("drain"))
-        if drain:
-            # reject new submissions immediately; the post-response stop
-            # thread then waits for the in-flight jobs
-            self._draining.set()
-        return {"ok": True, "stopping": True, "draining": drain,
-                "_shutdown": True,
-                "_drain": drain,
-                "_drain_timeout": request.get("drain_timeout")}
+        with self._cond:
+            health = self.ledger.op_health(request)
+        health.update(
+            workers=self.workers,
+            pool_mode="inline" if self.pool.inline else "process",
+            cache_entries=len(self.cache),
+            cache_stats=self.cache.stats())
+        return health

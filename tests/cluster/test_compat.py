@@ -3,7 +3,10 @@
 asyncio gateway — framing, dedup, cancel, oversize-error, the works.
 
 Everything here talks to the gateway only through the public wire
-surface PR 2 defined for the single-node daemon.
+surface PR 2 defined for the single-node daemon.  The daemon and the
+gateway are two transport shells around one job ledger:
+``TestOneLedgerTwoShells`` replays one scripted session against both
+and holds their answers equal.
 """
 
 import socket
@@ -13,8 +16,11 @@ import threading
 import pytest
 
 from repro.cluster.gateway import ClusterGateway
+from repro.obs.distributed import TraceContext
+from repro.service import ledger as ledger_module
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.server import ParallelizationServer
 
 
 def _probe(op="echo", **extra):
@@ -167,3 +173,166 @@ class TestFraming:
         # the session survives: same client keeps working
         assert client.result(big["job_id"], wait=True,
                              wait_timeout=10)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# one ledger, two shells
+# ---------------------------------------------------------------------------
+
+def _start_daemon(**kwargs):
+    server = ParallelizationServer(port=0, jobs=2, inline=True,
+                                   retry_backoff=0.01, **kwargs)
+    server.start()
+    return server, lambda: server.stop()
+
+
+def _start_gateway(**kwargs):
+    gw = ClusterGateway(port=0, local_workers=2, inline=True,
+                        retry_backoff=0.01, **kwargs)
+    gw.start_background()
+
+    def stop():
+        gw.stop()
+        gw.wait(timeout=10)
+    return gw, stop
+
+
+SHELLS = {"daemon": _start_daemon, "gateway": _start_gateway}
+
+#: response fields that legitimately differ between two runs or tiers
+_VOLATILE = ("latency", "uptime", "tier", "cluster")
+
+
+def _normalise(value, ids):
+    """Drop volatile fields; rename job ids by order of appearance."""
+    if isinstance(value, dict):
+        return {k: _normalise(v, ids) for k, v in value.items()
+                if k not in _VOLATILE}
+    if isinstance(value, list):
+        return [_normalise(v, ids) for v in value]
+    if isinstance(value, str):
+        for job_id, alias in ids.items():
+            value = value.replace(job_id, alias)
+    return value
+
+
+def _scripted_session(address):
+    """One client session over a raw connection; every response, errors
+    included, normalised for comparison."""
+    ids = {}
+    transcript = []
+    root = TraceContext()
+    with socket.create_connection(address, timeout=15) as sock:
+        def ask(label, **request):
+            for key, value in list(request.items()):
+                if key == "job_id" and value in ids.values():
+                    request[key] = next(j for j, alias in ids.items()
+                                        if alias == value)
+            protocol.send_message(sock, request)
+            response = protocol.recv_message(sock)
+            job_id = response.get("job_id")
+            if isinstance(job_id, str) and job_id not in ids:
+                ids[job_id] = f"job-{len(ids)}"
+            transcript.append((label, response))
+            return response
+
+        ask("health", op="health")
+        ask("submit", op="submit", payload=_probe(value="one"), wait=True,
+            wait_timeout=10)
+        ask("cached", op="submit", payload=_probe(value="one"), wait=True,
+            wait_timeout=10)
+        ask("traced", op="submit", payload=_probe(value="two"), wait=True,
+            wait_timeout=10,
+            trace_ctx={"traceparent": root.to_traceparent()},
+            ctx={"run_id": "session"})
+        ask("status", op="status", job_id="job-0")
+        ask("result", op="result", job_id="job-0", wait=True)
+        ask("cancel finished", op="cancel", job_id="job-0")
+        ask("status unknown", op="status", job_id="job-999999")
+        ask("result unknown", op="result", job_id="job-999999")
+        ask("no payload", op="submit")
+        ask("bad kind", op="submit", payload={"kind": "nonsense"})
+        ask("bad ctx", op="submit", payload=_probe(), ctx={"a": [1]})
+        ask("bad trace", op="submit", payload=_probe(),
+            trace_ctx={"traceparent": "zz"})
+        ask("failed job", op="submit", wait=True, wait_timeout=30,
+            payload={"kind": "benchmark", "benchmark": "no-such"})
+        ask("failed result", op="result", job_id="job-3")
+        ask("bad format", op="metrics", format="xml")
+        ask("bad trace id", op="trace-export", trace_id=7)
+        metrics = ask("metrics", op="metrics")
+        telemetry = ask("telemetry", op="telemetry")
+        export = ask("trace-export", op="trace-export",
+                     trace_id=root.trace_id)
+        ask("health after", op="health")
+        ask("shutdown", op="shutdown")
+    # the bulky answers are compared by what both tiers promise of them
+    summary = {
+        "job counters": {k: v for k, v in metrics["metrics"].items()
+                         if k.startswith(("repro_jobs_", "repro_cache_",
+                                          "repro_loops_",
+                                          "repro_queue_"))
+                         and "latency" not in k},
+        "telemetry keys": sorted(telemetry),
+        "snapshot health keys": sorted(
+            set(telemetry["snapshot"]["health"]) - {"cluster"}),
+        "export keys": sorted(export),
+        "ledger spans": sorted(
+            s["name"] for s in export["spans"]
+            if s["name"] in ("job", "queue-wait", "execute")),
+        "trace ids": export["trace_ids"] == [root.trace_id],
+    }
+    plain = [(label, _normalise(response, ids))
+             for label, response in transcript
+             if label not in ("metrics", "telemetry", "trace-export")]
+    return plain, summary
+
+
+class TestOneLedgerTwoShells:
+    def test_scripted_session_answers_match(self):
+        sessions = {}
+        for name, start in SHELLS.items():
+            shell, stop = start(queue_capacity=32)
+            try:
+                sessions[name] = _scripted_session(shell.address)
+                assert shell.wait(timeout=10)  # the shutdown op landed
+            finally:
+                stop()
+        daemon, gateway = sessions["daemon"], sessions["gateway"]
+        for (label, a), (_label, b) in zip(daemon[0], gateway[0]):
+            assert a == b, f"{label}: daemon {a} != gateway {b}"
+        assert daemon[1] == gateway[1]
+        # sanity: the session exercised what it claims to
+        answers = dict(daemon[0])
+        assert answers["cached"]["cached"] is True
+        assert answers["status unknown"]["code"] == "not-found"
+        assert answers["failed result"]["code"] == "failed"
+        assert daemon[1]["ledger spans"] == ["execute", "job",
+                                             "queue-wait"]
+
+    @pytest.mark.parametrize("name", sorted(SHELLS))
+    def test_job_table_stays_bounded(self, name, monkeypatch):
+        keep, extra = 6, 5
+        monkeypatch.setattr(ledger_module, "KEEP_FINISHED", keep)
+        shell, stop = SHELLS[name]()
+        try:
+            client = ServiceClient(*shell.address)
+            root = TraceContext()
+            submitted = [client.submit(
+                _probe(value=f"bounded-{i % 7}"), wait=True,
+                wait_timeout=10,
+                trace_ctx={"traceparent": root.to_traceparent()})
+                for i in range(keep + extra)]
+            assert all(r["state"] == "done" for r in submitted)
+            ledger = shell.ledger
+            assert len(ledger.jobs) == keep
+            assert set(ledger.traced) <= set(ledger.jobs)
+            assert not getattr(shell, "_waiters", None)
+            with pytest.raises(ServiceError) as excinfo:
+                client.status(submitted[0]["job_id"])
+            assert excinfo.value.code == "not-found"
+            assert client.result(submitted[-1]["job_id"])["ok"]
+            export = client.trace_export()
+            assert export["ok"] and export["spans"]
+        finally:
+            stop()

@@ -358,9 +358,9 @@ class TestDeadNodeSweep:
                 {"op": "work-start", "node": "doomed", "job_id": ids[0]})
             assert started["granted"]
 
-            gw._nodes["doomed"].last_seen -= 1.0  # silence the node
+            gw.ledger.nodes["doomed"].last_seen -= 1.0  # silence the node
             gw._sweep_dead_nodes()
-            assert "doomed" not in gw._nodes
+            assert "doomed" not in gw.ledger.nodes
             assert gw.metrics.to_json()[
                 "repro_cluster_dead_nodes_total"] == 1
             # the running job took the crash-retry path, the unstarted
@@ -381,9 +381,9 @@ class TestDeadNodeSweep:
             gw = _gateway(heartbeat_timeout=0.1)
             await gw.handle_request({"op": "heartbeat", "node": "idle",
                                      "seq": 1, "metrics": {}})
-            gw._nodes["idle"].last_seen -= 1.0
+            gw.ledger.nodes["idle"].last_seen -= 1.0
             gw._sweep_dead_nodes()
-            assert "idle" not in gw._nodes
+            assert "idle" not in gw.ledger.nodes
             assert gw.metrics.to_json()[
                 "repro_cluster_dead_nodes_total"] == 0
         drive(scenario())
@@ -449,7 +449,7 @@ class TestEndToEnd:
         assert response["ok"] and response["draining"]
         assert gateway.wait(timeout=15)
         for submitted in accepted:
-            job = gateway._jobs[submitted["job_id"]]
+            job = gateway.ledger.jobs[submitted["job_id"]]
             assert job.state == JobState.DONE, \
                 f"job {job.id} lost in drain: {job.state}"
 
@@ -481,7 +481,7 @@ class TestEndToEnd:
         # uptime is refreshed on every metrics request
         assert metrics["repro_uptime_seconds"] > 0
         # cluster counters are present in the export even when zero
-        # (embedded workers lease via _claim_jobs, not the pull op)
+        # (embedded workers lease via ledger.claim, not the pull op)
         assert "repro_cluster_pulls_total" in metrics
         assert "repro_cluster_steals_total" in metrics
 
@@ -502,6 +502,7 @@ class TestRegistryMergePath:
 
 def test_obs_metrics_module_is_shared():
     # the gateway merges worker deltas into the same default registry
-    # the single-node daemon uses; guard the import identity
-    from repro.service import metrics as service_metrics
-    assert service_metrics.get_registry() is obs_metrics.get_registry()
+    # the single-node daemon uses: both go through the one ledger, which
+    # reads the process registry from repro.obs.metrics
+    from repro.service import ledger
+    assert ledger.obs_metrics.get_registry() is obs_metrics.get_registry()

@@ -12,7 +12,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perfect.suite import Benchmark, clear_program_cache
 from repro.service.client import ServiceClient
 from repro.service.jobs import payload_digest
-from repro.service.server import ParallelizationServer, run_job_observed
+from repro.service.execution import run_job_observed
+from repro.service.server import ParallelizationServer
 
 SOURCE = """      PROGRAM P
       COMMON /D/ A(40,4)

@@ -1,12 +1,12 @@
 """Job model and bounded-queue semantics."""
 
-import threading
 import time
 
 import pytest
 
-from repro.service.jobs import (FINAL_STATES, Job, JobQueue, JobState,
+from repro.service.jobs import (FINAL_STATES, Job, JobState,
                                 QueueFullError, payload_digest)
+from repro.service.ledger import JobLedger
 
 
 def _job(**kwargs):
@@ -66,51 +66,69 @@ class TestJob:
 
 
 class TestJobQueue:
+    """The bounded FIFO is the ledger's pending deque (the former
+    ``JobQueue`` class is gone); same guarantees, asked of the ledger."""
+
+    @staticmethod
+    def _ledger(**kwargs):
+        kwargs.setdefault("retry_backoff", 0.0)
+        return JobLedger("single-node", "daemon", "test-run",
+                         clock=lambda: 0.0, wall=lambda: 0.0, **kwargs)
+
+    @staticmethod
+    def _admit(ledger, tag):
+        request = {"payload": {"kind": "probe", "probe": "echo",
+                               "value": tag}}
+        digest, trace = ledger.open_submit(request)
+        return ledger.admit(request, digest, None, trace)[0]
+
     def test_fifo_order(self):
-        q = JobQueue(capacity=10)
-        jobs = [_job() for _ in range(3)]
-        for j in jobs:
-            q.put(j)
-        assert [q.get(timeout=0.1).id for _ in jobs] == \
+        ledger = self._ledger(capacity=10)
+        jobs = [self._admit(ledger, i) for i in range(3)]
+        node = ledger.touch_node("n", local=True)
+        assert [j.id for j in ledger.claim(node, 3)] == \
             [j.id for j in jobs]
 
     def test_backpressure_rejects_with_reason(self):
-        q = JobQueue(capacity=2)
-        q.put(_job())
-        q.put(_job())
+        ledger = self._ledger(capacity=2)
+        self._admit(ledger, "a")
+        self._admit(ledger, "b")
         with pytest.raises(QueueFullError, match="full"):
-            q.put(_job())
-        assert q.depth() == 2  # the rejected job was not admitted
+            self._admit(ledger, "c")
+        assert len(ledger.pending) == 2  # the rejected job was not admitted
+        assert len(ledger.jobs) == 2
 
     def test_force_put_bypasses_capacity(self):
-        q = JobQueue(capacity=1)
-        q.put(_job())
-        q.put(_job(), force=True)  # a crash retry re-enters
-        assert q.depth() == 2
+        ledger = self._ledger(capacity=1)
+        first = self._admit(ledger, "a")
+        node = ledger.touch_node("n", local=True)
+        ledger.claim(node)
+        ledger.start(node, first.id)
+        self._admit(ledger, "b")           # the queue is full again
+        ledger.fail("n", first.id, "crash", "boom")  # a crash retry re-enters
+        assert len(ledger.pending) == 2
 
     def test_get_timeout_returns_none(self):
-        q = JobQueue(capacity=1)
-        t0 = time.monotonic()
-        assert q.get(timeout=0.05) is None
-        assert time.monotonic() - t0 < 1.0
+        ledger = self._ledger(capacity=1)
+        node = ledger.touch_node("n", local=True)
+        assert ledger.claim(node) == []    # never blocks: waiting is the shell's
 
     def test_close_wakes_blocked_consumer(self):
-        q = JobQueue(capacity=1)
-        got = []
-        t = threading.Thread(target=lambda: got.append(q.get(timeout=5)))
-        t.start()
-        time.sleep(0.05)
-        q.close()
-        t.join(timeout=2)
-        assert not t.is_alive()
-        assert got == [None]
+        from repro.service.server import ParallelizationServer
+        server = ParallelizationServer(port=0, jobs=1, inline=True)
+        server.start()
+        time.sleep(0.05)                   # the dispatcher is idle-waiting
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 2.0
+        assert not any(t.is_alive() for t in server._threads)
 
     def test_closed_queue_rejects_put(self):
-        q = JobQueue(capacity=4)
-        q.close()
+        ledger = self._ledger(capacity=4)
+        ledger.stopping = True
         with pytest.raises(QueueFullError, match="shutting down"):
-            q.put(_job())
+            self._admit(ledger, "late")
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
-            JobQueue(capacity=0)
+            self._ledger(capacity=0)

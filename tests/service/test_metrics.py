@@ -1,6 +1,6 @@
 """Metrics registry: values, JSON rendering, Prometheus text format."""
 
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestCounter:

@@ -14,7 +14,8 @@ import pytest
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobState
-from repro.service.server import ParallelizationServer, execute_payload
+from repro.service.execution import execute_payload
+from repro.service.server import ParallelizationServer
 
 SOURCE = """      PROGRAM P
       COMMON /D/ A(300,8), ROW(8)
@@ -530,11 +531,11 @@ class TestDrain:
     def test_draining_rejects_new_submits(self, make_server):
         server = make_server(jobs=1)
         server.submit(_probe("sleep", seconds=0.2, tag="inflight"))
-        server._draining.set()
+        server.ledger.draining = True
         with pytest.raises(Exception, match="draining"):
             server.submit(_probe(value="late"))
         assert server.metrics.to_json()["repro_jobs_rejected_total"] == 1
-        server._draining.clear()  # let the fixture stop() cleanly
+        server.ledger.draining = False  # let the fixture stop() cleanly
 
 class TestTracedJobs:
     def _traced_payload(self):

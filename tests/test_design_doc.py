@@ -1,6 +1,7 @@
 """DESIGN.md must not describe modules that do not exist: every path of
 its ``src/repro/`` module map, and every other ``src/...`` path it names,
-is a file or directory of the checkout."""
+is a file or directory of the checkout.  And the other way round: every
+package directory under ``src/repro/`` appears in the map."""
 
 import os
 import re
@@ -41,3 +42,16 @@ def test_every_src_path_named_in_design_md_exists():
     missing = sorted(p for p in named
                      if not os.path.exists(os.path.join(ROOT, p)))
     assert missing == []
+
+
+def test_every_package_directory_is_in_the_module_map():
+    with open(os.path.join(ROOT, "DESIGN.md"), encoding="utf-8") as fh:
+        mapped = set(module_map_paths(fh.read()))
+    packages = sorted(
+        os.path.relpath(directory, ROOT).replace(os.sep, "/")
+        for directory, _dirs, files in os.walk(
+            os.path.join(ROOT, "src", "repro"))
+        if "__init__.py" in files
+        and os.path.basename(directory) != "repro")
+    assert len(packages) >= 14
+    assert [p for p in packages if p not in mapped] == []
