@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from time import perf_counter
 from typing import Dict, Optional, Sequence
 
 from repro.program import Program
@@ -35,10 +34,17 @@ from repro.program import Program
 _MACHINES = {"intel-mac": None, "amd-opteron": None, "serial": None}
 
 
-def _print_profile(timings: Dict[str, float],
-                   test_stats: Optional[Dict[str, int]] = None,
-                   cprofile_text: str = "") -> None:
-    from repro.obs.profile import render_profile_report
+def _print_profile(runs, cprofile_text: str = "") -> None:
+    """The ``--profile`` report summed over ``runs``: reports, Table II
+    rows, Figure 20 cells — anything with per-phase ``timings`` (and
+    perhaps ``test_stats``)."""
+    from repro.obs.profile import merge_test_stats, render_profile_report
+    from repro.polaris.report import merge_timings
+    timings: Dict[str, float] = {}
+    test_stats: Dict[str, int] = {}
+    for run in runs:
+        merge_timings(timings, run.timings)
+        merge_test_stats(test_stats, getattr(run, "test_stats", {}))
     print(render_profile_report(timings, test_stats, cprofile_text),
           file=sys.stderr)
 
@@ -53,20 +59,28 @@ def _maybe_cprofile(args, fn, *fn_args, **fn_kwargs):
     return fn(*fn_args, **fn_kwargs), ""
 
 
-def _load_program(paths: Sequence[str]) -> Program:
+def _read_sources(paths: Sequence[str]) -> Dict[str, str]:
     sources: Dict[str, str] = {}
     for path in paths:
         with open(path) as fh:
             sources[path] = fh.read()
-    return Program.from_sources(sources)
+    return sources
+
+
+def _load_program(paths: Sequence[str]) -> Program:
+    return Program.from_sources(_read_sources(paths))
+
+
+def _read_annotations(path: Optional[str]) -> str:
+    if not path:
+        return ""
+    with open(path) as fh:
+        return fh.read()
 
 
 def _load_registry(path: Optional[str]):
     from repro.annotations import AnnotationRegistry
-    if not path:
-        return AnnotationRegistry()
-    with open(path) as fh:
-        return AnnotationRegistry.from_text(fh.read())
+    return AnnotationRegistry.from_text(_read_annotations(path))
 
 
 def _machine(name: str):
@@ -105,37 +119,21 @@ def _select_benchmarks(args):
     return [get_benchmark(name) for name in names]
 
 
-def _pipeline(program: Program, registry, config: str,
-              annotations_mode: str = "hand", tracer=None):
-    from repro.annotations import AnnotationInliner, ReverseInliner
-    from repro.inlining import ConventionalInliner
-    from repro.polaris import Polaris
-    t0 = perf_counter()
-    demand = None
-    if config == "conventional":
-        ConventionalInliner().run(program)
-    elif config == "annotation":
-        if annotations_mode != "hand":
-            from repro.annotations.infer import infer_annotations
-            from repro.inlining.demand import DemandInliner
-            hand = registry if annotations_mode == "demand" else None
-            inference = infer_annotations(program, hand=hand)
-            registry = inference.registry()
-            if annotations_mode == "demand":
-                demand = DemandInliner(
-                    registry, inference=inference,
-                    hand_names=frozenset(hand.names()))
-        if demand is None:
-            AnnotationInliner(registry).run(program)
-    inline_seconds = perf_counter() - t0
-    report = Polaris(demand=demand).run(program, tracer)
-    if config != "none":
-        report.add_timing("inline", inline_seconds)
-    if config == "annotation":
-        t0 = perf_counter()
-        ReverseInliner(registry).run(program)
-        report.add_timing("reverse", perf_counter() - t0)
-    return report
+def _parallelize_files(args, tolerant: bool = False,
+                       infer_by_default: bool = False, tracer=None):
+    """The Figure-15 pipeline over ``args.files`` (under cProfile when
+    ``--profile-top`` asks): ``(result, diagnostics, cProfile text)``."""
+    from repro.fortran.fixedform.pipeline import parallelize_files
+    annotations = _read_annotations(args.annotations)
+    mode = args.annotations_mode
+    if infer_by_default and mode == "hand" and not annotations:
+        # nothing hand-written to apply: infer annotations from callee
+        # bodies, the right default for arbitrary ingested programs
+        mode = "inferred"
+    (result, diagnostics), cprofile_text = _maybe_cprofile(
+        args, parallelize_files, _read_sources(args.files), args.config,
+        mode, annotations, tolerant, tracer)
+    return result, diagnostics, cprofile_text
 
 
 # ---------------------------------------------------------------------------
@@ -143,77 +141,43 @@ def _pipeline(program: Program, registry, config: str,
 # ---------------------------------------------------------------------------
 
 def cmd_parallelize(args) -> int:
-    if getattr(args, "tolerant", False) or getattr(args, "json", False):
-        return _cmd_parallelize_tolerant(args)
-    t0 = perf_counter()
-    program = _load_program(args.files)
-    parse_seconds = perf_counter() - t0
-    registry = _load_registry(args.annotations)
+    """``repro parallelize``: strict by default; ``--tolerant`` ingests
+    real-world ``.f`` files via the tolerant fixed-form frontend
+    (:mod:`repro.fortran.fixedform`)."""
     tracer = None
-    if getattr(args, "explain", False):
+    if args.explain or args.json:
         from repro.trace import Tracer
         tracer = Tracer(label="parallelize")
-    report, cprofile_text = _maybe_cprofile(
-        args, _pipeline, program, registry, args.config,
-        getattr(args, "annotations_mode", "hand"), tracer)
-    report.add_timing("parse", parse_seconds)
-    text = "".join(program.unparse().values())
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.output} "
-              f"({report.parallel_count()} loops parallelized)")
-    else:
-        print(text, end="")
-    if tracer is not None:
-        for d in tracer.decisions:
-            print(d.describe(), file=sys.stderr)
-    if args.report:
-        print(report.describe(), file=sys.stderr)
-    if args.profile or cprofile_text:
-        _print_profile(report.timings, report.test_stats, cprofile_text)
-    return 0
-
-
-def _cmd_parallelize_tolerant(args) -> int:
-    """``repro parallelize --tolerant``: real-world ``.f`` ingestion via
-    the tolerant fixed-form frontend (:mod:`repro.fortran.fixedform`)."""
-    import json
-    from repro.fortran.fixedform import parallelize_source
-    sources: Dict[str, str] = {}
-    for path in args.files:
-        with open(path) as fh:
-            sources[path] = fh.read()
-    annotations = ""
-    if args.annotations:
-        with open(args.annotations) as fh:
-            annotations = fh.read()
-    mode = getattr(args, "annotations_mode", "hand")
-    if mode == "hand" and not annotations:
-        # nothing hand-written to apply: infer annotations from callee
-        # bodies, the right default for arbitrary ingested programs
-        mode = "inferred"
-    result = parallelize_source(sources, config=args.config,
-                                annotations_mode=mode,
-                                annotations_text=annotations,
-                                tolerant=getattr(args, "tolerant", True))
-    if getattr(args, "json", False):
-        print(json.dumps(result, indent=2, sort_keys=True))
+    result, diagnostics, cprofile_text = _parallelize_files(
+        args, args.tolerant, args.tolerant or args.json, tracer)
+    report = result.report
+    if args.json:
+        import json
+        from repro.fortran.fixedform.pipeline import render_result
+        print(json.dumps(render_result(result, diagnostics,
+                                       tracer.decisions),
+                         indent=2, sort_keys=True))
     else:
         from repro.fortran.fixedform import Diagnostic
-        for d in result["diagnostics"]:
+        for d in diagnostics:
             print(Diagnostic.from_dict(d).describe(), file=sys.stderr)
         if args.output:
             with open(args.output, "w") as fh:
-                fh.write(result["output"])
+                fh.write(result.output)
+            recovered = (f", {len(diagnostics)} diagnostics"
+                         if args.tolerant else "")
             print(f"wrote {args.output} "
-                  f"({result['parallel_count']} loops parallelized, "
-                  f"{len(result['diagnostics'])} diagnostics)")
+                  f"({report.parallel_count()} loops parallelized"
+                  f"{recovered})")
         else:
-            print(result["output"], end="")
-        if getattr(args, "explain", False):
-            for loop in result["loops"]:
-                print(loop["explanation"], file=sys.stderr)
+            print(result.output, end="")
+        if args.explain:
+            for d in tracer.decisions:
+                print(d.describe(), file=sys.stderr)
+    if args.report:
+        print(report.describe(), file=sys.stderr)
+    if args.profile or cprofile_text:
+        _print_profile([report], cprofile_text)
     return 0
 
 
@@ -224,16 +188,10 @@ def cmd_report(args) -> int:
         print("repro report: needs source files (or --out FILE for the "
               "HTML dashboard)", file=sys.stderr)
         return 2
-    t0 = perf_counter()
-    program = _load_program(args.files)
-    parse_seconds = perf_counter() - t0
-    registry = _load_registry(args.annotations)
-    report, cprofile_text = _maybe_cprofile(
-        args, _pipeline, program, registry, args.config,
-        getattr(args, "annotations_mode", "hand"))
-    report.add_timing("parse", parse_seconds)
+    result, _, cprofile_text = _parallelize_files(args)
+    report = result.report
     if args.profile or cprofile_text:
-        _print_profile(report.timings, report.test_stats, cprofile_text)
+        _print_profile([report], cprofile_text)
     print(report.describe())
     print(f"\n{report.parallel_count()} loops parallelized")
     reasons = report.reasons_histogram()
@@ -280,13 +238,10 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     from repro.runtime import diff_test
-    program = _load_program(args.files)
-    registry = _load_registry(args.annotations)
-    report = _pipeline(program, registry, args.config,
-                       getattr(args, "annotations_mode", "hand"))
-    result = diff_test(program, _machine("intel-mac"),
+    run, _, _ = _parallelize_files(args)
+    result = diff_test(run.program, _machine("intel-mac"),
                        inputs=[float(x) for x in args.inputs])
-    print(f"{report.parallel_count()} loops parallelized; "
+    print(f"{run.report.parallel_count()} loops parallelized; "
           f"verification: {result.explain()}")
     return 0 if result.passed else 1
 
@@ -347,8 +302,6 @@ def cmd_table1(args) -> int:
 
 def cmd_table2(args) -> int:
     from repro.experiments.table2 import render_table2, table2_rows
-    from repro.obs.profile import merge_test_stats
-    from repro.polaris.report import merge_timings
     if getattr(args, "service", None):
         from repro.cluster.backend import table2_rows_via_service
         from repro.cluster.shardcache import parse_shard_spec
@@ -370,12 +323,7 @@ def cmd_table2(args) -> int:
         annotations=getattr(args, "annotations_mode", "hand"))
     print(render_table2(rows))
     if args.profile or cprofile_text:
-        timings: Dict[str, float] = {}
-        test_stats: Dict[str, int] = {}
-        for row in rows:
-            merge_timings(timings, row.timings)
-            merge_test_stats(test_stats, row.test_stats)
-        _print_profile(timings, test_stats, cprofile_text)
+        _print_profile(rows, cprofile_text)
     if tracer is not None:
         _write_trace(tracer, args.trace)
     return 0
@@ -401,17 +349,13 @@ def cmd_ablation(args) -> int:
 
 def cmd_figure20(args) -> int:
     from repro.experiments.figure20 import figure20_all, render_figure20
-    from repro.polaris.report import merge_timings
     tracer = _make_tracer(args)
     cells, cprofile_text = _maybe_cprofile(
         args, figure20_all, jobs=args.jobs,
         benchmarks=_select_benchmarks(args), tracer=tracer)
     print(render_figure20(cells))
     if args.profile or cprofile_text:
-        timings: Dict[str, float] = {}
-        for cell in cells:
-            merge_timings(timings, cell.timings)
-        _print_profile(timings, cprofile_text=cprofile_text)
+        _print_profile(cells, cprofile_text)
     if tracer is not None:
         _write_trace(tracer, args.trace)
     return 0
@@ -421,7 +365,6 @@ def cmd_bench(args) -> int:
     from repro.experiments.figure20 import figure20_cells, render_figure20
     from repro.experiments.table2 import render_table2, table2_row
     from repro.perfect import get_benchmark
-    from repro.polaris.report import merge_timings
     bench = get_benchmark(args.name)
     tracer = _make_tracer(args)
     row, cprofile_text = _maybe_cprofile(
@@ -432,10 +375,7 @@ def cmd_bench(args) -> int:
     cells = figure20_cells(bench, jobs=args.jobs, tracer=tracer)
     print(render_figure20(cells))
     if args.profile or cprofile_text:
-        timings = dict(row.timings)
-        for cell in cells:
-            merge_timings(timings, cell.timings)
-        _print_profile(timings, row.test_stats, cprofile_text)
+        _print_profile([row, *cells], cprofile_text)
     if tracer is not None:
         _write_trace(tracer, args.trace)
     return 0
@@ -653,37 +593,20 @@ def cmd_loadtest(args) -> int:
 def _submit_payload(args) -> dict:
     from repro.perfect.suite import benchmark_names
     names = {n.lower() for n in benchmark_names()}
-    mode = getattr(args, "annotations_mode", "hand")
-    if getattr(args, "parallelize", False):
-        sources = {}
-        for path in args.targets:
-            with open(path) as fh:
-                sources[path] = fh.read()
-        annotations = ""
-        if args.annotations:
-            with open(args.annotations) as fh:
-                annotations = fh.read()
-        payload = {"kind": "parallelize", "sources": sources,
-                   "annotations": annotations, "config": args.config,
-                   "tolerant": True}
-        if mode != "hand":
-            payload["annotations_mode"] = mode
-        return payload
-    if len(args.targets) == 1 and args.targets[0].lower() in names:
+    parallelize = getattr(args, "parallelize", False)
+    if not parallelize and len(args.targets) == 1 \
+            and args.targets[0].lower() in names:
         payload = {"kind": "benchmark",
                    "benchmark": args.targets[0].lower(),
                    "config": args.config}
     else:
-        sources = {}
-        for path in args.targets:
-            with open(path) as fh:
-                sources[path] = fh.read()
-        annotations = ""
-        if args.annotations:
-            with open(args.annotations) as fh:
-                annotations = fh.read()
-        payload = {"kind": "sources", "sources": sources,
-                   "annotations": annotations, "config": args.config}
+        payload = {"kind": "parallelize" if parallelize else "sources",
+                   "sources": _read_sources(args.targets),
+                   "annotations": _read_annotations(args.annotations),
+                   "config": args.config}
+        if parallelize:
+            payload["tolerant"] = True
+    mode = getattr(args, "annotations_mode", "hand")
     if mode != "hand":
         payload["annotations_mode"] = mode
     return payload

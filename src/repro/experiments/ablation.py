@@ -20,36 +20,16 @@ The ``(benchmark x mode)`` runs are independent and fan out through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.annotations.infer import ANNOTATION_MODES
 from repro.experiments.executor import merge_task_traces, run_tasks
-from repro.experiments.pipeline import Config, run_config
 from repro.experiments.reporting import text_table
+from repro.experiments.table2 import Table2Task, run_config_task
 from repro.perfect import all_benchmarks
 from repro.perfect.suite import Benchmark
 from repro.polaris import PolarisOptions
 from repro.trace import Tracer
-
-
-@dataclass(frozen=True)
-class AblationTask:
-    """One executor work unit: benchmark x annotations mode."""
-
-    benchmark: Benchmark
-    mode: str
-    polaris: Optional[PolarisOptions] = None
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class AblationOutcome:
-    """Picklable per-mode summary returned by workers."""
-
-    mode: str
-    origins: FrozenSet[str]
-    code_lines: int
-    trace: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -75,36 +55,25 @@ class AblationRow:
         return len(self.origins["inferred"] & self.origins["hand"]) / hand
 
 
-def run_ablation_task(task: AblationTask) -> AblationOutcome:
-    polaris = task.polaris if task.polaris is not None else PolarisOptions()
-    tracer = Tracer(label=f"ablation {task.benchmark.name}/{task.mode}") \
-        if task.trace else None
-    result = run_config(task.benchmark,
-                        Config("annotation", polaris,
-                               annotations=task.mode),
-                        tracer=tracer)
-    return AblationOutcome(task.mode, frozenset(result.parallel_origins()),
-                           result.code_lines,
-                           tracer.export() if tracer else None)
-
-
 def ablation_rows(polaris: Optional[PolarisOptions] = None,
                   jobs: Optional[int] = None,
                   benchmarks: Optional[List[Benchmark]] = None,
                   tracer: Optional[Tracer] = None) -> List[AblationRow]:
     benchmarks = benchmarks if benchmarks is not None else all_benchmarks()
     trace = tracer is not None and tracer.enabled
-    tasks = [AblationTask(b, mode, polaris, trace=trace)
+    # a Table II work unit per value of the annotations axis
+    tasks = [Table2Task(b, "annotation", polaris, trace, mode)
              for b in benchmarks for mode in ANNOTATION_MODES]
-    outcomes = run_tasks(run_ablation_task, tasks, jobs=jobs,
+    outcomes = run_tasks(run_config_task, tasks, jobs=jobs,
                          tracer=tracer, label="ablation")
     merge_task_traces(tracer, [o.trace for o in outcomes])
     rows: List[AblationRow] = []
     n = len(ANNOTATION_MODES)
     for i, b in enumerate(benchmarks):
         row = AblationRow(b.name)
-        for outcome in outcomes[i * n:(i + 1) * n]:
-            row.origins[outcome.mode] = outcome.origins
+        for mode, outcome in zip(ANNOTATION_MODES,
+                                 outcomes[i * n:(i + 1) * n]):
+            row.origins[mode] = outcome.origins
         rows.append(row)
     return rows
 

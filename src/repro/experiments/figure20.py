@@ -19,7 +19,6 @@ any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.executor import merge_task_traces, run_tasks
@@ -89,21 +88,17 @@ def run_cell_task(task: Figure20Task) -> SpeedupCell:
         result = run_config(task.benchmark, Config(task.kind),
                             tracer=tracer)
         timings = dict(result.report.timings)
-        t0 = perf_counter()
-        with tracer.span("profile", **ids):
+        with tracer.phase("profile", timings, **ids):
             profile = record_profile(result.program, task.benchmark.inputs)
-        timings["profile"] = perf_counter() - t0
         entry = _PIPELINE_CACHE[key] = (result, profile)
     else:
         timings = {}  # pipeline and execution: attributed to an earlier cell
     result, profile = entry
-    t0 = perf_counter()
-    with tracer.span("price", **ids):
+    with tracer.phase("price", timings, **ids):
         # tuning mutates the program: use a fresh clone per machine
         program = result.program.clone()
         tuning = tune(program, task.machine, task.benchmark.inputs,
                       profile=profile)
-    timings["price"] = perf_counter() - t0
     return SpeedupCell(task.benchmark.name, task.machine.name, task.kind,
                        tuning, timings,
                        tracer.export() if task.trace else None)
@@ -113,13 +108,7 @@ def figure20_cells(benchmark: Benchmark,
                    machines: Sequence[MachineModel] = MACHINES,
                    jobs: Optional[int] = None,
                    tracer: Optional[Tracer] = None) -> List[SpeedupCell]:
-    trace = tracer is not None and tracer.enabled
-    tasks = [Figure20Task(benchmark, machine, kind, trace=trace)
-             for machine in machines for kind in CONFIGS]
-    cells = run_tasks(run_cell_task, tasks, jobs=jobs,
-                      tracer=tracer, label="figure20")
-    merge_task_traces(tracer, [c.trace for c in cells])
-    return cells
+    return figure20_all(machines, [benchmark], jobs, tracer)
 
 
 def figure20_all(machines: Sequence[MachineModel] = MACHINES,

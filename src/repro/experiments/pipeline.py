@@ -1,11 +1,11 @@
-"""The three-configuration evaluation pipeline (paper Figure 15 + the
-Table II measurement protocol).
+"""The Table II measurement protocol over the Figure-15 pipeline.
 
-For one benchmark the pipeline runs:
-
-* ``none`` — Polaris directly (no inlining);
-* ``conventional`` — the Polaris default inliner, then Polaris;
-* ``annotation`` — annotation-based inlining, Polaris, reverse inlining.
+The pipeline itself — inline, Polaris, reverse inline, for the ``none``
+/ ``conventional`` / ``annotation`` configurations — is
+:func:`repro.pipeline.parallelize_program`; this module runs it over a
+:class:`~repro.perfect.suite.Benchmark`: the cached origin-stamped
+parse, a clone per configuration, the benchmark's hand annotations and
+library units, and the decision stamps the counting protocol needs.
 
 Counting protocol (the paper's): each *original* loop (origin identity)
 counts once; a loop counts as parallelized in a configuration when any of
@@ -17,85 +17,18 @@ conventional inlining manifests ``#par-loss``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Optional, Set
 
-from repro.analysis.callgraph import build_callgraph
 from repro.analysis.loops import assign_origins
-from repro.annotations.infer import ANNOTATION_MODES, infer_annotations
-from repro.annotations.inliner import (AnnotationInlineResult,
-                                       AnnotationInliner)
-from repro.annotations.reverse import ReverseInliner, ReverseResult
-from repro.annotations.translate import TranslateOptions
-from repro.inlining.conventional import ConventionalInliner, InlineResult
-from repro.inlining.demand import DemandInliner
-from repro.inlining.heuristics import InlinePolicy
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.perfect.suite import Benchmark, CacheStats
-from repro.polaris import Polaris, PolarisOptions, Report
+from repro.pipeline import (CONFIGS, Config, PipelineResult,  # noqa: F401
+                            _reachable_units, parallelize_program)
+from repro.polaris import PolarisOptions
+from repro.polaris.report import merge_timings
 from repro.program import Program
-from repro.trace import NULL_TRACER, SiteDecision, Tracer
-
-CONFIGS = ("none", "conventional", "annotation")
-
-
-@dataclass
-class Config:
-    kind: str = "none"
-    polaris: PolarisOptions = field(default_factory=PolarisOptions)
-    inline_policy: InlinePolicy = field(default_factory=InlinePolicy)
-    translate: TranslateOptions = field(default_factory=TranslateOptions)
-    #: the annotations axis (only meaningful for kind == "annotation"):
-    #: "hand" uses the benchmark's hand-written annotations up front;
-    #: "inferred" replaces them with inferred ones (hand ignored);
-    #: "demand" merges both (hand wins) and inlines on demand during
-    #: dependence analysis instead of up front
-    annotations: str = "hand"
-
-
-@dataclass
-class PipelineResult:
-    config: str
-    program: Program
-    report: Report
-    code_lines: int
-    conventional_result: Optional[InlineResult] = None
-    annotation_result: Optional[AnnotationInlineResult] = None
-    reverse_result: Optional[ReverseResult] = None
-    #: which annotations-axis value produced this result
-    annotations: str = "hand"
-    #: lazily computed reachable-unit set (the callgraph of the finished
-    #: program never changes afterwards, so one traversal serves every
-    #: parallel_origins() call)
-    _reachable: Optional[Set[str]] = field(default=None, repr=False)
-
-    def reachable_units(self) -> Set[str]:
-        if self._reachable is None:
-            self._reachable = _reachable_units(self.program)
-        return self._reachable
-
-    def parallel_origins(self) -> Set[str]:
-        """Origins parallelized in execution-reachable units."""
-        reachable = self.reachable_units()
-        return {v.origin for v in self.report.verdicts
-                if v.parallelized and v.origin is not None
-                and v.unit in reachable}
-
-
-def _reachable_units(program: Program) -> Set[str]:
-    graph = build_callgraph(program)
-    roots = [u.name for u in program.units if u.kind == "PROGRAM"]
-    seen: Set[str] = set(roots)
-    stack = list(roots)
-    while stack:
-        name = stack.pop()
-        for callee in graph.callees(name):
-            if callee not in seen:
-                seen.add(callee)
-                stack.append(callee)
-    return seen
+from repro.trace import NULL_TRACER, Tracer
 
 
 #: source digest -> origin-stamped base program.  Stamping is
@@ -135,121 +68,46 @@ def prepare_base(benchmark: Benchmark) -> Program:
 def run_config(benchmark: Benchmark, config: Config,
                base: Optional[Program] = None,
                tracer: Optional[Tracer] = None) -> PipelineResult:
+    """One configuration of one benchmark: the cached origin-stamped
+    base, cloned, through :func:`repro.pipeline.parallelize_program`,
+    with the run's decision records stamped for Table II's count."""
+    tracer = tracer or NULL_TRACER
+    parse: Dict[str, float] = {}
     # every log record inside the pipeline (and below it) carries the
     # benchmark/config correlation IDs, on top of whatever run_id/job_id
     # the caller established
     with obs_logging.log_context(benchmark=benchmark.name,
                                  config=config.kind):
-        return _run_config(benchmark, config, base, tracer)
-
-
-def _run_config(benchmark: Benchmark, config: Config,
-                base: Optional[Program],
-                tracer: Optional[Tracer]) -> PipelineResult:
-    tracer = tracer or NULL_TRACER
-    timings: Dict[str, float] = {}
-    with tracer.span("pipeline", benchmark=benchmark.name,
-                     config=config.kind):
-        if base is None:
-            t0 = perf_counter()
-            with tracer.span("parse", benchmark=benchmark.name):
-                base = prepare_base(benchmark)
-            timings["parse"] = perf_counter() - t0
-        with tracer.span("clone"):
-            program = base.clone()
-        conventional_result = None
-        annotation_result = None
-        reverse_result = None
-        registry = None
-        demand = None
-
-        # before inlining/inference: inference-time fallback records are
-        # site decisions of this run too and must be stamped below
-        first_site = len(tracer.site_decisions)
-        t0 = perf_counter()
-        if config.kind == "conventional":
-            policy = config.inline_policy
-            if benchmark.library_units:
-                policy = _policy_with_unavailable(policy,
-                                                  benchmark.library_units)
-            with tracer.span("inline", kind="conventional"):
-                conventional_result = ConventionalInliner(policy).run(program)
-            timings["inline"] = perf_counter() - t0
-        elif config.kind == "annotation":
-            registry, demand = _prepare_annotations(benchmark, config,
-                                                    program, tracer,
-                                                    timings)
-            if demand is None:
-                t0 = perf_counter()
-                with tracer.span("inline", kind="annotation"):
-                    annotation_result = AnnotationInliner(
-                        registry, config.translate).run(program)
-                timings["inline"] = perf_counter() - t0
-
+        # inference-time fallback records are site decisions of this run
+        # too and are stamped below
         first_decision = len(tracer.decisions)
-        report = Polaris(config.polaris,
-                         demand=demand).run(program, tracer=tracer)
-        if demand is not None:
-            annotation_result = demand._ann_result
-
-        if config.kind == "annotation":
-            t0 = perf_counter()
-            with tracer.span("reverse"):
-                reverse_result = ReverseInliner(registry,
-                                                config.translate).run(program)
-            timings["reverse"] = perf_counter() - t0
-
-    for phase, seconds in timings.items():
-        report.add_timing(phase, seconds)
-    result = PipelineResult(config.kind, program, report,
-                            program.total_lines(),
-                            conventional_result, annotation_result,
-                            reverse_result)
-    result.annotations = config.annotations
-    if tracer.enabled:
-        _stamp_decisions(tracer.decisions[first_decision:], benchmark.name,
-                         config.kind, result.reachable_units())
-        for d in tracer.site_decisions[first_site:]:
-            d.benchmark = benchmark.name
-            d.config = config.kind
-    obs_logging.get_logger("repro.pipeline").info(
-        "pipeline-done", parallel=len(report.parallel_origins()),
-        lines=result.code_lines,
-        seconds=round(sum(report.timings.values()), 4))
+        first_site = len(tracer.site_decisions)
+        with tracer.span("pipeline", benchmark=benchmark.name,
+                         config=config.kind):
+            if base is None:
+                with tracer.phase("parse", parse, benchmark=benchmark.name):
+                    base = prepare_base(benchmark)
+            with tracer.span("clone"):
+                program = base.clone()
+            result = parallelize_program(
+                program, config,
+                benchmark.registry() if config.kind == "annotation"
+                else None,
+                unavailable=benchmark.library_units, tracer=tracer)
+        report = result.report
+        merge_timings(report.timings, parse)
+        if tracer.enabled:
+            _stamp_decisions(tracer.decisions[first_decision:],
+                             benchmark.name, config.kind,
+                             result.reachable_units())
+            for d in tracer.site_decisions[first_site:]:
+                d.benchmark = benchmark.name
+                d.config = config.kind
+        obs_logging.get_logger("repro.pipeline").info(
+            "pipeline-done", parallel=len(report.parallel_origins()),
+            lines=result.code_lines,
+            seconds=round(sum(report.timings.values()), 4))
     return result
-
-
-def _prepare_annotations(benchmark: Benchmark, config: Config,
-                         program: Program, tracer: Tracer, timings):
-    """Resolve the annotations axis for an ``annotation`` run.
-
-    Returns ``(registry, demand)``: the registry the reverse inliner
-    will use, and the :class:`DemandInliner` to hand to Polaris (None
-    for the up-front modes)."""
-    mode = config.annotations
-    if mode == "hand":
-        return benchmark.registry(), None
-    if mode not in ANNOTATION_MODES:
-        raise ValueError(f"unknown annotations mode {mode!r}")
-    t0 = perf_counter()
-    with tracer.span("infer", mode=mode):
-        hand = benchmark.registry() if mode == "demand" else None
-        inference = infer_annotations(program, hand=hand)
-        registry = inference.registry()
-    timings["infer"] = perf_counter() - t0
-    if tracer.enabled:
-        for name, reason in inference.fallbacks().items():
-            tracer.site(SiteDecision("", name, 0, "fallback",
-                                     source="inferred", reason=reason))
-    if mode == "inferred":
-        return registry, None
-    policy = config.inline_policy
-    if benchmark.library_units:
-        policy = _policy_with_unavailable(policy, benchmark.library_units)
-    hand_names = frozenset(hand.names()) if hand is not None else frozenset()
-    demand = DemandInliner(registry, config.translate, policy,
-                           inference=inference, hand_names=hand_names)
-    return registry, demand
 
 
 def _stamp_decisions(decisions, benchmark: str, kind: str,
@@ -281,7 +139,7 @@ def summarize_result(result: PipelineResult) -> Dict[str, object]:
         "code_lines": result.code_lines,
         "timings": dict(result.report.timings),
         "serial_reasons": result.report.reasons_histogram(),
-        "output": "".join(result.program.unparse().values()),
+        "output": result.output,
     }
 
 
@@ -289,9 +147,10 @@ def run_all_configs(benchmark: Benchmark,
                     polaris: Optional[PolarisOptions] = None,
                     tracer: Optional[Tracer] = None,
                     ) -> Dict[str, PipelineResult]:
-    t0 = perf_counter()
-    base = prepare_base(benchmark)
-    parse_seconds = perf_counter() - t0
+    parse: Dict[str, float] = {}
+    with (tracer or NULL_TRACER).phase("parse", parse,
+                                       benchmark=benchmark.name):
+        base = prepare_base(benchmark)
     polaris = polaris or PolarisOptions()
     out: Dict[str, PipelineResult] = {}
     for kind in CONFIGS:
@@ -299,19 +158,5 @@ def run_all_configs(benchmark: Benchmark,
                                tracer=tracer)
     # the shared parse is real work one of the runs must account for,
     # or --profile would silently drop the phase on this path
-    out[CONFIGS[0]].report.add_timing("parse", parse_seconds)
+    merge_timings(out[CONFIGS[0]].report.timings, parse)
     return out
-
-
-def _policy_with_unavailable(policy: InlinePolicy,
-                             unavailable) -> InlinePolicy:
-    """Wrap a policy so library procedures count as source-unavailable."""
-    class _Wrapped(InlinePolicy):
-        def rejection_reason(self, program, graph, callee_name, in_loop):
-            if callee_name.upper() in unavailable:
-                return "no-source"
-            return InlinePolicy.rejection_reason(self, program, graph,
-                                                 callee_name, in_loop)
-
-    return _Wrapped(policy.max_statements, policy.allow_io,
-                    policy.allow_calls, policy.require_loop_context)

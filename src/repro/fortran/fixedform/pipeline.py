@@ -2,9 +2,11 @@
 Polaris -> OpenMP unparse, with per-loop explanations.
 
 This is the service/CLI entry point behind ``repro parallelize FILE.f``
-and the ``{"kind": "parallelize"}`` job payload.  Unlike the strict
-pipeline (:func:`repro.cli._pipeline` over :class:`repro.program.Program`),
-it accepts real-world fixed-form input: dialect constructs the strict
+and the ``{"kind": "parallelize"}`` job payload: a strict or tolerant
+parse in front of the one Figure-15 pipeline
+(:func:`repro.pipeline.parallelize_program`), and a JSON-ready rendering
+of what it returns.  In tolerant mode it accepts real-world fixed-form
+input: dialect constructs the strict
 frontend rejects become conservative IR (EQUIVALENCE, computed/assigned
 GOTO, ENTRY, alternate returns, CHARACTER substrings), and outright
 malformed statements become :class:`~repro.fortran.ast.Opaque` markers —
@@ -26,17 +28,18 @@ The returned mapping is JSON-ready (service responses forward it as-is):
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.annotations import AnnotationRegistry
 from repro.fortran import ast
+from repro.pipeline import Config, PipelineResult, parallelize_program
+from repro.polaris.report import merge_timings
 from repro.program import Program
-from repro.trace import Tracer
+from repro.trace import NULL_TRACER, Tracer
 
 from .parser import parse_source_tolerant
 
-__all__ = ["parallelize_source"]
+__all__ = ["parallelize_files", "parallelize_source"]
 
 
 def _build_program(sources: Dict[str, str], tolerant: bool,
@@ -53,69 +56,68 @@ def _build_program(sources: Dict[str, str], tolerant: bool,
     return prog
 
 
+def parallelize_files(sources: Dict[str, str],
+                      config: str = "annotation",
+                      annotations_mode: str = "inferred",
+                      annotations_text: str = "",
+                      tolerant: bool = True,
+                      tracer: Optional[Tracer] = None
+                      ) -> Tuple[PipelineResult, List[dict]]:
+    """Parse a ``{filename: text}`` mapping and run the pipeline over it.
+
+    Returns the pipeline's result (its report's timings include
+    ``parse``) and the tolerant frontend's recovery diagnostics, one
+    dict per action (none in strict mode).  ``config`` and
+    ``annotations_mode`` select the inlining strategy exactly as the CLI
+    flags do; an unknown name is a :class:`ValueError` before anything
+    is parsed.  Raises :class:`~repro.errors.ReproError` only in strict
+    mode (``tolerant=False``), on the first frontend error.
+    """
+    chosen = Config(config, annotations=annotations_mode)
+    diagnostics: List[dict] = []
+    parse: Dict[str, float] = {}
+    with (tracer or NULL_TRACER).phase("parse", parse):
+        program = _build_program(sources, tolerant, diagnostics)
+    result = parallelize_program(
+        program, chosen, AnnotationRegistry.from_text(annotations_text),
+        tracer=tracer)
+    merge_timings(result.report.timings, parse)
+    return result, diagnostics
+
+
+def render_result(result: PipelineResult, diagnostics: List[dict],
+                  decisions) -> Dict[str, object]:
+    """The JSON-ready mapping described in the module docstring."""
+    loops = []
+    for d in decisions:
+        rec = d.to_dict()
+        rec["explanation"] = d.describe()
+        loops.append(rec)
+    return {
+        "output": result.output,
+        "code_lines": len(result.output.splitlines()),
+        "diagnostics": diagnostics,
+        "loops": loops,
+        "parallel_count": result.report.parallel_count(),
+        "config": result.config,
+        "annotations_mode": result.annotations,
+        "units": [u.name for u in result.program.units],
+    }
+
+
 def parallelize_source(sources: Dict[str, str],
                        config: str = "annotation",
                        annotations_mode: str = "inferred",
                        annotations_text: str = "",
                        tolerant: bool = True,
                        tracer: Optional[Tracer] = None) -> Dict[str, object]:
-    """Parallelize a ``{filename: text}`` mapping of fixed-form sources.
-
-    ``config``/``annotations_mode`` select the inlining strategy exactly
-    as the CLI flags do; the default (``annotation`` + ``inferred``)
-    needs no hand-written annotation file, which is the right default
-    for arbitrary ingested programs.  Raises
-    :class:`~repro.errors.ReproError` only in strict mode
-    (``tolerant=False``) on the first frontend error.
+    """:func:`parallelize_files`, rendered by :func:`render_result`.
+    The default (``annotation`` + ``inferred``) needs no hand-written
+    annotation file, which is the right default for arbitrary ingested
+    programs.
     """
-    from repro.annotations import (AnnotationInliner, AnnotationRegistry,
-                                   ReverseInliner)
-    from repro.inlining import ConventionalInliner
-    from repro.polaris import Polaris
-
-    diagnostics: List[dict] = []
-    t0 = perf_counter()
-    program = _build_program(sources, tolerant, diagnostics)
-    parse_seconds = perf_counter() - t0
-
-    registry = (AnnotationRegistry.from_text(annotations_text)
-                if annotations_text else AnnotationRegistry())
     tracer = tracer or Tracer(label="parallelize")
-
-    demand = None
-    if config == "conventional":
-        ConventionalInliner().run(program)
-    elif config == "annotation":
-        if annotations_mode != "hand":
-            from repro.annotations.infer import infer_annotations
-            from repro.inlining.demand import DemandInliner
-            hand = registry if annotations_mode == "demand" else None
-            inference = infer_annotations(program, hand=hand)
-            registry = inference.registry()
-            if annotations_mode == "demand":
-                demand = DemandInliner(
-                    registry, inference=inference,
-                    hand_names=frozenset(hand.names()))
-        if demand is None:
-            AnnotationInliner(registry).run(program)
-    report = Polaris(demand=demand).run(program, tracer)
-    if config == "annotation":
-        ReverseInliner(registry).run(program)
-    report.add_timing("parse", parse_seconds)
-
-    loops = []
-    for d in tracer.decisions:
-        rec = d.to_dict()
-        rec["explanation"] = d.describe()
-        loops.append(rec)
-    output = "".join(program.unparse().values())
-    return {
-        "output": output,
-        "code_lines": len(output.splitlines()),
-        "diagnostics": diagnostics,
-        "loops": loops,
-        "parallel_count": report.parallel_count(),
-        "config": config,
-        "annotations_mode": annotations_mode,
-        "units": [u.name for u in program.units],
-    }
+    result, diagnostics = parallelize_files(
+        sources, config, annotations_mode, annotations_text, tolerant,
+        tracer)
+    return render_result(result, diagnostics, tracer.decisions)

@@ -3,8 +3,9 @@ zero tolerated disagreements.
 
 For a generated program the oracle establishes a **baseline** (serial
 execution of the unmodified parse) and then, for each of the paper's
-three configurations (``none`` / ``conventional`` / ``annotation``),
-checks:
+three configurations (``none`` / ``conventional`` / ``annotation``) run
+through :func:`repro.pipeline.parallelize_program` — the function the
+CLI, the experiments and the daemon run, not a copy of it — checks:
 
 ``crash``
     the pipeline itself must not raise (an unexpected exception in any
@@ -54,7 +55,9 @@ from typing import Counter as CounterType
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
+from repro.annotations import AnnotationRegistry
 from repro.fortran import ast
+from repro.pipeline import Config, parallelize_program
 from repro.program import Program
 from repro.runtime.difftest import backend_equivalence, diff_test
 from repro.runtime.interpreter import ExecutionResult, Interpreter
@@ -108,50 +111,6 @@ class OracleResult:
 def _serial(program: Program) -> ExecutionResult:
     return Interpreter(program, machine=None,
                        honor_directives=False).run()
-
-
-def _registry(annotations: str):
-    from repro.annotations import AnnotationRegistry
-    if not annotations.strip():
-        return AnnotationRegistry()
-    return AnnotationRegistry.from_text(annotations)
-
-
-def _run_pipeline(program: Program, registry, config: str):
-    """The exact CLI pipeline (cli._pipeline without the timings)."""
-    from repro.annotations import AnnotationInliner, ReverseInliner
-    from repro.inlining import ConventionalInliner
-    from repro.polaris import Polaris
-    if config == "conventional":
-        ConventionalInliner().run(program)
-    elif config == "annotation":
-        AnnotationInliner(registry).run(program)
-    report = Polaris().run(program)
-    if config == "annotation":
-        ReverseInliner(registry).run(program)
-    return report
-
-
-def _run_inference_pipeline(program: Program, hand_registry, mode: str):
-    """The annotation pipeline on the ``inferred``/``demand`` axis
-    (cli._pipeline with ``annotations_mode`` != hand)."""
-    from repro.annotations import ReverseInliner
-    from repro.annotations.infer import infer_annotations
-    from repro.annotations.inliner import AnnotationInliner
-    from repro.inlining.demand import DemandInliner
-    from repro.polaris import Polaris
-    hand = hand_registry if mode == "demand" else None
-    inference = infer_annotations(program, hand=hand)
-    registry = inference.registry()
-    demand = None
-    if mode == "demand":
-        demand = DemandInliner(registry, inference=inference,
-                               hand_names=frozenset(hand.names()))
-    else:
-        AnnotationInliner(registry).run(program)
-    report = Polaris(demand=demand).run(program)
-    ReverseInliner(registry).run(program)
-    return report, registry
 
 
 def _inference_enabled() -> bool:
@@ -211,8 +170,9 @@ def run_oracle(sources: Dict[str, str], annotations: str = "",
     for config in configs:
         work = Program.from_sources(dict(sources), "fuzz")
         try:
-            registry = _registry(annotations)
-            report = _run_pipeline(work, registry, config)
+            report = parallelize_program(
+                work, Config(config),
+                AnnotationRegistry.from_text(annotations)).report
         except Exception as exc:
             result.mismatches.append(Mismatch(
                 "crash", config, f"{type(exc).__name__}: {exc}"))
@@ -222,32 +182,10 @@ def run_oracle(sources: Dict[str, str], annotations: str = "",
         if config == "annotation":
             annotation_origins = frozenset(report.parallel_origins())
 
-        # (a) semantic equivalence: transformed, serial == baseline
-        try:
-            transformed = _serial(work)
-        except Exception as exc:
-            result.mismatches.append(Mismatch(
-                "config-semantics", config,
-                f"serial execution raised {type(exc).__name__}: {exc}"))
-            continue
-        if not baseline.memory_equal(transformed):
-            result.mismatches.append(Mismatch(
-                "config-semantics", config,
-                "serial execution of the transformed program diverges "
-                "from the baseline"))
-            continue
-
-        # (b) iteration-order independence of parallel-marked loops
-        try:
-            diff = diff_test(work, machine)
-        except Exception as exc:
-            result.mismatches.append(Mismatch(
-                "parallel-divergence", config,
-                f"parallel execution raised {type(exc).__name__}: {exc}"))
-            continue
-        if not diff.passed:
-            result.mismatches.append(Mismatch(
-                "parallel-divergence", config, diff.explain()))
+        # (a) semantic equivalence, (b) iteration-order independence
+        mismatch = _check_execution(work, baseline, machine, config)
+        if mismatch is not None:
+            result.mismatches.append(mismatch)
             continue
 
         # (b') backend equivalence: tree-walker vs compiled closures must
@@ -294,7 +232,7 @@ def _check_inference(sources: Dict[str, str], annotations: str,
     the execution properties, plus the ``inferred-flip`` soundness
     subset check (see module docstring)."""
     try:
-        hand_registry = _registry(annotations)
+        hand_registry = AnnotationRegistry.from_text(annotations)
     except Exception:
         # unparseable hand annotations already yielded a crash mismatch
         # per configuration in the main loop; there is nothing sound to
@@ -304,12 +242,13 @@ def _check_inference(sources: Dict[str, str], annotations: str,
     for mode in ("inferred", "demand"):
         work = Program.from_sources(dict(sources), "fuzz")
         try:
-            report, registry = _run_inference_pipeline(work, hand_registry,
-                                                       mode)
+            run = parallelize_program(
+                work, Config("annotation", annotations=mode), hand_registry)
         except Exception as exc:
             result.mismatches.append(Mismatch(
                 "crash", mode, f"{type(exc).__name__}: {exc}"))
             continue
+        report = run.report
         result.configs_run += 1
         result.parallel_loops[mode] = report.parallel_count()
 
@@ -317,7 +256,7 @@ def _check_inference(sources: Dict[str, str], annotations: str,
         # run it is a restriction of (only meaningful when the inferred
         # registry covers no callee the hand registry misses)
         if mode == "inferred" and hand_origins is not None \
-                and set(registry.names()) <= hand_names:
+                and set(run.registry.names()) <= hand_names:
             flipped = sorted(report.parallel_origins() - hand_origins)
             if flipped:
                 result.mismatches.append(Mismatch(
@@ -326,30 +265,38 @@ def _check_inference(sources: Dict[str, str], annotations: str,
                     "run left serial: " + ", ".join(flipped)))
                 continue
 
-        try:
-            transformed = _serial(work)
-        except Exception as exc:
-            result.mismatches.append(Mismatch(
-                "config-semantics", mode,
-                f"serial execution raised {type(exc).__name__}: {exc}"))
-            continue
-        if not baseline.memory_equal(transformed):
-            result.mismatches.append(Mismatch(
-                "config-semantics", mode,
-                "serial execution of the transformed program diverges "
-                "from the baseline"))
-            continue
+        mismatch = _check_execution(work, baseline, machine, mode)
+        if mismatch is not None:
+            result.mismatches.append(mismatch)
 
-        try:
-            diff = diff_test(work, machine)
-        except Exception as exc:
-            result.mismatches.append(Mismatch(
-                "parallel-divergence", mode,
-                f"parallel execution raised {type(exc).__name__}: {exc}"))
-            continue
-        if not diff.passed:
-            result.mismatches.append(Mismatch(
-                "parallel-divergence", mode, diff.explain()))
+
+def _check_execution(work: Program, baseline: ExecutionResult,
+                     machine: MachineModel, label: str
+                     ) -> Optional[Mismatch]:
+    """The execution properties every axis is held to:
+    ``config-semantics`` (transformed, serial == baseline), then
+    ``parallel-divergence`` (iteration-order independence of the
+    parallel-marked loops)."""
+    try:
+        transformed = _serial(work)
+    except Exception as exc:
+        return Mismatch(
+            "config-semantics", label,
+            f"serial execution raised {type(exc).__name__}: {exc}")
+    if not baseline.memory_equal(transformed):
+        return Mismatch(
+            "config-semantics", label,
+            "serial execution of the transformed program diverges "
+            "from the baseline")
+    try:
+        diff = diff_test(work, machine)
+    except Exception as exc:
+        return Mismatch(
+            "parallel-divergence", label,
+            f"parallel execution raised {type(exc).__name__}: {exc}")
+    if not diff.passed:
+        return Mismatch("parallel-divergence", label, diff.explain())
+    return None
 
 
 def _check_reanalysis(reparsed: Program, annotations: str,
@@ -357,9 +304,10 @@ def _check_reanalysis(reparsed: Program, annotations: str,
     """Strip directives from the reverse-inlined output and push it
     through the annotation pipeline again; the verdicts must agree."""
     strip_omp(reparsed)
-    registry = _registry(annotations)
     try:
-        second = _run_pipeline(reparsed, registry, "annotation")
+        second = parallelize_program(
+            reparsed, Config("annotation"),
+            AnnotationRegistry.from_text(annotations)).report
     except Exception as exc:
         return Mismatch("reverse-reanalysis", "annotation",
                         f"re-analysis raised {type(exc).__name__}: {exc}")

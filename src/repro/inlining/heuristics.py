@@ -13,7 +13,7 @@ no recursion, no mid-body RETURN, no SAVE'd locals, source available.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import FrozenSet, Optional
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.defuse import collect_accesses
@@ -27,12 +27,17 @@ class InlinePolicy:
     allow_io: bool = False
     allow_calls: bool = False
     require_loop_context: bool = True
+    #: procedures whose source counts as unavailable although the
+    #: program holds it (a benchmark's external-library units)
+    unavailable: FrozenSet[str] = frozenset()
 
     def rejection_reason(self, program: Program, graph: CallGraph,
                          callee_name: str,
                          in_loop: bool) -> Optional[str]:
         """None when the site should be inlined, else a reason string."""
         callee_name = callee_name.upper()
+        if callee_name in self.unavailable:
+            return "no-source"
         if self.require_loop_context and not in_loop:
             return "not-in-loop"
         callee = program.procedures.get(callee_name)

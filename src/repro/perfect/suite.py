@@ -191,8 +191,6 @@ class Benchmark:
         return base.clone()
 
     def registry(self) -> AnnotationRegistry:
-        if not self.annotations:
-            return AnnotationRegistry()
         return AnnotationRegistry.from_text(self.annotations)
 
 

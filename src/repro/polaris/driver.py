@@ -22,7 +22,6 @@ The driver mutates the program in place and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Optional
 
 from repro.analysis.dependence import DependenceTester, TestStats
@@ -106,27 +105,22 @@ class Polaris:
             tracer: Optional[Tracer] = None) -> Report:
         tracer = tracer or NULL_TRACER
         report = Report()
-        t0 = perf_counter()
-        with tracer.span("normalize"):
+        with tracer.phase("normalize", report.timings):
             for unit in program.units:
                 assign_origins(unit)
             program.invalidate()
             if self.options.normalize:
                 for unit in program.units:
                     normalize_unit(unit, program.symtab(unit))
-        report.add_timing("normalize", perf_counter() - t0)
-        t0 = perf_counter()
-        with tracer.span("summaries", units=len(program.units)):
+        with tracer.phase("summaries", report.timings,
+                          units=len(program.units)):
             summaries = compute_summaries(program)
-        report.add_timing("summaries", perf_counter() - t0)
-        t0 = perf_counter()
-        with tracer.span("dependence"):
+        with tracer.phase("dependence", report.timings):
             for unit in program.units:
                 with tracer.span(f"unit {unit.name}", cat="unit"):
                     self._parallelize_unit(program, unit, summaries,
                                            report, tracer)
             program.invalidate()
-        report.add_timing("dependence", perf_counter() - t0)
         self._observe(report)
         return report
 

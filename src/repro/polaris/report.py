@@ -57,9 +57,6 @@ class Report:
     def add(self, v: LoopVerdict) -> None:
         self.verdicts.append(v)
 
-    def add_timing(self, phase: str, seconds: float) -> None:
-        self.timings[phase] = self.timings.get(phase, 0.0) + seconds
-
     def parallel_origins(self) -> Set[str]:
         """Origins of parallelized loops (each original loop once)."""
         return {v.origin for v in self.verdicts

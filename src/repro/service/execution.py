@@ -49,21 +49,14 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     the annotation source for ``annotation``-config runs.
     """
     kind = payload.get("kind")
-    trace = bool(payload.get("trace"))
-    backend = payload.get("backend")
     if kind == "probe":
         return _execute_probe(payload)
     if kind == "parallelize":
         return _execute_parallelize(payload)
-    annotations_mode = payload.get("annotations_mode", "hand")
     if kind == "benchmark":
         from repro.perfect import get_benchmark
         benchmark = get_benchmark(payload["benchmark"])
-        return _tag_trace(_run_pipeline(
-            benchmark, payload.get("config", "annotation"),
-            trace=trace, backend=backend,
-            annotations_mode=annotations_mode), payload)
-    if kind == "sources":
+    elif kind == "sources":
         from repro.perfect.suite import Benchmark
         sources = payload.get("sources")
         if not isinstance(sources, dict) or not sources:
@@ -74,12 +67,13 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             description="submitted via repro.service",
             sources=dict(sources),
             annotations=payload.get("annotations", ""))
-        return _tag_trace(_run_pipeline(
-            benchmark, payload.get("config", "annotation"),
-            trace=trace, backend=backend,
-            annotations_mode=annotations_mode), payload)
-    raise ValueError(f"unknown payload kind {kind!r}; "
-                     f"expected one of {PAYLOAD_KINDS}")
+    else:
+        raise ValueError(f"unknown payload kind {kind!r}; "
+                         f"expected one of {PAYLOAD_KINDS}")
+    return _tag_trace(_run_pipeline(
+        benchmark, payload.get("config", "annotation"),
+        trace=bool(payload.get("trace")), backend=payload.get("backend"),
+        annotations_mode=payload.get("annotations_mode", "hand")), payload)
 
 
 def _tag_trace(result: Dict[str, Any],
@@ -95,21 +89,14 @@ def _tag_trace(result: Dict[str, Any],
 
 
 def _execute_parallelize(payload: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.annotations.infer import ANNOTATION_MODES
     from repro.fortran.fixedform import parallelize_source
     sources = payload.get("sources")
     if not isinstance(sources, dict) or not sources:
         raise ValueError("'parallelize' payload needs a non-empty "
                          "{filename: text} mapping")
-    config = payload.get("config", "annotation")
-    if config not in ("none", "conventional", "annotation"):
-        raise ValueError(f"unknown config {config!r}")
-    mode = payload.get("annotations_mode", "inferred")
-    if mode not in ANNOTATION_MODES:
-        raise ValueError(f"unknown annotations mode {mode!r}; "
-                         f"expected one of {ANNOTATION_MODES}")
     return parallelize_source(
-        dict(sources), config=config, annotations_mode=mode,
+        dict(sources), config=payload.get("config", "annotation"),
+        annotations_mode=payload.get("annotations_mode", "inferred"),
         annotations_text=payload.get("annotations", ""),
         tolerant=bool(payload.get("tolerant", True)))
 
@@ -117,15 +104,10 @@ def _execute_parallelize(payload: Dict[str, Any]) -> Dict[str, Any]:
 def _run_pipeline(benchmark, config_kind: str, trace: bool = False,
                   backend: Optional[str] = None,
                   annotations_mode: str = "hand") -> Dict[str, Any]:
-    from repro.annotations.infer import ANNOTATION_MODES
     from repro.experiments.pipeline import (Config, run_config,
                                             summarize_result)
     from repro.runtime.backend import BACKEND_ENV, BACKENDS, default_backend
-    if config_kind not in ("none", "conventional", "annotation"):
-        raise ValueError(f"unknown config {config_kind!r}")
-    if annotations_mode not in ANNOTATION_MODES:
-        raise ValueError(f"unknown annotations mode {annotations_mode!r}; "
-                         f"expected one of {ANNOTATION_MODES}")
+    config = Config(config_kind, annotations=annotations_mode)
     if backend is not None and backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"expected one of {BACKENDS}")
@@ -140,10 +122,8 @@ def _run_pipeline(benchmark, config_kind: str, trace: bool = False,
         # which reads the env at construction time
         os.environ[BACKEND_ENV] = backend
     try:
-        summary = summarize_result(
-            run_config(benchmark,
-                       Config(config_kind, annotations=annotations_mode),
-                       tracer=tracer))
+        summary = summarize_result(run_config(benchmark, config,
+                                              tracer=tracer))
     finally:
         if backend is not None:
             if saved is None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from repro.trace.decisions import LoopDecision, SiteDecision
@@ -104,6 +105,18 @@ class Tracer:
         if not self.enabled:
             return _NULL_SPAN
         return _Span(self, name, cat, args)
+
+    @contextmanager
+    def phase(self, name: str, timings: Dict[str, float], **args: Any):
+        """One timed pipeline phase: the span of :meth:`span` *and* its
+        seconds added to ``timings[name]`` (the ``Report.timings`` that
+        ``--profile`` shows).  The timing is kept even when the tracer
+        is disabled; the span only when enabled."""
+        start = time.perf_counter()
+        with self.span(name, **args):
+            yield
+        timings[name] = (timings.get(name, 0.0)
+                         + time.perf_counter() - start)
 
     def instant(self, name: str, cat: str = "pipeline",
                 **args: Any) -> None:

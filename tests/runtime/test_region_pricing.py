@@ -13,12 +13,13 @@ import random
 
 import pytest
 
+from repro.annotations import AnnotationRegistry
 from repro.experiments.pipeline import CONFIGS, Config, run_config
 from repro.experiments.tuning import tune
 from repro.fortran import ast
 from repro.fuzz import generate
-from repro.fuzz.oracle import _registry, _run_pipeline
 from repro.perfect import all_benchmarks
+from repro.pipeline import parallelize_program
 from repro.program import Program
 from repro.runtime.backend import BACKENDS, make_interpreter
 from repro.runtime.difftest import backend_equivalence
@@ -136,7 +137,8 @@ def test_fuzz_pricing_matches_execution(seed):
     directives = 0
     for config in ("none", "annotation"):
         program = fuzz.program()
-        _run_pipeline(program, _registry(fuzz.annotations), config)
+        parallelize_program(program, Config(config),
+                            AnnotationRegistry.from_text(fuzz.annotations))
         directives += len(number_omp_sites(program))
         profiles = []
         for backend in BACKENDS:
@@ -162,7 +164,7 @@ def test_fuzz_batch_exercises_nesting_and_calls():
     for seed in FUZZ_SEEDS:
         fuzz = generate(seed)
         program = fuzz.program()
-        _run_pipeline(program, _registry(fuzz.annotations), "none")
+        parallelize_program(program, Config("none"))
         profile = record(program, "compiled")
         nested += any(node.children for node in profile.roots)
     assert nested >= 5

@@ -132,6 +132,25 @@ class TestParallelizeTolerant:
         assert "1 diagnostics" in capsys.readouterr().out
 
 
+    def test_profile_and_report_on_the_tolerant_path(self, dialect_file,
+                                                     capsys):
+        assert main(["parallelize", "--tolerant", "--profile", "--report",
+                     dialect_file]) == 0
+        err = capsys.readouterr().err
+        for phase in ("parse", "infer", "inline", "normalize", "summaries",
+                      "dependence", "reverse"):
+            assert phase in err, phase
+        assert "MIX: DO I" in err  # Report.describe()
+
+    def test_json_strict_keeps_the_inferred_default(self, files, capsys):
+        import json as json_mod
+        src, _ = files
+        assert main(["parallelize", "--json", src]) == 0
+        result = json_mod.loads(capsys.readouterr().out)
+        assert result["annotations_mode"] == "inferred"
+        assert result["diagnostics"] == []
+
+
 class TestFuzzDialect:
     def test_unknown_dialect_env_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FUZZ_DIALECT", "bogus")
@@ -145,6 +164,14 @@ class TestReportRunVerify:
         assert main(["report", src, "--annotations", ann]) == 0
         out = capsys.readouterr().out
         assert "loops parallelized" in out
+
+    def test_report_profile_books_inference_separately(self, files,
+                                                       capsys):
+        src, _ = files
+        assert main(["report", src, "--annotations-mode", "inferred",
+                     "--profile"]) == 0
+        err = capsys.readouterr().err
+        assert "infer" in err and "inline" in err
 
     def test_run_serial(self, files, capsys):
         src, _ = files
