@@ -16,6 +16,11 @@ fixed-form frontend must produce.  For each program the smoke asserts:
 4. **round-trip fixpoint**: parse -> unparse -> reparse -> unparse
    reaches a textual fixpoint (the second unparse equals the first).
 
+It then replays ``tests/fortran/regressions/`` — one ``NAME.f`` per
+input that once crashed or hung a parser, no expectation file — and
+asserts that ``parse_source_tolerant`` returns and that ``parse_source``
+returns or raises a ``ReproError``, nothing else.
+
 Regenerate expectations after an intentional frontend change with
 ``--update`` and review the diff.
 
@@ -30,11 +35,19 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.errors import ReproError  # noqa: E402
 from repro.fortran.fixedform import parallelize_source, parse_source_tolerant  # noqa: E402
+from repro.fortran.parser import parse_source  # noqa: E402
 from repro.program import Program  # noqa: E402
 
+# The frozen benchmark (bench/benchlib/workloads/parallelize.py) globs
+# CORPUS/*.f and holds each file to bench/expected/parallelize.json: a
+# file added there fails the benchmark.  New crash inputs go to
+# REGRESSIONS.
 CORPUS = os.path.join(os.path.dirname(__file__), "..",
                       "tests", "fortran", "corpus")
+REGRESSIONS = os.path.join(os.path.dirname(__file__), "..",
+                           "tests", "fortran", "regressions")
 
 #: minimum corpus size the CI gate insists on
 MIN_PROGRAMS = 15
@@ -105,6 +118,24 @@ def check_program(path: str, update: bool, failures) -> None:
     _roundtrip(name, text, failures)
 
 
+def check_regression(path: str, failures) -> None:
+    name = os.path.basename(path)
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        parse_source_tolerant(text, name)
+    except Exception as exc:  # noqa: BLE001 - the property under test
+        failures.append(f"{name}: tolerant parse raised "
+                        f"{type(exc).__name__}: {exc}")
+    try:
+        parse_source(text, name)
+    except ReproError:
+        pass
+    except Exception as exc:  # noqa: BLE001 - the property under test
+        failures.append(f"{name}: strict parse raised "
+                        f"{type(exc).__name__} (not a ReproError): {exc}")
+
+
 def run(update: bool) -> None:
     paths = sorted(glob.glob(os.path.join(CORPUS, "*.f")))
     if len(paths) < MIN_PROGRAMS:
@@ -113,11 +144,15 @@ def run(update: bool) -> None:
     failures = []
     for path in paths:
         check_program(path, update, failures)
+    regressions = sorted(glob.glob(os.path.join(REGRESSIONS, "*.f")))
+    for path in regressions:
+        check_regression(path, failures)
     if failures:
         raise SystemExit("frontend smoke FAILED:\n  "
                          + "\n  ".join(failures))
     print(f"frontend smoke passed: {len(paths)} corpus programs, "
-          f"diagnostics + verdicts match, round-trip fixpoint holds")
+          f"diagnostics + verdicts match, round-trip fixpoint holds; "
+          f"{len(regressions)} regression inputs parse or fail cleanly")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,9 @@ code produced by the inliners.
 Public entry points:
 
 * :func:`repro.fortran.parser.parse_source` — source text -> :class:`ast.SourceFile`
+  (the first malformed construct raises)
+* :func:`repro.fortran.parser.parse_source_tolerant` — the same parser
+  recording diagnostics instead: source text -> (tree, diagnostics)
 * :func:`repro.fortran.unparser.unparse` — AST -> fixed-form source text
 """
 

@@ -1,25 +1,23 @@
-"""Tolerant fixed-form Fortran frontend.
+"""Arbitrary fixed-form Fortran in, annotated source out.
 
-The strict frontend (:mod:`repro.fortran.parser`) fails fast — right for
-the curated PERFECT-style inputs the experiments replay, wrong for
-ingesting arbitrary real-world Fortran 77.  This package layers recovery
-on top of the same statement-classification tables:
-
-* :func:`tolerant_read` repairs malformed cards (labels, continuations);
-* :func:`parse_source_tolerant` boxes unclassifiable statements as
-  :class:`~repro.fortran.ast.Opaque` markers and implicitly closes
-  unterminated blocks, recording every action as a :class:`Diagnostic`;
-* :func:`parallelize_source` runs the full paper pipeline (parse ->
-  annotation inference -> Polaris -> OpenMP unparse) over the tolerant
-  tree and returns annotated source plus per-loop decision records.
+The frontend itself is :mod:`repro.fortran.parser` — one reader,
+classifier and structurer whose *recording* diagnostic sink
+(:func:`parse_source_tolerant`) boxes unclassifiable statements as
+:class:`~repro.fortran.ast.Opaque` markers and implicitly closes
+unterminated blocks, where the strict sink (``parse_source``) raises.
+This package is the import surface for ingesting real-world sources:
+that entry point and its :class:`Diagnostic` records, plus
+:func:`parallelize_source`, which runs the full paper pipeline (parse ->
+annotation inference -> Polaris -> OpenMP unparse) over the recovered
+tree and returns annotated source plus per-loop decision records.
 
 See ``docs/frontend.md`` for the dialect table and recovery semantics.
 """
 
-from .diagnostics import SEVERITIES, Diagnostic, DiagnosticSink
-from .parser import parse_source_tolerant
+from repro.fortran.diagnostics import SEVERITIES, Diagnostic, DiagnosticSink
+from repro.fortran.parser import parse_source_tolerant
+
 from .pipeline import parallelize_source
-from .reader import tolerant_read
 
 __all__ = [
     "Diagnostic",
@@ -27,5 +25,4 @@ __all__ = [
     "SEVERITIES",
     "parallelize_source",
     "parse_source_tolerant",
-    "tolerant_read",
 ]

@@ -32,12 +32,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.annotations import AnnotationRegistry
 from repro.fortran import ast
+from repro.fortran.parser import parse_source_tolerant
 from repro.pipeline import Config, PipelineResult, parallelize_program
 from repro.polaris.report import merge_timings
 from repro.program import Program
 from repro.trace import NULL_TRACER, Tracer
-
-from .parser import parse_source_tolerant
 
 __all__ = ["parallelize_files", "parallelize_source"]
 

@@ -60,7 +60,7 @@ def tokenize(stmt: str, location: Optional[SourceLocation] = None) -> List[Token
             while j < n and stmt[j] != ch:
                 j += 1
             if j >= n:
-                raise LexError(f"unterminated string in {stmt!r}", location)
+                raise LexError(f"unterminated character literal in {stmt!r}", location)
             tokens.append(Token(TokenType.STRING, stmt[i + 1:j], i))
             i = j + 1
         elif ch == "(":

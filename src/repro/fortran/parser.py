@@ -1,5 +1,12 @@
 """Recursive-descent parser for the fixed-form Fortran 77 subset.
 
+There is one frontend.  :func:`parse_source` and
+:func:`parse_source_tolerant` run the same reader, classifier,
+structurer and unit-assembly loop and differ only in the
+:class:`~repro.fortran.diagnostics.DiagnosticSink` they pass: every
+stage reports a malformed construct to the sink and *then* recovers
+from it, and a strict sink raises before the recovery is reached.
+
 Parsing proceeds in three stages:
 
 1. :func:`repro.fortran.source.read_logical_lines` merges continuations and
@@ -24,12 +31,36 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import ParseError, SourceLocation
+from repro.errors import LexError, ParseError, ReproError, SourceLocation
 from repro.fortran import ast
+from repro.fortran.diagnostics import Diagnostic, DiagnosticSink
 from repro.fortran.lexer import tokenize
 from repro.fortran.source import (Directive, LogicalLine, condense,
-                                  condense_with_map, read_logical_lines)
+                                  read_logical_lines)
 from repro.fortran.tokens import DOT_OP_CANONICAL, Token, TokenType
+
+# Limits on input from outside the program (constants, not options).  An
+# expression or block nest deeper than these would exhaust the
+# interpreter stack here or in the passes that walk the tree, and one
+# DATA card can ask for any number of elements; each excess is reported
+# like any other unparseable construct (``nesting-too-deep``,
+# ``data-too-large``).  The deepest real input in the corpus and the
+# PERFECT substitutes nests a few levels and expands six elements.
+MAX_EXPR_DEPTH = 50
+MAX_BLOCK_DEPTH = 100
+MAX_DATA_ELEMENTS = 10_000
+
+
+def _parse_error(message: str, location: Optional[SourceLocation], *,
+                 code: str = "parse-error", offset: int = 0) -> ParseError:
+    """A :class:`ParseError` that names its diagnostic code and the
+    condensed offset of the failing region (the classifier maps the
+    offset back to a card column)."""
+    err = ParseError(message, location)
+    err.code = code  # type: ignore[attr-defined]
+    err.condensed_offset = offset  # type: ignore[attr-defined]
+    return err
+
 
 # ---------------------------------------------------------------------------
 # Expression parsing
@@ -43,6 +74,7 @@ class _ExprParser:
         self.toks = list(tokens)
         self.i = 0
         self.location = location
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------
     def peek(self) -> Token:
@@ -69,6 +101,15 @@ class _ExprParser:
         return self.peek().type is TokenType.EOF
 
     # -- grammar ------------------------------------------------------
+    def _nest(self) -> None:
+        """Enter one level of recursive descent: a parenthesis, a
+        subscript list, a ``.NOT.`` or a ``**`` exponent."""
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise _parse_error(
+                f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
+                self.location, code="nesting-too-deep")
+
     def expression(self) -> ast.Expr:
         return self._equiv()
 
@@ -96,7 +137,10 @@ class _ExprParser:
     def _not(self) -> ast.Expr:
         if self.at(TokenType.OP, ".NOT."):
             self.next()
-            return ast.UnOp(".NOT.", self._not())
+            self._nest()
+            e = ast.UnOp(".NOT.", self._not())
+            self.depth -= 1
+            return e
         return self._relational()
 
     _REL_OPS = ("==", "/=", "<", "<=", ">", ">=",
@@ -140,11 +184,15 @@ class _ExprParser:
         base = self._primary()
         if self.at(TokenType.OP, "**"):
             self.next()
+            self._nest()
             # ** is right-associative; a signed exponent is permitted
             if self.at(TokenType.OP, "-"):
                 self.next()
-                return ast.BinOp("**", base, ast.UnOp("-", self._power()))
-            return ast.BinOp("**", base, self._power())
+                exponent: ast.Expr = ast.UnOp("-", self._power())
+            else:
+                exponent = self._power()
+            self.depth -= 1
+            return ast.BinOp("**", base, exponent)
         return base
 
     def _primary(self) -> ast.Expr:
@@ -165,15 +213,19 @@ class _ExprParser:
             return ast.LogicalLit(t.value == ".TRUE.")
         if t.type is TokenType.LPAREN:
             self.next()
+            self._nest()
             e = self.expression()
             self.expect(TokenType.RPAREN)
+            self.depth -= 1
             return e
         if t.type is TokenType.NAME:
             self.next()
             if self.at(TokenType.LPAREN):
                 self.next()
+                self._nest()
                 args = self._subscript_list()
                 self.expect(TokenType.RPAREN)
+                self.depth -= 1
                 return ast.ArrayRef(t.value, tuple(args))
             return ast.Var(t.value)
         raise ParseError(f"unexpected token {t.value!r} in expression",
@@ -226,8 +278,13 @@ def op_canonical(op: str) -> str:
 def parse_expression(text: str,
                      location: Optional[SourceLocation] = None) -> ast.Expr:
     """Parse a standalone expression from (possibly spaced) source text."""
-    location = location or SourceLocation()
-    p = _ExprParser(tokenize(condense(text), location), location)
+    return _expr(condense(text), location or SourceLocation())
+
+
+def _expr(text: str, location: SourceLocation) -> ast.Expr:
+    """Parse an expression from condensed text (the classifier's pieces of
+    a card it has already condensed)."""
+    p = _ExprParser(tokenize(text, location), location)
     e = p.expression()
     if not p.at_end():
         raise ParseError(f"trailing tokens after expression in {text!r}",
@@ -243,7 +300,7 @@ def parse_expression(text: str,
 class _Flat:
     """One element of the flat statement stream fed to the structurer."""
 
-    kind: str  # stmt | do | if | elseif | else | endif | enddo | end
+    kind: str  # stmt | decl | do | if | elseif | else | endif | enddo | end
     #            | omp | tag_begin | tag_end
     label: Optional[int] = None
     stmt: Optional[ast.Stmt] = None
@@ -257,6 +314,8 @@ class _Flat:
     cond: Optional[ast.Expr] = None
     # directives
     text: str = ""
+    #: inline tags: (callee, site id, actuals) on BEGIN, (site id,) on END
+    tag: tuple = ()
     location: SourceLocation = field(default_factory=SourceLocation)
 
 
@@ -276,40 +335,84 @@ _ASSIGN_RE = re.compile(r"^[A-Z][A-Z0-9_$@]*")
 #: assumed-length dummy, stored as char_len == -1)
 _LENGTH_SPEC_RE = re.compile(r"^\*(?:(\d+)|\((\d+)\)|\((\*)\))")
 
+#: a keyword handler's "not my statement": dispatch moves to the next row
+_PASS = object()
+
 
 class _StatementClassifier:
     """Parses one condensed logical line into flat items."""
 
-    def __init__(self, filename: str):
-        self.filename = filename
+    def __init__(self, sink: DiagnosticSink):
+        self.sink = sink
+        #: logical IFs the current card has nested so far
+        self.logical_ifs = 0
 
-    def classify(self, line: LogicalLine) -> List[_Flat]:
+    def classify(self, line: LogicalLine, text: str) -> List[_Flat]:
+        """``text`` is ``line.text`` condensed (``tolerant``: an open
+        literal surfaces when the lexer reaches it)."""
         loc = line.location
         out: List[_Flat] = []
         for d in line.leading:
-            out.extend(self._directive(d, loc))
-        text = condense(line.text)
+            try:
+                out.append(self._directive(d, loc))
+            except ReproError as e:
+                self.sink.caught(e, getattr(e, "code", "bad-tag"), loc,
+                                 message=str(e), excerpt=d.text,
+                                 severity="skipped")
         if not text:
             return out
+        self.logical_ifs = 0
         try:
             flat = self._statement(text, line.label, loc)
-        except ParseError as e:
-            raise _enrich_parse_error(e, line) from e
+        except (ReproError, RecursionError, ValueError) as e:
+            flat = self._unparseable(line, e)
         if flat is not None:
             out.append(flat)
         return out
 
+    def _unparseable(self, line: LogicalLine, e: Exception) -> _Flat:
+        """Report a statement that failed to classify, then box it as an
+        :class:`~repro.fortran.ast.Opaque` — analyses treat one as "may
+        read or write anything", so recovery is conservative."""
+        # the interpreter's own limits, met before one of ours: nesting
+        # the fixed limits do not name (implied-DO levels, a
+        # thousand-operand chain), an integer literal of more digits
+        # than int() converts
+        if isinstance(e, RecursionError):
+            e = _parse_error("statement nested too deeply to parse",
+                             line.location, code="nesting-too-deep")
+        elif isinstance(e, ValueError):
+            e = ParseError(str(e), line.location)
+        code = getattr(e, "code", "unterminated-literal"
+                       if isinstance(e, LexError) else "parse-error")
+        if isinstance(e, ParseError):
+            e = _enrich_parse_error(e, line)
+        self.sink.caught(e, code, e.location or line.location,
+                         excerpt=line.text.rstrip())
+        stmt = ast.Opaque(text=line.text.strip(), reason=code,
+                          label=line.label)
+        return _Flat("stmt", label=line.label, stmt=stmt,
+                     location=line.location)
+
     # -- directives ---------------------------------------------------
-    def _directive(self, d: Directive, loc: SourceLocation) -> List[_Flat]:
+    def _directive(self, d: Directive, loc: SourceLocation) -> _Flat:
         if d.kind == "omp":
-            return [_Flat("omp", text=d.text.upper(), location=loc)]
+            return _Flat("omp", text=d.text.upper(), location=loc)
         body = d.text.strip()
         upper = body.upper()
         if upper.startswith("BEGIN"):
-            return [_Flat("tag_begin", text=body[5:].strip(), location=loc)]
+            text = body[5:].strip()
+            return _Flat("tag_begin", text=text, location=loc,
+                         tag=_parse_tag_begin(text, loc))
         if upper.startswith("END"):
-            return [_Flat("tag_end", text=body[3:].strip(), location=loc)]
-        raise ParseError(f"unknown inline tag {body!r}", loc)
+            text = body[3:].strip()
+            site = text.split(None, 1)
+            if not site or not site[0].isdecimal():
+                raise ParseError(f"malformed inline END tag {text!r}", loc)
+            return _Flat("tag_end", text=text, location=loc,
+                         tag=(int(site[0]),))
+        raise _parse_error(f"unknown inline tag {body!r}", loc,
+                           code="bad-directive")
 
     # -- statements ---------------------------------------------------
     def _statement(self, text: str, label: Optional[int],
@@ -323,7 +426,18 @@ class _StatementClassifier:
         if self._looks_like_assignment(text):
             return _Flat("stmt", label=label, location=loc,
                          stmt=self._assignment(text, label, loc))
-        return self._keyword_statement(text, label, loc)
+        for keyword, handler in STATEMENTS:
+            if text.startswith(keyword):
+                got = handler(self, keyword, text[len(keyword):], label, loc)
+                if got is _PASS:
+                    continue
+                if isinstance(got, ast.Stmt):
+                    return _Flat("stmt", label=label, stmt=got, location=loc)
+                if isinstance(got, ast.Decl):
+                    return _Flat("decl", label=label, location=loc,
+                                 stmt=got)  # type: ignore[arg-type]
+                return got  # a structural item, or None: nothing to keep
+        raise ParseError(f"unrecognized statement {text!r}", loc)
 
     def _looks_like_assignment(self, text: str) -> bool:
         m = _ASSIGN_RE.match(text)
@@ -346,10 +460,10 @@ class _StatementClassifier:
     def _assignment(self, text: str, label: Optional[int],
                     loc: SourceLocation) -> ast.Stmt:
         eq = _toplevel_eq(text)
-        target = parse_expression(text[:eq], loc)
+        target = _expr(text[:eq], loc)
         if not isinstance(target, (ast.Var, ast.ArrayRef)):
             raise ParseError(f"bad assignment target in {text!r}", loc)
-        value = parse_expression(text[eq + 1:], loc)
+        value = _expr(text[eq + 1:], loc)
         return ast.Assign(target, value, label)
 
     def _do_header(self, m: "re.Match[str]", text: str,
@@ -360,124 +474,79 @@ class _StatementClassifier:
         parts = _split_toplevel(rest, ",")
         if len(parts) not in (2, 3):
             raise ParseError(f"malformed DO statement {text!r}", loc)
-        start = parse_expression(parts[0], loc)
-        stop = parse_expression(parts[1], loc)
-        step = parse_expression(parts[2], loc) if len(parts) == 3 else None
+        start = _expr(parts[0], loc)
+        stop = _expr(parts[1], loc)
+        step = _expr(parts[2], loc) if len(parts) == 3 else None
         return _Flat("do", label=label, do_var=var, do_start=start,
                      do_stop=stop, do_step=step, do_term=term, location=loc)
 
-    def _keyword_statement(self, text: str, label: Optional[int],
-                           loc: SourceLocation) -> Optional[_Flat]:
-        def stmt(s: ast.Stmt) -> _Flat:
-            return _Flat("stmt", label=label, stmt=s, location=loc)
+    # -- keyword handlers (rows of STATEMENTS) ------------------------
+    # handler(self, keyword, rest, label, loc), ``rest`` the condensed
+    # text after the keyword; returns a statement, a declaration, a
+    # structural _Flat, None (nothing to keep) or _PASS.
 
-        if text == "END":
-            return _Flat("end", label=label, location=loc)
-        if text == "ENDDO":
-            return _Flat("enddo", label=label, location=loc)
-        if text in ("ENDIF", "ELSE"):
-            return _Flat("endif" if text == "ENDIF" else "else",
-                         label=label, location=loc)
-        if text.startswith("ELSEIF"):
-            cond, rest = _balanced_paren(text[6:], loc)
-            if rest != "THEN":
-                raise ParseError(f"malformed ELSE IF {text!r}", loc)
-            return _Flat("elseif", label=label,
-                         cond=parse_expression(cond, loc), location=loc)
-        if text.startswith("IF"):
-            cond, rest = _balanced_paren(text[2:], loc)
-            cond_expr = parse_expression(cond, loc)
-            if rest == "THEN":
-                return _Flat("if", label=label, cond=cond_expr, location=loc)
-            inner = self._statement(rest, None, loc)
-            if inner is None or inner.kind != "stmt":
-                raise ParseError(
-                    f"unsupported statement in logical IF: {text!r}", loc)
-            return stmt(ast.IfBlock([(cond_expr, [inner.stmt])], label))
-        if text.startswith("CALL"):
-            rest = text[4:]
-            m = re.match(r"^([A-Z][A-Z0-9_$]*)", rest)
-            if not m:
-                raise ParseError(f"malformed CALL {text!r}", loc)
-            name = m.group(1)
-            args: Tuple[ast.Expr, ...] = ()
-            tail = rest[m.end():]
-            if tail:
-                inner, after = _balanced_paren(tail, loc)
-                if after:
-                    raise ParseError(f"trailing text after CALL {text!r}", loc)
-                if inner:
-                    args = tuple(self._call_arg(p, loc)
-                                 for p in _split_toplevel(inner, ","))
-            return stmt(ast.CallStmt(name, args, label))
-        if text.startswith("GOTO"):
-            return stmt(self._goto(text[4:], label, loc))
-        m = re.match(r"^ASSIGN(\d+)TO([A-Z][A-Z0-9_$]*)$", text)
-        if m:
-            return stmt(ast.LabelAssign(int(m.group(1)), m.group(2), label))
-        if text.startswith("ENTRY"):
-            m = re.match(r"^ENTRY([A-Z][A-Z0-9_$]*)(\(.*\))?$", text)
-            if not m:
-                raise ParseError(f"malformed ENTRY {text!r}", loc)
-            params: Tuple[str, ...] = ()
-            if m.group(2):
-                params = tuple(p for p in m.group(2)[1:-1].split(",") if p)
-            return stmt(ast.EntryStmt(m.group(1), params, label))
-        if text == "CONTINUE":
-            return stmt(ast.Continue(label))
-        if text.startswith("RETURN"):
-            rest = text[6:]
-            alt = parse_expression(rest, loc) if rest else None
-            return stmt(ast.Return(label, alt))
-        if text.startswith("STOP"):
-            rest = text[4:]
-            msg = None
-            if rest:
-                toks = tokenize(rest, loc)
-                if toks[0].type is TokenType.STRING:
-                    msg = toks[0].value
-                else:
-                    msg = rest
-            return stmt(ast.Stop(msg, label))
-        if text.startswith("WRITE") or text.startswith("READ"):
-            kind = "WRITE" if text.startswith("WRITE") else "READ"
-            control, rest = _balanced_paren(text[len(kind):], loc)
-            items = tuple(parse_expression(p, loc)
-                          for p in _split_toplevel(rest, ",") if p)
-            return stmt(ast.IoStmt(kind, control, items, label))
-        if text.startswith("PRINT"):
-            parts = _split_toplevel(text[5:], ",")
-            control = parts[0]
-            items = tuple(parse_expression(p, loc) for p in parts[1:])
-            return stmt(ast.IoStmt("PRINT", control, items, label))
-        if text.startswith("FORMAT"):
-            return None  # formats carry no dependence information
-        decl = self._declaration(text, loc)
-        if decl is not None:
-            f = _Flat("stmt", label=label, location=loc)
-            f.kind = "decl"
-            f.stmt = decl  # type: ignore[assignment]
-            return f
-        raise ParseError(f"unrecognized statement {text!r}", loc)
+    def _bare(self, kw, rest, label, loc):
+        """END, ENDDO, ENDIF, ELSE: the keyword and nothing else."""
+        if rest:
+            return _PASS
+        return _Flat(kw.lower(), label=label, location=loc)
 
-    def _goto(self, rest: str, label: Optional[int],
-              loc: SourceLocation) -> ast.Stmt:
-        """Dispatch the three GOTO forms from condensed text after 'GOTO'."""
-        if rest.isdigit():
+    def _else_if(self, kw, rest, label, loc):
+        cond, then = _balanced_paren(rest, loc)
+        if then != "THEN":
+            raise ParseError(f"malformed ELSE IF {kw + rest!r}", loc)
+        return _Flat("elseif", label=label, cond=_expr(cond, loc),
+                     location=loc)
+
+    def _if(self, kw, rest, label, loc):
+        cond, tail = _balanced_paren(rest, loc)
+        cond_expr = _expr(cond, loc)
+        if tail == "THEN":
+            return _Flat("if", label=label, cond=cond_expr, location=loc)
+        # IF (a) IF (b) ... nests blocks as surely as IF ... THEN does
+        self.logical_ifs += 1
+        if self.logical_ifs > MAX_BLOCK_DEPTH:
+            raise _parse_error(
+                f"blocks nested deeper than {MAX_BLOCK_DEPTH} levels", loc,
+                code="nesting-too-deep")
+        inner = self._statement(tail, None, loc)
+        if inner is None or inner.kind != "stmt":
+            raise ParseError(
+                f"unsupported statement in logical IF: {kw + rest!r}", loc)
+        return ast.IfBlock([(cond_expr, [inner.stmt])], label)
+
+    def _call(self, kw, rest, label, loc):
+        m = re.match(r"^([A-Z][A-Z0-9_$]*)", rest)
+        if not m:
+            raise ParseError(f"malformed CALL {kw + rest!r}", loc)
+        args: Tuple[ast.Expr, ...] = ()
+        tail = rest[m.end():]
+        if tail:
+            inner, after = _balanced_paren(tail, loc)
+            if after:
+                raise ParseError(f"trailing text after CALL {kw + rest!r}",
+                                 loc)
+            if inner:
+                args = tuple(self._call_arg(p, loc)
+                             for p in _split_toplevel(inner, ","))
+        return ast.CallStmt(m.group(1), args, label)
+
+    def _goto(self, kw, rest, label, loc):
+        """The three GOTO forms."""
+        if rest.isdecimal():
             return ast.Goto(int(rest), label)
         if rest.startswith("("):
             inner, after = _balanced_paren(rest, loc)
             targets = self._label_list(inner, loc)
             if not targets or not after:
-                raise ParseError(f"malformed computed GOTO {'GOTO' + rest!r}",
+                raise ParseError(f"malformed computed GOTO {kw + rest!r}",
                                  loc)
             if after.startswith(","):
                 after = after[1:]
-            return ast.ComputedGoto(targets, parse_expression(after, loc),
-                                    label)
+            return ast.ComputedGoto(targets, _expr(after, loc), label)
         m = re.match(r"^([A-Z][A-Z0-9_$]*)", rest)
         if not m:
-            raise ParseError(f"malformed GOTO {'GOTO' + rest!r}", loc)
+            raise ParseError(f"malformed GOTO {kw + rest!r}", loc)
         var = m.group(1)
         after = rest[m.end():]
         targets: Tuple[int, ...] = ()
@@ -487,91 +556,127 @@ class _StatementClassifier:
             inner, trailing = _balanced_paren(after, loc)
             if trailing:
                 raise ParseError(
-                    f"trailing text after assigned GOTO {'GOTO' + rest!r}",
-                    loc)
+                    f"trailing text after assigned GOTO {kw + rest!r}", loc)
             targets = self._label_list(inner, loc)
         return ast.AssignedGoto(var, targets, label)
 
     def _label_list(self, inner: str,
                     loc: SourceLocation) -> Tuple[int, ...]:
-        try:
-            return tuple(int(p) for p in _split_toplevel(inner, ",") if p)
-        except ValueError:
+        parts = [p for p in _split_toplevel(inner, ",") if p]
+        if not all(p.isdecimal() for p in parts):
             raise ParseError(f"non-label entry in GOTO label list "
-                             f"({inner})", loc) from None
+                             f"({inner})", loc)
+        return tuple(int(p) for p in parts)
 
     def _call_arg(self, text: str, loc: SourceLocation) -> ast.Expr:
         m = re.match(r"^\*(\d+)$", text)
         if m:
             return ast.AltReturn(int(m.group(1)))
-        return parse_expression(text, loc)
+        return _expr(text, loc)
+
+    def _assign(self, kw, rest, label, loc):
+        m = re.match(r"^(\d+)TO([A-Z][A-Z0-9_$]*)$", rest)
+        if not m:
+            return _PASS
+        return ast.LabelAssign(int(m.group(1)), m.group(2), label)
+
+    def _entry(self, kw, rest, label, loc):
+        m = re.match(r"^([A-Z][A-Z0-9_$]*)(\(.*\))?$", rest)
+        if not m:
+            raise ParseError(f"malformed ENTRY {kw + rest!r}", loc)
+        params: Tuple[str, ...] = ()
+        if m.group(2):
+            params = tuple(p for p in m.group(2)[1:-1].split(",") if p)
+        return ast.EntryStmt(m.group(1), params, label)
+
+    def _continue(self, kw, rest, label, loc):
+        return _PASS if rest else ast.Continue(label)
+
+    def _return(self, kw, rest, label, loc):
+        return ast.Return(label, _expr(rest, loc) if rest else None)
+
+    def _stop(self, kw, rest, label, loc):
+        msg = None
+        if rest:
+            toks = tokenize(rest, loc)
+            msg = toks[0].value if toks[0].type is TokenType.STRING else rest
+        return ast.Stop(msg, label)
+
+    def _read_write(self, kw, rest, label, loc):
+        control, rest = _balanced_paren(rest, loc)
+        items = tuple(_expr(p, loc) for p in _split_toplevel(rest, ",") if p)
+        return ast.IoStmt(kw, control, items, label)
+
+    def _print(self, kw, rest, label, loc):
+        parts = _split_toplevel(rest, ",")
+        items = tuple(_expr(p, loc) for p in parts[1:])
+        return ast.IoStmt("PRINT", parts[0], items, label)
+
+    def _format(self, kw, rest, label, loc):
+        return None  # formats carry no dependence information
 
     # -- declarations ---------------------------------------------------
-    def _declaration(self, text: str,
-                     loc: SourceLocation) -> Optional[ast.Decl]:
-        if text.startswith("IMPLICIT"):
-            return ast.ImplicitDecl(text[8:])
-        if text.startswith("DIMENSION"):
-            return ast.DimensionDecl(self._entity_list(text[9:], loc))
-        if text.startswith("COMMON"):
-            rest = text[6:]
-            block = ""
-            if rest.startswith("/"):
-                j = rest.index("/", 1)
-                block = rest[1:j]
-                rest = rest[j + 1:]
-            return ast.CommonDecl(block, self._entity_list(rest, loc))
-        if text.startswith("PARAMETER"):
-            inner, after = _balanced_paren(text[9:], loc)
-            if after:
-                raise ParseError(f"malformed PARAMETER {text!r}", loc)
-            pairs: List[Tuple[str, ast.Expr]] = []
-            for item in _split_toplevel(inner, ","):
-                eq = _toplevel_eq(item)
-                pairs.append((item[:eq], parse_expression(item[eq + 1:], loc)))
-            return ast.ParameterDecl(pairs)
-        if text.startswith("SAVE"):
-            rest = text[4:]
-            return ast.SaveDecl(_split_toplevel(rest, ",") if rest else [])
-        if text.startswith("EXTERNAL"):
-            return ast.ExternalDecl(_split_toplevel(text[8:], ","))
-        if text.startswith("INTRINSIC"):
-            return ast.IntrinsicDecl(_split_toplevel(text[9:], ","))
-        if text.startswith("EQUIVALENCE"):
-            return self._equivalence(text[11:], loc)
-        if text.startswith("DATA"):
-            return self._data(text, loc)
-        for kw, typename in _TYPE_KEYWORDS.items():
-            if text.startswith(kw):
-                rest = text[len(kw):]
-                char_len = None
-                if rest.startswith("*"):
-                    m = _LENGTH_SPEC_RE.match(rest)
-                    if not m:
-                        raise ParseError(f"malformed length in {text!r}", loc)
-                    length = -1 if m.group(3) else int(m.group(1)
-                                                      or m.group(2))
-                    rest = rest[m.end():]
-                    if kw == "CHARACTER":
-                        char_len = length
-                    elif kw == "REAL" and length == 8:
-                        typename = "DOUBLE PRECISION"
-                    elif kw == "INTEGER":
-                        pass  # INTEGER*4/INTEGER*8 both map to INTEGER
-                if not rest:
-                    return None
-                return ast.TypeDecl(typename, self._entity_list(rest, loc),
-                                    char_len)
-        return None
+    def _implicit(self, kw, rest, label, loc):
+        return ast.ImplicitDecl(rest)
 
-    def _equivalence(self, rest: str,
-                     loc: SourceLocation) -> ast.EquivalenceDecl:
+    def _dimension(self, kw, rest, label, loc):
+        return ast.DimensionDecl(self._entity_list(rest, loc))
+
+    def _common(self, kw, rest, label, loc):
+        block = ""
+        if rest.startswith("/"):
+            j = rest.find("/", 1)
+            if j < 0:
+                raise ParseError(
+                    f"unterminated COMMON block name in {kw + rest!r}", loc)
+            block = rest[1:j]
+            rest = rest[j + 1:]
+        return ast.CommonDecl(block, self._entity_list(rest, loc))
+
+    def _parameter(self, kw, rest, label, loc):
+        inner, after = _balanced_paren(rest, loc)
+        if after:
+            raise ParseError(f"malformed PARAMETER {kw + rest!r}", loc)
+        pairs: List[Tuple[str, ast.Expr]] = []
+        for item in _split_toplevel(inner, ","):
+            eq = _toplevel_eq(item)
+            pairs.append((item[:eq], _expr(item[eq + 1:], loc)))
+        return ast.ParameterDecl(pairs)
+
+    def _save(self, kw, rest, label, loc):
+        return ast.SaveDecl(_split_toplevel(rest, ",") if rest else [])
+
+    def _external(self, kw, rest, label, loc):
+        return ast.ExternalDecl(_split_toplevel(rest, ","))
+
+    def _intrinsic(self, kw, rest, label, loc):
+        return ast.IntrinsicDecl(_split_toplevel(rest, ","))
+
+    def _type(self, kw, rest, label, loc):
+        typename = _TYPE_KEYWORDS[kw]
+        char_len = None
+        if rest.startswith("*"):
+            m = _LENGTH_SPEC_RE.match(rest)
+            if not m:
+                raise ParseError(f"malformed length in {kw + rest!r}", loc)
+            length = -1 if m.group(3) else int(m.group(1) or m.group(2))
+            rest = rest[m.end():]
+            if kw == "CHARACTER":
+                char_len = length
+            elif kw == "REAL" and length == 8:
+                typename = "DOUBLE PRECISION"
+            # INTEGER*4/INTEGER*8 both map to INTEGER
+        if not rest:
+            return _PASS
+        return ast.TypeDecl(typename, self._entity_list(rest, loc), char_len)
+
+    def _equivalence(self, kw, rest, label, loc):
         groups: List[Tuple[ast.Expr, ...]] = []
         while rest:
             if rest.startswith(","):
                 rest = rest[1:]
             inner, rest = _balanced_paren(rest, loc)
-            refs = tuple(parse_expression(p, loc)
+            refs = tuple(_expr(p, loc)
                          for p in _split_toplevel(inner, ",") if p)
             if len(refs) < 2 or not all(
                     isinstance(r, (ast.Var, ast.ArrayRef)) for r in refs):
@@ -606,56 +711,62 @@ class _StatementClassifier:
                 inner, after = _balanced_paren(rest, loc)
                 if after:
                     raise ParseError(f"bad declaration entity {item!r}", loc)
-                dims = tuple(self._dimension(d, loc)
+                dims = tuple(self._dim(d, loc)
                              for d in _split_toplevel(inner, ","))
             elif rest:
                 raise ParseError(f"bad declaration entity {item!r}", loc)
             entities.append(ast.Entity(name, dims, char_len))
         return entities
 
-    def _dimension(self, text: str, loc: SourceLocation) -> ast.Dim:
+    def _dim(self, text: str, loc: SourceLocation) -> ast.Dim:
         parts = _split_toplevel(text, ":")
         if len(parts) == 1:
             if parts[0] == "*":
                 return ast.Dim(ast.IntLit(1), None)
-            return ast.Dim(ast.IntLit(1), parse_expression(parts[0], loc))
+            return ast.Dim(ast.IntLit(1), _expr(parts[0], loc))
         if len(parts) == 2:
-            lower = parse_expression(parts[0], loc)
+            lower = _expr(parts[0], loc)
             if parts[1] == "*":
                 return ast.Dim(lower, None)
-            return ast.Dim(lower, parse_expression(parts[1], loc))
+            return ast.Dim(lower, _expr(parts[1], loc))
         raise ParseError(f"bad dimension spec {text!r}", loc)
 
-    def _data(self, text: str, loc: SourceLocation) -> ast.DataDecl:
-        """Parse a condensed DATA statement (``text`` includes the DATA
-        keyword, so reported offsets are absolute within the statement
-        field — the classifier maps them back to card columns)."""
+    def _data(self, kw, rest, label, loc):
+        """DATA: offsets reported from here are absolute within the
+        condensed statement, so the classifier can map them back to card
+        columns."""
+        text = kw + rest
         targets: List[ast.Expr] = []
         values: List[ast.Expr] = []
+        # implied-DO iterations and repeat counts the whole statement may
+        # still expand
+        budget = [MAX_DATA_ELEMENTS]
         i = 4
         n = len(text)
         while i < n:
             j = _find_toplevel(text, "/", i)
             if j < 0:
-                raise self._data_error(
+                raise _parse_error(
                     f"malformed DATA statement {text!r}: missing '/' value "
-                    f"list", loc, i)
+                    f"list", loc, offset=i)
             for t in _split_toplevel(text[i:j].strip(","), ","):
                 if t:
-                    targets.extend(self._expand_data_target(t, loc, {}, i))
+                    targets.extend(
+                        self._expand_data_target(t, loc, {}, i, budget))
             k = text.find("/", j + 1)
             if k < 0:
-                raise self._data_error(
+                raise _parse_error(
                     f"malformed DATA statement {text!r}: unterminated value "
-                    f"list", loc, j)
+                    f"list", loc, offset=j)
             for v in _split_toplevel(text[j + 1:k], ","):
                 m = re.match(r"^(\d+)\*(.+)$", v)
                 if m:
                     rep = int(m.group(1))
-                    val = parse_expression(m.group(2), loc)
+                    _spend(budget, rep, loc, j)
+                    val = _expr(m.group(2), loc)
                     values.extend([ast.clone(val) for _ in range(rep)])
                 else:
-                    values.append(parse_expression(v, loc))
+                    values.append(_expr(v, loc))
             i = k + 1
             if i < n and text[i] == ",":
                 i += 1
@@ -663,17 +774,9 @@ class _StatementClassifier:
         # legitimately consumes many values; the interpreter pairs them up
         return ast.DataDecl(targets, values)
 
-    @staticmethod
-    def _data_error(message: str, loc: SourceLocation,
-                    offset: int) -> ParseError:
-        err = ParseError(message, loc)
-        # condensed offset of the failing region; the classifier converts
-        # it to a card column for the structured diagnostic
-        err.condensed_offset = offset  # type: ignore[attr-defined]
-        return err
-
-    def _expand_data_target(self, t: str, loc: SourceLocation,
-                            env: dict, offset: int) -> List[ast.Expr]:
+    def _expand_data_target(self, t: str, loc: SourceLocation, env: dict,
+                            offset: int, budget: List[int]
+                            ) -> List[ast.Expr]:
         """Expand one DATA target item; implied-DO loops over constant
         bounds become explicit element references."""
         if t.startswith("("):
@@ -688,48 +791,79 @@ class _StatementClassifier:
                         ci = idx
                         break
                 if ci is None or ci == 0:
-                    raise self._data_error(
+                    raise _parse_error(
                         f"malformed implied-DO in DATA ({inner})", loc,
-                        offset)
+                        offset=offset)
                 ctrl = parts[ci:]
                 if len(ctrl) not in (2, 3):
-                    raise self._data_error(
+                    raise _parse_error(
                         f"implied-DO in DATA needs 2 or 3 control "
-                        f"expressions ({inner})", loc, offset)
+                        f"expressions ({inner})", loc, offset=offset)
                 var = m.group(1)
                 start = self._const_int(ctrl[0][m.end():], loc, env, offset)
                 stop = self._const_int(ctrl[1], loc, env, offset)
                 step = (self._const_int(ctrl[2], loc, env, offset)
                         if len(ctrl) == 3 else 1)
                 if step == 0:
-                    raise self._data_error(
-                        "implied-DO in DATA has step 0", loc, offset)
+                    raise _parse_error(
+                        "implied-DO in DATA has step 0", loc, offset=offset)
+                _spend(budget, max((stop - start) // step + 1, 0), loc,
+                       offset)
                 out: List[ast.Expr] = []
                 iv = start
                 while (iv <= stop) if step > 0 else (iv >= stop):
                     env2 = dict(env)
                     env2[var] = iv
                     for item in parts[:ci]:
-                        out.extend(self._expand_data_target(item, loc, env2,
-                                                            offset))
+                        out.extend(self._expand_data_target(
+                            item, loc, env2, offset, budget))
                     iv += step
                 return out
-        e = parse_expression(t, loc)
+        e = _expr(t, loc)
         if env:
             e = _subst_const(e, env)
         return [e]
 
     def _const_int(self, text: str, loc: SourceLocation, env: dict,
                    offset: int) -> int:
-        try:
-            e = _subst_const(parse_expression(text, loc), env)
-        except ParseError:
-            e = None
+        e = _subst_const(_expr(text, loc), env)
         if not isinstance(e, ast.IntLit):
-            raise self._data_error(
+            raise _parse_error(
                 f"implied-DO bound {text!r} in DATA is not a constant", loc,
-                offset)
+                offset=offset)
         return e.value
+
+
+_C = _StatementClassifier
+
+#: The statement families, as data: ``(keyword, handler)`` rows tried in
+#: order against the condensed statement (after the DO-header and
+#: assignment shapes, which no keyword introduces).  The first row whose
+#: keyword prefixes the text and whose handler does not pass wins.
+STATEMENTS = (
+    ("END", _C._bare), ("ENDDO", _C._bare), ("ENDIF", _C._bare),
+    ("ELSE", _C._bare), ("ELSEIF", _C._else_if), ("IF", _C._if),
+    ("CALL", _C._call), ("GOTO", _C._goto), ("ASSIGN", _C._assign),
+    ("ENTRY", _C._entry), ("CONTINUE", _C._continue),
+    ("RETURN", _C._return), ("STOP", _C._stop),
+    ("WRITE", _C._read_write), ("READ", _C._read_write),
+    ("PRINT", _C._print), ("FORMAT", _C._format),
+    ("IMPLICIT", _C._implicit), ("DIMENSION", _C._dimension),
+    ("COMMON", _C._common), ("PARAMETER", _C._parameter),
+    ("SAVE", _C._save), ("EXTERNAL", _C._external),
+    ("INTRINSIC", _C._intrinsic), ("EQUIVALENCE", _C._equivalence),
+    ("DATA", _C._data),
+) + tuple((kw, _C._type) for kw in _TYPE_KEYWORDS)
+
+
+def _spend(budget: List[int], n: int, loc: SourceLocation,
+           offset: int) -> None:
+    """Charge ``n`` expanded elements to a DATA statement's budget."""
+    budget[0] -= n
+    if budget[0] < 0:
+        raise _parse_error(
+            f"DATA statement expands to more than {MAX_DATA_ELEMENTS} "
+            f"elements", loc, code="data-too-large", offset=offset)
 
 
 def _enrich_parse_error(e: ParseError, line: LogicalLine) -> ParseError:
@@ -738,7 +872,8 @@ def _enrich_parse_error(e: ParseError, line: LogicalLine) -> ParseError:
     would otherwise lose the source line entirely)."""
     if e.excerpt is not None:
         return e
-    _, cmap = condense_with_map(line.text)
+    cmap: List[int] = []
+    condense(line.text, tolerant=True, columns=cmap)
     offset = getattr(e, "condensed_offset", 0)
     if cmap:
         offset = min(max(offset, 0), len(cmap) - 1)
@@ -857,23 +992,38 @@ def _balanced_paren(text: str, loc: SourceLocation) -> Tuple[str, str]:
     raise ParseError(f"unbalanced parentheses in {text!r}", loc)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Structurer
 # ---------------------------------------------------------------------------
 
 class _Structurer:
-    """Builds nested statement blocks from the flat item stream."""
+    """Builds nested statement blocks from the flat item stream.
 
-    def __init__(self, items: List[_Flat]):
+    A block whose terminator is missing is closed at the end of the
+    *enclosing* region (which is how most real compilers recover); a
+    closer with no opener is dropped.
+    """
+
+    def __init__(self, items: List[_Flat], sink: DiagnosticSink):
         self.items = items
+        self.sink = sink
+        self.depth = 0
 
     def build(self, lo: int, hi: int) -> List[ast.Stmt]:
+        if self.depth > MAX_BLOCK_DEPTH:
+            raise _parse_error(
+                f"blocks nested deeper than {MAX_BLOCK_DEPTH} levels",
+                self.items[lo - 1].location, code="nesting-too-deep")
+        self.depth += 1
         out: List[ast.Stmt] = []
         i = lo
         while i < hi:
             stmt, i = self._one(i, hi)
             if stmt is not None:
                 out.append(stmt)
+        self.depth -= 1
         return out
 
     def _one(self, i: int, hi: int) -> Tuple[Optional[ast.Stmt], int]:
@@ -888,33 +1038,39 @@ class _Structurer:
             return self._omp(i, hi)
         if it.kind == "tag_begin":
             return self._tagged(i, hi)
-        if it.kind == "tag_end":
-            raise ParseError(f"unmatched inline END tag {it.text!r}",
-                             it.location)
-        if it.kind in ("endif", "else", "elseif", "enddo", "end"):
-            raise ParseError(f"unexpected {it.kind.upper()}", it.location)
-        raise ParseError(f"unexpected item {it.kind}", it.location)
+        # a closer with no opener: endif, else, elseif, enddo, tag_end
+        self.sink.report("stray-closer",
+                         f"unmatched inline END tag {it.text!r}"
+                         if it.kind == "tag_end" else
+                         f"unexpected {it.kind.upper()}",
+                         "skipping it", it.location, severity="skipped")
+        return None, i + 1
 
     def _do(self, i: int, hi: int) -> Tuple[ast.Stmt, int]:
         it = self.items[i]
-        if it.do_term is not None:
-            j = self._find_label(i + 1, hi, it.do_term)
-            body = self.build(i + 1, j + 1)  # terminator is part of the body
-            loop = ast.DoLoop(it.do_var, it.do_start, it.do_stop, it.do_step,
-                              body, it.label, it.do_term)
-            return loop, j + 1
-        j = self._match_enddo(i + 1, hi)
-        body = self.build(i + 1, j)
+        term = it.do_term
+        if term is not None:
+            j = self._find_label(i + 1, hi, term)
+            end = nxt = j + 1  # the terminator is part of the body
+            missing = ("missing-do-label",
+                       f"DO terminator label {term} not found")
+        else:
+            j = self._match_enddo(i + 1, hi)
+            end, nxt = j, j + 1
+            missing = ("missing-enddo", "missing ENDDO")
+        if j < 0:
+            self.sink.report(*missing, "closing the loop at the end of the "
+                             "enclosing block", it.location, severity="note")
+            end, nxt, term = hi, hi, None
         loop = ast.DoLoop(it.do_var, it.do_start, it.do_stop, it.do_step,
-                          body, it.label, None)
-        return loop, j + 1
+                          self.build(i + 1, end), it.label, term)
+        return loop, nxt
 
     def _find_label(self, lo: int, hi: int, label: int) -> int:
         for j in range(lo, hi):
             if self.items[j].label == label and self.items[j].kind == "stmt":
                 return j
-        raise ParseError(f"DO terminator label {label} not found",
-                         self.items[lo - 1].location)
+        return -1
 
     def _match_enddo(self, lo: int, hi: int) -> int:
         depth = 0
@@ -926,7 +1082,7 @@ class _Structurer:
                 if depth == 0:
                     return j
                 depth -= 1
-        raise ParseError("missing ENDDO", self.items[lo - 1].location)
+        return -1
 
     def _if(self, i: int, hi: int) -> Tuple[ast.Stmt, int]:
         header = self.items[i]
@@ -953,18 +1109,22 @@ class _Structurer:
                 cond = None
                 arm_start = j + 1
             j += 1
-        raise ParseError("missing ENDIF", header.location)
+        self.sink.report("missing-endif", "missing ENDIF",
+                         "closing the IF block at the end of the enclosing "
+                         "block", header.location, severity="note")
+        arms.append((cond, self.build(arm_start, hi)))
+        return ast.IfBlock(arms, header.label), hi
 
     def _omp(self, i: int, hi: int) -> Tuple[Optional[ast.Stmt], int]:
         it = self.items[i]
         text = it.text.replace(" ", "")
-        if text.startswith("ENDPARALLELDO") or text.startswith("ENDDO") \
-                or text.startswith("ENDPARALLEL"):
+        if text.startswith(("ENDPARALLEL", "ENDDO")):
             return None, i + 1
-        if not (text.startswith("PARALLELDO") or text.startswith("DO")
-                or text.startswith("PARALLEL")):
-            raise ParseError(f"unsupported OpenMP directive {it.text!r}",
-                             it.location)
+        if not text.startswith(("PARALLEL", "DO")):
+            self.sink.report("bad-omp",
+                             f"unsupported OpenMP directive {it.text!r}",
+                             "dropping it", it.location, severity="skipped")
+            return None, i + 1
         private, reductions, schedule = _parse_omp_clauses(it.text)
         # the directive governs the next DO loop in the stream; intervening
         # companion directives (e.g. separate PARALLEL then DO) are merged
@@ -976,8 +1136,11 @@ class _Structurer:
             schedule = schedule or s2
             j += 1
         if j >= hi or self.items[j].kind != "do":
-            raise ParseError("OpenMP PARALLEL DO directive not followed by "
-                             "a DO loop", it.location)
+            self.sink.report("omp-no-loop",
+                             "OpenMP PARALLEL DO directive not followed by "
+                             "a DO loop", "dropping the directive",
+                             it.location, severity="skipped")
+            return None, j
         loop_stmt, nxt = self._do(j, hi)
         assert isinstance(loop_stmt, ast.DoLoop)
         return ast.OmpParallelDo(loop_stmt, tuple(private),
@@ -985,7 +1148,7 @@ class _Structurer:
 
     def _tagged(self, i: int, hi: int) -> Tuple[ast.Stmt, int]:
         it = self.items[i]
-        callee, site_id, actuals = _parse_tag_begin(it.text, it.location)
+        callee, site_id, actuals = it.tag
         depth = 0
         for j in range(i + 1, hi):
             item = self.items[j]
@@ -993,17 +1156,23 @@ class _Structurer:
                 depth += 1
             elif item.kind == "tag_end":
                 if depth == 0:
-                    end_id = int(item.text.split()[0])
-                    if end_id != site_id:
-                        raise ParseError(
-                            f"inline tag mismatch: BEGIN {site_id} closed by "
-                            f"END {end_id}", item.location)
-                    body = self.build(i + 1, j)
-                    return ast.TaggedBlock(callee, site_id, actuals, body,
-                                           it.label), j + 1
+                    if item.tag[0] != site_id:
+                        self.sink.report(
+                            "tag-mismatch",
+                            f"inline tag mismatch: BEGIN {site_id} closed "
+                            f"by END {item.tag[0]}", "accepting the closure",
+                            item.location, severity="note")
+                    end, nxt = j, j + 1
+                    break
                 depth -= 1
-        raise ParseError(f"missing inline END tag for site {site_id}",
-                         it.location)
+        else:
+            self.sink.report("missing-end-tag",
+                             f"missing inline END tag for site {site_id}",
+                             "closing it at the end of the enclosing block",
+                             it.location, severity="note")
+            end = nxt = hi
+        return ast.TaggedBlock(callee, site_id, actuals,
+                               self.build(i + 1, end), it.label), nxt
 
 
 def _parse_omp_clauses(text: str):
@@ -1027,25 +1196,24 @@ def _parse_omp_clauses(text: str):
 def _parse_tag_begin(text: str, loc: SourceLocation):
     """Parse ``<callee> <site_id> [actual|actual|...]``."""
     parts = text.split(None, 2)
-    if len(parts) < 2:
+    if len(parts) < 2 or not parts[1].isdecimal():
         raise ParseError(f"malformed inline BEGIN tag {text!r}", loc)
-    callee = parts[0].upper()
-    site_id = int(parts[1])
     actuals: Tuple[ast.Expr, ...] = ()
     if len(parts) == 3 and parts[2].strip():
         actuals = tuple(parse_expression(a, loc)
                         for a in parts[2].split("|") if a.strip())
-    return callee, site_id, actuals
+    return parts[0].upper(), int(parts[1]), actuals
 
 
 # ---------------------------------------------------------------------------
 # Program-unit assembly
 # ---------------------------------------------------------------------------
 
-def parse_source(text: str, filename: str = "<string>") -> ast.SourceFile:
-    """Parse fixed-form source text into a :class:`~repro.fortran.ast.SourceFile`."""
-    lines = read_logical_lines(text, filename)
-    classifier = _StatementClassifier(filename)
+def _parse(text: str, filename: str, sink: DiagnosticSink) -> ast.SourceFile:
+    """The frontend: read cards, classify statements, structure blocks,
+    assemble program units — reporting every fault to ``sink``."""
+    lines = read_logical_lines(text, filename, sink)
+    classifier = _StatementClassifier(sink)
     units: List[ast.ProgramUnit] = []
     current_header: Optional[Tuple[str, str, List[str], str]] = None
     current_items: List[_Flat] = []
@@ -1054,9 +1222,6 @@ def parse_source(text: str, filename: str = "<string>") -> ast.SourceFile:
     def finish_unit() -> None:
         nonlocal current_header, current_items
         if current_header is None:
-            if current_items:
-                raise ParseError("statements outside any program unit",
-                                 current_items[0].location)
             return
         kind, name, params, result_type = current_header
         decls: List[ast.Decl] = []
@@ -1066,40 +1231,71 @@ def parse_source(text: str, filename: str = "<string>") -> ast.SourceFile:
                 decls.append(it.stmt)  # type: ignore[arg-type]
             else:
                 body_items.append(it)
-        body = _Structurer(body_items).build(0, len(body_items))
+        try:
+            body = _Structurer(body_items, sink).build(0, len(body_items))
+        except ReproError as e:
+            # the safety net: a structuring failure with no recovery of
+            # its own (block nest too deep, a directive clause that does
+            # not lex) keeps the unit and boxes its whole body
+            code = getattr(e, "code", "unit-structure")
+            sink.caught(e, code, header_loc)
+            body = [ast.Opaque(text=f"{kind} {name} body", reason=code)]
         units.append(ast.ProgramUnit(kind, name, params, decls, body,
                                      result_type))
         current_header = None
         current_items = []
 
     for line in lines:
-        text_c = condense(line.text)
-        m = _UNIT_HEADER_RE.match(text_c) if text_c else None
-        if m and m.group(2) in ("PROGRAM", "SUBROUTINE", "FUNCTION"):
+        # the one condensation of the card; a strict parse stops at an
+        # open character literal here, a recording one lets the lexer
+        # meet it so the rest of the card still classifies
+        condensed = condense(line.text, tolerant=not sink.strict)
+        m = _UNIT_HEADER_RE.match(condensed) if condensed else None
+        if m:
             finish_unit()
-            rtype = _TYPE_KEYWORDS.get(m.group(1) or "", "")
-            kind = m.group(2)
-            name = m.group(3)
             params: List[str] = []
             if m.group(4):
-                inner = m.group(4)[1:-1]
-                params = [p for p in inner.split(",") if p]
-            current_header = (kind, name, params, rtype)
+                params = [p for p in m.group(4)[1:-1].split(",") if p]
+            current_header = (m.group(2), m.group(3), params,
+                              _TYPE_KEYWORDS.get(m.group(1) or "", ""))
             header_loc = line.location
             # directives before a unit header are not meaningful; drop them
             continue
-        flats = classifier.classify(line)
-        for f in flats:
+        for f in classifier.classify(line, condensed):
             if f.kind == "end":
                 finish_unit()
-            else:
-                if current_header is None and f.kind in ("omp", "tag_begin",
-                                                         "tag_end"):
-                    continue  # stray trailing directives
-                if current_header is None:
-                    raise ParseError("statement outside any program unit",
-                                     f.location)
+            elif current_header is not None:
                 current_items.append(f)
+            elif f.kind not in ("omp", "tag_begin", "tag_end"):
+                # (stray trailing directives are dropped silently)
+                sink.report("stray-statement",
+                            "statement outside any program unit",
+                            "skipping it", f.location,
+                            excerpt=line.text.rstrip(), severity="skipped")
     if current_header is not None:
-        raise ParseError("missing END for final program unit", header_loc)
+        sink.report("missing-end", "missing END for final program unit",
+                    "adding an implicit one", header_loc, severity="note")
+        finish_unit()
     return ast.SourceFile(units, filename)
+
+
+def parse_source(text: str, filename: str = "<string>") -> ast.SourceFile:
+    """Parse fixed-form source text into a
+    :class:`~repro.fortran.ast.SourceFile`; the first malformed construct
+    raises :class:`~repro.errors.LexError` or
+    :class:`~repro.errors.ParseError`."""
+    return _parse(text, filename, DiagnosticSink(strict=True))
+
+
+def parse_source_tolerant(text: str, filename: str = "<string>"
+                          ) -> Tuple[ast.SourceFile, List[Diagnostic]]:
+    """Parse fixed-form source text, recovering from every malformed
+    construct.  Returns ``(SourceFile, [Diagnostic])`` and never raises
+    for malformed input.
+
+    The returned tree is always structurally valid: statements that could
+    not be understood appear as :class:`~repro.fortran.ast.Opaque`
+    markers, which the analyses treat as "may touch anything".
+    """
+    sink = DiagnosticSink()
+    return _parse(text, filename, sink), sink.items

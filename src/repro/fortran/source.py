@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import LexError, SourceLocation
+from repro.fortran.diagnostics import DiagnosticSink
 
 #: maximum significant column of the statement field
 STATEMENT_FIELD_END = 72
@@ -74,7 +75,9 @@ def _classify_comment(body: str, line_no: int) -> Optional[Directive]:
     return None
 
 
-def read_logical_lines(text: str, filename: str = "<string>") -> List[LogicalLine]:
+def read_logical_lines(text: str, filename: str = "<string>",
+                       sink: Optional[DiagnosticSink] = None
+                       ) -> List[LogicalLine]:
     """Split fixed-form source text into logical lines.
 
     Continuation lines are appended to the statement field of the previous
@@ -83,7 +86,17 @@ def read_logical_lines(text: str, filename: str = "<string>") -> List[LogicalLin
     annotate the loop that follows them); structured comments at end of
     file are attached to a synthetic empty logical line so they are not
     lost.
+
+    A malformed card is reported to ``sink`` — by default a strict one,
+    which raises :class:`~repro.errors.LexError` — and then repaired the
+    classic "keep reading" way: a continuation card with nothing to
+    continue starts a fresh statement (``orphan-continuation``; a
+    structured comment ends the statement before it, so this covers a
+    directive between a statement and its continuation), and a
+    non-numeric label field is dropped (``bad-label``).
     """
+    if sink is None:
+        sink = DiagnosticSink(strict=True)
     logical: List[LogicalLine] = []
     pending: List[Directive] = []
     current: Optional[LogicalLine] = None
@@ -113,35 +126,32 @@ def read_logical_lines(text: str, filename: str = "<string>") -> List[LogicalLin
             continue
         if len(line) < 6:
             line = line.ljust(6)
-        label_field = line[0:5]
-        cont_field = line[5]
-        stmt_field = line[6:STATEMENT_FIELD_END]
-        if cont_field not in (" ", "0"):
-            # continuation line
-            if current is None:
-                raise LexError(
-                    "continuation line with no statement to continue",
-                    SourceLocation(filename, idx),
-                )
-            if pending:
-                raise LexError(
-                    "directive between a statement and its continuation",
-                    SourceLocation(filename, idx),
-                )
-            current.text += stmt_field.rstrip()
-            continue
-        flush()
+        label_field = line[0:5].strip()
+        stmt_field = line[6:STATEMENT_FIELD_END].rstrip()
         label: Optional[int] = None
-        if label_field.strip():
-            if not label_field.strip().isdigit():
-                raise LexError(
-                    f"bad statement label {label_field.strip()!r}",
-                    SourceLocation(filename, idx),
-                )
-            label = int(label_field.strip())
+        if line[5] not in (" ", "0"):
+            # continuation line
+            if current is not None:
+                current.text += stmt_field
+                continue
+            sink.report("orphan-continuation",
+                        "continuation line with no statement to continue",
+                        "treating it as a new statement",
+                        SourceLocation(filename, idx), column=6,
+                        excerpt=raw.rstrip(), error=LexError)
+        else:
+            flush()
+            if label_field.isdecimal():
+                label = int(label_field)
+            elif label_field:
+                sink.report("bad-label",
+                            f"bad statement label {label_field!r}",
+                            "ignoring the label field",
+                            SourceLocation(filename, idx), column=1,
+                            excerpt=raw.rstrip(), error=LexError)
         current = LogicalLine(
             label=label,
-            text=stmt_field.rstrip(),
+            text=stmt_field,
             line=idx,
             filename=filename,
             leading=pending,
@@ -171,7 +181,8 @@ def _strip_inline_comment(line: str) -> str:
     return line
 
 
-def condense(stmt: str) -> str:
+def condense(stmt: str, *, tolerant: bool = False,
+             columns: Optional[List[int]] = None) -> str:
     """Remove blanks and upper-case a statement field, outside strings.
 
     Fixed-form Fortran treats blanks in the statement field as
@@ -179,54 +190,31 @@ def condense(stmt: str) -> str:
     compilers, including Polaris) is to condense the statement before
     classification and tokenization.  Quoted character literals keep their
     spacing and case.
+
+    An unterminated literal raises :class:`~repro.errors.LexError` unless
+    ``tolerant``, which keeps its tail verbatim — the parser condenses a
+    card this way, so the fault is reported where the literal is
+    tokenized.  ``columns``, when given, receives for each condensed
+    character the 0-based offset into ``stmt`` it came from; the card
+    column is ``7 + offset`` (the statement field starts at column 7).
     """
+    if columns is None and "'" not in stmt and '"' not in stmt:
+        return stmt.replace(" ", "").replace("\t", "").upper()
     out: List[str] = []
-    in_quote: Optional[str] = None
-    for ch in stmt:
-        if in_quote:
-            out.append(ch)
-            if ch == in_quote:
-                in_quote = None
-        elif ch in ("'", '"'):
-            in_quote = ch
-            out.append(ch)
-        elif ch == " " or ch == "\t":
-            continue
-        else:
-            out.append(ch.upper())
-    if in_quote:
-        raise LexError(f"unterminated character literal in {stmt!r}")
-    return "".join(out)
-
-
-def condense_with_map(stmt: str) -> tuple:
-    """Like :func:`condense`, but also map condensed indices back to the
-    statement-field offsets they came from.
-
-    Returns ``(condensed, indices)`` where ``indices[i]`` is the 0-based
-    offset into ``stmt`` of the character that produced ``condensed[i]``.
-    The fixed-form card column is ``7 + offset`` (the statement field
-    starts at column 7), which is what tolerant-frontend diagnostics
-    report.  Unterminated literals fall back to treating the tail as
-    ordinary text instead of raising, so the map is usable during error
-    recovery.
-    """
-    out: List[str] = []
-    indices: List[int] = []
     in_quote: Optional[str] = None
     for i, ch in enumerate(stmt):
         if in_quote:
-            out.append(ch)
-            indices.append(i)
             if ch == in_quote:
                 in_quote = None
         elif ch in ("'", '"'):
             in_quote = ch
-            out.append(ch)
-            indices.append(i)
         elif ch == " " or ch == "\t":
             continue
         else:
-            out.append(ch.upper())
-            indices.append(i)
-    return "".join(out), indices
+            ch = ch.upper()
+        out.append(ch)
+        if columns is not None:
+            columns.append(i)
+    if in_quote and not tolerant:
+        raise LexError(f"unterminated character literal in {stmt!r}")
+    return "".join(out)
