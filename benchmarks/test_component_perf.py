@@ -24,6 +24,13 @@ def test_parse_speed(benchmark, dyfesm_source):
     assert tree.units
 
 
+def test_program_clone_speed(benchmark):
+    # the copying kernel (ast.clone) on the nine-unit program
+    program = get_benchmark("dyfesm").program()
+    twin = benchmark(program.clone)
+    assert len(twin.units) == 9 and twin.files == program.files
+
+
 def test_unparse_roundtrip_speed(benchmark, dyfesm_source):
     tree = parse_source(dyfesm_source)
     text = benchmark(unparse, tree)

@@ -54,6 +54,8 @@ def propagate_parameters(unit: ast.ProgramUnit, table: SymbolTable) -> None:
                 values[name] = ast.IntLit(c)
             elif isinstance(info.parameter_value, ast.RealLit):
                 values[name] = info.parameter_value
+    if not values:
+        return  # nothing to fold: leave every statement as it is
 
     def rewrite(e: ast.Expr) -> Optional[ast.Expr]:
         if isinstance(e, ast.Var) and e.name.upper() in values:
@@ -76,25 +78,20 @@ class _Increment:
 
 def _substitute_inductions_in(body: List[ast.Stmt],
                               table: SymbolTable) -> List[ast.Stmt]:
-    """Recursively apply induction substitution, innermost loops first."""
+    """Recursively apply induction substitution, innermost loops first
+    (nested blocks in place: only a loop the pattern fits is rebuilt)."""
     out: List[ast.Stmt] = []
     for s in body:
         if isinstance(s, ast.DoLoop):
-            rebuilt = ast.DoLoop(s.var, s.start, s.stop, s.step,
-                                 _substitute_inductions_in(s.body, table),
-                                 s.label, s.term_label)
-            ast.copy_loop_meta(s, rebuilt)
-            out.extend(substitute_inductions(rebuilt, table))
-        elif isinstance(s, ast.IfBlock):
-            out.append(ast.IfBlock(
-                [(c, _substitute_inductions_in(b, table)) for c, b in s.arms],
-                s.label))
+            s.body = _substitute_inductions_in(s.body, table)
+            out.extend(substitute_inductions(s, table))
+            continue
+        if isinstance(s, ast.IfBlock):
+            s.arms = [(c, _substitute_inductions_in(b, table))
+                      for c, b in s.arms]
         elif isinstance(s, ast.TaggedBlock):
-            out.append(ast.TaggedBlock(
-                s.callee, s.site_id, s.actuals,
-                _substitute_inductions_in(s.body, table), s.label))
-        else:
-            out.append(s)
+            s.body = _substitute_inductions_in(s.body, table)
+        out.append(s)
     return out
 
 
@@ -174,8 +171,7 @@ def substitute_inductions(loop: ast.DoLoop,
     after = substitute(loop.body[inc.position + 1:], 1)
     new_loop = ast.DoLoop(loop.var, loop.start, loop.stop, loop.step,
                           before + after, loop.label, None)
-    if hasattr(loop, "origin"):
-        new_loop.origin = loop.origin  # type: ignore[attr-defined]
+    ast.copy_loop_meta(loop, new_loop)
     trip = ast.BinOp("+", ast.BinOp("-", ast.clone(loop.stop),
                                     ast.clone(loop.start)), ast.IntLit(1))
     total: ast.Expr = trip if abs(inc.amount) == 1 else ast.BinOp(
@@ -230,6 +226,17 @@ def _forward(body: List[ast.Stmt], table: SymbolTable,
 
 def _subst_into(s: ast.Stmt, env: Dict[str, ast.Expr],
                 table: SymbolTable) -> ast.Stmt:
+    if not env:
+        # every rewrite is the identity and every invalidation a no-op;
+        # nested blocks are still entered: an assignment inside may open
+        # a binding
+        if isinstance(s, ast.IfBlock):
+            for _, arm in s.arms:
+                _forward(arm, table, {})
+        elif isinstance(s, (ast.DoLoop, ast.TaggedBlock)):
+            _forward(s.body, table, {})
+        return s
+
     def rewrite(e: ast.Expr) -> Optional[ast.Expr]:
         if isinstance(e, ast.Var) and e.name.upper() in env:
             return ast.clone(env[e.name.upper()])
@@ -275,11 +282,8 @@ def _subst_into(s: ast.Stmt, env: Dict[str, ast.Expr],
         _invalidate(env, written)
         inner_env = dict(env)
         _forward(s.body, table, inner_env)
-        loop = ast.DoLoop(s.var, start, stop, step, s.body, s.label,
-                          s.term_label)
-        if hasattr(s, "origin"):
-            loop.origin = s.origin  # type: ignore[attr-defined]
-        return loop
+        return ast.copy_loop_meta(s, ast.DoLoop(
+            s.var, start, stop, step, s.body, s.label, s.term_label))
     if isinstance(s, ast.TaggedBlock):
         inner_env = dict(env)
         _forward(s.body, table, inner_env)
@@ -305,6 +309,8 @@ def _update_env(s: ast.Stmt, env: Dict[str, ast.Expr],
                             for n in ast.walk_expr(rhs))):
             env[v] = rhs
         return
+    if not env:
+        return  # nothing to invalidate
     acc = collect_accesses([s], table)
     if acc.has_call or acc.has_opaque:
         # calls and opaque/ENTRY statements may write anything

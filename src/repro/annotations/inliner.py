@@ -62,7 +62,7 @@ class AnnotationInliner:
         counter = [0]
         for unit in program.units:
             self._unit(program, unit, result, counter)
-        program.resolve()
+        program.resolve({s.caller for s in result.sites if s.inlined})
         return result
 
     # ------------------------------------------------------------------

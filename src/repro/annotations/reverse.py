@@ -104,7 +104,7 @@ class ReverseInliner:
         result = ReverseResult()
         for unit in program.units:
             self._unit(program, unit, result)
-        program.resolve()
+        program.resolve({s.caller for s in result.sites})
         return result
 
     # ------------------------------------------------------------------

@@ -72,7 +72,7 @@ def run_config(benchmark: Benchmark, config: Config,
     base, cloned, through :func:`repro.pipeline.parallelize_program`,
     with the run's decision records stamped for Table II's count."""
     tracer = tracer or NULL_TRACER
-    parse: Dict[str, float] = {}
+    timings: Dict[str, float] = {}
     # every log record inside the pipeline (and below it) carries the
     # benchmark/config correlation IDs, on top of whatever run_id/job_id
     # the caller established
@@ -85,9 +85,9 @@ def run_config(benchmark: Benchmark, config: Config,
         with tracer.span("pipeline", benchmark=benchmark.name,
                          config=config.kind):
             if base is None:
-                with tracer.phase("parse", parse, benchmark=benchmark.name):
+                with tracer.phase("parse", timings, benchmark=benchmark.name):
                     base = prepare_base(benchmark)
-            with tracer.span("clone"):
+            with tracer.phase("clone", timings):
                 program = base.clone()
             result = parallelize_program(
                 program, config,
@@ -95,7 +95,7 @@ def run_config(benchmark: Benchmark, config: Config,
                 else None,
                 unavailable=benchmark.library_units, tracer=tracer)
         report = result.report
-        merge_timings(report.timings, parse)
+        merge_timings(report.timings, timings)
         if tracer.enabled:
             _stamp_decisions(tracer.decisions[first_decision:],
                              benchmark.name, config.kind,

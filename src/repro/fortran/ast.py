@@ -2,8 +2,14 @@
 
 All nodes are frozen-free dataclasses with structural equality, which the
 reverse inliner's pattern matcher and the dependence analyzer's expression
-comparisons rely on.  ``copy.deepcopy`` is the supported cloning mechanism
-(see :func:`clone`).
+comparisons rely on.  :func:`clone` is the one cloning mechanism: a
+structural copy that shares atoms (``str``/``int``/``float``/``bool``/
+``None``) and rebuilds every ``list``, ``tuple`` and node, carrying each
+node's whole instance ``__dict__`` — so non-field metadata (a loop's
+``origin``) and ``compare=False`` fields (``RealLit.text``) travel with it.
+Aliasing is *not* preserved: a node referenced twice in the original is
+two nodes in the copy, the safe side for passes that mutate in place (an
+edit through one reference can never show through another).
 
 Expression references to a name with an argument list are parsed as
 :class:`ArrayRef`; the resolution pass in :mod:`repro.fortran.symbols`
@@ -14,7 +20,6 @@ distinction is accurate.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -603,9 +608,25 @@ def map_stmt_exprs(body: List[Stmt],
     return map_stmts(body, rewrite)
 
 
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+
+
 def clone(node):
-    """Deep-copy an AST node (or list of nodes)."""
-    return copy.deepcopy(node)
+    """Structurally copy an AST node (or list/tuple of nodes): atoms are
+    shared, everything else is rebuilt (see the module docstring).  One
+    Python frame per tree level, so any tree the parser builds clones."""
+    cls = node.__class__
+    if cls in _ATOMS:
+        return node
+    if cls is list:
+        return [clone(x) for x in node]
+    if cls is tuple:
+        return tuple([clone(x) for x in node])
+    new = cls.__new__(cls)
+    fields = new.__dict__
+    for name, value in node.__dict__.items():
+        fields[name] = value if value.__class__ in _ATOMS else clone(value)
+    return new
 
 
 def copy_loop_meta(old: DoLoop, new: DoLoop) -> DoLoop:

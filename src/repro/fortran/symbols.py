@@ -16,7 +16,7 @@ user function, which every later analysis relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SemanticError
 from repro.fortran import ast
@@ -176,8 +176,10 @@ def function_names(source: ast.SourceFile) -> Set[str]:
 
 
 def resolve_calls(source: ast.SourceFile,
-                  extra_functions: Optional[Set[str]] = None) -> ast.SourceFile:
-    """Rewrite ``NAME(args)`` references into :class:`FuncRef` in place.
+                  extra_functions: Optional[Set[str]] = None,
+                  units: Optional[Collection[str]] = None) -> ast.SourceFile:
+    """Rewrite ``NAME(args)`` references into :class:`FuncRef` in place,
+    in every unit or only in the named ``units``.
 
     A parenthesized name reference is a function call exactly when the name
     is not a declared array in the enclosing unit and is either an
@@ -187,6 +189,8 @@ def resolve_calls(source: ast.SourceFile,
     """
     funcs = function_names(source) | (extra_functions or set())
     for unit in source.units:
+        if units is not None and unit.name not in units:
+            continue
         table = build_symbol_table(unit)
         ext = externals_of(unit)
 

@@ -64,7 +64,8 @@ class ConventionalInliner:
         site_counter = [0]
         for unit in program.units:
             self._inline_in_unit(program, unit, graph, result, site_counter)
-        program.resolve()  # re-run resolution: new code may use functions
+        # re-run resolution where code arrived: it may use functions
+        program.resolve({s.caller for s in result.sites if s.inlined})
         return result
 
     # ------------------------------------------------------------------

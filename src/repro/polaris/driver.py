@@ -228,10 +228,9 @@ class Polaris:
         inner_body = (process(loop.body, enclosing + [loop])
                       if self.options.parallelize_nested
                       else loop.body)
-        new_loop = ast.DoLoop(loop.var, loop.start, loop.stop, loop.step,
-                              inner_body, loop.label, loop.term_label)
-        if hasattr(loop, "origin"):
-            new_loop.origin = loop.origin  # type: ignore[attr-defined]
+        new_loop = ast.copy_loop_meta(loop, ast.DoLoop(
+            loop.var, loop.start, loop.stop, loop.step, inner_body,
+            loop.label, loop.term_label))
         if not verdict.parallelized:
             return new_loop
         return ast.OmpParallelDo(new_loop, private=verdict.private,

@@ -32,7 +32,7 @@ class LoopVerdict:
 
 
 #: canonical display order of the pipeline's timed phases
-PHASES = ("parse", "normalize", "summaries", "dependence",
+PHASES = ("parse", "clone", "normalize", "summaries", "dependence",
           "infer", "inline", "reverse", "profile", "price")
 
 

@@ -9,7 +9,7 @@ parallelization, reverse inlining) operate on a Program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 from repro.errors import SemanticError
 from repro.fortran import ast
@@ -68,14 +68,16 @@ class Program:
                 if u.kind in ("SUBROUTINE", "FUNCTION")}
 
     # ------------------------------------------------------------------
-    def resolve(self) -> None:
+    def resolve(self, units: Optional[Collection[str]] = None) -> None:
         """Run function-reference resolution with the global function set
-        (cross-file) and invalidate cached symbol tables."""
+        (cross-file) and invalidate cached symbol tables.  A pass that
+        knows which units it rewrote names them in ``units``; resolution
+        is idempotent on the rest (no pass adds or removes a FUNCTION)."""
         funcs = set()
         for f in self.files:
             funcs |= function_names(f)
         for f in self.files:
-            resolve_calls(f, funcs)
+            resolve_calls(f, funcs, units)
         self._tables.clear()
 
     def symtab(self, unit: ast.ProgramUnit) -> SymbolTable:

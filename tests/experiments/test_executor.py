@@ -18,6 +18,7 @@ from repro.experiments.executor import (JOBS_ENV, _IN_WORKER_ENV,
                                         WorkerPool, WorkerTimeout,
                                         resolve_jobs, run_tasks)
 from repro.experiments.figure20 import figure20_all, render_figure20
+from repro.experiments.reporting import render_profile
 from repro.experiments.table2 import render_table2, table2_rows
 from repro.fortran.parser import parse_expression
 from repro.perfect import get_benchmark
@@ -176,10 +177,14 @@ class TestTable2Equivalence:
         _clear_caches()
         rows = table2_rows(benchmarks=[get_benchmark("adm")])
         assert rows[0].timings
-        for phase in ("parse", "normalize", "summaries", "dependence",
-                      "inline", "reverse"):
+        for phase in ("parse", "clone", "normalize", "summaries",
+                      "dependence", "inline", "reverse"):
             assert rows[0].timings.get(phase, 0.0) >= 0.0
-        assert "dependence" in rows[0].timings
+        # the per-configuration clone is booked, in its place
+        assert {"clone", "dependence"} <= set(rows[0].timings)
+        profile = render_profile(rows[0].timings)
+        assert profile.index("parse") < profile.index("clone") \
+            < profile.index("normalize")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_row_timings_equal_merge_of_worker_outcomes(self, jobs):

@@ -40,7 +40,7 @@ def test_phase_spans_cover_the_pipeline():
     tracer = Tracer(label="test", pid=1)
     table2_rows(benchmarks=[get_benchmark("adm")], jobs=1, tracer=tracer)
     names = {e["name"] for e in tracer.events if e["ph"] == "X"}
-    for phase in ("pipeline", "parse", "normalize", "summaries",
+    for phase in ("pipeline", "parse", "clone", "normalize", "summaries",
                   "dependence", "inline", "reverse"):
         assert any(n == phase or n.startswith(phase) for n in names), phase
 
