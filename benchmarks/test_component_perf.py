@@ -1,12 +1,18 @@
 """Micro-benchmarks of the compiler components (frontend, dependence
 tester, inliners, interpreter) on realistic inputs."""
 
+import glob
+import os
+
 import pytest
 
 from repro.analysis.affine import extract
 from repro.analysis.dependence import DependenceTester, LoopCtx
 from repro.annotations import AnnotationInliner, ReverseInliner
-from repro.fortran.parser import parse_expression, parse_source
+from repro.fortran.lexer import tokenize
+from repro.fortran.parser import (parse_expression, parse_source,
+                                  parse_source_tolerant)
+from repro.fortran.source import condense, read_logical_lines
 from repro.fortran.unparser import unparse
 from repro.perfect import get_benchmark
 from repro.polaris import Polaris
@@ -22,6 +28,34 @@ def dyfesm_source():
 def test_parse_speed(benchmark, dyfesm_source):
     tree = benchmark(parse_source, dyfesm_source)
     assert tree.units
+
+
+def test_tolerant_parse_speed(benchmark):
+    # the user-facing path: the 23 dialect programs, recovery included
+    corpus = os.path.join(os.path.dirname(__file__), "..", "tests",
+                          "fortran", "corpus", "*.f")
+    files = []
+    for path in sorted(glob.glob(corpus)):
+        with open(path, encoding="utf-8") as fh:
+            files.append((os.path.basename(path), fh.read()))
+    assert len(files) == 23
+
+    def parse_all():
+        return [parse_source_tolerant(text, name) for name, text in files]
+
+    parsed = benchmark(parse_all)
+    assert all(tree.units for tree, _diagnostics in parsed)
+
+
+def test_tokenize_speed(benchmark, dyfesm_source):
+    # the lexer alone, on every card of DYFESM (condensed once, outside)
+    cards = [condense(line.text)
+             for line in read_logical_lines(dyfesm_source)]
+
+    def tokenize_all():
+        return sum(len(tokenize(card)) for card in cards)
+
+    assert benchmark(tokenize_all) > 4 * len(cards)
 
 
 def test_program_clone_speed(benchmark):

@@ -28,7 +28,7 @@ Severities:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
 from repro.errors import ParseError, ReproError, SourceLocation
@@ -49,7 +49,7 @@ class Diagnostic:
     severity: str = "recovered"
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(d: Dict[str, object]) -> "Diagnostic":

@@ -20,24 +20,26 @@ Parsing proceeds in three stages:
    ``DO 200 ... DO 200 ... 200 CONTINUE`` idiom from the paper's Figure 2),
    block IFs, OpenMP ``PARALLEL DO`` wrappers and inline-tag blocks.
 
-The expression grammar is standard Fortran 77 precedence; ``NAME(args)``
-is parsed as :class:`~repro.fortran.ast.ArrayRef` and later reclassified by
-the resolution pass in :mod:`repro.fortran.symbols`.
+The expression grammar is standard Fortran 77 precedence, held as one
+binding-power table (:data:`BINDING_POWER`) that one climbing loop
+consults; ``NAME(args)`` is parsed as :class:`~repro.fortran.ast.ArrayRef`
+and later reclassified by the resolution pass in
+:mod:`repro.fortran.symbols`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import LexError, ParseError, ReproError, SourceLocation
 from repro.fortran import ast
 from repro.fortran.diagnostics import Diagnostic, DiagnosticSink
-from repro.fortran.lexer import tokenize
+from repro.fortran.lexer import DIGITS, NAME, tokenize
 from repro.fortran.source import (Directive, LogicalLine, condense,
                                   read_logical_lines)
-from repro.fortran.tokens import DOT_OP_CANONICAL, Token, TokenType
+from repro.fortran.tokens import Token, TokenType
 
 # Limits on input from outside the program (constants, not options).  An
 # expression or block nest deeper than these would exhaust the
@@ -66,41 +68,45 @@ def _parse_error(message: str, location: Optional[SourceLocation], *,
 # Expression parsing
 # ---------------------------------------------------------------------------
 
+# the nine precedence levels of a Fortran 77 expression, loosest first
+_EQUIV, _OR, _AND, _NOT, _REL, _CONCAT, _ADD, _MUL, _POW = range(1, 10)
+
+#: The expression grammar, as data: binary operator token -> (level, AST
+#: spelling); the twelve relational spellings are canonicalised here.
+#: Every level associates to the left except ``**`` (to the right) and
+#: the relationals (which do not chain).  The two prefix operators are
+#: not rows: ``.NOT.`` opens an operand parsed at ``_NOT`` or looser, a
+#: sign one parsed at ``_ADD`` or looser.
+BINDING_POWER = {
+    ".EQV.": (_EQUIV, ".EQV."), ".NEQV.": (_EQUIV, ".NEQV."),
+    ".OR.": (_OR, ".OR."), ".AND.": (_AND, ".AND."),
+    ".EQ.": (_REL, "=="), ".NE.": (_REL, "/="), ".LT.": (_REL, "<"),
+    ".LE.": (_REL, "<="), ".GT.": (_REL, ">"), ".GE.": (_REL, ">="),
+    "==": (_REL, "=="), "/=": (_REL, "/="), "<": (_REL, "<"),
+    "<=": (_REL, "<="), ">": (_REL, ">"), ">=": (_REL, ">="),
+    "//": (_CONCAT, "//"), "+": (_ADD, "+"), "-": (_ADD, "-"),
+    "*": (_MUL, "*"), "/": (_MUL, "/"), "**": (_POW, "**"),
+}
+
+_NAME, _INT, _REAL = TokenType.NAME, TokenType.INT, TokenType.REAL
+_STRING, _LOGICAL, _OP = TokenType.STRING, TokenType.LOGICAL, TokenType.OP
+_LPAREN, _RPAREN = TokenType.LPAREN, TokenType.RPAREN
+_COMMA, _COLON, _EOF = TokenType.COMMA, TokenType.COLON, TokenType.EOF
+
+#: an expression that is one decimal integer (group 1) or one name
+_ATOM_RE = re.compile(f"({DIGITS})|{NAME}")
+
 
 class _ExprParser:
-    """Precedence-climbing expression parser over a token list."""
+    """Precedence-climbing expression parser over a token list (which
+    ends with EOF, so the token at ``i`` always exists)."""
 
-    def __init__(self, tokens: Sequence[Token], location: SourceLocation):
-        self.toks = list(tokens)
+    def __init__(self, tokens: List[Token], location: SourceLocation):
+        self.toks = tokens
         self.i = 0
         self.location = location
         self.depth = 0
 
-    # -- token helpers ------------------------------------------------
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, ttype: TokenType, value: Optional[str] = None) -> Token:
-        t = self.peek()
-        if t.type is not ttype or (value is not None and t.value != value):
-            raise ParseError(
-                f"expected {value or ttype.name}, found {t.value!r}",
-                self.location)
-        return self.next()
-
-    def at(self, ttype: TokenType, value: Optional[str] = None) -> bool:
-        t = self.peek()
-        return t.type is ttype and (value is None or t.value == value)
-
-    def at_end(self) -> bool:
-        return self.peek().type is TokenType.EOF
-
-    # -- grammar ------------------------------------------------------
     def _nest(self) -> None:
         """Enter one level of recursive descent: a parenthesis, a
         subscript list, a ``.NOT.`` or a ``**`` exponent."""
@@ -110,125 +116,90 @@ class _ExprParser:
                 f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
                 self.location, code="nesting-too-deep")
 
-    def expression(self) -> ast.Expr:
-        return self._equiv()
+    def _close(self) -> None:
+        """Leave a parenthesis or subscript list at its ``)``."""
+        kind, value, _ = self.toks[self.i]
+        if kind is not _RPAREN:
+            raise ParseError(f"expected RPAREN, found {value!r}",
+                             self.location)
+        self.i += 1
+        self.depth -= 1
 
-    def _equiv(self) -> ast.Expr:
-        e = self._or()
-        while self.at(TokenType.OP, ".EQV.") or self.at(TokenType.OP, ".NEQV."):
-            op = self.next().value
-            e = ast.BinOp(op, e, self._or())
-        return e
-
-    def _or(self) -> ast.Expr:
-        e = self._and()
-        while self.at(TokenType.OP, ".OR."):
-            self.next()
-            e = ast.BinOp(".OR.", e, self._and())
-        return e
-
-    def _and(self) -> ast.Expr:
-        e = self._not()
-        while self.at(TokenType.OP, ".AND."):
-            self.next()
-            e = ast.BinOp(".AND.", e, self._not())
-        return e
-
-    def _not(self) -> ast.Expr:
-        if self.at(TokenType.OP, ".NOT."):
-            self.next()
+    def expression(self, level: int = _EQUIV) -> ast.Expr:
+        """Parse one operand and every binary operator after it that
+        binds at ``level`` or tighter.  ``cap`` is the tightest level the
+        next operator may have: what is left of it already took
+        everything tighter, so a chain is this loop, not recursion."""
+        toks = self.toks
+        kind, value, _ = toks[self.i]
+        prefix = value if kind is _OP else ""
+        if prefix == ".NOT." and level <= _NOT:
+            self.i += 1
             self._nest()
-            e = ast.UnOp(".NOT.", self._not())
+            e = ast.UnOp(".NOT.", self.expression(_NOT))
             self.depth -= 1
-            return e
-        return self._relational()
-
-    _REL_OPS = ("==", "/=", "<", "<=", ">", ">=",
-                ".EQ.", ".NE.", ".LT.", ".LE.", ".GT.", ".GE.")
-
-    def _relational(self) -> ast.Expr:
-        e = self._concat()
-        if self.peek().type is TokenType.OP and self.peek().value in self._REL_OPS:
-            op = DOT_OP_CANONICAL.get(self.next().value) or op_canonical(
-                self.toks[self.i - 1].value)
-            e = ast.BinOp(op, e, self._concat())
-        return e
-
-    def _concat(self) -> ast.Expr:
-        e = self._additive()
-        while self.at(TokenType.OP, "//"):
-            self.next()
-            e = ast.BinOp("//", e, self._additive())
-        return e
-
-    def _additive(self) -> ast.Expr:
-        if self.at(TokenType.OP, "-") or self.at(TokenType.OP, "+"):
-            op = self.next().value
-            operand = self._multiplicative_chain()
-            e: ast.Expr = operand if op == "+" else ast.UnOp("-", operand)
+            cap = _AND
+        elif (prefix == "-" or prefix == "+") and level <= _ADD:
+            self.i += 1
+            e = self.expression(_MUL)
+            if prefix == "-":
+                e = ast.UnOp("-", e)
+            cap = _ADD
         else:
-            e = self._multiplicative_chain()
-        while self.at(TokenType.OP, "+") or self.at(TokenType.OP, "-"):
-            op = self.next().value
-            e = ast.BinOp(op, e, self._multiplicative_chain())
-        return e
-
-    def _multiplicative_chain(self) -> ast.Expr:
-        e = self._power()
-        while self.at(TokenType.OP, "*") or self.at(TokenType.OP, "/"):
-            op = self.next().value
-            e = ast.BinOp(op, e, self._power())
-        return e
-
-    def _power(self) -> ast.Expr:
-        base = self._primary()
-        if self.at(TokenType.OP, "**"):
-            self.next()
-            self._nest()
-            # ** is right-associative; a signed exponent is permitted
-            if self.at(TokenType.OP, "-"):
-                self.next()
-                exponent: ast.Expr = ast.UnOp("-", self._power())
+            e = self._primary()
+            cap = _POW
+        while True:
+            kind, value, _ = toks[self.i]
+            if kind is not _OP:
+                return e
+            power = BINDING_POWER.get(value)
+            if power is None or not level <= power[0] <= cap:
+                return e
+            op_level, op = power
+            self.i += 1
+            if op_level == _POW:
+                # ** is right-associative; a signed exponent is permitted
+                self._nest()
+                if toks[self.i][:2] == (_OP, "-"):
+                    self.i += 1
+                    right: ast.Expr = ast.UnOp("-", self.expression(_POW))
+                else:
+                    right = self.expression(_POW)
+                self.depth -= 1
             else:
-                exponent = self._power()
-            self.depth -= 1
-            return ast.BinOp("**", base, exponent)
-        return base
+                right = self.expression(op_level + 1)
+            e = ast.BinOp(op, e, right)
+            # a relational operator does not chain
+            cap = _NOT if op_level == _REL else op_level
 
     def _primary(self) -> ast.Expr:
-        t = self.peek()
-        if t.type is TokenType.INT:
-            self.next()
-            return ast.IntLit(int(t.value))
-        if t.type is TokenType.REAL:
-            self.next()
-            kind = "DOUBLE" if ("D" in t.value or "Q" in t.value) else "REAL"
-            value = float(t.value.replace("D", "E").replace("Q", "E"))
-            return ast.RealLit(value, kind, t.value)
-        if t.type is TokenType.STRING:
-            self.next()
-            return ast.StringLit(t.value)
-        if t.type is TokenType.LOGICAL:
-            self.next()
-            return ast.LogicalLit(t.value == ".TRUE.")
-        if t.type is TokenType.LPAREN:
-            self.next()
+        toks = self.toks
+        kind, value, _ = toks[self.i]
+        self.i += 1
+        if kind is _NAME:
+            if toks[self.i][0] is not _LPAREN:
+                return ast.Var(value)
+            self.i += 1
+            self._nest()
+            args = self._subscript_list()
+            self._close()
+            return ast.ArrayRef(value, tuple(args))
+        if kind is _INT:
+            return ast.IntLit(int(value))
+        if kind is _REAL:
+            double = "D" in value or "Q" in value
+            number = float(value.replace("D", "E").replace("Q", "E"))
+            return ast.RealLit(number, "DOUBLE" if double else "REAL", value)
+        if kind is _STRING:
+            return ast.StringLit(value)
+        if kind is _LOGICAL:
+            return ast.LogicalLit(value == ".TRUE.")
+        if kind is _LPAREN:
             self._nest()
             e = self.expression()
-            self.expect(TokenType.RPAREN)
-            self.depth -= 1
+            self._close()
             return e
-        if t.type is TokenType.NAME:
-            self.next()
-            if self.at(TokenType.LPAREN):
-                self.next()
-                self._nest()
-                args = self._subscript_list()
-                self.expect(TokenType.RPAREN)
-                self.depth -= 1
-                return ast.ArrayRef(t.value, tuple(args))
-            return ast.Var(t.value)
-        raise ParseError(f"unexpected token {t.value!r} in expression",
+        raise ParseError(f"unexpected token {value!r} in expression",
                          self.location)
 
     def _subscript_list(self) -> List[ast.Expr]:
@@ -236,43 +207,38 @@ class _ExprParser:
         a section triplet ``lo:hi[:step]`` (used by annotation-lowered
         code)."""
         items: List[ast.Expr] = []
-        if self.at(TokenType.RPAREN):
+        toks = self.toks
+        if toks[self.i][0] is _RPAREN:
             return items
         while True:
             items.append(self._subscript_item())
-            if self.at(TokenType.COMMA):
-                self.next()
-                continue
-            break
-        return items
+            if toks[self.i][0] is not _COMMA:
+                return items
+            self.i += 1
 
     def _subscript_item(self) -> ast.Expr:
+        toks = self.toks
         lo: Optional[ast.Expr] = None
-        if not self.at(TokenType.COLON):
-            if self.at(TokenType.OP, "*"):
+        if toks[self.i][0] is not _COLON:
+            if toks[self.i][:2] == (_OP, "*"):
                 # assumed-size marker inside declarations
-                self.next()
+                self.i += 1
                 return ast.RangeExpr(None, None)
             lo = self.expression()
-            if not self.at(TokenType.COLON):
+            if toks[self.i][0] is not _COLON:
                 return lo
-        self.expect(TokenType.COLON)
+        self.i += 1
         hi: Optional[ast.Expr] = None
-        if not (self.at(TokenType.COMMA) or self.at(TokenType.RPAREN)
-                or self.at(TokenType.COLON)):
-            if self.at(TokenType.OP, "*"):
-                self.next()
+        if toks[self.i][0] not in (_COMMA, _RPAREN, _COLON):
+            if toks[self.i][:2] == (_OP, "*"):
+                self.i += 1
             else:
                 hi = self.expression()
         step: Optional[ast.Expr] = None
-        if self.at(TokenType.COLON):
-            self.next()
+        if toks[self.i][0] is _COLON:
+            self.i += 1
             step = self.expression()
         return ast.RangeExpr(lo, hi, step)
-
-
-def op_canonical(op: str) -> str:
-    return DOT_OP_CANONICAL.get(op, op)
 
 
 def parse_expression(text: str,
@@ -284,9 +250,14 @@ def parse_expression(text: str,
 def _expr(text: str, location: SourceLocation) -> ast.Expr:
     """Parse an expression from condensed text (the classifier's pieces of
     a card it has already condensed)."""
+    atom = _ATOM_RE.fullmatch(text)
+    if atom:
+        # over half of all expressions: what the lexer and the loop
+        # would make of one INT or NAME token
+        return ast.IntLit(int(text)) if atom.lastindex else ast.Var(text)
     p = _ExprParser(tokenize(text, location), location)
     e = p.expression()
-    if not p.at_end():
+    if p.toks[p.i][0] is not _EOF:
         raise ParseError(f"trailing tokens after expression in {text!r}",
                          location)
     return e
@@ -329,6 +300,7 @@ _UNIT_HEADER_RE = re.compile(
     r"(PROGRAM|SUBROUTINE|FUNCTION)([A-Z][A-Z0-9_]*)(\(.*\))?$")
 
 _ASSIGN_RE = re.compile(r"^[A-Z][A-Z0-9_$@]*")
+_DO_HEADER_RE = re.compile(r"^DO(\d*),?([A-Z][A-Z0-9_$]*)=")
 
 #: length spec after a type keyword or entity: ``*n``, ``*(n)`` or ``*(*)``
 #: (the parenthesized forms are CHARACTER-only; ``*(*)`` is the
@@ -418,15 +390,15 @@ class _StatementClassifier:
     def _statement(self, text: str, label: Optional[int],
                    loc: SourceLocation) -> Optional[_Flat]:
         # DO header: DO [label[,]] var = e1, e2 [, e3]
-        if text.startswith("DO") and _toplevel_comma(text) >= 0:
-            m = re.match(r"^DO(\d*),?([A-Z][A-Z0-9_$]*)=", text)
+        if text.startswith("DO") and _find_toplevel(text, ",") >= 0:
+            m = _DO_HEADER_RE.match(text)
             if m:
                 return self._do_header(m, text, label, loc)
         # assignment: NAME [ (subs) ] = expr, with no top-level comma
         if self._looks_like_assignment(text):
             return _Flat("stmt", label=label, location=loc,
                          stmt=self._assignment(text, label, loc))
-        for keyword, handler in STATEMENTS:
+        for keyword, handler in _STATEMENTS_BY_INITIAL.get(text[:1], ()):
             if text.startswith(keyword):
                 got = handler(self, keyword, text[len(keyword):], label, loc)
                 if got is _PASS:
@@ -444,18 +416,12 @@ class _StatementClassifier:
         if not m:
             return False
         i = m.end()
-        if i < len(text) and text[i] == "(":
-            depth = 0
-            while i < len(text):
-                if text[i] == "(":
-                    depth += 1
-                elif text[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        i += 1
-                        break
-                i += 1
-        return i < len(text) and text[i] == "=" and _toplevel_comma(text) < 0
+        if text.startswith("(", i):
+            # the subscript list, matched by parentheses alone
+            i = _matching_paren(text, i) + 1
+            if not i:
+                return False
+        return text.startswith("=", i) and _find_toplevel(text, ",") < 0
 
     def _assignment(self, text: str, label: Optional[int],
                     loc: SourceLocation) -> ast.Stmt:
@@ -855,6 +821,11 @@ STATEMENTS = (
     ("DATA", _C._data),
 ) + tuple((kw, _C._type) for kw in _TYPE_KEYWORDS)
 
+#: the rows a statement can match, by its first character, in table order
+_STATEMENTS_BY_INITIAL = {
+    initial: tuple(row for row in STATEMENTS if row[0][0] == initial)
+    for initial in {keyword[0] for keyword, _handler in STATEMENTS}}
+
 
 def _spend(budget: List[int], n: int, loc: SourceLocation,
            offset: int) -> None:
@@ -919,8 +890,26 @@ def _subst_const(e: ast.Expr, env: dict) -> ast.Expr:
 # top-level-character scanning helpers (operate on condensed text)
 # ---------------------------------------------------------------------------
 
+_QUOTE_RE = re.compile("['\"]")
+
+
 def _find_toplevel(text: str, ch: str, start: int = 0) -> int:
+    """The first ``ch`` at or after ``start`` that is outside every
+    parenthesis and character literal, or -1."""
     depth = 0
+    hit = text.find(ch, start)
+    while hit >= 0:
+        if _QUOTE_RE.search(text, start, hit):
+            break
+        # no literal to step over: the depth at the hit is the count of
+        # parentheses opened less closed before it
+        depth += text.count("(", start, hit) - text.count(")", start, hit)
+        if depth == 0:
+            return hit
+        start = hit + 1
+        hit = text.find(ch, start)
+    else:
+        return -1
     in_quote: Optional[str] = None
     for i in range(start, len(text)):
         c = text[i]
@@ -938,10 +927,6 @@ def _find_toplevel(text: str, ch: str, start: int = 0) -> int:
     return -1
 
 
-def _toplevel_comma(text: str) -> int:
-    return _find_toplevel(text, ",")
-
-
 def _toplevel_eq(text: str) -> int:
     eq = _find_toplevel(text, "=")
     if eq < 0:
@@ -951,47 +936,41 @@ def _toplevel_eq(text: str) -> int:
 
 def _split_toplevel(text: str, sep: str) -> List[str]:
     parts: List[str] = []
+    start = 0
+    while True:
+        # a top-level hit leaves no parenthesis or literal open, so the
+        # scan for the next one may start afresh behind it
+        hit = _find_toplevel(text, sep, start)
+        if hit < 0:
+            parts.append(text[start:])
+            return parts
+        parts.append(text[start:hit])
+        start = hit + 1
+
+
+def _matching_paren(text: str, open_: int) -> int:
+    """The index of the ``)`` closing the ``(`` at ``open_``, or -1;
+    character literals are not looked at."""
     depth = 0
-    in_quote: Optional[str] = None
-    cur: List[str] = []
-    for c in text:
-        if in_quote:
-            cur.append(c)
-            if c == in_quote:
-                in_quote = None
-        elif c in ("'", '"'):
-            in_quote = c
-            cur.append(c)
-        elif c == "(":
-            depth += 1
-            cur.append(c)
-        elif c == ")":
-            depth -= 1
-            cur.append(c)
-        elif depth == 0 and c == sep:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur))
-    return parts
+    start = open_
+    while True:
+        close = text.find(")", start)
+        if close < 0:
+            return -1
+        depth += text.count("(", start, close) - 1
+        if depth == 0:
+            return close
+        start = close + 1
 
 
 def _balanced_paren(text: str, loc: SourceLocation) -> Tuple[str, str]:
     """``text`` must start with '('; return (inner, rest-after-close)."""
     if not text.startswith("("):
         raise ParseError(f"expected '(' in {text!r}", loc)
-    depth = 0
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return text[1:i], text[i + 1:]
-    raise ParseError(f"unbalanced parentheses in {text!r}", loc)
-
-
+    close = _matching_paren(text, 0)
+    if close < 0:
+        raise ParseError(f"unbalanced parentheses in {text!r}", loc)
+    return text[1:close], text[close + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Fixed form rules implemented here:
 * column 6: any non-blank, non-zero character marks a continuation line;
 * columns 7-72: the statement field (columns beyond 72 are ignored);
 * a ``C``, ``c`` or ``*`` in column 1 marks a comment line; ``!`` starts an
-  inline comment in our (slightly extended) dialect;
+  inline comment in our (slightly extended) dialect, except in column 6
+  (a continuation mark like any other) or inside a character literal;
 * blank lines are ignored.
 
 Two kinds of *structured comments* are preserved rather than discarded,
@@ -168,7 +169,13 @@ def read_logical_lines(text: str, filename: str = "<string>",
 
 
 def _strip_inline_comment(line: str) -> str:
-    """Remove a trailing ``! ...`` comment, respecting quoted strings."""
+    """Remove a trailing ``! ...`` comment, respecting quoted strings.  A
+    ``!`` in column 6 is a continuation mark and never opens one."""
+    hit = line.find("!", 1)
+    if hit < 0:
+        return line
+    if hit != 5 and "'" not in line and '"' not in line:
+        return line[:hit]
     in_quote: Optional[str] = None
     for i, ch in enumerate(line):
         if in_quote:
@@ -176,7 +183,7 @@ def _strip_inline_comment(line: str) -> str:
                 in_quote = None
         elif ch in ("'", '"'):
             in_quote = ch
-        elif ch == "!" and i != 0:
+        elif ch == "!" and i != 0 and i != 5:
             return line[:i]
     return line
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenType(Enum):
@@ -20,8 +20,7 @@ class TokenType(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     pos: int = 0  # character offset in the condensed statement
@@ -29,21 +28,3 @@ class Token:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.type.name}, {self.value!r})"
 
-
-#: Fortran dot-delimited operators and logical literals, longest first so the
-#: lexer can match greedily.
-DOT_OPERATORS = (
-    ".FALSE.", ".TRUE.",
-    ".NEQV.", ".EQV.",
-    ".AND.", ".NOT.",
-    ".OR.",
-    ".GE.", ".GT.", ".LE.", ".LT.", ".EQ.", ".NE.",
-)
-
-#: canonical spelling used in the AST for each operator token
-DOT_OP_CANONICAL = {
-    ".EQ.": "==", ".NE.": "/=", ".LT.": "<", ".LE.": "<=",
-    ".GT.": ">", ".GE.": ">=",
-    ".AND.": ".AND.", ".OR.": ".OR.", ".NOT.": ".NOT.",
-    ".EQV.": ".EQV.", ".NEQV.": ".NEQV.",
-}

@@ -46,7 +46,7 @@ def _expr(e: ast.Expr, parent_prec: int) -> str:
     if isinstance(e, ast.RealLit):
         return _real_text(e)
     if isinstance(e, ast.StringLit):
-        return f"'{e.value}'"
+        return _quoted(e.value)
     if isinstance(e, ast.LogicalLit):
         return ".TRUE." if e.value else ".FALSE."
     if isinstance(e, ast.Var):
@@ -89,6 +89,11 @@ def _expr(e: ast.Expr, parent_prec: int) -> str:
         text = f"{left}{op}{right}"
         return f"({text})" if prec < parent_prec else text
     raise TypeError(f"cannot unparse expression {e!r}")
+
+
+def _quoted(text: str) -> str:
+    """A character literal: an apostrophe inside it is written twice."""
+    return "'" + text.replace("'", "''") + "'"
 
 
 def _real_text(e: ast.RealLit) -> str:
@@ -268,7 +273,7 @@ def _stmt(w: _Writer, s: ast.Stmt, indent: int, step: int) -> None:
     elif isinstance(s, ast.Stop):
         text = "STOP"
         if s.message is not None:
-            text += f" '{s.message}'"
+            text += " " + _quoted(s.message)
         w.stmt(text, s.label, indent)
     elif isinstance(s, ast.IoStmt):
         items = ",".join(expr_to_str(i) for i in s.items)

@@ -16,7 +16,7 @@ per ``(benchmark, configuration)`` from a trace alone
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: profitability outcomes recorded by the driver
@@ -50,10 +50,12 @@ class LoopDecision:
     reachable: bool = True
 
     def to_dict(self) -> Dict[str, object]:
-        d = asdict(self)
+        # the record is flat: its instance dict, in field order
+        d = dict(vars(self))
         d["private"] = list(self.private)
         d["reductions"] = [list(r) if isinstance(r, (tuple, list)) else r
                            for r in self.reductions]
+        d["dep_tests"] = dict(self.dep_tests)
         return d
 
     @staticmethod
@@ -103,7 +105,7 @@ class SiteDecision:
     config: str = ""
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(d: Dict[str, object]) -> "SiteDecision":

@@ -25,6 +25,7 @@ from repro.fortran.fixedform import (SEVERITIES, Diagnostic,
                                      parse_source_tolerant)
 from repro.fortran.parser import (MAX_BLOCK_DEPTH, MAX_DATA_ELEMENTS,
                                   MAX_EXPR_DEPTH, STATEMENTS, parse_source)
+from repro.fortran.unparser import expr_to_str, unparse
 from repro.fuzz import GeneratorOptions, generate
 from repro.perfect import all_benchmarks
 
@@ -163,8 +164,13 @@ EXPECTED_CODE = {
 }
 
 
+#: inputs that were misread rather than crashed on: both sinks read
+#: them whole (TestMisreadInputs)
+READ_WHOLE = {"bang_continuation.f", "apostrophe_literal.f"}
+
+
 def test_every_regression_input_has_an_expectation():
-    assert set(REGRESSIONS) == set(EXPECTED_CODE)
+    assert set(REGRESSIONS) == set(EXPECTED_CODE) | READ_WHOLE
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_CODE))
@@ -181,6 +187,69 @@ class TestRegressionInputs:
         with pytest.raises(ParseError):
             parse_source(REGRESSIONS[name], name)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestMisreadInputs:
+    """Two cards the reader and the lexer used to misread without a
+    word: a continuation marked with ``!`` and a literal holding its
+    own delimiter."""
+
+    def test_bang_in_column_six_continues_the_statement(self):
+        text = REGRESSIONS["bang_continuation.f"]
+        strict = parse_source(text, "t.f")
+        tolerant, diagnostics = parse_source_tolerant(text, "t.f")
+        assert diagnostics == [] and strict == tolerant
+        (loop,) = strict.units[0].body
+        assert expr_to_str(loop.body[0].value) == "B(I)+A(I-1)"
+        result = parallelize_source({"t.f": text})
+        assert result["diagnostics"] == []
+        assert result["parallel_count"] == 0
+        (verdict,) = result["loops"]
+        assert (verdict["parallel"], verdict["reason"]) == (False,
+                                                            "array-dep")
+        assert "A(I) = B(I)+A(I-1)" in result["output"]
+        assert "!$OMP" not in result["output"]
+
+    def test_bang_elsewhere_still_opens_a_comment(self):
+        tree = parse_source("      PROGRAM P\n      X = 1 ! + 2\n"
+                            "      S = 'A!B' ! tail\n      END\n")
+        first, second = tree.units[0].body
+        assert first.value == ast.IntLit(1)
+        assert second.value == ast.StringLit("A!B")
+
+    @pytest.mark.parametrize("literal", ["'DON''T'", "\"DON'T\""])
+    def test_both_spellings_of_an_apostrophe(self, literal):
+        text = _program("S = " + literal)
+        tree, diagnostics = parse_source_tolerant(text)
+        assert diagnostics == []
+        assert tree.units[0].body[0].value == ast.StringLit("DON'T")
+        _assert_unparse_fixpoint(text)
+
+    def test_the_regression_program_round_trips(self):
+        text = REGRESSIONS["apostrophe_literal.f"]
+        tree = _assert_unparse_fixpoint(text)
+        literals = [n.value for n in ast.walk_all_exprs(tree.units[0].body)
+                    if isinstance(n, ast.StringLit)]
+        assert literals == ["DON'T", "IT'S", 'SAY "HI"', 'SAY "HI"']
+        assert tree.units[0].body[-1] == ast.Stop("CAN'T")
+
+    @given(st.text("AB c'\"", max_size=24), st.sampled_from("'\""))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_any_literal_round_trips(self, value, quote):
+        literal = quote + value.replace(quote, quote * 2) + quote
+        tree = _assert_unparse_fixpoint(_program("S = " + literal))
+        assert tree.units[0].body[0].value == ast.StringLit(value)
+
+
+def _assert_unparse_fixpoint(text):
+    """unparse ∘ parse is a fixpoint, with nothing to diagnose on the
+    way; returns the tree."""
+    tree = parse_source(text)
+    once = unparse(tree)
+    again, diagnostics = parse_source_tolerant(once)
+    assert diagnostics == [] and again == tree, once
+    assert unparse(again) == once
+    return tree
 
 
 def _program(*body):

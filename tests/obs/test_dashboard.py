@@ -143,6 +143,23 @@ class TestRender:
         assert "p99 job latency, seconds" in html
         assert "0.07" in html and "0.08" in html
 
+    def test_other_suites_in_the_history_are_not_plotted(self, data):
+        # BENCH_history.jsonl also holds before/after rows of the frozen
+        # benchmark (suite "bench/<workload>"): recorded, never charted
+        row = {"ts": 1700000000.0, "suite": "bench/parallelize",
+               "git_commit": "cb33013", "seed": 2011,
+               "total_seconds": 0.4321, "phases": {"fortran": 0.167}}
+        enriched = DashboardData(**{**data.__dict__})
+        enriched.bench_history = [row]
+        alone = render_dashboard(enriched)
+        assert "polyline" not in alone and "0.4321" not in alone
+        enriched.bench_history = [
+            {"ts": 1700000000.0 + i, "total_seconds": 0.3, "passed": True}
+            for i in range(3)]
+        without = render_dashboard(enriched)
+        enriched.bench_history = enriched.bench_history + [row]
+        assert render_dashboard(enriched) == without
+
     def test_escapes_untrusted_text(self, data):
         enriched = DashboardData(**{**data.__dict__})
         enriched.fuzz_stats = {"programs": 1,

@@ -1,13 +1,19 @@
 """Tracer unit tests: span recording, the disabled fast path, the
 export/merge boundary, decision records, and the Chrome validator."""
 
+import dataclasses
+import glob
 import json
+import os
 
 import pytest
 
-from repro.trace import (NULL_TRACER, LoopDecision, Tracer, count_parallel,
-                         read_decisions_jsonl, validate_chrome_trace,
-                         write_chrome, write_decisions_jsonl)
+from repro.fortran.fixedform import (Diagnostic, parallelize_source,
+                                     parse_source_tolerant)
+from repro.trace import (NULL_TRACER, LoopDecision, SiteDecision, Tracer,
+                         count_parallel, read_decisions_jsonl,
+                         validate_chrome_trace, write_chrome,
+                         write_decisions_jsonl)
 from repro.trace.chrome import load_chrome_trace
 from repro.trace.tracer import _NULL_SPAN
 
@@ -108,6 +114,40 @@ class TestDecisions:
                       dep_tests={"assumed_dependent": 1}, reachable=False)
         back = LoopDecision.from_dict(json.loads(json.dumps(d.to_dict())))
         assert back == d
+
+    def test_to_dict_is_what_asdict_made_of_a_corpus_run(self):
+        """``to_dict`` builds its dict field by field; ``asdict`` (which
+        it replaced: a recursive deep copy of flat records) stays the
+        reference, over every record one corpus run produces."""
+        corpus = os.path.join(os.path.dirname(__file__), "..", "fortran",
+                              "corpus", "*.f")
+        records = []
+        for path in sorted(glob.glob(corpus)):
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            name = os.path.basename(path)
+            records += parse_source_tolerant(text, name)[1]
+            for mode in ("inferred", "demand"):
+                tracer = Tracer(label=name)
+                parallelize_source({name: text}, annotations_mode=mode,
+                                   tracer=tracer)
+                records += tracer.decisions + tracer.site_decisions
+        kinds = {type(r) for r in records}
+        assert kinds == {LoopDecision, SiteDecision, Diagnostic}
+        for record in records:
+            expected = dataclasses.asdict(record)
+            if isinstance(record, LoopDecision):
+                expected["private"] = list(record.private)
+                expected["reductions"] = [list(r) for r in record.reductions]
+            got = record.to_dict()
+            assert got == expected and list(got) == list(expected)
+            json.dumps(got)
+            assert type(record).from_dict(got) == record
+            if isinstance(record, LoopDecision):
+                assert got["dep_tests"] is not record.dep_tests
+        loops = [r for r in records if isinstance(r, LoopDecision)]
+        for nested in ("reductions", "private", "dep_tests"):
+            assert any(getattr(r, nested) for r in loops), nested
 
     def test_count_parallel_protocol(self):
         decisions = [
