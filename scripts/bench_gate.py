@@ -6,8 +6,8 @@ Two suites, selected with ``--suite``:
 * ``table2`` (default) — the warm Table II pipeline (the workload PR 1
   parallelized and cached); baseline in ``BENCH_table2.json``.
 * ``figure20`` — the full Figure 20 run (12 benchmarks x 2 machines x
-  3 configs: pipeline, one profiled execution per benchmark x config,
-  tuning priced from it) from a cleared pipeline cache, under the
+  3 configs: pipeline, one profiled execution per distinct optimised
+  program, tuning priced from it) from a cleared pipeline cache, under the
   current runtime backend (``REPRO_BACKEND``, compiled by default);
   baseline in ``BENCH_figure20.json``.
 
@@ -47,7 +47,7 @@ DEFAULT_HISTORY = os.path.join(_ROOT, "BENCH_history.jsonl")
 #: benchmarks timed by the gate (full Table II suite)
 BENCHMARKS = None  # None = the full suite
 WARM_REPS = 5
-#: figure20 reps are lower: a rep is 36 program executions (~4s)
+#: figure20 reps are lower: a rep is 25 program executions (~1.5s)
 FIG20_WARM_REPS = 3
 
 
@@ -115,7 +115,7 @@ def measure_figure20() -> dict:
     cache: the region profiles live there, so a rep against a warm one
     would time 72 dict lookups plus pricing.  Parse, base and compile
     caches stay warm.  The cells' own timings split the total into the
-    pipeline phases, ``profile`` (the 36 executions) and ``price`` (72
+    pipeline phases, ``profile`` (the 25 executions) and ``price`` (72
     clones priced)."""
     from repro.experiments.figure20 import (clear_pipeline_cache,
                                             figure20_all)

@@ -130,7 +130,7 @@ def _run_serial(fn: Callable[[T], R], tasks: List[T]) -> List[R]:
 
 
 def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
-              jobs: Optional[int] = None, chunksize: int = 1,
+              jobs: Optional[int] = None,
               tracer: Optional[Tracer] = None,
               label: str = "tasks") -> List[R]:
     """Map ``fn`` over ``tasks``, preserving task order in the result.
@@ -141,9 +141,7 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
     ``fn``/tasks/results, a worker dying — falls back to the serial loop,
     so callers always get the same result list.  ``fn`` must be a
     module-level callable and tasks/results picklable for the parallel
-    path to engage.  (``chunksize`` is retained for signature
-    compatibility; tasks are submitted individually so queue depth is
-    observable.)
+    path to engage.
 
     ``tracer`` (optional) records one span over the whole batch plus an
     instant event if the pool degrades to the serial fallback — the

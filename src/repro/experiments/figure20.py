@@ -9,11 +9,13 @@ benchmark x machine x configuration.
 Each ``(benchmark x machine x config)`` cell is an independent executor
 work unit (:class:`Figure20Task`): the worker runs the configuration's
 pipeline and executes the optimized program once, recording its region
-profile (both memoized per process, since both machines tune the same
-optimized program and its execution depends on neither), and then
-prices the tuning protocol from that profile on a fresh clone.  Cells
-come back in task order, so the rendered figure is byte-identical for
-any worker count.
+profile, and then prices the tuning protocol from that profile on a
+fresh clone.  Both are memoized per process: the pipeline per
+(benchmark, configuration), since both machines tune the same program,
+and the execution per distinct program *text*, since configurations
+often emit the same one (25 texts among the 36) and an execution depends
+on nothing but the text and its inputs.  Cells come back in task order,
+so the rendered figure is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ class SpeedupCell:
     machine: str
     config: str
     tuning: TuningResult
-    #: per-phase wall-clock seconds this cell actually spent (pipeline
-    #: phases and 'profile', the program's one execution, only on the
-    #: cell that ran them; 'price', the protocol on a clone, always)
+    #: per-phase wall-clock seconds this cell actually spent: pipeline
+    #: phases and 'profile' only on the cell that ran the pipeline
+    #: ('profile' is the program's one execution, or ~0 s when another
+    #: configuration already executed the same text); 'price', the
+    #: protocol on a clone, always
     timings: Dict[str, float] = field(default_factory=dict)
     #: worker-local :meth:`repro.trace.Tracer.export`, when requested
     trace: Optional[Dict[str, Any]] = None
@@ -65,15 +69,21 @@ class Figure20Task:
 
 
 #: (source digest, config kind) -> finished pipeline result and the
-#: region profile of its program's one execution, so the cells for both
-#: machine models (and repeated calls) share one pipeline run and one
-#: execution per process
+#: region profile of its program, so the cells for both machine models
+#: (and repeated calls) share one pipeline run per process
 _PIPELINE_CACHE: Dict[Tuple[str, str],
                       Tuple[PipelineResult, RegionProfile]] = {}
+
+#: (unparsed program text, inputs) -> region profile of its one
+#: execution.  The text is the whole program and sites are structural
+#: ``(unit, preorder index)`` pairs, so configurations that emit the same
+#: text share the execution too
+_PROFILE_CACHE: Dict[Tuple[str, Tuple[float, ...]], RegionProfile] = {}
 
 
 def clear_pipeline_cache() -> None:
     _PIPELINE_CACHE.clear()
+    _PROFILE_CACHE.clear()
 
 
 def run_cell_task(task: Figure20Task) -> SpeedupCell:
@@ -88,8 +98,12 @@ def run_cell_task(task: Figure20Task) -> SpeedupCell:
         result = run_config(task.benchmark, Config(task.kind),
                             tracer=tracer)
         timings = dict(result.report.timings)
+        text = (result.output, tuple(task.benchmark.inputs))
         with tracer.phase("profile", timings, **ids):
-            profile = record_profile(result.program, task.benchmark.inputs)
+            profile = _PROFILE_CACHE.get(text)
+            if profile is None:
+                profile = _PROFILE_CACHE[text] = record_profile(
+                    result.program, task.benchmark.inputs)
         entry = _PIPELINE_CACHE[key] = (result, profile)
     else:
         timings = {}  # pipeline and execution: attributed to an earlier cell

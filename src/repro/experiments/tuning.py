@@ -15,7 +15,9 @@ Execute once, price many: simulated cost is ``W + sum of region
 deltas`` with the work ``W`` independent of machine and directives, so
 one recorded execution (:func:`record_profile`) serves the serial cost,
 the initial cost and every round, on every machine —
-:func:`repro.runtime.machine.price` does the rest.
+:func:`repro.runtime.machine.price` does the rest.  Figure 20 executes
+once per distinct program: its cells look the profile up by program
+text (:func:`repro.experiments.figure20.run_cell_task`).
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ messages):
 * ``tree`` — :class:`~repro.runtime.interpreter.Interpreter`, the
   reference tree-walker and differential oracle;
 * ``compiled`` — :class:`~repro.runtime.compiler.CompiledInterpreter`,
-  the lower-once/execute-many closure backend (5-10x faster on the
-  experiment workloads).
+  the lower-once/execute-many closure backend (about 11x faster on the
+  programs Figure 20 executes; see docs/runtime.md).
 
 The process-wide default comes from the ``REPRO_BACKEND`` environment
 variable (also settable via the CLI's global ``--backend`` flag); code

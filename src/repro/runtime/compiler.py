@@ -7,7 +7,8 @@ statement, with jump targets pre-resolved so GOTO and DO dispatch is an
 index bump instead of exception unwinding — and, where the subscript
 analysis proves an inner loop body affine, branch-free and call-free,
 emits a NumPy gather/compute/scatter kernel instead of per-iteration
-closures.
+closures: for plain DO loops and, in program order and where
+privatisation cannot be observed, for the loops of honoured directives.
 
 The cost-accounting contract of the tree-walker is preserved *exactly*:
 
@@ -54,9 +55,10 @@ from repro.fortran import ast
 from repro.fortran.intrinsics import is_intrinsic
 from repro.fortran.symbols import build_symbol_table, expr_type
 from repro.program import Program
-from repro.runtime.interpreter import (ORDER_PERMUTED, ExecutionResult,
-                                       Interpreter, _GotoSignal,
-                                       _ReturnSignal, collect_omp_sites)
+from repro.runtime.interpreter import (ORDER_PERMUTED, ORDER_SEQUENTIAL,
+                                       ExecutionResult, Interpreter,
+                                       _GotoSignal, _ReturnSignal,
+                                       collect_omp_sites)
 from repro.runtime.intrinsics import call_intrinsic
 from repro.runtime.values import ArrayView, ScalarRef
 
@@ -105,6 +107,12 @@ def _get_metrics():
             "cache_total": counter(
                 "repro_runtime_compile_cache_total",
                 "Compiled-unit cache lookups by outcome"),
+            "steps": counter(
+                "repro_runtime_steps_total",
+                "Statement steps executed by compiled runs"),
+            "kernel_steps": counter(
+                "repro_runtime_kernel_steps_total",
+                "Statement steps committed by vector kernels"),
         }
     return _metrics
 
@@ -1009,7 +1017,14 @@ def _match_reduction(e: ast.Expr, tname: str, occurs: int):
 
 
 def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
-    """Build a speculative vector kernel for ``s`` or return None."""
+    """Build a speculative vector kernel for ``s`` or return None.
+
+    The kernel carries what a directive over ``s`` needs to know:
+    ``per_iter``, the cost every iteration charges, and
+    ``plain_targets``, the scalars the body assigns other than by a
+    reduction — each is written before it is read in every iteration
+    (anything else was refused above), so privatising one cannot be
+    observed."""
     var = s.var.upper()
     if var in cc.params or not s.body:
         return None
@@ -1145,8 +1160,10 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
                         skey = (where, None)
                         kc.writes.append((ref.buffer, ref.offset,
                                           ref.offset, skey))
+                        # loop-invariant values come as floats, NumPy
+                        # scalars or (np.where) 0-d arrays: no last element
                         final = float(val[-1]) \
-                            if isinstance(val, np.ndarray) else float(val)
+                            if getattr(val, "ndim", 0) else float(val)
                         kc.pending.append((ref.buffer, ref.offset, final))
                         kc.temps[skey] = val
                         continue
@@ -1178,9 +1195,12 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
             buf[idx] = val
         ex.cost += trips * per_iter
         ex.steps += trips * n_stmts
+        ex.kernel_steps += trips * n_stmts
         var_ref.set(fstart + trips * fstep)
         return True
 
+    kernel.per_iter = per_iter
+    kernel.plain_targets = vst["scalar_targets"] - reduced
     return kernel
 
 
@@ -1483,20 +1503,24 @@ def _emit_if(cc: _Ctx, reg: _Region, s: ast.IfBlock) -> None:
     end_cell[0] = len(instrs)
 
 
+def _compile_bounds(loop: ast.DoLoop, cc: _Ctx):
+    """A DO header, plain or under a directive: the statement's charge
+    (the strict prefix of the bounds folded in) and the evaluators of
+    start, stop and step (``None`` without one)."""
+    bounds = [compile_expr(loop.start, cc), compile_expr(loop.stop, cc)]
+    if loop.step is not None:
+        bounds.append(compile_expr(loop.step, cc))
+    fold, evals = _seq_fold(bounds)
+    return (1.0 + fold, evals[0], evals[1],
+            evals[2] if loop.step is not None else None)
+
+
 def _emit_do(cc: _Ctx, reg: _Region, s: ast.DoLoop,
              omp_charge: bool) -> None:
     instrs = reg.instrs
     li = reg.n_loops
     reg.n_loops += 1
-    bounds = [compile_expr(s.start, cc), compile_expr(s.stop, cc)]
-    if s.step is not None:
-        bounds.append(compile_expr(s.step, cc))
-    fold, evals = _seq_fold(bounds)
-    amt = 1.0 + fold
-    has_step = s.step is not None
-    sev = evals[0]
-    tev = evals[1]
-    pev = evals[2] if has_step else None
+    amt, sev, tev, pev = _compile_bounds(s, cc)
     rawvar = s.var
     vname = s.var.upper()
     kernel = _try_vectorize(s, cc)
@@ -1694,28 +1718,44 @@ def _emit_io(cc: _Ctx, reg: _Region, s: ast.IoStmt) -> None:
     instrs.append(instr)
 
 
+def _close_region(ex: Interpreter, node: ast.OmpParallelDo,
+                  iteration_costs: List[float], completed: bool) -> None:
+    """The innermost region execution ends: record it and, when it ran
+    to completion under a machine, price it in-run — the one copy of
+    what ``Interpreter._exec_omp`` does after its iterations."""
+    ex._regions.leave(completed)
+    if completed and ex.machine is not None:
+        serial_cost = sum(iteration_costs)
+        parallel_cost = ex.machine.parallel_time(
+            iteration_costs, nested=ex.parallel_depth > 0)
+        ex.cost += parallel_cost - serial_cost
+        stat = ex.omp_stats.setdefault(id(node), [0.0, 0.0])
+        stat[0] += serial_cost
+        stat[1] += parallel_cost
+
+
 def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
     instrs = reg.instrs
     nxt = len(instrs) + 1
     loop = s.loop
-    bounds = [compile_expr(loop.start, cc), compile_expr(loop.stop, cc)]
-    if loop.step is not None:
-        bounds.append(compile_expr(loop.step, cc))
-    fold, evals = _seq_fold(bounds)
-    amt = 1.0 + fold
-    has_step = loop.step is not None
-    sev = evals[0]
-    tev = evals[1]
-    pev = evals[2] if has_step else None
+    amt, sev, tev, pev = _compile_bounds(loop, cc)
     vname = loop.var.upper()
     private_names = tuple(n.upper() for n in s.private)
     site_idx = cc.omp_index[id(s)]
+    kernel = _try_vectorize(loop, cc)
+    if kernel is not None and not all(
+            n == vname or n in kernel.plain_targets for n in private_names):
+        # privatisation could be observed: a private array, a private
+        # name the body only reads or never mentions (it may overlay a
+        # cell the body reads) and a privatised reduction all see the
+        # per-iteration zeroing and the last-iteration peel, and the
+        # kernel does neither
+        kernel = None
     sub = _Region()
     cc.omp_depth += 1
     _compile_block(cc, sub, loop.body)
     cc.omp_depth -= 1
-    body_region = sub.packed()
-    binstrs, bn_loops = body_region
+    binstrs, bn_loops = sub.packed()
     n_bi = len(binstrs)
 
     def instr(ex, fr, ls):
@@ -1731,17 +1771,22 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
             var = ex._local(vname, fr)
         # no ScalarRef check here: the tree-walker omits it for the
         # parallel path (an array DO variable fails in var.set instead)
-        slices = []
-        for name in private_names:
-            ref = fr.vars.get(name)
-            if ref is None:
-                ref = ex._local(name, fr)
-            if isinstance(ref, ScalarRef):
-                slices.append((ref.buffer, ref.offset, 1))
-            else:
-                slices.append((ref.buffer, ref.offset, ref.size()))
+        slices = ex._private_storage(private_names, fr)
         saved = [(buf, off, buf[off:off + size].copy())
                  for buf, off, size in slices]
+        node = ex._omp_site(fr.unit, site_idx)
+        scalar_var = var.__class__ is ScalarRef
+        if kernel is not None and trips >= _VEC_MIN_TRIPS and scalar_var \
+                and ex.order == ORDER_SEQUENTIAL \
+                and kernel(ex, fr, var, trips, start, step):
+            # in program order the kernel is the loop: every iteration
+            # charged per_iter and no region ran inside.  Any other
+            # schedule, and a kernel that refused (having mutated
+            # nothing), runs iteration by iteration below
+            iteration_costs = [kernel.per_iter] * trips
+            ex._enter_region(node, iteration_costs)
+            _close_region(ex, node, iteration_costs, True)
+            return nxt
         order = range(trips)
         if ex.order == ORDER_PERMUTED and trips > 1:
             order = list(reversed(range(trips - 1))) + [trips - 1]
@@ -1750,53 +1795,43 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
         last = trips - 1
         # inlined ScalarRef.set + run_region for the per-iteration path;
         # non-ScalarRef DO variables keep the generic set() (same error)
-        if var.__class__ is ScalarRef:
+        if scalar_var:
             vbuf, voff = var.buffer, var.offset
             vint = var.typename == "INTEGER"
         else:
             vbuf = None
-        ex._enter_region(ex._omp_site(fr.unit, site_idx), iteration_costs)
+        ex._enter_region(node, iteration_costs)
         completed = False
+        ex.parallel_depth += 1
         try:
-            ex.parallel_depth += 1
-            try:
-                for k in order:
-                    if k == last:
-                        for buf, off, data in saved:
-                            buf[off:off + len(data)] = data
-                    else:
-                        for buf, off, size in slices:
-                            buf[off:off + size] = 0.0
-                    v = start + k * step
-                    if vbuf is not None:
-                        vbuf[voff] = float(int(v)) if vint else v
-                    else:
-                        var.set(v)
-                    before = ex.cost
-                    bls = [None] * bn_loops if bn_loops else None
-                    pc = 0
-                    while pc < n_bi:
-                        pc = binstrs[pc](ex, fr, bls)
-                    ic_append(ex.cost - before)
-                var.set(start + trips * step)
-                completed = True
-            finally:
-                ex.parallel_depth -= 1
-                ex._regions.leave(completed)
+            for k in order:
+                if k == last:
+                    for buf, off, data in saved:
+                        buf[off:off + len(data)] = data
+                else:
+                    for buf, off, size in slices:
+                        buf[off:off + size] = 0.0
+                v = start + k * step
+                if vbuf is not None:
+                    vbuf[voff] = float(int(v)) if vint else v
+                else:
+                    var.set(v)
+                before = ex.cost
+                bls = [None] * bn_loops if bn_loops else None
+                pc = 0
+                while pc < n_bi:
+                    pc = binstrs[pc](ex, fr, bls)
+                ic_append(ex.cost - before)
+            var.set(start + trips * step)
+            completed = True
         except _CrossGoto as cg:
             if cg.levels <= 1:
                 return cg.cell[0]
             cg.levels -= 1
             raise
-        if ex.machine is not None:
-            serial_cost = sum(iteration_costs)
-            parallel_cost = ex.machine.parallel_time(
-                iteration_costs, nested=ex.parallel_depth > 0)
-            ex.cost += parallel_cost - serial_cost
-            node = ex._omp_site(fr.unit, site_idx)
-            stat = ex.omp_stats.setdefault(id(node), [0.0, 0.0])
-            stat[0] += serial_cost
-            stat[1] += parallel_cost
+        finally:
+            ex.parallel_depth -= 1
+            _close_region(ex, node, iteration_costs, completed)
         return nxt
     instrs.append(instr)
 
@@ -1818,6 +1853,8 @@ class CompiledInterpreter(Interpreter):
 
     def __init__(self, program: Program, **kwargs):
         super().__init__(program, **kwargs)
+        #: the share of ``steps`` that vector kernels committed
+        self.kernel_steps = 0
         self._templates: Dict[int, _UnitTemplate] = {}
         self._omp_sites: Dict[int, List[ast.OmpParallelDo]] = {}
 
@@ -1851,6 +1888,10 @@ class CompiledInterpreter(Interpreter):
                     f"GOTO {g.label} has no target in {main.name}")
         except FortranStop as stop:
             stop_message = stop.message or ""
+        finally:
+            metrics = _get_metrics()
+            metrics["steps"].inc(self.steps)
+            metrics["kernel_steps"].inc(self.kernel_steps)
         return self._result(stop_message)
 
     def _call(self, name: str, args: Sequence[ast.Expr],

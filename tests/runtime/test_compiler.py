@@ -13,6 +13,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.perfect import all_benchmarks, get_benchmark
 from repro.program import Program
@@ -21,9 +23,11 @@ from repro.runtime.backend import (BACKEND_ENV, BACKENDS, default_backend,
                                    make_interpreter)
 from repro.runtime.compiler import clear_compile_cache, compile_cache_info
 from repro.runtime.interpreter import collect_omp_sites
-from repro.runtime.difftest import backend_equivalence
-from repro.runtime.interpreter import outputs_equal
-from repro.runtime.machine import INTEL_MAC
+from repro.runtime.difftest import backend_equivalence, diff_test
+from repro.runtime.interpreter import (ORDER_PERMUTED, ORDER_SEQUENTIAL,
+                                       outputs_equal)
+from repro.runtime.machine import AMD_OPTERON, INTEL_MAC
+from tests.runtime.test_region_pricing import END, OMP, check, source
 
 CONFIGS = ("none", "conventional", "annotation")
 
@@ -237,6 +241,18 @@ class TestVectorizerSemantics:
                "   10 CONTINUE\n"
                "      END\n")
 
+    def test_loop_invariant_max_into_a_scalar(self):
+        # np.where over two loop-invariant operands is a 0-d array: the
+        # scalar store used to index it for a last element (IndexError)
+        _equiv("      PROGRAM P\n"
+               "      COMMON /OUT/ S, T\n"
+               "      S = 1.5\n"
+               "      DO 10 I = 1, 8\n"
+               "      T = MAX(S, 0.5)\n"
+               "   10 CONTINUE\n"
+               "      WRITE(*,*) T\n"
+               "      END\n")
+
     def test_loop_carried_scalar_not_reduction(self):
         # T is read before written with a non-reduction shape
         _equiv("      PROGRAM P\n"
@@ -290,3 +306,426 @@ def test_fuzz_corpus_replay_compiled(entry_idx, monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "compiled")
     result = entries[entry_idx].replay()
     assert result.passed, result.describe()
+
+
+# ---------------------------------------------------------------------------
+# honoured directives on the vector kernel
+# ---------------------------------------------------------------------------
+
+def omp(*clauses):
+    return " ".join((OMP,) + clauses)
+
+
+#: A(I) = I*0.5 for I = 1..12: a directive-free kernel loop committing
+#: 2 statements x 12 trips = 24 steps in every execution mode
+FILL_A = ("      DO 5 I = 1, 12",
+          "        A(I) = I*0.5",
+          "    5 CONTINUE")
+FILL_STEPS = 24
+
+
+def _program(src):
+    return Program.from_sources({"main.f": src}, "test")
+
+
+def _compiled(src, **kwargs):
+    """The compiled interpreter after running ``src`` (directives
+    honoured), and the error it raised, if any."""
+    interp = CompiledInterpreter(_program(src), **kwargs)
+    try:
+        interp.run()
+    except Exception as exc:  # noqa: BLE001 - errors are part of the contract
+        return interp, f"{type(exc).__name__}: {exc}"
+    return interp, None
+
+
+def _kernel_steps(src, **kwargs):
+    return _compiled(src, **kwargs)[0].kernel_steps
+
+
+PRIVATE_TEMPORARY = source(
+    "      PROGRAM P",
+    "      COMMON /D/ A(12), B(12), T",
+    *FILL_A,
+    "      T = -1.0",
+    omp("PRIVATE(I,T)"),
+    "      DO 10 I = 1, 12",
+    "        T = A(I)*2",
+    "        B(I) = T",
+    "   10 CONTINUE",
+    END,
+    "      WRITE(*,*) T, I",
+    "      END")
+
+#: MDG's loop 44: a per-iteration outer region (its private row buffer
+#: is an array) around an inner directive loop and a plain loop, both
+#: kernels
+ROW_BUFFER_NEST = source(
+    "      PROGRAM P",
+    "      COMMON /D/ A(6, 8), B(6, 8)",
+    "      DIMENSION ROW(8)",
+    omp("PRIVATE(I,J,ROW)"),
+    "      DO 30 I = 1, 6",
+    omp("PRIVATE(J)"),
+    "        DO 10 J = 1, 8",
+    "          ROW(J) = I + J*0.25",
+    "   10   CONTINUE",
+    END,
+    "        DO 20 J = 1, 8",
+    "          B(I, J) = ROW(J)*2",
+    "   20   CONTINUE",
+    "   30 CONTINUE",
+    END,
+    "      END")
+
+
+class TestDirectiveKernel:
+    """A loop under an honoured directive runs on the vector kernel when
+    the schedule is program order and privatisation cannot be observed;
+    every case goes through all three modes on both backends, regions
+    included, and says whether the kernel is expected to have run."""
+
+    def test_private_scalar_temporary(self):
+        _equiv(PRIVATE_TEMPORARY)
+        interp, _ = _compiled(PRIVATE_TEMPORARY)
+        assert interp.kernel_steps == FILL_STEPS + 3 * 12
+        # live out: the last iteration's value, and the DO variable
+        assert interp.output == ["12.0 13.0"]
+
+    @pytest.mark.parametrize("directive,body", [
+        # read, never written: iterations but the last see zero
+        ("PRIVATE(T)", ("B(I) = A(I) + T",)),
+        # read before it is written
+        ("PRIVATE(T)", ("B(I) = T", "T = A(I)")),
+        # an array: zeroed per iteration, only W(12) survives the peel
+        ("PRIVATE(W)", ("W(I) = A(I)*2", "B(I) = W(I)")),
+        # a reduction: the privatised sum restarts every iteration
+        ("PRIVATE(T)", ("T = T + A(I)",)),
+    ], ids=["read-only", "read-before-write", "array", "reduction"])
+    def test_observable_privatisation_runs_per_iteration(self, directive,
+                                                         body):
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /D/ A(12), B(12), W(12), T",
+            *FILL_A,
+            "      T = 5.0",
+            "      W(3) = -3.0",
+            omp(directive),
+            "      DO 10 I = 1, 12",
+            *("        " + stmt for stmt in body),
+            "   10 CONTINUE",
+            END,
+            "      WRITE(*,*) T, B(1), B(12), W(3), W(12)",
+            "      END")
+        _equiv(src)
+        assert _kernel_steps(src) == FILL_STEPS
+        # the directive is wrong, and only the per-iteration path shows
+        # it: honouring it must not compute what ignoring it does
+        assert not diff_test(_program(src), backend="compiled").passed
+
+    def test_unmentioned_private_overlaying_a_read_cell(self):
+        # U is Y's cell (a COMMON variable passed by reference); the
+        # body never names U, yet zeroing it changes what Y reads
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /D/ A(12), B(12), Y",
+            *FILL_A,
+            "      Y = 5.0",
+            "      CALL SUB(Y)",
+            "      WRITE(*,*) B(1), B(12)",
+            "      END",
+            "      SUBROUTINE SUB(U)",
+            "      COMMON /D/ A(12), B(12), Y",
+            omp("PRIVATE(U)"),
+            "      DO 10 I = 1, 12",
+            "        B(I) = A(I) + Y",
+            "   10 CONTINUE",
+            END,
+            "      END")
+        _equiv(src)
+        interp, _ = _compiled(src)
+        assert interp.kernel_steps == FILL_STEPS
+        assert interp.output == ["0.5 11.0"]
+
+    @pytest.mark.parametrize("decl,steps", [
+        ("      REAL S", FILL_STEPS + 2 * 12),
+        # per-iteration INTEGER truncation feeds the carry: the kernel
+        # refuses at run time, having changed nothing
+        ("      INTEGER S", FILL_STEPS),
+    ], ids=["real", "integer"])
+    def test_reduction_clause_on_a_shared_accumulator(self, decl, steps):
+        src = source(
+            "      PROGRAM P",
+            decl,
+            "      COMMON /D/ A(12), S",
+            *FILL_A,
+            "      S = 3",
+            omp("PRIVATE(I)", "REDUCTION(+:S)"),
+            "      DO 10 I = 1, 12",
+            "        S = S + A(I)",
+            "   10 CONTINUE",
+            END,
+            "      WRITE(*,*) S",
+            "      END")
+        _equiv(src)
+        assert _kernel_steps(src) == steps
+
+    def test_non_finite_integer_store_bails(self):
+        src = source(
+            "      PROGRAM P",
+            "      INTEGER K",
+            "      COMMON /D/ A(12), K(12)",
+            *FILL_A,
+            "      A(7) = 1.0D300*1.0D300",
+            omp("PRIVATE(I)"),
+            "      DO 10 I = 1, 12",
+            "        K(I) = A(I)*4",
+            "   10 CONTINUE",
+            END,
+            "      END")
+        _equiv(src)
+        interp, error = _compiled(src)
+        assert error.startswith("OverflowError")
+        assert interp.kernel_steps == FILL_STEPS
+        assert interp.commons["D"][12:24].tolist() == \
+            [2.0, 4.0, 6.0, 8.0, 10.0, 12.0] + [0.0] * 6
+
+    def test_recurrence_under_a_wrong_directive(self):
+        # in program order the loop still computes the serial answer;
+        # the permuted schedule must keep exposing it, on the compiled
+        # backend exactly as on the tree (the kernel's own alias check
+        # refuses it, and permuted runs never ask)
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /D/ A(12)",
+            "      A(1) = 1.0",
+            omp("PRIVATE(I)"),
+            "      DO 10 I = 2, 12",
+            "        A(I) = A(I-1) + 1",
+            "   10 CONTINUE",
+            END,
+            "      END")
+        _equiv(src)
+        for backend in BACKENDS:
+            result = diff_test(_program(src), backend=backend)
+            assert result.serial.memory_equal(result.parallel)
+            assert not result.serial.memory_equal(result.permuted)
+        assert _kernel_steps(src) == 0
+
+    def test_kernel_inside_a_per_iteration_region(self):
+        _equiv(ROW_BUFFER_NEST)
+        interp, _ = _compiled(ROW_BUFFER_NEST)
+        assert interp.kernel_steps == 6 * (2 * 8 + 2 * 8)
+        outer, = interp._result(None).regions.roots
+        assert len(outer.costs) == 6
+        assert [pos for pos, _kid in outer.children] == list(range(6))
+        for _pos, kid in outer.children:
+            assert list(kid.costs) == [kid.costs[0]] * 8
+            assert kid.children == ()
+
+    @pytest.mark.parametrize("header,trips", [
+        ("1, 0", 0), ("1, 3", 3), ("1, 4", 4),
+        ("12, 2, -3", 4), ("2, 11, 2", 5), ("12, 1, -1", 12),
+    ])
+    def test_trip_counts_and_steps(self, header, trips):
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /D/ A(12), B(12)",
+            *FILL_A,
+            omp("PRIVATE(I,T)"),
+            f"      DO 10 I = {header}",
+            "        T = A(I) + I",
+            "        B(I) = T*T",
+            "   10 CONTINUE",
+            END,
+            "      WRITE(*,*) I, T",
+            "      END")
+        _equiv(src)
+        kernel = 3 * trips if trips >= 4 else 0
+        assert _kernel_steps(src) == FILL_STEPS + kernel
+
+    @pytest.mark.parametrize("stop", [0, 8])
+    def test_array_do_variable_fails_like_the_tree(self, stop):
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /D/ A(12)",
+            "      DIMENSION I(3)",
+            omp(),
+            f"      DO 10 I = 1, {stop}",
+            "        A(2) = 1.0",
+            "   10 CONTINUE",
+            END,
+            "      END")
+        _equiv(src)
+        assert _compiled(src)[1] is not None
+
+    @pytest.mark.parametrize("max_steps", [27, 29, 40, 46, 47, 62])
+    def test_step_limit_inside_the_loop(self, max_steps):
+        """The directive is step 27 and its loop runs 3 x 12 more, so the
+        limit falls inside it: the kernel refuses, having charged and
+        stored nothing, and the per-iteration path raises at the
+        tree-walker's statement."""
+        program = _program(PRIVATE_TEMPORARY)
+        seen = []
+        for cls in (Interpreter, CompiledInterpreter):
+            interp = cls(program, max_steps=max_steps)
+            with pytest.raises(Exception) as caught:
+                interp.run()
+            seen.append((str(caught.value), interp.steps,
+                         interp.commons["D"].tobytes(), interp.cost))
+        assert seen[0][:3] == seen[1][:3]
+        assert seen[0][:2] == ("execution step limit exceeded",
+                               max_steps + 1)
+        if (max_steps + 1 - 27) % 3 == 0:
+            # the raising statement is the CONTINUE: no expression whose
+            # charge the compiled statement folds in ahead of the check
+            assert seen[0][3] == seen[1][3]
+
+    @pytest.mark.parametrize("src", [PRIVATE_TEMPORARY, ROW_BUFFER_NEST],
+                             ids=["temporary", "nest"])
+    def test_in_run_pricing_equals_the_pricer(self, src):
+        program = _program(src)
+
+        def cases(profile):
+            for machine in (INTEL_MAC, AMD_OPTERON):
+                yield machine, frozenset()
+                yield machine, frozenset({("P", 0)})
+
+        profile = check(program, "compiled", cases)
+        assert profile == make_interpreter(
+            program, "tree", machine=None).run().regions
+
+    def test_permuted_runs_keep_directive_loops_off_the_kernel(self):
+        """The permuted schedule is the oracle for wrongly parallel
+        loops, so it must execute every directive loop iteration by
+        iteration: only the directive-free loops commit kernels."""
+        assert _kernel_steps(PRIVATE_TEMPORARY,
+                             iteration_order=ORDER_PERMUTED) == FILL_STEPS
+        # the inner plain loop (2 x 8, six times), not the inner directive
+        assert _kernel_steps(ROW_BUFFER_NEST,
+                             iteration_order=ORDER_PERMUTED) == 6 * 2 * 8
+        from repro.experiments.pipeline import Config, run_config
+        for name in ("ADM", "SPEC77"):
+            bench = get_benchmark(name)
+            program = run_config(bench, Config("annotation")).program
+
+            def kernel_steps(**kwargs):
+                interp = CompiledInterpreter(program, **kwargs,
+                                             inputs=list(bench.inputs))
+                interp.run()
+                return interp.kernel_steps
+
+            # what the permuted run keeps is what the directive-free
+            # loops commit; honouring in order adds the directive loops
+            assert kernel_steps(iteration_order=ORDER_PERMUTED) \
+                < kernel_steps(iteration_order=ORDER_SEQUENTIAL) \
+                <= kernel_steps(honor_directives=False)
+
+
+# random straight-line affine bodies x random PRIVATE subsets: whichever
+# way the static rule, the order mode and the kernel's hazard checks
+# decide, both backends agree in all three modes, regions included
+
+_SUBSCRIPTS = st.sampled_from(["I", "I+1", "I-1", "2*I", "21-I", "3"])
+_SCALARS = ("S", "T", "U")
+_ELEMENTS = st.builds("{}({})".format, st.sampled_from(["A", "B", "K"]),
+                      _SUBSCRIPTS)
+_TARGETS = st.one_of(st.sampled_from(_SCALARS), _ELEMENTS)
+_HEADERS = st.sampled_from(["2, 13", "13, 2, -1", "2, 20, 3", "2, 5",
+                            "2, 4", "5, 4"])
+
+
+def _values(scalars):
+    """Expressions over the whitelisted operators reading ``scalars``."""
+    return st.recursive(
+        st.one_of(st.sampled_from(tuple(scalars) + ("I", "2", "0.5")),
+                  _ELEMENTS),
+        lambda kids: st.one_of(
+            st.builds("({} {} {})".format, kids,
+                      st.sampled_from(["+", "-", "*", "/"]), kids),
+            st.builds("{}({})".format, st.sampled_from(["ABS", "SQRT"]),
+                      kids),
+            st.builds("MAX({}, {})".format, kids, kids)),
+        max_leaves=4)
+
+
+@st.composite
+def _directive_loops(draw):
+    """(body, PRIVATE set).  Half the bodies read only scalars they have
+    already assigned (temporaries, which the kernel takes) and half any
+    scalar (recurrences and reductions); half the PRIVATE sets are drawn
+    from what the kernel arm accepts — the body's scalar targets and the
+    DO variable — and half from everything, the array B and the
+    bystander Q included."""
+    temporaries = draw(st.booleans())
+    body, assigned = [], set()
+    for _ in range(draw(st.integers(1, 4))):
+        target = draw(_TARGETS)
+        value = draw(_values(sorted(assigned) if temporaries else _SCALARS))
+        body.append(f"{target} = {value}")
+        assigned.add(target)
+    # a statement must fit a fixed-form card behind eight blanks
+    assume(all(len(stmt) <= 64 for stmt in body))
+    pool = draw(st.sampled_from([sorted(assigned & set(_SCALARS)) + ["I"],
+                                 list(_SCALARS) + ["I", "B", "Q"]]))
+    return body, draw(st.sets(st.sampled_from(pool)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(loop=_directive_loops(), header=_HEADERS,
+       reduction=st.sampled_from(["", "REDUCTION(+:S)"]))
+def test_directive_loops_agree_with_the_tree(loop, header, reduction):
+    body, private = loop
+    clauses = [f"PRIVATE({','.join(sorted(private))})"] if private else []
+    src = source(
+        "      PROGRAM P",
+        "      INTEGER K",
+        "      COMMON /D/ A(40), B(40), K(40), S, T, U, Q",
+        "      DO 5 I = 1, 40",
+        "        A(I) = I*0.5",
+        "        B(I) = 41 - I",
+        "        K(I) = I/2",
+        "    5 CONTINUE",
+        "      S = 1.5",
+        "      T = 2.0",
+        "      U = -0.25",
+        omp(*clauses, reduction),
+        f"      DO 10 I = {header}",
+        *("        " + stmt for stmt in body),
+        "   10 CONTINUE",
+        END,
+        "      WRITE(*,*) S, T, U, I",
+        "      END")
+    _equiv(src)
+
+
+#: the share of a benchmark's steps its kernels must keep committing
+KERNEL_SHARE_FLOORS = {"ADM": 0.79, "ARC2D": 0.94, "DYFESM": 0.85,
+                       "MG3D": 0.97, "SPEC77": 0.95}
+
+
+def test_perfect_kernel_share_is_pinned():
+    """The Figure 20 gain as a count: over the 12 PERFECT programs under
+    ``annotation`` with directives honoured, kernels commit 521 200 of
+    the 659 178 statement steps (9 600 before honoured directives took
+    the kernel).  An eligibility regression moves these numbers, and the
+    obs counters report the same totals."""
+    from repro.experiments.pipeline import Config, run_config
+    from repro.obs import metrics as obs_metrics
+    reported = [obs_metrics.counter(f"repro_runtime_{name}_total")
+                for name in ("steps", "kernel_steps")]
+    before = [c.total() for c in reported]
+    steps = kernel_steps = 0
+    for bench in all_benchmarks():
+        program = run_config(bench, Config("annotation")).program
+        interp = make_interpreter(program, "compiled", machine=None,
+                                  inputs=list(bench.inputs))
+        interp.run()
+        steps += interp.steps
+        kernel_steps += interp.kernel_steps
+        share = interp.kernel_steps / interp.steps
+        assert share >= KERNEL_SHARE_FLOORS.get(bench.name, 0.0), \
+            (bench.name, share)
+    assert (steps, kernel_steps) == (659_178, 521_200)
+    assert [c.total() - b for c, b in zip(reported, before)] == \
+        [steps, kernel_steps]
