@@ -123,14 +123,13 @@ def test_interpreter_speed(benchmark):
     assert result.output
 
 
-def test_directive_kernel_speed(benchmark):
-    """One execution of SPEC77's ``annotation`` program with directives
-    honoured — Figure 20's longest: 96 % of its 262 272 statement steps
-    sit in directive loops the vector kernel commits."""
+def _honoured_execution(benchmark, name, config):
+    """Time one compiled execution, directives honoured, of a PERFECT
+    benchmark's optimised program; the interpreter that ran it."""
     from repro.experiments.pipeline import Config, run_config
     from repro.runtime.backend import make_interpreter
-    bench = get_benchmark("spec77")
-    program = run_config(bench, Config("annotation")).program
+    bench = get_benchmark(name)
+    program = run_config(bench, Config(config)).program
 
     def execute():
         interp = make_interpreter(program, "compiled", machine=None,
@@ -138,8 +137,24 @@ def test_directive_kernel_speed(benchmark):
         interp.run()
         return interp
 
-    interp = benchmark(execute)
+    return benchmark(execute)
+
+
+def test_directive_kernel_speed(benchmark):
+    """One execution of SPEC77's ``annotation`` program with directives
+    honoured — Figure 20's longest: 96 % of its 262 272 statement steps
+    sit in directive loops the vector kernel commits."""
+    interp = _honoured_execution(benchmark, "spec77", "annotation")
     assert interp.kernel_steps > 0.95 * interp.steps
+
+
+def test_invariant_operand_kernel_speed(benchmark):
+    """One execution of BDNA's ``none`` program: 28 800 of its 38 875
+    steps sit in ``PCINIT``'s loop, which the kernel takes because
+    ``TSTEP**2/2.0`` is loop-invariant (6 ms; 110 ms on scalar
+    closures)."""
+    interp = _honoured_execution(benchmark, "bdna", "none")
+    assert interp.kernel_steps > 0.94 * interp.steps
 
 
 def test_table2_pipeline_speed(benchmark):

@@ -16,7 +16,11 @@ tree-walker:
    kernel loop nested in a region whose private row buffer keeps it on
    the per-iteration path) agrees in all three modes, region trees
    included, with the honoured directive loops committed by the vector
-   kernel in program order and by no kernel under the permuted schedule.
+   kernel in program order and by no kernel under the permuted schedule;
+5. BDNA under ``conventional`` — the ``TSTEP**2`` operand and the
+   ``T(IX(7)+...)`` subscript, both admitted to the kernel by invariance,
+   in one program — agrees in all three modes, its kernels committing
+   36 800 of 38 851 steps.
 
 Usage:
   PYTHONPATH=src python scripts/runtime_smoke.py [BENCHMARK]
@@ -137,6 +141,22 @@ def main(argv=None) -> int:
         check(interp.kernel_steps == expected,
               f"{order} order: kernels commit {interp.kernel_steps} of "
               f"{interp.steps} steps (expected {expected})")
+
+    # 5. operands admitted by invariance: BDNA's PCINIT, inlined
+    from repro.experiments.pipeline import Config, run_config
+    bdna = get_benchmark("BDNA")
+    program = run_config(bdna, Config("conventional")).program
+    divergence = backend_equivalence(program, INTEL_MAC, bdna.inputs)
+    check(divergence is None,
+          "BDNA conventional: backend_equivalence"
+          + (f" — {divergence}" if divergence else ""))
+    interp = make_interpreter(program, "compiled", inputs=list(bdna.inputs))
+    interp.run()
+    check((interp.kernel_steps, interp.steps, interp.kernel_bails)
+          == (36_800, 38_851, 0),
+          f"BDNA conventional: kernels commit {interp.kernel_steps} of "
+          f"{interp.steps} steps in {interp.kernel_launches} launches, "
+          f"{interp.kernel_bails} refused (expected 36800 of 38851, 0)")
 
     if FAILURES:
         print(f"\nruntime smoke FAILED ({len(FAILURES)} checks):")

@@ -59,7 +59,7 @@ from repro.runtime.interpreter import (ORDER_PERMUTED, ORDER_SEQUENTIAL,
                                        ExecutionResult, Interpreter,
                                        _GotoSignal, _ReturnSignal,
                                        collect_omp_sites)
-from repro.runtime.intrinsics import call_intrinsic
+from repro.runtime.intrinsics import call_intrinsic, power
 from repro.runtime.values import ArrayView, ScalarRef
 
 __all__ = ["CompiledInterpreter", "compile_cache_info",
@@ -113,6 +113,12 @@ def _get_metrics():
             "kernel_steps": counter(
                 "repro_runtime_kernel_steps_total",
                 "Statement steps committed by vector kernels"),
+            "kernel_launches": counter(
+                "repro_runtime_kernel_launches_total",
+                "Vector kernel calls that committed"),
+            "kernel_bails": counter(
+                "repro_runtime_kernel_bails_total",
+                "Vector kernel calls that refused (scalar replay ran)"),
         }
     return _metrics
 
@@ -585,13 +591,7 @@ def _op_kernel(e: ast.BinOp, cc: _Ctx):
             return a / b
         return kern
     if op == "**":
-        def kern(a, b):
-            if b == int(b):
-                return float(a ** int(b))
-            if a < 0:
-                raise InterpreterError("negative base with real exponent")
-            return float(a ** b)
-        return kern
+        return power
     if op == "==":
         return lambda a, b: 1.0 if a == b else 0.0
     if op == "/=":
@@ -651,7 +651,7 @@ def _compile_binop(e: ast.BinOp, cc: _Ctx):
 
             def pure(ex, fr):
                 # fused operand reads (float() keeps Python-float
-                # arithmetic semantics, e.g. OverflowError from **)
+                # arithmetic semantics, e.g. power()'s range check)
                 if lname is not None:
                     ref = fr.vars.get(lname)
                     if ref is None:
@@ -706,16 +706,22 @@ def _compile_binop(e: ast.BinOp, cc: _Ctx):
 # ---------------------------------------------------------------------------
 # vectorization: affine, branch-free, call-free inner loops
 #
-# An eligible DO body (all assignments, array targets, affine subscripts,
-# whitelisted operators/intrinsics) lowers to one gather/compute/scatter
-# kernel.  The kernel is *speculative*: a deferred-scatter design computes
-# everything into temporaries and validates every hazard (bounds, aliasing,
-# division by zero, non-integral subscripts, ...) before mutating any
-# state; any doubt raises _VectorBail and the scalar instruction path
-# replays the loop with exact tree-walker semantics, including whatever
-# error the tree-walker would have raised, at the same program state.
-# The committed charge is trips * (what the tree-walker charges per
-# iteration) — bit-exact, because all charges are multiples of 0.5.
+# An eligible DO body (all assignments, array targets, subscripts affine
+# in the DO variable) lowers to one gather/compute/scatter kernel.  One
+# rule admits operands: a subtree is *invariant* when it mentions neither
+# the DO variable nor a scalar the body assigns and compile_expr gives it
+# a pure closure; that closure — the scalar path's own meaning of every
+# operator, intrinsic and array element — evaluates it once per launch
+# (_vec_once).  Only what varies with the loop needs a vector arm.  The
+# kernel is *speculative*: a deferred-scatter design computes everything
+# into temporaries and validates every hazard (bounds, aliasing — hoisted
+# reads included —, division by zero, non-integral subscripts, ...)
+# before mutating any state; any doubt, and any exception at all, refuses
+# and the scalar instruction path replays the loop with exact tree-walker
+# semantics, including whatever error the tree-walker would have raised,
+# at the same program state.  The committed charge is trips * (what the
+# tree-walker charges per iteration) — bit-exact, because all charges
+# are multiples of 0.5.
 # ---------------------------------------------------------------------------
 
 _VEC_MIN_TRIPS = 4
@@ -743,47 +749,62 @@ class _KernelCtx:
         self.pending: List[tuple] = []
 
 
-def _node_count(e: ast.Expr) -> int:
-    return sum(1 for _ in ast.walk_expr(e))
+def _vec_once(e: ast.Expr, var: str, cc: _Ctx, vst: dict, banned):
+    """Lower ``e`` for one evaluation per launch by the closure the
+    scalar path owns, or None when it mentions a ``banned`` name or is
+    not strict.  The evaluator first adds every cell ``e`` reads to
+    ``kc.reads`` — scalars here, array elements through their own
+    resolvers — so the overlap check is the one authority on whether the
+    loop changes what was hoisted; it returns a Python float."""
+    if any(isinstance(n, (ast.Var, ast.ArrayRef)) and n.name.upper() in banned
+           for n in ast.walk_expr(e)):
+        return None
+    pure = compile_expr(e, cc)[0]
+    if pure is None:
+        return None
+    cells, covered = [], set()
+    for n in ast.walk_expr(e):
+        if id(n) in covered:
+            continue
+        if isinstance(n, ast.ArrayRef):
+            # the resolver records what the element's subscripts read
+            covered.update(map(id, ast.walk_expr(n)))
+            acc = _vec_access_factory(n, var, cc, vst)
+            if acc is None:
+                return None
+            cells.append(acc[0])
+        elif isinstance(n, ast.Var) and n.name.upper() != var \
+                and n.name.upper() not in cc.params:
+            cells.append(n.name.upper())
+    vst["names"].update(c for c in cells if c.__class__ is str)
+
+    def once(kc):
+        for cell in cells:
+            if cell.__class__ is str:
+                ref = kc.fr.vars.get(cell)
+                if not isinstance(ref, ScalarRef):
+                    raise _VectorBail
+                kc.reads.append((ref.buffer, ref.offset, ref.offset, None))
+            else:
+                view, _off0, _slope, lo, hi = cell(kc)
+                kc.reads.append((view.buffer, lo, hi, None))
+        value = pure(kc.ex, kc.fr)
+        if not isinstance(value, float):
+            raise _VectorBail
+        return value
+    return once
 
 
 def _vec_sub_spec(sub: ast.Expr, var: str, cc: _Ctx, vst: dict):
-    """Compile one subscript: (pure closure, coeff wrt loop var, names of
-    the scalars it reads), or None."""
+    """Compile one subscript, affine in the DO variable around atoms the
+    loop leaves alone: (its value at the first iteration, coeff wrt the
+    DO variable), or None."""
     from repro.analysis.affine import extract
-    sub_names = []
-    has_var = False
-    for n in ast.walk_expr(sub):
-        if isinstance(n, (ast.IntLit, ast.RealLit)):
-            continue
-        if isinstance(n, ast.Var):
-            nm = n.name.upper()
-            if nm == var:
-                has_var = True
-            elif nm not in cc.params:
-                if nm in vst["scalar_targets"]:
-                    # a subscript reading a scalar the loop writes is not
-                    # loop-invariant; leave it to the scalar path
-                    return None
-                vst["names"].add(nm)
-                sub_names.append(nm)
-            continue
-        if isinstance(n, ast.UnOp) and n.op in ("-", "+"):
-            continue
-        if isinstance(n, ast.BinOp) and n.op in ("+", "-", "*"):
-            continue
-        return None
     form = extract(sub, [var])
-    if form is not None:
-        coeff = form.coeff(var)
-    elif not has_var:
-        coeff = 0  # loop-invariant: affine with slope zero
-    else:
+    if form is None:
         return None
-    pure, charged, _count = compile_expr(sub, cc)
-    if pure is None:
-        return None
-    return pure, coeff, tuple(sub_names)
+    once = _vec_once(sub, var, cc, vst, vst["scalar_targets"])
+    return None if once is None else (once, form.coeff(var))
 
 
 def _vec_access_factory(e: ast.ArrayRef, var: str, cc: _Ctx, vst: dict):
@@ -806,8 +827,7 @@ def _vec_access_factory(e: ast.ArrayRef, var: str, cc: _Ctx, vst: dict):
     specs = tuple(specs)
 
     def resolve(kc):
-        frv = kc.fr.vars
-        view = frv.get(name)
+        view = kc.fr.vars.get(name)
         if not isinstance(view, ArrayView):
             raise _VectorBail
         if len(specs) != view.rank:
@@ -815,18 +835,9 @@ def _vec_access_factory(e: ast.ArrayRef, var: str, cc: _Ctx, vst: dict):
         off0 = view.offset
         stride_total = 0
         trips = kc.trips
-        for (sp, c, snames), lower, ext, stride in zip(specs, view.lowers,
-                                                       view.extents,
-                                                       view.strides):
-            for nm in snames:
-                # subscripts are evaluated once and assumed loop-invariant:
-                # record the cells they read so any write aliasing them
-                # (sequence-associated COMMON storage) bails the kernel
-                ref = frv.get(nm)
-                if not isinstance(ref, ScalarRef):
-                    raise _VectorBail
-                kc.reads.append((ref.buffer, ref.offset, ref.offset, None))
-            base = float(sp(kc.ex, kc.fr))
+        for (once, c), lower, ext, stride in zip(specs, view.lowers,
+                                                 view.extents, view.strides):
+            base = once(kc)
             if base != int(base):
                 raise _VectorBail
             b0 = int(base)
@@ -855,39 +866,22 @@ def _vec_access_factory(e: ast.ArrayRef, var: str, cc: _Ctx, vst: dict):
 
 
 def _vec_value(e: ast.Expr, var: str, cc: _Ctx, vst: dict):
-    """Compile a loop-body value expression to vfn(kc) -> vector|scalar,
-    or None when ineligible."""
-    if isinstance(e, ast.IntLit):
-        v = float(e.value)
-        return lambda kc: v
-    if isinstance(e, ast.RealLit):
-        v = e.value
-        return lambda kc: v
-    if isinstance(e, ast.LogicalLit):
-        v = 1.0 if e.value else 0.0
-        return lambda kc: v
+    """Compile a loop-body value expression to vfn(kc) -> vector|float,
+    or None when ineligible: an invariant subtree whole, through
+    :func:`_vec_once`, and an arm below for each thing that varies."""
+    once = _vec_once(e, var, cc, vst, vst["variant"])
+    if once is not None:
+        return once
     if isinstance(e, ast.Var):
         name = e.name.upper()
-        if name in cc.params:
-            return lambda kc: kc.fr.parameters[name]
         if name == var:
             return lambda kc: kc.vals
-        if name in vst["scalar_targets"]:
-            if name not in vst["written"]:
-                # read before the loop's own write: a cross-iteration
-                # recurrence the deferred-scatter kernel cannot express
-                return None
-            key = (name, None)
-            return lambda kc: kc.temps[key]
-        vst["names"].add(name)
-
-        def vfn(kc):
-            ref = kc.fr.vars.get(name)
-            if not isinstance(ref, ScalarRef):
-                raise _VectorBail
-            kc.reads.append((ref.buffer, ref.offset, ref.offset, None))
-            return ref.get()
-        return vfn
+        if name not in vst["written"]:
+            # read before the loop's own write: a cross-iteration
+            # recurrence the deferred-scatter kernel cannot express
+            return None
+        key = (name, None)
+        return lambda kc: kc.temps[key]
     if isinstance(e, ast.ArrayRef):
         acc = _vec_access_factory(e, var, cc, vst)
         if acc is None:
@@ -1042,13 +1036,11 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
         elif not isinstance(stmt.target, ast.ArrayRef):
             return None
     vst = {"names": set(), "scalar_targets": frozenset(scalar_targets),
-           "written": set()}
+           "variant": frozenset(scalar_targets | {var}), "written": set()}
     reduced: set = set()
     plans = []
-    per_iter = 0.0
     for stmt in s.body:
         if isinstance(stmt, ast.Continue):
-            per_iter += 1.0
             continue
         if isinstance(stmt.target, ast.Var):
             t = stmt.target.name.upper()
@@ -1072,7 +1064,6 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
                 rest_fn = _vec_value(rest, var, cc, vst)
                 if rest_fn is None:
                     return None
-                per_iter += 1.0 + 0.5 * _node_count(stmt.value)
                 plans.append(("red", rest_fn, t, ufunc))
                 vst["written"].add(t)
                 reduced.add(t)
@@ -1080,7 +1071,6 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
             value_fn = _vec_value(stmt.value, var, cc, vst)
             if value_fn is None:
                 return None
-            per_iter += 1.0 + 0.5 * _node_count(stmt.value)
             plans.append(("sca", value_fn, t, None))
             vst["written"].add(t)
             continue
@@ -1091,16 +1081,20 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
         if acc is None:
             return None
         resolve, key = acc
-        per_iter += 1.0 + 0.5 * (_node_count(stmt.value)
-                                 + sum(_node_count(x)
-                                       for x in stmt.target.subs))
         plans.append(("arr", value_fn, resolve, key))
     if not plans:
         return None
     n_stmts = len(s.body)
+    # 1.0 a statement and 0.5 a node the tree-walker visits — compile_expr's
+    # own count of the value and of an array target's subscripts
+    per_iter = n_stmts + 0.5 * sum(
+        compile_expr(x, cc)[2] for stmt in s.body
+        if isinstance(stmt, ast.Assign)
+        for x in (stmt.value, *getattr(stmt.target, "subs", ())))
     all_names = tuple(sorted(vst["names"]))
 
     def kernel(ex, fr, var_ref, trips, start, step):
+        ex.kernel_bails += 1  # a call is a refusal until it commits
         fstart = float(start)
         fstep = float(step)
         if not (math.isfinite(fstart) and math.isfinite(fstep)):
@@ -1187,12 +1181,12 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
                     if okey != wkey and obuf is wbuf \
                             and olo <= whi and wlo <= ohi:
                         return False
-        except _VectorBail:
-            return False
-        except (ValueError, OverflowError):
+        except Exception:  # noqa: BLE001 - whatever it was, nothing was stored
             return False
         for buf, idx, val in kc.pending:
             buf[idx] = val
+        ex.kernel_bails -= 1
+        ex.kernel_launches += 1
         ex.cost += trips * per_iter
         ex.steps += trips * n_stmts
         ex.kernel_steps += trips * n_stmts
@@ -1853,8 +1847,9 @@ class CompiledInterpreter(Interpreter):
 
     def __init__(self, program: Program, **kwargs):
         super().__init__(program, **kwargs)
-        #: the share of ``steps`` that vector kernels committed
-        self.kernel_steps = 0
+        #: the share of ``steps`` that vector kernels committed, the
+        #: kernel calls that committed and the calls that refused
+        self.kernel_steps = self.kernel_launches = self.kernel_bails = 0
         self._templates: Dict[int, _UnitTemplate] = {}
         self._omp_sites: Dict[int, List[ast.OmpParallelDo]] = {}
 
@@ -1890,8 +1885,9 @@ class CompiledInterpreter(Interpreter):
             stop_message = stop.message or ""
         finally:
             metrics = _get_metrics()
-            metrics["steps"].inc(self.steps)
-            metrics["kernel_steps"].inc(self.kernel_steps)
+            for name in ("steps", "kernel_steps", "kernel_launches",
+                         "kernel_bails"):
+                metrics[name].inc(getattr(self, name))
         return self._result(stop_message)
 
     def _call(self, name: str, args: Sequence[ast.Expr],

@@ -42,7 +42,7 @@ from repro.fortran import ast
 from repro.fortran.intrinsics import is_intrinsic
 from repro.fortran.symbols import SymbolTable, VarInfo, build_symbol_table
 from repro.program import Program
-from repro.runtime.intrinsics import call_intrinsic
+from repro.runtime.intrinsics import call_intrinsic, power
 from repro.runtime.machine import (MachineModel, RegionProfile,
                                    RegionRecorder, Site)
 from repro.runtime.values import ArrayView, ScalarRef
@@ -800,11 +800,7 @@ class Interpreter:
                 return float(q if (ia < 0) == (ib < 0) else -q)
             return a / b
         if op == "**":
-            if b == int(b):
-                return float(a ** int(b))
-            if a < 0:
-                raise InterpreterError("negative base with real exponent")
-            return float(a ** b)
+            return power(a, b)
         if op == "==":
             return 1.0 if a == b else 0.0
         if op == "/=":

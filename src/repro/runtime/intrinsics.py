@@ -35,6 +35,24 @@ def _nint(x: float) -> float:
     return float(int(x + 0.5)) if x >= 0 else float(int(x - 0.5))
 
 
+def power(a: float, b: float) -> float:
+    """``a ** b`` for both backends: an integral exponent is repeated
+    multiplication (Python's int power), any other needs a base >= 0;
+    every domain fault is an :class:`InterpreterError`."""
+    if not math.isfinite(b):
+        raise InterpreterError("exponent is not finite")
+    try:
+        if b == int(b):
+            return float(a ** int(b))
+        if a < 0:
+            raise InterpreterError("negative base with real exponent")
+        return float(a ** b)
+    except ZeroDivisionError:
+        raise InterpreterError("zero raised to a negative power") from None
+    except OverflowError:
+        raise InterpreterError("result of ** out of range") from None
+
+
 IMPLEMENTATIONS: Dict[str, Callable[..., float]] = {
     "INT": _trunc, "IFIX": _trunc, "IDINT": _trunc,
     "REAL": float, "FLOAT": float, "SNGL": float, "DBLE": float,
