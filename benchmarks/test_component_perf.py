@@ -157,6 +157,28 @@ def test_invariant_operand_kernel_speed(benchmark):
     assert interp.kernel_steps > 0.94 * interp.steps
 
 
+def test_nest_kernel_speed(benchmark):
+    """One execution of SPEC77's ``none`` program: ``SYNTH``'s row
+    reduction — 64 inner loops, 24 times — is one launch a call, 27
+    launches in all (1 585 while a launch was one inner loop)."""
+    interp = _honoured_execution(benchmark, "spec77", "none")
+    assert interp.kernel_launches < 100
+
+
+def test_leaf_pricing_speed(benchmark):
+    """One ``price`` of that execution's profile: 1 585 leaf region
+    executions over three cost vectors, each priced once per nesting
+    level."""
+    from repro.experiments.pipeline import Config, run_config
+    from repro.experiments.tuning import record_profile
+    from repro.runtime.machine import INTEL_MAC, price
+    bench = get_benchmark("spec77")
+    profile = record_profile(run_config(bench, Config("none")).program,
+                             bench.inputs)
+    cost, stats = benchmark(lambda: price(profile, INTEL_MAC))
+    assert cost < profile.work and stats
+
+
 def test_table2_pipeline_speed(benchmark):
     """End-to-end Table II generation (all 12 benchmarks x 3 configs),
     cold caches each round so the number tracks the full pipeline cost

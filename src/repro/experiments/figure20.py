@@ -9,8 +9,9 @@ benchmark x machine x configuration.
 Each ``(benchmark x machine x config)`` cell is an independent executor
 work unit (:class:`Figure20Task`): the worker runs the configuration's
 pipeline and executes the optimized program once, recording its region
-profile, and then prices the tuning protocol from that profile on a
-fresh clone.  Both are memoized per process: the pipeline per
+profile, and then prices the tuning protocol from that profile — its
+decision only, which edits nothing and so clones nothing.  Pipeline and
+execution are memoized per process: the pipeline per
 (benchmark, configuration), since both machines tune the same program,
 and the execution per distinct program *text*, since configurations
 often emit the same one (25 texts among the 36) and an execution depends
@@ -27,7 +28,7 @@ from repro.experiments.executor import merge_task_traces, run_tasks
 from repro.experiments.pipeline import (CONFIGS, Config, PipelineResult,
                                         run_config)
 from repro.experiments.reporting import bar_chart
-from repro.experiments.tuning import TuningResult, record_profile, tune
+from repro.experiments.tuning import TuningResult, decide, record_profile
 from repro.perfect import all_benchmarks
 from repro.perfect.suite import Benchmark
 from repro.runtime.machine import (AMD_OPTERON, INTEL_MAC, MachineModel,
@@ -47,7 +48,7 @@ class SpeedupCell:
     #: phases and 'profile' only on the cell that ran the pipeline
     #: ('profile' is the program's one execution, or ~0 s when another
     #: configuration already executed the same text); 'price', the
-    #: protocol on a clone, always
+    #: protocol's decision, always
     timings: Dict[str, float] = field(default_factory=dict)
     #: worker-local :meth:`repro.trace.Tracer.export`, when requested
     trace: Optional[Dict[str, Any]] = None
@@ -109,10 +110,8 @@ def run_cell_task(task: Figure20Task) -> SpeedupCell:
         timings = {}  # pipeline and execution: attributed to an earlier cell
     result, profile = entry
     with tracer.phase("price", timings, **ids):
-        # tuning mutates the program: use a fresh clone per machine
-        program = result.program.clone()
-        tuning = tune(program, task.machine, task.benchmark.inputs,
-                      profile=profile)
+        tuning, _off = decide(result.program, task.machine,
+                              task.benchmark.inputs, profile=profile)
     return SpeedupCell(task.benchmark.name, task.machine.name, task.kind,
                        tuning, timings,
                        tracer.export() if task.trace else None)

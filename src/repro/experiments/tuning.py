@@ -23,7 +23,7 @@ text (:func:`repro.experiments.figure20.run_cell_task`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.fortran import ast
 from repro.program import Program
@@ -76,10 +76,12 @@ def record_profile(program: Program,
                             inputs=list(inputs)).run().regions
 
 
-def tune(program: Program, machine: MachineModel,
-         inputs: Sequence[float] = (), max_rounds: int = 4,
-         profile: Optional[RegionProfile] = None) -> TuningResult:
-    """Disable harmful directives in place.
+def decide(program: Program, machine: MachineModel,
+           inputs: Sequence[float] = (), max_rounds: int = 4,
+           profile: Optional[RegionProfile] = None
+           ) -> Tuple[TuningResult, Set[Site]]:
+    """The tuning protocol's decision, leaving ``program`` as it is: its
+    result and the sites of the directives to disable.
 
     The program is executed at most once, and not at all when the caller
     supplies the ``profile`` of an earlier :func:`record_profile` of this
@@ -97,24 +99,33 @@ def tune(program: Program, machine: MachineModel,
     if profile is None:
         profile = record_profile(program, inputs)
     site_of = number_omp_sites(program)
+    labelled = [(site_of[id(omp)],
+                 f"{omp.loop.var}@{getattr(omp.loop, 'origin', '?')}")
+                for _body, _idx, omp in _directive_sites(program)]
     off: Set[Site] = set()
     initial, stats = price(profile, machine, off)
     best = initial
     disabled: List[str] = []
     for _ in range(max_rounds):
         harmful = {site for site, (s_cost, p_cost) in stats.items()
-                   if p_cost >= s_cost}
+                   if p_cost >= s_cost} - off
         if not harmful:
             break
-        for body, idx, omp in _directive_sites(program):
-            if isinstance(body[idx], ast.OmpParallelDo) \
-                    and site_of.get(id(omp)) in harmful:
-                label = f"{omp.loop.var}@{getattr(omp.loop, 'origin', '?')}"
-                body[idx] = omp.loop
-                disabled.append(label)
+        disabled += [label for site, label in labelled if site in harmful]
         off |= harmful
         best, stats = price(profile, machine, off)
-    kept = [f"{omp.loop.var}@{getattr(omp.loop, 'origin', '?')}"
-            for body, idx, omp in _directive_sites(program)
-            if isinstance(body[idx], ast.OmpParallelDo)]
-    return TuningResult(initial, best, profile.work, disabled, kept)
+    kept = [label for site, label in labelled if site not in off]
+    return TuningResult(initial, best, profile.work, disabled, kept), off
+
+
+def tune(program: Program, machine: MachineModel,
+         inputs: Sequence[float] = (), max_rounds: int = 4,
+         profile: Optional[RegionProfile] = None) -> TuningResult:
+    """Disable harmful directives in place: :func:`decide`, then replace
+    each directive it names by its loop."""
+    result, off = decide(program, machine, inputs, max_rounds, profile)
+    site_of = number_omp_sites(program)
+    for body, idx, omp in _directive_sites(program):
+        if site_of[id(omp)] in off:
+            body[idx] = omp.loop
+    return result

@@ -5,9 +5,9 @@ every AST node on every execution.  This module compiles each program
 unit once into a flat list of Python closures — one instruction per
 statement, with jump targets pre-resolved so GOTO and DO dispatch is an
 index bump instead of exception unwinding — and, where the subscript
-analysis proves an inner loop body affine, branch-free and call-free,
-emits a NumPy gather/compute/scatter kernel instead of per-iteration
-closures: for plain DO loops and, in program order and where
+analysis proves a rectangular loop nest affine, branch-free and
+call-free, emits one NumPy gather/compute/scatter kernel instead of
+per-iteration closures: for plain DO loops and, in program order and where
 privatisation cannot be observed, for the loops of honoured directives.
 
 The cost-accounting contract of the tree-walker is preserved *exactly*:
@@ -45,7 +45,7 @@ import hashlib
 import math
 import pickle
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -704,24 +704,41 @@ def _compile_binop(e: ast.BinOp, cc: _Ctx):
 
 
 # ---------------------------------------------------------------------------
-# vectorization: affine, branch-free, call-free inner loops
+# vectorization: affine, branch-free, call-free loop nests
 #
-# An eligible DO body (all assignments, array targets, subscripts affine
-# in the DO variable) lowers to one gather/compute/scatter kernel.  One
-# rule admits operands: a subtree is *invariant* when it mentions neither
-# the DO variable nor a scalar the body assigns and compile_expr gives it
-# a pure closure; that closure — the scalar path's own meaning of every
+# An eligible nest — bodies of assignments, CONTINUE and loops (plain or
+# under an honoured directive) whose bounds nothing in the nest changes,
+# array targets, subscripts affine in the DO variables in scope — lowers
+# to one gather/compute/scatter kernel with one *axis* per loop; a lone
+# inner loop is the nest of depth one.  A value at depth d has shape
+# (trips_d, ..., trips_0), innermost axis first: what an enclosing body
+# computed broadcasts into the bodies inside it, a loop's own axis is
+# axis 0, and Fortran order is program order.  One rule admits operands:
+# a subtree is *invariant* when it mentions neither a DO variable of the
+# nest nor a scalar the nest assigns and compile_expr gives it a pure
+# closure; that closure — the scalar path's own meaning of every
 # operator, intrinsic and array element — evaluates it once per launch
-# (_vec_once).  Only what varies with the loop needs a vector arm.  The
-# kernel is *speculative*: a deferred-scatter design computes everything
-# into temporaries and validates every hazard (bounds, aliasing — hoisted
-# reads included —, division by zero, non-integral subscripts, ...)
-# before mutating any state; any doubt, and any exception at all, refuses
-# and the scalar instruction path replays the loop with exact tree-walker
-# semantics, including whatever error the tree-walker would have raised,
-# at the same program state.  The committed charge is trips * (what the
-# tree-walker charges per iteration) — bit-exact, because all charges
-# are multiples of 0.5.
+# (_vec_once).  Only what varies with a loop needs a vector arm.  A
+# scalar is read from the temporary of the statement that wrote it
+# earlier in the same body, or in an enclosing body when no body in
+# between assigns it; when a loop closes, what it wrote collapses to its
+# last element along that loop's axis.  An array store must move on every
+# enclosing axis by strides no two iterations can share (_vec_injective):
+# that makes the deferred scatter, and a read under the same key,
+# element-wise; a key names the loops its subscripts mention, so sibling
+# loops over one variable never share a temporary.  The kernel is
+# *speculative*: it computes everything into temporaries and validates
+# every hazard (bounds at the corners of the rectangle, aliasing —
+# hoisted reads included —, division by zero, non-integral subscripts,
+# ...) before mutating any state but the inner DO variables' cells, which
+# hoisted subscripts read and a refusal restores; any doubt, and any
+# exception at all, refuses and the scalar instruction path replays the
+# loop with exact tree-walker semantics, including whatever error the
+# tree-walker would have raised, at the same program state.  The
+# committed charge is trips * (what the tree-walker charges per
+# iteration, inner headers and iterations included) — bit-exact, because
+# all charges are multiples of 0.5 — and a committed nest records the
+# region executions the walk would have (_vec_replay).
 # ---------------------------------------------------------------------------
 
 _VEC_MIN_TRIPS = 4
@@ -732,36 +749,61 @@ _VEC_MIN = {"MIN", "AMIN1", "DMIN1"}
 _TWO53 = float(2 ** 53)
 
 
-class _KernelCtx:
-    __slots__ = ("ex", "fr", "trips", "start", "istep", "arange", "vals",
-                 "temps", "reads", "writes", "pending")
+class _VecLoop:
+    """One loop of a nest being lowered — an axis of its kernel.  ``k``
+    numbers the nest's loops in preorder (what a launch knows about loop
+    ``k`` lives in the kernel context under that number), ``level`` is
+    the nesting depth, ``site`` the honoured directive's site index."""
 
-    def __init__(self, ex, fr, trips, start, step):
+    __slots__ = ("k", "level", "var", "site", "bounds", "plans", "fixed",
+                 "n_stmts", "assigned", "written", "first", "sited")
+
+    def __init__(self, k, level, var, site, assigned):
+        self.k, self.level, self.var, self.site = k, level, var, site
+        self.bounds = None          # start/stop/step evaluators (inner loops)
+        self.plans: List[tuple] = []
+        self.fixed = 0.0            # cost of one iteration, inner loops apart
+        self.n_stmts = 0
+        self.assigned = assigned    # scalars assigned anywhere inside
+        self.written: set = set()   # ... by the statements lowered so far
+        self.first: Dict[str, str] = {}   # scalar -> kind of its first write
+        self.sited: List["_VecLoop"] = []  # inner loops with regions to record
+
+
+class _KernelCtx:
+    __slots__ = ("ex", "fr", "axes", "charge", "temps", "reads", "writes",
+                 "pending", "saved")
+
+    def __init__(self, ex, fr):
         self.ex = ex
         self.fr = fr
-        self.trips = trips
-        self.istep = int(step)
-        self.arange = np.arange(trips)
-        self.vals = start + step * self.arange
+        #: loop number -> (trips, integer step, its arange shaped to
+        #: broadcast on its axis, the DO variable's values likewise)
+        self.axes: Dict[int, tuple] = {}
+        #: loop number -> (cost, steps) one iteration of it charges
+        self.charge: Dict[int, tuple] = {}
         self.temps: Dict[tuple, object] = {}
         self.reads: List[tuple] = []
         self.writes: List[tuple] = []
         self.pending: List[tuple] = []
+        #: DO-variable cells as the launch found them, for a refusal
+        self.saved: List[tuple] = []
 
 
-def _vec_once(e: ast.Expr, var: str, cc: _Ctx, vst: dict, banned):
+def _vec_once(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict, banned):
     """Lower ``e`` for one evaluation per launch by the closure the
     scalar path owns, or None when it mentions a ``banned`` name or is
     not strict.  The evaluator first adds every cell ``e`` reads to
     ``kc.reads`` — scalars here, array elements through their own
     resolvers — so the overlap check is the one authority on whether the
-    loop changes what was hoisted; it returns a Python float."""
+    nest changes what was hoisted; it returns a Python float."""
     if any(isinstance(n, (ast.Var, ast.ArrayRef)) and n.name.upper() in banned
            for n in ast.walk_expr(e)):
         return None
     pure = compile_expr(e, cc)[0]
     if pure is None:
         return None
+    own = {rec.var for rec in scope}
     cells, covered = [], set()
     for n in ast.walk_expr(e):
         if id(n) in covered:
@@ -769,11 +811,11 @@ def _vec_once(e: ast.Expr, var: str, cc: _Ctx, vst: dict, banned):
         if isinstance(n, ast.ArrayRef):
             # the resolver records what the element's subscripts read
             covered.update(map(id, ast.walk_expr(n)))
-            acc = _vec_access_factory(n, var, cc, vst)
+            acc = _vec_access_factory(n, scope, cc, vst)
             if acc is None:
                 return None
             cells.append(acc[0])
-        elif isinstance(n, ast.Var) and n.name.upper() != var \
+        elif isinstance(n, ast.Var) and n.name.upper() not in own \
                 and n.name.upper() not in cc.params:
             cells.append(n.name.upper())
     vst["names"].update(c for c in cells if c.__class__ is str)
@@ -786,7 +828,7 @@ def _vec_once(e: ast.Expr, var: str, cc: _Ctx, vst: dict, banned):
                     raise _VectorBail
                 kc.reads.append((ref.buffer, ref.offset, ref.offset, None))
             else:
-                view, _off0, _slope, lo, hi = cell(kc)
+                view, _offsets, _strides, lo, hi = cell(kc)
                 kc.reads.append((view.buffer, lo, hi, None))
         value = pure(kc.ex, kc.fr)
         if not isinstance(value, float):
@@ -795,36 +837,64 @@ def _vec_once(e: ast.Expr, var: str, cc: _Ctx, vst: dict, banned):
     return once
 
 
-def _vec_sub_spec(sub: ast.Expr, var: str, cc: _Ctx, vst: dict):
-    """Compile one subscript, affine in the DO variable around atoms the
-    loop leaves alone: (its value at the first iteration, coeff wrt the
-    DO variable), or None."""
-    from repro.analysis.affine import extract
-    form = extract(sub, [var])
-    if form is None:
-        return None
-    once = _vec_once(sub, var, cc, vst, vst["scalar_targets"])
-    return None if once is None else (once, form.coeff(var))
+def _vec_key(e: ast.ArrayRef, scope: tuple) -> tuple:
+    """What makes two accesses the same element in the same iteration:
+    the array, the subscripts' text and the loops whose variables they
+    mention (a sibling ``DO J`` is another ``J``)."""
+    mentioned = {n.name.upper() for sub in e.subs for n in ast.walk_expr(sub)
+                 if isinstance(n, ast.Var)}
+    return (e.name.upper(), repr(e.subs),
+            tuple(rec.k for rec in scope if rec.var in mentioned))
 
 
-def _vec_access_factory(e: ast.ArrayRef, var: str, cc: _Ctx, vst: dict):
-    """Compile an array access into a runtime resolver returning
-    (view, off0, B, lo, hi) for the current frame, or None if the
+def _vec_injective(strides) -> bool:
+    """Do no two iterations share an offset?  ``strides`` is one
+    (flat stride, trips) per enclosing loop; sorted by magnitude, each
+    stride must clear everything the smaller ones span (mixed radix) —
+    so a stride of zero, ``A(I)`` inside ``DO J``, and ``A(I+J)`` fail."""
+    span = 0
+    for stride, trips in sorted((abs(s), t) for s, t in strides):
+        if stride <= span:
+            return False
+        span += stride * (trips - 1)
+    return True
+
+
+def _vec_last(value, ndim: int):
+    """``value`` as the loop of depth ``ndim - 1`` leaves it: the last
+    element along that loop's axis, when it varies along it at all."""
+    return value[-1] if getattr(value, "ndim", 0) == ndim else value
+
+
+def _vec_access_factory(e: ast.ArrayRef, scope: tuple, cc: _Ctx, vst: dict):
+    """Compile an array access into (a runtime resolver returning
+    (view, its offset at every iteration, flat stride per loop in scope,
+    lo, hi) for the current frame; its key; its subscripts' affine
+    forms), or None if the
     subscripts are not affine/simple.  All validation failures at runtime
     raise _VectorBail (never mutating state)."""
+    from repro.analysis.affine import extract
     name = e.name.upper()
     if name in vst["scalar_targets"]:
         return None
     if any(isinstance(x, ast.RangeExpr) for x in e.subs):
         return None
-    specs = []
+    own = [rec.var for rec in scope]
+    specs, forms = [], []
     for sub in e.subs:
-        spec = _vec_sub_spec(sub, var, cc, vst)
-        if spec is None:
+        # affine in the DO variables in scope around atoms the nest
+        # leaves alone: its value at the first iteration of every loop,
+        # and one coefficient per loop
+        form = extract(sub, own)
+        if form is None:
             return None
-        specs.append(spec)
+        once = _vec_once(sub, scope, cc, vst, vst["variant"] - set(own))
+        if once is None:
+            return None
+        specs.append((once, tuple(form.coeff(v) for v in own)))
+        forms.append(form)
     vst["names"].add(name)
-    specs = tuple(specs)
+    numbers = tuple(rec.k for rec in scope)
 
     def resolve(kc):
         view = kc.fr.vars.get(name)
@@ -832,74 +902,87 @@ def _vec_access_factory(e: ast.ArrayRef, var: str, cc: _Ctx, vst: dict):
             raise _VectorBail
         if len(specs) != view.rank:
             raise _VectorBail
+        axes = [kc.axes[k] for k in numbers]
         off0 = view.offset
-        stride_total = 0
-        trips = kc.trips
-        for (once, c), lower, ext, stride in zip(specs, view.lowers,
-                                                 view.extents, view.strides):
+        strides = [0] * len(axes)
+        for (once, coeffs), lower, ext, stride in zip(specs, view.lowers,
+                                                      view.extents,
+                                                      view.strides):
             base = once(kc)
             if base != int(base):
                 raise _VectorBail
-            b0 = int(base)
-            dstep = c * kc.istep
-            if dstep != int(dstep):
-                # int() truncation per iteration would break affinity
-                raise _VectorBail
-            dstep = int(dstep)
-            rel0 = b0 - lower
-            rel1 = b0 + (trips - 1) * dstep - lower
-            if rel0 < 0 or rel1 < 0:
-                raise _VectorBail
-            if ext is not None and (rel0 >= ext or rel1 >= ext):
+            # the dimension's extreme values lie at corners of the
+            # iteration rectangle
+            rel0 = rel_lo = rel_hi = int(base) - lower
+            for i, c in enumerate(coeffs):
+                if c:
+                    trips, istep = axes[i][:2]
+                    strides[i] += c * istep * stride
+                    reach = (trips - 1) * c * istep
+                    if reach < 0:
+                        rel_lo += reach
+                    else:
+                        rel_hi += reach
+            if rel_lo < 0 or (ext is not None and rel_hi >= ext):
                 raise _VectorBail
             off0 += rel0 * stride
-            stride_total += dstep * stride
-        buflen = len(view.buffer)
-        off_last = off0 + (trips - 1) * stride_total
-        if off0 < 0 or off0 >= buflen or off_last < 0 or off_last >= buflen:
+        lo = hi = offsets = off0
+        for s, axis in zip(strides, axes):
+            if s:
+                offsets = offsets + s * axis[2]
+                reach = (axis[0] - 1) * s
+                if reach < 0:
+                    lo += reach
+                else:
+                    hi += reach
+        if lo < 0 or hi >= len(view.buffer):
             raise _VectorBail
-        lo = off0 if stride_total >= 0 else off_last
-        hi = off_last if stride_total >= 0 else off0
-        return view, off0, stride_total, lo, hi
+        return view, offsets, strides, lo, hi
 
-    return resolve, (name, repr(e.subs))
+    return resolve, _vec_key(e, scope), forms
 
 
-def _vec_value(e: ast.Expr, var: str, cc: _Ctx, vst: dict):
+def _vec_value(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict):
     """Compile a loop-body value expression to vfn(kc) -> vector|float,
     or None when ineligible: an invariant subtree whole, through
     :func:`_vec_once`, and an arm below for each thing that varies."""
-    once = _vec_once(e, var, cc, vst, vst["variant"])
+    once = _vec_once(e, scope, cc, vst, vst["variant"])
     if once is not None:
         return once
     if isinstance(e, ast.Var):
         name = e.name.upper()
-        if name == var:
-            return lambda kc: kc.vals
-        if name not in vst["written"]:
-            # read before the loop's own write: a cross-iteration
-            # recurrence the deferred-scatter kernel cannot express
-            return None
-        key = (name, None)
-        return lambda kc: kc.temps[key]
+        for rec in reversed(scope):
+            if name == rec.var:
+                k = rec.k
+                return lambda kc: kc.axes[k][3]
+            if name in rec.written:
+                key = (name, None)
+                return lambda kc: kc.temps[key]
+            if name in rec.assigned:
+                # read before this body's own write: a cross-iteration
+                # recurrence the deferred-scatter kernel cannot express
+                return None
+        # a DO variable of the nest outside its loop
+        return None
     if isinstance(e, ast.ArrayRef):
-        acc = _vec_access_factory(e, var, cc, vst)
+        acc = _vec_access_factory(e, scope, cc, vst)
         if acc is None:
             return None
-        resolve, key = acc
+        resolve, key, forms = acc
+        vst["accesses"].append((False, key, forms))
 
         def vfn(kc):
             tmp = kc.temps.get(key)
             if tmp is not None:
                 return tmp
-            view, off0, B, lo, hi = resolve(kc)
+            view, offsets, strides, lo, hi = resolve(kc)
             kc.reads.append((view.buffer, lo, hi, key))
-            if B == 0:
-                v = float(view.buffer[off0])
+            if not any(strides):
+                v = float(view.buffer[offsets])
                 if view.typename == "INTEGER":
                     v = float(int(v))
                 return v
-            g = view.buffer[off0 + B * kc.arange]
+            g = view.buffer[offsets]
             if view.typename == "INTEGER":
                 if not np.isfinite(g).all():
                     raise _VectorBail
@@ -909,7 +992,7 @@ def _vec_value(e: ast.Expr, var: str, cc: _Ctx, vst: dict):
     if isinstance(e, ast.UnOp):
         if e.op not in ("-", "+"):
             return None
-        child = _vec_value(e.operand, var, cc, vst)
+        child = _vec_value(e.operand, scope, cc, vst)
         if child is None:
             return None
         if e.op == "+":
@@ -918,15 +1001,15 @@ def _vec_value(e: ast.Expr, var: str, cc: _Ctx, vst: dict):
     if isinstance(e, ast.BinOp):
         if e.op not in ("+", "-", "*", "/"):
             return None
+        integer = False
         if e.op == "/":
             try:
-                if expr_type(e.left, cc.table) == "INTEGER" \
-                        and expr_type(e.right, cc.table) == "INTEGER":
-                    return None
+                integer = expr_type(e.left, cc.table) == "INTEGER" \
+                    and expr_type(e.right, cc.table) == "INTEGER"
             except Exception:
                 return None
-        left = _vec_value(e.left, var, cc, vst)
-        right = _vec_value(e.right, var, cc, vst)
+        left = _vec_value(e.left, scope, cc, vst)
+        right = _vec_value(e.right, scope, cc, vst)
         if left is None or right is None:
             return None
         op = e.op
@@ -936,6 +1019,22 @@ def _vec_value(e: ast.Expr, var: str, cc: _Ctx, vst: dict):
             return lambda kc: left(kc) - right(kc)
         if op == "*":
             return lambda kc: left(kc) * right(kc)
+        if integer:
+            def vidiv(kc):
+                # the scalar combiner's answer bit for bit: truncate the
+                # operands, integer quotient of the magnitudes (exact
+                # below 2**53), the sign, and never a negative zero
+                a = left(kc)
+                b = right(kc)
+                if not (np.all(np.abs(a) < _TWO53)
+                        and np.all(np.abs(b) < _TWO53)):
+                    raise _VectorBail
+                ia, ib = np.trunc(a), np.trunc(b)
+                if np.any(ib == 0.0):
+                    raise _VectorBail
+                q = np.floor_divide(np.abs(ia), np.abs(ib))
+                return np.where((ia < 0) == (ib < 0), q, -q) + 0.0
+            return vidiv
 
         def vdiv(kc):
             a = left(kc)
@@ -946,7 +1045,7 @@ def _vec_value(e: ast.Expr, var: str, cc: _Ctx, vst: dict):
         return vdiv
     if isinstance(e, ast.FuncRef):
         fname = e.name.upper()
-        args = [_vec_value(a, var, cc, vst) for a in e.args]
+        args = [_vec_value(a, scope, cc, vst) for a in e.args]
         if any(a is None for a in args):
             return None
         if fname in _VEC_ABS and len(args) == 1:
@@ -1010,41 +1109,81 @@ def _match_reduction(e: ast.Expr, tname: str, occurs: int):
     return None
 
 
-def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
-    """Build a speculative vector kernel for ``s`` or return None.
+def _vec_nested(stmt: ast.Stmt, cc: _Ctx):
+    """(loop, site index, PRIVATE names) when ``stmt`` is a loop — a
+    directive the run does not honour is its loop — else None."""
+    if isinstance(stmt, ast.DoLoop):
+        return stmt, None, ()
+    if isinstance(stmt, ast.OmpParallelDo):
+        if cc.honor:
+            return stmt.loop, cc.omp_index[id(stmt)], stmt.private
+        return stmt.loop, None, ()
+    return None
 
-    The kernel carries what a directive over ``s`` needs to know:
-    ``per_iter``, the cost every iteration charges, and
-    ``plain_targets``, the scalars the body assigns other than by a
-    reduction — each is written before it is read in every iteration
-    (anything else was refused above), so privatising one cannot be
-    observed."""
+
+def _vec_targets(body: Sequence[ast.Stmt]) -> List[str]:
+    """The scalars the statements of ``body`` assign, loops included."""
+    return [x.target.name.upper() for x in ast.walk_stmts(body)
+            if isinstance(x, ast.Assign) and isinstance(x.target, ast.Var)]
+
+
+def _vec_lower(s: ast.DoLoop, scope: tuple, cc: _Ctx, vst: dict, site,
+               private) -> Optional[_VecLoop]:
+    """Lower loop ``s`` as one more axis inside ``scope``, or None.
+
+    ``private`` is its directive's list, which must be unobservable at
+    this level: the loop's own variable, or a scalar whose first write in
+    every iteration is not a reduction — each such scalar is written
+    before it is read (anything else is refused here), and so are the DO
+    variables of the loops inside."""
     var = s.var.upper()
-    if var in cc.params or not s.body:
+    if var in cc.params or any(var == rec.var for rec in scope):
         return None
-    scalar_targets = set()
+    rec = _VecLoop(vst["loops"], len(scope), var, site,
+                   set(_vec_targets(s.body)))
+    vst["loops"] += 1
+    scope = scope + (rec,)
+    rec.n_stmts = len(s.body)
     for stmt in s.body:
         if isinstance(stmt, ast.Continue):
+            rec.fixed += 1.0
+            continue
+        nested = _vec_nested(stmt, cc)
+        if nested is not None:
+            loop, kid_site, kid_private = nested
+            # bounds nothing in the nest changes: evaluated once per
+            # launch, their reads joining the overlap check
+            exprs = [loop.start, loop.stop] \
+                + ([] if loop.step is None else [loop.step])
+            bounds = [_vec_once(x, scope, cc, vst, vst["variant"])
+                      for x in exprs]
+            if None in bounds:
+                return None
+            kid = _vec_lower(loop, scope, cc, vst, kid_site, kid_private)
+            if kid is None:
+                return None
+            kid.bounds = tuple(bounds) + (None,) * (3 - len(bounds))
+            vst["names"].add(kid.var)
+            rec.fixed += _compile_bounds(loop, cc)[0]  # all of it folds
+            rec.plans.append(("loop", None, kid, None))
+            rec.written |= kid.written
+            rec.first.setdefault(kid.var, "sca")
+            for name, kind in kid.first.items():
+                rec.first.setdefault(name, kind)
+            if kid.site is not None or kid.sited:
+                rec.sited.append(kid)
             continue
         if not isinstance(stmt, ast.Assign):
             return None
+        # 1.0 a statement and 0.5 a node the tree-walker visits —
+        # compile_expr's own count of the value and of an array target's
+        # subscripts
+        rec.fixed += 1.0 + 0.5 * sum(
+            compile_expr(x, cc)[2]
+            for x in (stmt.value, *getattr(stmt.target, "subs", ())))
         if isinstance(stmt.target, ast.Var):
             t = stmt.target.name.upper()
-            if t == var or t in cc.params:
-                return None
-            scalar_targets.add(t)
-        elif not isinstance(stmt.target, ast.ArrayRef):
-            return None
-    vst = {"names": set(), "scalar_targets": frozenset(scalar_targets),
-           "variant": frozenset(scalar_targets | {var}), "written": set()}
-    reduced: set = set()
-    plans = []
-    for stmt in s.body:
-        if isinstance(stmt, ast.Continue):
-            continue
-        if isinstance(stmt.target, ast.Var):
-            t = stmt.target.name.upper()
-            if t in reduced:
+            if t in vst["reduced"]:
                 # a later write to a reduced scalar would invalidate the
                 # accumulate's carry chain (next iteration reads *this*
                 # statement's result, not the reduction's)
@@ -1052,136 +1191,249 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
             vst["names"].add(t)
             occurs = sum(1 for n in ast.walk_expr(stmt.value)
                          if isinstance(n, ast.Var) and n.name.upper() == t)
-            if occurs and t not in vst["written"]:
+            if occurs and t not in rec.written:
                 # S = S op <t>: a sequential reduction.  ufunc.accumulate
                 # performs the identical left-to-right float operations
                 # (verified by the backend-equivalence suite), so the
-                # final value and every prefix are bit-exact.
+                # final value and every prefix are bit-exact.  Carried
+                # from the enclosing body's temporary (S = 0.0 there: one
+                # accumulate per row, along this loop's axis), or from
+                # memory across every enclosing iteration in program
+                # order — then S may have no other assignment in the nest
                 red = _match_reduction(stmt.value, t, occurs)
-                if red is None:
+                row = len(scope) > 1 and t in scope[-2].written
+                if red is None or not (row or vst["count"][t] == 1):
                     return None
                 ufunc, rest = red
-                rest_fn = _vec_value(rest, var, cc, vst)
+                rest_fn = _vec_value(rest, scope, cc, vst)
                 if rest_fn is None:
                     return None
-                plans.append(("red", rest_fn, t, ufunc))
-                vst["written"].add(t)
-                reduced.add(t)
-                continue
-            value_fn = _vec_value(stmt.value, var, cc, vst)
-            if value_fn is None:
-                return None
-            plans.append(("sca", value_fn, t, None))
-            vst["written"].add(t)
+                rec.plans.append(("red", rest_fn, t, (ufunc, row)))
+                vst["reduced"].add(t)
+                rec.first.setdefault(t, "red")
+            else:
+                value_fn = _vec_value(stmt.value, scope, cc, vst)
+                if value_fn is None:
+                    return None
+                rec.plans.append(("sca", value_fn, t, None))
+                rec.first.setdefault(t, "sca")
+            rec.written.add(t)
             continue
-        value_fn = _vec_value(stmt.value, var, cc, vst)
-        if value_fn is None:
+        value_fn = _vec_value(stmt.value, scope, cc, vst)
+        acc = isinstance(stmt.target, ast.ArrayRef) \
+            and _vec_access_factory(stmt.target, scope, cc, vst)
+        if value_fn is None or not acc:
             return None
-        acc = _vec_access_factory(stmt.target, var, cc, vst)
-        if acc is None:
-            return None
-        resolve, key = acc
-        plans.append(("arr", value_fn, resolve, key))
-    if not plans:
+        resolve, key, forms = acc
+        vst["accesses"].append((True, key, forms))
+        rec.plans.append(("arr", value_fn, resolve, key))
+    if not rec.plans or not all(n.upper() == rec.var
+                                or rec.first.get(n.upper()) == "sca"
+                                for n in private):
+        # privatisation could be observed: a private array, a private
+        # name the body only reads or never mentions (it may overlay a
+        # cell the body reads) and a privatised reduction all see the
+        # per-iteration zeroing and the last-iteration peel, and the
+        # kernel does neither
         return None
-    n_stmts = len(s.body)
-    # 1.0 a statement and 0.5 a node the tree-walker visits — compile_expr's
-    # own count of the value and of an array target's subscripts
-    per_iter = n_stmts + 0.5 * sum(
-        compile_expr(x, cc)[2] for stmt in s.body
-        if isinstance(stmt, ast.Assign)
-        for x in (stmt.value, *getattr(stmt.target, "subs", ())))
-    all_names = tuple(sorted(vst["names"]))
+    return rec
 
-    def kernel(ex, fr, var_ref, trips, start, step):
+
+def _vec_carried(accesses) -> bool:
+    """Is there a store and another access of the same array, under
+    different keys, with identical coefficients on the DO variables and
+    subscripts that differ only by integer constants smaller than
+    ``_VEC_MIN_TRIPS`` in dimensions a DO variable moves?  Such a pair
+    is a dependence carried by a loop that outruns the constant — the
+    root always does — and the overlap check is certain to refuse it at
+    every launch: the scalar path may as well own the loop."""
+    def moving(form):
+        return {v: c for v, c in form.coeffs.items() if c}
+
+    for stored, skey, sforms in accesses:
+        for _stored, okey, oforms in accesses:
+            if stored and okey != skey and okey[0] == skey[0] \
+                    and len(oforms) == len(sforms):
+                deltas = [(f.remainder - g.remainder).constant_value()
+                          if moving(f) == moving(g) else None
+                          for f, g in zip(sforms, oforms)]
+                if None not in deltas and any(deltas) and all(
+                        d == 0 or moving(f) and abs(d) < _VEC_MIN_TRIPS
+                        for d, f in zip(deltas, sforms)):
+                    return True
+    return False
+
+
+def _vec_axis(kc: _KernelCtx, rec: _VecLoop, ref: ScalarRef, trips: int,
+              start: float, step: float) -> None:
+    """Open loop ``rec`` as an axis of the launch: its DO variable takes
+    its first value now (hoisted subscripts read the cell) and its exit
+    value at the commit."""
+    if not (math.isfinite(start) and math.isfinite(step)) \
+            or start != int(start) or step != int(step) \
+            or abs(start) + abs(step) * trips >= _TWO53:
+        raise _VectorBail
+    kc.saved.append((ref.buffer, ref.offset, ref.buffer[ref.offset]))
+    ref.set(start)
+    kc.writes.append((ref.buffer, ref.offset, ref.offset, (rec.var,)))
+    kc.pending.append((ref.buffer, ref.offset, start + trips * step))
+    arange = np.arange(trips).reshape((trips,) + (1,) * rec.level)
+    kc.axes[rec.k] = (trips, int(step), arange, start + step * arange)
+
+
+def _vec_run(kc: _KernelCtx, rec: _VecLoop, shape: tuple):
+    """Evaluate the body of ``rec`` for every iteration of ``shape`` —
+    its own axis first — into temporaries and pending stores, and return
+    the (cost, steps) one iteration of it charges."""
+    frv = kc.fr.vars
+    cost, steps = rec.fixed, rec.n_stmts
+    for kind, value_fn, where, key in rec.plans:
+        if kind == "loop":
+            start, stop, step = (1.0 if fn is None else fn(kc)
+                                 for fn in where.bounds)
+            if step == 0:
+                raise _VectorBail
+            trips = int((stop - start + step) // step)
+            ref = frv.get(where.var)
+            if trips < 1 or not isinstance(ref, ScalarRef):
+                raise _VectorBail
+            _vec_axis(kc, where, ref, trips, start, step)
+            inner_cost, inner_steps = _vec_run(kc, where, (trips,) + shape)
+            cost += trips * inner_cost
+            steps += trips * inner_steps
+            for name in where.written:
+                skey = (name, None)
+                kc.temps[skey] = _vec_last(kc.temps[skey], len(shape) + 1)
+            continue
+        val = value_fn(kc)
+        if kind == "arr":
+            view, offsets, strides, lo, hi = where(kc)
+            if not _vec_injective(zip(strides, shape[::-1])):
+                raise _VectorBail
+            if view.typename == "INTEGER":
+                if not np.all(np.isfinite(val)):
+                    raise _VectorBail
+                val = np.trunc(val) + 0.0
+            kc.writes.append((view.buffer, lo, hi, key))
+            kc.pending.append((view.buffer, offsets, val))
+            kc.temps[key] = val
+            continue
+        ref = frv.get(where)
+        if not isinstance(ref, ScalarRef):
+            raise _VectorBail
+        skey = (where, None)
+        if kind == "red":
+            if ref.typename == "INTEGER":
+                # per-iteration truncation feeds back into the
+                # accumulation; leave it to the scalar path
+                raise _VectorBail
+            ufunc, row = key
+            if row:
+                carry = kc.temps[skey]
+                tail = np.shape(val)
+                tail = np.broadcast_shapes(
+                    np.shape(carry),
+                    tail[1:] if len(tail) == len(shape) else tail)
+                arr = np.empty((shape[0] + 1,) + (1,) * (
+                    len(shape) - 1 - len(tail)) + tail)
+                arr[0] = carry
+                arr[1:] = val
+                val = ufunc.accumulate(arr, axis=0)[1:]
+            else:
+                kc.reads.append((ref.buffer, ref.offset, ref.offset, skey))
+                arr = np.empty(1 + math.prod(shape))
+                arr[0] = ref.get()
+                arr[1:] = np.broadcast_to(val, shape).ravel(order="F")
+                val = ufunc.accumulate(arr)[1:].reshape(shape, order="F")
+        elif ref.typename == "INTEGER":
+            if not np.all(np.isfinite(val)):
+                raise _VectorBail
+            val = np.trunc(val) + 0.0
+        kc.writes.append((ref.buffer, ref.offset, ref.offset, skey))
+        # loop-invariant values come as floats, NumPy scalars or
+        # (np.where) 0-d arrays: no last element
+        final = float(val.flat[-1]) if getattr(val, "ndim", 0) else float(val)
+        kc.pending.append((ref.buffer, ref.offset, final))
+        kc.temps[skey] = val
+    kc.charge[rec.k] = (cost, steps)
+    return cost, steps
+
+
+def _vec_replay(ex: Interpreter, fr, kc: _KernelCtx, rec: _VecLoop,
+                node: Optional[ast.OmpParallelDo]) -> None:
+    """Record what walking one execution of loop ``rec`` of a committed
+    nest would have: under ``node`` a region of its per-iteration costs,
+    and inside every iteration one execution of each directive within,
+    in program order — priced in-run, under a machine, by the walk's own
+    ``_close_region``."""
+    trips = kc.axes[rec.k][0]
+    kids = [(kid, None if kid.site is None
+             else ex._omp_site(fr.unit, kid.site)) for kid in rec.sited]
+    if node is None:
+        for _ in range(trips):
+            for kid, kid_node in kids:
+                _vec_replay(ex, fr, kc, kid, kid_node)
+        return
+    per_iter = kc.charge[rec.k][0]
+    costs = [] if kids else [per_iter] * trips
+    ex._enter_region(node, costs)
+    if kids:
+        ex.parallel_depth += 1
+        for _ in range(trips):
+            before = ex.cost
+            for kid, kid_node in kids:
+                _vec_replay(ex, fr, kc, kid, kid_node)
+            costs.append(per_iter + (ex.cost - before))
+        ex.parallel_depth -= 1
+    _close_region(ex, node, costs, True)
+
+
+def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
+    """Build a speculative vector kernel for the nest rooted at ``s`` —
+    under the honoured directive ``site`` with its ``private`` list, when
+    there is one — or return None."""
+    targets = _vec_targets(s.body)
+    dovars = {s.var.upper()} | {x.var.upper() for x in ast.walk_stmts(s.body)
+                                if isinstance(x, ast.DoLoop)}
+    if not dovars.isdisjoint(targets) or not cc.params.isdisjoint(targets):
+        return None
+    vst = {"names": set(), "scalar_targets": frozenset(targets),
+           "variant": frozenset(targets) | dovars,
+           "count": Counter(targets), "loops": 0,
+           "reduced": set(), "accesses": []}
+    root = _vec_lower(s, (), cc, vst, site, private)
+    if root is None or _vec_carried(vst["accesses"]):
+        return None
+    all_names = tuple(sorted(vst["names"]))
+    directives = site is not None or bool(root.sited)
+
+    def kernel(ex, fr, var_ref, trips, start, step, node=None):
+        if directives and ex.order != ORDER_SEQUENTIAL:
+            # any other schedule runs a directive's loop iteration by
+            # iteration: it is the oracle for wrongly parallel loops
+            return False
         ex.kernel_bails += 1  # a call is a refusal until it commits
-        fstart = float(start)
-        fstep = float(step)
-        if not (math.isfinite(fstart) and math.isfinite(fstep)):
-            return False
-        if fstart != int(fstart) or fstep != int(fstep):
-            return False
-        if abs(fstart) + abs(fstep) * trips >= _TWO53:
-            return False
-        if ex.steps + trips * n_stmts > ex.max_steps:
-            return False
         frv = fr.vars
         for nm in all_names:
             if nm not in frv:
                 return False
+        kc = _KernelCtx(ex, fr)
         try:
-            var_ref.set(fstart)
-            kc = _KernelCtx(ex, fr, trips, fstart, fstep)
-            kc.writes.append((var_ref.buffer, var_ref.offset,
-                              var_ref.offset, ()))
             with np.errstate(all="ignore"):
-                for kind, value_fn, where, key in plans:
-                    val = value_fn(kc)
-                    if kind == "red":
-                        ref = frv.get(where)
-                        if not isinstance(ref, ScalarRef):
-                            return False
-                        if ref.typename == "INTEGER":
-                            # per-iteration truncation feeds back into the
-                            # accumulation; leave it to the scalar path
-                            return False
-                        skey = (where, None)
-                        kc.reads.append((ref.buffer, ref.offset,
-                                         ref.offset, skey))
-                        arr = np.empty(trips + 1, dtype=np.float64)
-                        arr[0] = ref.get()
-                        arr[1:] = val
-                        acc = key.accumulate(arr)
-                        kc.writes.append((ref.buffer, ref.offset,
-                                          ref.offset, skey))
-                        kc.pending.append((ref.buffer, ref.offset,
-                                           float(acc[-1])))
-                        kc.temps[skey] = acc[1:]
-                        continue
-                    if kind == "sca":
-                        ref = frv.get(where)
-                        if not isinstance(ref, ScalarRef):
-                            return False
-                        if ref.typename == "INTEGER":
-                            if isinstance(val, np.ndarray):
-                                if not np.all(np.isfinite(val)):
-                                    return False
-                                val = np.trunc(val) + 0.0
-                            else:
-                                if not math.isfinite(val):
-                                    return False
-                                val = float(int(val))
-                        skey = (where, None)
-                        kc.writes.append((ref.buffer, ref.offset,
-                                          ref.offset, skey))
-                        # loop-invariant values come as floats, NumPy
-                        # scalars or (np.where) 0-d arrays: no last element
-                        final = float(val[-1]) \
-                            if getattr(val, "ndim", 0) else float(val)
-                        kc.pending.append((ref.buffer, ref.offset, final))
-                        kc.temps[skey] = val
-                        continue
-                    view, off0, B, lo, hi = where(kc)
-                    if B == 0:
-                        return False
-                    if view.typename == "INTEGER":
-                        if not np.all(np.isfinite(val)):
-                            return False
-                        val = np.trunc(val) + 0.0
-                    kc.writes.append((view.buffer, lo, hi, key))
-                    kc.pending.append((view.buffer,
-                                       off0 + B * kc.arange, val))
-                    kc.temps[key] = val
+                _vec_axis(kc, root, var_ref, trips, float(start),
+                          float(step))
+                per_iter, n_stmts = _vec_run(kc, root, (trips,))
+            if ex.steps + trips * n_stmts > ex.max_steps:
+                raise _VectorBail
+            others = kc.reads + kc.writes
             for wbuf, wlo, whi, wkey in kc.writes:
-                for rbuf, rlo, rhi, rkey in kc.reads:
-                    if rkey != wkey and rbuf is wbuf \
-                            and rlo <= whi and wlo <= rhi:
-                        return False
-                for obuf, olo, ohi, okey in kc.writes:
+                for obuf, olo, ohi, okey in others:
                     if okey != wkey and obuf is wbuf \
                             and olo <= whi and wlo <= ohi:
-                        return False
+                        raise _VectorBail
         except Exception:  # noqa: BLE001 - whatever it was, nothing was stored
+            for buf, off, old in reversed(kc.saved):
+                buf[off] = old
             return False
         for buf, idx, val in kc.pending:
             buf[idx] = val
@@ -1190,11 +1442,10 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx):
         ex.cost += trips * per_iter
         ex.steps += trips * n_stmts
         ex.kernel_steps += trips * n_stmts
-        var_ref.set(fstart + trips * fstep)
+        if directives:
+            _vec_replay(ex, fr, kc, root, node)
         return True
 
-    kernel.per_iter = per_iter
-    kernel.plain_targets = vst["scalar_targets"] - reduced
     return kernel
 
 
@@ -1736,15 +1987,7 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
     vname = loop.var.upper()
     private_names = tuple(n.upper() for n in s.private)
     site_idx = cc.omp_index[id(s)]
-    kernel = _try_vectorize(loop, cc)
-    if kernel is not None and not all(
-            n == vname or n in kernel.plain_targets for n in private_names):
-        # privatisation could be observed: a private array, a private
-        # name the body only reads or never mentions (it may overlay a
-        # cell the body reads) and a privatised reduction all see the
-        # per-iteration zeroing and the last-iteration peel, and the
-        # kernel does neither
-        kernel = None
+    kernel = _try_vectorize(loop, cc, site_idx, private_names)
     sub = _Region()
     cc.omp_depth += 1
     _compile_block(cc, sub, loop.body)
@@ -1771,15 +2014,11 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
         node = ex._omp_site(fr.unit, site_idx)
         scalar_var = var.__class__ is ScalarRef
         if kernel is not None and trips >= _VEC_MIN_TRIPS and scalar_var \
-                and ex.order == ORDER_SEQUENTIAL \
-                and kernel(ex, fr, var, trips, start, step):
-            # in program order the kernel is the loop: every iteration
-            # charged per_iter and no region ran inside.  Any other
-            # schedule, and a kernel that refused (having mutated
-            # nothing), runs iteration by iteration below
-            iteration_costs = [kernel.per_iter] * trips
-            ex._enter_region(node, iteration_costs)
-            _close_region(ex, node, iteration_costs, True)
+                and kernel(ex, fr, var, trips, start, step, node):
+            # in program order the kernel is the loop, and has recorded
+            # this region and the regions inside it.  Any other schedule,
+            # and a kernel that refused (having changed nothing), runs
+            # iteration by iteration below
             return nxt
         order = range(trips)
         if ex.order == ORDER_PERMUTED and trips > 1:

@@ -158,6 +158,10 @@ def price(profile: RegionProfile, machine: MachineModel,
         raise ValueError("profile was recorded under in-run pricing; "
                          "its iteration costs are not base costs")
     stats: Dict[Site, List[float]] = {}
+    #: a region with no regions inside is priced once per nesting level
+    #: and cost vector — the recorder made equal vectors one object, and
+    #: ``parallel_time`` is a function of exactly that pair
+    leaves: Dict[Tuple[int, bool], Tuple[float, float]] = {}
 
     def delta(node: RegionNode, nested: bool) -> float:
         active = node.site not in disabled
@@ -165,14 +169,21 @@ def price(profile: RegionProfile, machine: MachineModel,
             inner = nested or active
             return sum(delta(kid, inner) for _pos, kid in node.children)
         costs = node.costs
-        base = serial = sum(costs)
         if node.children:
+            base = serial = sum(costs)
             costs = list(costs)
             for pos, kid in node.children:
                 inner = delta(kid, True)
                 costs[pos] += inner
                 serial += inner
-        parallel = machine.parallel_time(costs, nested)
+            parallel = machine.parallel_time(costs, nested)
+        else:
+            priced = leaves.get((id(costs), nested))
+            if priced is None:
+                priced = leaves[id(costs), nested] = (
+                    sum(costs), machine.parallel_time(costs, nested))
+            base = serial = priced[0]
+            parallel = priced[1]
         stat = stats.setdefault(node.site, [0.0, 0.0])
         stat[0] += serial
         stat[1] += parallel

@@ -17,10 +17,11 @@ from repro.experiments.figure20 import (MACHINES, Figure20Task,
                                         clear_pipeline_cache, figure20_all,
                                         render_figure20, run_cell_task)
 from repro.experiments.pipeline import CONFIGS, Config, run_config
-from repro.experiments.tuning import record_profile, tune
+from repro.experiments.tuning import decide, record_profile, tune
 from repro.obs import metrics as obs_metrics
 from repro.perfect import all_benchmarks, get_benchmark
 from repro.perfect.suite import Benchmark
+from repro.runtime.interpreter import number_omp_sites
 from repro.runtime.machine import RegionProfile
 
 FIGURE20_TXT = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -57,6 +58,29 @@ class TestTuneWithAndWithoutProfile:
             assert without.disabled  # the mutation below is a real one
             assert made.unparse() == taken.unparse()
             assert made.unparse() != program.unparse()
+
+
+    @pytest.mark.parametrize("name", ["adm", "arc2d", "spec77"])
+    def test_the_decision_edits_nothing(self, name):
+        """``decide`` is ``tune`` without the edit: the same result —
+        labels in the same order, nested directives disabled in a later
+        round included — on a program it leaves as it found it, and the
+        sites it names are the directives ``tune`` replaces."""
+        bench = get_benchmark(name)
+        program = run_config(bench, Config("annotation")).program
+        profile = record_profile(program, bench.inputs)
+        text = program.unparse()
+        for machine in MACHINES:
+            decided, off = decide(program, machine, bench.inputs,
+                                  profile=profile)
+            assert program.unparse() == text
+            edited = program.clone()
+            site_of = number_omp_sites(edited)
+            assert tune(edited, machine, bench.inputs,
+                        profile=profile) == decided
+            assert len(off) == len(decided.disabled) > 0
+            assert {site_of[key] for key in number_omp_sites(edited)} \
+                == set(site_of.values()) - off
 
 
 #: the configurations of each benchmark that emit one program text

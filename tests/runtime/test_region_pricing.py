@@ -10,8 +10,11 @@ mutated clones under a machine and compares.
 """
 
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.annotations import AnnotationRegistry
 from repro.experiments.pipeline import CONFIGS, Config, run_config
@@ -26,7 +29,7 @@ from repro.runtime.difftest import backend_equivalence
 from repro.runtime.interpreter import (collect_omp_sites,
                                        number_omp_sites)
 from repro.runtime.machine import (AMD_OPTERON, INTEL_MAC, MachineModel,
-                                   RegionProfile, price)
+                                   RegionNode, RegionProfile, price)
 
 MACHINES = (INTEL_MAC, AMD_OPTERON)
 
@@ -415,3 +418,83 @@ def test_backend_equivalence_reports_region_divergence(monkeypatch):
     monkeypatch.setattr(compiler.CompiledInterpreter, "_result", lossy)
     divergence = backend_equivalence(program)
     assert divergence is not None and "region trees diverge" in divergence
+
+
+# ---------------------------------------------------------------------------
+# the leaf memo: a region with no regions inside is priced once per
+# (cost vector, nesting level) — against the pricer that prices each
+# ---------------------------------------------------------------------------
+
+def price_each(profile, machine, disabled=frozenset()):
+    """``price`` pricing every region execution on its own."""
+    stats = {}
+
+    def delta(node, nested):
+        active = node.site not in disabled
+        if node.costs is None or not active:
+            inner = nested or active
+            return sum(delta(kid, inner) for _pos, kid in node.children)
+        costs = list(node.costs)
+        base = serial = sum(costs)
+        for pos, kid in node.children:
+            inner = delta(kid, True)
+            costs[pos] += inner
+            serial += inner
+        parallel = machine.parallel_time(costs, nested)
+        stat = stats.setdefault(node.site, [0.0, 0.0])
+        stat[0] += serial
+        stat[1] += parallel
+        return parallel - base
+
+    cost = profile.work + sum(delta(node, False) for node in profile.roots)
+    return cost, {site: tuple(stat) for site, stat in stats.items()}
+
+
+#: interned the way the recorder interns: one object per distinct vector
+_VECTORS = (array("d", [164.5] * 80), array("d", [7.0] * 6), array("d"),
+            array("d", [12.0, 3.5, 40.0, 0.5, 9.0]), array("d", [1e6] * 3))
+_SITES = (("P", 0), ("P", 1), ("SUB", 0))
+
+
+@st.composite
+def _region_nodes(draw, depth=0):
+    site = draw(st.sampled_from(_SITES))
+    costs = draw(st.sampled_from(_VECTORS + (None,)))
+    kids = ()
+    if depth < 3 and (costs is None or len(costs)):
+        kids = tuple(
+            (draw(st.integers(0, max(len(costs or ()) - 1, 0))), kid)
+            for kid in draw(st.lists(_region_nodes(depth=depth + 1),
+                                     max_size=3)))
+    return RegionNode(site, costs, tuple(sorted(kids, key=lambda k: k[0])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(roots=st.lists(_region_nodes(), min_size=1, max_size=4),
+       disabled=st.sets(st.sampled_from(_SITES)),
+       machine=st.sampled_from(MACHINES))
+def test_leaf_memo_prices_what_pricing_each_region_does(roots, disabled,
+                                                        machine):
+    """Any tree over a few shared vectors — the same vector under two
+    sites, at two nesting levels, with and without regions inside, under
+    disabled and abandoned parents — prices exactly as region by region."""
+    profile = RegionProfile(1e7, tuple(roots))
+    assert price(profile, machine, frozenset(disabled)) == \
+        price_each(profile, machine, frozenset(disabled))
+
+
+def test_leaf_memo_on_recorded_trees():
+    """... and so do the recorded trees: the hand-written shapes on every
+    subset, and SPEC77, whose 1 585 leaf executions are three vectors."""
+    from repro.perfect import get_benchmark
+    programs = [Program.from_source(src) for src in HAND.values()]
+    bench = get_benchmark("SPEC77")
+    spec77 = run_config(bench, Config("annotation")).program
+    for program, inputs in [(p, ()) for p in programs] + [(spec77,
+                                                           bench.inputs)]:
+        profile = record(program, "compiled", inputs)
+        subsets = list(all_subsets(program))
+        for machine in MACHINES:
+            for disabled in subsets[:16]:
+                assert price(profile, machine, disabled) == \
+                    price_each(profile, machine, disabled)
