@@ -132,7 +132,7 @@ def _honoured_execution(benchmark, name, config):
     program = run_config(bench, Config(config)).program
 
     def execute():
-        interp = make_interpreter(program, "compiled", machine=None,
+        interp = make_interpreter(program, "compiled",
                                   inputs=list(bench.inputs))
         interp.run()
         return interp

@@ -9,7 +9,7 @@ Run:  python examples/fsmp_opaque.py
 
 from repro.experiments import run_all_configs
 from repro.perfect import get_benchmark
-from repro.runtime import INTEL_MAC, diff_test
+from repro.runtime import diff_test
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
 
     print()
     print("Annotation configuration, verified end to end:")
-    check = diff_test(results["annotation"].program, INTEL_MAC)
+    check = diff_test(results["annotation"].program)
     print("  differential test:", check.explain())
     omp = results["annotation"]
     k = [v for v in omp.report.verdicts

@@ -13,7 +13,7 @@ import sys
 from repro.experiments.figure20 import figure20_cells, render_figure20
 from repro.experiments.table2 import render_table2, table2_row
 from repro.perfect import benchmark_names, get_benchmark
-from repro.runtime import INTEL_MAC, diff_test
+from repro.runtime import diff_test
 from repro.experiments import run_all_configs
 
 
@@ -28,7 +28,7 @@ def run_one(name: str) -> None:
 
     # runtime verification of the annotation configuration
     results = run_all_configs(bench)
-    check = diff_test(results["annotation"].program, INTEL_MAC,
+    check = diff_test(results["annotation"].program,
                       inputs=list(bench.inputs))
     print(f"runtime verification : {check.explain()}")
     print()

@@ -8,7 +8,8 @@ calls an opaque subroutine:
 3. annotation-based inlining + parallelization + reverse inlining yields
    the original program plus one OpenMP directive;
 4. the differential tester proves the parallel program equivalent, and
-   the simulated 8-thread machine shows the speedup.
+   pricing the run's recorded parallel regions on the simulated 8-thread
+   machine shows the speedup.
 
 Run:  python examples/quickstart.py
 """
@@ -19,6 +20,7 @@ from repro.fortran.unparser import unparse
 from repro.polaris import Polaris
 from repro.program import Program
 from repro.runtime import INTEL_MAC, Interpreter, diff_test
+from repro.runtime.machine import price
 
 SOURCE = """
       PROGRAM QUICK
@@ -82,14 +84,15 @@ def main() -> None:
     print("=" * 70)
     print("4. Runtime verification and simulated speedup")
     print("=" * 70)
-    check = diff_test(program, INTEL_MAC)
+    check = diff_test(program)
     print("  differential test:", check.explain())
     serial = Interpreter(program, honor_directives=False).run()
-    parallel = Interpreter(program, machine=INTEL_MAC).run()
+    regions = Interpreter(program).run().regions
+    parallel, _per_site = price(regions, INTEL_MAC)
     print(f"  serial cost   : {serial.cost:12.0f} work units")
-    print(f"  parallel cost : {parallel.cost:12.0f} work units "
+    print(f"  parallel cost : {parallel:12.0f} work units "
           f"({INTEL_MAC.threads} threads)")
-    print(f"  speedup       : {serial.cost / parallel.cost:.2f}x")
+    print(f"  speedup       : {serial.cost / parallel:.2f}x")
 
 
 if __name__ == "__main__":

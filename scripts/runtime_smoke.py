@@ -23,7 +23,9 @@ tree-walker:
    64 inner loops on one launch — and DYFESM under ``annotation`` — a
    varying INTEGER division beside an inner loop whose stores move on
    both axes — agree in all three modes, their kernels committing the
-   steps, in the launches and with the refusals of ``KERNEL_COUNTS``.
+   steps, in the launches and with the refusals of ``KERNEL_COUNTS``;
+6. ``repro run --machine intel-mac`` on the directive program prints the
+   cost :func:`repro.runtime.machine.price` gives its recorded regions.
 
 Usage:
   PYTHONPATH=src python scripts/runtime_smoke.py [BENCHMARK]
@@ -90,7 +92,6 @@ def main(argv=None) -> int:
     from repro.runtime.compiler import (clear_compile_cache,
                                         compile_cache_info)
     from repro.runtime.difftest import backend_equivalence
-    from repro.runtime.machine import INTEL_MAC
 
     bench = get_benchmark(name)
     print(f"benchmark: {bench.name}")
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
                 if bench.annotations.strip() else AnnotationRegistry())
     AnnotationInliner(registry).run(program)
     Polaris().run(program)
-    divergence = backend_equivalence(program, INTEL_MAC, bench.inputs)
+    divergence = backend_equivalence(program, bench.inputs)
     check(divergence is None,
           "backend_equivalence over serial/parallel/permuted"
           + (f" — {divergence}" if divergence else ""))
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
     # 4. honoured directives on the vector kernel
     from repro.program import Program
     program = Program.from_sources({"smoke.f": DIRECTIVE_KERNELS}, "smoke")
-    divergence = backend_equivalence(program, INTEL_MAC)
+    divergence = backend_equivalence(program)
     check(divergence is None,
           "directive-kernel program: backend_equivalence"
           + (f" — {divergence}" if divergence else ""))
@@ -160,7 +161,7 @@ def main(argv=None) -> int:
     for bname, config, expected in KERNEL_COUNTS:
         other = get_benchmark(bname)
         program = run_config(other, Config(config)).program
-        divergence = backend_equivalence(program, INTEL_MAC, other.inputs)
+        divergence = backend_equivalence(program, other.inputs)
         check(divergence is None,
               f"{bname} {config}: backend_equivalence"
               + (f" — {divergence}" if divergence else ""))
@@ -173,6 +174,25 @@ def main(argv=None) -> int:
               "{} {}: kernels commit {} of {} steps in {} launches, {} "
               "refused".format(bname, config, *seen)
               + " (expected {} of {}, {}, {})".format(*expected))
+
+    # 6. the CLI prices the recorded tree
+    import contextlib
+    import io
+    import tempfile
+    from repro.cli import main as cli
+    from repro.runtime.machine import INTEL_MAC, price
+    program = Program.from_sources({"smoke.f": DIRECTIVE_KERNELS}, "smoke")
+    expected = price(make_interpreter(program).run().regions, INTEL_MAC)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "smoke.f")
+        with open(path, "w") as fh:
+            fh.write(DIRECTIVE_KERNELS)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            cli(["run", path, "--machine", "intel-mac"])
+    line = f"[simulated cost: {expected:.0f} work units on intel-mac]"
+    check(line in err.getvalue(), f"repro run --machine prints {line}")
 
     if FAILURES:
         print(f"\nruntime smoke FAILED ({len(FAILURES)} checks):")

@@ -15,7 +15,7 @@ here it is reported in ``call_args``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.fortran import ast
 from repro.fortran.symbols import SymbolTable
@@ -43,16 +43,6 @@ class AccessSet:
     #: region contains an Opaque (unlowered) statement or an ENTRY point —
     #: it may read or write anything
     has_opaque: bool = False
-
-    def reads_of(self, name: str) -> bool:
-        name = name.upper()
-        return name in self.scalar_reads or any(
-            a == name and not w for a, _, w in self.array_accesses)
-
-    def writes_of(self, name: str) -> bool:
-        name = name.upper()
-        return name in self.scalar_writes or any(
-            a == name and w for a, _, w in self.array_accesses)
 
 
 def _is_substring(e: ast.ArrayRef, table: SymbolTable) -> bool:
@@ -184,28 +174,3 @@ def _root_name(e: ast.Expr) -> str:
     if isinstance(e, (ast.Var, ast.ArrayRef)):
         return e.name.upper()
     return ""
-
-
-def statement_accesses(s: ast.Stmt, table: SymbolTable) -> AccessSet:
-    """Accesses of a single statement, recursing into its nested blocks."""
-    return collect_accesses([s], table)
-
-
-def iter_statements_with_path(
-        body: Sequence[ast.Stmt],
-        conditional: bool = False,
-) -> Iterator[Tuple[ast.Stmt, bool]]:
-    """Yield (statement, is_conditionally_executed) pairs in textual
-    order.  Statements inside IF arms are conditional; loop bodies are not
-    treated as conditional (the kill analysis reasons per iteration)."""
-    for s in body:
-        yield s, conditional
-        if isinstance(s, ast.IfBlock):
-            for _, arm in s.arms:
-                yield from iter_statements_with_path(arm, True)
-        elif isinstance(s, ast.DoLoop):
-            yield from iter_statements_with_path(s.body, conditional)
-        elif isinstance(s, ast.OmpParallelDo):
-            yield from iter_statements_with_path([s.loop], conditional)
-        elif isinstance(s, ast.TaggedBlock):
-            yield from iter_statements_with_path(s.body, conditional)

@@ -220,17 +220,19 @@ def _cmd_report_dashboard(args) -> int:
 
 def cmd_run(args) -> int:
     from repro.runtime import make_interpreter
+    from repro.runtime.machine import price
     program = _load_program(args.files)
     machine = _machine(args.machine)
-    interp = make_interpreter(program, machine=machine,
-                              honor_directives=machine is not None,
+    interp = make_interpreter(program, honor_directives=machine is not None,
                               inputs=[float(x) for x in args.inputs])
     result = interp.run()
     for line in result.output:
         print(line)
     if result.stop_message:
         print(f"STOP '{result.stop_message}'", file=sys.stderr)
-    print(f"[simulated cost: {result.cost:.0f} work units"
+    cost = result.cost if machine is None \
+        else price(result.regions, machine)[0]
+    print(f"[simulated cost: {cost:.0f} work units"
           + (f" on {args.machine}" if machine else " (serial)") + "]",
           file=sys.stderr)
     return 0
@@ -239,8 +241,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     from repro.runtime import diff_test
     run, _, _ = _parallelize_files(args)
-    result = diff_test(run.program, _machine("intel-mac"),
-                       inputs=[float(x) for x in args.inputs])
+    result = diff_test(run.program, inputs=[float(x) for x in args.inputs])
     print(f"{run.report.parallel_count()} loops parallelized; "
           f"verification: {result.explain()}")
     return 0 if result.passed else 1

@@ -70,9 +70,10 @@ def _directive_sites(program: Program):
 
 def record_profile(program: Program,
                    inputs: Sequence[float] = ()) -> RegionProfile:
-    """The one execution the protocol needs: directives honoured, no
-    machine, so the recorded iteration costs are base costs."""
-    return make_interpreter(program, machine=None, honor_directives=True,
+    """The one execution the protocol needs: directives honoured, so the
+    run records its region tree, whose iteration costs are base costs
+    on every machine."""
+    return make_interpreter(program, honor_directives=True,
                             inputs=list(inputs)).run().regions
 
 

@@ -61,7 +61,6 @@ from repro.pipeline import Config, parallelize_program
 from repro.program import Program
 from repro.runtime.difftest import backend_equivalence, diff_test
 from repro.runtime.interpreter import ExecutionResult, Interpreter
-from repro.runtime.machine import INTEL_MAC, MachineModel
 
 CONFIG_KINDS = ("none", "conventional", "annotation")
 
@@ -109,8 +108,7 @@ class OracleResult:
 
 
 def _serial(program: Program) -> ExecutionResult:
-    return Interpreter(program, machine=None,
-                       honor_directives=False).run()
+    return Interpreter(program, honor_directives=False).run()
 
 
 def _inference_enabled() -> bool:
@@ -153,7 +151,6 @@ def _fingerprint_delta(first: CounterType[VerdictKey],
 
 
 def run_oracle(sources: Dict[str, str], annotations: str = "",
-               machine: MachineModel = INTEL_MAC,
                configs: Tuple[str, ...] = CONFIG_KINDS) -> OracleResult:
     """Check every oracle property of the program in ``sources``."""
     result = OracleResult()
@@ -183,7 +180,7 @@ def run_oracle(sources: Dict[str, str], annotations: str = "",
             annotation_origins = frozenset(report.parallel_origins())
 
         # (a) semantic equivalence, (b) iteration-order independence
-        mismatch = _check_execution(work, baseline, machine, config)
+        mismatch = _check_execution(work, baseline, config)
         if mismatch is not None:
             result.mismatches.append(mismatch)
             continue
@@ -191,7 +188,7 @@ def run_oracle(sources: Dict[str, str], annotations: str = "",
         # (b') backend equivalence: tree-walker vs compiled closures must
         # agree exactly (output, cost, COMMON bits, stop/error messages)
         # in every execution mode
-        divergence = backend_equivalence(work, machine)
+        divergence = backend_equivalence(work)
         if divergence is not None:
             result.mismatches.append(Mismatch(
                 "backend-divergence", config, divergence))
@@ -219,14 +216,14 @@ def run_oracle(sources: Dict[str, str], annotations: str = "",
                 result.mismatches.append(mismatch)
 
     if "annotation" in configs and _inference_enabled():
-        _check_inference(sources, annotations, machine, baseline,
+        _check_inference(sources, annotations, baseline,
                          annotation_origins, result)
     return result
 
 
 def _check_inference(sources: Dict[str, str], annotations: str,
-                     machine: MachineModel, baseline: ExecutionResult,
-                     hand_origins, result: OracleResult) -> None:
+                     baseline: ExecutionResult, hand_origins,
+                     result: OracleResult) -> None:
     """The inferred-annotations properties: re-run the annotation
     pipeline on the ``inferred`` and ``demand`` axes and hold them to
     the execution properties, plus the ``inferred-flip`` soundness
@@ -265,14 +262,13 @@ def _check_inference(sources: Dict[str, str], annotations: str,
                     "run left serial: " + ", ".join(flipped)))
                 continue
 
-        mismatch = _check_execution(work, baseline, machine, mode)
+        mismatch = _check_execution(work, baseline, mode)
         if mismatch is not None:
             result.mismatches.append(mismatch)
 
 
 def _check_execution(work: Program, baseline: ExecutionResult,
-                     machine: MachineModel, label: str
-                     ) -> Optional[Mismatch]:
+                     label: str) -> Optional[Mismatch]:
     """The execution properties every axis is held to:
     ``config-semantics`` (transformed, serial == baseline), then
     ``parallel-divergence`` (iteration-order independence of the
@@ -289,7 +285,7 @@ def _check_execution(work: Program, baseline: ExecutionResult,
             "serial execution of the transformed program diverges "
             "from the baseline")
     try:
-        diff = diff_test(work, machine)
+        diff = diff_test(work)
     except Exception as exc:
         return Mismatch(
             "parallel-divergence", label,

@@ -2,9 +2,8 @@
 
 The directive *representation* lives in the AST
 (:class:`~repro.fortran.ast.OmpParallelDo`); this module provides the
-operations the rest of the system needs on top of it: enumerating parallel
-loops, stripping directives (to recover the serial program), and checking
-clause well-formedness before unparsing.
+operations on top of it: enumerating and counting parallel loops, and
+checking clause well-formedness.
 """
 
 from __future__ import annotations
@@ -29,17 +28,6 @@ def count_directives(program: Program) -> int:
     return sum(1 for u in program.units for _ in parallel_loops(u.body))
 
 
-def strip_directives(body: List[ast.Stmt]) -> List[ast.Stmt]:
-    """Return ``body`` with every OmpParallelDo unwrapped to its loop."""
-
-    def unwrap(s: ast.Stmt):
-        if isinstance(s, ast.OmpParallelDo):
-            return [s.loop]
-        return None
-
-    return ast.map_stmts(body, unwrap)
-
-
 def validate(omp: ast.OmpParallelDo) -> None:
     """Reject malformed clause sets before they reach the unparser or the
     runtime simulator."""
@@ -58,8 +46,3 @@ def validate(omp: ast.OmpParallelDo) -> None:
     if omp.loop.var.upper() in seen:
         raise SemanticError(
             f"loop index {omp.loop.var} must not appear in clauses")
-
-
-def disabled_copy(omp: ast.OmpParallelDo) -> ast.DoLoop:
-    """The serial form of a parallel loop (used by the tuning pass)."""
-    return omp.loop

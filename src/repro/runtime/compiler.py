@@ -26,13 +26,12 @@ The cost-accounting contract of the tree-walker is preserved *exactly*:
   cost delta measured around a parallel iteration) sees the identical
   running total.
 
-Because the recorded region tree holds, and
-:class:`~repro.runtime.machine.MachineModel.parallel_time` is fed, the
-identical per-iteration costs, Figure 20 is bit-for-bit identical under
-either backend.  Compiled units are cached process-wide per unit content
-hash (alongside the parse cache's program hash), so repeated executions
-of the same program — the differential tester's modes, the fuzz
-oracle — re-lower nothing.
+Because the recorded region tree holds the identical per-iteration
+costs, and :func:`repro.runtime.machine.price` prices nothing else,
+Figure 20 is bit-for-bit identical under either backend.  Compiled units
+are cached process-wide per unit content hash (alongside the parse
+cache's program hash), so repeated executions of the same program — the
+differential tester's modes, the fuzz oracle — re-lower nothing.
 
 The tree-walker remains the differential oracle: see
 :func:`repro.runtime.difftest.backend_equivalence` and the fuzzer's
@@ -233,8 +232,9 @@ class _Ctx:
         #: scope chain for label resolution: (labels dict, omp depth)
         self.scopes: List[Tuple[Dict[int, List[int]], int]] = []
         self.omp_depth = 0
-        self.omp_index = {id(s): i
-                          for i, s in enumerate(collect_omp_sites(unit.body))}
+        #: directive identity -> its site, as the recorder names it
+        self.omp_site = {id(s): (unit.name, i)
+                         for i, s in enumerate(collect_omp_sites(unit.body))}
 
     def lazy_call_risk(self, name: str) -> bool:
         info = self.table.variables.get(name.upper())
@@ -753,7 +753,7 @@ class _VecLoop:
     """One loop of a nest being lowered — an axis of its kernel.  ``k``
     numbers the nest's loops in preorder (what a launch knows about loop
     ``k`` lives in the kernel context under that number), ``level`` is
-    the nesting depth, ``site`` the honoured directive's site index."""
+    the nesting depth, ``site`` the honoured directive's site."""
 
     __slots__ = ("k", "level", "var", "site", "bounds", "plans", "fixed",
                  "n_stmts", "assigned", "written", "first", "sited")
@@ -1110,13 +1110,13 @@ def _match_reduction(e: ast.Expr, tname: str, occurs: int):
 
 
 def _vec_nested(stmt: ast.Stmt, cc: _Ctx):
-    """(loop, site index, PRIVATE names) when ``stmt`` is a loop — a
-    directive the run does not honour is its loop — else None."""
+    """(loop, site, PRIVATE names) when ``stmt`` is a loop — a directive
+    the run does not honour is its loop — else None."""
     if isinstance(stmt, ast.DoLoop):
         return stmt, None, ()
     if isinstance(stmt, ast.OmpParallelDo):
         if cc.honor:
-            return stmt.loop, cc.omp_index[id(stmt)], stmt.private
+            return stmt.loop, cc.omp_site[id(stmt)], stmt.private
         return stmt.loop, None, ()
     return None
 
@@ -1359,33 +1359,27 @@ def _vec_run(kc: _KernelCtx, rec: _VecLoop, shape: tuple):
     return cost, steps
 
 
-def _vec_replay(ex: Interpreter, fr, kc: _KernelCtx, rec: _VecLoop,
-                node: Optional[ast.OmpParallelDo]) -> None:
+def _vec_replay(ex: Interpreter, kc: _KernelCtx, rec: _VecLoop) -> None:
     """Record what walking one execution of loop ``rec`` of a committed
-    nest would have: under ``node`` a region of its per-iteration costs,
-    and inside every iteration one execution of each directive within,
-    in program order — priced in-run, under a machine, by the walk's own
-    ``_close_region``."""
+    nest would have: for a directive's loop a region of its
+    per-iteration costs, and inside every iteration one execution of
+    each directive within, in program order."""
     trips = kc.axes[rec.k][0]
-    kids = [(kid, None if kid.site is None
-             else ex._omp_site(fr.unit, kid.site)) for kid in rec.sited]
-    if node is None:
+    if rec.site is None:
         for _ in range(trips):
-            for kid, kid_node in kids:
-                _vec_replay(ex, fr, kc, kid, kid_node)
+            for kid in rec.sited:
+                _vec_replay(ex, kc, kid)
         return
     per_iter = kc.charge[rec.k][0]
-    costs = [] if kids else [per_iter] * trips
-    ex._enter_region(node, costs)
-    if kids:
-        ex.parallel_depth += 1
-        for _ in range(trips):
-            before = ex.cost
-            for kid, kid_node in kids:
-                _vec_replay(ex, fr, kc, kid, kid_node)
-            costs.append(per_iter + (ex.cost - before))
-        ex.parallel_depth -= 1
-    _close_region(ex, node, costs, True)
+    # with regions inside, the live list's length places each region in
+    # its iteration
+    costs = [] if rec.sited else [per_iter] * trips
+    ex._regions.enter(rec.site, costs)
+    while len(costs) < trips:
+        for kid in rec.sited:
+            _vec_replay(ex, kc, kid)
+        costs.append(per_iter)
+    ex._regions.leave(True)
 
 
 def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
@@ -1407,7 +1401,7 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
     all_names = tuple(sorted(vst["names"]))
     directives = site is not None or bool(root.sited)
 
-    def kernel(ex, fr, var_ref, trips, start, step, node=None):
+    def kernel(ex, fr, var_ref, trips, start, step):
         if directives and ex.order != ORDER_SEQUENTIAL:
             # any other schedule runs a directive's loop iteration by
             # iteration: it is the oracle for wrongly parallel loops
@@ -1443,7 +1437,7 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
         ex.steps += trips * n_stmts
         ex.kernel_steps += trips * n_stmts
         if directives:
-            _vec_replay(ex, fr, kc, root, node)
+            _vec_replay(ex, kc, root)
         return True
 
     return kernel
@@ -1963,22 +1957,6 @@ def _emit_io(cc: _Ctx, reg: _Region, s: ast.IoStmt) -> None:
     instrs.append(instr)
 
 
-def _close_region(ex: Interpreter, node: ast.OmpParallelDo,
-                  iteration_costs: List[float], completed: bool) -> None:
-    """The innermost region execution ends: record it and, when it ran
-    to completion under a machine, price it in-run — the one copy of
-    what ``Interpreter._exec_omp`` does after its iterations."""
-    ex._regions.leave(completed)
-    if completed and ex.machine is not None:
-        serial_cost = sum(iteration_costs)
-        parallel_cost = ex.machine.parallel_time(
-            iteration_costs, nested=ex.parallel_depth > 0)
-        ex.cost += parallel_cost - serial_cost
-        stat = ex.omp_stats.setdefault(id(node), [0.0, 0.0])
-        stat[0] += serial_cost
-        stat[1] += parallel_cost
-
-
 def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
     instrs = reg.instrs
     nxt = len(instrs) + 1
@@ -1986,8 +1964,8 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
     amt, sev, tev, pev = _compile_bounds(loop, cc)
     vname = loop.var.upper()
     private_names = tuple(n.upper() for n in s.private)
-    site_idx = cc.omp_index[id(s)]
-    kernel = _try_vectorize(loop, cc, site_idx, private_names)
+    site = cc.omp_site[id(s)]
+    kernel = _try_vectorize(loop, cc, site, private_names)
     sub = _Region()
     cc.omp_depth += 1
     _compile_block(cc, sub, loop.body)
@@ -2011,10 +1989,9 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
         slices = ex._private_storage(private_names, fr)
         saved = [(buf, off, buf[off:off + size].copy())
                  for buf, off, size in slices]
-        node = ex._omp_site(fr.unit, site_idx)
         scalar_var = var.__class__ is ScalarRef
         if kernel is not None and trips >= _VEC_MIN_TRIPS and scalar_var \
-                and kernel(ex, fr, var, trips, start, step, node):
+                and kernel(ex, fr, var, trips, start, step):
             # in program order the kernel is the loop, and has recorded
             # this region and the regions inside it.  Any other schedule,
             # and a kernel that refused (having changed nothing), runs
@@ -2033,9 +2010,8 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
             vint = var.typename == "INTEGER"
         else:
             vbuf = None
-        ex._enter_region(node, iteration_costs)
+        ex._regions.enter(site, iteration_costs)
         completed = False
-        ex.parallel_depth += 1
         try:
             for k in order:
                 if k == last:
@@ -2063,8 +2039,7 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
             cg.levels -= 1
             raise
         finally:
-            ex.parallel_depth -= 1
-            _close_region(ex, node, iteration_costs, completed)
+            ex._regions.leave(completed)
         return nxt
     instrs.append(instr)
 
@@ -2077,11 +2052,11 @@ class CompiledInterpreter(Interpreter):
     """Drop-in :class:`Interpreter` executing compiled closure templates.
 
     Frame construction, COMMON allocation, DATA statements, argument
-    binding and the cost model are shared with (or mirrored exactly from)
-    the tree-walker; only statement dispatch and expression evaluation
-    are compiled.  Templates are cached process-wide per unit content
-    hash, so constructing many interpreters over the same program only
-    lowers each unit once.
+    binding, calls and the cost model are the tree-walker's; only
+    statement dispatch and expression evaluation are compiled
+    (:meth:`_run_body`).  Templates are cached process-wide per unit
+    content hash, so constructing many interpreters over the same
+    program only lowers each unit once.
     """
 
     def __init__(self, program: Program, **kwargs):
@@ -2090,9 +2065,7 @@ class CompiledInterpreter(Interpreter):
         #: kernel calls that committed and the calls that refused
         self.kernel_steps = self.kernel_launches = self.kernel_bails = 0
         self._templates: Dict[int, _UnitTemplate] = {}
-        self._omp_sites: Dict[int, List[ast.OmpParallelDo]] = {}
 
-    # -- template binding ------------------------------------------------
     def _template(self, unit: ast.ProgramUnit) -> _UnitTemplate:
         tmpl = self._templates.get(id(unit))
         if tmpl is None:
@@ -2100,78 +2073,14 @@ class CompiledInterpreter(Interpreter):
             self._templates[id(unit)] = tmpl
         return tmpl
 
-    def _omp_site(self, unit: ast.ProgramUnit,
-                  index: int) -> ast.OmpParallelDo:
-        sites = self._omp_sites.get(id(unit))
-        if sites is None:
-            sites = collect_omp_sites(unit.body)
-            self._omp_sites[id(unit)] = sites
-        return sites[index]
+    def _run_body(self, unit: ast.ProgramUnit, frame) -> None:
+        run_region(self, self._template(unit).region, frame)
 
-    # -- entry points ----------------------------------------------------
     def run(self) -> ExecutionResult:
-        main = self.program.main
-        stop_message: Optional[str] = None
         try:
-            frame = self._new_frame(main)
-            self._apply_data(frame)
-            try:
-                run_region(self, self._template(main).region, frame)
-            except _GotoSignal as g:
-                raise InterpreterError(
-                    f"GOTO {g.label} has no target in {main.name}")
-        except FortranStop as stop:
-            stop_message = stop.message or ""
+            return super().run()
         finally:
             metrics = _get_metrics()
             for name in ("steps", "kernel_steps", "kernel_launches",
                          "kernel_bails"):
                 metrics[name].inc(getattr(self, name))
-        return self._result(stop_message)
-
-    def _call(self, name: str, args: Sequence[ast.Expr],
-              frame) -> Optional[float]:
-        name = name.upper()
-        unit = self.program.procedures.get(name)
-        if unit is None:
-            raise InterpreterError(
-                f"procedure {name} is not defined in the program (external "
-                f"library code cannot be executed)")
-        self._charge(5.0)
-        callee_table = self._table(unit)
-        bound = []
-        array_bindings = []
-        if len(args) != len(unit.params):
-            raise InterpreterError(
-                f"{name}: expected {len(unit.params)} arguments, got "
-                f"{len(args)}")
-        for formal, actual in zip(unit.params, args):
-            finfo = callee_table.info(formal)
-            ref = self._argument_ref(actual, frame)
-            if finfo.dims is not None:
-                array_bindings.append((formal.upper(), finfo, ref))
-            else:
-                bound.append((formal.upper(),
-                              self._as_scalar_ref(ref, finfo.typename)))
-        callee_frame = self._new_frame(unit)
-        for fname, ref in bound:
-            callee_frame.vars[fname] = ref
-        for fname, finfo, ref in array_bindings:
-            lowers, extents = self._shape(finfo, callee_frame, callee_table)
-            callee_frame.vars[fname] = self._as_array_view(
-                ref, lowers, extents, finfo.typename, fname)
-        self._apply_data(callee_frame)
-        try:
-            run_region(self, self._template(unit).region, callee_frame)
-        except _ReturnSignal:
-            pass
-        except _GotoSignal as g:
-            raise InterpreterError(
-                f"GOTO {g.label} has no target in {unit.name}")
-        if unit.kind == "FUNCTION":
-            result = callee_frame.vars.get(unit.name.upper())
-            if not isinstance(result, ScalarRef):
-                raise InterpreterError(
-                    f"function {unit.name} never set its result")
-            return result.get()
-        return None

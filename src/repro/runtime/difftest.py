@@ -14,7 +14,9 @@ log):
    by the parallelizer are true).
 
 Disagreement means the parallelization (or a user annotation it relied
-on) was unsound.
+on) was unsound.  Only memory and output are compared: a run's cost
+under a machine is :func:`repro.runtime.machine.price` of its recorded
+region tree, not a property of the execution.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from repro.program import Program
 from repro.runtime.interpreter import (ORDER_PERMUTED, ORDER_SEQUENTIAL,
                                        ExecutionResult, outputs_equal)
-from repro.runtime.machine import INTEL_MAC, MachineModel
 
 
 def _common_divergences(serial: ExecutionResult, other: ExecutionResult,
@@ -97,7 +98,6 @@ class DiffTestResult:
 
 
 def diff_test(program: Program,
-              machine: Optional[MachineModel] = None,
               inputs: Optional[Sequence[float]] = None,
               backend: Optional[str] = None) -> DiffTestResult:
     """Run the three-way differential test on ``program``.
@@ -106,15 +106,12 @@ def diff_test(program: Program,
     closures); ``None`` follows the process default (``REPRO_BACKEND``).
     """
     from repro.runtime.backend import make_interpreter
-    serial = make_interpreter(program, backend, machine=None,
-                              honor_directives=False,
+    serial = make_interpreter(program, backend, honor_directives=False,
                               inputs=list(inputs or [])).run()
-    parallel = make_interpreter(program, backend, machine=machine,
-                                honor_directives=True,
+    parallel = make_interpreter(program, backend, honor_directives=True,
                                 iteration_order=ORDER_SEQUENTIAL,
                                 inputs=list(inputs or [])).run()
-    permuted = make_interpreter(program, backend, machine=machine,
-                                honor_directives=True,
+    permuted = make_interpreter(program, backend, honor_directives=True,
                                 iteration_order=ORDER_PERMUTED,
                                 inputs=list(inputs or [])).run()
     return DiffTestResult(serial, parallel, permuted)
@@ -134,7 +131,6 @@ def _run_both(program: Program, inputs, **kwargs):
 
 
 def backend_equivalence(program: Program,
-                        machine: Optional[MachineModel] = None,
                         inputs: Optional[Sequence[float]] = None
                         ) -> Optional[str]:
     """Run ``program`` under both backends in every execution mode and
@@ -142,17 +138,16 @@ def backend_equivalence(program: Program,
 
     Unlike :func:`diff_test` (which compares *modes* under tolerances,
     testing the parallelization), this compares *backends* exactly —
-    output strings, cost, steps, COMMON contents bit-for-bit, stop and
-    error messages, and the recorded region tree — because the compiled backend claims to be a perfect
-    stand-in for the tree-walker.
+    output strings, cost, COMMON contents bit-for-bit, stop and error
+    messages, and the recorded region tree — because the compiled
+    backend claims to be a perfect stand-in for the tree-walker.  Equal
+    trees price equally on every machine.
     """
     inputs = list(inputs or [])
-    modes = [("serial", dict(machine=None, honor_directives=False)),
-             ("parallel", dict(machine=machine or INTEL_MAC,
-                               honor_directives=True,
+    modes = [("serial", dict(honor_directives=False)),
+             ("parallel", dict(honor_directives=True,
                                iteration_order=ORDER_SEQUENTIAL)),
-             ("permuted", dict(machine=machine or INTEL_MAC,
-                               honor_directives=True,
+             ("permuted", dict(honor_directives=True,
                                iteration_order=ORDER_PERMUTED))]
     for mode, kwargs in modes:
         (tree, terr), (comp, cerr) = _run_both(program, inputs, **kwargs)

@@ -13,21 +13,19 @@ Parallel execution (:class:`~repro.fortran.ast.OmpParallelDo`) is
 *simulated*: iterations run in program order for determinism, private
 variables get fresh (zeroed) storage per iteration with the last
 iteration peeled onto the original storage — exactly the
-last-iteration-peeling contract Polaris uses (paper Section III-B4) —
-and wall-clock cost is modelled per :class:`~repro.runtime.machine.MachineModel`.
+last-iteration-peeling contract Polaris uses (paper Section III-B4).
 The differential tester (:mod:`repro.runtime.difftest`) also supports a
 permuted iteration order to validate independence dynamically.
 
 Cost accounting: every visited expression node and executed statement
-charges ~1 work unit; the simulated time of a parallel region is
-``fork_join + max over threads of assigned iteration cost``.
+charges ~1 work unit, whether or not directives are honoured.
 
 Whenever directives are honoured the run also records its region tree
 (:class:`~repro.runtime.machine.RegionProfile`, returned as
 ``ExecutionResult.regions``): one node per executed parallel region with
-the cost charged inside each iteration.  Made with ``machine=None`` those
-are base costs, and :func:`repro.runtime.machine.price` replays the tree
-for any machine and any set of disabled directives.
+the cost charged inside each iteration.  An execution only records;
+:func:`repro.runtime.machine.price` replays the tree for any machine and
+any set of disabled directives.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from repro.fortran.intrinsics import is_intrinsic
 from repro.fortran.symbols import SymbolTable, VarInfo, build_symbol_table
 from repro.program import Program
 from repro.runtime.intrinsics import call_intrinsic, power
-from repro.runtime.machine import (MachineModel, RegionProfile,
-                                   RegionRecorder, Site)
+from repro.runtime.machine import RegionProfile, RegionRecorder, Site
 from repro.runtime.values import ArrayView, ScalarRef
 
 _MAX_STEPS = 200_000_000
@@ -152,20 +149,18 @@ ORDER_PERMUTED = "permuted"
 class Interpreter:
     """Executes a :class:`~repro.program.Program`.
 
-    ``machine`` enables parallel-cost simulation for OmpParallelDo nodes
-    (without it they execute as plain loops at serial cost).
+    ``honor_directives`` runs OmpParallelDo nodes as simulated parallel
+    regions and records them (without it they are plain loops).
     ``iteration_order`` selects the dynamic schedule used to *validate*
     parallel loops (see module docstring).
     """
 
     def __init__(self, program: Program,
-                 machine: Optional[MachineModel] = None,
                  honor_directives: bool = True,
                  iteration_order: str = ORDER_SEQUENTIAL,
                  inputs: Optional[Sequence[float]] = None,
                  max_steps: int = _MAX_STEPS):
         self.program = program
-        self.machine = machine
         self.honor = honor_directives
         self.order = iteration_order
         self.inputs = list(inputs or [])
@@ -173,7 +168,6 @@ class Interpreter:
         self.cost = 0.0
         self.steps = 0
         self.output: List[str] = []
-        self.parallel_depth = 0
         self._tables: Dict[int, SymbolTable] = {}
         self.commons: Dict[str, np.ndarray] = {}
         #: per-unit cache of COMMON views and PARAMETER values (the
@@ -181,9 +175,6 @@ class Interpreter:
         #: shareable across frames)
         self._unit_statics: Dict[int, tuple] = {}
         self._intdiv_cache: Dict[int, bool] = {}
-        #: per-directive accumulated (serial_body_cost, parallel_cost),
-        #: keyed by node identity — consumed by the tuning pass
-        self.omp_stats: Dict[int, List[float]] = {}
         #: the region tree of this run, and directive identity -> site
         self._regions = RegionRecorder()
         self._sites: Optional[Dict[int, Site]] = None
@@ -361,31 +352,30 @@ class Interpreter:
         main = self.program.main
         stop_message: Optional[str] = None
         try:
-            self._exec_unit(main, [])
+            self._exec_unit(main)
         except FortranStop as stop:
             stop_message = stop.message or ""
         return self._result(stop_message)
 
     def _result(self, stop_message: Optional[str]) -> ExecutionResult:
-        regions = self._regions.profile(self.cost, self.machine) \
-            if self.honor else None
+        regions = self._regions.profile(self.cost) if self.honor else None
         return ExecutionResult(self.output, self.cost,
                                {k: v.copy() for k, v in self.commons.items()},
                                stop_message, regions)
 
-    def _exec_unit(self, unit: ast.ProgramUnit,
-                   bound: Sequence[Tuple[str, Union[ScalarRef, ArrayView]]]
-                   ) -> _Frame:
+    def _exec_unit(self, unit: ast.ProgramUnit) -> None:
         frame = self._new_frame(unit)
-        for name, ref in bound:
-            frame.vars[name.upper()] = ref
         self._apply_data(frame)
         try:
-            self._exec_block(unit.body, frame)
+            self._run_body(unit, frame)
         except _GotoSignal as g:
             raise InterpreterError(
                 f"GOTO {g.label} has no target in {unit.name}")
-        return frame
+
+    def _run_body(self, unit: ast.ProgramUnit, frame: _Frame) -> None:
+        """Execute the statements of ``unit`` in ``frame`` — the one step
+        a backend does its own way."""
+        self._exec_block(unit.body, frame)
 
     # ------------------------------------------------------------------
     # statements
@@ -521,10 +511,11 @@ class Interpreter:
             # (original-storage) iteration must still run last in time
             order = list(reversed(range(trips - 1))) + [trips - 1]
 
+        if self._sites is None:
+            self._sites = number_omp_sites(self.program)
         iteration_costs: List[float] = []
-        self._enter_region(s, iteration_costs)
+        self._regions.enter(self._sites[id(s)], iteration_costs)
         completed = False
-        self.parallel_depth += 1
         try:
             for pos, k in enumerate(order):
                 is_peeled = (k == trips - 1)
@@ -541,24 +532,7 @@ class Interpreter:
             var.set(start + trips * step)
             completed = True
         finally:
-            self.parallel_depth -= 1
             self._regions.leave(completed)
-        if self.machine is not None:
-            serial_cost = sum(iteration_costs)
-            parallel_cost = self.machine.parallel_time(
-                iteration_costs, nested=self.parallel_depth > 0)
-            self.cost += parallel_cost - serial_cost
-            stat = self.omp_stats.setdefault(id(s), [0.0, 0.0])
-            stat[0] += serial_cost
-            stat[1] += parallel_cost
-
-    def _enter_region(self, s: ast.OmpParallelDo,
-                      iteration_costs: List[float]) -> None:
-        """Start recording an execution of ``s``; ``iteration_costs`` is
-        the live list its iterations' costs are appended to."""
-        if self._sites is None:
-            self._sites = number_omp_sites(self.program)
-        self._regions.enter(self._sites[id(s)], iteration_costs)
 
     def _private_storage(self, names: Sequence[str], frame: _Frame):
         slices = []
@@ -610,7 +584,7 @@ class Interpreter:
             callee_frame.vars[fname] = view
         self._apply_data(callee_frame)
         try:
-            self._exec_block(unit.body, callee_frame)
+            self._run_body(unit, callee_frame)
         except _ReturnSignal:
             pass
         except _GotoSignal as g:

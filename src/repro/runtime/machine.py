@@ -14,10 +14,11 @@ Beside the model lives the *pricer*.  Every simulated cost is
 ``W + sum of deltas``: the work ``W`` and each iteration's base cost do
 not depend on the machine or on which directives are on, and each
 executed parallel region adds ``parallel_time(iterations) - serial sum``.
-An interpreter that honours directives records the dynamic region tree
-(:class:`RegionProfile`), and :func:`price` replays it for any machine
-and any set of disabled directives — so the tuning protocol executes a
-program once and prices it many times.
+An interpreter that honours directives only records the dynamic region
+tree (:class:`RegionProfile`), and :func:`price` — the one caller of
+``parallel_time`` — replays it for any machine and any set of disabled
+directives, so the tuning protocol executes a program once and prices it
+many times.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class RegionNode:
     site: Site
     #: cost charged inside each iteration, in execution order, as packed
     #: doubles (equal vectors of one profile are one object); ``None``
-    #: for a region left by ``STOP`` or a ``GOTO`` out of it, which the
-    #: in-run model never prices; the interpreter's live list while the
+    #: for a region left by ``STOP`` or a ``GOTO`` out of it, which
+    #: :func:`price` never prices; the interpreter's live list while the
     #: region is still executing
     costs: Optional[Union[array, List[float]]]
     #: (position of the iteration in ``costs``, region executed in it)
@@ -97,9 +98,6 @@ class RegionProfile:
     work: float
     #: the regions entered outside any other region
     roots: Tuple[RegionNode, ...]
-    #: the machine the run was priced under; iteration costs are base
-    #: costs, and the profile can be priced, only when this is ``None``
-    machine: Optional[MachineModel] = None
 
 
 class RegionRecorder:
@@ -135,9 +133,8 @@ class RegionRecorder:
         else:
             node.costs = None
 
-    def profile(self, work: float,
-                machine: Optional[MachineModel]) -> RegionProfile:
-        return RegionProfile(work, tuple(self._roots), machine)
+    def profile(self, work: float) -> RegionProfile:
+        return RegionProfile(work, tuple(self._roots))
 
 
 def price(profile: RegionProfile, machine: MachineModel,
@@ -145,18 +142,16 @@ def price(profile: RegionProfile, machine: MachineModel,
           ) -> Tuple[float, Dict[Site, Tuple[float, float]]]:
     """Cost of the profiled execution on ``machine`` with the directives
     at the ``disabled`` sites replaced by their loops, and each priced
-    site's accumulated ``(serial, parallel)`` cost — what an execution
-    with ``machine=machine`` of that program reports as ``cost`` and
-    ``omp_stats``, exactly (base costs are multiples of 0.5, so while the
-    machine's overheads are too, every sum here is exact in any order).
+    site's accumulated ``(serial, parallel)`` cost — exact, because base
+    costs are multiples of 0.5, so while the machine's overheads are
+    too, every sum here is exact in any order.
 
     An active region's iteration costs are its base costs plus the
-    deltas of the regions inside it, priced nested; a disabled region
-    passes its inner regions through at the enclosing nesting level.
+    deltas of the regions inside it, priced nested (a region inside an
+    executing one); a disabled region passes its inner regions through
+    at the enclosing nesting level, and so does a region left early,
+    which is not priced itself.
     """
-    if profile.machine is not None:
-        raise ValueError("profile was recorded under in-run pricing; "
-                         "its iteration costs are not base costs")
     stats: Dict[Site, List[float]] = {}
     #: a region with no regions inside is priced once per nesting level
     #: and cost vector — the recorder made equal vectors one object, and

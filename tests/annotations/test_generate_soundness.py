@@ -12,7 +12,7 @@ from repro.annotations.soundness import check_registry, check_soundness
 from repro.perfect import get_benchmark
 from repro.polaris import Polaris
 from repro.program import Program
-from repro.runtime import INTEL_MAC, diff_test
+from repro.runtime import diff_test
 
 
 class TestGeneration:
@@ -47,7 +47,7 @@ class TestGeneration:
         ks = [v for v in report.verdicts
               if v.unit == "BDNA" and v.var == "KS"]
         assert ks and ks[0].parallelized
-        assert diff_test(prog, INTEL_MAC).passed
+        assert diff_test(prog).passed
 
     def test_compositional_rejected(self):
         prog = get_benchmark("dyfesm").program()
@@ -184,4 +184,4 @@ subroutine PCINIT(X2, Y2, Z2, NSP) {
         ReverseInliner(lying).run(prog)
         assert any(v.parallelized and v.var == "I" and v.unit == "P"
                    for v in report.verdicts)
-        assert not diff_test(prog, INTEL_MAC).passed
+        assert not diff_test(prog).passed

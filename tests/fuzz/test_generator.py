@@ -30,8 +30,7 @@ def test_generated_programs_parse_and_execute():
     for seed in SAMPLE:
         fuzz = generate(seed)
         program = fuzz.program()
-        result = Interpreter(program, machine=None,
-                             honor_directives=False).run()
+        result = Interpreter(program, honor_directives=False).run()
         # the observation WRITEs must have produced output
         assert result.output
 
@@ -88,8 +87,7 @@ def test_extended_dialect_emits_and_executes():
         seen.update(f for f in fuzz.features
                     if f in ("computed-goto", "data"))
         program = fuzz.program()
-        result = Interpreter(program, machine=None,
-                             honor_directives=False).run()
+        result = Interpreter(program, honor_directives=False).run()
         assert result.output
         # the shipped text stays the reparse fixpoint with the new
         # productions in play

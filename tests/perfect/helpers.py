@@ -2,7 +2,7 @@
 
 from repro.experiments import run_all_configs
 from repro.polaris.report import ConfigComparison
-from repro.runtime import INTEL_MAC, Interpreter, diff_test
+from repro.runtime import Interpreter, diff_test
 
 
 def executes(benchmark):
@@ -28,7 +28,7 @@ def table2_row(benchmark):
 
 def parallel_output_correct(benchmark, config_result):
     """Differential test of a configuration's final program."""
-    result = diff_test(config_result.program, INTEL_MAC,
+    result = diff_test(config_result.program,
                        inputs=list(benchmark.inputs))
     assert result.passed, (benchmark.name, config_result.config,
                            result.explain())

@@ -31,7 +31,7 @@ ARC2D_CONVENTIONAL = pytest.mark.xfail(
 
 
 def _serial(program, inputs):
-    return make_interpreter(program, machine=None, honor_directives=False,
+    return make_interpreter(program, honor_directives=False,
                             inputs=inputs).run()
 
 

@@ -352,6 +352,6 @@ class TestExactOption:
                "   20   CONTINUE\n"
                "   10 CONTINUE\n"
                "      END\n")
-        from repro.runtime import INTEL_MAC, diff_test
+        from repro.runtime import diff_test
         prog, _ = run(src, use_exact=True)
-        assert diff_test(prog, INTEL_MAC).passed
+        assert diff_test(prog).passed

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import InterpreterError
 from repro.perfect import all_benchmarks, get_benchmark
 from repro.program import Program
 from repro.runtime import CompiledInterpreter, Interpreter, compiler
@@ -59,7 +60,7 @@ def test_benchmark_equivalence(bench, config):
     """12 benchmarks x 3 configs: both backends agree exactly in every
     execution mode (serial / parallel / permuted)."""
     program = _pipeline(bench, config)
-    divergence = backend_equivalence(program, INTEL_MAC, bench.inputs)
+    divergence = backend_equivalence(program, bench.inputs)
     assert divergence is None, divergence
 
 
@@ -167,8 +168,36 @@ class TestOutputsEqualSymmetry:
 
 def _equiv(src, inputs=None):
     prog = Program.from_sources({"main.f": src}, "test")
-    divergence = backend_equivalence(prog, INTEL_MAC, inputs or [])
+    divergence = backend_equivalence(prog, inputs)
     assert divergence is None, divergence
+
+
+def _section_store(section):
+    return ("      PROGRAM P\n"
+            "      COMMON /D/ A(5)\n"
+            f"      A({section}) = 3.0\n"
+            "      WRITE(*,*) A(1), A(2), A(4), A(5)\n"
+            "      END\n")
+
+
+class TestArraySectionStores:
+    """An array-section store runs the tree-walker's ``_store_region``
+    on both backends (the compiled statement calls into it)."""
+
+    def test_section_store(self):
+        src = _section_store("2:4")
+        _equiv(src)
+        for backend in BACKENDS:
+            result = make_interpreter(_program(src), backend).run()
+            assert (result.output, result.cost) == (["0.0 3.0 3.0 0.0"], 7.5)
+
+    def test_out_of_bounds_section_fails_alike(self):
+        src = _section_store("4:6")
+        _equiv(src)
+        for backend in BACKENDS:
+            with pytest.raises(InterpreterError,
+                               match="subscript 6 out of bounds"):
+                make_interpreter(_program(src), backend).run()
 
 
 class TestVectorizerSemantics:
@@ -625,9 +654,8 @@ class TestDirectiveKernel:
                 yield machine, frozenset()
                 yield machine, frozenset({("P", 0)})
 
-        profile = check(program, "compiled", cases)
-        assert profile == make_interpreter(
-            program, "tree", machine=None).run().regions
+        assert check(program, cases) == make_interpreter(
+            program, "tree").run().regions
 
     def test_permuted_runs_keep_directive_loops_off_the_kernel(self):
         """The permuted schedule is the oracle for wrongly parallel
@@ -1003,7 +1031,7 @@ class TestInvarianceMutants:
     def test_dropped_reads_diverge(self, name):
         src = CHANGED_INVARIANTS[name]
         with _dropping_hoisted_reads():
-            divergence = backend_equivalence(_program(src), INTEL_MAC, [])
+            divergence = backend_equivalence(_program(src))
         assert divergence is not None and "serial" in divergence
 
     def test_an_accepted_assigned_scalar_is_still_refused_at_launch(self):
@@ -1013,7 +1041,7 @@ class TestInvarianceMutants:
         its forwarded temporary — and the mutant dies on the counts."""
         src, steps = ASSIGNED_SCALARS["temporary"]
         with _accepting_assigned_scalars():
-            assert backend_equivalence(_program(src), INTEL_MAC, []) is None
+            assert backend_equivalence(_program(src)) is None
             interp, _ = _compiled(src)
         assert steps == FILL_STEPS + 3 * 12
         assert (interp.kernel_steps, interp.kernel_bails) == (FILL_STEPS, 1)
@@ -1025,7 +1053,7 @@ class TestInvarianceMutants:
         # invariant
         src, _steps = ASSIGNED_SCALARS[name]
         with _accepting_assigned_scalars(), _dropping_hoisted_reads():
-            divergence = backend_equivalence(_program(src), INTEL_MAC, [])
+            divergence = backend_equivalence(_program(src))
         assert divergence is not None
 
     def test_no_mutant_no_divergence(self):
@@ -1099,10 +1127,9 @@ def _counts(src, **kwargs):
 
 
 def _nest_equiv(src):
-    """Both backends in all three modes under a machine — in-run pricing
-    of the regions a committed nest replays included — and, without one,
-    the tree-walker's region tree, which prices to what executing under
-    a machine charges."""
+    """Both backends in all three modes — the regions a committed nest
+    replays included — and the compiled backend's region tree, which
+    prices to what the tree-walker charges priced in-run."""
     _equiv(src)
     program = _program(src)
     sites = sorted(number_omp_sites(program).values())
@@ -1112,10 +1139,7 @@ def _nest_equiv(src):
             yield machine, frozenset()
             yield machine, frozenset(sites[::2])
 
-    profile = check(program, "compiled", cases)
-    assert profile == make_interpreter(program, "tree",
-                                       machine=None).run().regions
-    return profile
+    return check(program, cases)
 
 
 #: SPEC77's SYNTH: a row reduction carried from the enclosing body's
@@ -1206,7 +1230,7 @@ class TestLoopNests:
     """A rectangular nest is one launch with one axis per loop.  Each
     program says what the kernel is expected to have done and goes
     through all three modes on both backends, regions and cost included,
-    with and without a machine."""
+    and its recorded tree is priced on both machines."""
 
     def test_spec77_row_reduction(self):
         profile = _nest_equiv(SYNTH_NEST)
@@ -1424,7 +1448,7 @@ class TestNestMutants:
     ], ids=["injective-diagonal", "injective-unmoved", "collapse", "key"])
     def test_the_oracle_objects(self, name, replacement, src):
         with mock.patch.object(compiler, name, replacement):
-            divergence = backend_equivalence(_program(src), INTEL_MAC, [])
+            divergence = backend_equivalence(_program(src))
         assert divergence is not None
 
     def test_no_mutant_no_divergence(self):
@@ -1592,7 +1616,7 @@ def test_perfect_kernel_share_is_pinned():
     totals = [0] * len(names)
     for bench in all_benchmarks():
         program = run_config(bench, Config("annotation")).program
-        interp = make_interpreter(program, "compiled", machine=None,
+        interp = make_interpreter(program, "compiled",
                                   inputs=list(bench.inputs))
         interp.run()
         totals = [t + getattr(interp, name) for t, name in zip(totals, names)]

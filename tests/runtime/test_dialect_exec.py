@@ -7,12 +7,11 @@ from repro.errors import InterpreterError
 from repro.program import Program
 from repro.runtime import CompiledInterpreter, Interpreter
 from repro.runtime.difftest import backend_equivalence
-from repro.runtime.machine import INTEL_MAC
 
 
 def equivalent(src, inputs=None):
     program = Program.from_source(src)
-    divergence = backend_equivalence(program, INTEL_MAC, inputs)
+    divergence = backend_equivalence(program, inputs)
     assert divergence is None, divergence
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.program import Program
 from repro.runtime import AMD_OPTERON, INTEL_MAC, Interpreter, diff_test
 from repro.runtime.interpreter import ORDER_PERMUTED
-from repro.runtime.machine import MachineModel
+from repro.runtime.machine import MachineModel, price
 from repro.polaris import Polaris, PolarisOptions
 
 
@@ -14,6 +14,12 @@ def parallelize(src, **opts):
     prog = Program.from_source(src)
     Polaris(PolarisOptions(**opts)).run(prog)
     return prog
+
+
+def priced(prog, machine):
+    """Simulated cost of ``prog`` on ``machine``: its recorded region
+    tree, priced."""
+    return price(Interpreter(prog).run().regions, machine)[0]
 
 
 BIG_LOOP = ("      PROGRAM P\n"
@@ -48,15 +54,15 @@ class TestMachineModel:
 class TestParallelSemantics:
     def test_simple_loop_matches_serial(self):
         prog = parallelize(BIG_LOOP)
-        result = diff_test(prog, INTEL_MAC)
+        result = diff_test(prog)
         assert result.passed, result.explain()
 
     def test_speedup_on_big_loop(self):
         prog = parallelize(BIG_LOOP)
         serial = Interpreter(prog, honor_directives=False).run()
-        par = Interpreter(prog, machine=INTEL_MAC).run()
-        assert par.cost < serial.cost
-        speedup = serial.cost / par.cost
+        par = priced(prog, INTEL_MAC)
+        assert par < serial.cost
+        speedup = serial.cost / par
         assert speedup > 2.0
 
     def test_overhead_hurts_small_loop(self):
@@ -70,9 +76,8 @@ class TestParallelSemantics:
                "      END\n")
         prog = parallelize(src)
         serial = Interpreter(prog, honor_directives=False).run()
-        par = Interpreter(prog, machine=INTEL_MAC).run()
         # the inner loop is tiny: fork/join overhead slows the program
-        assert par.cost > serial.cost
+        assert priced(prog, INTEL_MAC) > serial.cost
 
     def test_private_scalar(self):
         src = ("      PROGRAM P\n"
@@ -84,7 +89,7 @@ class TestParallelSemantics:
                "   10 CONTINUE\n"
                "      END\n")
         prog = parallelize(src)
-        result = diff_test(prog, INTEL_MAC)
+        result = diff_test(prog)
         assert result.passed, result.explain()
 
     def test_private_array_with_peeling(self):
@@ -102,7 +107,7 @@ class TestParallelSemantics:
         prog = parallelize(src)
         # T must be in a PRIVATE clause and survive diff testing,
         # including the lastprivate contract (T keeps iteration-100 values)
-        result = diff_test(prog, INTEL_MAC)
+        result = diff_test(prog)
         assert result.passed, result.explain()
 
     def test_reduction(self):
@@ -117,7 +122,7 @@ class TestParallelSemantics:
                "   10 CONTINUE\n"
                "      END\n")
         prog = parallelize(src)
-        result = diff_test(prog, INTEL_MAC)
+        result = diff_test(prog)
         assert result.passed, result.explain()
         assert result.parallel.commons["R"][0] == 5000 * 5001 / 2
 
@@ -134,7 +139,7 @@ class TestParallelSemantics:
                "!$OMP END PARALLEL DO\n"
                "      END\n")
         prog = Program.from_source(src)
-        result = diff_test(prog, INTEL_MAC)
+        result = diff_test(prog)
         assert not result.passed
         assert "diverges" in result.explain()
 
@@ -151,20 +156,19 @@ class TestParallelSemantics:
                "!$OMP END PARALLEL DO\n"
                "      END\n")
         prog = Program.from_source(src)
-        result = diff_test(prog, INTEL_MAC)
+        result = diff_test(prog)
         assert not result.passed
 
     def test_permuted_order_still_correct(self):
         prog = parallelize(BIG_LOOP)
         from repro.runtime.interpreter import Interpreter as I
-        permuted = I(prog, machine=INTEL_MAC,
-                     iteration_order=ORDER_PERMUTED).run()
+        permuted = I(prog, iteration_order=ORDER_PERMUTED).run()
         serial = I(prog, honor_directives=False).run()
         assert serial.memory_equal(permuted)
 
     def test_fewer_threads_less_speedup(self):
         prog = parallelize(BIG_LOOP)
         serial = Interpreter(prog, honor_directives=False).run()
-        par8 = Interpreter(prog, machine=INTEL_MAC).run()
-        par4 = Interpreter(prog, machine=AMD_OPTERON).run()
-        assert serial.cost / par8.cost > serial.cost / par4.cost
+        par8 = priced(prog, INTEL_MAC)
+        par4 = priced(prog, AMD_OPTERON)
+        assert serial.cost / par8 > serial.cost / par4

@@ -1,12 +1,14 @@
 """The pricer against its oracle.
 
 ``price(profile, M, disabled)`` claims to equal — cost and per-site
-``(serial, parallel)`` stats, exactly — an execution with ``machine=M``
-of the program whose directives at ``disabled`` were really replaced by
-their loops.  In-run pricing (``_exec_omp`` / ``_emit_omp``) is
-independent of the recorder and the pricer, so it is the reference here:
-every case records one profile (``machine=None``), then executes the
-mutated clones under a machine and compares.
+``(serial, parallel)`` stats, exactly — what executing the program whose
+directives at ``disabled`` were really replaced by their loops costs on
+``M`` when each region is priced the moment it closes, its delta added
+to the running cost so that the enclosing region's iteration sees it.
+That in-run pricing is independent of ``price``, so it is the reference
+here (:class:`InRunPricing`, on the tree-walker): every case records one
+profile, then executes the mutated clones under the reference and
+compares.
 """
 
 import random
@@ -21,15 +23,17 @@ from repro.experiments.pipeline import CONFIGS, Config, run_config
 from repro.experiments.tuning import tune
 from repro.fortran import ast
 from repro.fuzz import generate
-from repro.perfect import all_benchmarks
+from repro.perfect import all_benchmarks, get_benchmark
 from repro.pipeline import parallelize_program
 from repro.program import Program
+from repro.runtime import CompiledInterpreter, Interpreter
 from repro.runtime.backend import BACKENDS, make_interpreter
 from repro.runtime.difftest import backend_equivalence
 from repro.runtime.interpreter import (collect_omp_sites,
                                        number_omp_sites)
 from repro.runtime.machine import (AMD_OPTERON, INTEL_MAC, MachineModel,
-                                   RegionNode, RegionProfile, price)
+                                   RegionNode, RegionProfile, RegionRecorder,
+                                   price)
 
 MACHINES = (INTEL_MAC, AMD_OPTERON)
 
@@ -51,21 +55,55 @@ def disable(program, site_of, disabled):
 
 
 def record(program, backend, inputs=()):
-    return make_interpreter(program, backend, machine=None,
-                            honor_directives=True,
+    return make_interpreter(program, backend, honor_directives=True,
                             inputs=list(inputs)).run().regions
 
 
-def executed(program, backend, machine, disabled, inputs=()):
-    """(cost, per-site stats) of really running with ``disabled`` off."""
+class InRunPricing(RegionRecorder):
+    """The reference: a recorder that prices each region as it closes
+    and adds its delta into the interpreter's running cost.  Only the
+    tree-walker measures an iteration's cost around its inner regions;
+    a committed nest on the compiled backend replays base costs."""
+
+    def __init__(self, interp, machine):
+        super().__init__()
+        self.interp, self.machine, self.stats = interp, machine, {}
+
+    def leave(self, completed):
+        node = self._open[-1]
+        costs = list(node.costs)
+        super().leave(completed)
+        if completed:
+            serial = sum(costs)
+            parallel = self.machine.parallel_time(costs,
+                                                  nested=bool(self._open))
+            self.interp.cost += parallel - serial
+            stat = self.stats.setdefault(node.site, [0.0, 0.0])
+            stat[0] += serial
+            stat[1] += parallel
+
+
+def mutated(program, disabled):
+    """A clone with the directives at ``disabled`` replaced by their
+    loops, and its sites -> the original's (disabling a directive
+    renumbers the sites after it)."""
     clone = program.clone()
     site_of = number_omp_sites(clone)
     disable(clone, site_of, disabled)
-    interp = make_interpreter(clone, backend, machine=machine,
-                              honor_directives=True, inputs=list(inputs))
+    return clone, {site: site_of[key]
+                   for key, site in number_omp_sites(clone).items()}
+
+
+def executed(program, machine, disabled, inputs=()):
+    """(cost, per-site stats) of really running with ``disabled`` off,
+    priced in-run on the tree-walker."""
+    clone, original = mutated(program, disabled)
+    interp = make_interpreter(clone, "tree", honor_directives=True,
+                              inputs=list(inputs))
+    interp._regions = reference = InRunPricing(interp, machine)
     cost = interp.run().cost
-    return cost, {site_of[key]: tuple(stat)
-                  for key, stat in interp.omp_stats.items()}
+    return cost, {original[site]: tuple(stat)
+                  for site, stat in reference.stats.items()}
 
 
 def tuned_set(program, profile, machine, inputs=()):
@@ -83,12 +121,13 @@ def random_subset(rng, program):
     return frozenset(s for s in sites if rng.random() < 0.5)
 
 
-def check(program, backend, cases, inputs=()):
-    """``cases``: (machine, disabled) pairs priced from one profile."""
+def check(program, cases, inputs=(), backend="compiled"):
+    """``cases``: (machine, disabled) pairs priced from one profile
+    recorded on ``backend``, each against the reference."""
     profile = record(program, backend, inputs)
     for machine, disabled in cases(profile):
         assert price(profile, machine, disabled) == \
-            executed(program, backend, machine, disabled, inputs), \
+            executed(program, machine, disabled, inputs), \
             (machine.name, sorted(disabled))
     return profile
 
@@ -101,29 +140,39 @@ def check(program, backend, cases, inputs=()):
 @pytest.mark.parametrize("bench", all_benchmarks(),
                          ids=[b.name for b in all_benchmarks()])
 def test_perfect_pricing_matches_execution(bench, config):
+    """A disabled set prices as the real mutation, recorded and priced
+    with nothing disabled (the in-run reference is held to ``price`` on
+    PERFECT nests by ``test_perfect_nests_priced_in_run``)."""
     program = run_config(bench, Config(config)).program
     inputs = bench.inputs
     rng = random.Random(f"{bench.name}:{config}")
     first, second = MACHINES if rng.random() < 0.5 else MACHINES[::-1]
-
-    def cases(profile):
-        yield first, frozenset()
-        yield second, tuned_set(program, profile, second, inputs)
-        yield first, random_subset(rng, program)
-
-    profile = check(program, "compiled", cases, inputs)
-    # the tree-walker is ~5x slower, so it runs once, not four times: it
-    # must record the very same tree, which makes every price above its
-    # price too (its in-run model is held to the compiled one's by
-    # backend_equivalence in test_compiler, and to the pricer on every
-    # kind of set by the generated and hand-written programs below)
+    profile = record(program, "compiled", inputs)
+    for machine, disabled in (
+            (second, tuned_set(program, profile, second, inputs)),
+            (first, random_subset(rng, program))):
+        clone, original = mutated(program, disabled)
+        cost, stats = price(record(clone, "compiled", inputs), machine)
+        assert price(profile, machine, disabled) == (
+            cost, {original[site]: stat for site, stat in stats.items()}), \
+            (machine.name, sorted(disabled))
+    # the tree-walker is ~5x slower, so it runs once: it must record the
+    # very same tree, which makes every price above its price too
     assert record(program, "tree", inputs) == profile
     # the profile's work is the serial cost: honouring directives
-    # without a machine charges exactly what ignoring them does
-    serial = make_interpreter(program, "compiled", machine=None,
-                              honor_directives=False,
+    # charges exactly what ignoring them does
+    serial = make_interpreter(program, "compiled", honor_directives=False,
                               inputs=list(inputs)).run()
     assert profile.work == serial.cost
+
+
+@pytest.mark.parametrize("name", ["SPEC77", "ARC2D", "TRFD"])
+def test_perfect_nests_priced_in_run(name):
+    """Regions inside regions inside committed nests: on the tree-walker
+    the in-run reference prices what ``price`` prices."""
+    bench = get_benchmark(name)
+    program = run_config(bench, Config("annotation")).program
+    check(program, lambda profile: [(INTEL_MAC, frozenset())], bench.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +192,16 @@ def test_fuzz_pricing_matches_execution(seed):
         parallelize_program(program, Config(config),
                             AnnotationRegistry.from_text(fuzz.annotations))
         directives += len(number_omp_sites(program))
-        profiles = []
-        for backend in BACKENDS:
-            subsets = [random_subset(random.Random(seed + k), program)
-                       for k in range(2)]
+        subsets = [random_subset(random.Random(seed + k), program)
+                   for k in range(2)]
 
-            def cases(profile):
-                for machine in MACHINES:
-                    yield machine, frozenset()
-                    yield machine, tuned_set(program, profile, machine)
-                    yield machine, subsets[rng.randrange(2)]
+        def cases(profile):
+            for machine in MACHINES:
+                yield machine, frozenset()
+                yield machine, tuned_set(program, profile, machine)
+                yield machine, subsets[rng.randrange(2)]
 
-            profiles.append(check(program, backend, cases))
-        assert profiles[0] == profiles[1]
+        assert check(program, cases) == record(program, "tree")
     if directives == 0:
         pytest.skip("no loop of this program was parallelized")
 
@@ -307,7 +353,8 @@ def all_subsets(program):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(HAND))
 def test_hand_written_shapes(name, backend):
-    """Every subset of directives, both machines, both backends."""
+    """Every subset of directives, both machines, a profile recorded on
+    either backend."""
     program = Program.from_source(HAND[name])
     assert backend_equivalence(program) is None
 
@@ -316,7 +363,7 @@ def test_hand_written_shapes(name, backend):
             for disabled in all_subsets(program):
                 yield machine, disabled
 
-    check(program, backend, cases)
+    check(program, cases, backend=backend)
 
 
 class TestRecordedTree:
@@ -373,18 +420,22 @@ class TestRecordedTree:
         (_, done), (_, left) = outer.children
         assert done.costs is not None and left.costs is None
 
-    def test_profile_under_a_machine_is_not_priceable(self):
+    def test_interpreters_take_no_machine(self):
+        """Only ``price`` prices: a machine is refused, and the benchmark
+        harness's ``machine=None`` call still runs."""
         program = Program.from_source(HAND["three-deep"])
-        priced = make_interpreter(program, machine=INTEL_MAC,
-                                  honor_directives=True).run().regions
-        assert priced.machine is INTEL_MAC
-        with pytest.raises(ValueError):
-            price(priced, INTEL_MAC)
+        with pytest.raises(TypeError, match="machine.price"):
+            make_interpreter(program, machine=INTEL_MAC)
+        for cls in (Interpreter, CompiledInterpreter):
+            with pytest.raises(TypeError):
+                cls(program, machine=INTEL_MAC)
+        serial = make_interpreter(program, backend="tree", machine=None,
+                                  honor_directives=False, inputs=[]).run()
+        assert serial.cost == record(program, "compiled").work
 
     def test_directives_ignored_records_nothing(self):
         program = Program.from_source(HAND["three-deep"])
-        assert make_interpreter(program, machine=None,
-                                honor_directives=False
+        assert make_interpreter(program, honor_directives=False
                                 ).run().regions is None
 
 
@@ -395,8 +446,9 @@ def test_pricing_is_exact_for_half_unit_overheads():
                            per_thread_overhead=37.5)
     program = Program.from_source(HAND["through-call"])
     for backend in BACKENDS:
-        check(program, backend,
-              lambda profile: ((machine, d) for d in all_subsets(program)))
+        check(program,
+              lambda profile: ((machine, d) for d in all_subsets(program)),
+              backend=backend)
 
 
 def test_backend_equivalence_reports_region_divergence(monkeypatch):
@@ -411,8 +463,7 @@ def test_backend_equivalence_reports_region_divergence(monkeypatch):
         outcome = real(self, stop_message)
         if outcome.regions is not None and outcome.regions.roots:
             outcome.regions = RegionProfile(outcome.regions.work,
-                                            outcome.regions.roots[:-1],
-                                            outcome.regions.machine)
+                                            outcome.regions.roots[:-1])
         return outcome
 
     monkeypatch.setattr(compiler.CompiledInterpreter, "_result", lossy)

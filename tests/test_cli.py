@@ -180,7 +180,24 @@ class TestReportRunVerify:
         assert out.strip()  # the WRITE output
         assert "serial" in err
 
-    def test_run_on_machine(self, files, capsys):
+    def test_run_on_machine(self, files, tmp_path, capsys):
+        """``run --machine`` prices the recorded regions: the directives
+        Polaris inserts cost more than they save on this small input,
+        and differently on each machine."""
+        src, ann = files
+        out = str(tmp_path / "par.f")
+        assert main(["parallelize", src, "--annotations", ann,
+                     "-o", out]) == 0
+        capsys.readouterr()
+        for machine, cost in (("serial", 26407), ("intel-mac", 42271),
+                              ("amd-opteron", 54407)):
+            assert main(["run", out, "--machine", machine]) == 0
+            printed, err = capsys.readouterr()
+            assert printed.split() == ["45600.0"]
+            where = "(serial)" if machine == "serial" else f"on {machine}"
+            assert f"[simulated cost: {cost} work units {where}]" in err
+
+    def test_verify_matches(self, files, capsys):
         src, ann = files
         assert main(["verify", src, "--annotations", ann]) == 0
         assert "matches" in capsys.readouterr().out

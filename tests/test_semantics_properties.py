@@ -24,7 +24,7 @@ from repro.fortran.unparser import unparse
 from repro.inlining import ConventionalInliner
 from repro.polaris import Polaris
 from repro.program import Program
-from repro.runtime import INTEL_MAC, Interpreter, diff_test
+from repro.runtime import Interpreter, diff_test
 from tests.strategies import callee_programs, programs
 
 
@@ -47,7 +47,7 @@ def test_normalization_preserves_semantics(program):
 @settings(max_examples=30, deadline=None)
 def test_parallelization_is_sound(program):
     Polaris().run(program)
-    result = diff_test(program, INTEL_MAC)
+    result = diff_test(program)
     assert result.passed, result.explain()
 
 
