@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Cluster smoke test (used by CI, runnable locally).
 
-Spawns the full distributed topology as real processes — 1 asyncio
-gateway, 2 cache shards, 2 worker nodes — then:
+Spawns the full distributed topology as real processes — 1 gateway,
+2 cache shards, 2 worker nodes — then:
 
   1. submits a batch of jobs and SIGKILLs one worker mid-batch,
   2. asserts every accepted job still completes (the dead-node sweep

@@ -399,7 +399,20 @@ def _drain_on_sigterm(stop_fn, what: str) -> None:
     signal.signal(signal.SIGTERM, handler)
 
 
+def _serve_until_stopped(server, what: str) -> int:
+    """The CLI foreground of a started server: SIGTERM drains, Ctrl-C
+    stops at once."""
+    _drain_on_sigterm(lambda: server.stop(drain=True), what)
+    try:
+        server.wait()
+    except KeyboardInterrupt:
+        print("shutting down", file=sys.stderr)
+        server.stop()
+    return 0
+
+
 def cmd_serve(args) -> int:
+    from repro.experiments.executor import resolve_jobs
     from repro.perfect.suite import cache_dir, disk_cache_enabled
     from repro.service.server import ParallelizationServer
     import os
@@ -409,7 +422,7 @@ def cmd_serve(args) -> int:
     elif disk_cache_enabled():
         directory = os.path.join(cache_dir(), "results")
     server = ParallelizationServer(
-        host=args.host, port=args.port, jobs=args.jobs,
+        host=args.host, port=args.port, jobs=resolve_jobs(args.jobs),
         queue_capacity=args.queue_capacity, cache_dir=directory,
         default_deadline=args.default_deadline,
         max_retries=args.max_retries,
@@ -420,51 +433,34 @@ def cmd_serve(args) -> int:
     print(f"repro service listening on {host}:{port} "
           f"({server.workers} worker{'s' if server.workers != 1 else ''}, "
           f"queue capacity {server.ledger.capacity})", flush=True)
-    _drain_on_sigterm(lambda: server.stop(drain=True), "repro serve")
-    try:
-        server.wait()
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-        server.stop()
-    return 0
+    return _serve_until_stopped(server, "repro serve")
 
 
 def cmd_cluster_gateway(args) -> int:
-    from repro.cluster.gateway import ClusterGateway
-    from repro.cluster.shardcache import LocalShard, ShardedCache
-    if args.shard:
-        shards = ShardedCache.from_specs(args.shard)
-    else:
-        shards = ShardedCache({"local": LocalShard(
-            capacity=args.cache_capacity, directory=args.cache_dir)})
-    gateway = ClusterGateway(
-        host=args.host, port=args.port, shards=shards,
+    from repro.cluster.shardcache import ShardedCache
+    from repro.service.server import ParallelizationServer
+    gateway = ParallelizationServer(
+        host=args.host, port=args.port, tier="cluster",
+        jobs=args.local_workers,
+        shards=ShardedCache.from_specs(args.shard) if args.shard else None,
         queue_capacity=args.queue_capacity,
+        cache_capacity=args.cache_capacity, cache_dir=args.cache_dir,
         default_deadline=args.default_deadline,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
         drain_timeout=args.drain_timeout,
         heartbeat_timeout=args.heartbeat_timeout,
-        local_workers=args.local_workers,
         inline=True if args.inline else None,
         telemetry_dir=args.telemetry_dir,
         telemetry_interval=args.telemetry_interval,
         run_id=args.run_id)
-    host, port = gateway.start_background()
+    host, port = gateway.start()
+    shards = len(gateway.cache.shard_names)
     print(f"repro cluster gateway listening on {host}:{port} "
-          f"({len(shards.shard_names)} cache shard"
-          f"{'s' if len(shards.shard_names) != 1 else ''}, "
+          f"({shards} cache shard{'s' if shards != 1 else ''}, "
           f"{args.local_workers} local worker"
           f"{'s' if args.local_workers != 1 else ''})", flush=True)
-    _drain_on_sigterm(lambda: gateway.stop(drain=True),
-                      "repro cluster gateway")
-    try:
-        gateway.wait()
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-        gateway.stop()
-        gateway.wait(timeout=10.0)
-    return 0
+    return _serve_until_stopped(gateway, "repro cluster gateway")
 
 
 def cmd_cluster_shard(args) -> int:
@@ -476,12 +472,7 @@ def cmd_cluster_shard(args) -> int:
     host, port = shard.start()
     print(f"repro cache shard listening on {host}:{port} "
           f"(capacity {args.capacity})", flush=True)
-    _drain_on_sigterm(shard.stop, "repro cluster shard")
-    try:
-        shard.wait()
-    except KeyboardInterrupt:
-        shard.stop()
-    return 0
+    return _serve_until_stopped(shard, "repro cluster shard")
 
 
 def cmd_cluster_worker(args) -> int:
@@ -1029,7 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="cluster_command", required=True)
 
     c = csub.add_parser("gateway",
-                        help="asyncio front door + fleet coordinator")
+                        help="the job server with a sharded cache and "
+                             "a worker fleet")
     add_endpoint(c)
     c.add_argument("--shard", action="append", default=[],
                    metavar="HOST:PORT",

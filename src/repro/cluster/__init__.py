@@ -1,10 +1,13 @@
 """repro.cluster — the distributed parallelization tier.
 
-PR 2's :mod:`repro.service` serves one box: a threaded TCP daemon, a
+:mod:`repro.service` serves one box: a threaded TCP job server, a
 local LRU/disk result cache, and one process pool.  This package scales
 that design out while keeping the wire protocol — the synchronous
 :class:`repro.service.client.ServiceClient` works unchanged against the
-cluster:
+cluster.  The gateway is the same job server
+(:class:`repro.service.server.ParallelizationServer`, ``repro cluster
+gateway``) holding a sharded cache and serving a worker fleet; this
+package supplies the rest:
 
 * :mod:`.ring` — a consistent-hash ring with virtual nodes; adding or
   removing a shard remaps ~1/N of the key space, never all of it;
@@ -12,10 +15,6 @@ cluster:
   across N cache-shard nodes (each wrapping the existing
   :class:`repro.service.cache.ResultCache`), with per-shard hit/miss
   metrics and graceful degradation when a shard is down;
-* :mod:`.gateway` — an asyncio front door multiplexing thousands of
-  concurrent client sessions over one event loop, with in-flight dedup,
-  a shared work queue, lease-based work distribution, work stealing,
-  and heartbeat-based dead-node detection;
 * :mod:`.workers` — the worker-node fleet: each node pulls batches of
   jobs from the gateway, executes them in a crash-isolated process
   pool, and ships results plus metric deltas back;
@@ -31,7 +30,6 @@ See ``docs/cluster.md`` for topology, ring semantics, and the failure
 model.
 """
 
-from repro.cluster.gateway import ClusterGateway
 from repro.cluster.ring import HashRing
 from repro.cluster.shardcache import (CacheShardServer, LocalShard,
                                       RemoteShard, ShardedCache, ShardError)
@@ -39,7 +37,7 @@ from repro.cluster.topology import LocalCluster
 from repro.cluster.workers import GatewayLink, GatewayUnreachable, WorkerNode
 
 __all__ = [
-    "CacheShardServer", "ClusterGateway", "GatewayLink",
+    "CacheShardServer", "GatewayLink",
     "GatewayUnreachable", "HashRing", "LocalCluster", "LocalShard",
     "RemoteShard", "ShardError", "ShardedCache", "WorkerNode",
 ]

@@ -82,6 +82,18 @@ def _comparable(result: Optional[Dict[str, Any]]
             if k not in VOLATILE_RESULT_KEYS}
 
 
+async def _read_message(reader: asyncio.StreamReader) -> Dict[str, Any]:
+    """Read one frame; the contract of :func:`protocol.recv_message`."""
+    try:
+        header = await reader.readexactly(protocol.HEADER_SIZE)
+        length = protocol.frame_length(header)
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise protocol.ProtocolError("connection closed mid-frame") \
+            from None
+    return protocol.decode_body(body)
+
+
 async def _session(host: str, port: int, payloads: List[Dict[str, Any]],
                    wait_timeout: float, samples: List[Dict[str, Any]],
                    start_gate: asyncio.Event,
@@ -103,8 +115,9 @@ async def _session(host: str, port: int, payloads: List[Dict[str, Any]],
             if trace_ctx is not None:
                 message["trace_ctx"] = trace_ctx
             try:
-                await protocol.write_message_async(writer, message)
-                response = await protocol.read_message_async(reader)
+                writer.write(protocol.encode(message))
+                await writer.drain()
+                response = await _read_message(reader)
             except (OSError, protocol.ProtocolError) as exc:
                 samples.append({"ok": False, "code": "connection",
                                 "error": str(exc)})

@@ -7,13 +7,14 @@ same length-prefixed JSON protocol the rest of the system speaks
 (``cache-get`` / ``cache-put`` / ``cache-stats`` / ``health`` /
 ``shutdown``).
 
-:class:`ShardedCache` is the client the gateway holds: it routes each
-payload digest over a :class:`repro.cluster.ring.HashRing` to one shard
-backend and mirrors the single-node ``ResultCache`` interface
-(``get``/``put``/``stats``), so the gateway's dedup/cache logic is the
-same code as the single-node daemon's.  Backends are either in-process
-(:class:`LocalShard`, unit tests and single-box deployments) or remote
-(:class:`RemoteShard`, a persistent reconnecting socket).
+:class:`ShardedCache` is the cache the job server
+(:class:`repro.service.server.ParallelizationServer`) holds: it routes
+each payload digest over a :class:`repro.cluster.ring.HashRing` to one
+shard backend and mirrors the ``ResultCache`` interface
+(``get``/``put``/``stats``).  Backends are either in-process
+(:class:`LocalShard`: ``repro serve``, unit tests, single-box
+deployments) or remote (:class:`RemoteShard`, a persistent reconnecting
+socket).
 
 Failure model: the cache is an optimization, never a correctness
 dependency.  A shard that is down makes ``get`` a miss and ``put`` a
@@ -36,24 +37,6 @@ from repro.service import protocol
 from repro.service.cache import ResultCache
 
 _log = obs_logging.get_logger("repro.cluster.shard")
-
-
-def _cache_span(node: str, name: str, trace_ctx, t0_wall: float,
-                duration: float, **args) -> Optional[Dict]:
-    """One distributed span dict for a cache operation, or None when the
-    carried ``trace_ctx`` is absent/malformed (tracing must never make a
-    cache op fail)."""
-    try:
-        parent = TraceContext.from_dict(trace_ctx)
-    except ValueError:
-        return None
-    if parent is None:
-        return None
-    ctx = parent.child()
-    return {"name": name, "cat": "shard", "node": node,
-            "trace_id": ctx.trace_id, "span_id": ctx.span_id,
-            "parent_id": parent.span_id, "ts_wall": t0_wall,
-            "dur": max(0.0, duration), "args": args}
 
 
 class ShardError(Exception):
@@ -95,7 +78,7 @@ class RemoteShard:
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._link = protocol.Link(host, port, timeout, ShardError, "shard")
         #: callable(spans, remote_wall) receiving spans the shard node
-        #: piggybacked on a traced response (set by the gateway)
+        #: piggybacked on a traced response (set by the job server)
         self.on_spans = None
 
     def request(self, message: Dict) -> Dict:
@@ -150,10 +133,10 @@ def parse_shard_spec(spec: str) -> Tuple[str, int]:
 class ShardedCache:
     """Digest-partitioned result cache over a consistent-hash ring.
 
-    Mirrors the single-node ``ResultCache`` surface (``get``/``put``/
-    ``stats``) so the gateway treats one box and a shard fleet the same
-    way.  All methods are thread-safe (backends carry their own locks;
-    ring membership changes take the membership lock).
+    Mirrors the ``ResultCache`` surface (``get``/``put``/``stats``) so
+    the job server treats one box and a shard fleet the same way.  All
+    methods are thread-safe (backends carry their own locks; ring
+    membership changes take the membership lock).
     """
 
     def __init__(self, shards: Optional[Dict[str, object]] = None,
@@ -174,10 +157,10 @@ class ShardedCache:
     def set_span_sink(self, sink) -> None:
         """Route distributed spans to ``sink(spans, remote_wall)``.
 
-        Remote shards piggyback their own spans (recorded on the shard
+        Remote shards piggyback their own spans, recorded on the shard
         node's clock — ``remote_wall`` lets the receiver estimate the
-        offset); local shards get a client-side span recorded here with
-        ``remote_wall=None`` (same clock, no skew)."""
+        offset.  An in-process shard records none: the caller's own
+        ``cache-lookup`` span covers it."""
         with self._lock:
             self._span_sink = sink
             for backend in self._shards.values():
@@ -188,7 +171,7 @@ class ShardedCache:
     def from_specs(cls, specs: List[str], timeout: float = 10.0,
                    replicas: int = DEFAULT_REPLICAS,
                    registry=None) -> "ShardedCache":
-        """Build from ``host:port`` strings (the gateway CLI path)."""
+        """Build from ``host:port`` strings (``cluster gateway --shard``)."""
         shards = {}
         for spec in specs:
             host, port = parse_shard_spec(spec)
@@ -229,37 +212,17 @@ class ShardedCache:
 
     # -- the ResultCache surface -------------------------------------
 
-    def _local_span(self, name: str, op: str, trace_ctx,
-                    t0_wall: float, duration: float, **args) -> None:
-        """Record a client-side span for a backend that cannot piggyback
-        its own (in-process LocalShard)."""
-        if trace_ctx is None or self._span_sink is None:
-            return
-        span = _cache_span(f"shard:{name}", op, trace_ctx, t0_wall,
-                           duration, **args)
-        if span is not None:
-            try:
-                self._span_sink([span], None)
-            except Exception:
-                pass
-
     def get(self, digest: str,
             trace_ctx: Optional[Dict] = None) -> Optional[Dict]:
         name, shard = self._route(digest)
         if shard is None:
             return None
-        remote = hasattr(shard, "on_spans")
-        t0_wall, t0 = time.time(), time.perf_counter()
         try:
             result = shard.get(digest, trace_ctx)
         except ShardError as exc:
             self._m_requests.inc(shard=name, outcome="error")
             _log.warning("shard-get-failed", shard=name, error=str(exc))
             return None
-        if not remote:
-            self._local_span(name, "cache-get", trace_ctx, t0_wall,
-                             time.perf_counter() - t0,
-                             hit=result is not None)
         self._m_requests.inc(shard=name,
                              outcome="hit" if result is not None else "miss")
         return result
@@ -269,17 +232,12 @@ class ShardedCache:
         name, shard = self._route(digest)
         if shard is None:
             return
-        remote = hasattr(shard, "on_spans")
-        t0_wall, t0 = time.time(), time.perf_counter()
         try:
             shard.put(digest, result, trace_ctx)
         except ShardError as exc:
             self._m_requests.inc(shard=name, outcome="error")
             _log.warning("shard-put-failed", shard=name, error=str(exc))
             return
-        if not remote:
-            self._local_span(name, "cache-put", trace_ctx, t0_wall,
-                             time.perf_counter() - t0)
         self._m_requests.inc(shard=name, outcome="put")
 
     def stats(self, per_shard: Optional[Dict[str, Dict]] = None
@@ -329,8 +287,8 @@ class CacheShardServer(protocol.ThreadedServer):
     """One cache-shard node: a ResultCache behind the wire protocol.
 
     Deliberately tiny — no queue, no workers, no job table: an op table
-    on the shared threaded serve loop (the gateway holds one persistent
-    connection per shard, so thread count stays small).
+    on the shared threaded serve loop (the job server holds one
+    persistent connection per shard, so thread count stays small).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -412,13 +370,20 @@ class CacheShardServer(protocol.ThreadedServer):
                      t0_wall: float, t0: float, **args) -> None:
         """Piggyback this operation's span (stamped with *this* node's
         wall clock) on the response; the caller's ``wall`` sample feeds
-        its clock-offset estimate for our lane."""
-        trace_ctx = request.get("trace_ctx")
-        if trace_ctx is None:
+        its clock-offset estimate for our lane.  An absent or malformed
+        ``trace_ctx`` records nothing: tracing must never make a cache
+        op fail."""
+        try:
+            parent = TraceContext.from_dict(request.get("trace_ctx"))
+        except ValueError:
             return
-        span = _cache_span(self.name or f"shard:{self.host}:{self.port}",
-                           request["op"], trace_ctx, t0_wall,
-                           time.perf_counter() - t0, **args)
-        if span is not None:
-            response["spans"] = [span]
-            response["wall"] = time.time()
+        if parent is None:
+            return
+        ctx = parent.child()
+        response["spans"] = [{
+            "name": request["op"], "cat": "shard",
+            "node": self.name or f"shard:{self.host}:{self.port}",
+            "trace_id": ctx.trace_id, "span_id": ctx.span_id,
+            "parent_id": parent.span_id, "ts_wall": t0_wall,
+            "dur": max(0.0, time.perf_counter() - t0), "args": args}]
+        response["wall"] = time.time()

@@ -14,9 +14,9 @@ like dead-node sweeps and work steals — somewhere to *live*:
   :mod:`repro.obs.distributed`) keyed by trace id, also with optional
   JSONL persistence, feeding ``repro trace-collect``.
 
-Both are thread-safe: the gateway's asyncio loop appends from one
-thread, while ``telemetry`` ops read via ``asyncio.to_thread``-style
-accessors and tests poke them directly.
+Both are thread-safe: the job server's connection, executor and
+publisher threads append and read concurrently, and tests poke them
+directly.
 """
 
 from __future__ import annotations

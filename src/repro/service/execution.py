@@ -1,7 +1,7 @@
 """Worker-side job execution, shared by every serving tier.
 
-The single-node daemon (:mod:`repro.service.server`), the cluster
-gateway's embedded dispatchers (:mod:`repro.cluster.gateway`), and the
+The job server's embedded executors (:mod:`repro.service.server`,
+behind both ``repro serve`` and ``repro cluster gateway``) and the
 remote worker fleet (:mod:`repro.cluster.workers`) all run the same
 payloads the same way: :func:`execute_payload` interprets a submit
 payload, and :func:`run_job_observed` wraps it with correlation-ID

@@ -1,15 +1,14 @@
 """The job ledger: the control plane's one copy of what happens to a job.
 
-Both serving tiers — the threaded single-node daemon
-(:mod:`repro.service.server`) and the asyncio cluster gateway
-(:mod:`repro.cluster.gateway`) — are transport shells around one
-:class:`JobLedger`.  The ledger is *sans-IO*: it owns no socket, thread,
-lock or event loop and never reads a clock of its own (``clock`` and
-``wall`` are passed in), so every transition is a plain method call
-that tests drive with an injected clock.  The shell decides how requests
-arrive, how to wait for a job, how to run one, how to reach the result
-cache and how to schedule a retry delay, and it serialises its calls
-(the daemon holds a lock, the gateway stays on its event loop).
+Both serving tiers — ``repro serve`` and ``repro cluster gateway`` —
+run one transport shell, :class:`repro.service.server.ParallelizationServer`,
+around one :class:`JobLedger`.  The ledger is *sans-IO*: it owns no
+socket, thread, lock or event loop and never reads a clock of its own
+(``clock`` and ``wall`` are passed in), so every transition is a plain
+method call that tests drive with an injected clock.  The shell decides
+how requests arrive, how to wait for a job, how to run one, how to reach
+the result cache and how to schedule a retry delay, and it serialises
+its calls (one ``threading.Condition``).
 
 ``docs/service.md`` ("The job ledger") describes admission, leases,
 crash retry and cancel.  The invariants the tests hold it to: every
@@ -23,7 +22,7 @@ stay answerable and older ids answer ``not-found``.
 
 from __future__ import annotations
 
-import inspect
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -49,6 +48,19 @@ DEFAULT_HEARTBEAT_TIMEOUT = 5.0
 
 #: scalar types allowed as correlation-context values on the wire
 _CTX_SCALARS = (str, int, float, bool)
+
+
+def _seconds(value: Any) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+#: the optional numbers of a submit request: what each must be if set
+_SUBMIT_NUMBERS = {
+    "deadline": ("a finite number of seconds > 0", _seconds),
+    "wait_timeout": ("a finite number of seconds > 0", _seconds),
+    "max_retries": ("an integer >= 0",
+                    lambda value: type(value) is int and value >= 0),
+}
 
 
 def job_response(job: Job, deduped: bool = False,
@@ -178,7 +190,7 @@ class JobLedger:
 
         #: the client surface both tiers answer; a shell adds the ops
         #: that need its transport (``submit``, waits, tier health)
-        self.ops: Dict[str, Callable[[Dict[str, Any]], Any]] = {
+        self.ops: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
             "status": self.op_status,
             "result": self.op_result,
             "cancel": self.op_cancel,
@@ -207,7 +219,8 @@ class JobLedger:
         """Validate a submit request; returns the payload digest and the
         opened trace (None for untraced submissions — the common case
         costs one ``is None`` test).  Raises ValueError on a malformed
-        request."""
+        request: nothing malformed may reach the job table, where a
+        ``claim`` would trip over it."""
         payload = request.get("payload")
         if not isinstance(payload, dict):
             raise ValueError("submit needs a 'payload' object")
@@ -221,6 +234,10 @@ class JobLedger:
                 and all(isinstance(k, str) and isinstance(v, _CTX_SCALARS)
                         for k, v in ctx.items())):
             raise ValueError("'ctx' must map string keys to scalar values")
+        for key, (want, valid) in _SUBMIT_NUMBERS.items():
+            value = request.get(key)
+            if value is not None and not valid(value):
+                raise ValueError(f"'{key}' must be {want}, or null")
         trace_ctx = request.get("trace_ctx")
         problem = validate_trace_ctx(trace_ctx)
         if problem:
@@ -689,10 +706,9 @@ class JobLedger:
 
     # -- the client op table -----------------------------------------
 
-    def dispatch(self, request: Dict[str, Any]) -> Any:
-        """Route one request through :attr:`ops`.  Returns the handler's
-        answer — a response dict, or an awaitable of one when a shell
-        registered a coroutine op."""
+    def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Route one request through :attr:`ops`; returns the handler's
+        response dict."""
         op = request.get("op")
         handler = self.ops.get(op) if isinstance(op, str) else None
         if handler is None:
@@ -790,16 +806,13 @@ class JobLedger:
         return self.telemetry.add_snapshot(
             self._exported_metrics().export(), health)
 
-    def op_telemetry(self, request: Dict[str, Any]) -> Any:
-        health = self.ops["health"]({})
-        if inspect.isawaitable(health):  # a shell's health may be a coroutine
-            async def answer() -> Dict[str, Any]:
-                return self._telemetry_frame(request, await health)
-            return answer()
-        return self._telemetry_frame(request, health)
+    def op_telemetry(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        return self.telemetry_frame(request, self.op_health({}))
 
-    def _telemetry_frame(self, request: Dict[str, Any],
-                         health: Dict[str, Any]) -> Dict[str, Any]:
+    def telemetry_frame(self, request: Dict[str, Any],
+                        health: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``telemetry`` answer around a ``health`` answer (a shell
+        passes its own, richer one)."""
         snapshot = self.snapshot_telemetry(health)
         since = request.get("events_since")
         events = self.telemetry.events_since(

@@ -18,7 +18,6 @@ server allocate unbounded memory from four bytes of garbage.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -30,6 +29,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 MAX_FRAME = 32 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
+HEADER_SIZE = _LEN.size
 
 
 class ProtocolError(Exception):
@@ -72,87 +72,42 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     return message
 
 
+def frame_length(header: bytes) -> int:
+    """The body length a 4-byte frame header announces; raises
+    :class:`ProtocolError` beyond :data:`MAX_FRAME`."""
+    (length,) = _LEN.unpack(header)
+    if length > MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds the "
+                            f"{MAX_FRAME}-byte limit")
+    return length
+
+
 def recv_message(sock: socket.socket) -> Dict[str, Any]:
     """Read one frame; raises :class:`ProtocolError` on EOF/corruption."""
-    header = sock.recv(_LEN.size)
+    header = sock.recv(HEADER_SIZE)
     if not header:
         raise ProtocolError("connection closed")  # clean EOF between frames
-    if len(header) < _LEN.size:
-        header += _recv_exact(sock, _LEN.size - len(header))
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds the "
-                            f"{MAX_FRAME}-byte limit")
+    if len(header) < HEADER_SIZE:
+        header += _recv_exact(sock, HEADER_SIZE - len(header))
+    length = frame_length(header)
     body = _recv_exact(sock, length) if length else b""
     return decode_body(body)
-
-
-# -- asyncio counterparts (the cluster gateway) -------------------------
-
-async def read_message_async(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    """Read one frame from a stream reader; same contract as
-    :func:`recv_message` (the wire format is identical, so the blocking
-    client and the asyncio gateway interoperate frame for frame)."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise ProtocolError("connection closed") from None
-        raise ProtocolError("connection closed mid-frame") from None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds the "
-                            f"{MAX_FRAME}-byte limit")
-    try:
-        body = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed mid-frame") from None
-    return decode_body(body)
-
-
-async def write_message_async(writer: asyncio.StreamWriter,
-                              message: Dict[str, Any]) -> None:
-    """Send one frame on a stream writer; raises :class:`ProtocolError`
-    when the encoded message exceeds the frame limit."""
-    writer.write(encode(message))
-    await writer.drain()
 
 
 def error_response(error: str, code: str = "error") -> Dict[str, Any]:
     return {"ok": False, "error": error, "code": code}
 
 
-# -- the server side of one request/response exchange --------------------
-
-def reply_frame(response: Dict[str, Any]
-                ) -> Tuple[bytes, Optional[Dict[str, Any]]]:
-    """Encode a handler's response for the wire.
-
-    Returns the frame plus, when the handler asked for a shutdown
-    (``_shutdown``/``_drain``/``_drain_timeout`` markers, stripped
-    here so they never leak to the client), the keyword arguments for
-    the server's ``stop``.  A response too large for one frame is
-    answered with an ``oversize`` error instead of a silently dropped
-    connection.
-    """
-    shutdown = response.pop("_shutdown", False)
-    stop = {"drain": response.pop("_drain", False),
-            "drain_timeout": response.pop("_drain_timeout", None)}
-    try:
-        frame = encode(response)
-    except ProtocolError as exc:
-        frame = encode(error_response(
-            f"response too large for one frame: {exc}", code="oversize"))
-    return frame, stop if shutdown else None
-
-
 class ThreadedServer:
     """A listening socket and the blocking framed-JSON server loop: one
     daemon thread per connection answering requests in order through
     the subclass's ``handle_request``.  A handler exception becomes an
-    ``internal`` error response; a shutdown request runs the subclass's
-    ``stop(drain=..., drain_timeout=...)`` on its own thread once the
-    reply is sent."""
+    ``internal`` error response, and a response too large for one frame
+    an ``oversize`` one (never a silently dropped connection).  A
+    response carrying the ``_shutdown``/``_drain``/``_drain_timeout``
+    markers (stripped, so they never leak to the client) runs the
+    subclass's ``stop(drain=..., drain_timeout=...)`` on its own thread
+    once the reply is sent."""
 
     def __init__(self, host: str, port: int):
         self.host = host
@@ -215,13 +170,22 @@ class ThreadedServer:
                 except Exception as exc:
                     response = error_response(
                         f"{type(exc).__name__}: {exc}", code="internal")
-                frame, shutdown = reply_frame(response)
+                shutdown = response.pop("_shutdown", False)
+                stop = {"drain": response.pop("_drain", False),
+                        "drain_timeout": response.pop("_drain_timeout",
+                                                      None)}
+                try:
+                    frame = encode(response)
+                except ProtocolError as exc:
+                    frame = encode(error_response(
+                        f"response too large for one frame: {exc}",
+                        code="oversize"))
                 try:
                     conn.sendall(frame)
                 except OSError:
                     return
-                if shutdown is not None:
-                    threading.Thread(target=self.stop, kwargs=shutdown,
+                if shutdown:
+                    threading.Thread(target=self.stop, kwargs=stop,
                                      daemon=True).start()
                     return
 

@@ -1,12 +1,12 @@
-"""Protocol compatibility (ISSUE satellite): the existing synchronous
-``repro.service.client.ServiceClient`` must work unchanged against the
-asyncio gateway — framing, dedup, cancel, oversize-error, the works.
+"""Protocol compatibility: the synchronous
+``repro.service.client.ServiceClient`` works unchanged against the
+gateway — framing, dedup, cancel, oversize-error, the works.
 
 Everything here talks to the gateway only through the public wire
-surface PR 2 defined for the single-node daemon.  The daemon and the
-gateway are two transport shells around one job ledger:
-``TestOneLedgerTwoShells`` replays one scripted session against both
-and holds their answers equal.
+surface of the single-node daemon.  ``repro serve`` and ``repro cluster
+gateway`` are two front-ends of one job server class around one job
+ledger: ``TestOneLedgerTwoShells`` replays one scripted session against
+both and holds their answers equal.
 """
 
 import socket
@@ -15,7 +15,6 @@ import threading
 
 import pytest
 
-from repro.cluster.gateway import ClusterGateway
 from repro.obs.distributed import TraceContext
 from repro.service import ledger as ledger_module
 from repro.service import protocol
@@ -29,14 +28,16 @@ def _probe(op="echo", **extra):
     return payload
 
 
+def _gateway_server(**kwargs):
+    return ParallelizationServer(port=0, tier="cluster", **kwargs)
+
+
 @pytest.fixture()
 def gateway():
-    gw = ClusterGateway(port=0, local_workers=2, inline=True,
-                        retry_backoff=0.01)
-    gw.start_background()
+    gw = _gateway_server(jobs=2, inline=True, retry_backoff=0.01)
+    gw.start()
     yield gw
     gw.stop()
-    gw.wait(timeout=10)
 
 
 @pytest.fixture()
@@ -113,8 +114,8 @@ class TestClientSurface:
             client.metrics(format="xml")
 
     def test_backpressure_over_the_wire(self):
-        gw = ClusterGateway(port=0, local_workers=0, queue_capacity=1)
-        gw.start_background()
+        gw = _gateway_server(jobs=0, queue_capacity=1)
+        gw.start()
         try:
             client = ServiceClient(*gw.address)
             client.submit(_probe(value="fills-queue"), wait=False)
@@ -123,7 +124,6 @@ class TestClientSurface:
             assert excinfo.value.code == "backpressure"
         finally:
             gw.stop()
-            gw.wait(timeout=10)
 
     def test_shutdown_op_stops_gateway(self, gateway, client):
         response = client.shutdown()
@@ -176,25 +176,20 @@ class TestFraming:
 
 
 # ---------------------------------------------------------------------------
-# one ledger, two shells
+# one ledger, one server class, two front-ends
 # ---------------------------------------------------------------------------
 
 def _start_daemon(**kwargs):
     server = ParallelizationServer(port=0, jobs=2, inline=True,
                                    retry_backoff=0.01, **kwargs)
     server.start()
-    return server, lambda: server.stop()
+    return server, server.stop
 
 
 def _start_gateway(**kwargs):
-    gw = ClusterGateway(port=0, local_workers=2, inline=True,
-                        retry_backoff=0.01, **kwargs)
-    gw.start_background()
-
-    def stop():
-        gw.stop()
-        gw.wait(timeout=10)
-    return gw, stop
+    gw = _gateway_server(jobs=2, inline=True, retry_backoff=0.01, **kwargs)
+    gw.start()
+    return gw, gw.stop
 
 
 SHELLS = {"daemon": _start_daemon, "gateway": _start_gateway}
@@ -311,6 +306,29 @@ class TestOneLedgerTwoShells:
                                              "queue-wait"]
 
     @pytest.mark.parametrize("name", sorted(SHELLS))
+    def test_malformed_submit_never_stalls_execution(self, name):
+        """A ``deadline`` of ``"soon"`` used to be admitted; the executor
+        that claimed it died in ``Job.expired``, and with every executor
+        gone each later job stayed queued."""
+        shell, stop = SHELLS[name]()
+        try:
+            client = ServiceClient(*shell.address)
+            bad = [("deadline", "soon")] * (shell.workers + 1) + [
+                ("wait_timeout", "later"), ("max_retries", "many")]
+            for i, (key, value) in enumerate(bad):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request({"op": "submit", key: value,
+                                    "payload": _probe(value=f"bad-{i}")})
+                assert excinfo.value.code == "bad-request"
+                assert key in str(excinfo.value)
+            later = client.submit(_probe(value="later"), wait=True,
+                                  wait_timeout=10)
+            assert later["state"] == "done"
+            assert later["result"] == {"echo": "later"}
+        finally:
+            stop()
+
+    @pytest.mark.parametrize("name", sorted(SHELLS))
     def test_job_table_stays_bounded(self, name, monkeypatch):
         keep, extra = 6, 5
         monkeypatch.setattr(ledger_module, "KEEP_FINISHED", keep)
@@ -327,7 +345,6 @@ class TestOneLedgerTwoShells:
             ledger = shell.ledger
             assert len(ledger.jobs) == keep
             assert set(ledger.traced) <= set(ledger.jobs)
-            assert not getattr(shell, "_waiters", None)
             with pytest.raises(ServiceError) as excinfo:
                 client.status(submitted[0]["job_id"])
             assert excinfo.value.code == "not-found"

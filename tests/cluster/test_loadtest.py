@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from repro.cluster.gateway import ClusterGateway
 from repro.cluster.loadtest import (HISTORY_SUITE, append_history,
                                     build_payloads, reference_results,
                                     run_loadtest, _percentile)
 from repro.service.jobs import payload_digest
+from repro.service.server import ParallelizationServer
 
 
 class TestBuildPayloads:
@@ -75,12 +75,12 @@ class TestPercentile:
 class TestRunLoadtest:
     @pytest.fixture()
     def gateway(self):
-        gw = ClusterGateway(port=0, local_workers=2, inline=True,
-                            queue_capacity=1024, retry_backoff=0.01)
-        gw.start_background()
+        gw = ParallelizationServer(port=0, tier="cluster", jobs=2,
+                                   inline=True, queue_capacity=1024,
+                                   retry_backoff=0.01)
+        gw.start()
         yield gw
         gw.stop()
-        gw.wait(timeout=10)
 
     def test_concurrent_sessions_zero_lost_zero_incorrect(self, gateway):
         host, port = gateway.address

@@ -2,11 +2,9 @@
 exactly-once telemetry across node restarts, health enrichment, and the
 ``telemetry`` / ``trace-export`` ops."""
 
-import asyncio
-
-from repro.cluster.gateway import ClusterGateway
 from repro.obs import metrics as obs_metrics
 from repro.obs.distributed import TraceContext
+from repro.service.server import ParallelizationServer
 
 
 def _probe(op="echo", **extra):
@@ -16,12 +14,9 @@ def _probe(op="echo", **extra):
 
 
 def _gateway(**kwargs):
+    kwargs.setdefault("jobs", 0)
     kwargs.setdefault("retry_backoff", 0.0)
-    return ClusterGateway(**kwargs)
-
-
-def drive(coro):
-    return asyncio.run(coro)
+    return ParallelizationServer(tier="cluster", **kwargs)
 
 
 def _trace_ctx():
@@ -29,15 +24,15 @@ def _trace_ctx():
     return root, {"traceparent": root.to_traceparent()}
 
 
-async def _submit_traced(gw, trace_ctx, payload=None):
-    return await gw.handle_request({"op": "submit",
-                                    "payload": payload or _probe(),
-                                    "trace_ctx": trace_ctx})
+def _submit_traced(gw, trace_ctx, payload=None):
+    return gw.handle_request({"op": "submit",
+                              "payload": payload or _probe(),
+                              "trace_ctx": trace_ctx})
 
 
-async def _pull(gw, node, max_jobs=1):
-    return await gw.handle_request({"op": "work-pull", "node": node,
-                                    "wait": 0.0, "max_jobs": max_jobs})
+def _pull(gw, node, max_jobs=1):
+    return gw.handle_request({"op": "work-pull", "node": node,
+                              "wait": 0.0, "max_jobs": max_jobs})
 
 
 def _span(node, trace_id, name="execute", span_id="feedbeefcafe0001"):
@@ -48,226 +43,200 @@ def _span(node, trace_id, name="execute", span_id="feedbeefcafe0001"):
 
 class TestTracePropagation:
     def test_descriptor_carries_child_context(self):
-        async def scenario():
-            gw = _gateway()
-            root, ctx = _trace_ctx()
-            response = await _submit_traced(gw, ctx)
-            assert response["ok"], response
-            pulled = await _pull(gw, "w0")
-            (descriptor,) = pulled["jobs"]
-            carried = TraceContext.from_dict(descriptor["trace_ctx"])
-            # same trace, but a fresh gateway-side span as the parent
-            assert carried.trace_id == root.trace_id
-            assert carried.span_id != root.span_id
-        drive(scenario())
+        gw = _gateway()
+        root, ctx = _trace_ctx()
+        response = _submit_traced(gw, ctx)
+        assert response["ok"], response
+        pulled = _pull(gw, "w0")
+        (descriptor,) = pulled["jobs"]
+        carried = TraceContext.from_dict(descriptor["trace_ctx"])
+        # same trace, but a fresh gateway-side span as the parent
+        assert carried.trace_id == root.trace_id
+        assert carried.span_id != root.span_id
 
     def test_untraced_descriptor_has_no_trace_ctx(self):
-        async def scenario():
-            gw = _gateway()
-            await gw.handle_request({"op": "submit", "payload": _probe()})
-            pulled = await _pull(gw, "w0")
-            assert "trace_ctx" not in pulled["jobs"][0]
-        drive(scenario())
+        gw = _gateway()
+        gw.handle_request({"op": "submit", "payload": _probe()})
+        pulled = _pull(gw, "w0")
+        assert "trace_ctx" not in pulled["jobs"][0]
 
     def test_malformed_trace_ctx_rejected(self):
-        async def scenario():
-            gw = _gateway()
-            response = await _submit_traced(
-                gw, {"traceparent": "not-a-traceparent"})
-            assert response["ok"] is False
-            assert response["code"] == "bad-request"
-        drive(scenario())
+        gw = _gateway()
+        response = _submit_traced(
+            gw, {"traceparent": "not-a-traceparent"})
+        assert response["ok"] is False
+        assert response["code"] == "bad-request"
 
     def test_finished_job_records_gateway_spans(self):
-        async def scenario():
-            gw = _gateway()
-            root, ctx = _trace_ctx()
-            submitted = await _submit_traced(gw, ctx)
-            job_id = submitted["job_id"]
-            pulled = await _pull(gw, "w0")
-            assert pulled["jobs"], pulled
-            start = await gw.handle_request({"op": "work-start",
-                                             "node": "w0",
-                                             "job_id": job_id})
-            assert start["granted"]
-            await gw.handle_request({"op": "work-done", "node": "w0",
-                                     "job_id": job_id,
-                                     "result": {"echo": True}})
-            export = await gw.handle_request({"op": "trace-export"})
-            names = {(s["name"], s["cat"]) for s in export["spans"]}
-            assert ("queue-wait", "gateway") in names
-            assert ("job", "gateway") in names
-            assert {s["trace_id"] for s in export["spans"]} \
-                == {root.trace_id}
-        drive(scenario())
+        gw = _gateway()
+        root, ctx = _trace_ctx()
+        submitted = _submit_traced(gw, ctx)
+        job_id = submitted["job_id"]
+        pulled = _pull(gw, "w0")
+        assert pulled["jobs"], pulled
+        start = gw.handle_request({"op": "work-start",
+                                   "node": "w0",
+                                   "job_id": job_id})
+        assert start["granted"]
+        gw.handle_request({"op": "work-done", "node": "w0",
+                           "job_id": job_id,
+                           "result": {"echo": True}})
+        export = gw.handle_request({"op": "trace-export"})
+        names = {(s["name"], s["cat"]) for s in export["spans"]}
+        assert ("queue-wait", "gateway") in names
+        assert ("job", "gateway") in names
+        assert {s["trace_id"] for s in export["spans"]} \
+            == {root.trace_id}
 
     def test_cache_hit_still_records_job_span(self):
-        async def scenario():
-            gw = _gateway()
-            root, ctx = _trace_ctx()
-            first = await _submit_traced(gw, ctx)
-            pulled = await _pull(gw, "w0")
-            await gw.handle_request({"op": "work-start", "node": "w0",
-                                     "job_id": first["job_id"]})
-            await gw.handle_request({"op": "work-done", "node": "w0",
-                                     "job_id": first["job_id"],
-                                     "result": {"echo": True}})
-            # same payload again: answered from the shard tier
-            root2, ctx2 = _trace_ctx()
-            second = await _submit_traced(gw, ctx2)
-            assert second["cached"], second
-            export = await gw.handle_request({"op": "trace-export"})
-            job_spans = [s for s in export["spans"]
-                         if s["name"] == "job"
-                         and s["trace_id"] == root2.trace_id]
-            assert len(job_spans) == 1
-            assert job_spans[0]["args"]["cached"] is True
-        drive(scenario())
+        gw = _gateway()
+        root, ctx = _trace_ctx()
+        first = _submit_traced(gw, ctx)
+        pulled = _pull(gw, "w0")
+        gw.handle_request({"op": "work-start", "node": "w0",
+                           "job_id": first["job_id"]})
+        gw.handle_request({"op": "work-done", "node": "w0",
+                           "job_id": first["job_id"],
+                           "result": {"echo": True}})
+        # same payload again: answered from the shard tier
+        root2, ctx2 = _trace_ctx()
+        second = _submit_traced(gw, ctx2)
+        assert second["cached"], second
+        export = gw.handle_request({"op": "trace-export"})
+        job_spans = [s for s in export["spans"]
+                     if s["name"] == "job"
+                     and s["trace_id"] == root2.trace_id]
+        assert len(job_spans) == 1
+        assert job_spans[0]["args"]["cached"] is True
 
 
 class TestHeartbeatIngest:
     def test_spans_and_metrics_merge_exactly_once(self):
-        async def scenario():
-            gw = _gateway()
-            message = {"op": "heartbeat", "node": "w0", "boot": "boot-a",
-                       "wall": 123.0, "seq": 1,
-                       "metrics": {"repro_jobs_completed_total": {
-                           "kind": "counter", "help": "",
-                           "values": [[[["state", "done"]], 2]]}},
-                       "spans": [_span("w0", "t" * 32)]}
-            first = await gw.handle_request(dict(message))
-            assert first["ok"]
-            replay = await gw.handle_request(dict(message))
-            assert replay["ok"]
-            export = await gw.handle_request({"op": "trace-export"})
-            assert len([s for s in export["spans"]
-                        if s["node"] == "w0"]) == 1
-            counter = obs_metrics.get_registry().counter(
-                "repro_jobs_completed_total")
-            assert counter.value(state="done") == 2
-        drive(scenario())
+        gw = _gateway()
+        message = {"op": "heartbeat", "node": "w0", "boot": "boot-a",
+                   "wall": 123.0, "seq": 1,
+                   "metrics": {"repro_jobs_completed_total": {
+                       "kind": "counter", "help": "",
+                       "values": [[[["state", "done"]], 2]]}},
+                   "spans": [_span("w0", "t" * 32)]}
+        first = gw.handle_request(dict(message))
+        assert first["ok"]
+        replay = gw.handle_request(dict(message))
+        assert replay["ok"]
+        export = gw.handle_request({"op": "trace-export"})
+        assert len([s for s in export["spans"]
+                    if s["node"] == "w0"]) == 1
+        counter = obs_metrics.get_registry().counter(
+            "repro_jobs_completed_total")
+        assert counter.value(state="done") == 2
 
     def test_node_restart_resets_sequence(self):
         """Satellite: a node that restarts mid-run resets its sequence
         numbers; the new boot id reopens the stream at seq 1 without
         replaying the old incarnation's history."""
-        async def scenario():
-            gw = _gateway()
-            metrics = {"repro_jobs_completed_total": {
-                "kind": "counter", "help": "",
-                "values": [[[["state", "done"]], 1]]}}
-            for seq in (1, 2, 3):
-                await gw.handle_request(
-                    {"op": "heartbeat", "node": "w0", "boot": "boot-a",
-                     "wall": 1.0, "seq": seq, "metrics": metrics,
-                     "spans": [_span("w0", "t" * 32,
-                                     span_id=f"a{seq:015d}")]})
-            # stale replay from the old incarnation: dropped
-            await gw.handle_request(
+        gw = _gateway()
+        metrics = {"repro_jobs_completed_total": {
+            "kind": "counter", "help": "",
+            "values": [[[["state", "done"]], 1]]}}
+        for seq in (1, 2, 3):
+            gw.handle_request(
                 {"op": "heartbeat", "node": "w0", "boot": "boot-a",
-                 "wall": 1.0, "seq": 2, "metrics": metrics,
-                 "spans": [_span("w0", "t" * 32, span_id="a" + "2" * 15)]})
-            # restart: fresh boot id, sequence starts over at 1
-            restarted = await gw.handle_request(
-                {"op": "heartbeat", "node": "w0", "boot": "boot-b",
-                 "wall": 1.0, "seq": 1, "metrics": metrics,
-                 "spans": [_span("w0", "t" * 32, span_id="b" + "1" * 15)]})
-            assert restarted["ok"]
-            counter = obs_metrics.get_registry().counter(
-                "repro_jobs_completed_total")
-            # 3 pre-restart ships + 1 post-restart ship, replay dropped
-            assert counter.value(state="done") == 4
-            export = await gw.handle_request({"op": "trace-export"})
-            assert len([s for s in export["spans"]
-                        if s["node"] == "w0"]) == 4
-            events = gw.telemetry.events_since(0)
-            restarts = [e for e in events if e["kind"] == "node-restart"]
-            assert len(restarts) == 1
-            assert restarts[0]["node"] == "w0"
-            assert restarts[0]["boot"] == "boot-b"
-        drive(scenario())
+                 "wall": 1.0, "seq": seq, "metrics": metrics,
+                 "spans": [_span("w0", "t" * 32,
+                                 span_id=f"a{seq:015d}")]})
+        # stale replay from the old incarnation: dropped
+        gw.handle_request(
+            {"op": "heartbeat", "node": "w0", "boot": "boot-a",
+             "wall": 1.0, "seq": 2, "metrics": metrics,
+             "spans": [_span("w0", "t" * 32, span_id="a" + "2" * 15)]})
+        # restart: fresh boot id, sequence starts over at 1
+        restarted = gw.handle_request(
+            {"op": "heartbeat", "node": "w0", "boot": "boot-b",
+             "wall": 1.0, "seq": 1, "metrics": metrics,
+             "spans": [_span("w0", "t" * 32, span_id="b" + "1" * 15)]})
+        assert restarted["ok"]
+        counter = obs_metrics.get_registry().counter(
+            "repro_jobs_completed_total")
+        # 3 pre-restart ships + 1 post-restart ship, replay dropped
+        assert counter.value(state="done") == 4
+        export = gw.handle_request({"op": "trace-export"})
+        assert len([s for s in export["spans"]
+                    if s["node"] == "w0"]) == 4
+        events = gw.telemetry.events_since(0)
+        restarts = [e for e in events if e["kind"] == "node-restart"]
+        assert len(restarts) == 1
+        assert restarts[0]["node"] == "w0"
+        assert restarts[0]["boot"] == "boot-b"
 
     def test_heartbeat_wall_feeds_clock_model(self):
-        async def scenario():
-            gw = _gateway()
-            await gw.handle_request({"op": "heartbeat", "node": "w0",
-                                     "boot": "b", "wall": 1.0, "seq": 1,
-                                     "metrics": {}})
-            export = await gw.handle_request({"op": "trace-export"})
-            assert "w0" in export["clock_offsets"]
-            assert export["clock_offsets"]["w0"]["samples"] == 1
-        drive(scenario())
+        gw = _gateway()
+        gw.handle_request({"op": "heartbeat", "node": "w0",
+                           "boot": "b", "wall": 1.0, "seq": 1,
+                           "metrics": {}})
+        export = gw.handle_request({"op": "trace-export"})
+        assert "w0" in export["clock_offsets"]
+        assert export["clock_offsets"]["w0"]["samples"] == 1
 
 
 class TestHealthEnrichment:
     def test_health_has_uptime_heartbeat_and_lease_ages(self):
-        async def scenario():
-            gw = _gateway()
-            await gw.handle_request({"op": "heartbeat", "node": "w0",
-                                     "boot": "boot-a", "wall": 1.0,
-                                     "seq": 1, "metrics": {}})
-            submitted = await gw.handle_request({"op": "submit",
-                                                 "payload": _probe()})
-            pulled = await _pull(gw, "w0")
-            assert pulled["jobs"]
-            health = await gw.handle_request({"op": "health"})
-            cluster = health["cluster"]
-            assert cluster["gateway_uptime"] >= 0.0
-            assert cluster["run_id"] == gw.run_id
-            worker = cluster["worker_nodes"]["w0"]
-            assert worker["boot"] == "boot-a"
-            assert worker["last_heartbeat_age"] >= 0.0
-            assert submitted["job_id"] in worker["leases"]
-            assert worker["oldest_lease_age"] >= 0.0
-        drive(scenario())
+        gw = _gateway()
+        gw.handle_request({"op": "heartbeat", "node": "w0",
+                           "boot": "boot-a", "wall": 1.0,
+                           "seq": 1, "metrics": {}})
+        submitted = gw.handle_request({"op": "submit",
+                                       "payload": _probe()})
+        pulled = _pull(gw, "w0")
+        assert pulled["jobs"]
+        health = gw.handle_request({"op": "health"})
+        cluster = health["cluster"]
+        assert cluster["gateway_uptime"] >= 0.0
+        assert cluster["run_id"] == gw.run_id
+        worker = cluster["worker_nodes"]["w0"]
+        assert worker["boot"] == "boot-a"
+        assert worker["last_heartbeat_age"] >= 0.0
+        assert submitted["job_id"] in worker["leases"]
+        assert worker["oldest_lease_age"] >= 0.0
 
     def test_unleased_worker_has_no_oldest_lease(self):
-        async def scenario():
-            gw = _gateway()
-            await gw.handle_request({"op": "heartbeat", "node": "w0",
-                                     "boot": "b", "wall": 1.0, "seq": 1,
-                                     "metrics": {}})
-            health = await gw.handle_request({"op": "health"})
-            worker = health["cluster"]["worker_nodes"]["w0"]
-            assert worker["leases"] == {}
-            assert worker["oldest_lease_age"] is None
-        drive(scenario())
+        gw = _gateway()
+        gw.handle_request({"op": "heartbeat", "node": "w0",
+                           "boot": "b", "wall": 1.0, "seq": 1,
+                           "metrics": {}})
+        health = gw.handle_request({"op": "health"})
+        worker = health["cluster"]["worker_nodes"]["w0"]
+        assert worker["leases"] == {}
+        assert worker["oldest_lease_age"] is None
 
 
 class TestTelemetryOp:
     def test_snapshot_and_event_stream(self):
-        async def scenario():
-            gw = _gateway()
-            await gw.handle_request({"op": "heartbeat", "node": "w0",
-                                     "boot": "b", "wall": 1.0, "seq": 1,
-                                     "metrics": {}})
-            frame = await gw.handle_request({"op": "telemetry"})
-            assert frame["ok"] and frame["tier"] == "cluster"
-            snapshot = frame["snapshot"]
-            assert "metrics" in snapshot and "health" in snapshot
-            assert snapshot["health"]["queue_depth"] == 0
-            kinds = [e["kind"] for e in frame["events"]]
-            assert "node-join" in kinds
-            # a second poll with events_since sees nothing new
-            again = await gw.handle_request(
-                {"op": "telemetry", "events_since": frame["event_seq"]})
-            assert again["events"] == []
-        drive(scenario())
+        gw = _gateway()
+        gw.handle_request({"op": "heartbeat", "node": "w0",
+                           "boot": "b", "wall": 1.0, "seq": 1,
+                           "metrics": {}})
+        frame = gw.handle_request({"op": "telemetry"})
+        assert frame["ok"] and frame["tier"] == "cluster"
+        snapshot = frame["snapshot"]
+        assert "metrics" in snapshot and "health" in snapshot
+        assert snapshot["health"]["queue_depth"] == 0
+        kinds = [e["kind"] for e in frame["events"]]
+        assert "node-join" in kinds
+        # a second poll with events_since sees nothing new
+        again = gw.handle_request(
+            {"op": "telemetry", "events_since": frame["event_seq"]})
+        assert again["events"] == []
 
     def test_snapshots_persist_when_directory_given(self, tmp_path):
-        async def scenario():
-            gw = _gateway(telemetry_dir=str(tmp_path), run_id="runA")
-            await gw.handle_request({"op": "telemetry"})
-            from repro.obs.telemetry import TelemetryStore
-            loaded = TelemetryStore.load_run(str(tmp_path), "runA")
-            assert loaded.latest() is not None
-        drive(scenario())
+        gw = _gateway(telemetry_dir=str(tmp_path), run_id="runA")
+        gw.handle_request({"op": "telemetry"})
+        from repro.obs.telemetry import TelemetryStore
+        loaded = TelemetryStore.load_run(str(tmp_path), "runA")
+        assert loaded.latest() is not None
 
     def test_trace_export_validates_trace_id(self):
-        async def scenario():
-            gw = _gateway()
-            response = await gw.handle_request({"op": "trace-export",
-                                                "trace_id": 7})
-            assert response["ok"] is False
-            assert response["code"] == "bad-request"
-        drive(scenario())
+        gw = _gateway()
+        response = gw.handle_request({"op": "trace-export",
+                                      "trace_id": 7})
+        assert response["ok"] is False
+        assert response["code"] == "bad-request"

@@ -1,16 +1,15 @@
 """Worker-fleet tests: an in-process WorkerNode driving the real wire
 protocol against a gateway, and a full subprocess cluster where a
-SIGKILLed worker mid-batch still leaves the batch complete (ISSUE
-acceptance)."""
+SIGKILLed worker mid-batch still leaves the batch complete."""
 
 import time
 
 import pytest
 
-from repro.cluster.gateway import ClusterGateway
 from repro.cluster.topology import LocalCluster
 from repro.cluster.workers import GatewayLink, GatewayUnreachable, WorkerNode
 from repro.service.client import ServiceClient
+from repro.service.server import ParallelizationServer
 
 
 def _probe(op="echo", **extra):
@@ -21,12 +20,11 @@ def _probe(op="echo", **extra):
 
 @pytest.fixture()
 def gateway():
-    gw = ClusterGateway(port=0, local_workers=0, retry_backoff=0.01,
-                        heartbeat_timeout=2.0)
-    gw.start_background()
+    gw = ParallelizationServer(port=0, tier="cluster", jobs=0,
+                               retry_backoff=0.01, heartbeat_timeout=2.0)
+    gw.start()
     yield gw
     gw.stop()
-    gw.wait(timeout=10)
 
 
 @pytest.fixture()
@@ -136,7 +134,7 @@ class TestSubprocessCluster:
     """The whole topology as real processes (the loadtest --spawn path)."""
 
     def test_kill_worker_mid_batch_batch_still_completes(self, tmp_path):
-        """ISSUE acceptance: SIGKILL one worker mid-batch; the dead-node
+        """SIGKILL one worker mid-batch; the dead-node
         sweep re-queues its leases and the batch completes."""
         with LocalCluster(shards=2, workers=2, worker_threads=1,
                           heartbeat_timeout=1.0, retry_backoff=0.1,

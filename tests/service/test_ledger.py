@@ -158,6 +158,24 @@ class TestAdmission:
             with pytest.raises(ValueError, match=match):
                 ledger.open_submit(request)
 
+    def test_malformed_numbers_never_reach_the_job_table(self):
+        """A ``deadline`` of ``"soon"`` used to be admitted, and the next
+        ``claim`` raised ``TypeError`` in ``Job.expired`` — killing the
+        executor that called it.  Bad numbers are refused at the door."""
+        ledger, _ = make_ledger()
+        for key, bad in (("deadline", "soon"), ("deadline", 0),
+                         ("deadline", -1.0), ("deadline", float("nan")),
+                         ("deadline", float("inf")), ("deadline", True),
+                         ("wait_timeout", "later"), ("wait_timeout", 0),
+                         ("max_retries", -1), ("max_retries", 1.5),
+                         ("max_retries", "2"), ("max_retries", False)):
+            with pytest.raises(ValueError, match=key):
+                ledger.open_submit({"payload": probe(), key: bad})
+        assert not ledger.jobs and not ledger.pending
+        job, _ = admit(ledger, deadline=2, wait_timeout=0.5, max_retries=0)
+        assert (job.deadline, job.max_retries) == (2, 0)
+        assert ledger.claim(ledger.touch_node("n")) == [job]
+
     def test_dedup_flag_comes_from_the_admitting_section(self):
         """The daemon used to read the digest index, drop its lock, and
         re-take it to admit: a same-digest job admitted in between was

@@ -404,6 +404,18 @@ class TestServiceCLI:
         assert main(["submit", src, "--port", "1"]) == 2
         assert "unreachable" in capsys.readouterr().err
 
+    def test_table2_via_service_matches_local(self, service, capsys):
+        """``table2 --service`` assembles the rows from service jobs;
+        the rendered table is the local one byte for byte."""
+        _, host, port = service
+        picked = ["--benchmarks", "qcd", "track"]
+        assert main(["table2", *picked]) == 0
+        local = capsys.readouterr().out
+        assert "QCD" in local and "TRACK" in local
+        assert main(["table2", "--service", f"{host}:{port}",
+                     *picked]) == 0
+        assert capsys.readouterr().out == local
+
     def test_svc_status_health_and_metrics(self, service, capsys):
         import json
         _, host, port = service
