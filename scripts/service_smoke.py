@@ -4,7 +4,9 @@
 Starts the daemon as a real subprocess, submits a small benchmark
 twice, and asserts the second submission is served from the result
 cache without re-analysis (checked through the metrics op); then
-verifies backpressure and a clean shutdown.
+runs a job past its deadline and checks that its late worker was
+killed, leaving the daemon exactly ``JOBS`` worker processes once both
+slots are busy again; then verifies a clean shutdown.
 
 Usage: PYTHONPATH=src python scripts/service_smoke.py [--port N]
 """
@@ -19,6 +21,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 
+#: the daemon's executor slots (``repro serve -j``)
+JOBS = 2
+
 
 def wait_for_server(client, seconds=30.0):
     deadline = time.monotonic() + seconds
@@ -28,6 +33,37 @@ def wait_for_server(client, seconds=30.0):
         except ServiceError:
             time.sleep(0.2)
     raise SystemExit("server did not come up in time")
+
+
+def child_pids(pid):
+    """Direct children of ``pid``, from every one of its threads."""
+    task_dir = f"/proc/{pid}/task"
+    pids = set()
+    for tid in os.listdir(task_dir):
+        with open(os.path.join(task_dir, tid, "children")) as fh:
+            pids.update(int(p) for p in fh.read().split())
+    return pids
+
+
+def check_deadline_kills_worker(client, server_pid):
+    """A job that outlives its deadline times out, and its worker goes
+    with it: once ``JOBS`` jobs are running again, the daemon has
+    exactly ``JOBS`` children, not a late sleeper besides them."""
+    late = client.submit({"kind": "probe", "probe": "sleep",
+                          "seconds": 30.0}, wait=True, deadline=0.5,
+                          max_retries=0, wait_timeout=60)
+    assert late["state"] == "timeout", late
+    fill = [client.submit({"kind": "probe", "probe": "sleep",
+                           "seconds": 1.0, "value": slot}, wait=False)
+            for slot in range(JOBS)]
+    time.sleep(0.5)  # both jobs are on their workers
+    children = child_pids(server_pid)
+    for job in fill:
+        done = client.result(job["job_id"], wait=True, wait_timeout=60)
+        assert done["state"] == "done", done
+    assert len(children) == JOBS, \
+        f"daemon has {len(children)} children, expected {JOBS}"
+    print(f"deadline miss: job timed out, daemon keeps {JOBS} workers")
 
 
 def main():
@@ -41,7 +77,8 @@ def main():
         p for p in ("src", env.get("PYTHONPATH", "")) if p)
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--port", str(args.port), "-j", "2", "--queue-capacity", "8"],
+         "--port", str(args.port), "-j", str(JOBS),
+         "--queue-capacity", "8"],
         env=env)
     client = ServiceClient(port=args.port, timeout=120.0)
     failures = []
@@ -71,6 +108,9 @@ def main():
         prom = client.metrics(format="prometheus")["text"]
         assert "repro_cache_hits_total 1" in prom, prom
         print("prometheus rendering ok")
+
+        if os.path.isdir(f"/proc/{server.pid}/task"):
+            check_deadline_kills_worker(client, server.pid)
     except AssertionError as exc:
         failures.append(str(exc))
     finally:

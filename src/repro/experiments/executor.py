@@ -17,6 +17,11 @@ while keeping the *assembled* artifacts byte-identical to a serial run:
 * a worker process never spawns a nested pool: :func:`resolve_jobs`
   answers 1 inside a worker regardless of flags or environment.
 
+The serving path's :class:`WorkerPool` does not use that executor: it
+keeps one long-lived worker process per slot on its own duplex pipe, so
+a job costs one pipe round trip, and a late or dead worker is killed
+and replaced without touching the jobs on the other workers.
+
 Worker count resolution order: explicit ``jobs`` argument (the CLI's
 ``-j/--jobs``), then the ``REPRO_JOBS`` environment variable, then 1
 (serial).  A value of 0 or less means "one worker per CPU".
@@ -24,14 +29,16 @@ Worker count resolution order: explicit ``jobs`` argument (the CLI's
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
                     TypeVar)
 
 from repro.obs import logging as obs_logging
@@ -235,36 +242,91 @@ class WorkerCrashError(RuntimeError):
 
 
 class WorkerTimeout(RuntimeError):
-    """A task exceeded its deadline; its worker was abandoned."""
+    """A task exceeded its deadline; its worker was killed."""
+
+
+def _serve_tasks(conn) -> None:  # pragma: no cover - runs in child processes
+    """A pool worker's loop: receive ``(fn, arg)``, answer ``(ok, value)``.
+
+    ``value`` is the result, or the exception raised by ``fn`` (or by
+    loading the task).  A reply that cannot be pickled is replaced by a
+    picklable error naming it, so the caller sees an error and this
+    worker stays in service.  The loop ends when the parent closes its
+    end (or kills the worker).  Signal handlers a forked worker
+    inherits from its server are dropped: SIGTERM kills a worker, and
+    Ctrl-C is for the parent, which then stops its pool.
+    """
+    _mark_worker()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            data = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        try:
+            fn, arg = pickle.loads(data)
+            reply = (True, fn(arg))
+        except BaseException as exc:
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            what = "result" if reply[0] else f"exception {reply[1]!r}"
+            data = pickle.dumps((False, RuntimeError(
+                f"task {what} could not be pickled: "
+                f"{type(exc).__name__}: {exc}")))
+        try:
+            conn.send_bytes(data)
+        except OSError:
+            return  # the parent let go of this worker
+
+
+class _Worker:
+    """One worker process and the parent's end of its duplex pipe."""
+
+    __slots__ = ("process", "conn")
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+
+    def stop(self) -> None:
+        """Kill the process if it still runs, reap it, close the pipe."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
 class WorkerPool:
-    """A long-lived, crash-tolerant wrapper over ProcessPoolExecutor.
+    """Up to ``workers`` long-lived worker processes, one task each.
 
     Unlike :func:`run_tasks` (one batch, assembled results), the service
-    keeps a pool alive across many independent jobs and needs per-task
-    deadlines plus crash *reporting* instead of silent serial fallback:
+    keeps workers alive across many independent jobs and needs per-task
+    deadlines plus crash *reporting* instead of silent serial fallback.
+    Each worker is a dedicated process on its own duplex pipe, started
+    on first demand; a task costs one send and one receive on it:
 
-    * ``run(fn, arg, timeout=...)`` blocks the calling thread until the
-      task finishes — concurrency comes from several dispatcher threads
-      sharing one pool;
-    * a worker death surfaces as :class:`WorkerCrashError` and the pool
-      is rebuilt, so the *next* task runs normally (ProcessPoolExecutor
-      marks itself broken forever after one crash);
-    * a deadline miss surfaces as :class:`WorkerTimeout`; the busy
-      worker cannot be interrupted, so the pool is recycled and the
-      stale worker left to finish in the background;
-    * if pool infrastructure is unavailable (sandboxes without
-      semaphores) the pool degrades to inline execution in the calling
-      thread — deadlines then apply only while a task is still queued,
+    * ``run(fn, arg, timeout=...)`` checks out an idle worker and blocks
+      the calling thread until the task finishes — concurrency comes
+      from several dispatcher threads sharing one pool, and the wait
+      for a free worker counts against ``timeout``;
+    * a worker death surfaces as :class:`WorkerCrashError` to the one
+      caller whose task it was running; the slot is refilled lazily;
+    * a deadline miss surfaces as :class:`WorkerTimeout`, and the late
+      worker is killed so it stops spending CPU on an abandoned task;
+    * if worker processes cannot be started (sandboxes without ``fork``
+      or pipes) the pool degrades to inline execution in the calling
+      thread — deadlines then apply only while a job is still queued,
       and a task can signal a simulated crash by raising
       :class:`WorkerCrashError` itself (the retry path stays testable).
     """
 
     def __init__(self, workers: int = 1, inline: Optional[bool] = None):
         self.workers = max(1, workers)
-        self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._cond = threading.Condition()
+        self._live: Set[_Worker] = set()
+        self._idle: List[_Worker] = []
         if inline is None:
             inline = in_worker()  # never nest pools
         self._inline = inline
@@ -273,28 +335,60 @@ class WorkerPool:
     def inline(self) -> bool:
         return self._inline
 
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        with self._lock:
-            if self._inline:
-                return None
-            if self._pool is None:
-                try:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.workers, initializer=_mark_worker)
-                except (OSError, ImportError, ValueError):
-                    self._inline = True
-                    return None
-            return self._pool
+    @staticmethod
+    def _spawn() -> _Worker:
+        conn, child = multiprocessing.Pipe()
+        try:
+            process = multiprocessing.Process(
+                target=_serve_tasks, args=(child,), daemon=True)
+            process.start()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            child.close()
+        return _Worker(process, conn)
 
-    def _recycle(self, broken: Optional[ProcessPoolExecutor]) -> None:
-        """Discard a broken/abandoned pool so the next run starts fresh."""
-        with self._lock:
-            if self._pool is broken and broken is not None:
-                self._pool = None
-                try:
-                    broken.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
+    def _checkout(self, deadline: Optional[float],
+                  timeout: Optional[float]) -> Optional[_Worker]:
+        """An idle worker, a new one if a slot is free, or None once the
+        pool has fallen back to inline execution."""
+        with self._cond:
+            while not self._idle and len(self._live) >= self.workers:
+                remaining = None if deadline is None \
+                    else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    raise WorkerTimeout(
+                        f"task waited out its {timeout:.3g}s deadline "
+                        f"for a free worker")
+                self._cond.wait(remaining)
+            if self._idle:
+                return self._idle.pop()
+            # started under the lock: a child forked while another
+            # worker's child end is still open here would hold that end
+            # and hide the other worker's death
+            try:
+                worker = self._spawn()
+            except (OSError, ImportError, ValueError):
+                self._inline = True
+                return None
+            self._live.add(worker)
+            return worker
+
+    def _checkin(self, worker: _Worker) -> None:
+        with self._cond:
+            if worker in self._live:
+                self._idle.append(worker)
+                self._cond.notify()
+                return
+        worker.stop()  # shutdown() let go of it while it was busy
+
+    def _discard(self, worker: _Worker) -> None:
+        """Kill a crashed or late worker; its slot is refilled lazily."""
+        worker.stop()
+        with self._cond:
+            self._live.discard(worker)
+            self._cond.notify()
 
     def run(self, fn: Callable[[T], R], arg: T,
             timeout: Optional[float] = None) -> R:
@@ -304,26 +398,47 @@ class WorkerPool:
         :class:`WorkerCrashError` when the worker process dies; any
         exception raised by ``fn`` itself propagates unchanged.
         """
-        pool = self._ensure_pool()
-        if pool is None:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        worker = None if self._inline else self._checkout(deadline, timeout)
+        if worker is None:
             return fn(arg)  # inline mode; WorkerCrashError may propagate
-        future = pool.submit(fn, arg)
         try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            self._recycle(pool)
-            raise WorkerTimeout(
-                f"task exceeded its {timeout:.3g}s deadline") from None
-        except BrokenProcessPool:
-            self._recycle(pool)
+            task = pickle.dumps((fn, arg), pickle.HIGHEST_PROTOCOL)
+        except BaseException:
+            self._checkin(worker)
+            raise
+        try:
+            worker.conn.send_bytes(task)
+            if deadline is not None and not worker.conn.poll(
+                    max(0.0, deadline - time.monotonic())):
+                self._discard(worker)
+                raise WorkerTimeout(f"task exceeded its {timeout:.3g}s "
+                                    f"deadline")
+            data = worker.conn.recv_bytes()
+        except (OSError, EOFError):
+            self._discard(worker)
             raise WorkerCrashError("worker process died mid-task") from None
+        self._checkin(worker)
+        try:
+            ok, value = pickle.loads(data)
+        except Exception as exc:
+            raise RuntimeError(f"task reply could not be unpickled: "
+                               f"{type(exc).__name__}: {exc}") from exc
+        if ok:
+            return value
+        raise value
 
     def shutdown(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                try:
-                    self._pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                self._pool = None
+        """Stop every worker, idle or busy; the caller of a busy one gets
+        :class:`WorkerCrashError`.  A later ``run`` starts new workers."""
+        with self._cond:
+            idle, self._idle = self._idle, []
+            busy = [w for w in self._live if w not in idle]
+            self._live.clear()
+            self._cond.notify_all()
+        for worker in idle:
+            worker.stop()
+        for worker in busy:
+            # its caller owns the pipe and closes it on the crash
+            worker.process.kill()
+            worker.process.join()

@@ -6,7 +6,10 @@ between serial and parallel runs and between cold and warm caches, and
 the executor degrades gracefully to serial execution.
 """
 
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -107,6 +110,23 @@ def _crash_inline(_):
     raise WorkerCrashError("simulated")
 
 
+@pytest.fixture()
+def pool_of():
+    """``pool_of(n)`` makes a process pool of ``n`` workers (skipping
+    where processes cannot start) and shuts it down after the test."""
+    pools = []
+
+    def make(workers):
+        pool = WorkerPool(workers=workers, inline=False)
+        pools.append(pool)
+        if pool.run(_square, 1) != 1 or pool.inline:
+            pytest.skip("process pool unavailable in this sandbox")
+        return pool
+    yield make
+    for pool in pools:
+        pool.shutdown()
+
+
 class TestWorkerPool:
     def test_inline_mode_runs_in_process(self):
         pool = WorkerPool(workers=2, inline=True)
@@ -120,18 +140,8 @@ class TestWorkerPool:
         pool.shutdown()
 
     @pytest.fixture()
-    def process_pool(self):
-        pool = WorkerPool(workers=2, inline=False)
-        try:
-            pool.run(_square, 1)
-        except Exception:
-            pool.shutdown()
-            pytest.skip("process pool unavailable in this sandbox")
-        if pool.inline:
-            pool.shutdown()
-            pytest.skip("process pool unavailable in this sandbox")
-        yield pool
-        pool.shutdown()
+    def process_pool(self, pool_of):
+        return pool_of(2)
 
     def test_process_mode_runs_in_worker(self, process_pool):
         assert process_pool.run(_square, 6) == 36
@@ -139,7 +149,7 @@ class TestWorkerPool:
     def test_killed_worker_raises_and_pool_recovers(self, process_pool):
         with pytest.raises(WorkerCrashError):
             process_pool.run(_kill_self, None)
-        # the broken pool was recycled: the next task succeeds
+        # the dead worker is replaced: the next task succeeds
         assert process_pool.run(_square, 5) == 25
 
     def test_timeout_raises_and_pool_recovers(self, process_pool):
@@ -154,6 +164,150 @@ class TestWorkerPool:
 
 def _divzero(x):
     return x / 0
+
+
+def _spin(seconds):
+    end = time.monotonic() + seconds
+    while time.monotonic() < end:
+        pass
+    return seconds
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _unpicklable_result(_):
+    return threading.Lock()
+
+
+class _LockedError(Exception):
+    def __init__(self):
+        super().__init__("carries a lock")
+        self.lock = threading.Lock()
+
+
+def _unpicklable_exception(_):
+    raise _LockedError()
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from ``args`` on the other side."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _unloadable_exception(_):
+    raise _TwoArgError(1, 2)
+
+
+def _in_thread(fn):
+    """Run ``fn()`` on a thread; the returned box gets ``value`` or
+    ``error`` once the thread is joined."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+    thread = threading.Thread(target=target)
+    thread.start()
+    box["thread"] = thread
+    return box
+
+
+def _own_children(before):
+    return set(multiprocessing.active_children()) - before
+
+
+class TestWorkerPoolIsolation:
+    """Each worker is its own process on its own pipe: a late or dead
+    worker takes down its own job and nothing else."""
+
+    def test_deadline_miss_kills_the_late_worker(self, pool_of):
+        before = set(multiprocessing.active_children())
+        pool = pool_of(1)
+        with pytest.raises(WorkerTimeout):
+            pool.run(_spin, 3.0, timeout=0.3)
+        assert len(_own_children(before)) <= pool.workers
+        assert pool.run(_square, 4) == 16
+        assert len(_own_children(before)) <= pool.workers
+
+    def test_a_crash_fails_only_its_own_job(self, pool_of):
+        pool = pool_of(2)
+        slow = _in_thread(lambda: pool.run(_sleep, 1.0, timeout=30))
+        time.sleep(0.2)  # the slow job is on its worker
+        with pytest.raises(WorkerCrashError):
+            pool.run(_kill_self, None, timeout=30)
+        slow["thread"].join()
+        assert slow.get("value") == 1.0, slow.get("error")
+
+    def test_worker_is_reused_between_tasks(self, pool_of):
+        pool = pool_of(1)
+        assert pool.run(_pid, None) == pool.run(_pid, None) != os.getpid()
+
+    def test_unpicklable_result_is_an_error(self, pool_of):
+        pool = pool_of(1)
+        pid = pool.run(_pid, None)
+        with pytest.raises(RuntimeError, match="could not be pickled") \
+                as info:
+            pool.run(_unpicklable_result, None, timeout=30)
+        assert not isinstance(info.value, WorkerCrashError)
+        assert pool.run(_pid, None) == pid  # the same worker, still usable
+
+    def test_unpicklable_exception_is_an_error(self, pool_of):
+        pool = pool_of(1)
+        pid = pool.run(_pid, None)
+        with pytest.raises(RuntimeError, match="_LockedError"):
+            pool.run(_unpicklable_exception, None, timeout=30)
+        assert pool.run(_pid, None) == pid
+
+    def test_unloadable_exception_is_an_error(self, pool_of):
+        pool = pool_of(1)
+        pid = pool.run(_pid, None)
+        with pytest.raises(RuntimeError, match="could not be unpickled"):
+            pool.run(_unloadable_exception, None, timeout=30)
+        assert pool.run(_pid, None) == pid
+
+    def test_unpicklable_task_is_an_error(self, pool_of):
+        pool = pool_of(1)
+        pid = pool.run(_pid, None)
+        with pytest.raises(Exception) as info:
+            pool.run(_square, lambda: None, timeout=30)
+        assert not isinstance(info.value, (WorkerCrashError, WorkerTimeout))
+        assert pool.run(_pid, None) == pid
+
+    def test_wait_for_a_free_worker_counts_against_timeout(self, pool_of):
+        pool = pool_of(1)
+        slow = _in_thread(lambda: pool.run(_sleep, 1.0, timeout=30))
+        time.sleep(0.2)  # the only worker is busy
+        t0 = time.monotonic()
+        with pytest.raises(WorkerTimeout):
+            pool.run(_square, 3, timeout=0.3)
+        assert time.monotonic() - t0 < 0.8
+        slow["thread"].join()
+        assert slow.get("value") == 1.0, slow.get("error")
+
+    def test_shutdown_stops_idle_workers(self, pool_of):
+        before = set(multiprocessing.active_children())
+        pool = pool_of(2)
+        pool.shutdown()
+        assert not _own_children(before)
+        assert pool.run(_square, 2) == 4  # a later run starts afresh
+
+    def test_shutdown_stops_busy_workers(self, pool_of):
+        before = set(multiprocessing.active_children())
+        pool = pool_of(2)
+        busy = _in_thread(lambda: pool.run(_sleep, 30.0, timeout=60))
+        time.sleep(0.2)
+        t0 = time.monotonic()
+        pool.shutdown()
+        busy["thread"].join(10)
+        assert not _own_children(before)
+        assert isinstance(busy.get("error"), WorkerCrashError)
+        assert time.monotonic() - t0 < 10
 
 
 BENCHES = ("adm", "qcd")
