@@ -13,7 +13,9 @@ traced batch through it, and proves the observability plane end to end:
      asserts spans from all three tiers — gateway, worker fleet, shard
      servers — share the run's single trace id, the stitched JSON
      passes :func:`validate_chrome_trace`, and parent/child timestamps
-     are monotonic after skew correction,
+     are monotonic after skew correction; ``repro trace-collect`` then
+     stitches the run both live and offline from the persisted
+     ``--telemetry-dir``, and the two must hold the same spans,
   4. gates the loadtest report against the committed ``SLO.json``
      (must pass) and against an absurdly tight injected spec (must
      report violations).
@@ -33,13 +35,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.cluster.loadtest import run_loadtest  # noqa: E402
 from repro.cluster.topology import LocalCluster  # noqa: E402
-from repro.obs.distributed import (ClockModel, parent_child_monotonic,  # noqa: E402
-                                   stitch_spans)
+from repro.obs.distributed import ClockModel  # noqa: E402
 from repro.obs.slo import (evaluate_slo, load_slo_spec,  # noqa: E402
                            measurements_from_loadtest, render_slo)
 from repro.obs.top import render_top  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
-from repro.trace.chrome import validate_chrome_trace  # noqa: E402
+from repro.trace.chrome import (parent_child_monotonic,  # noqa: E402
+                                stitch_spans, validate_chrome_trace)
 
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -131,19 +133,32 @@ def main():
         print(f"trace: {len(spans)} spans, tiers={sorted(cats)}, "
               f"stitched -> {out}")
 
-        # the CLI collector must agree with the library path
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "trace-collect",
-             "--host", host, "--port", str(port),
-             "--out", os.path.join(telemetry_dir, "trace-cli.json")],
-            env=dict(os.environ,
-                     PYTHONPATH=os.path.join(REPO_ROOT, "src")),
-            capture_output=True, text=True, timeout=60)
-        if proc.returncode != 0:
-            failures.append(f"repro trace-collect exited "
-                            f"{proc.returncode}: {proc.stderr.strip()}")
-        else:
-            print(f"trace-collect: {proc.stdout.strip()}")
+        # the CLI collector must agree with the library path, live and
+        # offline (the spans the gateway persisted under telemetry_dir)
+        client.telemetry()
+        collected = {}
+        for mode, where in (("live", ["--host", host, "--port", str(port)]),
+                            ("offline", ["--telemetry-dir", telemetry_dir])):
+            out = os.path.join(telemetry_dir, f"trace-{mode}.json")
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "trace-collect", *where,
+                 "--trace-id", report["trace_id"], "--out", out],
+                env=dict(os.environ,
+                         PYTHONPATH=os.path.join(REPO_ROOT, "src")),
+                capture_output=True, text=True, timeout=60)
+            if proc.returncode != 0:
+                failures.append(f"repro trace-collect ({mode}) exited "
+                                f"{proc.returncode}: {proc.stderr.strip()}")
+                continue
+            print(f"trace-collect ({mode}): {proc.stdout.strip()}")
+            with open(out, encoding="utf-8") as fh:
+                collected[mode] = sorted(
+                    e["args"]["span_id"] for e in json.load(fh)["traceEvents"]
+                    if e["ph"] == "X")
+        if len(set(map(tuple, collected.values()))) > 1:
+            failures.append(f"offline trace-collect stitched "
+                            f"{len(collected['offline'])} spans, live "
+                            f"{len(collected['live'])}")
 
     # 4. SLO gates (outside the cluster: pure report math) ----------------
     spec = load_slo_spec(os.path.join(REPO_ROOT, "SLO.json"))

@@ -105,7 +105,7 @@ def _write_trace(tracer, path: str) -> None:
     write_chrome(tracer, path)
     decisions_path = os.path.splitext(path)[0] + ".decisions.jsonl"
     write_decisions_jsonl(tracer.decisions, decisions_path)
-    print(f"trace: {path} ({len(tracer.events)} events); "
+    print(f"trace: {path} ({len(tracer.spans())} events); "
           f"decisions: {decisions_path} ({len(tracer.decisions)} loops)",
           file=sys.stderr)
 
@@ -721,12 +721,12 @@ def cmd_top(args) -> int:
 
 def cmd_trace_collect(args) -> int:
     import json
-    from repro.obs.distributed import ClockModel, stitch_spans
-    from repro.trace.chrome import validate_chrome_trace
+    from repro.obs.distributed import ClockModel
+    from repro.trace.chrome import stitch_spans, validate_chrome_trace
 
     if args.telemetry_dir:
         # offline: read the spans/snapshots the gateway persisted
-        from repro.obs.telemetry import SpanStore, TelemetryStore
+        from repro.obs.telemetry import TelemetryStore
         run_id = args.run_id
         if not run_id:
             runs = TelemetryStore.runs(args.telemetry_dir)
@@ -737,13 +737,11 @@ def cmd_trace_collect(args) -> int:
                       f"{len(runs)} runs {runs}; name one RUN_ID",
                       file=sys.stderr)
                 return 2
-        spans = SpanStore.load_run(args.telemetry_dir, run_id).spans()
-        snapshots = TelemetryStore.load_run(
-            args.telemetry_dir, run_id).snapshots()
-        offsets = {}
-        if snapshots:
-            offsets = ((snapshots[-1].get("health") or {})
-                       .get("cluster") or {}).get("clock_offsets") or {}
+        store = TelemetryStore.load_run(args.telemetry_dir, run_id)
+        spans = store.tracer.spans()
+        snapshot = store.latest() or {}
+        offsets = ((snapshot.get("health") or {}).get("cluster")
+                   or {}).get("clock_offsets") or {}
         decisions, site_decisions = [], []
     else:
         # live: ask the gateway (or daemon) for everything

@@ -35,6 +35,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.distributed import TraceContext
 from repro.service import protocol
 from repro.service.cache import ResultCache
+from repro.trace.tracer import Tracer
 
 _log = obs_logging.get_logger("repro.cluster.shard")
 
@@ -311,6 +312,7 @@ class CacheShardServer(protocol.ThreadedServer):
         address = self._listen()
         if self.name is None:
             self.name = f"shard:{address[0]}:{address[1]}"
+        self.tracer = Tracer(label=self.name)
         return address
 
     def stop(self, drain: bool = False,
@@ -368,22 +370,20 @@ class CacheShardServer(protocol.ThreadedServer):
 
     def _attach_span(self, response: Dict, request: Dict,
                      t0_wall: float, t0: float, **args) -> None:
-        """Piggyback this operation's span (stamped with *this* node's
-        wall clock) on the response; the caller's ``wall`` sample feeds
-        its clock-offset estimate for our lane.  An absent or malformed
-        ``trace_ctx`` records nothing: tracing must never make a cache
-        op fail."""
+        """Record this operation's span (stamped with *this* node's wall
+        clock) and piggyback what the shard has recorded on the
+        response; the caller's ``wall`` sample feeds its clock-offset
+        estimate for our lane.  An absent or malformed ``trace_ctx``
+        records nothing: tracing must never make a cache op fail."""
         try:
             parent = TraceContext.from_dict(request.get("trace_ctx"))
         except ValueError:
             return
         if parent is None:
             return
-        ctx = parent.child()
-        response["spans"] = [{
-            "name": request["op"], "cat": "shard",
-            "node": self.name or f"shard:{self.host}:{self.port}",
-            "trace_id": ctx.trace_id, "span_id": ctx.span_id,
-            "parent_id": parent.span_id, "ts_wall": t0_wall,
-            "dur": max(0.0, time.perf_counter() - t0), "args": args}]
+        self.tracer.record(request["op"], parent.child(), cat="shard",
+                           start_wall=t0_wall,
+                           duration=time.perf_counter() - t0,
+                           parent_id=parent.span_id, **args)
+        response["spans"] = self.tracer.drain()
         response["wall"] = time.time()

@@ -40,10 +40,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.experiments.executor import WorkerPool, resolve_jobs
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
-from repro.obs.distributed import SpanRecorder, TraceContext
+from repro.obs.distributed import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.service import protocol
 from repro.service.execution import run_leased
+from repro.trace.tracer import Tracer
 
 _log = obs_logging.get_logger("repro.cluster.worker")
 
@@ -95,7 +96,7 @@ class WorkerNode:
         self.boot = uuid.uuid4().hex[:12]
         #: distributed spans recorded while executing traced jobs,
         #: shipped with the heartbeat stream
-        self.spans = SpanRecorder(self.name)
+        self.tracer = Tracer(label=self.name)
         # exactly-once metrics+span shipping state (heartbeat thread only)
         self._last_export = obs_metrics.get_registry().export()
         self._seq = 0
@@ -197,7 +198,7 @@ class WorkerNode:
         else:
             report = {"op": "work-fail", "kind": outcome, "error": value}
         if trace_parent is not None:
-            self.spans.record(
+            self.tracer.record(
                 "execute", trace_parent.child(), cat="worker",
                 start_wall=t0_wall,
                 duration=time.perf_counter() - t0,
@@ -227,7 +228,7 @@ class WorkerNode:
             # gateway acks the seq — a lost response resends the same
             # batch, and the gateway's seq check drops the replay
             self._pending_ship = (self._seq + 1, delta or {}, export,
-                                  self.spans.drain())
+                                  self.tracer.drain())
         return self._pending_ship
 
     def _heartbeat_message(self) -> Tuple[Dict[str, Any], int, Dict]:

@@ -219,14 +219,17 @@ def merge_task_traces(tracer: Optional[Tracer],
     """Fold worker-local trace exports back into the parent trace.
 
     ``exports`` follows :func:`run_tasks` result order (one entry per
-    task, ``None`` where the task was not traced).  Each export keeps
-    the process lane of the worker that really ran it; tasks executed
-    in-process (serial runs, fallback) land on the parent's own lane.
+    task, ``None`` where the task was not traced).  Each export lands on
+    the lane of the worker process that really ran it
+    (``<label>-worker-<pid>``); tasks executed in-process (serial runs,
+    fallback) land on the parent's own lane.
     """
     if tracer is None or not tracer.enabled:
         return
     for exported in exports:
-        tracer.merge(exported)
+        pid = (exported or {}).get("pid")
+        tracer.merge(exported, node=tracer.label if pid == os.getpid()
+                     else f"{tracer.label}-worker-{pid}")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.experiments.table1 import table1_rows
 from repro.experiments.table2 import Table2Row, table2_outcomes
 from repro.obs import metrics as obs_metrics
 from repro.obs.slo import ALERT_BURN_RATE
+from repro.obs.telemetry import TelemetryStore
 from repro.perfect.suite import (PROGRAM_CACHE_STATS, all_benchmarks,
                                  cache_dir)
 from repro.polaris.report import merge_timings
@@ -86,22 +87,8 @@ def verify_counts(rows: Sequence[Table2Row],
 
 
 def read_bench_history(path: str = HISTORY_FILE) -> List[Dict[str, object]]:
-    entries: List[Dict[str, object]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(entry, dict):
-                    entries.append(entry)
-    except OSError:
-        pass
-    return entries
+    return [entry for entry in TelemetryStore.load_jsonl(path)
+            if isinstance(entry, dict)]
 
 
 def read_fuzz_stats(path: Optional[str] = None

@@ -1,21 +1,20 @@
-"""Telemetry plane: merged metric snapshots, health events, span store.
+"""Telemetry plane: merged metric snapshots, health events, spans.
 
 The gateway already merges per-node metric deltas exactly once (PR 7);
 this module gives those merged numbers — plus discrete health events
 like dead-node sweeps and work steals — somewhere to *live*:
 
-* :class:`TelemetryStore` keeps a bounded ring of periodic snapshots
-  (merged metrics + cluster health) and a sequence-numbered event log,
-  optionally persisted as JSONL under ``.repro_cache/telemetry/`` so
-  ``repro report`` and post-mortems can read a run after the gateway
-  is gone.
+:class:`TelemetryStore` keeps three streams: a bounded ring of
+periodic snapshots (merged metrics + cluster health), a
+sequence-numbered event log, and the run's spans — its
+:class:`~repro.trace.Tracer`, the buffer every span the tier records or
+receives lands in.  Each stream is optionally persisted as JSONL under
+``.repro_cache/telemetry/`` (``<run_id>.{snapshots,events,spans}.jsonl``)
+so ``repro report``, ``repro trace-collect`` and post-mortems can read a
+run after the gateway is gone.
 
-* :class:`SpanStore` collects distributed span dicts (see
-  :mod:`repro.obs.distributed`) keyed by trace id, also with optional
-  JSONL persistence, feeding ``repro trace-collect``.
-
-Both are thread-safe: the job server's connection, executor and
-publisher threads append and read concurrently, and tests poke them
+The store is thread-safe: the job server's connection, executor and
+publisher threads append and read concurrently, and tests poke it
 directly.
 """
 
@@ -25,12 +24,16 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional
 
-#: default cap on retained snapshots / events / spans (memory guard)
+from repro.trace.tracer import DEFAULT_SPAN_KEEP, Tracer
+
+#: default cap on retained snapshots / events (memory guard)
 DEFAULT_SNAPSHOT_KEEP = 720
 DEFAULT_EVENT_KEEP = 2000
-DEFAULT_SPAN_KEEP = 50_000
+
+_STREAMS = ("snapshots", "events", "spans")
 
 TELEMETRY_DIRNAME = "telemetry"
 
@@ -43,9 +46,10 @@ class TelemetryStore:
     """Bounded in-memory telemetry with optional JSONL persistence."""
 
     def __init__(self, directory: Optional[str] = None,
-                 run_id: Optional[str] = None,
+                 run_id: Optional[str] = None, node: Optional[str] = None,
                  snapshot_keep: int = DEFAULT_SNAPSHOT_KEEP,
-                 event_keep: int = DEFAULT_EVENT_KEEP):
+                 event_keep: int = DEFAULT_EVENT_KEEP,
+                 span_keep: int = DEFAULT_SPAN_KEEP):
         self.directory = directory
         self.run_id = run_id or "run"
         self.snapshot_keep = snapshot_keep
@@ -54,16 +58,17 @@ class TelemetryStore:
         self._snapshots: List[Dict[str, Any]] = []
         self._events: List[Dict[str, Any]] = []
         self._event_seq = 0
-        self._snapshot_file = None
-        self._event_file = None
+        self._snapshot_path = self._event_path = span_path = None
         if directory:
             os.makedirs(directory, exist_ok=True)
-            self._snapshot_path = os.path.join(
-                directory, f"{self.run_id}.snapshots.jsonl")
-            self._event_path = os.path.join(
-                directory, f"{self.run_id}.events.jsonl")
-        else:
-            self._snapshot_path = self._event_path = None
+            self._snapshot_path, self._event_path, span_path = (
+                os.path.join(directory, f"{self.run_id}.{stream}.jsonl")
+                for stream in _STREAMS)
+        #: the run's spans, recorded here (on lane ``node``) or shipped
+        #: from other nodes
+        self.tracer = Tracer(
+            label=node or self.run_id, keep=span_keep,
+            sink=partial(self._persist, span_path) if span_path else None)
 
     # -- writes ------------------------------------------------------------
 
@@ -80,7 +85,7 @@ class TelemetryStore:
             if len(self._snapshots) > self.snapshot_keep:
                 del self._snapshots[:len(self._snapshots)
                                     - self.snapshot_keep]
-        self._persist(self._snapshot_path, snapshot)
+        self._persist(self._snapshot_path, [snapshot])
         return snapshot
 
     def add_event(self, kind: str, **fields: Any) -> Dict[str, Any]:
@@ -91,16 +96,18 @@ class TelemetryStore:
             self._events.append(event)
             if len(self._events) > self.event_keep:
                 del self._events[:len(self._events) - self.event_keep]
-        self._persist(self._event_path, event)
+        self._persist(self._event_path, [event])
         return event
 
-    def _persist(self, path: Optional[str], record: Dict[str, Any]) -> None:
+    def _persist(self, path: Optional[str],
+                 records: List[Dict[str, Any]]) -> None:
         if not path:
             return
-        line = json.dumps(record, sort_keys=True, default=str) + "\n"
+        lines = "".join(json.dumps(record, sort_keys=True, default=str)
+                        + "\n" for record in records)
         try:
             with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+                fh.write(lines)
         except OSError:
             pass  # telemetry must never take the gateway down
 
@@ -169,90 +176,24 @@ class TelemetryStore:
             names = os.listdir(directory)
         except OSError:
             return []
-        runs = {name[:-len(".snapshots.jsonl")] for name in names
-                if name.endswith(".snapshots.jsonl")}
-        runs |= {name[:-len(".events.jsonl")] for name in names
-                 if name.endswith(".events.jsonl")}
-        return sorted(runs)
+        return sorted({name[:-len(f".{stream}.jsonl")] for name in names
+                       for stream in _STREAMS
+                       if name.endswith(f".{stream}.jsonl")})
 
     @classmethod
     def load_run(cls, directory: str, run_id: str) -> "TelemetryStore":
-        store = cls(directory=None, run_id=run_id,
-                    snapshot_keep=10**9, event_keep=10**9)
-        for snap in cls.load_jsonl(os.path.join(
-                directory, f"{run_id}.snapshots.jsonl")):
-            if isinstance(snap, dict) and "metrics" in snap:
-                store.add_snapshot(snap.get("metrics") or {},
-                                   snap.get("health") or {},
-                                   at=snap.get("at"))
-        for event in cls.load_jsonl(os.path.join(
-                directory, f"{run_id}.events.jsonl")):
-            if isinstance(event, dict) and "kind" in event:
-                fields = {k: v for k, v in event.items()
-                          if k not in ("seq", "at", "kind")}
-                store.add_event(event["kind"], **fields)
-        return store
-
-
-class SpanStore:
-    """Bounded store of distributed span dicts, keyed by trace id."""
-
-    def __init__(self, directory: Optional[str] = None,
-                 run_id: Optional[str] = None,
-                 keep: int = DEFAULT_SPAN_KEEP):
-        self.directory = directory
-        self.run_id = run_id or "run"
-        self.keep = keep
-        self.dropped = 0
-        self._lock = threading.Lock()
-        self._spans: List[Dict[str, Any]] = []
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-            self._path = os.path.join(directory,
-                                      f"{self.run_id}.spans.jsonl")
-        else:
-            self._path = None
-
-    def add(self, spans: Iterable[Dict[str, Any]]) -> int:
-        batch = [s for s in spans if isinstance(s, dict)]
-        if not batch:
-            return 0
-        with self._lock:
-            self._spans.extend(batch)
-            overflow = len(self._spans) - self.keep
-            if overflow > 0:
-                del self._spans[:overflow]
-                self.dropped += overflow
-        if self._path:
-            try:
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    for span in batch:
-                        fh.write(json.dumps(span, sort_keys=True,
-                                            default=str) + "\n")
-            except OSError:
-                pass
-        return len(batch)
-
-    def spans(self, trace_id: Optional[str] = None
-              ) -> List[Dict[str, Any]]:
-        with self._lock:
-            if trace_id is None:
-                return list(self._spans)
-            return [s for s in self._spans
-                    if s.get("trace_id") == trace_id]
-
-    def trace_ids(self) -> List[str]:
-        with self._lock:
-            return sorted({s.get("trace_id") for s in self._spans
-                           if s.get("trace_id")})
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
-
-    @classmethod
-    def load_run(cls, directory: str, run_id: str) -> "SpanStore":
-        store = cls(directory=None, run_id=run_id, keep=10**9)
-        store.add(TelemetryStore.load_jsonl(
-            os.path.join(directory, f"{run_id}.spans.jsonl")))
+        """A run's persisted streams, read back verbatim: each snapshot
+        and event keeps the ``at`` (and ``seq``) it was written with."""
+        store = cls(directory=None, run_id=run_id, snapshot_keep=10**9,
+                    event_keep=10**9, span_keep=10**9)
+        snapshots, events, spans = (
+            [r for r in cls.load_jsonl(os.path.join(
+                directory, f"{run_id}.{stream}.jsonl"))
+             if isinstance(r, dict)] for stream in _STREAMS)
+        store._snapshots = [s for s in snapshots if "metrics" in s
+                            and isinstance(s.get("at"), (int, float))]
+        store._events = [e for e in events if "kind" in e
+                         and isinstance(e.get("seq"), int)]
+        store._event_seq = max((e["seq"] for e in store._events), default=0)
+        store.tracer.merge({"spans": spans})
         return store

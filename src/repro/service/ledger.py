@@ -28,10 +28,10 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
-from repro.obs.distributed import (ClockModel, SpanRecorder, TraceContext,
+from repro.obs.distributed import (ClockModel, TraceContext,
                                    validate_trace_ctx)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import SpanStore, TelemetryStore
+from repro.obs.telemetry import TelemetryStore
 from repro.service.execution import PAYLOAD_KINDS
 from repro.service.jobs import (FINAL_STATES, Job, JobState, QueueFullError,
                                 payload_digest)
@@ -144,14 +144,12 @@ class JobLedger:
         self.stopping = False
         self.started_at: Optional[float] = None
 
-        # observability plane: spans recorded here + shipped from other
-        # nodes, their wall-clock offsets, snapshots/events (persisted
-        # when telemetry_dir is given)
+        # observability plane: snapshots, events and the spans recorded
+        # here or shipped from other nodes (persisted when telemetry_dir
+        # is given), and those nodes' wall-clock offsets
         self.metrics = MetricsRegistry()
         self.clock_model = ClockModel()
-        self.spans = SpanRecorder(node)
-        self.span_store = SpanStore(telemetry_dir, run_id)
-        self.telemetry = TelemetryStore(telemetry_dir, run_id)
+        self.telemetry = TelemetryStore(telemetry_dir, run_id, node=node)
 
         m = self.metrics
         self._m_submitted = m.counter(
@@ -403,12 +401,13 @@ class JobLedger:
             # lease hand-offs); crash retries open a second segment
             wall = self.wall()
             since = trace.get("last_wait", trace["submit_wall"])
-            self.spans.record(
+            self.telemetry.tracer.record(
                 "queue-wait", trace["span"].child(), cat=self.node,
                 start_wall=since, duration=max(0.0, wall - since),
                 parent_id=trace["span"].span_id, job_id=job_id,
                 node=node.name, attempt=job.attempts)
             trace["last_wait"] = wall
+            trace["node"] = node.name  # the lane its pipeline spans go on
         _log.info("job-start", job_id=job_id, node=node.name,
                   attempt=job.attempts, digest=job.digest[:12],
                   kind=job.payload.get("kind"))
@@ -480,7 +479,7 @@ class JobLedger:
             _accepted, delay = self.fail(name, job.id, outcome, value)
         trace = self.traced.get(job.id)
         if trace is not None:
-            self.spans.record(
+            self.telemetry.tracer.record(
                 "execute", trace["span"].child(), cat="worker",
                 start_wall=start_wall, duration=duration,
                 parent_id=trace["span"].span_id, job_id=job.id,
@@ -556,7 +555,7 @@ class JobLedger:
     def _record_job_span(self, job: Job, trace: Dict[str, Any]) -> None:
         """The whole-job span: submit to finish, child of the client's
         root context, parent of queue-wait/execute/cache spans."""
-        self.spans.record(
+        self.telemetry.tracer.record(
             "job", trace["span"], cat=self.node,
             start_wall=trace["submit_wall"],
             duration=job.latency() or 0.0,
@@ -702,7 +701,7 @@ class JobLedger:
                          if isinstance(s, dict)}:
                 if isinstance(node, str) and node:
                     self.clock_model.observe(node, float(remote_wall), local)
-        self.span_store.add(spans)
+        self.telemetry.tracer.merge({"spans": spans})
 
     # -- the client op table -----------------------------------------
 
@@ -799,9 +798,7 @@ class JobLedger:
                 "metrics": self._exported_metrics().to_json()}
 
     def snapshot_telemetry(self, health: Dict[str, Any]) -> Dict[str, Any]:
-        """One merged metric+health snapshot (also drains this tier's
-        spans into the store so ``trace-export`` sees them)."""
-        self.span_store.add(self.spans.drain())
+        """One merged metric+health snapshot."""
         health.pop("ok", None)
         return self.telemetry.add_snapshot(
             self._exported_metrics().export(), health)
@@ -820,53 +817,53 @@ class JobLedger:
         return {"ok": True, "tier": self.tier, "run_id": self.run_id,
                 "snapshot": snapshot, "events": events,
                 "event_seq": self.telemetry.event_seq(),
-                "spans_stored": len(self.span_store)}
+                "spans_stored": len(self.telemetry.tracer.spans())}
 
     def op_trace_export(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Everything ``repro trace-collect`` needs to stitch one run:
-        all stored spans (every tier), per-node clock offsets, and the
-        decision records of finished traced jobs stamped with the span
-        ids that produced them."""
+        all stored spans (every tier) plus the pipeline spans of
+        finished traced jobs on the lane of the node that ran each,
+        per-node clock offsets, and the jobs' decision records stamped
+        with the span ids that produced them."""
         from repro.trace.tracer import Tracer
-        self.span_store.add(self.spans.drain())
         trace_id = request.get("trace_id")
         if trace_id is not None and not isinstance(trace_id, str):
             return error_response("'trace_id' must be a string",
                                   code="bad-request")
-        seen: set = set()
+        stored = self.telemetry.tracer.spans()
+        jobs = Tracer()
         decisions: List[Dict[str, Any]] = []
         site_decisions: List[Dict[str, Any]] = []
         for job_id, trace in self.traced.items():
-            job = self.jobs[job_id]
-            if not isinstance(job.result, dict):
-                continue
-            if trace_id and trace["span"].trace_id != trace_id:
+            job, span = self.jobs[job_id], trace["span"]
+            if not isinstance(job.result, dict) \
+                    or trace_id and span.trace_id != trace_id:
                 continue
             export = job.result.get("trace")
-            if not isinstance(export, dict):
-                continue
+            ran = trace.get("node")
+            if ran is None and isinstance(export, dict):
+                export = dict(export, spans=())  # a cache answer ran nowhere
+            loops, sites = len(jobs.decisions), len(jobs.site_decisions)
+            # Tracer.merge's job key: a crash-retried job's re-exported
+            # decisions count exactly once
+            jobs.merge(export, job=job.digest, node=ran,
+                       trace_id=span.trace_id)
             link = {"job_id": job.id, "digest": job.digest,
-                    "span_id": trace["span"].span_id,
-                    "trace_id": trace["span"].trace_id}
-            for kind, field, out in (
-                    ("loop", "decisions", decisions),
-                    ("site", "site_decisions", site_decisions)):
-                for d in export.get(field) or ():
-                    if not isinstance(d, dict):
-                        continue
-                    # same identity rule as Tracer.merge: a crash-retried
-                    # job's re-exported decisions count exactly once
-                    key = Tracer._decision_key(job.digest, kind, d)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append({**d, **link})
+                    "span_id": span.span_id, "trace_id": span.trace_id}
+            decisions += [{**d.to_dict(), **link}
+                          for d in jobs.decisions[loops:]]
+            site_decisions += [{**d.to_dict(), **link}
+                               for d in jobs.site_decisions[sites:]]
         return {"ok": True, "run_id": self.run_id,
-                "spans": self.span_store.spans(trace_id),
+                "spans": [s for s in stored if trace_id is None
+                          or s.get("trace_id") == trace_id]
+                + jobs.spans(),
                 "clock_offsets": self.clock_model.to_dict(),
-                "trace_ids": self.span_store.trace_ids(),
+                "trace_ids": sorted({s["trace_id"] for s in stored
+                                     if s.get("trace_id")}),
                 "decisions": decisions,
                 "site_decisions": site_decisions,
-                "dropped": self.span_store.dropped + self.spans.dropped}
+                "dropped": self.telemetry.tracer.dropped}
 
     def op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
         drain = bool(request.get("drain"))

@@ -256,7 +256,7 @@ class ParallelizationServer(protocol.ThreadedServer):
         t0_wall, t0 = time.time(), time.perf_counter()
         cached = self.cache.get(digest,
                                 {"traceparent": span.to_traceparent()})
-        self.ledger.spans.record(
+        self.telemetry.tracer.record(
             "cache-lookup", span, cat="cache", start_wall=t0_wall,
             duration=time.perf_counter() - t0,
             parent_id=trace["span"].span_id, digest=digest,

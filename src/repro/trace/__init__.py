@@ -10,9 +10,11 @@ inlining configuration parallelizes, and which are lost or extra
   origin, which dependence tests fired, privatization/reduction
   verdicts, profitability outcome, final parallel/serial decision with
   its reason);
+* the same tracer is the control plane's span recorder (gateway,
+  worker nodes, cache shards), so one span shape covers every tier;
 * traces export as Chrome trace-event JSON (loadable in
-  ``chrome://tracing`` or Perfetto) and decisions as a compact JSONL
-  log;
+  ``chrome://tracing`` or Perfetto) through one projection,
+  :func:`stitch_spans`, and decisions as a compact JSONL log;
 * child traces produced inside executor worker processes merge back
   into the parent trace (:meth:`Tracer.merge`), one process lane each.
 
@@ -23,7 +25,8 @@ returns immediately — the instrumented pipeline stays within noise of
 the uninstrumented one.
 """
 
-from repro.trace.chrome import validate_chrome_trace, write_chrome
+from repro.trace.chrome import (stitch_spans, validate_chrome_trace,
+                                write_chrome)
 from repro.trace.decisions import (LoopDecision, SiteDecision,
                                    count_parallel, read_decisions_jsonl,
                                    write_decisions_jsonl)
@@ -33,5 +36,5 @@ __all__ = [
     "Tracer", "NULL_TRACER", "LoopDecision", "SiteDecision",
     "count_parallel",
     "read_decisions_jsonl", "write_decisions_jsonl",
-    "validate_chrome_trace", "write_chrome",
+    "stitch_spans", "validate_chrome_trace", "write_chrome",
 ]

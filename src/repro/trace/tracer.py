@@ -1,29 +1,47 @@
-"""The tracer: nested spans, instant events, decision records.
+"""The tracer: the one span recorder, plus per-loop decision records.
 
-Events follow the Chrome trace-event format (complete events, ``ph:
-"X"``, microsecond timestamps) so a trace loads directly in
-``chrome://tracing`` / Perfetto.  A tracer is cheap to carry around
-disabled: :data:`NULL_TRACER` hands out one cached no-op context
-manager and drops decisions in a single attribute test, keeping the
-instrumented pipeline's overhead under measurement noise.
+Every tier records one span shape, the dict that crosses the wire and
+lands on disk: ``name, cat, node, ts_wall, dur, args`` (seconds; a span
+without ``dur`` is an instant), plus ``trace_id``/``span_id``/
+``parent_id`` when the span belongs to a distributed trace.  ``node``
+names the lane the span renders on: the recording tracer's ``label``.
+The pipeline times phases with :meth:`Tracer.span`/:meth:`Tracer.phase`;
+the control plane records already-timed spans with :meth:`Tracer.record`
+and ships them with :meth:`Tracer.drain`.  The buffer is thread-safe
+and bounded (:data:`DEFAULT_SPAN_KEEP`; the oldest spans drop, counted
+in ``dropped``).  :meth:`Tracer.to_chrome` is the projection ``repro
+trace-collect`` renders a cluster run with,
+:func:`repro.trace.chrome.stitch_spans`.
+
+A tracer is cheap to carry around disabled: :data:`NULL_TRACER` hands
+out one cached no-op context manager and drops decisions in a single
+attribute test, keeping the instrumented pipeline's overhead under
+measurement noise.
 
 Cross-process story: worker processes build their own enabled tracer,
 :meth:`Tracer.export` it to a plain JSON-safe dict (picklable across
 the pool boundary, JSON-safe for the service result cache), and the
-parent :meth:`Tracer.merge`\\ s each export back in.  Each process keeps
-its own ``pid`` lane; timestamps are re-based onto the parent's clock
-using the wall-clock epoch recorded at construction, so spans from
-different workers line up on one timeline.
+parent :meth:`Tracer.merge`\\ s each export back in on the lane it
+names.  Span starts are wall-clock seconds, so spans from different
+processes of one host line up without re-basing.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.trace.chrome import stitch_spans
 from repro.trace.decisions import LoopDecision, SiteDecision
+
+#: spans a tracer keeps before the oldest drop (a guard against an
+#: unbounded buffer on a node nobody drains)
+DEFAULT_SPAN_KEEP = 50_000
+
+Span = Dict[str, Any]
 
 
 class _NullSpan:
@@ -42,7 +60,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """An open span; closing it appends one complete ('X') event."""
+    """An open span; closing it records one timed span."""
 
     __slots__ = ("_tracer", "_name", "_cat", "_args", "_start")
 
@@ -58,18 +76,19 @@ class _Span:
         self._start = time.perf_counter()
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
         t = self._tracer
-        start_us = (self._start - t._perf0) * 1e6
-        dur_us = (time.perf_counter() - self._start) * 1e6
-        event: Dict[str, Any] = {
-            "name": self._name, "cat": self._cat, "ph": "X",
-            "ts": round(start_us, 1), "dur": round(dur_us, 1),
-            "pid": t.pid, "tid": t.tid,
-        }
+        # both ends on the tracer's one wall timeline, so a span nested
+        # in another ends no later than it, bit for bit
+        start = t._wall0 + (self._start - t._perf0)
+        end = t._wall0 + (time.perf_counter() - t._perf0)
+        span: Span = {"name": self._name, "cat": self._cat,
+                      "node": t.label, "ts_wall": start, "dur": end - start}
+        if exc_type is not None:
+            self._args = dict(self._args, error=exc_type.__name__)
         if self._args:
-            event["args"] = self._args
-        t.events.append(event)
+            span["args"] = self._args
+        t._add([span])
         return False
 
 
@@ -79,17 +98,23 @@ class Tracer:
     ``enabled=False`` builds a permanent no-op (see :data:`NULL_TRACER`);
     instrumentation points should write
     ``tracer = tracer or NULL_TRACER`` and call through unconditionally.
+    ``label`` names the lane this tracer's spans render on; ``sink``,
+    when given, receives every batch of spans added (the telemetry store
+    persists a run's spans through it).
     """
 
     def __init__(self, enabled: bool = True, label: str = "repro",
-                 pid: Optional[int] = None, tid: int = 0):
+                 keep: int = DEFAULT_SPAN_KEEP,
+                 sink: Optional[Callable[[List[Span]], None]] = None):
         self.enabled = enabled
         self.label = label
-        self.pid = os.getpid() if pid is None else pid
-        self.tid = tid
-        self.events: List[Dict[str, Any]] = []
+        self.keep = keep
+        self.dropped = 0
         self.decisions: List[LoopDecision] = []
         self.site_decisions: List[SiteDecision] = []
+        self._spans: List[Span] = []
+        self._sink = sink
+        self._lock = threading.Lock()
         self._perf0 = time.perf_counter()
         self._wall0 = time.time()
         # decision-record identities already merged, keyed by job — a
@@ -97,6 +122,35 @@ class Tracer:
         # first attempt's decisions; counting them twice breaks the
         # Table II ↔ trace cross-check
         self._merged_decision_keys: set = set()
+
+    # -- the buffer --------------------------------------------------
+
+    def _add(self, spans: List[Span]) -> None:
+        with self._lock:
+            self._spans.extend(spans)
+            overflow = len(self._spans) - self.keep
+            if overflow > 0:
+                del self._spans[:overflow]
+                self.dropped += overflow
+        if self._sink is not None and spans:
+            self._sink(spans)
+
+    def spans(self) -> List[Span]:
+        """A copy of the buffered spans, oldest first."""
+        with self._lock:
+            return list(self._spans)
+
+    def drain(self, limit: Optional[int] = None) -> List[Span]:
+        """Remove and return up to ``limit`` buffered spans (FIFO).
+
+        The caller owns delivery: a worker keeps the drained batch in
+        its pending heartbeat ship until the gateway acks its sequence
+        number, so a lost response never loses spans.
+        """
+        with self._lock:
+            out = self._spans[:limit]
+            del self._spans[:limit]
+            return out
 
     # -- recording ---------------------------------------------------
 
@@ -122,14 +176,29 @@ class Tracer:
                 **args: Any) -> None:
         if not self.enabled:
             return
-        event: Dict[str, Any] = {
-            "name": name, "cat": cat, "ph": "i", "s": "t",
-            "ts": round((time.perf_counter() - self._perf0) * 1e6, 1),
-            "pid": self.pid, "tid": self.tid,
+        span: Span = {"name": name, "cat": cat, "node": self.label,
+                      "ts_wall": self._wall0
+                      + (time.perf_counter() - self._perf0)}
+        if args:
+            span["args"] = args
+        self._add([span])
+
+    def record(self, name: str, ctx, cat: str = "cluster",
+               start_wall: Optional[float] = None, duration: float = 0.0,
+               parent_id: Optional[str] = None, **args: Any) -> None:
+        """Append one already-timed span of the distributed trace
+        ``ctx`` (a :class:`~repro.obs.distributed.TraceContext`; its
+        ``span_id`` is this span's)."""
+        span: Span = {
+            "name": name, "cat": cat, "node": self.label,
+            "trace_id": ctx.trace_id, "span_id": ctx.span_id,
+            "parent_id": parent_id,
+            "ts_wall": time.time() if start_wall is None else start_wall,
+            "dur": max(0.0, float(duration)),
         }
         if args:
-            event["args"] = args
-        self.events.append(event)
+            span["args"] = args
+        self._add([span])
 
     def decision(self, decision: LoopDecision) -> None:
         """Record one per-loop decision (and an instant event so the
@@ -163,9 +232,8 @@ class Tracer:
         """
         out = {
             "label": self.label,
-            "pid": self.pid,
-            "wall0": self._wall0,
-            "events": list(self.events),
+            "pid": os.getpid(),
+            "spans": self.spans(),
             "decisions": [d.to_dict() for d in self.decisions],
             "site_decisions": [d.to_dict() for d in self.site_decisions],
         }
@@ -190,39 +258,34 @@ class Tracer:
                 d.get("site_id", 0))
 
     def merge(self, exported: Optional[Dict[str, Any]],
-              pid: Optional[int] = None,
-              job: Optional[str] = None) -> None:
-        """Fold a child tracer's :meth:`export` into this trace.
+              job: Optional[str] = None, **stamp: Any) -> None:
+        """Fold a child tracer's :meth:`export` — or a batch of foreign
+        spans, ``{"spans": [...]}`` — into this trace.
 
-        Child timestamps are re-based onto this tracer's clock via the
-        wall-clock epochs, so worker spans land where they actually ran
-        on the parent timeline.  ``pid`` overrides the child's process
-        lane (useful for deterministic lane numbering in tests).
+        A span keeps the fields it was recorded with except those in
+        ``stamp``: ``node=...`` puts the child's spans on the lane of the
+        process or node that ran it.
 
         When the export carries a job tag (or ``job`` is passed),
         decision records are deduplicated against every previous merge
         of the same job: a worker that exported partially, was
         SIGKILLed, and re-ran contributes each decision exactly once.
-        Span events are *not* deduplicated — both attempts really
-        consumed wall clock and belong on the timeline.
+        Spans are *not* deduplicated — both attempts really consumed
+        wall clock and belong on the timeline.
         """
-        if not self.enabled or not exported:
+        if not self.enabled or not isinstance(exported, dict):
             return
-        offset_us = (float(exported.get("wall0", self._wall0))
-                     - self._wall0) * 1e6
-        child_pid = pid if pid is not None else exported.get("pid", 0)
-        for event in exported.get("events", ()):
-            merged = dict(event)
-            merged["ts"] = round(float(merged.get("ts", 0.0)) + offset_us, 1)
-            merged["pid"] = child_pid
-            self.events.append(merged)
+        self._add([dict(span, **stamp) for span in exported.get("spans") or ()
+                   if isinstance(span, dict)])
         job = job if job is not None else exported.get("job")
         for kind, records, cls, target in (
-                ("loop", exported.get("decisions", ()),
+                ("loop", exported.get("decisions") or (),
                  LoopDecision, self.decisions),
-                ("site", exported.get("site_decisions", ()),
+                ("site", exported.get("site_decisions") or (),
                  SiteDecision, self.site_decisions)):
             for d in records:
+                if not isinstance(d, dict):
+                    continue
                 if job is not None:
                     key = self._decision_key(job, kind, d)
                     if key in self._merged_decision_keys:
@@ -231,28 +294,15 @@ class Tracer:
                 target.append(cls.from_dict(d))
 
     def to_chrome(self) -> Dict[str, Any]:
-        """The Chrome trace-event JSON object for this trace.
-
-        ``traceEvents`` is the standard event array (plus one
-        ``process_name`` metadata event per pid lane); the per-loop
-        decision records ride along under the non-standard top-level key
-        ``loopDecisions``, which trace viewers ignore.
-        """
-        pids = {e["pid"] for e in self.events} | {self.pid}
-        meta = [{"name": "process_name", "ph": "M", "pid": p, "tid": 0,
-                 "ts": 0,
-                 "args": {"name": self.label if p == self.pid
-                          else f"{self.label}-worker-{p}"}}
-                for p in sorted(pids)]
-        return {
-            "traceEvents": meta + list(self.events),
-            "displayTimeUnit": "ms",
-            "otherData": {"tool": "repro.trace", "format": 1},
-            "loopDecisions": [d.to_dict() for d in self.decisions],
-            "siteDecisions": [d.to_dict() for d in self.site_decisions],
-        }
+        """This trace as a Chrome trace-event object: one named process
+        lane per node, decision records under ``loopDecisions`` /
+        ``siteDecisions`` (see :func:`~repro.trace.chrome.stitch_spans`)."""
+        return stitch_spans(
+            self.spans(), label=self.label,
+            decisions=[d.to_dict() for d in self.decisions],
+            site_decisions=[d.to_dict() for d in self.site_decisions])
 
 
 #: the shared disabled tracer — safe to use from any thread, records
 #: nothing, and never allocates per call
-NULL_TRACER = Tracer(enabled=False, label="null", pid=0)
+NULL_TRACER = Tracer(enabled=False, label="null")

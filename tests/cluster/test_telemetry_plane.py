@@ -240,3 +240,72 @@ class TestTelemetryOp:
                                       "trace_id": 7})
         assert response["ok"] is False
         assert response["code"] == "bad-request"
+
+
+class TestStitchedJobTrace:
+    """A traced job's pipeline spans reach the stitched trace, live and
+    offline, through one projection."""
+
+    def _run_traced_benchmark(self, tmp_path):
+        gw = _gateway(port=0, jobs=1, inline=True,
+                      telemetry_dir=str(tmp_path), run_id="runJ")
+        gw.start()
+        root, ctx = _trace_ctx()
+        job = gw.submit({"kind": "benchmark", "benchmark": "adm",
+                         "config": "none", "trace": True}, trace_ctx=ctx)
+        assert job.finished.wait(timeout=60) and job.state == "done", \
+            job.error
+        return gw, root
+
+    def test_pipeline_span_inside_its_execute_span(self, tmp_path):
+        from repro.obs.distributed import ClockModel
+        from repro.trace.chrome import stitch_spans, validate_chrome_trace
+        gw, root = self._run_traced_benchmark(tmp_path)
+        try:
+            export = gw.handle_request({"op": "trace-export",
+                                        "trace_id": root.trace_id})
+        finally:
+            gw.stop()
+        chrome = stitch_spans(export["spans"],
+                              ClockModel.from_offsets(
+                                  export["clock_offsets"]),
+                              trace_id=root.trace_id)
+        assert validate_chrome_trace(chrome) == []
+        lanes = {e["pid"]: e["args"]["name"]
+                 for e in chrome["traceEvents"] if e["ph"] == "M"}
+        xs = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
+        (execute,) = [e for e in xs if e["name"] == "execute"]
+        (pipeline,) = [e for e in xs if e["name"] == "pipeline"]
+        assert execute["ts"] <= pipeline["ts"]
+        assert pipeline["ts"] + pipeline["dur"] \
+            <= execute["ts"] + execute["dur"]
+        # on the lane of the node that ran the job
+        assert lanes[pipeline["pid"]] == execute["args"]["node"]
+        assert export["decisions"]
+
+    def test_offline_trace_collect_matches_live_export(self, tmp_path,
+                                                       capsys):
+        import json
+
+        from repro.cli import main
+        gw, root = self._run_traced_benchmark(tmp_path / "telemetry")
+        try:
+            gw.handle_request({"op": "telemetry"})
+            host, port = gw.address
+            live, offline = (str(tmp_path / f"{m}.json")
+                             for m in ("live", "offline"))
+            assert main(["trace-collect", "--host", host, "--port",
+                         str(port), "--out", live]) == 0
+        finally:
+            gw.stop()
+        assert main(["trace-collect", "--telemetry-dir",
+                     str(tmp_path / "telemetry"), "--out", offline]) == 0
+
+        def span_ids(path):
+            with open(path, encoding="utf-8") as fh:
+                return sorted(e["args"]["span_id"]
+                              for e in json.load(fh)["traceEvents"]
+                              if "span_id" in e.get("args", {}))
+
+        assert span_ids(offline) == span_ids(live)
+        assert len(span_ids(live)) >= 4  # cache-lookup, wait, execute, job

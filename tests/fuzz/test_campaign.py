@@ -31,7 +31,8 @@ def test_campaign_counts_add_up():
 def test_campaign_exports_trace_instants():
     tracer = Tracer(label="test")
     run_campaign(seed=42, count=3, jobs=1, tracer=tracer)
-    instants = [e for e in tracer.events if e.get("ph") == "i"]
+    instants = [e for e in tracer.to_chrome()["traceEvents"]
+                if e.get("ph") == "i"]
     campaign = [e for e in instants if e["name"] == "fuzz-campaign"]
     assert campaign, "no fuzz-campaign instant event"
     args = campaign[0]["args"]

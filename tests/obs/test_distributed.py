@@ -1,12 +1,15 @@
-"""Distributed-tracing primitives: contexts, recorders, clocks, stitching."""
+"""Distributed-tracing primitives: contexts, the tracer as a span
+recorder, clocks, stitching."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs.distributed import (ClockModel, SpanRecorder, TraceContext,
-                                   new_trace_id, parent_child_monotonic,
-                                   spans_by_trace, stitch_spans,
+from repro.obs.distributed import (ClockModel, TraceContext, new_trace_id,
                                    validate_trace_ctx)
-from repro.trace.chrome import validate_chrome_trace
+from repro.trace.chrome import (parent_child_monotonic, stitch_spans,
+                                validate_chrome_trace)
+from repro.trace.tracer import Tracer
 
 
 class TestTraceContext:
@@ -62,14 +65,16 @@ class TestTraceContext:
 
 
 class TestSpanRecorder:
+    """:class:`Tracer` as the control plane's span recorder."""
+
     def test_record_and_drain(self):
-        rec = SpanRecorder("node-a")
+        rec = Tracer(label="node-a")
         ctx = TraceContext()
         rec.record("execute", ctx.child(), cat="worker",
                    start_wall=100.0, duration=0.5,
                    parent_id=ctx.span_id, job_id="job-1")
         spans = rec.drain()
-        assert len(spans) == 1 and len(rec) == 0
+        assert len(spans) == 1 and rec.spans() == []
         span = spans[0]
         assert span["name"] == "execute"
         assert span["node"] == "node-a"
@@ -79,35 +84,40 @@ class TestSpanRecorder:
         assert span["args"]["job_id"] == "job-1"
 
     def test_span_context_manager_times_and_parents(self):
-        rec = SpanRecorder("node-a")
+        rec = Tracer(label="node-a")
         root = TraceContext()
-        with rec.span("lookup", root, cat="cache", digest="d1") as open_span:
-            downstream = open_span.ctx
-        (span,) = rec.snapshot()
-        assert span["parent_id"] == root.span_id
-        assert span["span_id"] == downstream.span_id
-        assert span["dur"] >= 0.0
-        assert span["args"]["digest"] == "d1"
+        downstream = root.child()
+        with rec.span("lookup", cat="cache", digest="d1"):
+            pass
+        rec.record("lookup", downstream, cat="cache",
+                   parent_id=root.span_id, digest="d1")
+        timed, linked = rec.spans()
+        assert timed["node"] == "node-a" and timed["dur"] >= 0.0
+        assert timed["args"]["digest"] == "d1"
+        assert linked["parent_id"] == root.span_id
+        assert linked["span_id"] == downstream.span_id
+        assert linked["dur"] >= 0.0
+        assert linked["args"]["digest"] == "d1"
 
     def test_span_records_error_class_on_exception(self):
-        rec = SpanRecorder("node-a")
+        rec = Tracer(label="node-a")
         with pytest.raises(RuntimeError):
-            with rec.span("boom", TraceContext()):
+            with rec.span("boom"):
                 raise RuntimeError("x")
         (span,) = rec.drain()
         assert span["args"]["error"] == "RuntimeError"
 
     def test_bounded_buffer_counts_drops(self):
-        rec = SpanRecorder("node-a", max_buffer=3)
+        rec = Tracer(label="node-a", keep=3)
         ctx = TraceContext()
         for i in range(5):
             rec.record(f"s{i}", ctx.child(), start_wall=float(i))
-        assert len(rec) == 3
+        assert len(rec.spans()) == 3
         assert rec.dropped == 2
         assert [s["name"] for s in rec.drain()] == ["s2", "s3", "s4"]
 
     def test_drain_limit_keeps_pending(self):
-        rec = SpanRecorder("node-a")
+        rec = Tracer(label="node-a")
         ctx = TraceContext()
         for i in range(4):
             rec.record(f"s{i}", ctx.child())
@@ -217,9 +227,10 @@ class TestStitching:
         a, b = TraceContext(), TraceContext()
         spans = [_span("g", "s1", a.child()), _span("g", "s2", a.child()),
                  _span("g", "s3", b.child())]
-        grouped = spans_by_trace(spans)
-        assert len(grouped[a.trace_id]) == 2
-        assert len(grouped[b.trace_id]) == 1
+        for trace, count in ((a, 2), (b, 1)):
+            chrome = stitch_spans(spans, trace_id=trace.trace_id)
+            assert len([e for e in chrome["traceEvents"]
+                        if e.get("ph") == "X"]) == count
 
     def test_monotonic_detects_disorder(self):
         # hand-build a chrome dict whose child precedes its parent
@@ -236,6 +247,75 @@ class TestStitching:
         chrome = stitch_spans([])
         assert not validate_chrome_trace(chrome)
         assert chrome["otherData"]["nodes"] == []
+
+    def test_clamp_reaches_a_grandchild_two_skewed_hops_away(self):
+        # G (node a, 10.0) -> P (node b, 8.0) -> C (node c, 3.0): P is
+        # clamped to 10.0, and C must follow it there, not stop at 8.0
+        root = TraceContext()
+        g, p, c = root.child(), root.child(), root.child()
+        spans = [_span("c", "C", c, p, ts=3.0),
+                 _span("b", "P", p, g, ts=8.0),
+                 _span("a", "G", g, ts=10.0)]
+        chrome = stitch_spans(spans)
+        assert parent_child_monotonic(chrome) == []
+        xs = {e["name"]: e["ts"] for e in chrome["traceEvents"]
+              if e.get("ph") == "X"}
+        assert xs["G"] <= xs["P"] <= xs["C"]
+
+    def test_nested_spans_share_a_tid_and_overlaps_do_not(self):
+        root = TraceContext()
+        spans = [_span("n", "outer", root.child(), ts=0.0, dur=1.0),
+                 _span("n", "inner", root.child(), ts=0.2, dur=0.5),
+                 _span("n", "leaf", root.child(), ts=0.3, dur=0.1),
+                 _span("n", "after", root.child(), ts=2.0, dur=0.1),
+                 _span("n", "straddle", root.child(), ts=0.9, dur=0.5)]
+        tids = {e["name"]: e["tid"] for e in stitch_spans(spans)[
+            "traceEvents"] if e.get("ph") == "X"}
+        assert tids["outer"] == tids["inner"] == tids["leaf"] \
+            == tids["after"] == 0
+        assert tids["straddle"] != 0
+
+    def test_span_without_dur_is_an_instant(self):
+        spans = [{"name": "mark", "cat": "fuzz", "node": "n",
+                  "ts_wall": 1.0, "args": {"n": 2}}]
+        (_meta, event) = stitch_spans(spans)["traceEvents"]
+        assert event["ph"] == "i" and event["args"] == {"n": 2}
+        assert "dur" not in event
+
+
+@st.composite
+def _span_forest(draw):
+    """Spans over a few nodes, each parented on an earlier one or a
+    root, with arbitrary starts, and per-node clock offsets."""
+    nodes = draw(st.lists(st.sampled_from("abcde"), min_size=1,
+                          max_size=5, unique=True))
+    root = TraceContext()
+    times = st.floats(min_value=0.0, max_value=100.0)
+    spans = []
+    for i in range(draw(st.integers(min_value=1, max_value=25))):
+        parent = draw(st.none() | st.integers(0, len(spans) - 1)) \
+            if spans else None
+        spans.append({
+            "name": f"s{i}", "cat": "x", "node": draw(st.sampled_from(nodes)),
+            "trace_id": root.trace_id, "span_id": f"{i:016x}",
+            "parent_id": None if parent is None
+            else spans[parent]["span_id"],
+            "ts_wall": draw(times), "dur": draw(times)})
+    offsets = {node: draw(st.floats(min_value=-50.0, max_value=50.0))
+               for node in nodes}
+    return draw(st.permutations(spans)), offsets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_span_forest())
+def test_stitched_forest_is_causal_complete_and_valid(forest):
+    spans, offsets = forest
+    chrome = stitch_spans(spans, ClockModel.from_offsets(offsets))
+    assert parent_child_monotonic(chrome) == []
+    ids = [e["args"]["span_id"] for e in chrome["traceEvents"]
+           if e.get("ph") == "X"]
+    assert sorted(ids) == sorted(s["span_id"] for s in spans)
+    assert validate_chrome_trace(chrome) == []
 
 
 def test_new_trace_id_is_32_hex():

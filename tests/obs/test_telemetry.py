@@ -1,9 +1,11 @@
-"""Telemetry and span stores: bounds, event sequencing, persistence."""
+"""The telemetry store's three streams — snapshots, events, spans:
+bounds, event sequencing, persistence."""
 
 import json
 import os
+import time
 
-from repro.obs.telemetry import SpanStore, TelemetryStore, telemetry_dir
+from repro.obs.telemetry import TelemetryStore, telemetry_dir
 
 
 class TestTelemetryStore:
@@ -50,6 +52,20 @@ class TestTelemetryStore:
         assert loaded.latest()["metrics"] == {"m": 1}
         assert loaded.events_since(0)[0]["kind"] == "node-join"
 
+    def test_load_run_keeps_event_time_and_seq(self, tmp_path):
+        """A post-mortem read shows when each event happened, not when
+        the run was loaded, under the sequence numbers it was written
+        with."""
+        directory = str(tmp_path)
+        store = TelemetryStore(directory, run_id="r1")
+        for node in ("w0", "w1", "w2"):
+            store.add_event("node-join", node=node)
+        written = store.events_since(1)  # a reader already saw seq 1
+        time.sleep(0.05)
+        loaded = TelemetryStore.load_run(directory, "r1")
+        assert loaded.events_since(1) == written
+        assert loaded.event_seq() == 3
+
     def test_load_tolerates_torn_trailing_line(self, tmp_path):
         directory = str(tmp_path)
         store = TelemetryStore(directory, run_id="r1")
@@ -70,35 +86,40 @@ class TestTelemetryStore:
 
 
 class TestSpanStore:
+    """The spans stream: the store's tracer, persisted as JSONL."""
+
     def _span(self, name, trace_id="t" * 32, node="gateway"):
         return {"name": name, "cat": "x", "node": node,
                 "trace_id": trace_id, "span_id": "s" + name,
                 "parent_id": None, "ts_wall": 0.0, "dur": 0.0}
 
     def test_add_and_filter_by_trace(self):
-        store = SpanStore()
-        store.add([self._span("a"), self._span("b", trace_id="u" * 32)])
-        assert len(store) == 2
-        assert [s["name"] for s in store.spans("u" * 32)] == ["b"]
-        assert store.trace_ids() == sorted(["t" * 32, "u" * 32])
+        store = TelemetryStore()
+        store.tracer.merge({"spans": [self._span("a"),
+                                      self._span("b", trace_id="u" * 32)]})
+        spans = store.tracer.spans()
+        assert len(spans) == 2
+        assert [s["name"] for s in spans
+                if s["trace_id"] == "u" * 32] == ["b"]
 
     def test_bounded_with_drop_count(self):
-        store = SpanStore(keep=2)
-        store.add([self._span(n) for n in ("a", "b", "c")])
-        assert len(store) == 2
-        assert store.dropped == 1
-        assert [s["name"] for s in store.spans()] == ["b", "c"]
+        store = TelemetryStore(span_keep=2)
+        store.tracer.merge({"spans": [self._span(n)
+                                      for n in ("a", "b", "c")]})
+        assert store.tracer.dropped == 1
+        assert [s["name"] for s in store.tracer.spans()] == ["b", "c"]
 
     def test_persist_and_load_run(self, tmp_path):
         directory = str(tmp_path)
-        store = SpanStore(directory, run_id="r1")
-        store.add([self._span("a"), self._span("b")])
-        loaded = SpanStore.load_run(directory, "r1")
-        assert [s["name"] for s in loaded.spans()] == ["a", "b"]
+        store = TelemetryStore(directory, run_id="r1")
+        store.tracer.merge({"spans": [self._span("a"), self._span("b")]})
+        assert TelemetryStore.runs(directory) == ["r1"]
+        loaded = TelemetryStore.load_run(directory, "r1")
+        assert loaded.tracer.spans() == store.tracer.spans()
 
     def test_spans_jsonl_is_one_object_per_line(self, tmp_path):
-        store = SpanStore(str(tmp_path), run_id="r1")
-        store.add([self._span("a"), self._span("b")])
+        store = TelemetryStore(str(tmp_path), run_id="r1")
+        store.tracer.merge({"spans": [self._span("a"), self._span("b")]})
         path = os.path.join(str(tmp_path), "r1.spans.jsonl")
         with open(path, encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh if line.strip()]

@@ -553,7 +553,7 @@ class TestTracedJobs:
             {"op": "result", "job_id": submitted["job_id"],
              "include_trace": True})
         trace = result["result"]["trace"]
-        assert trace["events"], "traced job produced no span events"
+        assert trace["spans"], "traced job produced no spans"
 
     def test_trace_decisions_match_parallel_count(self, make_server):
         from repro.trace import LoopDecision, count_parallel

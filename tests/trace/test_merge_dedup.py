@@ -46,8 +46,8 @@ class TestMergeDedup:
         assert len(parent.site_decisions) == 1
         # the decision *instant* events are not deduplicated: both
         # attempts really happened and belong on the timeline
-        assert len([e for e in parent.events
-                    if e["cat"] == "decision"]) == 2
+        assert len([e for e in parent.to_chrome()["traceEvents"]
+                    if e.get("cat") == "decision"]) == 2
 
     def test_partial_first_attempt_then_full_retry(self):
         parent = Tracer(label="parent")
@@ -170,5 +170,6 @@ class TestSigkilledWorkerRegression:
             == [("MAIN", "I"), ("MAIN", "J"), ("SOLVE", "K")]
         # both attempts' instants remain on the timeline: I and J twice,
         # K once
-        instants = [e for e in parent.events if e["cat"] == "decision"]
+        instants = [e for e in parent.to_chrome()["traceEvents"]
+                    if e.get("cat") == "decision"]
         assert len(instants) == 5

@@ -24,7 +24,7 @@ def _clear_caches():
 def test_decision_counts_match_table2(jobs):
     _clear_caches()
     benchmarks = [get_benchmark(n) for n in BENCHES]
-    tracer = Tracer(label="test", pid=1)
+    tracer = Tracer(label="test")
     rows = table2_rows(benchmarks=benchmarks, jobs=jobs, tracer=tracer)
     counts = count_parallel(tracer.decisions)
     for row in rows:
@@ -37,9 +37,10 @@ def test_decision_counts_match_table2(jobs):
 
 def test_phase_spans_cover_the_pipeline():
     _clear_caches()
-    tracer = Tracer(label="test", pid=1)
+    tracer = Tracer(label="test")
     table2_rows(benchmarks=[get_benchmark("adm")], jobs=1, tracer=tracer)
-    names = {e["name"] for e in tracer.events if e["ph"] == "X"}
+    names = {e["name"] for e in tracer.to_chrome()["traceEvents"]
+             if e["ph"] == "X"}
     for phase in ("pipeline", "parse", "clone", "normalize", "summaries",
                   "dependence", "inline", "reverse"):
         assert any(n == phase or n.startswith(phase) for n in names), phase

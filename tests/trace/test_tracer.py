@@ -25,32 +25,46 @@ def _decision(**kwargs):
     return LoopDecision(**base)
 
 
+def _events(tracer, ph=None):
+    """The trace's non-metadata Chrome events (of phase ``ph``)."""
+    return [e for e in tracer.to_chrome()["traceEvents"]
+            if e["ph"] != "M" and ph in (None, e["ph"])]
+
+
+def _lanes(tracer):
+    """Chrome ``pid`` -> lane (node) name."""
+    return {e["pid"]: e["args"]["name"]
+            for e in tracer.to_chrome()["traceEvents"] if e["ph"] == "M"}
+
+
 class TestSpans:
     def test_span_records_complete_event(self):
-        t = Tracer(label="t", pid=1)
+        t = Tracer(label="t")
         with t.span("parse", cat="pipeline", files=3):
             pass
-        assert len(t.events) == 1
-        e = t.events[0]
+        (e,) = _events(t)
         assert e["ph"] == "X" and e["name"] == "parse"
         assert e["cat"] == "pipeline"
         assert e["ts"] >= 0 and e["dur"] >= 0
         assert e["args"] == {"files": 3}
+        assert _lanes(t) == {e["pid"]: "t"}
 
     def test_nested_spans_nest_on_the_timeline(self):
-        t = Tracer(pid=1)
+        t = Tracer()
         with t.span("outer"):
             with t.span("inner"):
                 pass
-        inner, outer = t.events  # inner closes first
+        inner, outer = _events(t)  # inner closes first
         assert inner["name"] == "inner" and outer["name"] == "outer"
         assert outer["ts"] <= inner["ts"]
         assert outer["ts"] + outer["dur"] >= inner["ts"] + inner["dur"]
+        # one thread's nested spans share a tid: a flame stack
+        assert inner["tid"] == outer["tid"]
 
     def test_instant_event(self):
-        t = Tracer(pid=1)
+        t = Tracer()
         t.instant("marker", cat="executor", n=2)
-        (e,) = t.events
+        (e,) = _events(t)
         assert e["ph"] == "i" and e["args"] == {"n": 2}
 
 
@@ -61,49 +75,56 @@ class TestDisabled:
             pass
         t.instant("y")
         t.decision(_decision())
-        assert t.events == [] and t.decisions == []
+        assert _events(t) == [] and t.decisions == []
 
     def test_disabled_span_is_the_shared_noop(self):
         assert NULL_TRACER.span("a") is _NULL_SPAN
         assert NULL_TRACER.span("b") is NULL_TRACER.span("c")
 
     def test_merge_into_disabled_is_a_noop(self):
-        child = Tracer(pid=7)
+        child = Tracer()
         with child.span("work"):
             pass
         NULL_TRACER.merge(child.export())
-        assert NULL_TRACER.events == []
+        assert _events(NULL_TRACER) == []
 
 
 class TestExportMerge:
     def test_roundtrip_preserves_events_and_decisions(self):
-        child = Tracer(label="worker", pid=42)
+        child = Tracer(label="worker")
         with child.span("work"):
             pass
         child.decision(_decision())
         exported = json.loads(json.dumps(child.export()))  # wire-safe
 
-        parent = Tracer(label="parent", pid=1)
+        parent = Tracer(label="parent")
+        with parent.span("own"):
+            pass
         parent.merge(exported)
-        work = [e for e in parent.events if e["name"] == "work"]
-        assert len(work) == 1 and work[0]["pid"] == 42
+        lanes = _lanes(parent)
+        work = [e for e in _events(parent) if e["name"] == "work"]
+        assert len(work) == 1 and lanes[work[0]["pid"]] == "worker"
+        assert sorted(lanes.values()) == ["parent", "worker"]
         assert len(parent.decisions) == 1
         assert parent.decisions[0].origin == "MAIN:DO-10"
 
     def test_merge_rebases_child_timestamps(self):
-        parent = Tracer(pid=1)
-        child = Tracer(pid=2)
+        parent = Tracer()
+        with parent.span("early"):
+            pass
+        child = Tracer()
         child._wall0 = parent._wall0 + 1.5  # child started 1.5s later
         with child.span("late"):
             pass
         parent.merge(child.export())
-        (e,) = [e for e in parent.events if e["name"] == "late"]
-        assert e["ts"] >= 1.5e6  # rebased into the parent's timeline
+        xs = {e["name"]: e["ts"] for e in _events(parent)}
+        # wall-clock starts put the child on the parent's timeline
+        assert xs["late"] - xs["early"] >= 1.5e6
 
     def test_merge_none_is_a_noop(self):
-        parent = Tracer(pid=1)
+        parent = Tracer()
         parent.merge(None)
-        assert parent.events == []
+        assert _events(parent) == []
 
 
 class TestDecisions:
@@ -172,7 +193,7 @@ class TestDecisions:
 
 class TestChrome:
     def test_valid_trace_passes_validator(self, tmp_path):
-        t = Tracer(label="t", pid=1)
+        t = Tracer(label="t")
         with t.span("parse"):
             pass
         t.instant("mark")
@@ -185,14 +206,17 @@ class TestChrome:
         assert loaded["loopDecisions"][0]["origin"] == "MAIN:DO-10"
 
     def test_process_name_metadata_per_pid_lane(self):
-        parent = Tracer(label="main", pid=1)
-        child = Tracer(pid=2)
+        parent = Tracer(label="main")
+        with parent.span("m"):
+            pass
+        child = Tracer()
         with child.span("w"):
             pass
-        parent.merge(child.export())
-        meta = [e for e in parent.to_chrome()["traceEvents"]
-                if e["ph"] == "M"]
-        assert {e["pid"] for e in meta} == {1, 2}
+        parent.merge(child.export(), node="main-worker-2")
+        lanes = _lanes(parent)
+        assert sorted(lanes.values()) == ["main", "main-worker-2"]
+        assert {lanes[e["pid"]] for e in _events(parent)} \
+            == {"main", "main-worker-2"}
 
     @pytest.mark.parametrize("broken, fragment", [
         ({"traceEvents": {}}, "array"),
