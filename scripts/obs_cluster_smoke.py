@@ -18,7 +18,11 @@ traced batch through it, and proves the observability plane end to end:
      ``--telemetry-dir``, and the two must hold the same spans,
   4. gates the loadtest report against the committed ``SLO.json``
      (must pass) and against an absurdly tight injected spec (must
-     report violations).
+     report violations),
+  5. runs 3 distinct ``benchmark`` jobs on the worker processes and
+     asserts the gateway's ``repro_loops_total`` equals the loop counts
+     in their results — and stays there over later heartbeats, so each
+     node hands every count over exactly once.
 
 Usage: PYTHONPATH=src python scripts/obs_cluster_smoke.py [--sessions N]
 """
@@ -53,6 +57,42 @@ TIGHT_SPEC = {
          "threshold_seconds": 1e-9},
     ],
 }
+
+
+#: benchmark jobs whose loop counts must reach the gateway exactly once
+COUNT_JOBS = ("adm", "trfd", "dyfesm")
+
+
+def check_loop_counts(client, beat, failures):
+    """Step 5: the gateway's ``repro_loops_total`` is the sum of the
+    jobs' own loop counts after 3 heartbeat intervals, and unchanged 3
+    intervals later."""
+    expected = {}
+    for name in COUNT_JOBS:
+        response = client.submit_benchmark(name, config="none", wait=True,
+                                           wait_timeout=120.0)
+        if response.get("state") != "done":
+            failures.append(f"benchmark job {name} ended "
+                            f"{response.get('state')}")
+            return
+        result = response["result"]
+        for verdict, n in (("parallel", result["parallel_count"]),
+                           ("serial", sum(result["serial_reasons"].values()))):
+            key = f'{{verdict="{verdict}"}}'
+            expected[key] = expected.get(key, 0) + n
+    expected = {k: n for k, n in expected.items() if n}
+    reads = []
+    for _ in range(2):
+        time.sleep(3 * beat)
+        reads.append(client.metrics()["metrics"].get("repro_loops_total"))
+    print(f"loop counts: jobs {expected}, gateway {reads[0]} "
+          f"then {reads[1]}")
+    if reads[0] != expected:
+        failures.append(f"gateway repro_loops_total {reads[0]} != the "
+                        f"jobs' loop counts {expected}")
+    if reads[1] != reads[0]:
+        failures.append(f"gateway repro_loops_total moved from {reads[0]} "
+                        f"to {reads[1]} with no new jobs")
 
 
 def main():
@@ -159,6 +199,11 @@ def main():
             failures.append(f"offline trace-collect stitched "
                             f"{len(collected['offline'])} spans, live "
                             f"{len(collected['live'])}")
+
+        # 5. exact counts across real processes ---------------------------
+        # (the worker nodes heartbeat every heartbeat_timeout / 4)
+        check_loop_counts(client, max(0.1, cluster.heartbeat_timeout / 4),
+                          failures)
 
     # 4. SLO gates (outside the cluster: pure report math) ----------------
     spec = load_slo_spec(os.path.join(REPO_ROOT, "SLO.json"))

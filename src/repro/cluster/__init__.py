@@ -17,7 +17,7 @@ package supplies the rest:
   metrics and graceful degradation when a shard is down;
 * :mod:`.workers` — the worker-node fleet: each node pulls batches of
   jobs from the gateway, executes them in a crash-isolated process
-  pool, and ships results plus metric deltas back;
+  pool, and ships results plus its drained metrics back;
 * :mod:`.topology` — spawn a whole localhost cluster (gateway + shards
   + workers) as subprocesses, for smokes and ``repro loadtest --spawn``;
 * :mod:`.loadtest` — the ``repro loadtest`` harness: replays concurrent

@@ -13,13 +13,15 @@ daemon's dispatcher threads:
 * pool-worker crashes surface as ``work-fail kind=crash`` and the
   *gateway* owns the retry/backoff bookkeeping — a node can die
   mid-retry without losing the count;
-* a heartbeat thread ships liveness plus a metrics-registry delta and
-  any buffered distributed spans, tagged with a monotonic sequence
-  number and this process's ``boot`` id.  The same ``(seq, delta,
-  spans)`` triple is resent until the gateway acknowledges it, and the
-  gateway merges each seq at most once — metric/span transfer is
-  exactly-once even across lost responses (the cross-node extension of
-  the PR 5 export/delta/merge arithmetic).  The boot id lets the
+* a heartbeat thread ships liveness plus what this process's metrics
+  registry and tracer observed since the last ship — both drained
+  (``MetricsRegistry.drain``, ``Tracer.drain``) into one pending ship
+  tagged with a monotonic sequence number and this process's ``boot``
+  id.  The same ``(seq, metrics, spans)`` triple is resent until the
+  gateway acknowledges it, and the gateway merges each seq at most
+  once — metric/span transfer is exactly-once even across lost
+  responses, the cross-node form of the pool workers' drain-and-merge
+  hand-over.  The boot id lets the
   gateway distinguish a *restarted* node (sequence counter reset to
   zero — accept from scratch) from a replayed heartbeat (drop);
 * each heartbeat carries the node's wall clock, giving the gateway a
@@ -41,7 +43,6 @@ from repro.experiments.executor import WorkerPool, resolve_jobs
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.obs.distributed import TraceContext
-from repro.obs.metrics import MetricsRegistry
 from repro.service import protocol
 from repro.service.execution import run_leased
 from repro.trace.tracer import Tracer
@@ -98,9 +99,8 @@ class WorkerNode:
         #: shipped with the heartbeat stream
         self.tracer = Tracer(label=self.name)
         # exactly-once metrics+span shipping state (heartbeat thread only)
-        self._last_export = obs_metrics.get_registry().export()
         self._seq = 0
-        self._pending_ship: Optional[Tuple[int, Dict, Dict, List]] = None
+        self._pending_ship: Optional[Tuple[int, Dict, List]] = None
 
     # -- lifecycle ---------------------------------------------------
 
@@ -220,19 +220,19 @@ class WorkerNode:
 
     # -- heartbeats + exactly-once metric/span shipping --------------
 
-    def _capture_ship(self) -> Tuple[int, Dict, Dict, List]:
+    def _capture_ship(self) -> Tuple[int, Dict, List]:
         if self._pending_ship is None:
-            export = obs_metrics.get_registry().export()
-            delta = MetricsRegistry.delta(self._last_export, export)
-            # spans drain into the pending ship and stay there until the
-            # gateway acks the seq — a lost response resends the same
-            # batch, and the gateway's seq check drops the replay
-            self._pending_ship = (self._seq + 1, delta or {}, export,
+            # metrics and spans drain into the pending ship and stay
+            # there until the gateway acks the seq — a lost response
+            # resends the same batch, and the gateway's seq check drops
+            # the replay
+            self._pending_ship = (self._seq + 1,
+                                  obs_metrics.get_registry().drain(),
                                   self.tracer.drain())
         return self._pending_ship
 
-    def _heartbeat_message(self) -> Tuple[Dict[str, Any], int, Dict]:
-        seq, delta, export, spans = self._capture_ship()
+    def _heartbeat_message(self) -> Dict[str, Any]:
+        seq, metrics, spans = self._capture_ship()
         with self._count_lock:
             info = {"pid": os.getpid(), "threads": self.threads,
                     "pool_mode": "inline" if self.pool.inline
@@ -242,17 +242,17 @@ class WorkerNode:
                     "jobs_failed": self.jobs_failed}
         message = {"op": "heartbeat", "node": self.name,
                    "boot": self.boot, "wall": time.time(),
-                   "seq": seq, "metrics": delta, "info": info}
+                   "seq": seq, "metrics": metrics, "info": info}
         if spans:
             message["spans"] = spans
-        return message, seq, export
+        return message
 
     def _heartbeat_loop(self) -> None:
         link = GatewayLink(*self.gateway)
         failures = 0
         try:
             while not self._stop.wait(timeout=self.heartbeat_interval):
-                message, seq, export = self._heartbeat_message()
+                message = self._heartbeat_message()
                 try:
                     response = link.request(message)
                 except GatewayUnreachable:
@@ -265,11 +265,9 @@ class WorkerNode:
                     continue
                 failures = 0
                 if response.get("ok"):
-                    # acked: advance the baseline; replays of this seq
-                    # (had the response been lost) are no-ops gateway-side
-                    self._seq = seq
-                    self._last_export = export
-                    self._pending_ship = None
+                    # acked: replays of this seq (had the response been
+                    # lost) are no-ops gateway-side
+                    self._seq, self._pending_ship = message["seq"], None
                 if response.get("stopping"):
                     self._stop.set()
                     return
@@ -277,12 +275,10 @@ class WorkerNode:
             # best-effort final flush so the last jobs' spans/metrics
             # reach the gateway before this process exits
             try:
-                message, seq, export = self._heartbeat_message()
+                message = self._heartbeat_message()
                 response = link.request(message)
                 if response and response.get("ok"):
-                    self._seq = seq
-                    self._last_export = export
-                    self._pending_ship = None
+                    self._seq, self._pending_ship = message["seq"], None
             except (GatewayUnreachable, Exception):
                 pass
             link.close()

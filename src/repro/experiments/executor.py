@@ -15,7 +15,10 @@ while keeping the *assembled* artifacts byte-identical to a serial run:
   failure (no ``fork``/semaphores in the sandbox, unpicklable work, a
   broken pool) all degrade gracefully to an in-process serial loop;
 * a worker process never spawns a nested pool: :func:`resolve_jobs`
-  answers 1 inside a worker regardless of flags or environment.
+  answers 1 inside a worker regardless of flags or environment;
+* every task, pooled or inline, runs under one wrapper (:func:`observed`)
+  that hands the worker's ``MetricsRegistry.drain()`` back beside the
+  result; a worker drains its inherited counts once at start.
 
 The serving path's :class:`WorkerPool` does not use that executor: it
 keeps one long-lived worker process per slot on its own duplex pipe, so
@@ -39,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
-                    TypeVar)
+                    Tuple, TypeVar)
 
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
@@ -97,43 +100,49 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _mark_worker() -> None:  # pragma: no cover - runs in child processes
+    """Start a pool worker: nested pools stay serial, and the counts a
+    forked worker inherits from its parent are drained away, so each
+    later drain holds only this worker's own observations."""
     os.environ[_IN_WORKER_ENV] = "1"
+    obs_metrics.get_registry().drain()
 
 
-def _observed_task(fn: Callable[[T], R], ctx: Dict[str, object],
+def _observed_call(fn: Callable[[T], R], parent: int, ctx: Dict[str, object],
                    log_mode: str, log_level: str, task: T):
-    """Worker-side wrapper around one task.
+    """One task under its caller's observability, wherever it runs.
 
-    Re-establishes the parent's log configuration and correlation
-    context (CLI flags do not survive the process boundary, and a
-    spawned worker starts with a fresh contextvars world), runs the
-    task, and ships back ``(result, metrics-delta)`` — the delta of the
-    worker's default registry around this one task, so long-lived
-    workers never double-report and the parent can merge deltas exactly
-    like PR 3 merges trace spans.
+    Sets the caller's correlation context (and, in another process, its
+    log configuration: CLI flags do not survive the process boundary),
+    times the task into ``repro_executor_task_seconds``, and returns
+    ``(result, metrics)``.  In a worker process ``metrics`` is the
+    worker registry's :meth:`~repro.obs.metrics.MetricsRegistry.drain`
+    for the caller to merge; run inline in the caller's own process it
+    is None, because the observations already landed there.
     """
-    obs_logging.configure(mode=log_mode, level=log_level)
+    inline = os.getpid() == parent
+    if not inline:
+        obs_logging.configure(mode=log_mode, level=log_level)
     registry = obs_metrics.get_registry()
-    before = registry.export()
     hist = registry.histogram("repro_executor_task_seconds",
                               "per-task wall-clock in executor workers")
-    with obs_logging.log_context(**ctx):
-        with hist.time():
-            result = fn(task)
-    return result, obs_metrics.MetricsRegistry.delta(before,
-                                                     registry.export())
+    with obs_logging.log_context(**ctx), hist.time():
+        result = fn(task)
+    return result, None if inline else registry.drain()
+
+
+def observed(fn: Callable[[T], R]) -> Callable[[T], Tuple[R, Any]]:
+    """``fn`` wrapped by :func:`_observed_call` for a worker of this
+    process, carrying the current log context and configuration."""
+    return partial(_observed_call, fn, os.getpid(),
+                   obs_logging.current_context(),
+                   obs_logging.configured_mode(),
+                   obs_logging.configured_level())
 
 
 def _run_serial(fn: Callable[[T], R], tasks: List[T]) -> List[R]:
     """In-process loop: metrics land directly in this registry."""
-    hist = obs_metrics.histogram(
-        "repro_executor_task_seconds",
-        "per-task wall-clock in executor workers")
-    out: List[R] = []
-    for t in tasks:
-        with hist.time():
-            out.append(fn(t))
-    return out
+    call = observed(fn)
+    return [call(t)[0] for t in tasks]
 
 
 def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
@@ -154,9 +163,9 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
     instant event if the pool degrades to the serial fallback — the
     fan-out itself becomes visible on the trace timeline.  Pool workers
     additionally inherit the caller's log context (so worker records
-    carry the parent ``run_id``) and return per-task metric deltas that
-    are merged into this process's default registry, keeping counter
-    values identical for any ``-j``.
+    carry the parent ``run_id``) and hand over each task's drained
+    metrics, merged into this process's default registry, keeping
+    counter values identical for any ``-j``.
     """
     tracer = tracer or NULL_TRACER
     tasks = list(tasks)
@@ -175,9 +184,7 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
             batches.inc(mode="serial")
             return _run_serial(fn, tasks)
         _log.debug("batch-start", label=label, tasks=len(tasks), jobs=jobs)
-        wrapped = partial(_observed_task, fn, obs_logging.current_context(),
-                          obs_logging.configured_mode(),
-                          obs_logging.configured_level())
+        wrapped = observed(fn)
         workers = min(jobs, len(tasks))
         obs_metrics.gauge("repro_executor_workers",
                           "worker processes in the most recent pool "
@@ -191,7 +198,7 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
                     future = pool.submit(wrapped, t)
                     future.add_done_callback(lambda _f: pending.dec())
                     futures.append(future)
-                # collect everything before merging any delta, so a
+                # collect everything before merging any metrics, so a
                 # failure mid-batch leaves the registry untouched for
                 # the serial rerun below (no double counting)
                 pairs = [f.result() for f in futures]
@@ -209,9 +216,9 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
             return _run_serial(fn, tasks)
         batches.inc(mode="pool")
         registry = obs_metrics.get_registry()
-        for _result, delta in pairs:
-            registry.merge(delta)
-        return [result for result, _delta in pairs]
+        for _result, metrics in pairs:
+            registry.merge(metrics)
+        return [result for result, _metrics in pairs]
 
 
 def merge_task_traces(tracer: Optional[Tracer],

@@ -2,7 +2,7 @@
 
 * :mod:`repro.obs.metrics` — counters/gauges/histograms and the
   process-wide default :class:`~repro.obs.metrics.MetricsRegistry`,
-  with export/delta/merge for crossing the worker-pool boundary;
+  with drain/merge for crossing the worker-pool boundary;
 * :mod:`repro.obs.logging` — structured JSON/text logging with
   contextvars-carried correlation IDs (``run_id``, ``job_id``,
   ``benchmark``, ``config``), size-rotated file sinks;

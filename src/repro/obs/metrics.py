@@ -15,12 +15,13 @@ Render formats:
   scraper pointed at ``repro svc-status --prometheus`` (or the raw op)
   needs no translation layer.
 
-Cross-process story (mirrors :meth:`repro.trace.Tracer.export`):
-executor workers run against their own process-local default registry,
-:meth:`MetricsRegistry.export` a JSON-safe snapshot around each task,
-and the parent :meth:`MetricsRegistry.merge`\\ s the per-task
-:meth:`MetricsRegistry.delta` back in — so ``repro table2 -j 8`` ends
-with the same counter values as ``-j 1``.
+Cross-process story (mirrors :meth:`repro.trace.Tracer.drain`): a
+worker observes into its own process-local default registry and hands
+over what it saw with :meth:`MetricsRegistry.drain` — a JSON-safe dict
+that empties the registry as it is taken — and the parent
+:meth:`MetricsRegistry.merge`\\ s it in.  Pool workers drain once per
+task, a worker node once per acknowledged heartbeat, so ``repro table2
+-j 8`` ends with the same counter values as ``-j 1``.
 
 All mutation is lock-protected; observation costs one lock acquire, fine
 at this system's request rates (the pipeline behind each job runs for
@@ -103,17 +104,13 @@ class Counter:
             if amount:
                 self.inc(amount, **{k: v for k, v in key})
 
-    @staticmethod
-    def subtract(before: Dict[str, object],
-                 after: Dict[str, object]) -> Dict[str, object]:
-        base = {tuple(map(tuple, k)): v for k, v in before.get("values", ())}
-        values = []
-        for key, v in after.get("values", ()):
-            diff = v - base.get(tuple(map(tuple, key)), 0)
-            if diff:
-                values.append([key, diff])
-        return {"kind": "counter", "help": after.get("help", ""),
-                "values": values}
+    def drain(self) -> Optional[Dict[str, object]]:
+        with self._lock:
+            taken, self._values = self._values, {}
+        return {"kind": self.kind, "help": self.help,
+                "values": [[list(map(list, k)), v]
+                           for k, v in sorted(taken.items())]} \
+            if taken else None
 
 
 class Gauge:
@@ -126,6 +123,7 @@ class Gauge:
         self.help = help
         self._lock = lock
         self._value = 0.0
+        self._drained = 0.0  # the value the last drain() handed over
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -159,12 +157,11 @@ class Gauge:
         if amount:
             self.inc(amount)
 
-    @staticmethod
-    def subtract(before: Dict[str, object],
-                 after: Dict[str, object]) -> Dict[str, object]:
-        return {"kind": "gauge", "help": after.get("help", ""),
-                "value": (float(after.get("value", 0.0))
-                          - float(before.get("value", 0.0)))}
+    def drain(self) -> Optional[Dict[str, object]]:
+        with self._lock:
+            change, self._drained = self._value - self._drained, self._value
+        return {"kind": self.kind, "help": self.help,
+                "value": change} if change else None
 
 
 class Histogram:
@@ -253,21 +250,14 @@ class Histogram:
             self._sum += float(exported.get("sum", 0.0))
             self._count += int(exported.get("count", 0))
 
-    @staticmethod
-    def subtract(before: Dict[str, object],
-                 after: Dict[str, object]) -> Dict[str, object]:
-        b_counts = list(before.get("counts", ()))
-        a_counts = list(after.get("counts", ()))
-        if list(before.get("buckets", ())) != list(after.get("buckets", ())) \
-                or len(b_counts) != len(a_counts):
-            return dict(after)
-        return {"kind": "histogram", "help": after.get("help", ""),
-                "buckets": list(after.get("buckets", ())),
-                "counts": [a - b for a, b in zip(a_counts, b_counts)],
-                "sum": (float(after.get("sum", 0.0))
-                        - float(before.get("sum", 0.0))),
-                "count": (int(after.get("count", 0))
-                          - int(before.get("count", 0)))}
+    def drain(self) -> Optional[Dict[str, object]]:
+        with self._lock:
+            counts, self._counts = self._counts, [0] * len(self._counts)
+            total, self._sum = self._sum, 0.0
+            count, self._count = self._count, 0
+        return {"kind": self.kind, "help": self.help,
+                "buckets": list(self.buckets), "counts": counts,
+                "sum": total, "count": count} if count or total else None
 
 
 class _HistogramTimer:
@@ -282,9 +272,6 @@ class _HistogramTimer:
     def __exit__(self, *exc) -> bool:
         self._histogram.observe(perf_counter() - self._t0)
         return False
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
@@ -359,32 +346,19 @@ class MetricsRegistry:
         boundary, serializable on the service wire)."""
         return {m.name: m.export() for m in self._snapshot()}
 
-    @staticmethod
-    def delta(before: Dict[str, Dict[str, object]],
-              after: Dict[str, Dict[str, object]]
-              ) -> Dict[str, Dict[str, object]]:
-        """``after - before``, name by name, dropping all-zero entries.
-
-        The worker wrapper snapshots around each task so long-lived pool
-        workers never double-report earlier tasks' observations."""
-        out: Dict[str, Dict[str, object]] = {}
-        for name, exported in after.items():
-            cls = _KINDS.get(exported.get("kind"))
-            if cls is None:
-                continue
-            prev = before.get(name)
-            if prev is None or prev.get("kind") != exported.get("kind"):
-                diff = dict(exported)
-            else:
-                diff = cls.subtract(prev, exported)
-            if _is_zero(diff):
-                continue
-            out[name] = diff
-        return out
+    def drain(self) -> Dict[str, Dict[str, object]]:
+        """Remove and return what every metric observed since the last
+        drain, in :meth:`export`'s shape: counters hand over the label
+        sets touched since (and zero them), histograms their new
+        observations, a gauge its change; a metric with nothing new is
+        left out.  A worker drains once per task (or heartbeat), so it
+        never reports an observation twice."""
+        taken = ((m.name, m.drain()) for m in self._snapshot())
+        return {name: data for name, data in taken if data}
 
     def merge(self, exported: Optional[Dict[str, Dict[str, object]]]
               ) -> None:
-        """Fold an :meth:`export` (usually a :meth:`delta`) into this
+        """Fold an :meth:`export` (usually a :meth:`drain`) into this
         registry, get-or-creating each metric.  Counter and histogram
         values add; gauge deltas add (an absolute child gauge should be
         folded by the caller instead)."""
@@ -399,17 +373,6 @@ class MetricsRegistry:
             elif kind == "histogram":
                 self.histogram(name, str(data.get("help", "")),
                                buckets=data.get("buckets")).merge(data)
-
-
-def _is_zero(diff: Dict[str, object]) -> bool:
-    kind = diff.get("kind")
-    if kind == "counter":
-        return not diff.get("values")
-    if kind == "gauge":
-        return not diff.get("value")
-    if kind == "histogram":
-        return not diff.get("count") and not diff.get("sum")
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,9 @@ def _counter_total(exported: Optional[Dict[str, Any]],
                    **match: str) -> float:
     """Sum an exported counter's values, optionally filtered by label."""
     total = 0.0
-    for key, amount in (exported or {}).get("values", ()):
+    if not isinstance(exported, dict):
+        return 0.0
+    for key, amount in exported.get("values", ()):
         labels = {k: v for k, v in key}
         if all(labels.get(k) == v for k, v in match.items()):
             total += amount
@@ -199,33 +201,34 @@ def measurements_from_telemetry(snapshots: List[Dict[str, Any]]
     if not snapshots:
         return {"p99_latency": None, "error_rate": None,
                 "cache_hit_rate": None}
-    from repro.obs.metrics import Counter, Histogram
     first = snapshots[0].get("metrics") or {}
     last = snapshots[-1].get("metrics") or {}
     if len(snapshots) == 1:
         first = {}
 
-    def delta(name: str, cls) -> Optional[Dict[str, Any]]:
-        after = last.get(name)
-        if not isinstance(after, dict):
-            return None
-        before = first.get(name)
-        if isinstance(before, dict) \
-                and before.get("kind") == after.get("kind"):
-            return cls.subtract(before, after)
-        return after
+    def window(name: str, **match: str) -> float:
+        return (_counter_total(last.get(name), **match)
+                - _counter_total(first.get(name), **match))
 
-    latency = delta(LATENCY_HISTOGRAM, Histogram)
-    p99 = quantile_from_histogram(latency, 0.99) if latency else None
+    latency = last.get(LATENCY_HISTOGRAM)
+    before = first.get(LATENCY_HISTOGRAM)
+    if isinstance(latency, dict) and isinstance(before, dict) \
+            and before.get("buckets") == latency.get("buckets"):
+        latency = dict(latency, count=(int(latency.get("count", 0))
+                                       - int(before.get("count", 0))),
+                       counts=[a - b for a, b in zip(
+                           latency.get("counts", ()),
+                           before.get("counts", ()))])
+    p99 = quantile_from_histogram(latency, 0.99) \
+        if isinstance(latency, dict) else None
 
-    completed = delta(COMPLETED_COUNTER, Counter)
-    finished = _counter_total(completed)
-    failed = (_counter_total(completed, state="failed")
-              + _counter_total(completed, state="expired"))
+    finished = window(COMPLETED_COUNTER)
+    failed = (window(COMPLETED_COUNTER, state="failed")
+              + window(COMPLETED_COUNTER, state="expired"))
     error_rate = (failed / finished) if finished > 0 else None
 
-    hits = _counter_total(delta(CACHE_HITS_COUNTER, Counter))
-    misses = _counter_total(delta(CACHE_MISSES_COUNTER, Counter))
+    hits = window(CACHE_HITS_COUNTER)
+    misses = window(CACHE_MISSES_COUNTER)
     hit_rate = (hits / (hits + misses)) if hits + misses > 0 else None
 
     return {"p99_latency": p99, "error_rate": error_rate,

@@ -1,6 +1,6 @@
 """Telemetry plane: merged metric snapshots, health events, spans.
 
-The gateway already merges per-node metric deltas exactly once (PR 7);
+The gateway already merges per-node drained metrics exactly once;
 this module gives those merged numbers — plus discrete health events
 like dead-node sweeps and work steals — somewhere to *live*:
 

@@ -4,8 +4,10 @@ The job server's embedded executors (:mod:`repro.service.server`,
 behind both ``repro serve`` and ``repro cluster gateway``) and the
 remote worker fleet (:mod:`repro.cluster.workers`) all run the same
 payloads the same way: :func:`execute_payload` interprets a submit
-payload, and :func:`run_job_observed` wraps it with correlation-ID
-propagation plus a metrics-registry delta for the parent to merge.
+payload, and :func:`run_leased` runs it on a pool under the executor's
+one task wrapper (:func:`repro.experiments.executor.observed`):
+correlation IDs become the worker's log context, and the worker's
+drained metrics come back beside the result for the parent to merge.
 
 Everything here is module-level and picklable — it must cross the
 process-pool boundary intact.
@@ -19,7 +21,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.executor import (WorkerCrashError, WorkerTimeout,
-                                        in_worker)
+                                        in_worker, observed)
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 
@@ -136,30 +138,6 @@ def _run_pipeline(benchmark, config_kind: str, trace: bool = False,
     return summary
 
 
-def run_job_observed(item: Tuple[Dict[str, Any], Dict[str, Any]]
-                     ) -> Tuple[Dict[str, Any], Optional[Dict]]:
-    """Worker entry point wrapping :func:`execute_payload` with
-    observability: the client's correlation IDs become log context, and
-    every metric the pipeline touches in the worker comes back as a
-    registry delta for the parent to merge (same protocol as
-    :func:`repro.experiments.executor._observed_task`).
-
-    Inline pools share the parent's default registry, so there the
-    metrics already landed — the delta is None and merging is skipped.
-    """
-    payload, ctx = item
-    if not in_worker():
-        with obs_logging.log_context(**ctx):
-            return execute_payload(payload), None
-    obs_logging.configure()  # spawned fresh: read REPRO_LOG* env
-    registry = obs_metrics.get_registry()
-    before = registry.export()
-    with obs_logging.log_context(**ctx):
-        result = execute_payload(payload)
-    return result, obs_metrics.MetricsRegistry.delta(before,
-                                                     registry.export())
-
-
 def run_leased(pool, job_id: str, payload: Dict[str, Any],
                ctx: Dict[str, Any], timeout: Optional[float]
                ) -> Tuple[str, Any]:
@@ -172,16 +150,15 @@ def run_leased(pool, job_id: str, payload: Dict[str, Any],
     four outcomes."""
     with obs_logging.log_context(job_id=job_id, **ctx):
         try:
-            result, delta = pool.run(run_job_observed, (payload, ctx),
-                                     timeout=timeout)
+            result, metrics = pool.run(observed(execute_payload), payload,
+                                       timeout=timeout)
         except WorkerTimeout:
             return "timeout", "deadline expired while running"
         except WorkerCrashError as exc:
             return "crash", str(exc)
         except Exception as exc:
             return "error", f"{type(exc).__name__}: {exc}"
-    if delta:
-        obs_metrics.get_registry().merge(delta)
+    obs_metrics.get_registry().merge(metrics)
     return "done", result
 
 

@@ -585,7 +585,7 @@ class JobLedger:
 
     def heartbeat(self, name: str, request: Dict[str, Any]) -> bool:
         """Liveness plus the node's exactly-once metric/span stream;
-        True when this heartbeat's delta was merged."""
+        True when this heartbeat's metrics were merged."""
         node = self.touch_node(name)
         info = request.get("info")
         if isinstance(info, dict):
@@ -610,15 +610,16 @@ class JobLedger:
             # min-filter keeps the least-delayed sample
             self.clock_model.observe(name, float(wall), self.wall())
         seq = request.get("seq")
-        delta = request.get("metrics")
-        if not (isinstance(seq, int) and isinstance(delta, dict)
+        metrics = request.get("metrics")
+        if not (isinstance(seq, int) and isinstance(metrics, dict)
                 and seq > node.last_seq):
             return False
-        # exactly-once: deltas are cumulative per ship, tagged with a
-        # monotonic sequence; replays (worker retrying a heartbeat it
-        # never saw acked) never double-count.  Spans ride the same
-        # sequence, so they inherit the same guarantee.
-        obs_metrics.get_registry().merge(delta)
+        # exactly-once: each ship is what the node drained since its
+        # last acked one, under a monotonic sequence; replays never
+        # double-count, and spans ride the same sequence.  Merged into
+        # the ledger's own registry: a node in this process drains the
+        # default one and must not ship back what it merged.
+        self.metrics.merge(metrics)
         spans = request.get("spans")
         if isinstance(spans, list) and spans:
             self.ingest_spans(spans)

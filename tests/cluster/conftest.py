@@ -1,9 +1,9 @@
 """Shared fixtures for the cluster tests.
 
-Every test runs against a fresh process-wide metrics registry: gateways
-merge worker metric deltas into the default registry, and the loadtest
-harness lands its headline gauges there, so without isolation one test's
-numbers would leak into the next's assertions.
+Every test runs against a fresh process-wide metrics registry: pipeline
+counters of jobs run in this process land in the default registry, and
+the loadtest harness lands its headline gauges there, so without
+isolation one test's numbers would leak into the next's assertions.
 """
 
 import pytest

@@ -284,9 +284,11 @@ class TestHeartbeat:
             {"op": "heartbeat", "node": "w0", "seq": 1,
              "metrics": delta})
         assert replay["merged"] is False
-        counter = isolated_registry.counter(
-            "test_cluster_unique_total")
+        # landed in the gateway's own registry, not the process default
+        counter = gw.metrics.counter("test_cluster_unique_total")
         assert counter.total() == 5
+        assert "test_cluster_unique_total" \
+            not in isolated_registry.to_json()
         # a new sequence merges again
         second = gw.handle_request(
             {"op": "heartbeat", "node": "w0", "seq": 2,
@@ -525,8 +527,8 @@ class TestRegistryMergePath:
 
 
 def test_obs_metrics_module_is_shared():
-    # the gateway merges worker deltas into the same default registry
-    # the single-node daemon uses: both go through the one ledger, which
-    # reads the process registry from repro.obs.metrics
+    # the gateway's embedded workers hand their metrics to the same
+    # default registry the single-node daemon uses: both go through the
+    # one ledger, which reads the process registry from repro.obs.metrics
     from repro.service import ledger
     assert ledger.obs_metrics.get_registry() is obs_metrics.get_registry()

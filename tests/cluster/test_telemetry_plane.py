@@ -2,7 +2,6 @@
 exactly-once telemetry across node restarts, health enrichment, and the
 ``telemetry`` / ``trace-export`` ops."""
 
-from repro.obs import metrics as obs_metrics
 from repro.obs.distributed import TraceContext
 from repro.service.server import ParallelizationServer
 
@@ -126,8 +125,7 @@ class TestHeartbeatIngest:
         export = gw.handle_request({"op": "trace-export"})
         assert len([s for s in export["spans"]
                     if s["node"] == "w0"]) == 1
-        counter = obs_metrics.get_registry().counter(
-            "repro_jobs_completed_total")
+        counter = gw.metrics.counter("repro_jobs_completed_total")
         assert counter.value(state="done") == 2
 
     def test_node_restart_resets_sequence(self):
@@ -155,8 +153,7 @@ class TestHeartbeatIngest:
              "wall": 1.0, "seq": 1, "metrics": metrics,
              "spans": [_span("w0", "t" * 32, span_id="b" + "1" * 15)]})
         assert restarted["ok"]
-        counter = obs_metrics.get_registry().counter(
-            "repro_jobs_completed_total")
+        counter = gw.metrics.counter("repro_jobs_completed_total")
         # 3 pre-restart ships + 1 post-restart ship, replay dropped
         assert counter.value(state="done") == 4
         export = gw.handle_request({"op": "trace-export"})

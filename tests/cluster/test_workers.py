@@ -130,6 +130,34 @@ class TestFleetExecution:
         assert node._seq >= 1
 
 
+class TestMetricsHandOver:
+    def test_inline_node_counts_each_loop_once(self, gateway, make_node):
+        """A node in the gateway's own process shares its default
+        registry: it must ship each job's loop counts once, and never
+        ship back what the gateway merged from earlier heartbeats."""
+        node = make_node()
+        client = ServiceClient(*gateway.address)
+        response = client.submit_benchmark("trfd", config="none",
+                                           wait=True, wait_timeout=60)
+        assert response["state"] == "done"
+        result = response["result"]
+        expected = {'{verdict="parallel"}': result["parallel_count"],
+                    '{verdict="serial"}': sum(
+                        result["serial_reasons"].values())}
+        assert expected['{verdict="parallel"}'] > 0
+
+        def loops_after(beats):
+            seq = node._seq
+            deadline = time.monotonic() + 10
+            while node._seq < seq + beats and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert node._seq >= seq + beats
+            return client.metrics()["metrics"]["repro_loops_total"]
+
+        assert loops_after(5) == expected
+        assert loops_after(3) == expected
+
+
 class TestSubprocessCluster:
     """The whole topology as real processes (the loadtest --spawn path)."""
 

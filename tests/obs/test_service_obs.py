@@ -1,10 +1,11 @@
-"""Service observability: correlation IDs across the wire, worker
-metric-delta merging, and registry parity between the CLI path and the
+"""Service observability: correlation IDs across the wire, the worker
+task wrapper's metric hand-over, and registry parity between the CLI path and the
 service path.
 """
 
 import pytest
 
+from repro.experiments.executor import observed
 from repro.experiments.pipeline import Config, clear_base_cache, run_config
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
@@ -12,7 +13,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perfect.suite import Benchmark, clear_program_cache
 from repro.service.client import ServiceClient
 from repro.service.jobs import payload_digest
-from repro.service.execution import run_job_observed
+from repro.service.execution import execute_payload
 from repro.service.server import ParallelizationServer
 
 SOURCE = """      PROGRAM P
@@ -102,10 +103,13 @@ class TestCtxPropagation:
 
 class TestWorkerObserved:
     def test_inline_path_writes_parent_registry(self, registry):
-        result, delta = run_job_observed((_payload("inline"), {}))
-        assert delta is None
+        # run_leased's wrapper, called in the caller's own process (an
+        # inline pool): observations land here, nothing is handed over
+        result, metrics = observed(execute_payload)(_payload("inline"))
+        assert metrics is None
         assert result["config"] == "none"
         assert registry.counter("repro_loops_total").total() > 0
+        assert registry.histogram("repro_executor_task_seconds").count() == 1
 
 
 class TestMetricsOpUnion:

@@ -417,9 +417,12 @@ class TestSweepAndHeartbeat:
                 "info": {"pid": 7}}
         assert ledger.heartbeat("w0", beat) is True
         assert ledger.heartbeat("w0", beat) is False     # replay
-        total = obs_metrics.get_registry().counter(
-            "test_ledger_unique_total").total
+        # merged into the ledger's own registry: a node in this process
+        # drains the default one and would ship the merge straight back
+        total = ledger.metrics.counter("test_ledger_unique_total").total
         assert total() == 5
+        assert "test_ledger_unique_total" \
+            not in obs_metrics.get_registry().to_json()
         assert ledger.heartbeat("w0", dict(beat, seq=2)) is True
         assert total() == 10
         assert ledger.nodes["w0"].info == {"pid": 7}
