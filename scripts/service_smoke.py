@@ -6,7 +6,9 @@ twice, and asserts the second submission is served from the result
 cache without re-analysis (checked through the metrics op); then
 runs a job past its deadline and checks that its late worker was
 killed, leaving the daemon exactly ``JOBS`` worker processes once both
-slots are busy again; then verifies a clean shutdown.
+slots are busy again; then restarts the daemon on the same port and
+checks that the same client object, whose kept connection the old
+daemon closed, submits to the new one; then verifies a clean shutdown.
 
 Usage: PYTHONPATH=src python scripts/service_smoke.py [--port N]
 """
@@ -23,6 +25,14 @@ from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 
 #: the daemon's executor slots (``repro serve -j``)
 JOBS = 2
+
+
+def start_daemon(port, env):
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--port", str(port), "-j", str(JOBS),
+         "--queue-capacity", "8"],
+        env=env)
 
 
 def wait_for_server(client, seconds=30.0):
@@ -66,6 +76,26 @@ def check_deadline_kills_worker(client, server_pid):
     print(f"deadline miss: job timed out, daemon keeps {JOBS} workers")
 
 
+def check_restart_survival(client, server, port, env):
+    """Shut the daemon down, start a new one on the same port, and
+    submit through the same client: its kept connection is dead, so the
+    submit retries once on a fresh socket and reaches the new daemon.
+    Returns the new daemon's process."""
+    assert client.shutdown()["stopping"]
+    assert server.wait(timeout=30) == 0, \
+        f"daemon exited with {server.returncode}"
+    server = start_daemon(port, env)
+    with ServiceClient(port=port) as probe:
+        wait_for_server(probe)
+    again = client.submit({"kind": "probe", "probe": "echo",
+                           "value": "after-restart"}, wait=True,
+                          wait_timeout=60)
+    assert again["state"] == "done", again
+    assert again["result"] == {"echo": "after-restart"}, again
+    print("restart: the same client submitted to the new daemon")
+    return server
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--port", type=int, default=7713)
@@ -75,11 +105,7 @@ def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH", "")) if p)
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--port", str(args.port), "-j", str(JOBS),
-         "--queue-capacity", "8"],
-        env=env)
+    server = start_daemon(args.port, env)
     client = ServiceClient(port=args.port, timeout=120.0)
     failures = []
     try:
@@ -111,6 +137,7 @@ def main():
 
         if os.path.isdir(f"/proc/{server.pid}/task"):
             check_deadline_kills_worker(client, server.pid)
+        server = check_restart_survival(client, server, args.port, env)
     except AssertionError as exc:
         failures.append(str(exc))
     finally:

@@ -607,17 +607,17 @@ def _submit_payload(args) -> dict:
 def cmd_submit(args) -> int:
     import json
     from repro.service.client import ServiceClient, ServiceError
-    client = ServiceClient(host=args.host, port=args.port)
     try:
         payload = _submit_payload(args)
     except OSError as exc:
         print(f"repro submit: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:
-        response = client.submit(payload,
-                                 wait=not args.no_wait,
-                                 deadline=args.timeout,
-                                 wait_timeout=args.timeout)
+        with ServiceClient(host=args.host, port=args.port) as client:
+            response = client.submit(payload,
+                                     wait=not args.no_wait,
+                                     deadline=args.timeout,
+                                     wait_timeout=args.timeout)
     except ServiceError as exc:
         print(f"repro submit: error ({exc.code}): {exc}", file=sys.stderr)
         return 2
@@ -687,15 +687,15 @@ def cmd_fuzz(args) -> int:
 def cmd_svc_status(args) -> int:
     import json
     from repro.service.client import ServiceClient, ServiceError
-    client = ServiceClient(host=args.host, port=args.port)
     try:
-        if args.prometheus:
-            print(client.metrics(format="prometheus")["text"], end="")
-            return 0
-        health = client.health()
-        if args.metrics:
-            health = dict(health)
-            health["metrics"] = client.metrics()["metrics"]
+        with ServiceClient(host=args.host, port=args.port) as client:
+            if args.prometheus:
+                print(client.metrics(format="prometheus")["text"], end="")
+                return 0
+            health = client.health()
+            if args.metrics:
+                health = dict(health)
+                health["metrics"] = client.metrics()["metrics"]
         print(json.dumps(health, indent=2, sort_keys=True))
         return 0
     except ServiceError as exc:
@@ -746,9 +746,9 @@ def cmd_trace_collect(args) -> int:
     else:
         # live: ask the gateway (or daemon) for everything
         from repro.service.client import ServiceClient, ServiceError
-        client = ServiceClient(host=args.host, port=args.port)
         try:
-            export = client.trace_export(trace_id=args.trace_id)
+            with ServiceClient(host=args.host, port=args.port) as client:
+                export = client.trace_export(trace_id=args.trace_id)
         except ServiceError as exc:
             print(f"repro trace-collect: error ({exc.code}): {exc}",
                   file=sys.stderr)

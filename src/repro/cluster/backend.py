@@ -51,30 +51,30 @@ def table2_rows_via_service(host: str = "127.0.0.1",
     in a non-``done`` state.
     """
     benchmarks = benchmarks if benchmarks is not None else all_benchmarks()
-    client = ServiceClient(host, port)
-    submitted = []  # (benchmark name, config kind, job id)
-    for benchmark in benchmarks:
-        for kind in CONFIGS:
-            payload = {"kind": "benchmark", "benchmark": benchmark.name,
-                       "config": kind}
-            if annotations != "hand":
-                payload["annotations_mode"] = annotations
-            response = client.submit(payload, wait=False)
-            submitted.append((benchmark.name, kind, response["job_id"]))
-    _log.info("table2-submitted", jobs=len(submitted),
-              service=f"{host}:{port}")
+    with ServiceClient(host, port) as client:
+        submitted = []  # (benchmark name, config kind, job id)
+        for benchmark in benchmarks:
+            for kind in CONFIGS:
+                payload = {"kind": "benchmark", "benchmark": benchmark.name,
+                           "config": kind}
+                if annotations != "hand":
+                    payload["annotations_mode"] = annotations
+                response = client.submit(payload, wait=False)
+                submitted.append((benchmark.name, kind, response["job_id"]))
+        _log.info("table2-submitted", jobs=len(submitted),
+                  service=f"{host}:{port}")
 
-    outcomes: Dict[str, List[ConfigOutcome]] = {b.name: []
-                                                for b in benchmarks}
-    for name, kind, job_id in submitted:
-        response = client.result(job_id, wait=True,
-                                 wait_timeout=wait_timeout)
-        state = response.get("state")
-        if state != "done" or "result" not in response:
-            raise ServiceError(
-                f"table2 job {job_id} ({name}/{kind}) ended as "
-                f"{state}: {response.get('error', '')}",
-                code=str(state))
-        outcomes[name].append(
-            _outcome_from_summary(kind, response["result"]))
+        outcomes: Dict[str, List[ConfigOutcome]] = {b.name: []
+                                                    for b in benchmarks}
+        for name, kind, job_id in submitted:
+            response = client.result(job_id, wait=True,
+                                     wait_timeout=wait_timeout)
+            state = response.get("state")
+            if state != "done" or "result" not in response:
+                raise ServiceError(
+                    f"table2 job {job_id} ({name}/{kind}) ended as "
+                    f"{state}: {response.get('error', '')}",
+                    code=str(state))
+            outcomes[name].append(
+                _outcome_from_summary(kind, response["result"]))
     return [_assemble_row(b.name, outcomes[b.name]) for b in benchmarks]

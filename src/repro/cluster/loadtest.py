@@ -178,9 +178,9 @@ def _service_stats(host: str, port: int) -> Dict[str, Any]:
     from repro.service.client import ServiceClient
     stats: Dict[str, Any] = {}
     try:
-        client = ServiceClient(host, port)
-        stats["health"] = client.health()
-        flat = client.metrics().get("metrics", {})
+        with ServiceClient(host, port) as client:
+            stats["health"] = client.health()
+            flat = client.metrics().get("metrics", {})
         for key in ("repro_jobs_retried_total",
                     "repro_cluster_steals_total",
                     "repro_cluster_dead_nodes_total",

@@ -58,9 +58,13 @@ class GatewayLink(protocol.Link):
     """One persistent request/response connection to the gateway.
 
     Every executor thread and the heartbeat thread carry their own link,
-    so a long-poll on one never serializes another's reports.  Each
-    request retries once on a fresh socket before raising
-    :class:`GatewayUnreachable`.
+    so a long-poll on one never serializes another's reports.  The
+    retry contract is :class:`~repro.service.protocol.Link`'s: a
+    request retries once on a fresh socket only when a kept connection
+    fails before its reply begins (the gateway restarted between
+    calls); a failed connect or a timeout raises
+    :class:`GatewayUnreachable` at once, and the node's failure budget
+    decides whether to try again.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):

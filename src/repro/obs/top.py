@@ -165,43 +165,44 @@ def run_top(host: str, port: int, interval: float = 2.0,
     stream = stream if stream is not None else sys.stdout
     if ansi is None:
         ansi = bool(getattr(stream, "isatty", lambda: False)())
-    client = ServiceClient(host, port)
     seen_seq = 0
     events: List[Dict[str, Any]] = []
     window: List[Dict[str, Any]] = []
     ever_ok = False
     count = 0
-    while iterations is None or count < iterations:
-        count += 1
-        frame_at = time.time()
-        try:
-            response = client.telemetry(events_since=seen_seq)
-        except Exception as exc:
-            frame = f"repro top — gateway {host}:{port} unreachable: {exc}"
-        else:
-            ever_ok = True
-            snapshot = response.get("snapshot")
-            fresh = response.get("events") or []
-            if fresh:
-                events.extend(fresh)
-                events[:] = events[-64:]
-                seen_seq = max(seen_seq,
-                               max(e.get("seq", 0) for e in fresh))
-            if snapshot:
-                window.append(snapshot)
-                window[:] = window[-150:]
-            frame = render_top(snapshot, events, slo_spec=slo_spec,
-                               window=window, now=frame_at)
-        prefix = _ANSI_FRAME if ansi else ""
-        try:
-            stream.write(prefix + frame + "\n")
-            stream.flush()
-        except (OSError, ValueError):
-            break
-        if iterations is not None and count >= iterations:
-            break
-        try:
-            time.sleep(interval)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            break
+    with ServiceClient(host, port) as client:
+        while iterations is None or count < iterations:
+            count += 1
+            frame_at = time.time()
+            try:
+                response = client.telemetry(events_since=seen_seq)
+            except Exception as exc:
+                frame = (f"repro top — gateway {host}:{port} "
+                         f"unreachable: {exc}")
+            else:
+                ever_ok = True
+                snapshot = response.get("snapshot")
+                fresh = response.get("events") or []
+                if fresh:
+                    events.extend(fresh)
+                    events[:] = events[-64:]
+                    seen_seq = max(seen_seq,
+                                   max(e.get("seq", 0) for e in fresh))
+                if snapshot:
+                    window.append(snapshot)
+                    window[:] = window[-150:]
+                frame = render_top(snapshot, events, slo_spec=slo_spec,
+                                   window=window, now=frame_at)
+            prefix = _ANSI_FRAME if ansi else ""
+            try:
+                stream.write(prefix + frame + "\n")
+                stream.flush()
+            except (OSError, ValueError):
+                break
+            if iterations is not None and count >= iterations:
+                break
+            try:
+                time.sleep(interval)
+            except KeyboardInterrupt:  # pragma: no cover - interactive
+                break
     return 0 if ever_ok else 1

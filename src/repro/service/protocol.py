@@ -87,6 +87,11 @@ def recv_message(sock: socket.socket) -> Dict[str, Any]:
     header = sock.recv(HEADER_SIZE)
     if not header:
         raise ProtocolError("connection closed")  # clean EOF between frames
+    return _finish_frame(sock, header)
+
+
+def _finish_frame(sock: socket.socket, header: bytes) -> Dict[str, Any]:
+    """The rest of a frame whose first header bytes were read."""
     if len(header) < HEADER_SIZE:
         header += _recv_exact(sock, HEADER_SIZE - len(header))
     length = frame_length(header)
@@ -107,7 +112,14 @@ class ThreadedServer:
     response carrying the ``_shutdown``/``_drain``/``_drain_timeout``
     markers (stripped, so they never leak to the client) runs the
     subclass's ``stop(drain=..., drain_timeout=...)`` on its own thread
-    once the reply is sent."""
+    once the reply is sent.
+
+    A stopped server reads no further request on any connection: it
+    tracks its open session sockets and ``_close`` shuts their read
+    side, which wakes a session blocked in ``recv`` and ends it.  A
+    request already being handled still gets its reply.  A kept-alive
+    client therefore sees its connection closed, never an answer from
+    a stopped server."""
 
     def __init__(self, host: str, port: int):
         self.host = host
@@ -116,6 +128,8 @@ class ThreadedServer:
         self._sock: Optional[socket.socket] = None
         self._stop = threading.Event()
         self._threads: list = []
+        self._sessions: set = set()
+        self._sessions_lock = threading.Lock()
 
     def _listen(self) -> Tuple[str, int]:
         self._sock = socket.create_server((self.host, self.port))
@@ -130,9 +144,9 @@ class ThreadedServer:
         self._threads.append(t)
 
     def _close(self) -> None:
-        """Stop accepting and join the threads.  ``shutdown`` before
-        ``close``: ``close`` alone leaves a thread already blocked in
-        ``accept`` asleep on Linux."""
+        """Stop accepting, end every open session and join the threads.
+        ``shutdown`` before ``close``: ``close`` alone leaves a thread
+        already blocked in ``accept`` or ``recv`` asleep on Linux."""
         self._stop.set()
         if self._sock is not None:
             for step in (lambda: self._sock.shutdown(socket.SHUT_RDWR),
@@ -141,6 +155,12 @@ class ThreadedServer:
                     step()
                 except OSError:
                     pass
+        with self._sessions_lock:  # a session closes only once it left
+            for conn in self._sessions:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer reset it already
         for t in self._threads:
             if t is not threading.current_thread():
                 t.join(timeout=5.0)
@@ -159,49 +179,78 @@ class ThreadedServer:
                              daemon=True).start()
 
     def _session(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    request = recv_message(conn)
-                except (OSError, ProtocolError):
-                    return
-                try:
-                    response = self.handle_request(request)
-                except Exception as exc:
-                    response = error_response(
-                        f"{type(exc).__name__}: {exc}", code="internal")
-                shutdown = response.pop("_shutdown", False)
-                stop = {"drain": response.pop("_drain", False),
-                        "drain_timeout": response.pop("_drain_timeout",
-                                                      None)}
-                try:
-                    frame = encode(response)
-                except ProtocolError as exc:
-                    frame = encode(error_response(
-                        f"response too large for one frame: {exc}",
-                        code="oversize"))
-                try:
-                    conn.sendall(frame)
-                except OSError:
-                    return
-                if shutdown:
-                    threading.Thread(target=self.stop, kwargs=stop,
-                                     daemon=True).start()
-                    return
+        with self._sessions_lock:
+            if self._stop.is_set():
+                conn.close()  # accepted as the server stopped
+                return
+            self._sessions.add(conn)
+        try:
+            self._serve(conn)
+        finally:
+            with self._sessions_lock:
+                self._sessions.discard(conn)
+            conn.close()
+
+    def _serve(self, conn: socket.socket) -> None:
+        """Answer requests on one connection, in order, until the peer
+        closes it or the server stops."""
+        while not self._stop.is_set():
+            try:
+                request = recv_message(conn)
+            except (OSError, ProtocolError):
+                return
+            if self._stop.is_set():
+                return  # read as the server stopped: never answered
+            try:
+                response = self.handle_request(request)
+            except Exception as exc:
+                response = error_response(
+                    f"{type(exc).__name__}: {exc}", code="internal")
+            shutdown = response.pop("_shutdown", False)
+            stop = {"drain": response.pop("_drain", False),
+                    "drain_timeout": response.pop("_drain_timeout",
+                                                  None)}
+            try:
+                frame = encode(response)
+            except ProtocolError as exc:
+                frame = encode(error_response(
+                    f"response too large for one frame: {exc}",
+                    code="oversize"))
+            try:
+                conn.sendall(frame)
+            except OSError:
+                return
+            if shutdown:
+                threading.Thread(target=self.stop, kwargs=stop,
+                                 daemon=True).start()
+                return
 
 
 # -- the client side: one persistent connection --------------------------
 
+class _Unanswered(ProtocolError):
+    """The connection failed before any byte of the reply arrived, and
+    not by a timeout."""
+
+
 class Link:
     """A persistent request/response connection to ``host:port``.
 
-    Each request retries once on a fresh socket (the old one may be
-    half-dead) before raising ``error`` — the exception type the owning
-    tier reports unreachable peers with.  Requests are serialized, so a
-    link may be shared across threads.
+    Requests are serialized, so a link may be shared across threads;
+    concurrent callers that must not wait on each other hold one link
+    each.  A failed request raises ``error`` — the exception type the
+    owning tier reports unreachable peers with — and drops the socket,
+    so the next request connects afresh.  The retry contract:
+
+    * a request retries once, on a fresh socket, only when a connection
+      that already carried a request fails before its reply begins —
+      the peer closed or restarted between calls;
+    * a failure on a fresh connection raises at once, and so does any
+      timeout: a request that may still be running on the peer (a
+      ``submit`` waiting for its job) is never sent twice by a timeout.
     """
 
-    def __init__(self, host: str, port: int, timeout: float,
+    def __init__(self, host: str, port: int, timeout: Optional[float],
                  error: Callable[[str], Exception], peer: str):
         self.host = host
         self.port = port
@@ -213,19 +262,33 @@ class Link:
 
     def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         with self._lock:
-            for attempt in (0, 1):
-                try:
-                    if self._sock is None:
-                        self._sock = socket.create_connection(
-                            (self.host, self.port), timeout=self.timeout)
-                    send_message(self._sock, message)
-                    return recv_message(self._sock)
-                except (OSError, ProtocolError) as exc:
-                    self._drop()
-                    if attempt:
-                        raise self._error(
-                            f"{self._peer} {self.host}:{self.port} "
-                            f"unreachable ({exc})") from None
+            try:
+                if self._sock is not None:
+                    try:
+                        return self._exchange(message)
+                    except _Unanswered:
+                        self._drop()  # stale: the peer closed it
+                self._sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.timeout)
+                return self._exchange(message)
+            except (OSError, ProtocolError) as exc:
+                self._drop()
+                raise self._error(
+                    f"{self._peer} {self.host}:{self.port} "
+                    f"unreachable ({exc})") from None
+
+    def _exchange(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """One request and its reply on the open socket."""
+        try:
+            send_message(self._sock, message)
+            header = self._sock.recv(HEADER_SIZE)
+        except TimeoutError:
+            raise
+        except OSError as exc:
+            raise _Unanswered(str(exc)) from None
+        if not header:
+            raise _Unanswered("connection closed")
+        return _finish_frame(self._sock, header)
 
     def _drop(self) -> None:
         if self._sock is not None:

@@ -1,11 +1,16 @@
-"""Framing tests: length-prefixed JSON over real socket pairs."""
+"""Framing tests: length-prefixed JSON over real socket pairs; and
+the client side's retry contract (``protocol.Link``)."""
 
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
 from repro.service import protocol
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.server import ParallelizationServer
 
 
 @pytest.fixture()
@@ -85,3 +90,103 @@ class TestErrors:
     def test_encode_oversize_message(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.encode({"x": "y" * (protocol.MAX_FRAME + 1)})
+
+
+class Unreachable(Exception):
+    pass
+
+
+class SilentListener:
+    """Accepts connections and reads request frames, never replying."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self.sock.getsockname()[1]
+        self.frames = []
+        self._readers = []
+        self._acceptor = threading.Thread(target=self._accept, daemon=True)
+        self._acceptor.start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _addr = self.sock.accept()
+            except OSError:
+                return
+            reader = threading.Thread(target=self._read, args=(conn,),
+                                      daemon=True)
+            reader.start()
+            self._readers.append(reader)
+
+    def _read(self, conn):
+        with conn:
+            while True:
+                try:
+                    self.frames.append(protocol.recv_message(conn))
+                except (OSError, protocol.ProtocolError):
+                    return
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
+        self._acceptor.join(timeout=5)
+        for reader in self._readers:
+            reader.join(timeout=5)
+
+
+class TestLinkRetryContract:
+    def test_timeout_raises_at_once_and_never_resends(self):
+        listener = SilentListener()
+        link = protocol.Link("127.0.0.1", listener.port, 0.3, Unreachable,
+                             "peer")
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(Unreachable, match="timed out"):
+                link.request({"op": "submit", "wait": True})
+            elapsed = time.monotonic() - t0
+        finally:
+            link.close()  # ends the reader's connection
+            listener.close()
+        assert elapsed < 0.55, f"{elapsed:.2f} s: the request was retried"
+        assert listener.frames == [{"op": "submit", "wait": True}]
+
+    def test_client_survives_a_restart_on_the_same_port(self):
+        first = ParallelizationServer(port=0, jobs=1, inline=True)
+        host, port = first.start()
+        client = ServiceClient(host, port)
+        try:
+            assert client.health()["ok"]
+            first.stop()
+            second = ParallelizationServer(port=port, jobs=1, inline=True)
+            second.start()
+            try:
+                done = client.submit({"kind": "probe", "probe": "echo",
+                                      "value": 7}, wait=True,
+                                     wait_timeout=10)
+                assert done["state"] == "done"
+                assert done["result"] == {"echo": 7}
+            finally:
+                second.stop()
+        finally:
+            client.close()
+            first.stop()
+
+    def test_refused_connect_is_one_attempt(self, monkeypatch):
+        closed = socket.socket()
+        closed.bind(("127.0.0.1", 0))  # bound, not listening: refused
+        port = closed.getsockname()[1]
+        connects = []
+        create_connection = socket.create_connection
+
+        def counting(*args, **kwargs):
+            connects.append(args[0])
+            return create_connection(*args, **kwargs)
+
+        monkeypatch.setattr(protocol.socket, "create_connection", counting)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                ServiceClient("127.0.0.1", port, timeout=1.0).health()
+        finally:
+            closed.close()
+        assert excinfo.value.code == "unreachable"
+        assert connects == [("127.0.0.1", port)]

@@ -7,11 +7,14 @@ that need real worker processes use the process pool and skip if the
 sandbox cannot start one.
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.cluster.shardcache import CacheShardServer
+from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobState
 from repro.service.execution import execute_payload
@@ -493,6 +496,112 @@ class TestSocketEndToEnd:
         assert second["result"] == first["result"]
         metrics = client.metrics()["metrics"]
         assert metrics["repro_cache_hits_total"] == 1
+
+
+class Unreachable(Exception):
+    pass
+
+
+class TestKeptConnections:
+    """One client holds one connection, and a stopped server closes it."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: ParallelizationServer(port=0, jobs=1, inline=True),
+        lambda: CacheShardServer(port=0),
+    ], ids=["job-server", "cache-shard"])
+    def test_stopped_server_never_answers_a_kept_connection(self, make):
+        server = make()
+        host, port = server.start()
+        link = protocol.Link(host, port, 5.0, Unreachable, "peer")
+        client = ServiceClient(host, port, timeout=5.0)
+        try:
+            assert link.request({"op": "health"})["ok"]
+            assert client.health()["ok"]
+            server.stop()
+            with pytest.raises(Unreachable):
+                link.request({"op": "health"})
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(_probe(value=1), wait=True)
+            assert excinfo.value.code == "unreachable"
+        finally:
+            link.close()
+            client.close()
+            server.stop()
+
+    @staticmethod
+    def _record_sessions(server):
+        """The threads of the sessions ``server`` opens from now on."""
+        threads = []
+        session = server._session
+
+        def recording(conn):
+            threads.append(threading.current_thread())
+            session(conn)
+
+        server._session = recording
+        return threads
+
+    def test_one_client_opens_one_session(self, make_server):
+        server = make_server(jobs=1)
+        sessions = self._record_sessions(server)
+        client = ServiceClient(*server.address)
+        for i in range(20):
+            done = client.submit(_probe(value=i), wait=True,
+                                 wait_timeout=10)
+            assert done["state"] == "done"
+        assert len(sessions) == 1
+        assert server.metrics.to_json()["repro_cluster_sessions"] == 1
+        client.close()
+        sessions[0].join(timeout=5)
+        assert not sessions[0].is_alive()
+        assert server.metrics.to_json()["repro_cluster_sessions"] == 0
+
+    def test_stop_ends_every_session_under_load(self, make_server):
+        """Sixteen kept connections, half idle in ``recv`` and half busy
+        on a shortened switch interval: ``stop()`` ends every session,
+        and every client then finds the server unreachable."""
+        server = make_server(jobs=1)
+        sessions = self._record_sessions(server)
+        idle = [ServiceClient(*server.address, timeout=5.0)
+                for _ in range(8)]
+        for client in idle:
+            assert client.health()["ok"]
+        codes = []
+        ready = [threading.Event() for _ in range(8)]
+
+        def busy(ready):
+            with ServiceClient(*server.address, timeout=5.0) as client:
+                try:
+                    while True:
+                        client.health()
+                        ready.set()
+                except ServiceError as exc:
+                    codes.append(exc.code)
+
+        threads = [threading.Thread(target=busy, args=(r,)) for r in ready]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            assert all(r.wait(timeout=10) for r in ready)
+            server.stop()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == ["unreachable"] * len(threads)
+        assert len(sessions) >= 16  # a busy client may reconnect mid-stop
+        for t in sessions:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in sessions)
+        assert server.metrics.to_json()["repro_cluster_sessions"] == 0
+        for client in idle:
+            with pytest.raises(ServiceError) as excinfo:
+                client.health()
+            assert excinfo.value.code == "unreachable"
+            client.close()
 
 
 class TestDrain:
