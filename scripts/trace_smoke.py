@@ -9,7 +9,11 @@ real CLI entry point, then asserts:
 2. the per-loop decision records — from the trace's `loopDecisions` AND
    from the sibling `.decisions.jsonl` — reproduce the table's
    `#par-loops` counts exactly per configuration;
-3. both decision sources agree with each other.
+3. both decision sources agree with each other;
+4. every record from both sources keeps the loop-record invariant
+   across the worker export/merge boundary: a loop serial for a
+   legality reason lists that reason first in `blockers`, a parallel,
+   unprofitable or tuning-disabled one lists none.
 
 Usage: PYTHONPATH=src python scripts/trace_smoke.py [--benchmark adm]
 """
@@ -30,6 +34,27 @@ from repro.trace import (count_parallel, read_decisions_jsonl,  # noqa: E402
                          validate_chrome_trace)
 
 CONFIG_KINDS = ("none", "conventional", "annotation")
+#: serial verdicts that are not legality failures (no blockers)
+NOT_LEGALITY = ("unprofitable", "tuning-disabled")
+
+
+def consistent(decision) -> bool:
+    """Does the record's first blocker name its verdict's reason?"""
+    if decision.parallelized or decision.reason in NOT_LEGALITY:
+        return decision.blockers == ()
+    return (bool(decision.blockers) and tuple(decision.blockers[0][:2])
+            == (decision.reason, decision.detail))
+
+
+def check_blockers(decisions, source: str) -> None:
+    """Raise unless every record's blockers agree with its verdict."""
+    bad = [d.describe() for d in decisions if not consistent(d)]
+    if bad:
+        raise SystemExit(f"{source}: blockers disagree with the verdict:"
+                         "\n  " + "\n  ".join(bad))
+    print(f"{source}: {len(decisions)} records, "
+          f"{sum(1 for d in decisions if d.blockers)} with blockers, "
+          "all consistent")
 
 
 def run(benchmark: str) -> None:
@@ -55,8 +80,10 @@ def run(benchmark: str) -> None:
     jsonl = read_decisions_jsonl(decisions_path)
     from_jsonl = count_parallel(jsonl)
     from repro.trace import LoopDecision
-    from_trace = count_parallel(
-        LoopDecision.from_dict(d) for d in trace["loopDecisions"])
+    traced = [LoopDecision.from_dict(d) for d in trace["loopDecisions"]]
+    check_blockers(traced, "loopDecisions")
+    check_blockers(jsonl, "decisions.jsonl")
+    from_trace = count_parallel(traced)
     if from_trace != from_jsonl:
         raise SystemExit(f"loopDecisions {from_trace} != "
                          f"decisions.jsonl {from_jsonl}")

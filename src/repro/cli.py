@@ -120,7 +120,7 @@ def _select_benchmarks(args):
 
 
 def _parallelize_files(args, tolerant: bool = False,
-                       infer_by_default: bool = False, tracer=None):
+                       infer_by_default: bool = False):
     """The Figure-15 pipeline over ``args.files`` (under cProfile when
     ``--profile-top`` asks): ``(result, diagnostics, cProfile text)``."""
     from repro.fortran.fixedform.pipeline import parallelize_files
@@ -132,7 +132,7 @@ def _parallelize_files(args, tolerant: bool = False,
         mode = "inferred"
     (result, diagnostics), cprofile_text = _maybe_cprofile(
         args, parallelize_files, _read_sources(args.files), args.config,
-        mode, annotations, tolerant, tracer)
+        mode, annotations, tolerant)
     return result, diagnostics, cprofile_text
 
 
@@ -144,18 +144,13 @@ def cmd_parallelize(args) -> int:
     """``repro parallelize``: strict by default; ``--tolerant`` ingests
     real-world ``.f`` files via the tolerant fixed-form frontend
     (:mod:`repro.fortran.fixedform`)."""
-    tracer = None
-    if args.explain or args.json:
-        from repro.trace import Tracer
-        tracer = Tracer(label="parallelize")
     result, diagnostics, cprofile_text = _parallelize_files(
-        args, args.tolerant, args.tolerant or args.json, tracer)
+        args, args.tolerant, args.tolerant or args.json)
     report = result.report
     if args.json:
         import json
         from repro.fortran.fixedform.pipeline import render_result
-        print(json.dumps(render_result(result, diagnostics,
-                                       tracer.decisions),
+        print(json.dumps(render_result(result, diagnostics),
                          indent=2, sort_keys=True))
     else:
         from repro.fortran.fixedform import Diagnostic
@@ -172,10 +167,8 @@ def cmd_parallelize(args) -> int:
         else:
             print(result.output, end="")
         if args.explain:
-            for d in tracer.decisions:
+            for d in report.verdicts:
                 print(d.describe(), file=sys.stderr)
-    if args.report:
-        print(report.describe(), file=sys.stderr)
     if args.profile or cprofile_text:
         _print_profile([report], cprofile_text)
     return 0
@@ -284,11 +277,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from repro.polaris.explain import diagnose_program
-    program = _load_program(args.files)
-    for diag in diagnose_program(program):
-        if args.all or not diag.parallel:
-            print(diag.describe())
+    from repro.pipeline import Config, parallelize_program
+    from repro.polaris.explain import describe, rank
+    report = parallelize_program(_load_program(args.files),
+                                 Config("none")).report
+    for decision in rank(report.verdicts):
+        if args.all or not decision.parallelized:
+            print(describe(decision))
     return 0
 
 
@@ -845,8 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parallelize", help="inline, parallelize, reverse")
     add_files(p)
     p.add_argument("--output", "-o", help="output file (default stdout)")
-    p.add_argument("--report", action="store_true",
-                   help="print the per-loop report to stderr")
     p.add_argument("--tolerant", action="store_true",
                    help="ingest real-world fixed-form Fortran: dialect "
                         "constructs (EQUIVALENCE, computed GOTO, ENTRY, "

@@ -84,11 +84,11 @@ def parallelize_files(sources: Dict[str, str],
     return result, diagnostics
 
 
-def render_result(result: PipelineResult, diagnostics: List[dict],
-                  decisions) -> Dict[str, object]:
+def render_result(result: PipelineResult,
+                  diagnostics: List[dict]) -> Dict[str, object]:
     """The JSON-ready mapping described in the module docstring."""
     loops = []
-    for d in decisions:
+    for d in result.report.verdicts:
         rec = d.to_dict()
         rec["explanation"] = d.describe()
         loops.append(rec)
@@ -113,10 +113,10 @@ def parallelize_source(sources: Dict[str, str],
     """:func:`parallelize_files`, rendered by :func:`render_result`.
     The default (``annotation`` + ``inferred``) needs no hand-written
     annotation file, which is the right default for arbitrary ingested
-    programs.
+    programs.  ``tracer`` (a traced service job's) records spans and
+    the same loop records the result renders.
     """
-    tracer = tracer or Tracer(label="parallelize")
     result, diagnostics = parallelize_files(
         sources, config, annotations_mode, annotations_text, tolerant,
         tracer)
-    return render_result(result, diagnostics, tracer.decisions)
+    return render_result(result, diagnostics)

@@ -3,7 +3,7 @@
 The up-front pipelines pay the inlining cost everywhere; demand-driven
 inlining pays it only where the analyzer needs it.  The Polaris driver
 carries a :class:`DemandInliner`; when legality analysis of a candidate
-loop fails on an opaque CALL (:class:`~repro.polaris.report.LoopVerdict`
+loop fails on an opaque CALL (:class:`~repro.trace.LoopDecision`
 reason ``call``), it asks the inliner to *resolve* that callee inside
 the loop, then re-analyzes.  Resolution prefers the cheap summary:
 

@@ -332,7 +332,7 @@ def _paper_divergence(data: DashboardData) -> str:
 def _decision_rows(decisions: List[LoopDecision]) -> str:
     rows = []
     for d in decisions:
-        verdict = ("PARALLEL" if d.parallel else
+        verdict = ("PARALLEL" if d.parallelized else
                    f"serial: {d.reason}"
                    + (f" ({d.detail})" if d.detail else ""))
         clauses = []

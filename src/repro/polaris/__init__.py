@@ -8,4 +8,4 @@ Public entry point: :class:`repro.polaris.driver.Polaris`.
 """
 
 from repro.polaris.driver import Polaris, PolarisOptions  # noqa: F401
-from repro.polaris.report import LoopVerdict, Report  # noqa: F401
+from repro.polaris.report import Report  # noqa: F401

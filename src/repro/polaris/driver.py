@@ -22,9 +22,11 @@ The driver mutates the program in place and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional
 
-from repro.analysis.dependence import DependenceTester, TestStats
+from repro.analysis.defuse import collect_accesses
+from repro.analysis.dependence import DependenceTester
 from repro.analysis.loops import assign_origins
 from repro.analysis.normalize import normalize_unit
 from repro.analysis.loops import LoopInfo
@@ -34,18 +36,17 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.profile import FAMILIES, accumulate_test_stats
 from repro.polaris.parallelizer import LegalityAnalyzer
 from repro.polaris.profitability import ProfitabilityPolicy
-from repro.polaris.report import LoopVerdict, Report
+from repro.polaris.report import Report
 from repro.program import Program
-from repro.trace import NULL_TRACER, LoopDecision, Tracer
+from repro.trace import NULL_TRACER, Tracer
 
 #: TestStats counters recorded as per-loop dependence-test deltas
 _STAT_FIELDS = ("ziv_independent", "gcd_independent",
                 "banerjee_independent", "exact_independent",
                 "assumed_dependent", "cache_hits")
 
-
-def _stats_snapshot(stats: TestStats) -> tuple:
-    return tuple(getattr(stats, name) for name in _STAT_FIELDS)
+#: ``_stats_snapshot(stats)``: the _STAT_FIELDS counters, as a tuple
+_stats_snapshot = attrgetter(*_STAT_FIELDS)
 
 
 def _stats_delta(before: tuple, after: tuple) -> Dict[str, int]:
@@ -188,42 +189,35 @@ class Polaris:
                   report: Report, process,
                   tracer: Tracer = NULL_TRACER) -> ast.Stmt:
         info = LoopInfo(loop, list(enclosing))
-        traced = tracer.enabled
-        if traced:
-            stats_before = _stats_snapshot(state.tester.stats)
-        verdict = state.analyzer.analyze(info)
+        stats_before = _stats_snapshot(state.tester.stats)
+        acc = collect_accesses(loop.body, state.table)
+        decision = state.analyzer.analyze(info, acc)
         if self.demand is not None:
             for _ in range(_MAX_DEMAND_RETRIES):
-                if verdict.parallelized or verdict.reason != "call" \
-                        or not verdict.detail:
+                if decision.reason != "call" or not decision.detail:
                     break
                 if not self.demand.resolve(state.program, state.unit, loop,
-                                           verdict.detail, tracer):
+                                           decision.detail, tracer):
                     break
                 state.refresh()
                 info = LoopInfo(loop, list(enclosing))
-                verdict = state.analyzer.analyze(info)
-        origin = info.origin
-        if verdict.parallelized and origin in self.options.disabled_origins:
-            verdict = replace_verdict(verdict, False, "tuning-disabled")
-        profitability = "not-evaluated"
-        if verdict.parallelized:
-            if policy.profitable(loop, state.table):
-                profitability = "profitable"
+                acc = collect_accesses(loop.body, state.table)
+                decision = state.analyzer.analyze(info, acc)
+        if decision.parallelized \
+                and info.origin in self.options.disabled_origins:
+            decision.parallelized = False
+            decision.reason = "tuning-disabled"
+        if decision.parallelized:
+            if policy.profitable(loop, acc):
+                decision.profitability = "profitable"
             else:
-                profitability = "unprofitable"
-                verdict = replace_verdict(verdict, False, "unprofitable")
-        report.add(verdict)
-        if traced:
-            tracer.decision(LoopDecision(
-                unit=verdict.unit, var=verdict.var, origin=origin,
-                parallel=verdict.parallelized, reason=verdict.reason,
-                detail=verdict.detail, private=tuple(verdict.private),
-                reductions=tuple(verdict.reductions),
-                profitability=profitability,
-                dep_tests=_stats_delta(
-                    stats_before,
-                    _stats_snapshot(state.tester.stats))))
+                decision.profitability = "unprofitable"
+                decision.parallelized = False
+                decision.reason = "unprofitable"
+        decision.dep_tests = _stats_delta(
+            stats_before, _stats_snapshot(state.tester.stats))
+        report.add(decision)
+        tracer.decision(decision)
 
         inner_body = (process(loop.body, enclosing + [loop])
                       if self.options.parallelize_nested
@@ -231,13 +225,7 @@ class Polaris:
         new_loop = ast.copy_loop_meta(loop, ast.DoLoop(
             loop.var, loop.start, loop.stop, loop.step, inner_body,
             loop.label, loop.term_label))
-        if not verdict.parallelized:
+        if not decision.parallelized:
             return new_loop
-        return ast.OmpParallelDo(new_loop, private=verdict.private,
-                                 reductions=verdict.reductions)
-
-
-def replace_verdict(v: LoopVerdict, parallelized: bool,
-                    reason: str) -> LoopVerdict:
-    return LoopVerdict(v.origin, v.unit, v.var, parallelized, reason,
-                       private=v.private, reductions=v.reductions)
+        return ast.OmpParallelDo(new_loop, private=decision.private,
+                                 reductions=decision.reductions)

@@ -1,231 +1,71 @@
-"""Loop-by-loop dependence diagnosis.
+"""Why loops stay serial: ranking and rendering of the driver's records.
 
-The parallelizer's verdicts stop at the *first* blocking problem; this
-module answers the developer question "everything that keeps this loop
-serial", which is how one decides where an annotation would pay off:
-
-* every pair of array references with an unresolved carried dependence,
-  classified flow/anti/output, with the subscript expressions;
-* every scalar with cross-iteration flow or uncomputable last value;
-* every opaque call / I/O statement / control-flow obstacle.
-
-``diagnose_program`` aggregates the diagnoses of all serial loops,
-sorted so the most annotation-amenable candidates (blocked only by
-calls) come first — the workflow the paper's Section III-B implies.
+``repro diagnose`` answers the developer question "everything that
+keeps this loop serial" from the :class:`~repro.trace.LoopDecision`
+records the driver itself produced — the legality analysis records
+every blocker, not only the first — so the explanation cannot disagree
+with the verdict.  Loops blocked only by opaque calls, where an
+annotation would pay off, come first: the workflow the paper's Section
+III-B implies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
-from repro.analysis.defuse import collect_accesses
-from repro.analysis.loops import LoopInfo, iter_loops, loop_ctx
-from repro.analysis.privatization import (ScalarClass, array_privatizable,
-                                          classify_scalars)
-from repro.analysis.reductions import find_reductions
-from repro.analysis.sideeffects import compute_summaries
-from repro.fortran import ast
-from repro.fortran.unparser import expr_to_str
-from repro.polaris.parallelizer import LegalityAnalyzer, _ArrayRefSite
-from repro.program import Program
-from repro.trace import NULL_TRACER, Tracer
+from repro.trace.decisions import LoopDecision
 
-
-@dataclass(frozen=True)
-class DependenceEdge:
-    array: str
-    kind: str  # 'flow' | 'anti' | 'output'
-    source: str  # rendered reference text
-    sink: str
-
-    def describe(self) -> str:
-        return (f"{self.kind} dependence on {self.array}: "
-                f"{self.source} -> {self.sink}")
+#: one line per blocker reason (``{detail}`` is the offending symbol)
+_TEXT = {
+    "control-flow": "unstructured control flow ({detail})",
+    "io": "program I/O in the loop body",
+    "unanalyzable": "unanalyzable access ({detail})",
+    "equivalence": "{detail} is storage-associated via EQUIVALENCE",
+    "index-modified": "loop index {detail} is assigned in the body",
+    "call": "opaque call to {detail}",
+    "scalar-dep": "scalar {detail} carries values across iterations "
+                  "(or has no computable last value)",
+    "unprofitable": "unprofitable (too few iterations or no memory "
+                    "traffic)",
+    "tuning-disabled": "kept serial by empirical tuning",
+}
 
 
-@dataclass
-class LoopDiagnosis:
-    unit: str
-    var: str
-    origin: Optional[str]
-    parallel: bool
-    obstacles: List[str] = field(default_factory=list)
-    dependences: List[DependenceEdge] = field(default_factory=list)
-    #: names of procedures whose annotation would remove an obstacle
-    annotation_candidates: List[str] = field(default_factory=list)
-
-    def describe(self) -> str:
-        head = f"{self.unit}: DO {self.var}"
-        if self.parallel:
-            return f"{head}: parallelizable"
-        lines = [f"{head}: serial"]
-        lines += [f"  - {o}" for o in self.obstacles]
-        lines += [f"  - {d.describe()}" for d in self.dependences]
-        if self.annotation_candidates:
-            lines.append("  annotation candidates: "
-                         + ", ".join(self.annotation_candidates))
-        return "\n".join(lines)
+def annotation_candidates(decision: LoopDecision) -> List[str]:
+    """Procedures whose annotation would remove a blocker."""
+    return [detail for reason, detail, _ in decision.blockers
+            if reason == "call"]
 
 
-def diagnose_loop(program: Program, unit: ast.ProgramUnit,
-                  info: LoopInfo,
-                  summaries=None,
-                  tracer: Optional[Tracer] = None) -> LoopDiagnosis:
-    """Exhaustive diagnosis of one loop (does not stop at the first
-    obstacle, unlike the legality analyzer)."""
-    tracer = tracer or NULL_TRACER
-    with tracer.span(f"diagnose {unit.name}/{info.loop.var}",
-                     cat="diagnosis"):
-        diag = _diagnose_loop(program, unit, info, summaries)
-    if tracer.enabled:
-        tracer.instant(f"diagnosis {unit.name}/{info.loop.var}",
-                       cat="diagnosis", parallel=diag.parallel,
-                       obstacles=len(diag.obstacles),
-                       dependences=len(diag.dependences))
-    return diag
+def _line(reason: str, detail: str, witness: str) -> str:
+    if reason == "array-dep":
+        # witness: "<kind> <source> -> <sink>"
+        kind, _, pair = witness.partition(" ")
+        return f"{kind} dependence on {detail}: {pair}"
+    return _TEXT[reason].format(detail=detail)
 
 
-def _diagnose_loop(program: Program, unit: ast.ProgramUnit,
-                   info: LoopInfo, summaries=None) -> LoopDiagnosis:
-    table = program.symtab(unit)
-    summaries = summaries or compute_summaries(program)
-    analyzer = LegalityAnalyzer(table, summaries)
-    loop = info.loop
-    diag = LoopDiagnosis(unit.name, loop.var, info.origin, False)
-
-    acc = collect_accesses(loop.body, table)
-    if acc.has_goto:
-        diag.obstacles.append("unstructured control flow (GOTO)")
-    if acc.has_stop:
-        diag.obstacles.append("possible early termination (STOP)")
-    if acc.has_io:
-        diag.obstacles.append("program I/O in the loop body")
-    if acc.has_opaque:
-        diag.obstacles.append(
-            "unanalyzable statement in the body (ENTRY or unlowered text)")
-    for name in sorted(acc.unanalyzable):
-        diag.obstacles.append(
-            f"unanalyzable access to {name} (substring or assigned label)")
-    for name in sorted(set(acc.scalar_reads) | set(acc.scalar_writes)
-                       | {a for a, _, _ in acc.array_accesses}):
-        v = table.declared(name)
-        if v is not None and v.equivalenced:
-            diag.obstacles.append(
-                f"{name} is storage-associated via EQUIVALENCE")
-
-    # calls
-    for s in ast.walk_stmts(loop.body):
-        if isinstance(s, ast.CallStmt):
-            summary = summaries.get(s.name.upper())
-            if summary is None or not summary.pure:
-                diag.obstacles.append(
-                    f"opaque call to {s.name.upper()}")
-                diag.annotation_candidates.append(s.name.upper())
-
-    # scalars
-    classes = classify_scalars(loop.body, table)
-    reductions = find_reductions(loop.body, table)
-    inner_indices = {s.var.upper() for s in ast.walk_stmts(loop.body)
-                     if isinstance(s, ast.DoLoop)}
-    for name, cls in sorted(classes.items()):
-        if name not in acc.scalar_writes or name in reductions \
-                or name in inner_indices:
-            continue
-        if cls is ScalarClass.READ_FIRST:
-            diag.obstacles.append(
-                f"scalar {name} carries values across iterations")
-        elif cls is ScalarClass.CONDITIONAL_WRITE:
-            diag.obstacles.append(
-                f"scalar {name} is conditionally assigned (no "
-                f"computable last value)")
-
-    # arrays: enumerate every unresolved pair
-    sites = analyzer._array_sites(loop.body)
-    loops_ctx = [loop_ctx(lp) for lp in info.enclosing] + [loop_ctx(loop)]
-    for array, refs in sorted(sites.items()):
-        if not any(r.is_write for r in refs):
-            continue
-        edges = _pair_edges(analyzer, array, refs, info, loops_ctx)
-        if edges and array_privatizable(array, loop.body, table,
-                                        loop_var=loop.var):
-            continue  # resolved by privatization
-        diag.dependences.extend(edges)
-
-    diag.parallel = not diag.obstacles and not diag.dependences
-    # deduplicate candidates, preserving order
-    seen = set()
-    diag.annotation_candidates = [
-        c for c in diag.annotation_candidates
-        if not (c in seen or seen.add(c))]
-    return diag
+def describe(decision: LoopDecision) -> str:
+    """``UNIT: DO V: serial`` and one ``  - …`` line per blocker, or
+    ``UNIT: DO V: parallelizable``."""
+    head = f"{decision.unit}: DO {decision.var}"
+    if decision.parallelized:
+        return f"{head}: parallelizable"
+    blockers = decision.blockers or ((decision.reason, decision.detail, ""),)
+    lines = [f"{head}: serial"] + [f"  - {_line(*b)}" for b in blockers]
+    candidates = annotation_candidates(decision)
+    if candidates:
+        lines.append("  annotation candidates: " + ", ".join(candidates))
+    return "\n".join(lines)
 
 
-def _pair_edges(analyzer: LegalityAnalyzer, array: str,
-                refs: List[_ArrayRefSite], info: LoopInfo,
-                loops_ctx) -> List[DependenceEdge]:
-    edges: List[DependenceEdge] = []
-    lvar = info.loop.var.upper()
-    rank = analyzer._declared_rank(array)
-    forms = [analyzer._affine_forms(r, info, rank) for r in refs]
-    for i in range(len(refs)):
-        for j in range(i, len(refs)):
-            if not (refs[i].is_write or refs[j].is_write):
-                continue
-            dirs = {lp.var: "=" for lp in info.enclosing}
-            dirs[lvar] = "<"
-            for lp in refs[i].inner_loops + refs[j].inner_loops:
-                dirs[lp.var.upper()] = "*"
-            seen_ids = set()
-            inner = [lp for lp in refs[i].inner_loops + refs[j].inner_loops
-                     if id(lp) not in seen_ids and not seen_ids.add(id(lp))]
-            all_loops = loops_ctx + [loop_ctx(lp) for lp in inner]
-            # each direction is a distinct dependence with its own kind:
-            # source executes in the earlier iteration
-            if analyzer.tester.may_depend(forms[i], forms[j],
-                                          all_loops, dirs):
-                edges.append(DependenceEdge(
-                    array, _kind(refs[i], refs[j]),
-                    _render(array, refs[i]), _render(array, refs[j])))
-            if i != j and analyzer.tester.may_depend(forms[j], forms[i],
-                                                     all_loops, dirs):
-                edges.append(DependenceEdge(
-                    array, _kind(refs[j], refs[i]),
-                    _render(array, refs[j]), _render(array, refs[i])))
-    return edges
-
-
-def _kind(a: _ArrayRefSite, b: _ArrayRefSite) -> str:
-    if a.is_write and b.is_write:
-        return "output"
-    return "flow" if a.is_write else "anti"
-
-
-def _render(array: str, site: _ArrayRefSite) -> str:
-    if not site.subs:
-        return array
-    return f"{array}({','.join(expr_to_str(s) for s in site.subs)})"
-
-
-def diagnose_program(program: Program,
-                     tracer: Optional[Tracer] = None) -> List[LoopDiagnosis]:
-    """Diagnoses for every loop in the program, annotation-amenable
-    serial loops first."""
-    tracer = tracer or NULL_TRACER
-    with tracer.span("diagnose-program", cat="diagnosis"):
-        with tracer.span("summaries", cat="diagnosis"):
-            summaries = compute_summaries(program)
-        out: List[LoopDiagnosis] = []
-        for unit in program.units:
-            for info in iter_loops(unit.body):
-                out.append(diagnose_loop(program, unit, info, summaries,
-                                         tracer))
-
-    def rank(d: LoopDiagnosis) -> Tuple[int, int]:
-        if d.parallel:
+def rank(decisions: Iterable[LoopDecision]) -> List[LoopDecision]:
+    """Call-blocked serial loops first, then other serial loops (fewest
+    blockers first), then parallel ones; program order within a tie."""
+    def key(d: LoopDecision) -> Tuple[int, int]:
+        if d.parallelized:
             return (2, 0)
-        if d.annotation_candidates and not d.dependences:
-            return (0, len(d.obstacles))
-        return (1, len(d.obstacles) + len(d.dependences))
-
-    return sorted(out, key=rank)
+        only_calls = d.blockers and all(reason == "call"
+                                        for reason, _, _ in d.blockers)
+        return (0 if only_calls else 1, len(d.blockers))
+    return sorted(decisions, key=key)

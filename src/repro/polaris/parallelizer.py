@@ -17,16 +17,18 @@ For a candidate loop ``L`` the analyzer checks, in order:
    inner '*')`` direction constraint in both orders; arrays with surviving
    carried dependences must pass the kill analysis (privatization).
 
-The verdict carries the failure reason so reports can explain Table II.
+A failing check does not stop the analysis: every blocker is recorded,
+in this order, so the report can explain Table II and ``repro
+diagnose`` can list everything that keeps a loop serial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.affine import AffineForm, extract
-from repro.analysis.defuse import collect_accesses
+from repro.analysis.defuse import AccessSet
 from repro.analysis.dependence import DependenceTester, LoopCtx
 from repro.analysis.loops import LoopInfo, loop_ctx
 from repro.analysis.privatization import (ScalarClass, array_privatizable,
@@ -36,8 +38,12 @@ from repro.analysis.sideeffects import Summary
 from repro.fortran import ast
 from repro.fortran.intrinsics import is_intrinsic
 from repro.fortran.symbols import SymbolTable
+from repro.fortran.unparser import expr_to_str
 from repro.naming import is_capture_array
-from repro.polaris.report import LoopVerdict
+from repro.trace.decisions import LoopDecision
+
+#: one legality failure: ``(reason, detail, witness)``
+Blocker = Tuple[str, str, str]
 
 
 @dataclass
@@ -55,49 +61,57 @@ class LegalityAnalyzer:
     tester: DependenceTester = field(default_factory=DependenceTester)
 
     # ------------------------------------------------------------------
-    def analyze(self, info: LoopInfo) -> LoopVerdict:
+    def analyze(self, info: LoopInfo, acc: AccessSet) -> LoopDecision:
+        """The loop's decision record as far as legality goes: every
+        blocker, the first one as ``reason``/``detail``, and the clauses
+        of a legal loop (``acc``: the accesses of the loop body)."""
+        private: List[str] = []
+        red_clauses: List[Tuple[str, str]] = []
+        blockers = tuple(self.blockers(info, acc, private, red_clauses))
+        decision = LoopDecision(self.table.unit_name, info.loop.var,
+                                info.origin, not blockers,
+                                blockers=blockers)
+        if blockers:
+            decision.reason, decision.detail = blockers[0][:2]
+        else:
+            decision.private = tuple(private)
+            decision.reductions = tuple(red_clauses)
+        return decision
+
+    def blockers(self, info: LoopInfo, acc: AccessSet, private: List[str],
+                 red_clauses: List[Tuple[str, str]]) -> Iterator[Blocker]:
+        """Every reason ``info.loop`` cannot run in parallel, in check
+        order; appends the PRIVATE and REDUCTION clauses the loop needs
+        to ``private`` and ``red_clauses``."""
         loop = info.loop
         body = loop.body
-
-        def fail(reason: str, detail: str = "") -> LoopVerdict:
-            return LoopVerdict(info.origin, self.table.unit_name, loop.var,
-                               False, reason, detail)
-
-        acc = collect_accesses(body, self.table)
         if acc.has_goto:
-            return fail("control-flow", "GOTO")
+            yield ("control-flow", "GOTO", "")
         if acc.has_stop:
-            return fail("control-flow", "STOP")
-        for s in ast.walk_stmts(body):
-            if isinstance(s, ast.Return):
-                return fail("control-flow", "RETURN")
+            yield ("control-flow", "STOP", "")
+        if any(isinstance(s, ast.Return) for s in ast.walk_stmts(body)):
+            yield ("control-flow", "RETURN", "")
         if acc.has_io:
-            return fail("io")
+            yield ("io", "", "")
         if acc.has_opaque:
-            return fail("unanalyzable",
-                        "unlowered statement or ENTRY point in body")
-        if acc.unanalyzable:
-            return fail("unanalyzable", sorted(acc.unanalyzable)[0])
-        equivalenced = self._equivalenced_access(acc)
-        if equivalenced:
-            return fail("equivalence", equivalenced)
+            yield ("unanalyzable",
+                   "unlowered statement or ENTRY point in body", "")
+        for name in sorted(acc.unanalyzable):
+            yield ("unanalyzable", name, "")
+        for name in self._equivalenced_accesses(acc):
+            yield ("equivalence", name, "")
         if loop.var.upper() in acc.scalar_writes:
-            return fail("index-modified", loop.var)
-
-        bad_call = self._check_calls(body)
-        if bad_call:
-            return fail("call", bad_call)
+            yield ("index-modified", loop.var, "")
+        for name in self._impure_calls(body):
+            yield ("call", name, "")
 
         # scalars --------------------------------------------------------
         classes = classify_scalars(body, self.table)
         reductions = find_reductions(body, self.table)
-        private: List[str] = []
-        red_clauses: List[Tuple[str, str]] = []
         inner_indices = {s.var.upper() for s in ast.walk_stmts(body)
                          if isinstance(s, ast.DoLoop)}
         for name, cls in sorted(classes.items()):
-            written = self._scalar_written(name, acc)
-            if not written:
+            if name not in acc.scalar_writes:
                 continue
             if name in reductions:
                 red_clauses.append((reductions[name], name))
@@ -106,7 +120,7 @@ class LegalityAnalyzer:
             else:
                 # READ_FIRST (cross-iteration flow) and CONDITIONAL_WRITE
                 # (no computable last value) both keep the loop serial
-                return fail("scalar-dep", name)
+                yield ("scalar-dep", name, "")
 
         # arrays ---------------------------------------------------------
         sites = self._array_sites(body)
@@ -120,45 +134,41 @@ class LegalityAnalyzer:
                 # block, dead afterwards
                 private.append(array)
                 continue
-            if self._carried(array, refs, info, loops_ctx):
+            witness = self._carried(array, refs, info, loops_ctx)
+            if witness:
                 if array_privatizable(array, body, self.table,
                                       loop_var=loop.var):
                     private.append(array)
                 else:
-                    return fail("array-dep", array)
-
-        return LoopVerdict(info.origin, self.table.unit_name, loop.var, True,
-                           private=tuple(private),
-                           reductions=tuple(red_clauses))
+                    yield ("array-dep", array, witness)
 
     # ------------------------------------------------------------------
-    def _check_calls(self, body: Sequence[ast.Stmt]) -> Optional[str]:
+    def _impure_calls(self, body: Sequence[ast.Stmt]) -> Iterator[str]:
+        """Each called procedure not proven side-effect-free, once:
+        CALL statements first, then function references."""
+        calls: List[str] = []
+        funcs: List[str] = []
         for s in ast.walk_stmts(body):
             if isinstance(s, ast.CallStmt):
-                summary = self.summaries.get(s.name.upper())
-                if summary is None or not summary.pure:
-                    return s.name.upper()
-        for e in ast.walk_all_exprs(body):
-            if isinstance(e, ast.FuncRef) and not is_intrinsic(e.name):
-                summary = self.summaries.get(e.name.upper())
-                if summary is None or not summary.pure:
-                    return e.name.upper()
-        return None
+                calls.append(s.name)
+            for e in ast.stmt_exprs(s):
+                funcs += [n.name for n in ast.walk_expr(e)
+                          if isinstance(n, ast.FuncRef)
+                          and not is_intrinsic(n.name)]
+        for name in dict.fromkeys(n.upper() for n in calls + funcs):
+            summary = self.summaries.get(name)
+            if summary is None or not summary.pure:
+                yield name
 
-    def _scalar_written(self, name: str, acc) -> bool:
-        return name in acc.scalar_writes
-
-    def _equivalenced_access(self, acc) -> Optional[str]:
-        """First accessed name that is storage-associated via EQUIVALENCE
+    def _equivalenced_accesses(self, acc) -> List[str]:
+        """Accessed names that are storage-associated via EQUIVALENCE
         (aliasing makes the per-array dependence model unsound)."""
         accessed = (set(acc.scalar_reads) | set(acc.scalar_writes)
                     | {name for name, _, _ in acc.array_accesses}
                     | set(acc.call_args))
-        for name in sorted(accessed):
-            v = self.table.declared(name)
-            if v is not None and v.equivalenced:
-                return name
-        return None
+        return [name for name in sorted(accessed)
+                if (v := self.table.declared(name)) is not None
+                and v.equivalenced]
 
     # ------------------------------------------------------------------
     def _array_sites(
@@ -222,8 +232,10 @@ class LegalityAnalyzer:
 
     # ------------------------------------------------------------------
     def _carried(self, array: str, refs: List[_ArrayRefSite], info: LoopInfo,
-                 loops_ctx: List[LoopCtx]) -> bool:
-        """Does loop ``info.loop`` carry a dependence among ``refs``?"""
+                 loops_ctx: List[LoopCtx]) -> str:
+        """The first dependence among ``refs`` that loop ``info.loop``
+        may carry, as ``"<kind> <source> -> <sink>"`` (the source runs in
+        the earlier iteration), or ``""`` when it carries none."""
         lvar = info.loop.var.upper()
         forms: List[Optional[List[Optional[AffineForm]]]] = []
         rank = self._declared_rank(array)
@@ -249,11 +261,11 @@ class LegalityAnalyzer:
                         inner_unique.append(lp)
                 all_loops = loops_ctx + [loop_ctx(lp) for lp in inner_unique]
                 if self.tester.may_depend(forms[i], forms[j], all_loops, dirs):
-                    return True
+                    return _witness(array, refs[i], refs[j])
                 if i != j and self.tester.may_depend(
                         forms[j], forms[i], all_loops, dirs):
-                    return True
-        return False
+                    return _witness(array, refs[j], refs[i])
+        return ""
 
     def _declared_rank(self, array: str) -> int:
         infov = self.table.info(array)
@@ -277,3 +289,15 @@ class LegalityAnalyzer:
             else:
                 out.append(extract(sub, index_vars))
         return out
+
+
+def _witness(array: str, source: _ArrayRefSite, sink: _ArrayRefSite) -> str:
+    kind = ("output" if sink.is_write else "flow") if source.is_write \
+        else "anti"
+    return f"{kind} {_render(array, source)} -> {_render(array, sink)}"
+
+
+def _render(array: str, site: _ArrayRefSite) -> str:
+    if not site.subs:
+        return array
+    return f"{array}({','.join(expr_to_str(s) for s in site.subs)})"

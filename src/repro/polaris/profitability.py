@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.defuse import collect_accesses
+from repro.analysis.defuse import AccessSet
 from repro.analysis.loops import trip_count
 from repro.fortran import ast
-from repro.fortran.symbols import SymbolTable
 
 
 @dataclass(frozen=True)
@@ -23,11 +22,11 @@ class ProfitabilityPolicy:
     #: minimum known trip count worth parallelizing
     min_trip_count: int = 4
 
-    def profitable(self, loop: ast.DoLoop, table: SymbolTable) -> bool:
+    def profitable(self, loop: ast.DoLoop, acc: AccessSet) -> bool:
+        """``acc``: the accesses of ``loop``'s body."""
         trips = trip_count(loop)
         if trips is not None and trips < self.min_trip_count:
             return False
-        acc = collect_accesses(loop.body, table)
         if not acc.array_accesses and not acc.has_call:
             return False
         return True

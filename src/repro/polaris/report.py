@@ -1,7 +1,8 @@
 """Parallelization reports.
 
-A :class:`Report` records one verdict per analyzed loop: whether it was
-parallelized and, if not, the first legality reason that failed.  The
+A :class:`Report` records one :class:`~repro.trace.LoopDecision` per
+analyzed loop: whether it was parallelized and, if not, the first
+legality reason that failed (plus every other blocker).  The
 Table II harness diffs reports across inlining configurations to compute
 ``#par-loops`` / ``#par-loss`` / ``#par-extra`` exactly the way the paper
 counts them: per *original* loop (origin identity), so a loop duplicated
@@ -11,24 +12,9 @@ by inlining counts once no matter how many copies were parallelized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-
-@dataclass
-class LoopVerdict:
-    origin: Optional[str]
-    unit: str
-    var: str
-    parallelized: bool
-    reason: str = ""          # failure reason ('' when parallelized)
-    detail: str = ""          # offending variable/procedure, if any
-    private: tuple = ()
-    reductions: tuple = ()
-
-    def describe(self) -> str:
-        state = "PARALLEL" if self.parallelized else \
-            f"serial ({self.reason}{': ' + self.detail if self.detail else ''})"
-        return f"{self.unit}: DO {self.var} [{self.origin}] -> {state}"
+from repro.trace.decisions import LoopDecision
 
 
 #: canonical display order of the pipeline's timed phases
@@ -46,7 +32,7 @@ def merge_timings(into: Dict[str, float],
 
 @dataclass
 class Report:
-    verdicts: List[LoopVerdict] = field(default_factory=list)
+    verdicts: List[LoopDecision] = field(default_factory=list)
     #: per-phase wall-clock seconds (keys from PHASES), filled by the
     #: driver and the experiment pipeline, shown by the CLI's --profile
     timings: Dict[str, float] = field(default_factory=dict)
@@ -54,7 +40,7 @@ class Report:
     #: tester (TestStats field -> count), shown by --profile
     test_stats: Dict[str, int] = field(default_factory=dict)
 
-    def add(self, v: LoopVerdict) -> None:
+    def add(self, v: LoopDecision) -> None:
         self.verdicts.append(v)
 
     def parallel_origins(self) -> Set[str]:
@@ -74,15 +60,6 @@ class Report:
             if not v.parallelized:
                 out[v.reason] = out.get(v.reason, 0) + 1
         return out
-
-    def verdict_for(self, origin: str) -> Optional[LoopVerdict]:
-        best: Optional[LoopVerdict] = None
-        for v in self.verdicts:
-            if v.origin == origin:
-                if v.parallelized:
-                    return v
-                best = best or v
-        return best
 
     def describe(self) -> str:
         return "\n".join(v.describe() for v in self.verdicts)

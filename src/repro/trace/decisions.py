@@ -1,11 +1,14 @@
-"""Per-loop decision records — the trace counterpart of
-:class:`repro.polaris.report.LoopVerdict`.
+"""Per-loop decision records — the one record of a loop's fate.
 
 A :class:`LoopDecision` captures everything the driver knew when it
-decided a loop's fate: the legality verdict (with the failing reason and
-offending symbol), which dependence tests fired while analyzing the loop
-(a delta of the tester's :class:`~repro.analysis.dependence.TestStats`),
-the privatization/reduction clauses, and the profitability outcome.  The
+decided a loop's fate: the legality verdict (the first failing reason
+and offending symbol, plus every blocker the legality analysis found),
+which dependence tests fired while analyzing the loop (a delta of the
+tester's :class:`~repro.analysis.dependence.TestStats`), the
+privatization/reduction clauses, and the profitability outcome.  The
+driver appends the same object to
+:attr:`repro.polaris.report.Report.verdicts` and hands it to the tracer;
+``repro diagnose`` renders it (:mod:`repro.polaris.explain`).  The
 pipeline stamps each record with the benchmark, the inlining
 configuration, and whether the loop's unit is execution-reachable —
 exactly the information needed to recompute the paper's ``#par-loops``
@@ -19,9 +22,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-#: profitability outcomes recorded by the driver
-PROFITABILITY_OUTCOMES = ("profitable", "unprofitable", "not-evaluated")
-
 #: actions a call site can receive from demand-driven inlining
 SITE_ACTIONS = ("annotation", "body", "fallback")
 
@@ -33,9 +33,16 @@ class LoopDecision:
     unit: str
     var: str
     origin: Optional[str]
-    parallel: bool
+    #: the final verdict (serialised under the key ``"parallel"``)
+    parallelized: bool
     reason: str = ""                   # failure reason ('' when parallel)
     detail: str = ""                   # offending symbol/procedure
+    #: every legality blocker, ``(reason, detail, witness)``, in check
+    #: order (``blockers[0][:2] == (reason, detail)``); empty for a legal
+    #: loop, even one kept serial as unprofitable or tuning-disabled.
+    #: ``witness`` is the dependent reference pair for ``array-dep``
+    #: (``"flow A(I) -> A(I-1)"``), ``""`` otherwise
+    blockers: Tuple[Tuple[str, str, str], ...] = ()
     private: Tuple[str, ...] = ()
     reductions: Tuple = ()
     profitability: str = "not-evaluated"
@@ -51,7 +58,9 @@ class LoopDecision:
 
     def to_dict(self) -> Dict[str, object]:
         # the record is flat: its instance dict, in field order
-        d = dict(vars(self))
+        d = {("parallel" if k == "parallelized" else k): v
+             for k, v in vars(self).items()}
+        d["blockers"] = [list(b) for b in self.blockers]
         d["private"] = list(self.private)
         d["reductions"] = [list(r) if isinstance(r, (tuple, list)) else r
                            for r in self.reductions]
@@ -64,9 +73,10 @@ class LoopDecision:
             unit=str(d.get("unit", "")),
             var=str(d.get("var", "")),
             origin=d.get("origin"),  # type: ignore[arg-type]
-            parallel=bool(d.get("parallel", False)),
+            parallelized=bool(d.get("parallel", False)),
             reason=str(d.get("reason", "")),
             detail=str(d.get("detail", "")),
+            blockers=tuple(tuple(b) for b in d.get("blockers", ()) or ()),
             private=tuple(d.get("private", ()) or ()),
             reductions=tuple(tuple(r) if isinstance(r, list) else r
                              for r in (d.get("reductions", ()) or ())),
@@ -78,7 +88,7 @@ class LoopDecision:
         )
 
     def describe(self) -> str:
-        state = "PARALLEL" if self.parallel else \
+        state = "PARALLEL" if self.parallelized else \
             f"serial ({self.reason}{': ' + self.detail if self.detail else ''})"
         where = f"{self.benchmark}/{self.config}: " if self.benchmark else ""
         return f"{where}{self.unit}: DO {self.var} [{self.origin}] -> {state}"
@@ -139,7 +149,7 @@ def count_parallel(decisions: Iterable[LoopDecision]
     """
     origins: Dict[Tuple[str, str], Set[str]] = {}
     for d in decisions:
-        if d.parallel and d.reachable and d.origin is not None:
+        if d.parallelized and d.reachable and d.origin is not None:
             origins.setdefault((d.benchmark, d.config), set()).add(d.origin)
     return {key: len(vals) for key, vals in origins.items()}
 

@@ -208,7 +208,7 @@ class Tracer:
         self.decisions.append(decision)
         self.instant(f"loop {decision.origin or decision.var}",
                      cat="decision",
-                     parallel=decision.parallel,
+                     parallel=decision.parallelized,
                      reason=decision.reason or "parallel")
 
     def site(self, decision: SiteDecision) -> None:

@@ -65,10 +65,10 @@ class TestParallelize:
         # the I loop stays serial (opaque call); reductions still found
         assert "REDUCTION(+:T)" in out
 
-    def test_report_flag(self, files, capsys):
+    def test_explain_flag(self, files, capsys):
         src, ann = files
         assert main(["parallelize", src, "--annotations", ann,
-                     "--report"]) == 0
+                     "--explain"]) == 0
         err = capsys.readouterr().err
         assert "PARALLEL" in err
 
@@ -132,9 +132,9 @@ class TestParallelizeTolerant:
         assert "1 diagnostics" in capsys.readouterr().out
 
 
-    def test_profile_and_report_on_the_tolerant_path(self, dialect_file,
-                                                     capsys):
-        assert main(["parallelize", "--tolerant", "--profile", "--report",
+    def test_profile_and_explain_on_the_tolerant_path(self, dialect_file,
+                                                      capsys):
+        assert main(["parallelize", "--tolerant", "--profile", "--explain",
                      dialect_file]) == 0
         err = capsys.readouterr().err
         for phase in ("parse", "infer", "inline", "normalize", "summaries",

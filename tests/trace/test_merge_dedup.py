@@ -15,9 +15,9 @@ from repro.trace.decisions import LoopDecision, SiteDecision
 from repro.trace.tracer import Tracer
 
 
-def _loop(unit, var, origin=None, parallel=True):
+def _loop(unit, var, origin=None, parallelized=True):
     return LoopDecision(unit=unit, var=var, origin=origin,
-                        parallel=parallel, benchmark="bench",
+                        parallelized=parallelized, benchmark="bench",
                         config="annotation")
 
 

@@ -20,7 +20,7 @@ from repro.trace.tracer import _NULL_SPAN
 
 def _decision(**kwargs):
     base = dict(unit="MAIN", var="I", origin="MAIN:DO-10",
-                parallel=True, benchmark="ADM", config="none")
+                parallelized=True, benchmark="ADM", config="none")
     base.update(kwargs)
     return LoopDecision(**base)
 
@@ -113,7 +113,11 @@ class TestExportMerge:
         with parent.span("early"):
             pass
         child = Tracer()
-        child._wall0 = parent._wall0 + 1.5  # child started 1.5s later
+        # child started 1.5s later on the same monotonic clock (its own
+        # clock origin would put the two spans' sub-microsecond offsets
+        # from construction, not the 1.5 s, into the comparison)
+        child._perf0 = parent._perf0
+        child._wall0 = parent._wall0 + 1.5
         with child.span("late"):
             pass
         parent.merge(child.export())
@@ -129,7 +133,7 @@ class TestExportMerge:
 
 class TestDecisions:
     def test_decision_dict_roundtrip(self):
-        d = _decision(parallel=False, reason="dependence", detail="A",
+        d = _decision(parallelized=False, reason="dependence", detail="A",
                       private=("T",), reductions=(("SUM", "+"),),
                       profitability="not-evaluated",
                       dep_tests={"assumed_dependent": 1}, reachable=False)
@@ -158,6 +162,10 @@ class TestDecisions:
         for record in records:
             expected = dataclasses.asdict(record)
             if isinstance(record, LoopDecision):
+                # attribute ``parallelized`` keeps the serialised key
+                expected = {("parallel" if k == "parallelized" else k): v
+                            for k, v in expected.items()}
+                expected["blockers"] = [list(b) for b in record.blockers]
                 expected["private"] = list(record.private)
                 expected["reductions"] = [list(r) for r in record.reductions]
             got = record.to_dict()
@@ -167,7 +175,7 @@ class TestDecisions:
             if isinstance(record, LoopDecision):
                 assert got["dep_tests"] is not record.dep_tests
         loops = [r for r in records if isinstance(r, LoopDecision)]
-        for nested in ("reductions", "private", "dep_tests"):
+        for nested in ("blockers", "reductions", "private", "dep_tests"):
             assert any(getattr(r, nested) for r in loops), nested
 
     def test_count_parallel_protocol(self):
@@ -177,14 +185,14 @@ class TestDecisions:
             _decision(origin="L2"),
             _decision(origin="L3", reachable=False),    # unreachable
             _decision(origin=None),                     # generated loop
-            _decision(origin="L4", parallel=False),     # serial
+            _decision(origin="L4", parallelized=False),     # serial
             _decision(origin="L1", config="annotation"),
         ]
         assert count_parallel(decisions) == {
             ("ADM", "none"): 2, ("ADM", "annotation"): 1}
 
     def test_jsonl_roundtrip(self, tmp_path):
-        decisions = [_decision(), _decision(origin="L2", parallel=False,
+        decisions = [_decision(), _decision(origin="L2", parallelized=False,
                                             reason="dependence")]
         path = str(tmp_path / "d.jsonl")
         write_decisions_jsonl(decisions, path)
