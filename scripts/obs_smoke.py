@@ -6,7 +6,8 @@ Exercises the full PR-5 observability surface end to end:
 1. runs a warm ``repro table2 -j 2`` subprocess with ``REPRO_LOG=json``
    and validates every stderr log line against the record schema,
    asserting all records share one ``run_id`` (worker records must carry
-   the parent's correlation ID across the pool boundary);
+   the parent's correlation ID across the pool boundary) and none is a
+   ``serial-fallback`` (the run really used worker processes);
 2. generates the ``repro report`` HTML dashboard for the full suite and
    asserts it is self-contained (no external fetches, no scripts) and
    names all 12 PERFECT benchmarks.
@@ -68,6 +69,10 @@ def smoke_json_logs() -> None:
     check(len(records) >= 36,
           f"one pipeline-done record per (benchmark x config) "
           f"({len(records)} records)")
+    fallbacks = [r for r in records if r.get("event") == "serial-fallback"]
+    check(not fallbacks,
+          f"-j 2 ran on worker processes, no serial-fallback "
+          f"({len(fallbacks)} seen)")
     run_ids = {r.get("run_id") for r in records}
     check(len(run_ids) == 1 and None not in run_ids,
           f"all records share the parent run_id (got {run_ids})")

@@ -1,33 +1,17 @@
-"""Parallel experiment executor.
+"""One process pool, :class:`WorkerPool`, and its two callers.
 
-The evaluation protocol (Table II, Figure 20, the ablations) decomposes
-into independent ``(benchmark x config x machine)`` work units; this
-module fans them out across a :class:`~concurrent.futures.ProcessPoolExecutor`
-while keeping the *assembled* artifacts byte-identical to a serial run:
-
-* task lists are built up front in a deterministic order and results come
-  back in submission order (``pool.map`` semantics), so parallelism never
-  reorders a table row or a figure bar;
-* workers receive only picklable task descriptors and return only
-  picklable summary data (origin sets, line counts, tuning results) —
-  never live ASTs;
-* ``jobs=1`` (the default), a single task, or any pool-infrastructure
-  failure (no ``fork``/semaphores in the sandbox, unpicklable work, a
-  broken pool) all degrade gracefully to an in-process serial loop;
-* a worker process never spawns a nested pool: :func:`resolve_jobs`
-  answers 1 inside a worker regardless of flags or environment;
-* every task, pooled or inline, runs under one wrapper (:func:`observed`)
-  that hands the worker's ``MetricsRegistry.drain()`` back beside the
-  result; a worker drains its inherited counts once at start.
-
-The serving path's :class:`WorkerPool` does not use that executor: it
-keeps one long-lived worker process per slot on its own duplex pipe, so
-a job costs one pipe round trip, and a late or dead worker is killed
-and replaced without touching the jobs on the other workers.
-
-Worker count resolution order: explicit ``jobs`` argument (the CLI's
-``-j/--jobs``), then the ``REPRO_JOBS`` environment variable, then 1
-(serial).  A value of 0 or less means "one worker per CPU".
+The pool keeps one long-lived worker process per slot on its own duplex
+pipe; a late or dead worker is killed and replaced without touching the
+other workers' tasks.  The service's job dispatchers call
+:meth:`WorkerPool.run` directly, and :func:`run_tasks` maps a function
+over the evaluation protocol's independent ``(benchmark x config x
+machine)`` work units.  Task lists are built up front in a deterministic
+order and results come back in task order; workers receive only
+picklable task descriptors and return only picklable summaries (origin
+sets, line counts, tuning results), never live ASTs, so the assembled
+artifacts are byte-identical to a serial run.  Every task, pooled or
+inline, runs under :func:`observed`, which hands the worker's
+``MetricsRegistry.drain()`` back beside the result.
 """
 
 from __future__ import annotations
@@ -38,8 +22,6 @@ import pickle
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
                     Tuple, TypeVar)
@@ -139,10 +121,45 @@ def observed(fn: Callable[[T], R]) -> Callable[[T], Tuple[R, Any]]:
                    obs_logging.configured_level())
 
 
-def _run_serial(fn: Callable[[T], R], tasks: List[T]) -> List[R]:
-    """In-process loop: metrics land directly in this registry."""
-    call = observed(fn)
-    return [call(t)[0] for t in tasks]
+def _pool_map(pool: "WorkerPool", call: Callable[[T], R],
+              tasks: List[T]) -> Optional[List[R]]:
+    """``call`` over ``tasks`` on one dispatcher thread per worker, in
+    task order, or None if ``call`` does not pickle or no worker process
+    starts.  After a failure no further task starts; once the running
+    ones return, the lowest-index failure is raised."""
+    try:
+        pickle.dumps(call, pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+    pool.run(int, 0)  # starts a first worker, or turns the pool inline
+    if pool.inline:
+        return None
+    results: List[Any] = [None] * len(tasks)
+    failures: Dict[int, BaseException] = {}
+    lock = threading.Lock()
+    order = iter(range(len(tasks)))
+
+    def dispatch() -> None:
+        while True:
+            with lock:
+                index = None if failures else next(order, None)
+            if index is None:
+                return
+            try:
+                results[index] = pool.run(call, tasks[index])
+            except BaseException as exc:
+                with lock:
+                    failures[index] = exc
+
+    threads = [threading.Thread(target=dispatch, daemon=True)
+               for _ in range(pool.workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
@@ -152,20 +169,15 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
     """Map ``fn`` over ``tasks``, preserving task order in the result.
 
     With an effective worker count of 1 (or a single task) the map runs
-    serially in-process.  Otherwise the tasks fan out over a process
-    pool; any pool-infrastructure failure — pool startup, pickling of
-    ``fn``/tasks/results, a worker dying — falls back to the serial loop,
-    so callers always get the same result list.  ``fn`` must be a
-    module-level callable and tasks/results picklable for the parallel
-    path to engage.
-
-    ``tracer`` (optional) records one span over the whole batch plus an
-    instant event if the pool degrades to the serial fallback — the
-    fan-out itself becomes visible on the trace timeline.  Pool workers
-    additionally inherit the caller's log context (so worker records
-    carry the parent ``run_id``) and hand over each task's drained
-    metrics, merged into this process's default registry, keeping
-    counter values identical for any ``-j``.
+    serially in-process; otherwise on a :class:`WorkerPool` of
+    ``min(jobs, len(tasks))`` workers.  A task's exception propagates
+    once, lowest task index first, and a worker death raises
+    :class:`WorkerCrashError`: nothing is rerun.  If the work cannot
+    reach a worker, the batch falls back to the serial loop, and
+    ``tracer`` records that as an instant beside its span over the
+    batch.  Workers carry the caller's log context; their drained
+    metrics are merged once the whole batch has succeeded, so counter
+    values are identical for any ``-j``.
     """
     tracer = tracer or NULL_TRACER
     tasks = list(tasks)
@@ -180,45 +192,35 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
                                 "tasks submitted but not yet finished")
     with tracer.span(f"run_tasks {label}", cat="executor",
                      tasks=len(tasks), jobs=jobs):
-        if jobs <= 1 or len(tasks) <= 1:
-            batches.inc(mode="serial")
-            return _run_serial(fn, tasks)
-        _log.debug("batch-start", label=label, tasks=len(tasks), jobs=jobs)
-        wrapped = observed(fn)
-        workers = min(jobs, len(tasks))
-        obs_metrics.gauge("repro_executor_workers",
-                          "worker processes in the most recent pool "
-                          "batch").set(workers)
-        try:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_mark_worker) as pool:
-                pending.inc(len(tasks))
-                futures = []
-                for t in tasks:
-                    future = pool.submit(wrapped, t)
-                    future.add_done_callback(lambda _f: pending.dec())
-                    futures.append(future)
-                # collect everything before merging any metrics, so a
-                # failure mid-batch leaves the registry untouched for
-                # the serial rerun below (no double counting)
-                pairs = [f.result() for f in futures]
-        except (BrokenProcessPool, pickle.PicklingError, AttributeError,
-                TypeError, OSError, ImportError):
-            # pool could not be started or could not transport the work
-            # (sandboxed semaphores, unpicklable closures, killed workers):
-            # the tasks themselves are pure, so redo them serially
-            pending.set(0)
+        mode = "serial"
+        if jobs > 1 and len(tasks) > 1:
+            _log.debug("batch-start", label=label, tasks=len(tasks),
+                       jobs=jobs)
+            workers = min(jobs, len(tasks))
+            obs_metrics.gauge("repro_executor_workers",
+                              "worker processes in the most recent pool "
+                              "batch").set(workers)
+            pool = WorkerPool(workers)
+            pending.inc(len(tasks))
+            try:
+                pairs = _pool_map(pool, observed(fn), tasks)
+            finally:
+                pool.shutdown()
+                pending.set(0)
+            if pairs is not None:
+                batches.inc(mode="pool")
+                registry = obs_metrics.get_registry()
+                for _result, metrics in pairs:
+                    registry.merge(metrics)
+                return [result for result, _metrics in pairs]
+            mode = "fallback"
             tracer.instant("serial-fallback", cat="executor",
                            tasks=len(tasks), jobs=jobs)
             _log.warning("serial-fallback", label=label, tasks=len(tasks),
                          jobs=jobs)
-            batches.inc(mode="fallback")
-            return _run_serial(fn, tasks)
-        batches.inc(mode="pool")
-        registry = obs_metrics.get_registry()
-        for _result, metrics in pairs:
-            registry.merge(metrics)
-        return [result for result, _metrics in pairs]
+        batches.inc(mode=mode)
+        call = observed(fn)  # in-process: metrics land in this registry
+        return [call(task)[0] for task in tasks]
 
 
 def merge_task_traces(tracer: Optional[Tracer],
@@ -240,7 +242,7 @@ def merge_task_traces(tracer: Optional[Tracer],
 
 
 # ---------------------------------------------------------------------------
-# persistent worker pool (the serving path)
+# the worker pool (run_tasks batches and service jobs)
 # ---------------------------------------------------------------------------
 
 class WorkerCrashError(RuntimeError):
@@ -311,9 +313,6 @@ class _Worker:
 class WorkerPool:
     """Up to ``workers`` long-lived worker processes, one task each.
 
-    Unlike :func:`run_tasks` (one batch, assembled results), the service
-    keeps workers alive across many independent jobs and needs per-task
-    deadlines plus crash *reporting* instead of silent serial fallback.
     Each worker is a dedicated process on its own duplex pipe, started
     on first demand; a task costs one send and one receive on it:
 

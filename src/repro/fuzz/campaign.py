@@ -1,8 +1,8 @@
 """Campaign driver: generate → oracle fan-out → shrink → corpus.
 
 A campaign streams seeded generator/oracle tasks through
-:func:`repro.experiments.run_tasks` (the PR-1 process-pool executor) in
-batches, honouring either a program ``count``, a wall-clock
+:func:`repro.experiments.run_tasks` (the ``-j`` fan-out over the process
+pool) in batches, honouring either a program ``count``, a wall-clock
 ``time_budget``, or both.  Per-program seeds come from
 :func:`repro.fuzz.generator.derive_seed`, so a campaign is fully
 deterministic for a fixed base seed regardless of worker count or batch
@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.executor import run_tasks
+from repro.experiments.executor import resolve_jobs, run_tasks
 from repro.fuzz.corpus import CorpusEntry, save_entry
 from repro.obs import metrics as obs_metrics
 from repro.fuzz.generator import (FuzzProgram, GeneratorOptions, derive_seed,
@@ -130,7 +130,6 @@ def run_campaign(seed: int = 0,
     tracer = tracer or NULL_TRACER
     if count is None and time_budget is None:
         count = 100
-    from repro.experiments.executor import resolve_jobs
     effective_jobs = resolve_jobs(jobs)
     batch_size = max(8, effective_jobs * 4)
 

@@ -1,15 +1,21 @@
-"""Tests for the parallel experiment executor, the parse/program caches,
-the dependence-query memo table, and the per-phase profiling timers.
+"""Tests for the process pool and its experiment fan-out, the
+parse/program caches, the dependence-query memo table, and the
+per-phase profiling timers.
 
 The load-bearing guarantees: rendered artifacts are byte-identical
-between serial and parallel runs and between cold and warm caches, and
-the executor degrades gracefully to serial execution.
+between serial and parallel runs and between cold and warm caches; a
+failing task raises once in the caller and is never rerun, a dead
+worker raises ``WorkerCrashError`` without taking the caller down, and
+the batch runs serially only when no worker can take the work.
 """
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +30,14 @@ from repro.experiments.figure20 import figure20_all, render_figure20
 from repro.experiments.reporting import render_profile
 from repro.experiments.table2 import render_table2, table2_rows
 from repro.fortran.parser import parse_expression
+from repro.obs import metrics as obs_metrics
 from repro.perfect import get_benchmark
 from repro.perfect import suite
 from repro.polaris import Polaris
 from repro.program import Program
+from repro.trace import Tracer
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _square(x):
@@ -308,6 +318,91 @@ class TestWorkerPoolIsolation:
         assert not _own_children(before)
         assert isinstance(busy.get("error"), WorkerCrashError)
         assert time.monotonic() - t0 < 10
+
+
+def _log_and_raise(args):
+    """Append ``pid index`` to ``path``; raise ``error`` on index 3."""
+    path, index, error = args
+    with open(path, "a") as fh:
+        fh.write(f"{os.getpid()} {index}\n")
+    if index == 3:
+        raise error(f"task {index}")
+    return index
+
+
+_INTERVALS = []
+
+
+def _record_interval(x):
+    start = time.monotonic()
+    time.sleep(0.005)
+    _INTERVALS.append((os.getpid(), threading.get_ident(), x, start,
+                       time.monotonic()))
+    return x * x
+
+
+def _fallbacks():
+    return obs_metrics.counter("repro_executor_batches_total").value(
+        mode="fallback")
+
+
+class TestRunTasksFailures:
+    """A task's failure surfaces once in the caller; only work that
+    cannot reach a worker runs serially, in the calling thread."""
+
+    @pytest.mark.parametrize("error", [TypeError, OSError])
+    def test_task_exception_raises_once(self, pool_of, tmp_path, error):
+        pool_of(1)  # skips where worker processes cannot start
+        path = tmp_path / "ran.txt"
+        before = _fallbacks()
+        with pytest.raises(error, match="task 3"):
+            run_tasks(_log_and_raise,
+                      [(str(path), i, error) for i in range(6)], jobs=2)
+        ran = [line.split() for line in path.read_text().splitlines()]
+        indexes = [int(index) for _pid, index in ran]
+        assert 3 in indexes
+        assert len(indexes) == len(set(indexes)), ran
+        assert str(os.getpid()) not in {pid for pid, _index in ran}
+        assert _fallbacks() == before
+
+    def test_crashing_worker_leaves_the_caller_alive(self, pool_of):
+        pool_of(1)
+        code = ("from repro.experiments.executor import run_tasks\n"
+                "from tests.experiments.test_executor import _kill_self\n"
+                "try:\n"
+                "    run_tasks(_kill_self, range(4), jobs=2)\n"
+                "except Exception as exc:\n"
+                "    print(type(exc).__name__)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT)]))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "WorkerCrashError" in proc.stdout
+
+    def test_no_worker_starts_falls_back_to_serial(self, monkeypatch):
+        def no_process():
+            raise OSError("no processes here")
+        monkeypatch.setattr(WorkerPool, "_spawn", staticmethod(no_process))
+        tracer = Tracer()
+        before = _fallbacks()
+        assert run_tasks(_square, range(8), jobs=2, tracer=tracer) \
+            == [x * x for x in range(8)]
+        assert _fallbacks() == before + 1
+        assert [s["name"] for s in tracer.spans()
+                if s["name"] == "serial-fallback"] == ["serial-fallback"]
+
+        _INTERVALS.clear()
+        assert run_tasks(_record_interval, range(8), jobs=2) \
+            == [x * x for x in range(8)]
+        assert sorted(x for _pid, _tid, x, _s, _e in _INTERVALS) \
+            == list(range(8))
+        assert {(pid, tid) for pid, tid, _x, _s, _e in _INTERVALS} \
+            == {(os.getpid(), threading.get_ident())}
+        spans = sorted((start, end) for *_ids, start, end in _INTERVALS)
+        for (_s0, end), (start, _e1) in zip(spans, spans[1:]):
+            assert end <= start, "two tasks ran at once in the caller"
 
 
 BENCHES = ("adm", "qcd")

@@ -1,5 +1,10 @@
 """CLI tests: every subcommand exercised end-to-end through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -352,6 +357,24 @@ class TestJobsErrors:
             main(["table1", "-j", "lots"])
         assert excinfo.value.code == 2
         assert "invalid int value" in capsys.readouterr().err
+
+
+class TestColdStart:
+    """What ``repro parallelize FILE`` loads in a fresh process."""
+
+    def test_parallelize_loads_no_concurrent_modules(self):
+        root = Path(__file__).resolve().parents[1]
+        source = root / "tests" / "fortran" / "corpus" / "carried_dependence.f"
+        code = ("import sys\n"
+                "from repro.cli import main\n"
+                f"main(['parallelize', {str(source)!r}])\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] == 'concurrent'))\n")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.fixture()
