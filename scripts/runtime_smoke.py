@@ -25,7 +25,11 @@ tree-walker:
    both axes — agree in all three modes, their kernels committing the
    steps, in the launches and with the refusals of ``KERNEL_COUNTS``;
 6. ``repro run --machine intel-mac`` on the directive program prints the
-   cost :func:`repro.runtime.machine.price` gives its recorded regions.
+   cost :func:`repro.runtime.machine.price` gives its recorded regions;
+7. the recorder hash-conses: SPEC77 ``none`` and DYFESM ``annotation``
+   record the distinct nodes of ``NODE_COUNTS`` for their region
+   executions, and ``decide`` on both machines gives the same result
+   over the shared profile as over the same tree rebuilt node by node.
 
 Usage:
   PYTHONPATH=src python scripts/runtime_smoke.py [BENCHMARK]
@@ -74,6 +78,12 @@ KERNEL_STEPS = {"sequential": 6 * 32 + 144, "permuted": 6 * 16}
 KERNEL_COUNTS = [("BDNA", "conventional", (36_800, 38_851, 10, 0)),
                  ("SPEC77", "none", (258_304, 262_272, 27, 0)),
                  ("DYFESM", "annotation", (58_964, 67_158, 127, 1))]
+
+
+#: (benchmark, configuration) -> (distinct region nodes, region
+#: executions) of the recorded profile: equal subtrees are one node
+NODE_COUNTS = {("SPEC77", "none"): (7, 1_611),
+               ("DYFESM", "annotation"): (16, 732)}
 
 
 def check(ok, message):
@@ -158,9 +168,11 @@ def main(argv=None) -> int:
     # whole nests on one launch: a row reduction (SPEC77's SYNTH) and a
     # varying INTEGER division beside a two-axis store (DYFESM)
     from repro.experiments.pipeline import Config, run_config
+    programs = {}
     for bname, config, expected in KERNEL_COUNTS:
         other = get_benchmark(bname)
-        program = run_config(other, Config(config)).program
+        program = programs[bname, config] = run_config(
+            other, Config(config)).program
         divergence = backend_equivalence(program, other.inputs)
         check(divergence is None,
               f"{bname} {config}: backend_equivalence"
@@ -193,6 +205,41 @@ def main(argv=None) -> int:
             cli(["run", path, "--machine", "intel-mac"])
     line = f"[simulated cost: {expected:.0f} work units on intel-mac]"
     check(line in err.getvalue(), f"repro run --machine prints {line}")
+
+    # 7. equal region subtrees are one node, and pricing the DAG decides
+    # what pricing the tree does
+    from repro.experiments.tuning import decide, record_profile
+    from repro.runtime.machine import (AMD_OPTERON, RegionNode,
+                                       RegionProfile)
+
+    def rebuilt(node):
+        return RegionNode(node.site, node.costs, tuple(
+            (pos, rebuilt(kid)) for pos, kid in node.children))
+
+    for (bname, config), expected in NODE_COUNTS.items():
+        other = get_benchmark(bname)
+        program = programs[bname, config]
+        profile = record_profile(program, other.inputs)
+        executions, distinct, stack = 0, set(), list(profile.roots)
+        while stack:
+            node = stack.pop()
+            executions += 1
+            distinct.add(id(node))
+            stack.extend(kid for _pos, kid in node.children)
+        seen = (len(distinct), executions)
+        check(seen == expected,
+              "{} {}: {} distinct region nodes for {} executions".format(
+                  bname, config, *seen)
+              + " (expected {} for {})".format(*expected))
+        tree = RegionProfile(profile.work,
+                             tuple(rebuilt(node) for node in profile.roots))
+        for machine in (INTEL_MAC, AMD_OPTERON):
+            shared = decide(program, machine, other.inputs, profile=profile)
+            whole = decide(program, machine, other.inputs, profile=tree)
+            check(shared == whole,
+                  f"{bname} {config} on {machine.name}: decide over the "
+                  f"shared profile equals decide over the rebuilt tree "
+                  f"({len(shared[1])} disabled)")
 
     if FAILURES:
         print(f"\nruntime smoke FAILED ({len(FAILURES)} checks):")

@@ -15,9 +15,11 @@ Execute once, price many: simulated cost is ``W + sum of region
 deltas`` with the work ``W`` independent of machine and directives, so
 one recorded execution (:func:`record_profile`) serves the serial cost,
 the initial cost and every round, on every machine —
-:func:`repro.runtime.machine.price` does the rest.  Figure 20 executes
-once per distinct program: its cells look the profile up by program
-text (:func:`repro.experiments.figure20.run_cell_task`).
+:func:`repro.runtime.machine.price` does the rest, at the cost of the
+profile's distinct region subtrees (equal ones are one node) rather
+than of its region executions.  Figure 20 executes once per distinct
+program: its cells look the profile up by program text
+(:func:`repro.experiments.figure20.run_cell_task`).
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def decide(program: Program, machine: MachineModel,
     cost, from which every directive whose parallel execution is not a
     net win is disabled.  Rounds repeat (disabling an outer region
     changes the fork costs of the regions nested inside it) until a
-    fixed point.
+    fixed point.  A round prices each distinct region subtree once per
+    nesting level, and reuses the leaf prices of the rounds before it:
+    they live on the profile's nodes, per machine and nesting level.
     """
     if profile is None:
         profile = record_profile(program, inputs)

@@ -15,16 +15,18 @@ Beside the model lives the *pricer*.  Every simulated cost is
 not depend on the machine or on which directives are on, and each
 executed parallel region adds ``parallel_time(iterations) - serial sum``.
 An interpreter that honours directives only records the dynamic region
-tree (:class:`RegionProfile`), and :func:`price` — the one caller of
-``parallel_time`` — replays it for any machine and any set of disabled
-directives, so the tuning protocol executes a program once and prices it
+tree (:class:`RegionProfile`), equal subtrees as one node, and
+:func:`price` — the one caller of ``parallel_time`` — prices it for any
+machine and any set of disabled directives at the cost of its distinct
+subtrees, so the tuning protocol executes a program once and prices it
 many times.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 #: a directive site: (unit name, preorder index from collect_omp_sites)
@@ -77,7 +79,8 @@ AMD_OPTERON = MachineModel("amd-opteron", threads=4,
 
 @dataclass(slots=True)
 class RegionNode:
-    """One dynamic execution of an ``OmpParallelDo``."""
+    """One dynamic execution of an ``OmpParallelDo`` — in a recorded
+    profile, every execution equal to it (see :class:`RegionRecorder`)."""
 
     site: Site
     #: cost charged inside each iteration, in execution order, as packed
@@ -88,6 +91,11 @@ class RegionNode:
     costs: Optional[Union[array, List[float]]]
     #: (position of the iteration in ``costs``, region executed in it)
     children: Sequence[Tuple[int, "RegionNode"]]
+    #: :func:`price`'s caches, outside equality: ``children`` as (region,
+    #: its positions) groups, and a leaf's (sum, parallel time) per
+    #: (machine, nesting level), kept across calls
+    groups: Optional[tuple] = field(default=None, compare=False, repr=False)
+    leaf: Optional[dict] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -102,13 +110,15 @@ class RegionProfile:
 
 class RegionRecorder:
     """Builds the region tree of one execution from the interpreter's
-    enter/leave calls."""
+    enter/leave calls, equal subtrees as one node: a DAG that compares
+    equal to the same tree built node by node."""
 
     def __init__(self) -> None:
         self._roots: List[RegionNode] = []
         #: the regions still executing, innermost last
         self._open: List[RegionNode] = []
         self._vectors: Dict[bytes, array] = {}
+        self._nodes: Dict[tuple, RegionNode] = {}
 
     def enter(self, site: Site, iteration_costs: List[float]) -> None:
         """A region execution begins; ``iteration_costs`` is the live
@@ -124,7 +134,9 @@ class RegionRecorder:
 
     def leave(self, completed: bool) -> None:
         """The innermost region ends: pack and intern its iteration
-        costs, or mark it never priced when control left it early."""
+        costs, or mark it never priced when control left it early, and
+        put the first node recorded equal to it in its place (its vector
+        and children are already shared, so compared by object)."""
         node = self._open.pop()
         node.children = tuple(node.children)
         if completed:
@@ -132,6 +144,14 @@ class RegionRecorder:
             node.costs = self._vectors.setdefault(packed.tobytes(), packed)
         else:
             node.costs = None
+        node = self._nodes.setdefault(
+            (node.site, id(node.costs),
+             tuple([(pos, id(kid)) for pos, kid in node.children])), node)
+        if self._open:
+            siblings = self._open[-1].children
+            siblings[-1] = (siblings[-1][0], node)
+        else:
+            self._roots[-1] = node
 
     def profile(self, work: float) -> RegionProfile:
         return RegionProfile(work, tuple(self._roots))
@@ -144,45 +164,65 @@ def price(profile: RegionProfile, machine: MachineModel,
     at the ``disabled`` sites replaced by their loops, and each priced
     site's accumulated ``(serial, parallel)`` cost — exact, because base
     costs are multiples of 0.5, so while the machine's overheads are
-    too, every sum here is exact in any order.
+    too, every sum and multiple here is exact in any order.
 
     An active region's iteration costs are its base costs plus the
     deltas of the regions inside it, priced nested (a region inside an
     executing one); a disabled region passes its inner regions through
     at the enclosing nesting level, and so does a region left early,
-    which is not priced itself.
+    which is not priced itself.  A (node, level) is priced once, its
+    stats counted as often as it executed — summed down the DAG from the
+    roots, parents before children.
     """
-    stats: Dict[Site, List[float]] = {}
-    #: a region with no regions inside is priced once per nesting level
-    #: and cost vector — the recorder made equal vectors one object, and
-    #: ``parallel_time`` is a function of exactly that pair
-    leaves: Dict[Tuple[int, bool], Tuple[float, float]] = {}
+    #: (node id, level) -> (node, its children's level, delta, serial,
+    #: parallel — None when not priced), in postorder
+    done: Dict[Tuple[int, bool], tuple] = {}
 
     def delta(node: RegionNode, nested: bool) -> float:
-        active = node.site not in disabled
-        if node.costs is None or not active:
-            inner = nested or active
-            return sum(delta(kid, inner) for _pos, kid in node.children)
-        costs = node.costs
-        if node.children:
-            base = serial = sum(costs)
-            costs = list(costs)
+        entry = done.get((id(node), nested))
+        if entry is not None:
+            return entry[2]
+        if node.groups is None:
+            by_kid: Dict[int, Tuple[RegionNode, List[int]]] = {}
             for pos, kid in node.children:
-                inner = delta(kid, True)
-                costs[pos] += inner
-                serial += inner
+                by_kid.setdefault(id(kid), (kid, []))[1].append(pos)
+            node.groups = tuple(by_kid.values())
+        active = node.site not in disabled
+        inner, serial, parallel = nested or active, None, None
+        if node.costs is None or not active:
+            change = sum(delta(kid, inner) * len(at)
+                         for kid, at in node.groups)
+        elif node.groups:
+            costs = list(node.costs)
+            base = serial = sum(costs)
+            for kid, at in node.groups:
+                kid_delta = delta(kid, True)
+                for pos in at:
+                    costs[pos] += kid_delta
+                serial += kid_delta * len(at)
             parallel = machine.parallel_time(costs, nested)
+            change = parallel - base
         else:
-            priced = leaves.get((id(costs), nested))
-            if priced is None:
-                priced = leaves[id(costs), nested] = (
-                    sum(costs), machine.parallel_time(costs, nested))
-            base = serial = priced[0]
-            parallel = priced[1]
-        stat = stats.setdefault(node.site, [0.0, 0.0])
-        stat[0] += serial
-        stat[1] += parallel
-        return parallel - base
+            leaf = node.leaf = node.leaf or {}
+            if (machine, nested) not in leaf:
+                leaf[machine, nested] = (
+                    sum(node.costs), machine.parallel_time(node.costs, nested))
+            serial, parallel = leaf[machine, nested]
+            change = parallel - serial
+        done[id(node), nested] = (node, inner, change, serial, parallel)
+        return change
 
-    cost = profile.work + sum(delta(node, False) for node in profile.roots)
+    roots = {id(node): node for node in profile.roots}
+    times = Counter((id(node), False) for node in profile.roots)
+    cost = profile.work + sum(delta(roots[key], False) * n
+                              for (key, _), n in times.items())
+    stats: Dict[Site, List[float]] = {}
+    for key, (node, inner, _, serial, parallel) in reversed(done.items()):
+        n = times[key]
+        for kid, at in node.groups:
+            times[id(kid), inner] += n * len(at)
+        if serial is not None:
+            stat = stats.setdefault(node.site, [0.0, 0.0])
+            stat[0] += n * serial
+            stat[1] += n * parallel
     return cost, {site: tuple(stat) for site, stat in stats.items()}

@@ -472,8 +472,8 @@ def test_backend_equivalence_reports_region_divergence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the leaf memo: a region with no regions inside is priced once per
-# (cost vector, nesting level) — against the pricer that prices each
+# the memo: a subtree is priced once per nesting level, and its stats
+# count once per execution — against the pricer that prices each
 # ---------------------------------------------------------------------------
 
 def price_each(profile, machine, disabled=frozenset()):
@@ -508,30 +508,80 @@ _SITES = (("P", 0), ("P", 1), ("SUB", 0))
 
 
 @st.composite
-def _region_nodes(draw, depth=0):
+def _region_nodes(draw, pool, depth=0):
+    """A drawn node, or one drawn before: ``pool`` holds every node of
+    the example, so one subtree sits under several parents, at several
+    positions and nesting levels, and among the roots more than once."""
+    if pool and draw(st.booleans()):
+        return draw(st.sampled_from(pool))
     site = draw(st.sampled_from(_SITES))
     costs = draw(st.sampled_from(_VECTORS + (None,)))
     kids = ()
     if depth < 3 and (costs is None or len(costs)):
         kids = tuple(
             (draw(st.integers(0, max(len(costs or ()) - 1, 0))), kid)
-            for kid in draw(st.lists(_region_nodes(depth=depth + 1),
+            for kid in draw(st.lists(_region_nodes(pool, depth + 1),
                                      max_size=3)))
-    return RegionNode(site, costs, tuple(sorted(kids, key=lambda k: k[0])))
+    node = RegionNode(site, costs, tuple(sorted(kids, key=lambda k: k[0])))
+    pool.append(node)
+    return node
+
+
+@st.composite
+def _region_dags(draw):
+    pool = []
+    return draw(st.lists(_region_nodes(pool), min_size=1, max_size=4))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(roots=st.lists(_region_nodes(), min_size=1, max_size=4),
+@given(roots=_region_dags(),
        disabled=st.sets(st.sampled_from(_SITES)),
        machine=st.sampled_from(MACHINES))
 def test_leaf_memo_prices_what_pricing_each_region_does(roots, disabled,
                                                         machine):
-    """Any tree over a few shared vectors — the same vector under two
-    sites, at two nesting levels, with and without regions inside, under
-    disabled and abandoned parents — prices exactly as region by region."""
+    """Any DAG over a few shared vectors and shared subtrees — the same
+    vector under two sites, a subtree under several parents, at two
+    nesting levels, with and without regions inside, a repeated root,
+    under disabled and abandoned parents — prices exactly as region by
+    region."""
     profile = RegionProfile(1e7, tuple(roots))
     assert price(profile, machine, frozenset(disabled)) == \
         price_each(profile, machine, frozenset(disabled))
+
+
+def _rebuilt(node):
+    """``node`` built anew, node by node: no subtree shared."""
+    return RegionNode(node.site, node.costs,
+                      tuple((pos, _rebuilt(kid)) for pos, kid in
+                            node.children))
+
+
+def _nodes(profile):
+    """(region executions, distinct node objects) of ``profile``."""
+    executions, distinct, stack = 0, {}, list(profile.roots)
+    while stack:
+        node = stack.pop()
+        executions += 1
+        distinct[id(node)] = node
+        stack.extend(kid for _pos, kid in node.children)
+    return executions, list(distinct.values())
+
+
+def test_recorder_makes_equal_subtrees_one_node():
+    """SPEC77's 1 611 region executions are 7 nodes; no two of them are
+    equal, on either backend, and the shared trees still compare equal
+    across backends and to the same tree built node by node."""
+    bench = get_benchmark("SPEC77")
+    program = run_config(bench, Config("annotation")).program
+    profile = record(program, "compiled", bench.inputs)
+    executions, distinct = _nodes(profile)
+    assert executions == 1611 and len(distinct) <= 7
+    assert all(a is b or a != b for a in distinct for b in distinct)
+    tree = record(program, "tree", bench.inputs)
+    assert len(_nodes(tree)[1]) == len(distinct)
+    assert tree == profile
+    assert RegionProfile(profile.work, tuple(
+        _rebuilt(node) for node in profile.roots)) == profile
 
 
 def test_leaf_memo_on_recorded_trees():

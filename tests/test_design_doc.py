@@ -55,3 +55,68 @@ def test_every_package_directory_is_in_the_module_map():
         and os.path.basename(directory) != "repro")
     assert len(packages) >= 14
     assert [p for p in packages if p not in mapped] == []
+
+
+def figure20_artefact():
+    """``{machine: {(benchmark, config): tuned speedup}}`` as
+    ``benchmarks/out/figure20.txt`` prints them."""
+    cells, machine = {}, None
+    path = os.path.join(ROOT, "benchmarks", "out", "figure20.txt")
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            title = re.match(r"FIGURE 20: speedups on (\S+)", line)
+            if title:
+                machine = title.group(1)
+                continue
+            cell = re.fullmatch(r"(\w+)\s+(\w+)\s+\|[# ]*?(\d+\.\d+)",
+                                line.strip())
+            if cell:
+                cells.setdefault(machine, {})[
+                    cell.group(1), cell.group(2)] = float(cell.group(3))
+    return cells
+
+
+def rounds_to(number, value):
+    """``number``, as the docs print it, is ``value`` rounded to its
+    decimals."""
+    decimals = len(number.split(".")[1])
+    return abs(float(number) - value) <= 0.5 * 10 ** -decimals + 1e-9
+
+
+def test_figure20_speedups_quoted_in_experiments_md_match_the_artefact():
+    """Every speedup EXPERIMENTS.md's Figure 20 section quotes: a
+    benchmark's tuned speedups are intel-mac cells of the artefact, the
+    range spans all its cells, and an untuned one is recomputed."""
+    from repro.experiments.pipeline import Config, run_config
+    from repro.experiments.tuning import decide
+    from repro.perfect import get_benchmark
+    from repro.runtime.machine import INTEL_MAC
+
+    with open(os.path.join(ROOT, "EXPERIMENTS.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Figure 20", 1)[1].split("\n## ", 1)[0]
+    cells = figure20_artefact()
+    assert sorted(map(len, cells.values())) == [36, 36]
+    checked = 0
+    for bench, numbers in re.findall(
+            r"\b([A-Z][A-Z0-9]{2,})\s+(\d+\.\d+(?:(?:\s+vs\s+|/)\d+\.\d+)*)",
+            section):
+        values = [v for (b, _c), v in cells["intel-mac"].items()
+                  if b == bench]
+        for number in re.findall(r"\d+\.\d+", numbers):
+            assert any(rounds_to(number, v) for v in values), \
+                (bench, number, values)
+            checked += 1
+    assert checked >= 15  # the pattern above still reads the quotes
+    (low, high), = re.findall(r"tuned speedups \((\d+\.\d+)–(\d+\.\d+)×\)",
+                              section)
+    every = [v for machine in cells.values() for v in machine.values()]
+    assert rounds_to(low, min(every)) and rounds_to(high, max(every))
+    untuned = re.findall(r"\b([A-Z][A-Z0-9]{2,})\s+`(\w+)`\s+untuned\s+"
+                         r"(\d+\.\d+)×", section)
+    assert untuned
+    for bench, config, number in untuned:
+        benchmark = get_benchmark(bench)
+        result, _off = decide(run_config(benchmark, Config(config)).program,
+                              INTEL_MAC, benchmark.inputs)
+        assert rounds_to(number, result.untuned_speedup), (bench, number)
