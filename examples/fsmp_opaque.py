@@ -7,7 +7,7 @@ configurations and prints who can parallelize the Figure-7 K loop.
 Run:  python examples/fsmp_opaque.py
 """
 
-from repro.experiments import run_all_configs
+from repro.experiments.pipeline import run_all_configs
 from repro.perfect import get_benchmark
 from repro.runtime import diff_test
 

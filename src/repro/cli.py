@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from repro.program import Program
+if TYPE_CHECKING:
+    from repro.program import Program
 
 _MACHINES = {"intel-mac": None, "amd-opteron": None, "serial": None}
 
@@ -68,6 +69,7 @@ def _read_sources(paths: Sequence[str]) -> Dict[str, str]:
 
 
 def _load_program(paths: Sequence[str]) -> Program:
+    from repro.program import Program
     return Program.from_sources(_read_sources(paths))
 
 
@@ -709,9 +711,8 @@ def cmd_top(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"repro top: bad SLO spec: {exc}", file=sys.stderr)
             return 2
-    iterations = 1 if args.once else args.iterations
     return run_top(args.host, args.port, interval=args.interval,
-                   iterations=iterations, slo_spec=slo_spec)
+                   iterations=1 if args.once else None, slo_spec=slo_spec)
 
 
 def cmd_trace_collect(args) -> int:
@@ -1186,8 +1187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, default=2.0,
                    metavar="SECONDS",
                    help="seconds between frames (default 2)")
-    p.add_argument("--iterations", type=int, default=None, metavar="N",
-                   help="stop after N frames (default: run forever)")
     p.add_argument("--once", action="store_true",
                    help="print a single frame and exit")
     p.add_argument("--slo", default=None, metavar="SPEC.json",
@@ -1215,7 +1214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     import os
-    from repro.experiments.executor import JobsError
+    from repro.errors import ReproError
     from repro.obs import logging as obs_logging
     args = build_parser().parse_args(argv)
     if args.log_level:
@@ -1230,7 +1229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with obs_logging.log_context(run_id=obs_logging.new_run_id()):
         try:
             return args.fn(args)
-        except JobsError as exc:
+        except (ReproError, OSError) as exc:
             print(f"repro: error: {exc}", file=sys.stderr)
             return 2
 

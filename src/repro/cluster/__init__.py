@@ -26,18 +26,8 @@ package supplies the rest:
 * :mod:`.backend` — cluster-backed experiment execution (Table II
   assembled from service submissions).
 
+The package re-exports nothing: import the submodule you need.
+
 See ``docs/cluster.md`` for topology, ring semantics, and the failure
 model.
 """
-
-from repro.cluster.ring import HashRing
-from repro.cluster.shardcache import (CacheShardServer, LocalShard,
-                                      RemoteShard, ShardedCache, ShardError)
-from repro.cluster.topology import LocalCluster
-from repro.cluster.workers import GatewayLink, GatewayUnreachable, WorkerNode
-
-__all__ = [
-    "CacheShardServer", "GatewayLink",
-    "GatewayUnreachable", "HashRing", "LocalCluster", "LocalShard",
-    "RemoteShard", "ShardError", "ShardedCache", "WorkerNode",
-]

@@ -92,6 +92,10 @@ class InterpreterError(ReproError):
     or a runtime fault (bad subscript, STOP with error, ...)."""
 
 
+class JobsError(ReproError, ValueError):
+    """An unusable worker-count setting (bad ``-j`` value or REPRO_JOBS)."""
+
+
 class FortranStop(Exception):
     """Control-flow exception used by the interpreter for the STOP statement.
 

@@ -1,5 +1,5 @@
 """Evaluation harness: the three-configuration pipeline, Table I/II and
-Figure 20 generators, and the empirical tuning pass."""
+Figure 20 generators, and the empirical tuning pass.
 
-from repro.experiments.pipeline import (Config, PipelineResult,  # noqa: F401
-                                        run_config, run_all_configs)
+The package re-exports nothing: import the submodule you need
+(``repro.experiments.pipeline`` for ``run_all_configs``)."""

@@ -26,6 +26,7 @@ from functools import partial
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
                     Tuple, TypeVar)
 
+from repro.errors import JobsError
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
 from repro.trace import NULL_TRACER, Tracer
@@ -40,10 +41,6 @@ JOBS_ENV = "REPRO_JOBS"
 
 #: set inside pool workers so nested run_tasks calls stay serial
 _IN_WORKER_ENV = "_REPRO_POOL_WORKER"
-
-
-class JobsError(ValueError):
-    """An unusable worker-count setting (bad ``-j`` value or REPRO_JOBS)."""
 
 
 def in_worker() -> bool:

@@ -50,10 +50,6 @@ class VarInfo:
     def is_parameter(self) -> bool:
         return self.parameter_value is not None
 
-    @property
-    def is_assumed_size(self) -> bool:
-        return bool(self.dims) and self.dims[-1].upper is None
-
 
 def implicit_type(name: str) -> str:
     return "INTEGER" if name[0] in "IJKLMN" else "REAL"
@@ -163,12 +159,6 @@ def externals_of(unit: ast.ProgramUnit) -> Set[str]:
     for d in unit.find_decls(ast.ExternalDecl):
         names.update(n.upper() for n in d.names)
     return names
-
-
-def collect_procedures(source: ast.SourceFile) -> Dict[str, ast.ProgramUnit]:
-    """Map procedure name -> defining unit for subroutines and functions."""
-    return {u.name.upper(): u for u in source.units
-            if u.kind in ("SUBROUTINE", "FUNCTION")}
 
 
 def function_names(source: ast.SourceFile) -> Set[str]:

@@ -20,23 +20,7 @@
   stats + optional cProfile top-N behind ``--profile``;
 * :mod:`repro.obs.dashboard` — the ``repro report --out`` self-contained
   HTML dashboard.
+
+The package re-exports nothing: import the submodule you need, so a
+command loads only the parts of the spine it uses.
 """
-
-from repro.obs.distributed import (ClockModel, TraceContext,
-                                   validate_trace_ctx)
-from repro.obs.logging import (configure, current_context, get_logger,
-                               log_context, new_run_id, validate_record)
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               counter, gauge, get_registry, histogram,
-                               set_registry)
-from repro.obs.slo import evaluate_slo, load_slo_spec, validate_slo_spec
-from repro.obs.telemetry import TelemetryStore
-
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "counter", "gauge", "histogram", "get_registry", "set_registry",
-    "configure", "current_context", "get_logger", "log_context",
-    "new_run_id", "validate_record",
-    "ClockModel", "TraceContext", "validate_trace_ctx", "TelemetryStore",
-    "evaluate_slo", "load_slo_spec", "validate_slo_spec",
-]

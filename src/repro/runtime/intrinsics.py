@@ -17,12 +17,6 @@ def _trunc(x: float) -> float:
     return float(int(x))
 
 
-def _mod(a: float, b: float) -> float:
-    if b == 0:
-        raise InterpreterError("MOD with zero divisor")
-    return float(math.fmod(a, b))
-
-
 def _sign(a: float, b: float) -> float:
     return abs(a) if b >= 0 else -abs(a)
 

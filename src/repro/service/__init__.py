@@ -11,17 +11,8 @@ thin client (:mod:`.client`) behind the ``repro serve`` /
 ``repro submit`` / ``repro svc-status`` subcommands.  Service metrics
 (JSON and Prometheus text) are :mod:`repro.obs.metrics` registries.
 
+The package re-exports nothing: import the submodule you need (the
+client alone does not load the server or the pipeline).
+
 See ``docs/service.md`` for the protocol, knobs and failure modes.
 """
-
-from repro.service.cache import ResultCache
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import FINAL_STATES, Job, JobState, QueueFullError
-from repro.service.ledger import JobLedger
-from repro.service.server import ParallelizationServer
-
-__all__ = [
-    "FINAL_STATES", "Job", "JobLedger", "JobState",
-    "ParallelizationServer", "QueueFullError", "ResultCache",
-    "ServiceClient", "ServiceError",
-]

@@ -1,6 +1,6 @@
 """Shared checks every benchmark must satisfy."""
 
-from repro.experiments import run_all_configs
+from repro.experiments.pipeline import run_all_configs
 from repro.polaris.report import ConfigComparison
 from repro.runtime import Interpreter, diff_test
 

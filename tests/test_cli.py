@@ -1,6 +1,7 @@
 """CLI tests: every subcommand exercised end-to-end through main()."""
 
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,28 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+CARRIED = ROOT / "tests" / "fortran" / "corpus" / "carried_dependence.f"
+
+READ_SOURCE = """      PROGRAM RD
+      READ(5,*) N, X
+      WRITE(6,*) N*X
+      END
+"""
+
+
+def _python(*args):
+    """A fresh interpreter on this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _repro(*argv):
+    """``python -m repro argv...``: its exit code and stderr are what a
+    user sees."""
+    return _python("-m", "repro", *argv)
 
 SOURCE = """      PROGRAM P
       COMMON /D/ A(300,8), ROW(8)
@@ -125,9 +148,10 @@ class TestParallelizeTolerant:
         assert "equivalence" in err
 
     def test_strict_mode_still_fails_fast(self, dialect_file):
-        from repro.errors import ReproError
-        with pytest.raises(ReproError):
-            main(["parallelize", dialect_file])
+        proc = _repro("parallelize", dialect_file)
+        assert proc.returncode == 2
+        assert f"repro: error: {dialect_file}:6:7: " in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_output_file(self, dialect_file, tmp_path, capsys):
         out = tmp_path / "mix_omp.f"
@@ -184,6 +208,28 @@ class TestReportRunVerify:
         out, err = capsys.readouterr()
         assert out.strip()  # the WRITE output
         assert "serial" in err
+
+    def test_run_feeds_read_from_inputs(self, tmp_path, capsys):
+        src = tmp_path / "read.f"
+        src.write_text(READ_SOURCE)
+        assert main(["run", str(src), "--inputs", "3", "2.5"]) == 0
+        assert capsys.readouterr().out.split() == ["7.5"]
+
+    def test_run_past_the_inputs_is_one_error_line(self, tmp_path):
+        src = tmp_path / "read.f"
+        src.write_text(READ_SOURCE)
+        proc = _repro("run", str(src), "--inputs", "3")
+        assert proc.returncode == 2
+        assert proc.stderr == ("repro: error: READ beyond provided "
+                               "input\n")
+
+    def test_missing_file_is_one_error_line(self, tmp_path):
+        missing = str(tmp_path / "missing.f")
+        proc = _repro("parallelize", missing)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("repro: error: ")
+        assert missing in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_run_on_machine(self, files, tmp_path, capsys):
         """``run --machine`` prices the recorded regions: the directives
@@ -359,22 +405,67 @@ class TestJobsErrors:
         assert "invalid int value" in capsys.readouterr().err
 
 
-class TestColdStart:
-    """What ``repro parallelize FILE`` loads in a fresh process."""
+def _repro_except(*kept):
+    """Every top-level module and package of ``repro`` but ``kept``."""
+    names = {p.stem for p in (ROOT / "src" / "repro").iterdir()
+             if not p.name.startswith("_")
+             and (p.is_dir() or p.suffix == ".py")}
+    return tuple(f"repro.{name}" for name in sorted(names - set(kept)))
 
-    def test_parallelize_loads_no_concurrent_modules(self):
-        root = Path(__file__).resolve().parents[1]
-        source = root / "tests" / "fortran" / "corpus" / "carried_dependence.f"
+
+def _closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestColdStart:
+    """What each command loads in a fresh process: a forbidden name (or
+    any submodule of it) must stay out of ``sys.modules`` unless the
+    case allows that module by name."""
+
+    CASES = {
+        "help": (["--help"], (
+            "repro.fortran", "repro.analysis", "repro.annotations",
+            "repro.inlining", "repro.polaris", "repro.pipeline",
+            "repro.experiments", "repro.perfect", "repro.runtime",
+            "repro.service", "repro.cluster", "repro.fuzz",
+            "multiprocessing", "socket", "numpy"), ()),
+        "parallelize": (["parallelize", str(CARRIED)], (
+            "repro.experiments", "repro.perfect", "repro.runtime",
+            "repro.service", "repro.cluster", "repro.fuzz",
+            "repro.obs.slo", "repro.obs.telemetry", "repro.obs.distributed",
+            "multiprocessing", "asyncio", "socket", "numpy", "concurrent"),
+            ()),
+        "svc-status": (["svc-status", "--port", str(_closed_port())],
+                       _repro_except("cli", "errors", "obs", "service")
+                       + ("multiprocessing", "numpy"), ()),
+        # the compiled backend's vectorizer reads affine subscripts
+        # through repro.analysis.affine; nothing else of the analyzer
+        "run": (["run", str(CARRIED)], (
+            "repro.analysis", "repro.annotations", "repro.polaris",
+            "repro.experiments"),
+            ("repro.analysis", "repro.analysis.affine",
+             "repro.analysis.symbolic")),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_loads_only_what_it_runs(self, command):
+        argv, forbidden, allowed = self.CASES[command]
         code = ("import sys\n"
                 "from repro.cli import main\n"
-                f"main(['parallelize', {str(source)!r}])\n"
-                "print(sorted(m for m in sys.modules\n"
-                "             if m.split('.')[0] == 'concurrent'))\n")
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+                "try:\n"
+                f"    main({argv!r})\n"
+                "except SystemExit:\n"
+                "    pass\n"
+                "print(' '.join(sorted(sys.modules)))\n")
+        proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        loaded = proc.stdout.splitlines()[-1].split()
+        leaked = [m for m in loaded if m not in allowed
+                  and any(m == name or m.startswith(name + ".")
+                          for name in forbidden)]
+        assert leaked == []
 
 
 @pytest.fixture()
