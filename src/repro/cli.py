@@ -410,17 +410,10 @@ def _serve_until_stopped(server, what: str) -> int:
 
 def cmd_serve(args) -> int:
     from repro.experiments.executor import resolve_jobs
-    from repro.perfect.suite import cache_dir, disk_cache_enabled
     from repro.service.server import ParallelizationServer
-    import os
-    directory = None
-    if args.cache_dir:
-        directory = args.cache_dir
-    elif disk_cache_enabled():
-        directory = os.path.join(cache_dir(), "results")
     server = ParallelizationServer(
         host=args.host, port=args.port, jobs=resolve_jobs(args.jobs),
-        queue_capacity=args.queue_capacity, cache_dir=directory,
+        queue_capacity=args.queue_capacity, cache_dir=args.cache_dir,
         default_deadline=args.default_deadline,
         max_retries=args.max_retries,
         drain_timeout=args.drain_timeout,
@@ -987,9 +980,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-capacity", type=int, default=64,
                    help="bounded job queue size (default 64)")
     p.add_argument("--cache-dir",
-                   help="result-cache directory (default: "
-                        "$REPRO_CACHE_DIR/results when REPRO_DISK_CACHE "
-                        "is on, else memory-only)")
+                   help="persist the result cache in this directory "
+                        "(default: memory-only)")
     p.add_argument("--default-deadline", type=float, default=None,
                    metavar="SECONDS",
                    help="per-job deadline when the client sets none")

@@ -163,12 +163,6 @@ class LocalCluster:
         _log.info("worker-killed", index=index, pid=pid)
         return pid
 
-    def spawn_worker(self, index: Optional[int] = None) -> None:
-        """Add one more worker node to the fleet."""
-        if index is None:
-            index = len(self.worker_procs)
-        self.worker_procs.append(self._spawn_worker(index))
-
     def alive(self) -> Dict[str, int]:
         return {
             "gateway": int(self.gateway_proc is not None

@@ -67,10 +67,6 @@ class SemanticError(ReproError):
     """Raised for name-resolution and type problems."""
 
 
-class AnalysisError(ReproError):
-    """Raised when a program analysis receives input it cannot model."""
-
-
 class InlineError(ReproError):
     """Raised when an inlining transformation cannot be applied."""
 

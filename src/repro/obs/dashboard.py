@@ -384,7 +384,6 @@ def _cache_section(data: DashboardData) -> str:
     def row(label: str, stats: Dict[str, object]) -> str:
         return (f"<tr><td>{_e(label)}</td>"
                 f"<td class=num>{stats.get('memory_hits', 0)}</td>"
-                f"<td class=num>{stats.get('disk_hits', 0)}</td>"
                 f"<td class=num>{stats.get('misses', 0)}</td>"
                 f"<td class=num>{float(stats.get('hit_rate', 0)):.0%}"
                 f"</td></tr>")
@@ -394,8 +393,7 @@ def _cache_section(data: DashboardData) -> str:
     return (
         f"<section><h2>Caches &amp; phase timings</h2>"
         f"<table><tr><th>Cache</th><th class=num>mem hits</th>"
-        f"<th class=num>disk hits</th><th class=num>misses</th>"
-        f"<th class=num>hit rate</th></tr>"
+        f"<th class=num>misses</th><th class=num>hit rate</th></tr>"
         f"{row('parse cache', data.parse_cache)}"
         f"{row('stamped-base cache', data.base_cache)}</table>"
         f"<table><tr><th>Phase</th><th class=num>seconds</th></tr>"

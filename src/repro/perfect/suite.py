@@ -3,13 +3,11 @@ content-hash-keyed parse cache.
 
 Parsing a benchmark is pure — the same sources always yield the same
 AST — so :meth:`Benchmark.program` parses each application **once per
-process** and hands out clones of the cached parse.  An optional on-disk
-pickle cache (enable with ``REPRO_DISK_CACHE=1``; directory from
-``REPRO_CACHE_DIR``, default ``.repro_cache/``) makes cold starts skip
-the frontend entirely; entries are keyed by a SHA-256 of the sources, so
-editing a benchmark invalidates its entry automatically.  Delete the
-directory (or call :func:`clear_program_cache` with ``disk=True``) to
-clear it.
+process** and hands out clones of the cached parse, keyed by a SHA-256
+of the sources, so editing a benchmark invalidates its entry.  Parsing
+all twelve takes a few tens of milliseconds, so there is no disk layer.
+:func:`cache_dir` (``REPRO_CACHE_DIR``, default ``.repro_cache/``) is
+where other subsystems keep their state files.
 """
 
 from __future__ import annotations
@@ -17,21 +15,17 @@ from __future__ import annotations
 import hashlib
 import importlib
 import os
-import pickle
-import shutil
-import tempfile
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, List, Mapping, Sequence
 
 from repro.annotations.registry import AnnotationRegistry
 from repro.obs import metrics as obs_metrics
 from repro.program import Program
 
-#: bump when the AST/pickle layout changes so stale disk entries miss
+#: part of every cache key: bump to invalidate parses keyed by an old layout
 _CACHE_VERSION = 1
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-DISK_CACHE_ENV = "REPRO_DISK_CACHE"
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: digest -> pristine parsed Program (never handed out directly)
@@ -40,29 +34,27 @@ _PROGRAM_CACHE: Dict[str, Program] = {}
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters for a parse-avoidance cache (observable by the
-    bench gate, which records hit rates next to wall-clock numbers)."""
+    """Hit/miss counters for a parse-avoidance cache (the report
+    dashboard's cache table shows them)."""
 
     memory_hits: int = 0
-    disk_hits: int = 0
     misses: int = 0
 
     @property
     def lookups(self) -> int:
-        return self.memory_hits + self.disk_hits + self.misses
+        return self.memory_hits + self.misses
 
     def hit_rate(self) -> float:
         lookups = self.lookups
         if lookups == 0:
             return 0.0
-        return (self.memory_hits + self.disk_hits) / lookups
+        return self.memory_hits / lookups
 
     def reset(self) -> None:
-        self.memory_hits = self.disk_hits = self.misses = 0
+        self.memory_hits = self.misses = 0
 
     def as_dict(self) -> Dict[str, float]:
-        return {"memory_hits": self.memory_hits,
-                "disk_hits": self.disk_hits, "misses": self.misses,
+        return {"memory_hits": self.memory_hits, "misses": self.misses,
                 "hit_rate": round(self.hit_rate(), 4)}
 
 
@@ -72,11 +64,6 @@ PROGRAM_CACHE_STATS = CacheStats()
 
 def cache_dir() -> str:
     return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-
-
-def disk_cache_enabled() -> bool:
-    value = os.environ.get(DISK_CACHE_ENV, "").strip().lower()
-    return value in ("1", "true", "yes", "on")
 
 
 def source_digest(name: str, sources: Mapping[str, str]) -> str:
@@ -91,57 +78,9 @@ def source_digest(name: str, sources: Mapping[str, str]) -> str:
     return h.hexdigest()
 
 
-def clear_program_cache(disk: bool = False) -> None:
-    """Drop the in-process parse cache (and the disk cache if asked)."""
+def clear_program_cache() -> None:
+    """Drop the in-process parse cache."""
     _PROGRAM_CACHE.clear()
-    if disk:
-        shutil.rmtree(cache_dir(), ignore_errors=True)
-
-
-def _disk_path(digest: str) -> str:
-    return os.path.join(cache_dir(), f"{digest}.pkl")
-
-
-def _evict_disk(path: str) -> None:
-    """Drop an unreadable cache entry so later runs don't re-trip on it."""
-    try:
-        os.remove(path)
-    except OSError:
-        pass
-
-
-def _load_disk(digest: str) -> Optional[Program]:
-    if not disk_cache_enabled():
-        return None
-    path = _disk_path(digest)
-    try:
-        with open(path, "rb") as fh:
-            program = pickle.load(fh)
-    except FileNotFoundError:
-        return None
-    except Exception:
-        # corrupt or truncated entry (a concurrent writer that died
-        # mid-write, a partial disk): evict it and reparse
-        _evict_disk(path)
-        return None
-    if not isinstance(program, Program):
-        _evict_disk(path)
-        return None
-    program.invalidate()  # symbol-table cache keys are per-process ids
-    return program
-
-
-def _store_disk(digest: str, program: Program) -> None:
-    if not disk_cache_enabled():
-        return
-    try:
-        os.makedirs(cache_dir(), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(program, fh, pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, _disk_path(digest))
-    except Exception:
-        pass  # the cache is best-effort; parsing always works
 
 
 @dataclass(frozen=True)
@@ -177,16 +116,10 @@ class Benchmark:
             PROGRAM_CACHE_STATS.memory_hits += 1
             lookups.inc(outcome="memory_hit")
         else:
-            base = _load_disk(digest)
-            if base is not None:
-                PROGRAM_CACHE_STATS.disk_hits += 1
-                lookups.inc(outcome="disk_hit")
-            else:
-                PROGRAM_CACHE_STATS.misses += 1
-                lookups.inc(outcome="miss")
-                base = Program.from_sources(dict(self.sources), self.name)
-                base.invalidate()
-                _store_disk(digest, base)
+            PROGRAM_CACHE_STATS.misses += 1
+            lookups.inc(outcome="miss")
+            base = Program.from_sources(dict(self.sources), self.name)
+            base.invalidate()
             _PROGRAM_CACHE[digest] = base
         return base.clone()
 

@@ -98,14 +98,6 @@ class ServiceClient:
         return self.submit({"kind": "benchmark", "benchmark": name,
                             "config": config}, **kwargs)
 
-    def submit_sources(self, sources: Dict[str, str],
-                       annotations: str = "",
-                       config: str = "annotation", **kwargs
-                       ) -> Dict[str, Any]:
-        return self.submit({"kind": "sources", "sources": sources,
-                            "annotations": annotations, "config": config},
-                           **kwargs)
-
     def status(self, job_id: str) -> Dict[str, Any]:
         return self.request({"op": "status", "job_id": job_id})
 

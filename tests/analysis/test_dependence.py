@@ -107,6 +107,15 @@ class TestMultiDim:
         a = [affine("J", ["K", "J"]), affine("K", ["K", "J"])]
         assert not t.may_depend(a, a, loops, {"K": "<", "J": "*"})
 
+    def test_invariant_offset_dimension_disproof(self):
+        # FE(J, 64*IB+K): the block offset IB is loop-invariant, so the
+        # K-carried test still disproves — and so does the memo's answer
+        loops = [LoopCtx("K", 1, 100), LoopCtx("J", 1, 16)]
+        t = DependenceTester()
+        a = [affine("J", ["K", "J"]), affine("64*IB+K", ["K", "J"])]
+        for _ in range(2):
+            assert not t.may_depend(a, a, loops, {"K": "<", "J": "*"})
+
     def test_nonaffine_dimension_ignored(self):
         loops = [LoopCtx("I", 1, 10)]
         t = DependenceTester()

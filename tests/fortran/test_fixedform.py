@@ -159,6 +159,10 @@ class TestDiagnosticSchema:
         assert set(SEVERITIES) == {"recovered", "skipped", "note"}
 
 
+def test_corpus_holds_the_23_dialect_programs():
+    assert len(CORPUS_FILES) == 23
+
+
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=CORPUS_IDS)
 class TestCorpusProperty:
     """Every corpus program parses clean or yields only recoverable

@@ -128,3 +128,10 @@ class TestReader:
     def test_bad_label(self):
         with pytest.raises(LexError):
             read_logical_lines("  2X3 CONTINUE\n")
+
+
+def test_every_dyfesm_card_tokenizes():
+    from repro.perfect import get_benchmark
+    source = "\n".join(get_benchmark("dyfesm").sources.values())
+    cards = [condense(line.text) for line in read_logical_lines(source)]
+    assert sum(len(tokenize(card)) for card in cards) > 4 * len(cards)

@@ -10,6 +10,7 @@ def executes(benchmark):
     result = Interpreter(benchmark.program(),
                          inputs=list(benchmark.inputs)).run()
     assert result.stop_message is None or result.stop_message == ""
+    assert result.output
     return result
 
 

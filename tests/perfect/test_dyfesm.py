@@ -21,6 +21,13 @@ def test_executes(bench):
     assert len(result.output) == 1  # the checksum write
 
 
+def test_clones_and_unparses_its_nine_units(bench):
+    program = bench.program()
+    twin = program.clone()
+    assert len(twin.units) == 9 and twin.files == program.files
+    assert "PROGRAM DYFESM" in "".join(twin.unparse().values())
+
+
 def test_annotation_gains_element_loops(row):
     ann = row["annotation"]
     assert ann.par_extra >= 2   # the FSMP and ASSEM element loops

@@ -1625,3 +1625,15 @@ def test_perfect_kernel_share_is_pinned():
             (bench.name, share)
     assert totals == [659_178, 569_388, 1_086, 1]
     assert [c.total() - b for c, b in zip(reported, before)] == totals
+
+
+def test_bdna_none_kernel_takes_invariant_operands():
+    """BDNA's ``none`` program, directives honoured: ``PCINIT``'s loop
+    goes to the kernel because ``TSTEP**2/2.0`` is loop-invariant, so
+    kernels commit 36 800 of its 38 875 steps."""
+    from repro.experiments.pipeline import Config, run_config
+    bench = get_benchmark("BDNA")
+    program = run_config(bench, Config("none")).program
+    interp = make_interpreter(program, "compiled", inputs=list(bench.inputs))
+    interp.run()
+    assert interp.kernel_steps > 0.94 * interp.steps

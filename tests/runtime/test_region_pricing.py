@@ -584,6 +584,16 @@ def test_recorder_makes_equal_subtrees_one_node():
         _rebuilt(node) for node in profile.roots)) == profile
 
 
+def test_spec77_none_prices_below_its_work():
+    """SPEC77's ``none`` profile on the Intel machine: its parallel
+    leaves make the priced cost less than the serial work."""
+    bench = get_benchmark("SPEC77")
+    program = run_config(bench, Config("none")).program
+    profile = record(program, "compiled", bench.inputs)
+    cost, stats = price(profile, INTEL_MAC)
+    assert cost < profile.work and stats
+
+
 def test_leaf_memo_on_recorded_trees():
     """... and so do the recorded trees: the hand-written shapes on every
     subset, and SPEC77, whose 1 585 leaf executions are three vectors."""
