@@ -1,12 +1,17 @@
-"""Interprocedural call graph construction."""
+"""Interprocedural call graph construction.
+
+The edges of a unit are the callees of its access walk
+(:func:`repro.analysis.defuse.collect_accesses`), and the graph keeps
+that walk: the side-effect summaries read the same one instead of
+walking every body again.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.fortran import ast
-from repro.fortran.intrinsics import is_intrinsic
+from repro.analysis.defuse import AccessSet, collect_accesses
 from repro.program import Program
 
 
@@ -21,6 +26,8 @@ class CallGraph:
 
     edges: Dict[str, Set[str]] = field(default_factory=dict)
     unknown: Set[str] = field(default_factory=set)
+    #: each unit's access walk, the edges' source
+    accesses: Dict[str, AccessSet] = field(default_factory=dict)
 
     def callees(self, name: str) -> Set[str]:
         return self.edges.get(name.upper(), set())
@@ -65,22 +72,13 @@ class CallGraph:
         return order
 
 
-def _called_names(unit: ast.ProgramUnit) -> Set[str]:
-    names: Set[str] = set()
-    for s in ast.walk_stmts(unit.body):
-        if isinstance(s, ast.CallStmt):
-            names.add(s.name.upper())
-    for e in ast.walk_all_exprs(unit.body):
-        if isinstance(e, ast.FuncRef) and not is_intrinsic(e.name):
-            names.add(e.name.upper())
-    return names
-
-
 def build_callgraph(program: Program) -> CallGraph:
     graph = CallGraph()
     defined = {u.name for u in program.units}
     for unit in program.units:
-        callees = _called_names(unit)
+        acc = collect_accesses(unit.body, program.symtab(unit))
+        callees = set(acc.callees)
         graph.edges[unit.name] = callees
+        graph.accesses[unit.name] = acc
         graph.unknown |= callees - defined
     return graph

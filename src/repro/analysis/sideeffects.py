@@ -2,7 +2,8 @@
 
 The no-inlining baseline needs to know, for a CALL inside a candidate
 loop, whether the callee has *any* observable side effect.  Summaries are
-computed bottom-up over the call graph:
+computed bottom-up over the call graph, each from the access walk the
+graph keeps for its unit:
 
 * ``mod``/``ref``: names of formals and COMMON variables (by the callee's
   view) written / read anywhere in the callee or its callees;
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.analysis.callgraph import CallGraph, build_callgraph
-from repro.analysis.defuse import collect_accesses
 from repro.fortran import ast
 from repro.program import Program
 
@@ -76,7 +76,7 @@ def _summarize(program: Program, unit: ast.ProgramUnit, graph: CallGraph,
     if graph.is_recursive(unit.name):
         out.opaque = True
     table = program.symtab(unit)
-    acc = collect_accesses(unit.body, table)
+    acc = graph.accesses[unit.name]
     out.has_io |= acc.has_io
     out.has_stop |= acc.has_stop
     if acc.has_opaque or acc.unanalyzable:
@@ -87,10 +87,8 @@ def _summarize(program: Program, unit: ast.ProgramUnit, graph: CallGraph,
         # storage association inside the callee invalidates the
         # formal/COMMON name mapping the summary is built on
         out.opaque = True
-    for s in ast.walk_stmts(unit.body):
-        if isinstance(s, ast.Return) and s.alt is not None:
-            out.opaque = True  # alternate return: non-local control flow
-            break
+    if acc.has_alt_return:
+        out.opaque = True  # alternate return: non-local control flow
 
     formals = set(table.formals)
 
@@ -111,20 +109,15 @@ def _summarize(program: Program, unit: ast.ProgramUnit, graph: CallGraph,
             (out.mod if is_write else out.ref).add(name)
 
     # merge callee effects, mapping callee formals through call arguments
-    for s in ast.walk_stmts(unit.body):
-        if not isinstance(s, ast.CallStmt):
-            continue
-        callee = summaries.get(s.name.upper())
-        if callee is None:
-            if s.name.upper() in program.procedures:
-                # cycle member not yet summarized: conservative
-                callee = OPAQUE
-            else:
-                callee = OPAQUE  # external library routine
+    procedures = program.procedures
+    for s in acc.calls:
+        # an external library routine, or a cycle member not yet
+        # summarized: conservative
+        callee = summaries.get(s.name.upper(), OPAQUE)
         out.has_io |= callee.has_io
         out.has_stop |= callee.has_stop
         out.opaque |= callee.opaque
-        callee_unit = program.procedures.get(s.name.upper())
+        callee_unit = procedures.get(s.name.upper())
         callee_formals = ([p.upper() for p in callee_unit.params]
                           if callee_unit else [])
         for k, arg in enumerate(s.args):
@@ -141,12 +134,8 @@ def _summarize(program: Program, unit: ast.ProgramUnit, graph: CallGraph,
                     out.mod.add(root)
                 if formal in callee.ref:
                     out.ref.add(root)
-        # COMMON effects propagate by name
-        for name in callee.mod - set(callee_formals):
-            if visible(name):
-                out.mod.add(name)
-            else:
-                out.mod.add(name)  # common names are globally meaningful
-        for name in callee.ref - set(callee_formals):
-            out.ref.add(name)
+        # COMMON effects propagate by name (common names are globally
+        # meaningful)
+        out.mod |= callee.mod - set(callee_formals)
+        out.ref |= callee.ref - set(callee_formals)
     return out

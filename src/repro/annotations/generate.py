@@ -82,8 +82,7 @@ def generate_annotation(program: Program,
     if any(isinstance(d, fast.EquivalenceDecl) for d in unit.decls):
         return GenerationResult(
             None, "EQUIVALENCE storage association in the body")
-    if any(isinstance(s, fast.Return) and s.alt is not None
-           for s in fast.walk_stmts(unit.body)):
+    if acc.has_alt_return:
         return GenerationResult(None, "alternate-return exit")
 
     # summarize a normalized clone: induction-variable substitution and

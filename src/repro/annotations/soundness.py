@@ -3,12 +3,18 @@
 
 Two complementary mechanisms:
 
-* :func:`check_soundness` — a **static** comparison of the annotation
-  against the callee's source (when available).  The safety-critical
-  direction is one-sided: every side effect the implementation *has* must
-  be covered by a side effect the annotation *claims* (an annotation may
-  over-approximate freely; omissions are what make parallelization
-  unsound).  Checked:
+* :func:`check_soundness` — **static** checks.  First the mechanical
+  mistakes, which need no source and are violations: the annotation's
+  formal list must match the subroutine's (when the source is
+  available), every array formal used with subscripts needs a
+  ``dimension`` declaration, subscript counts must match declared
+  ranks, ``unique`` needs integer-valued operands, and ``return`` has
+  no place in a subroutine annotation.  Then a comparison of the
+  annotation against the callee's source (when available).  The
+  safety-critical direction is one-sided: every side effect the
+  implementation *has* must be covered by a side effect the annotation
+  *claims* (an annotation may over-approximate freely; omissions are
+  what make parallelization unsound).  Checked:
 
   - every scalar/array the callee (transitively) writes is claimed
     written;
@@ -33,10 +39,9 @@ Two complementary mechanisms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import build_callgraph
-from repro.analysis.defuse import collect_accesses
 from repro.analysis.sideeffects import compute_summaries
 from repro.annotations import ast as aast
 from repro.fortran import ast as fast
@@ -46,7 +51,8 @@ from repro.program import Program
 @dataclass
 class SoundnessReport:
     subroutine: str
-    #: omissions that can make parallelization unsound
+    #: omissions that can make parallelization unsound, and malformed
+    #: annotations
     violations: List[str] = field(default_factory=list)
     #: items needing human judgement (unique claims, relaxed I/O)
     warnings: List[str] = field(default_factory=list)
@@ -101,6 +107,49 @@ def _claimed_effects(ann: aast.ASubroutine
     return writes - locals_, reads - locals_, uniques
 
 
+def _malformed(ann: aast.ASubroutine,
+               unit: Optional[fast.ProgramUnit]) -> List[str]:
+    """The annotation's mechanical mistakes, checked without the
+    callee's body (``unit`` only supplies the formal list)."""
+    problems: List[str] = []
+    dims = ann.declared_dims()
+    params = {p.upper() for p in ann.params}
+    if unit is not None and ([p.upper() for p in unit.params]
+                             != [p.upper() for p in ann.params]):
+        problems.append(f"annotation formals {ann.params} do not match "
+                        f"the subroutine's {unit.params}")
+
+    def scan_return(stmts: Sequence[aast.AnnStmt]) -> None:
+        for s in stmts:
+            if isinstance(s, aast.AReturn):
+                problems.append("'return' in a subroutine annotation")
+            elif isinstance(s, aast.AIf):
+                scan_return(s.then)
+                scan_return(s.els)
+            elif isinstance(s, aast.ADo):
+                scan_return(s.body)
+
+    scan_return(ann.body)
+    for e in aast.walk_ann_exprs(ann.body):
+        if isinstance(e, fast.ArrayRef):
+            ref = e.name.upper()
+            if ref in params and ref not in dims:
+                problems.append(f"formal {ref} used with subscripts but "
+                                f"has no dimension declaration")
+            elif ref in dims and len(e.subs) != len(dims[ref]):
+                problems.append(
+                    f"{ref} referenced with {len(e.subs)} subscripts but "
+                    f"declared with {len(dims[ref])}")
+        elif isinstance(e, aast.Unique):
+            if not e.args:
+                problems.append("unique() with no operands")
+            for a in e.args:
+                if isinstance(a, fast.RealLit):
+                    problems.append("unique() operand must be "
+                                    "integer-valued")
+    return problems
+
+
 def _brief(e: fast.Expr) -> str:
     from repro.fortran.unparser import expr_to_str
     try:
@@ -114,6 +163,7 @@ def check_soundness(program: Program,
     """Statically check ``ann`` against its subroutine's implementation."""
     report = SoundnessReport(ann.name.upper())
     unit = program.procedures.get(ann.name.upper())
+    report.violations += _malformed(ann, unit)
     if unit is None:
         report.warnings.append(
             "no source available: only runtime verification applies")
@@ -122,7 +172,8 @@ def check_soundness(program: Program,
     claimed_w, claimed_r, uniques = _claimed_effects(ann)
 
     # actual transitive effects, in the callee's name space
-    summaries = compute_summaries(program, build_callgraph(program))
+    graph = build_callgraph(program)
+    summaries = compute_summaries(program, graph)
     actual = summaries[unit.name]
     if actual.opaque:
         report.warnings.append(
@@ -147,8 +198,7 @@ def check_soundness(program: Program,
     # region coverage for array formals with declared annotation shapes
     dims = ann.declared_dims()
     table = program.symtab(unit)
-    acc = collect_accesses(unit.body, table)
-    for n, subs, w in acc.array_accesses:
+    for n, subs, w in graph.accesses[unit.name].array_accesses:
         if not w or n not in dims:
             continue
         if len(dims[n]) != len(table.info(n).dims or ()):

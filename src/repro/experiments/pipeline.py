@@ -22,7 +22,7 @@ from typing import Dict, Optional, Set
 from repro.analysis.loops import assign_origins
 from repro.obs import logging as obs_logging
 from repro.obs import metrics as obs_metrics
-from repro.perfect.suite import Benchmark, CacheStats
+from repro.perfect.suite import Benchmark
 from repro.pipeline import (CONFIGS, Config, PipelineResult,  # noqa: F401
                             _reachable_units, parallelize_program)
 from repro.polaris import PolarisOptions
@@ -37,9 +37,6 @@ from repro.trace import NULL_TRACER, Tracer
 #: the cached base itself is never mutated — callers always clone.
 _BASE_CACHE: Dict[str, Program] = {}
 
-#: hit/miss counters for the stamped-base cache (bench-gate observable)
-BASE_CACHE_STATS = CacheStats()
-
 
 def clear_base_cache() -> None:
     _BASE_CACHE.clear()
@@ -53,14 +50,12 @@ def prepare_base(benchmark: Benchmark) -> Program:
                                   "stamped-base cache lookups by outcome")
     base = _BASE_CACHE.get(digest)
     if base is None:
-        BASE_CACHE_STATS.misses += 1
         lookups.inc(outcome="miss")
         base = benchmark.program()
         for unit in base.units:
             assign_origins(unit)
         _BASE_CACHE[digest] = base
     else:
-        BASE_CACHE_STATS.memory_hits += 1
         lookups.inc(outcome="memory_hit")
     return base
 

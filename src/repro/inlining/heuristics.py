@@ -50,13 +50,8 @@ class InlinePolicy:
         if ast.count_statements(callee.body) > self.max_statements:
             return "too-large"
         acc = collect_accesses(callee.body, program.symtab(callee))
-        if not self.allow_calls:
-            if acc.has_call:
-                return "makes-calls"
-            from repro.fortran.intrinsics import is_intrinsic
-            for e in ast.walk_all_exprs(callee.body):
-                if isinstance(e, ast.FuncRef) and not is_intrinsic(e.name):
-                    return "makes-calls"
+        if not self.allow_calls and acc.callees:
+            return "makes-calls"
         if acc.has_io and not self.allow_io:
             return "io"
         if _has_mid_return(callee.body):
@@ -72,8 +67,7 @@ class InlinePolicy:
         if any(isinstance(d, ast.EquivalenceDecl) for d in callee.decls):
             # splicing renames locals, which breaks storage association
             return "equivalence"
-        if any(isinstance(s, ast.Return) and s.alt is not None
-               for s in ast.walk_stmts(callee.body)):
+        if acc.has_alt_return:
             return "alternate-return"
         return None
 

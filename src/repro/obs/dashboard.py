@@ -28,14 +28,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.pipeline import BASE_CACHE_STATS, CONFIGS
+from repro.experiments.pipeline import CONFIGS
 from repro.experiments.table1 import table1_rows
 from repro.experiments.table2 import Table2Row, table2_outcomes
 from repro.obs import metrics as obs_metrics
 from repro.obs.slo import ALERT_BURN_RATE
 from repro.obs.telemetry import TelemetryStore
-from repro.perfect.suite import (PROGRAM_CACHE_STATS, all_benchmarks,
-                                 cache_dir)
+from repro.perfect.suite import all_benchmarks, cache_dir
 from repro.polaris.report import merge_timings
 from repro.trace import LoopDecision, Tracer, count_parallel
 
@@ -113,6 +112,17 @@ def latest_slo(entries: List[Dict[str, object]]
     return None
 
 
+def _cache_counts(name: str) -> Dict[str, object]:
+    """A cache's hits, misses and hit rate, from its lookup counter in
+    the default registry (pool workers' lookups are merged into it)."""
+    lookups = obs_metrics.counter(name)
+    hits = int(lookups.value(outcome="memory_hit"))
+    misses = int(lookups.value(outcome="miss"))
+    rate = hits / (hits + misses) if hits + misses else 0.0
+    return {"memory_hits": hits, "misses": misses,
+            "hit_rate": round(rate, 4)}
+
+
 def collect(benchmarks: Optional[List[str]] = None,
             jobs: Optional[int] = None,
             include_figure20: bool = False,
@@ -142,8 +152,8 @@ def collect(benchmarks: Optional[List[str]] = None,
         decisions=decisions,
         counts=count_parallel(decisions),
         timings=timings,
-        parse_cache=PROGRAM_CACHE_STATS.as_dict(),
-        base_cache=BASE_CACHE_STATS.as_dict(),
+        parse_cache=_cache_counts("repro_parse_cache_total"),
+        base_cache=_cache_counts("repro_base_cache_total"),
         metrics_text=obs_metrics.get_registry().to_prometheus(),
         bench_history=bench_history,
         fuzz_stats=read_fuzz_stats(fuzz_path),

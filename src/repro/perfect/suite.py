@@ -32,36 +32,6 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 _PROGRAM_CACHE: Dict[str, Program] = {}
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters for a parse-avoidance cache (the report
-    dashboard's cache table shows them)."""
-
-    memory_hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.memory_hits + self.misses
-
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        if lookups == 0:
-            return 0.0
-        return self.memory_hits / lookups
-
-    def reset(self) -> None:
-        self.memory_hits = self.misses = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"memory_hits": self.memory_hits, "misses": self.misses,
-                "hit_rate": round(self.hit_rate(), 4)}
-
-
-#: counters for ``Benchmark.program()`` lookups in this process
-PROGRAM_CACHE_STATS = CacheStats()
-
-
 def cache_dir() -> str:
     return os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
 
@@ -113,10 +83,8 @@ class Benchmark:
                                       "parse-cache lookups by outcome")
         base = _PROGRAM_CACHE.get(digest)
         if base is not None:
-            PROGRAM_CACHE_STATS.memory_hits += 1
             lookups.inc(outcome="memory_hit")
         else:
-            PROGRAM_CACHE_STATS.misses += 1
             lookups.inc(outcome="miss")
             base = Program.from_sources(dict(self.sources), self.name)
             base.invalidate()

@@ -25,7 +25,7 @@ diagnose`` can list everything that keeps a loop serial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.affine import AffineForm, extract
 from repro.analysis.defuse import AccessSet
@@ -36,7 +36,6 @@ from repro.analysis.privatization import (ScalarClass, array_privatizable,
 from repro.analysis.reductions import find_reductions
 from repro.analysis.sideeffects import Summary
 from repro.fortran import ast
-from repro.fortran.intrinsics import is_intrinsic
 from repro.fortran.symbols import SymbolTable
 from repro.fortran.unparser import expr_to_str
 from repro.naming import is_capture_array
@@ -89,7 +88,7 @@ class LegalityAnalyzer:
             yield ("control-flow", "GOTO", "")
         if acc.has_stop:
             yield ("control-flow", "STOP", "")
-        if any(isinstance(s, ast.Return) for s in ast.walk_stmts(body)):
+        if acc.has_return:
             yield ("control-flow", "RETURN", "")
         if acc.has_io:
             yield ("io", "", "")
@@ -102,20 +101,20 @@ class LegalityAnalyzer:
             yield ("equivalence", name, "")
         if loop.var.upper() in acc.scalar_writes:
             yield ("index-modified", loop.var, "")
-        for name in self._impure_calls(body):
-            yield ("call", name, "")
+        for name in acc.callees:
+            summary = self.summaries.get(name)
+            if summary is None or not summary.pure:
+                yield ("call", name, "")
 
         # scalars --------------------------------------------------------
         classes = classify_scalars(body, self.table)
         reductions = find_reductions(body, self.table)
-        inner_indices = {s.var.upper() for s in ast.walk_stmts(body)
-                         if isinstance(s, ast.DoLoop)}
         for name, cls in sorted(classes.items()):
             if name not in acc.scalar_writes:
                 continue
             if name in reductions:
                 red_clauses.append((reductions[name], name))
-            elif cls is ScalarClass.WRITE_FIRST or name in inner_indices:
+            elif cls is ScalarClass.WRITE_FIRST or name in acc.do_vars:
                 private.append(name)
             else:
                 # READ_FIRST (cross-iteration flow) and CONDITIONAL_WRITE
@@ -123,7 +122,12 @@ class LegalityAnalyzer:
                 yield ("scalar-dep", name, "")
 
         # arrays ---------------------------------------------------------
-        sites = self._array_sites(body)
+        sites: Dict[str, List[_ArrayRefSite]] = {}
+        for (name, subs, is_write), inner in zip(acc.array_accesses,
+                                                 acc.array_loops):
+            if self.table.is_array(name):
+                sites.setdefault(name, []).append(
+                    _ArrayRefSite(subs, is_write, inner))
         loops_ctx = [loop_ctx(lp) for lp in info.enclosing] + [loop_ctx(loop)]
         for array, refs in sorted(sites.items()):
             if not any(r.is_write for r in refs):
@@ -143,23 +147,6 @@ class LegalityAnalyzer:
                     yield ("array-dep", array, witness)
 
     # ------------------------------------------------------------------
-    def _impure_calls(self, body: Sequence[ast.Stmt]) -> Iterator[str]:
-        """Each called procedure not proven side-effect-free, once:
-        CALL statements first, then function references."""
-        calls: List[str] = []
-        funcs: List[str] = []
-        for s in ast.walk_stmts(body):
-            if isinstance(s, ast.CallStmt):
-                calls.append(s.name)
-            for e in ast.stmt_exprs(s):
-                funcs += [n.name for n in ast.walk_expr(e)
-                          if isinstance(n, ast.FuncRef)
-                          and not is_intrinsic(n.name)]
-        for name in dict.fromkeys(n.upper() for n in calls + funcs):
-            summary = self.summaries.get(name)
-            if summary is None or not summary.pure:
-                yield name
-
     def _equivalenced_accesses(self, acc) -> List[str]:
         """Accessed names that are storage-associated via EQUIVALENCE
         (aliasing makes the per-array dependence model unsound)."""
@@ -169,66 +156,6 @@ class LegalityAnalyzer:
         return [name for name in sorted(accessed)
                 if (v := self.table.declared(name)) is not None
                 and v.equivalenced]
-
-    # ------------------------------------------------------------------
-    def _array_sites(
-            self, body: Sequence[ast.Stmt]
-    ) -> Dict[str, List[_ArrayRefSite]]:
-        sites: Dict[str, List[_ArrayRefSite]] = {}
-
-        def note(name: str, subs: Tuple[ast.Expr, ...], w: bool,
-                 inner: Tuple[ast.DoLoop, ...]) -> None:
-            if not self.table.is_array(name):
-                return
-            sites.setdefault(name.upper(), []).append(
-                _ArrayRefSite(subs, w, inner))
-
-        def expr_refs(e: Optional[ast.Expr],
-                      inner: Tuple[ast.DoLoop, ...]) -> None:
-            if e is None:
-                return
-            for n in ast.walk_expr(e):
-                if isinstance(n, ast.ArrayRef) and self.table.is_array(n.name):
-                    note(n.name, n.subs, False, inner)
-                elif isinstance(n, ast.Var) and self.table.is_array(n.name):
-                    note(n.name, (), False, inner)
-
-        def walk(stmts: Sequence[ast.Stmt],
-                 inner: Tuple[ast.DoLoop, ...]) -> None:
-            for s in stmts:
-                if isinstance(s, ast.Assign):
-                    expr_refs(s.value, inner)
-                    if isinstance(s.target, ast.ArrayRef):
-                        for sub in s.target.subs:
-                            expr_refs(sub, inner)
-                        note(s.target.name, s.target.subs, True, inner)
-                    elif isinstance(s.target, ast.Var) \
-                            and self.table.is_array(s.target.name):
-                        note(s.target.name, (), True, inner)
-                elif isinstance(s, ast.IfBlock):
-                    for cond, arm in s.arms:
-                        expr_refs(cond, inner)
-                        walk(arm, inner)
-                elif isinstance(s, ast.DoLoop):
-                    expr_refs(s.start, inner)
-                    expr_refs(s.stop, inner)
-                    expr_refs(s.step, inner)
-                    walk(s.body, inner + (s,))
-                elif isinstance(s, ast.CallStmt):
-                    # calls are rejected earlier unless pure; pure calls
-                    # read their arguments only
-                    for a in s.args:
-                        expr_refs(a, inner)
-                elif isinstance(s, ast.IoStmt):
-                    for item in s.items:
-                        expr_refs(item, inner)
-                elif isinstance(s, ast.OmpParallelDo):
-                    walk([s.loop], inner)
-                elif isinstance(s, ast.TaggedBlock):
-                    walk(s.body, inner)
-
-        walk(body, ())
-        return sites
 
     # ------------------------------------------------------------------
     def _carried(self, array: str, refs: List[_ArrayRefSite], info: LoopInfo,

@@ -119,6 +119,48 @@ class TestDefUse:
         acc = collect_accesses(unit.body, build_symbol_table(unit))
         assert acc.has_goto and acc.has_stop
 
+    def test_callees_calls_first_then_functions_in_statement_order(self):
+        # an IF block's conditions precede its blocks, an assignment's
+        # target precedes its value: the order legality reports them in
+        prog = Program.from_source(
+            "      SUBROUTINE S(A, N)\n"
+            "      DIMENSION A(N)\n"
+            "      IF (F1(N) .GT. 0) THEN\n"
+            "        A(1) = F2(N) + SQRT(A(2))\n"
+            "      ELSE IF (F3(N) .GT. 0) THEN\n"
+            "        CALL C1(A)\n"
+            "      ENDIF\n"
+            "      A(IF4(N)) = F5(N) + F1(N)\n"
+            "      CALL C2(A)\n"
+            "      END\n")
+        unit = prog.units[0]
+        acc = collect_accesses(unit.body, prog.symtab(unit))
+        assert acc.callees == ["C1", "C2", "F1", "F3", "F2", "IF4", "F5"]
+
+    def test_array_accesses_in_textual_order_with_their_loops(self):
+        unit = unit_of("      SUBROUTINE S(A, B, N)\n"
+                       "      DIMENSION A(N), B(N)\n"
+                       "      IF (B(1) .GT. 0) THEN\n"
+                       "        DO J = 1, N\n"
+                       "          A(J) = B(J)\n"
+                       "        END DO\n"
+                       "      ELSE IF (B(2) .GT. 0) THEN\n"
+                       "        A(B(3)) = 0\n"
+                       "      ENDIF\n"
+                       "      RETURN\n"
+                       "      END\n")
+        acc = collect_accesses(unit.body, build_symbol_table(unit))
+        inner = unit.body[0].arms[0][1][0]
+        one, two, three, j = (ast.IntLit(1), ast.IntLit(2), ast.IntLit(3),
+                              ast.Var("J"))
+        assert acc.array_accesses == [
+            ("B", (one,), False), ("B", (j,), False), ("A", (j,), True),
+            ("B", (two,), False), ("B", (three,), False),
+            ("A", (ast.ArrayRef("B", (three,)),), True)]
+        assert acc.array_loops == [(), (inner,), (inner,), (), (), ()]
+        assert acc.do_vars == {"J"}
+        assert acc.has_return and not acc.has_alt_return
+
 
 MULTI = """
       PROGRAM MAIN

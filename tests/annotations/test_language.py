@@ -1,11 +1,12 @@
-"""Tests for the annotation language parser and validator (Figure 12)."""
+"""Tests for the annotation language parser (Figure 12) and the
+soundness checker's mechanical checks on it."""
 
 import pytest
 
 from repro.annotations import ast as aast
 from repro.annotations.parser import (parse_annotation_expr,
                                       parse_annotations)
-from repro.annotations.validate import validate_annotation
+from repro.annotations.soundness import check_soundness
 from repro.errors import AnnotationError
 from repro.fortran import ast as fast
 from repro.program import Program
@@ -139,26 +140,31 @@ class TestSubroutineParsing:
         assert anns[0].name == "MATMLT"
 
 
+#: a program without the annotated subroutines: only the checks that
+#: need no source apply
+NO_SOURCE = Program([], "empty")
+
+
 class TestValidation:
     def test_clean(self):
         ann = parse_annotations(MATMLT_ANN)[0]
-        assert validate_annotation(ann) == []
+        assert check_soundness(NO_SOURCE, ann).violations == []
 
     def test_subscripted_formal_needs_dims(self):
         ann = parse_annotations(
             "subroutine S(V) { V[3] = 1.0; }")[0]
-        problems = validate_annotation(ann)
+        problems = check_soundness(NO_SOURCE, ann).violations
         assert any("dimension" in p for p in problems)
 
     def test_rank_mismatch(self):
         ann = parse_annotations(
             "subroutine S(V) { dimension V[10, 10]; V[3] = 1.0; }")[0]
-        problems = validate_annotation(ann)
+        problems = check_soundness(NO_SOURCE, ann).violations
         assert any("subscripts" in p for p in problems)
 
     def test_return_rejected(self):
         ann = parse_annotations("subroutine S(V) { return V; }")[0]
-        problems = validate_annotation(ann)
+        problems = check_soundness(NO_SOURCE, ann).violations
         assert any("return" in p for p in problems)
 
     def test_formal_mismatch_against_source(self):
@@ -167,5 +173,14 @@ class TestValidation:
             "      A = B\n"
             "      END\n")
         ann = parse_annotations("subroutine S(A) { A = unknown(); }")[0]
-        problems = validate_annotation(ann, prog)
-        assert any("do not match" in p for p in problems)
+        report = check_soundness(prog, ann)
+        assert not report.sound
+        assert any("do not match" in p for p in report.violations)
+
+    def test_unique_operands(self):
+        ann = parse_annotations(
+            "subroutine S(V) { dimension V[10]; "
+            "V[unique(2.5)] = 1.0; V[unique()] = 2.0; }")[0]
+        problems = check_soundness(NO_SOURCE, ann).violations
+        assert any("integer-valued" in p for p in problems)
+        assert any("no operands" in p for p in problems)

@@ -64,6 +64,20 @@ class TestCollect:
     def test_history_and_fuzz_are_optional(self, data):
         assert isinstance(data.bench_history, list)
 
+    def test_cache_table_counts_what_pool_workers_looked_up(self, registry):
+        # under -j the lookups happen in worker processes; the table is
+        # read from the lookup counters their metrics are merged into
+        data = collect(benchmarks=["trfd"], jobs=2)
+        html = render_dashboard(data)
+        for name, stats in (("repro_parse_cache_total", data.parse_cache),
+                            ("repro_base_cache_total", data.base_cache)):
+            lookups = obs_metrics.counter(name)
+            hits = lookups.value(outcome="memory_hit")
+            misses = lookups.value(outcome="miss")
+            assert (stats["memory_hits"], stats["misses"]) == (hits, misses)
+            assert f"<td class=num>{int(misses)}</td>" in html
+        assert data.base_cache["memory_hits"] + data.base_cache["misses"] == 3
+
 
 class TestReaders:
     def test_history_reader_tolerates_junk(self, tmp_path):

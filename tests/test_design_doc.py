@@ -1,7 +1,8 @@
 """DESIGN.md must not describe modules that do not exist: every path of
 its ``src/repro/`` module map, and every other ``src/...`` path it names,
-is a file or directory of the checkout.  And the other way round: every
-package directory under ``src/repro/`` appears in the map."""
+is a file or directory of the checkout, and so is every test file it
+points at.  And the other way round: every package directory under
+``src/repro/`` appears in the map."""
 
 import os
 import re
@@ -42,6 +43,15 @@ def test_every_src_path_named_in_design_md_exists():
     missing = sorted(p for p in named
                      if not os.path.exists(os.path.join(ROOT, p)))
     assert missing == []
+
+
+def test_every_test_file_named_in_design_md_exists():
+    with open(os.path.join(ROOT, "DESIGN.md"), encoding="utf-8") as fh:
+        named = set(re.findall(r"`((?:tests|benchmarks)/[\w/]+\.py)",
+                               fh.read()))
+    assert len(named) >= 8  # the pattern above still reads the index
+    assert sorted(p for p in named
+                  if not os.path.exists(os.path.join(ROOT, p))) == []
 
 
 def test_every_package_directory_is_in_the_module_map():
