@@ -1,30 +1,40 @@
-"""Scalar classification and array kill (privatization) analysis.
+"""Scalar classification, reduction recognition and array kill analysis:
+one ordered pass over a loop body.
 
 Given a candidate parallel loop, the parallelizer must decide for every
 variable written in the body whether the writes create loop-carried
-dependences or whether the variable is privatizable:
+dependences or whether the variable is privatizable or a reduction:
 
 * a **scalar** is privatizable when, on every execution path through one
   iteration, its first access is a write (``WRITE_FIRST``).  A scalar read
   before any write carries a dependence (``READ_FIRST``) unless it is a
   recognized reduction;
+* a **reduction** is a scalar used only in statements of one
+  OpenMP-expressible pattern — ``S = S + e`` / ``S = S - e`` (``+``),
+  ``S = S * e`` (``*``), ``S = MAX(S, e)`` / ``MIN`` (any argument
+  position).  The statements may sit inside conditionals or inner loops;
 * an **array** is privatizable when every read in the iteration is covered
   by an earlier *unconditional* write region of the same iteration — the
   classic array kill analysis.  Writes aggregated over inner loops use
   region projection (:mod:`repro.analysis.regions`).
 
-Both kinds use *lastprivate* semantics: Polaris "peels the last iteration"
-(Section III-B4 of the paper) so the sequential final values survive; our
-runtime simulator implements the same contract.
+:func:`scan_body` walks the body once, in textual order, and its
+:class:`BodyFacts` answers all three.  Array accesses are kept raw and
+projected only for the arrays :meth:`BodyFacts.privatizable` is asked
+about.  Both kinds of privatization use *lastprivate* semantics: Polaris
+"peels the last iteration" (Section III-B4 of the paper) so the
+sequential final values survive; our runtime simulator implements the
+same contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.regions import Region, project_over_loop, ref_region
+from repro.analysis.regions import Region, projected_region
+from repro.analysis.symbolic import from_expr
 from repro.fortran import ast
 from repro.fortran.symbols import SymbolTable
 
@@ -43,249 +53,272 @@ class _State(Enum):
     READ_FIRST = 2
 
 
-def classify_scalars(body: Sequence[ast.Stmt],
-                     table: SymbolTable) -> Dict[str, ScalarClass]:
-    """Classify every scalar accessed in ``body`` (one loop iteration)."""
+_MINMAX = {"MAX": "MAX", "AMAX1": "MAX", "DMAX1": "MAX", "MAX0": "MAX",
+           "MIN": "MIN", "AMIN1": "MIN", "DMIN1": "MIN", "MIN0": "MIN"}
+
+#: one array access: (name, is_write, subscripts or None for an
+#: unsubscripted whole-array reference, inside an IF arm, the inner DO
+#: loops enclosing it, outermost first)
+_Event = Tuple[str, bool, Optional[Tuple[ast.Expr, ...]], bool,
+               Tuple[ast.DoLoop, ...]]
+
+
+@dataclass
+class BodyFacts:
+    """What one iteration of a loop body does to its variables."""
+
+    table: SymbolTable
+    #: the class of every scalar accessed in the body
+    scalars: Dict[str, ScalarClass] = field(default_factory=dict)
+    #: scalars used *only* in consistent reduction statements: {var: op}
+    #: with op in '+', '*', 'MAX', 'MIN'
+    reductions: Dict[str, str] = field(default_factory=dict)
+    #: every array access in textual order (a condition before its arm;
+    #: an assignment's value, then the target's subscripts, then the
+    #: target)
+    events: List[_Event] = field(default_factory=list)
+
+    def privatizable(self, name: str, loop_var: str = "") -> bool:
+        """Is array ``name`` privatizable for the loop (index
+        ``loop_var``)?  Three conditions, all conservative:
+
+        1. every read is covered by some earlier unconditional write
+           region of the same iteration (no cross-iteration flow);
+        2. every write is unconditional (otherwise the lastprivate
+           copy-out from the final iteration could miss values the
+           sequential execution produced earlier);
+        3. every write region is invariant in ``loop_var`` (each
+           iteration writes the same region, so the peeled last iteration
+           reproduces the sequential final state).
+        """
+        name, loop_var = name.upper(), loop_var.upper()
+        info = self.table.info(name)
+        killed: List[Region] = []
+        for array, is_write, subs, conditional, inner in self.events:
+            if array != name:
+                continue
+            if is_write and conditional:
+                return False
+            region = (Region.whole_array(info) if subs is None
+                      else projected_region(subs, info, inner))
+            if is_write:
+                if subs is not None and not _invariant(region, loop_var):
+                    return False
+                killed.append(region)
+            elif not any(w.covers(region) for w in killed):
+                return False
+        return True
+
+
+def _invariant(region: Region, loop_var: str) -> bool:
+    """All bounds known and free of the candidate loop's index."""
+    return all(bound is not None and not (
+        loop_var and loop_var in bound.names_mentioned())
+        for d in region.dims for bound in (d.lo, d.hi))
+
+
+def scan_body(body: Sequence[ast.Stmt], table: SymbolTable) -> BodyFacts:
+    """Scalar classes, reductions and array accesses of ``body`` (one
+    loop iteration), from one walk."""
+    walk = _Walk(table)
     states: Dict[str, _State] = {}
-    reads: Set[str] = set()
-    writes: Set[str] = set()
-    _scan(list(body), table, states, reads, writes)
-    out: Dict[str, ScalarClass] = {}
-    for name in reads | writes:
+    walk.body(body, states, False, ())
+    facts = BodyFacts(table, events=walk.events)
+    for name in walk.reads | walk.writes:
         st = states.get(name, _State.UNSEEN)
-        if name not in writes:
-            out[name] = ScalarClass.READ_ONLY
+        if name not in walk.writes:
+            facts.scalars[name] = ScalarClass.READ_ONLY
         elif st is _State.READ_FIRST:
-            out[name] = ScalarClass.READ_FIRST
+            facts.scalars[name] = ScalarClass.READ_FIRST
         elif st is _State.WRITTEN:
-            out[name] = ScalarClass.WRITE_FIRST
+            facts.scalars[name] = ScalarClass.WRITE_FIRST
         else:
             # written only on some paths and never read before the write:
             # lastprivate copy-out from the final iteration would be wrong
             # whenever the final iteration skips the write, so Polaris (and
             # we) keep such loops serial unless the scalar is a reduction
-            out[name] = ScalarClass.CONDITIONAL_WRITE
-    return out
+            facts.scalars[name] = ScalarClass.CONDITIONAL_WRITE
+    facts.reductions = {v: next(iter(ops))
+                        for v, ops in walk.candidates.items()
+                        if len(ops) == 1 and v not in walk.touched}
+    return facts
 
 
-def _read(name: str, states: Dict[str, _State], reads: Set[str]) -> None:
-    reads.add(name)
-    if states.get(name, _State.UNSEEN) is _State.UNSEEN:
-        states[name] = _State.READ_FIRST
+def _merge(states: Dict[str, _State],
+           paths: List[Dict[str, _State]]) -> None:
+    """Set ``states`` to the scalar states after alternative ``paths``:
+    read-first on any path wins, written needs every path, anything else
+    is unseen."""
+    out: Dict[str, _State] = {}
+    for k in set().union(*paths):
+        vals = {p.get(k, _State.UNSEEN) for p in paths}
+        out[k] = (_State.READ_FIRST if _State.READ_FIRST in vals
+                  else vals.pop() if len(vals) == 1 else _State.UNSEEN)
+    states.clear()
+    states.update(out)
 
 
-def _write(name: str, states: Dict[str, _State], writes: Set[str]) -> None:
-    writes.add(name)
-    if states.get(name, _State.UNSEEN) is _State.UNSEEN:
-        states[name] = _State.WRITTEN
+class _Walk:
+    """The walk's accumulators; scalar states are threaded through the
+    calls because IF arms and inner DO bodies each start from a copy."""
 
+    def __init__(self, table: SymbolTable):
+        self.table = table
+        self.reads: Set[str] = set()
+        self.writes: Set[str] = set()
+        #: reduction candidates: {var: ops of its reduction statements}
+        self.candidates: Dict[str, Set[str]] = {}
+        #: names occurring outside their own reduction statements
+        self.touched: Set[str] = set()
+        self.events: List[_Event] = []
 
-def _expr_scan(e: Optional[ast.Expr], table: SymbolTable,
-               states: Dict[str, _State], reads: Set[str]) -> None:
-    if e is None:
-        return
-    for n in ast.walk_expr(e):
-        if isinstance(n, ast.Var) and not table.is_array(n.name):
-            _read(n.name.upper(), states, reads)
+    def read(self, name: str, states: Dict[str, _State]) -> None:
+        self.reads.add(name)
+        if states.get(name, _State.UNSEEN) is _State.UNSEEN:
+            states[name] = _State.READ_FIRST
 
+    def write(self, name: str, states: Dict[str, _State]) -> None:
+        self.writes.add(name)
+        if states.get(name, _State.UNSEEN) is _State.UNSEEN:
+            states[name] = _State.WRITTEN
 
-def _scan(body: List[ast.Stmt], table: SymbolTable,
-          states: Dict[str, _State], reads: Set[str],
-          writes: Set[str]) -> None:
-    for s in body:
-        if isinstance(s, ast.Assign):
-            _expr_scan(s.value, table, states, reads)
-            if isinstance(s.target, ast.ArrayRef):
-                for sub in s.target.subs:
-                    _expr_scan(sub, table, states, reads)
-            if isinstance(s.target, ast.Var) and not table.is_array(
-                    s.target.name):
-                _write(s.target.name.upper(), states, writes)
-        elif isinstance(s, ast.IfBlock):
-            for cond, _ in s.arms:
-                _expr_scan(cond, table, states, reads)
-            merged: Dict[str, _State] = {}
-            branch_states: List[Dict[str, _State]] = []
-            for _, arm in s.arms:
-                st = dict(states)
-                _scan(arm, table, st, reads, writes)
-                branch_states.append(st)
-            has_else = s.arms[-1][0] is None
-            if not has_else:
-                branch_states.append(dict(states))  # fall-through path
-            keys = set()
-            for st in branch_states:
-                keys |= set(st)
-            for k in keys:
-                vals = {st.get(k, _State.UNSEEN) for st in branch_states}
-                if _State.READ_FIRST in vals:
-                    merged[k] = _State.READ_FIRST
-                elif vals == {_State.WRITTEN}:
-                    merged[k] = _State.WRITTEN
-                elif _State.UNSEEN in vals and _State.WRITTEN in vals:
-                    merged[k] = _State.UNSEEN
-                else:
-                    merged[k] = vals.pop()
-            states.clear()
-            states.update(merged)
-        elif isinstance(s, ast.DoLoop):
-            _expr_scan(s.start, table, states, reads)
-            _expr_scan(s.stop, table, states, reads)
-            _expr_scan(s.step, table, states, reads)
-            _write(s.var.upper(), states, writes)
-            # the body may run zero times: merge like a conditional branch
-            st = dict(states)
-            _scan(s.body, table, st, reads, writes)
-            for k in set(st) | set(states):
-                a = states.get(k, _State.UNSEEN)
-                b = st.get(k, _State.UNSEEN)
-                if _State.READ_FIRST in (a, b):
-                    states[k] = _State.READ_FIRST
-                elif a is b:
-                    states[k] = a
-                else:
-                    states[k] = _State.UNSEEN
-        elif isinstance(s, ast.CallStmt):
-            # handled by the parallelizer via side-effect summaries; scan
-            # argument expressions as reads
-            for a in s.args:
-                _expr_scan(a, table, states, reads)
-        elif isinstance(s, ast.IoStmt):
-            for item in s.items:
-                if s.kind == "READ" and isinstance(item, ast.Var) \
-                        and not table.is_array(item.name):
-                    _write(item.name.upper(), states, writes)
-                else:
-                    _expr_scan(item, table, states, reads)
-        elif isinstance(s, (ast.OmpParallelDo,)):
-            _scan([s.loop], table, states, reads, writes)
-        elif isinstance(s, ast.TaggedBlock):
-            _scan(s.body, table, states, reads, writes)
-        # Goto/Continue/Return/Stop: no scalar accesses
-
-
-# ---------------------------------------------------------------------------
-# array kill analysis
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Event:
-    is_write: bool
-    region: Region
-    conditional: bool
-    #: True when the event is an unsubscripted whole-array reference (its
-    #: region is the declared extent, invariant by construction)
-    whole: bool = False
-
-
-def _collect_events(body: Sequence[ast.Stmt], name: str,
-                    table: SymbolTable, conditional: bool,
-                    inner_loops: Tuple[ast.DoLoop, ...],
-                    events: List[_Event]) -> None:
-    info = table.info(name)
-
-    def expr_events(e: Optional[ast.Expr]) -> None:
+    def expr(self, e: Optional[ast.Expr], states: Dict[str, _State],
+             cond: bool, inner: Tuple[ast.DoLoop, ...],
+             owner: str = "") -> None:
+        """The reads of ``e``; ``owner``: the scalar whose reduction
+        statement ``e`` belongs to."""
         if e is None:
             return
         for n in ast.walk_expr(e):
-            if isinstance(n, ast.ArrayRef) and n.name.upper() == name:
-                events.append(_Event(False, _projected(
-                    ref_region(n.subs, info), inner_loops), conditional))
-            elif isinstance(n, ast.Var) and n.name.upper() == name:
-                events.append(_Event(False, Region.whole_array(info),
-                                     conditional, whole=True))
+            if isinstance(n, ast.Var):
+                name = n.name.upper()
+                if name != owner:
+                    self.touched.add(name)
+                if self.table.is_array(name):
+                    self.events.append((name, False, None, cond, inner))
+                else:
+                    self.read(name, states)
+            elif isinstance(n, ast.ArrayRef):
+                self.events.append((n.name.upper(), False, n.subs, cond,
+                                    inner))
 
-    for s in body:
-        if isinstance(s, ast.Assign):
-            expr_events(s.value)
-            if isinstance(s.target, ast.ArrayRef) \
-                    and s.target.name.upper() == name:
-                for sub in s.target.subs:
-                    expr_events(sub)
-                events.append(_Event(True, _projected(
-                    ref_region(s.target.subs, info), inner_loops),
-                    conditional))
-            elif isinstance(s.target, ast.Var) \
-                    and s.target.name.upper() == name:
-                events.append(_Event(True, Region.whole_array(info),
-                                     conditional, whole=True))
-        elif isinstance(s, ast.IfBlock):
-            for cond, arm in s.arms:
-                expr_events(cond)
-                _collect_events(arm, name, table, True, inner_loops, events)
-        elif isinstance(s, ast.DoLoop):
-            expr_events(s.start)
-            expr_events(s.stop)
-            expr_events(s.step)
-            _collect_events(s.body, name, table, conditional,
-                            inner_loops + (s,), events)
-        elif isinstance(s, ast.CallStmt):
-            for a in s.args:
-                expr_events(a)
-                if isinstance(a, (ast.Var, ast.ArrayRef)) \
-                        and a.name.upper() == name:
-                    # passing the array to a procedure: unknown use
-                    events.append(_Event(False, Region.whole_array(info),
-                                         conditional, whole=True))
-        elif isinstance(s, ast.IoStmt):
-            for item in s.items:
-                expr_events(item)
-        elif isinstance(s, ast.OmpParallelDo):
-            _collect_events([s.loop], name, table, conditional, inner_loops,
-                            events)
-        elif isinstance(s, ast.TaggedBlock):
-            _collect_events(s.body, name, table, conditional, inner_loops,
-                            events)
+    def body(self, body: Sequence[ast.Stmt], states: Dict[str, _State],
+             cond: bool, inner: Tuple[ast.DoLoop, ...]) -> None:
+        for s in body:
+            if isinstance(s, ast.Assign):
+                self.assign(s, states, cond, inner)
+            elif isinstance(s, ast.IfBlock):
+                # every condition is read before any arm runs, but each
+                # condition's array accesses precede its own arm's
+                arm_events = []
+                for c, _ in s.arms:
+                    mark = len(self.events)
+                    self.expr(c, states, cond, inner)
+                    arm_events.append(self.events[mark:])
+                    del self.events[mark:]
+                paths = []
+                for (_, arm), events in zip(s.arms, arm_events):
+                    self.events += events
+                    paths.append(dict(states))
+                    self.body(arm, paths[-1], True, inner)
+                if s.arms[-1][0] is not None:
+                    paths.append(states)  # the fall-through path
+                _merge(states, paths)
+            elif isinstance(s, ast.DoLoop):
+                for e in (s.start, s.stop, s.step):
+                    self.expr(e, states, cond, inner)
+                self.touched.add(s.var.upper())  # an index is no reduction
+                self.write(s.var.upper(), states)
+                # the body may run zero times: merge like a conditional arm
+                path = dict(states)
+                self.body(s.body, path, cond, inner + (s,))
+                _merge(states, [states, path])
+            elif isinstance(s, ast.CallStmt):
+                # the call's effects come from the side-effect summaries;
+                # here its arguments are reads, and an array passed to it
+                # is a read of the whole array (unknown use)
+                for a in s.args:
+                    self.expr(a, states, cond, inner)
+                    if isinstance(a, (ast.Var, ast.ArrayRef)):
+                        self.events.append((a.name.upper(), False, None,
+                                            cond, inner))
+            elif isinstance(s, ast.IoStmt):
+                for item in s.items:
+                    if s.kind == "READ" and isinstance(item, ast.Var) \
+                            and not self.table.is_array(item.name):
+                        self.touched.add(item.name.upper())
+                        self.write(item.name.upper(), states)
+                    else:
+                        self.expr(item, states, cond, inner)
+            elif isinstance(s, ast.OmpParallelDo):
+                self.body([s.loop], states, cond, inner)
+            else:
+                # a tagged block's actuals, a computed-GOTO index, an
+                # assigned-GOTO variable, an alternate-return selector:
+                # no scalar or array accesses, but no reduction either
+                self.touched.update(
+                    n.name.upper() for e in ast.stmt_exprs(s)
+                    for n in ast.walk_expr(e) if isinstance(n, ast.Var))
+                if isinstance(s, ast.TaggedBlock):
+                    self.body(s.body, states, cond, inner)
 
-
-def _projected(region: Region,
-               loops: Tuple[ast.DoLoop, ...]) -> Region:
-    for lp in reversed(loops):
-        region = project_over_loop(region, lp)
-    return region
-
-
-def array_privatizable(name: str, body: Sequence[ast.Stmt],
-                       table: SymbolTable,
-                       loop_var: str = "") -> bool:
-    """Is array ``name`` privatizable for a loop (index ``loop_var``) with
-    body ``body``?
-
-    Three conditions, all conservative:
-
-    1. every read is covered by some earlier unconditional write region of
-       the same iteration (no cross-iteration flow);
-    2. every write is unconditional (otherwise the lastprivate copy-out
-       from the final iteration could miss values the sequential execution
-       produced earlier);
-    3. every write region is invariant in ``loop_var`` (each iteration
-       writes the same region, so the peeled last iteration reproduces the
-       sequential final state).
-    """
-    name = name.upper()
-    loop_var = loop_var.upper()
-    events: List[_Event] = []
-    _collect_events(body, name, table, False, (), events)
-    killed: List[Region] = []
-    for ev in events:
-        if ev.is_write:
-            if ev.conditional:
-                return False
-            if not ev.whole and not _region_invariant(ev.region, loop_var):
-                return False
-            killed.append(ev.region)
+    def assign(self, s: ast.Assign, states: Dict[str, _State], cond: bool,
+               inner: Tuple[ast.DoLoop, ...]) -> None:
+        owner = ""
+        hit = _reduction_op(s, self.table)
+        if hit:
+            owner, op = hit
+            self.candidates.setdefault(owner, set()).add(op)
+        self.expr(s.value, states, cond, inner, owner)
+        target = s.target
+        if isinstance(target, ast.Var):
+            name = target.name.upper()
+            if name != owner:
+                self.touched.add(name)
+            if self.table.is_array(name):
+                self.events.append((name, True, None, cond, inner))
+            else:
+                self.write(name, states)
         else:
-            if not any(w.covers(ev.region) for w in killed):
-                return False
-    return True
+            for sub in target.subs:
+                self.expr(sub, states, cond, inner, owner)
+            self.events.append((target.name.upper(), True, target.subs,
+                                cond, inner))
 
 
-def _region_invariant(region: Region, loop_var: str) -> bool:
-    """All bounds known and free of the candidate loop's index."""
-    for d in region.dims:
-        for bound in (d.lo, d.hi):
-            if bound is None:
-                return False
-            if loop_var and loop_var in bound.names_mentioned():
-                return False
-    return True
+def _reduction_op(s: ast.Assign,
+                  table: SymbolTable) -> Optional[Tuple[str, str]]:
+    """If ``s`` is a reduction statement, return (var, op)."""
+    if not isinstance(s.target, ast.Var) or table.is_array(s.target.name):
+        return None
+    v = s.target.name.upper()
+    rhs = s.value
+    occurrences = sum(1 for n in ast.walk_expr(rhs)
+                      if isinstance(n, ast.Var) and n.name.upper() == v)
+    if occurrences != 1:
+        return None
+    # MIN/MAX may appear as FuncRef (after resolution) or as a parenthesized
+    # name reference (before resolution) — accept both
+    if isinstance(rhs, (ast.FuncRef, ast.ArrayRef)) \
+            and rhs.name.upper() in _MINMAX \
+            and not table.is_array(rhs.name):
+        args = rhs.args if isinstance(rhs, ast.FuncRef) else rhs.subs
+        if any(isinstance(a, ast.Var) and a.name.upper() == v for a in args):
+            return v, _MINMAX[rhs.name.upper()]
+        return None
+    # additive: rhs - v must not mention v
+    delta = from_expr(rhs) - from_expr(ast.Var(v))
+    if v not in delta.names_mentioned():
+        return v, "+"
+    # multiplicative: rhs must be v * e or e * v at the top
+    if isinstance(rhs, ast.BinOp) and rhs.op == "*":
+        for a, b in ((rhs.left, rhs.right), (rhs.right, rhs.left)):
+            if isinstance(a, ast.Var) and a.name.upper() == v \
+                    and v not in _names(b):
+                return v, "*"
+    return None
+
+
+def _names(e: ast.Expr) -> Set[str]:
+    return {n.name.upper() for n in ast.walk_expr(e)
+            if isinstance(n, (ast.Var, ast.ArrayRef, ast.FuncRef))}

@@ -131,6 +131,16 @@ def project_over_loop(region: Region, loop: ast.DoLoop) -> Region:
     return Region(tuple(dims))
 
 
+def projected_region(subs: Sequence[ast.Expr], info: VarInfo,
+                     loops: Sequence[ast.DoLoop]) -> Region:
+    """Region of ``A(subs)`` aggregated over every iteration of the DO
+    ``loops`` enclosing the reference (outermost first)."""
+    region = ref_region(subs, info)
+    for loop in reversed(loops):
+        region = project_over_loop(region, loop)
+    return region
+
+
 def _project_bound(bound: Optional[Poly], var: str, start: Poly, stop: Poly,
                    step: Optional[int], is_lo: bool) -> Optional[Poly]:
     if bound is None:

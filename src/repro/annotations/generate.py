@@ -29,13 +29,13 @@ with :func:`render_annotation` for human review.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.defuse import collect_accesses
-from repro.analysis.regions import Region, project_over_loop, ref_region
+from repro.analysis.defuse import AccessSet, collect_accesses
+from repro.analysis.regions import Region, projected_region
 from repro.annotations import ast as aast
 from repro.fortran import ast as fast
-from repro.fortran.symbols import SymbolTable, build_symbol_table
+from repro.fortran.symbols import SymbolTable, VarInfo, build_symbol_table
 from repro.fortran.unparser import expr_to_str
 from repro.program import Program
 
@@ -132,7 +132,7 @@ def generate_annotation(program: Program,
     for n in arrays_written:
         if not visible(n):
             continue  # local temporary: omitted by design
-        region = _written_region(body, n, table)
+        region = _written_region(acc, n, table.info(n))
         if region is None:
             return GenerationResult(
                 None, f"cannot summarize the region written to {n}",
@@ -221,40 +221,22 @@ def _strip_error_checks(body: List[fast.Stmt], table: SymbolTable
     return fast.map_stmts(fast.clone(body), rewrite), omitted[0]
 
 
-def _written_region(body: Sequence[fast.Stmt], name: str,
-                    table: SymbolTable) -> Optional[Region]:
-    """The union-as-single-region of all writes to ``name``, projected
-    over enclosing loops; None when writes differ structurally."""
-    info = table.info(name)
-    regions: List[Region] = []
-
-    def walk(stmts: Sequence[fast.Stmt],
-             loops: Tuple[fast.DoLoop, ...]) -> None:
-        for s in stmts:
-            if isinstance(s, fast.Assign) \
-                    and isinstance(s.target, fast.ArrayRef) \
-                    and s.target.name.upper() == name:
-                r = ref_region(s.target.subs, info)
-                for lp in reversed(loops):
-                    r = project_over_loop(r, lp)
-                regions.append(r)
-            elif isinstance(s, fast.DoLoop):
-                walk(s.body, loops + (s,))
-            elif isinstance(s, fast.IfBlock):
-                for _, arm in s.arms:
-                    walk(arm, loops)
-
-    walk(body, ())
-    if not regions:
-        return None
-    merged = regions[0]
-    for r in regions[1:]:
-        if merged.covers(r):
+def _written_region(acc: AccessSet, name: str,
+                    info: VarInfo) -> Optional[Region]:
+    """The union-as-single-region of all writes to ``name`` in the walk
+    ``acc``, each projected over its enclosing loops; None when writes
+    differ structurally."""
+    merged: Optional[Region] = None
+    for (array, subs, is_write), loops in zip(acc.array_accesses,
+                                              acc.array_loops):
+        if not is_write or array != name:
             continue
-        if r.covers(merged):
-            merged = r
+        r = projected_region(subs, info, loops)
+        if merged is not None and merged.covers(r):
             continue
-        return None  # structurally different writes: give up
+        if merged is not None and not r.covers(merged):
+            return None  # structurally different writes: give up
+        merged = r
     return merged
 
 

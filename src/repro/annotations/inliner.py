@@ -53,9 +53,6 @@ class AnnotationInlineResult:
 class AnnotationInliner:
     registry: AnnotationRegistry
     options: TranslateOptions = field(default_factory=TranslateOptions)
-    #: inline only call sites inside loop nests (the Polaris site filter);
-    #: annotation inlining is cheap, so by default all sites are taken
-    require_loop_context: bool = False
 
     def run(self, program: Program) -> AnnotationInlineResult:
         result = AnnotationInlineResult()
@@ -70,19 +67,20 @@ class AnnotationInliner:
               result: AnnotationInlineResult, counter: List[int]) -> None:
         changed = [False]
 
-        def process(body: List[ast.Stmt], in_loop: bool) -> List[ast.Stmt]:
+        # annotation inlining is cheap, so unlike the Polaris site filter
+        # it takes call sites outside loop nests too
+        def process(body: List[ast.Stmt]) -> List[ast.Stmt]:
             out: List[ast.Stmt] = []
             for s in body:
                 if isinstance(s, ast.DoLoop):
-                    s.body[:] = process(s.body, True)
+                    s.body[:] = process(s.body)
                     out.append(s)
                 elif isinstance(s, ast.IfBlock):
                     for _, arm in s.arms:
-                        arm[:] = process(arm, in_loop)
+                        arm[:] = process(arm)
                     out.append(s)
                 elif isinstance(s, ast.CallStmt) \
-                        and s.name.upper() in self.registry \
-                        and (in_loop or not self.require_loop_context):
+                        and s.name.upper() in self.registry:
                     block = self._site(program, unit, s, result, counter)
                     if block is None:
                         out.append(s)
@@ -93,7 +91,7 @@ class AnnotationInliner:
                     out.append(s)
             return out
 
-        unit.body = process(unit.body, False)
+        unit.body = process(unit.body)
         if changed[0]:
             program.invalidate(unit)
 

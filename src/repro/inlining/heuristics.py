@@ -24,9 +24,6 @@ from repro.program import Program
 @dataclass(frozen=True)
 class InlinePolicy:
     max_statements: int = 150
-    allow_io: bool = False
-    allow_calls: bool = False
-    require_loop_context: bool = True
     #: procedures whose source counts as unavailable although the
     #: program holds it (a benchmark's external-library units)
     unavailable: FrozenSet[str] = frozenset()
@@ -38,7 +35,7 @@ class InlinePolicy:
         callee_name = callee_name.upper()
         if callee_name in self.unavailable:
             return "no-source"
-        if self.require_loop_context and not in_loop:
+        if not in_loop:
             return "not-in-loop"
         callee = program.procedures.get(callee_name)
         if callee is None:
@@ -50,9 +47,9 @@ class InlinePolicy:
         if ast.count_statements(callee.body) > self.max_statements:
             return "too-large"
         acc = collect_accesses(callee.body, program.symtab(callee))
-        if not self.allow_calls and acc.callees:
+        if acc.callees:
             return "makes-calls"
-        if acc.has_io and not self.allow_io:
+        if acc.has_io:
             return "io"
         if _has_mid_return(callee.body):
             return "mid-return"

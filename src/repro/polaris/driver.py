@@ -35,7 +35,7 @@ from repro.fortran import ast
 from repro.obs import metrics as obs_metrics
 from repro.obs.profile import FAMILIES, accumulate_test_stats
 from repro.polaris.parallelizer import LegalityAnalyzer
-from repro.polaris.profitability import ProfitabilityPolicy
+from repro.polaris.profitability import profitable
 from repro.polaris.report import Report
 from repro.program import Program
 from repro.trace import NULL_TRACER, Tracer
@@ -60,7 +60,6 @@ class PolarisOptions:
     use_banerjee: bool = True
     #: also run the joint Fourier-Motzkin test (coupled subscripts)
     use_exact: bool = False
-    min_trip_count: int = 4
     parallelize_nested: bool = True
     #: origins the empirical tuning pass decided to keep serial (Figure 20)
     disabled_origins: frozenset = frozenset()
@@ -160,15 +159,14 @@ class Polaris:
                           report: Report,
                           tracer: Tracer = NULL_TRACER) -> None:
         state = _UnitState(program, unit, summaries, self.options)
-        policy = ProfitabilityPolicy(self.options.min_trip_count)
 
         def process(body: List[ast.Stmt],
                     enclosing: List[ast.DoLoop]) -> List[ast.Stmt]:
             out: List[ast.Stmt] = []
             for s in body:
                 if isinstance(s, ast.DoLoop):
-                    out.append(self._try_loop(s, enclosing, state, policy,
-                                              report, process, tracer))
+                    out.append(self._try_loop(s, enclosing, state, report,
+                                              process, tracer))
                 elif isinstance(s, ast.IfBlock):
                     out.append(ast.IfBlock(
                         [(c, process(b, enclosing)) for c, b in s.arms],
@@ -185,8 +183,7 @@ class Polaris:
         accumulate_test_stats(report.test_stats, state.tester.stats)
 
     def _try_loop(self, loop: ast.DoLoop, enclosing: List[ast.DoLoop],
-                  state: _UnitState, policy: ProfitabilityPolicy,
-                  report: Report, process,
+                  state: _UnitState, report: Report, process,
                   tracer: Tracer = NULL_TRACER) -> ast.Stmt:
         info = LoopInfo(loop, list(enclosing))
         stats_before = _stats_snapshot(state.tester.stats)
@@ -208,7 +205,7 @@ class Polaris:
             decision.parallelized = False
             decision.reason = "tuning-disabled"
         if decision.parallelized:
-            if policy.profitable(loop, acc):
+            if profitable(loop, acc):
                 decision.profitability = "profitable"
             else:
                 decision.profitability = "unprofitable"

@@ -31,9 +31,7 @@ from repro.analysis.affine import AffineForm, extract
 from repro.analysis.defuse import AccessSet
 from repro.analysis.dependence import DependenceTester, LoopCtx
 from repro.analysis.loops import LoopInfo, loop_ctx
-from repro.analysis.privatization import (ScalarClass, array_privatizable,
-                                          classify_scalars)
-from repro.analysis.reductions import find_reductions
+from repro.analysis.privatization import ScalarClass, scan_body
 from repro.analysis.sideeffects import Summary
 from repro.fortran import ast
 from repro.fortran.symbols import SymbolTable
@@ -83,7 +81,6 @@ class LegalityAnalyzer:
         order; appends the PRIVATE and REDUCTION clauses the loop needs
         to ``private`` and ``red_clauses``."""
         loop = info.loop
-        body = loop.body
         if acc.has_goto:
             yield ("control-flow", "GOTO", "")
         if acc.has_stop:
@@ -107,9 +104,9 @@ class LegalityAnalyzer:
                 yield ("call", name, "")
 
         # scalars --------------------------------------------------------
-        classes = classify_scalars(body, self.table)
-        reductions = find_reductions(body, self.table)
-        for name, cls in sorted(classes.items()):
+        facts = scan_body(loop.body, self.table)
+        reductions = facts.reductions
+        for name, cls in sorted(facts.scalars.items()):
             if name not in acc.scalar_writes:
                 continue
             if name in reductions:
@@ -140,8 +137,7 @@ class LegalityAnalyzer:
                 continue
             witness = self._carried(array, refs, info, loops_ctx)
             if witness:
-                if array_privatizable(array, body, self.table,
-                                      loop_var=loop.var):
+                if facts.privatizable(array, loop.var):
                     private.append(array)
                 else:
                     yield ("array-dep", array, witness)

@@ -10,23 +10,20 @@ code can produce it) is also skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis.defuse import AccessSet
 from repro.analysis.loops import trip_count
 from repro.fortran import ast
 
 
-@dataclass(frozen=True)
-class ProfitabilityPolicy:
-    #: minimum known trip count worth parallelizing
-    min_trip_count: int = 4
+#: minimum known trip count worth parallelizing
+MIN_TRIP_COUNT = 4
 
-    def profitable(self, loop: ast.DoLoop, acc: AccessSet) -> bool:
-        """``acc``: the accesses of ``loop``'s body."""
-        trips = trip_count(loop)
-        if trips is not None and trips < self.min_trip_count:
-            return False
-        if not acc.array_accesses and not acc.has_call:
-            return False
-        return True
+
+def profitable(loop: ast.DoLoop, acc: AccessSet) -> bool:
+    """``acc``: the accesses of ``loop``'s body."""
+    trips = trip_count(loop)
+    if trips is not None and trips < MIN_TRIP_COUNT:
+        return False
+    if not acc.array_accesses and not acc.has_call:
+        return False
+    return True

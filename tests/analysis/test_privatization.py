@@ -1,8 +1,8 @@
 """Tests for scalar classification, array kill analysis and reductions."""
 
-from repro.analysis.privatization import (ScalarClass, array_privatizable,
-                                          classify_scalars)
-from repro.analysis.reductions import find_reductions
+import pytest
+
+from repro.analysis.privatization import ScalarClass, scan_body
 from repro.analysis.regions import Region, ref_region, project_over_loop
 from repro.analysis.symbolic import from_expr
 from repro.fortran import ast
@@ -33,7 +33,7 @@ class TestScalarClassification:
             "        A(I) = T + 1.0\n"
             "   10 CONTINUE\n"
             "      END\n")
-        cls = classify_scalars(body, table)
+        cls = scan_body(body, table).scalars
         assert cls["T"] is ScalarClass.WRITE_FIRST
 
     def test_read_first(self):
@@ -45,7 +45,7 @@ class TestScalarClassification:
             "        T = A(I)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        cls = classify_scalars(body, table)
+        cls = scan_body(body, table).scalars
         assert cls["T"] is ScalarClass.READ_FIRST
 
     def test_read_only(self):
@@ -56,7 +56,7 @@ class TestScalarClassification:
             "        A(I) = C*2.0\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert classify_scalars(body, table)["C"] is ScalarClass.READ_ONLY
+        assert scan_body(body, table).scalars["C"] is ScalarClass.READ_ONLY
 
     def test_conditional_write_then_read_not_private(self):
         body, table = loop_body(
@@ -67,7 +67,7 @@ class TestScalarClassification:
             "        A(I) = T\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert classify_scalars(body, table)["T"] is ScalarClass.READ_FIRST
+        assert scan_body(body, table).scalars["T"] is ScalarClass.READ_FIRST
 
     def test_write_on_all_branches_is_private(self):
         body, table = loop_body(
@@ -82,7 +82,7 @@ class TestScalarClassification:
             "        A(I) = T\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert classify_scalars(body, table)["T"] is ScalarClass.WRITE_FIRST
+        assert scan_body(body, table).scalars["T"] is ScalarClass.WRITE_FIRST
 
     def test_inner_loop_zero_trip_conservatism(self):
         body, table = loop_body(
@@ -96,7 +96,7 @@ class TestScalarClassification:
             "   10 CONTINUE\n"
             "      END\n")
         # the inner loop may run zero iterations, so T may be stale
-        assert classify_scalars(body, table)["T"] is ScalarClass.READ_FIRST
+        assert scan_body(body, table).scalars["T"] is ScalarClass.READ_FIRST
 
     def test_condition_read_counts(self):
         body, table = loop_body(
@@ -107,7 +107,7 @@ class TestScalarClassification:
             "        T = A(I)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert classify_scalars(body, table)["T"] is ScalarClass.READ_FIRST
+        assert scan_body(body, table).scalars["T"] is ScalarClass.READ_FIRST
 
 
 class TestRegions:
@@ -194,7 +194,7 @@ class TestArrayKill:
             "   30   CONTINUE\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert array_privatizable("T", body, table)
+        assert scan_body(body, table).privatizable("T")
 
     def test_partial_kill_fails(self):
         body, table = loop_body(
@@ -209,7 +209,7 @@ class TestArrayKill:
             "   30   CONTINUE\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert not array_privatizable("T", body, table)
+        assert not scan_body(body, table).privatizable("T")
 
     def test_symbolic_mismatch_fails(self):
         # GETCR/SHAPE1: writer bound NNPED, reader indirect
@@ -224,7 +224,7 @@ class TestArrayKill:
             "        A(I) = XY(1,NODE(I))\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert not array_privatizable("XY", body, table)
+        assert not scan_body(body, table).privatizable("XY")
 
     def test_symbolic_match_succeeds(self):
         body, table = loop_body(
@@ -239,7 +239,7 @@ class TestArrayKill:
             "   30   CONTINUE\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert array_privatizable("T", body, table)
+        assert scan_body(body, table).privatizable("T")
 
     def test_conditional_write_not_a_kill(self):
         body, table = loop_body(
@@ -254,7 +254,7 @@ class TestArrayKill:
             "        A(I) = T(5)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert not array_privatizable("T", body, table)
+        assert not scan_body(body, table).privatizable("T")
 
     def test_region_assignment_kills(self):
         # the form annotation translation produces: XY(1:2,1:64) = expr
@@ -266,7 +266,7 @@ class TestArrayKill:
             "        A(I) = XY(1,5)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert array_privatizable("XY", body, table)
+        assert scan_body(body, table).privatizable("XY")
 
     def test_read_before_write_fails(self):
         body, table = loop_body(
@@ -279,7 +279,49 @@ class TestArrayKill:
             "   20   CONTINUE\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert not array_privatizable("T", body, table)
+        assert not scan_body(body, table).privatizable("T")
+
+    def test_write_in_if_inside_inner_loop_not_a_kill(self):
+        body, table = loop_body(
+            "      SUBROUTINE S\n"
+            "      DIMENSION T(64), A(100)\n"
+            "      DO 10 I = 1, N\n"
+            "        DO 20 J = 1, 64\n"
+            "          IF (A(I).GT.0.0) T(J) = 0.0\n"
+            "   20   CONTINUE\n"
+            "        A(I) = T(5)\n"
+            "   10 CONTINUE\n"
+            "      END\n")
+        assert not scan_body(body, table).privatizable("T")
+
+    def test_read_item_is_a_read(self):
+        # READ(5,*) T(1) stores into T(1), but the kill analysis counts it
+        # as an access before any covering write
+        body, table = loop_body(
+            "      SUBROUTINE S\n"
+            "      DIMENSION T(64), A(100)\n"
+            "      DO 10 I = 1, N\n"
+            "        READ(5,*) T(1)\n"
+            "        DO 20 J = 1, 64\n"
+            "          T(J) = 0.0\n"
+            "   20   CONTINUE\n"
+            "        A(I) = T(5)\n"
+            "   10 CONTINUE\n"
+            "      END\n")
+        assert not scan_body(body, table).privatizable("T")
+
+    def test_read_in_another_arrays_target_subscript_counts(self):
+        # IT(1) is read (in A's subscript) before this iteration writes it:
+        # the value flows in from the previous iteration
+        body, table = loop_body(
+            "      SUBROUTINE S\n"
+            "      DIMENSION IT(64), A(100)\n"
+            "      DO 10 I = 1, N\n"
+            "        A(IT(1)) = 0.0\n"
+            "        IT(1) = I\n"
+            "   10 CONTINUE\n"
+            "      END\n")
+        assert not scan_body(body, table).privatizable("IT", "I")
 
     def test_array_passed_to_call_blocks(self):
         body, table = loop_body(
@@ -289,7 +331,7 @@ class TestArrayKill:
             "        CALL USE(T)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert not array_privatizable("T", body, table)
+        assert not scan_body(body, table).privatizable("T")
 
 
 class TestReductions:
@@ -301,7 +343,7 @@ class TestReductions:
             "        S1 = S1 + A(I)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert find_reductions(body, table) == {"S1": "+"}
+        assert scan_body(body, table).reductions == {"S1": "+"}
 
     def test_difference_is_plus_reduction(self):
         body, table = loop_body(
@@ -311,7 +353,7 @@ class TestReductions:
             "        S1 = S1 - A(I)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert find_reductions(body, table) == {"S1": "+"}
+        assert scan_body(body, table).reductions == {"S1": "+"}
 
     def test_product(self):
         body, table = loop_body(
@@ -321,7 +363,7 @@ class TestReductions:
             "        P = P * A(I)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert find_reductions(body, table) == {"P": "*"}
+        assert scan_body(body, table).reductions == {"P": "*"}
 
     def test_max(self):
         body, table = loop_body(
@@ -331,7 +373,7 @@ class TestReductions:
             "        XM = MAX(XM, A(I))\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert find_reductions(body, table) == {"XM": "MAX"}
+        assert scan_body(body, table).reductions == {"XM": "MAX"}
 
     def test_var_used_elsewhere_disqualifies(self):
         body, table = loop_body(
@@ -342,7 +384,7 @@ class TestReductions:
             "        A(I) = S1\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert find_reductions(body, table) == {}
+        assert scan_body(body, table).reductions == {}
 
     def test_mixed_operators_disqualify(self):
         body, table = loop_body(
@@ -353,7 +395,7 @@ class TestReductions:
             "        S1 = S1 * 2.0\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert find_reductions(body, table) == {}
+        assert scan_body(body, table).reductions == {}
 
     def test_two_reductions(self):
         body, table = loop_body(
@@ -364,7 +406,7 @@ class TestReductions:
             "        S2 = S2 + A(I)*A(I)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert find_reductions(body, table) == {"S1": "+", "S2": "+"}
+        assert scan_body(body, table).reductions == {"S1": "+", "S2": "+"}
 
     def test_conditional_reduction(self):
         body, table = loop_body(
@@ -374,4 +416,26 @@ class TestReductions:
             "        IF (A(I).GT.0.0) S1 = S1 + A(I)\n"
             "   10 CONTINUE\n"
             "      END\n")
-        assert find_reductions(body, table) == {"S1": "+"}
+        assert scan_body(body, table).reductions == {"S1": "+"}
+
+    @pytest.mark.parametrize("use", [
+        "        DO 20 J = 1, S\n   20   CONTINUE\n",
+        "        IF (S.GT.0.0) A(I) = 0.0\n",
+        "        CALL USE(S)\n",
+        "        WRITE(6,*) S\n",
+        "        GO TO (10, 10), S\n",
+        "        READ(5,*) S\n",
+        None,  # a tagged block's actuals
+    ])
+    def test_any_other_occurrence_disqualifies(self, use):
+        body, table = loop_body(
+            "      SUBROUTINE S\n"
+            "      DIMENSION A(100)\n"
+            "      DO 10 I = 1, N\n"
+            "        S = S + A(I)\n"
+            + (use or "") +
+            "   10 CONTINUE\n"
+            "      END\n")
+        if use is None:
+            body = body + [ast.TaggedBlock("USE", 1, (ast.Var("S"),), [])]
+        assert "S" not in scan_body(body, table).reductions

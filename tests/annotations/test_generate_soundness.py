@@ -88,6 +88,21 @@ class TestGeneration:
         assert results["SHAPE1"].ok  # a plain leaf
         assert all(r.ok or r.reason for r in results.values())
 
+    def test_whole_array_write_is_part_of_the_region(self):
+        # A = 0.0 writes all of A(1:10); a summary of A[1:N] alone would
+        # hide the write to A(N+1:10)
+        prog = Program.from_source(
+            "      SUBROUTINE W(A, N)\n"
+            "      DIMENSION A(10)\n"
+            "      A = 0.0\n"
+            "      DO 10 I = 1, N\n"
+            "        A(I) = 1.0\n"
+            "   10 CONTINUE\n"
+            "      END\n")
+        res = generate_annotation(prog, "W")
+        assert not res.ok
+        assert res.reason == "cannot summarize the region written to A"
+
     def test_missing_source(self):
         prog = Program.from_source(
             "      PROGRAM P\n      CALL GONE(1)\n      END\n")

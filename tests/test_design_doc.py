@@ -1,9 +1,13 @@
-"""DESIGN.md must not describe modules that do not exist: every path of
-its ``src/repro/`` module map, and every other ``src/...`` path it names,
-is a file or directory of the checkout, and so is every test file it
-points at.  And the other way round: every package directory under
-``src/repro/`` appears in the map."""
+"""The docs must not describe code that does not exist: every path of
+DESIGN.md's ``src/repro/`` module map, and every other ``src/...`` path
+it names, is a file or directory of the checkout, and so is every test
+file it points at; every backticked ``….py``, ``….py::name`` and
+``repro.x.y`` reference in DESIGN.md, README.md, EXPERIMENTS.md and
+``docs/*.md`` resolves.  And the other way round: every package
+directory under ``src/repro/`` appears in the map."""
 
+import ast
+import glob
 import os
 import re
 
@@ -65,6 +69,91 @@ def test_every_package_directory_is_in_the_module_map():
         and os.path.basename(directory) != "repro")
     assert len(packages) >= 14
     assert [p for p in packages if p not in mapped] == []
+
+
+def code_spans(text):
+    """The inline code spans of a markdown text (fenced blocks left out);
+    a span may wrap onto the next line."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    return re.findall(r"`([^`]+)`", text)
+
+
+def doc_references():
+    """``(doc, reference)`` pairs: the ``….py[::name]`` paths and the
+    dotted ``repro.…`` names in the code spans of the docs."""
+    docs = ["DESIGN.md", "README.md", "EXPERIMENTS.md"] + sorted(
+        os.path.relpath(p, ROOT)
+        for p in glob.glob(os.path.join(ROOT, "docs", "*.md")))
+    paths, dotted = set(), set()
+    for doc in docs:
+        with open(os.path.join(ROOT, doc), encoding="utf-8") as fh:
+            for span in code_spans(fh.read()):
+                paths.update((doc, ref) for ref in re.findall(
+                    r"[\w./-]*\w\.py(?:::\w+)?", span))
+                dotted.update((doc, ref) for ref in re.findall(
+                    r"\brepro(?:\.\w+)+", span))
+    return sorted(paths), sorted(dotted)
+
+
+def resolve_path(path):
+    """The checkout file ``path`` names: as written, under ``src/`` or
+    ``src/repro/``, or, for a bare file name, the one file so named."""
+    for candidate in (path, "src/" + path, "src/repro/" + path):
+        if os.path.isfile(os.path.join(ROOT, candidate)):
+            return candidate
+    if "/" in path:
+        return None
+    found = [os.path.relpath(p, ROOT) for p in glob.glob(
+        os.path.join(ROOT, "**", path), recursive=True)]
+    return found[0] if len(found) == 1 else None
+
+
+def top_level_names(path):
+    """What a module defines at top level, plus, for a package's
+    ``__init__.py``, what it imports (its exports)."""
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and path.endswith("__init__.py"):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+    return names
+
+
+def resolve_dotted(ref):
+    """``repro.pkg.module[.name]`` resolves when its longest module prefix
+    is a file of ``src/`` and the one name after it is defined there."""
+    parts = ref.split(".")
+    for k in range(len(parts), 0, -1):
+        base = os.path.join("src", *parts[:k])
+        for module in (base + ".py", os.path.join(base, "__init__.py")):
+            if os.path.isfile(os.path.join(ROOT, module)):
+                tail = parts[k:]
+                return not tail or (len(tail) == 1
+                                    and tail[0] in top_level_names(module))
+    return False
+
+
+def test_every_code_reference_in_the_docs_resolves():
+    paths, dotted = doc_references()
+    assert len(paths) >= 80 and len(dotted) >= 90  # the patterns still read
+    unresolved = []
+    for doc, ref in paths:
+        path, _, name = ref.partition("::")
+        found = resolve_path(path)
+        if found is None or (name and name not in top_level_names(found)):
+            unresolved.append((doc, ref))
+    unresolved += [(doc, ref) for doc, ref in dotted
+                   if not resolve_dotted(ref)]
+    assert unresolved == []
 
 
 def figure20_artefact():
