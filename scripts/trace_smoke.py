@@ -12,8 +12,8 @@ real CLI entry point, then asserts:
 3. both decision sources agree with each other;
 4. every record from both sources keeps the loop-record invariant
    across the worker export/merge boundary: a loop serial for a
-   legality reason lists that reason first in `blockers`, a parallel,
-   unprofitable or tuning-disabled one lists none.
+   legality reason lists that reason first in `blockers`, a parallel
+   or unprofitable one lists none.
 
 Usage: PYTHONPATH=src python scripts/trace_smoke.py [--benchmark adm]
 """
@@ -35,7 +35,7 @@ from repro.trace import (count_parallel, read_decisions_jsonl,  # noqa: E402
 
 CONFIG_KINDS = ("none", "conventional", "annotation")
 #: serial verdicts that are not legality failures (no blockers)
-NOT_LEGALITY = ("unprofitable", "tuning-disabled")
+NOT_LEGALITY = ("unprofitable",)
 
 
 def consistent(decision) -> bool:

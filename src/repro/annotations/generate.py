@@ -52,12 +52,6 @@ class GenerationResult:
         return self.annotation is not None
 
 
-@dataclass
-class _WriteSummary:
-    #: per-dimension (lo, hi) bound expressions, or a point subscript
-    dims: Tuple[Tuple[Optional[fast.Expr], Optional[fast.Expr]], ...]
-
-
 def generate_annotation(program: Program,
                         name: str) -> GenerationResult:
     """Derive an annotation for subroutine ``name`` from its body."""

@@ -96,9 +96,6 @@ class ReverseResult:
 class ReverseInliner:
     registry: AnnotationRegistry
     options: TranslateOptions = field(default_factory=TranslateOptions)
-    #: when True, a formal whose actual can be derived neither from the
-    #: match nor from the recorded tag is fatal (it always should be)
-    strict: bool = True
 
     def run(self, program: Program) -> ReverseResult:
         result = ReverseResult()
@@ -199,11 +196,9 @@ class ReverseInliner:
                 derived = env.scalars.get(p)
             rec = recorded[k] if k < len(recorded) else None
             if derived is None and rec is None:
-                if self.strict:
-                    raise ReverseInlineError(
-                        f"cannot derive actual for formal {p} of "
-                        f"{tb.callee} (site {tb.site_id})")
-                derived = ast.Var(p)
+                raise ReverseInlineError(
+                    f"cannot derive actual for formal {p} of "
+                    f"{tb.callee} (site {tb.site_id})")
             if derived is not None and rec is not None \
                     and not _actuals_agree(derived, rec):
                 agrees = False

@@ -637,19 +637,13 @@ def cmd_submit(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    import os
     from repro.fuzz import run_campaign
-    from repro.fuzz.generator import DIALECTS, GeneratorOptions
+    from repro.fuzz.generator import GeneratorOptions
     tracer = _make_tracer(args)
-    dialect = args.dialect or os.environ.get("REPRO_FUZZ_DIALECT", "core")
-    if dialect not in DIALECTS:
-        print(f"repro fuzz: unknown dialect {dialect!r}; "
-              f"expected one of {DIALECTS}", file=sys.stderr)
-        return 2
     result = run_campaign(seed=args.seed, count=args.count,
                           time_budget=args.time_budget, jobs=args.jobs,
                           tracer=tracer, corpus_dir=args.corpus_dir,
-                          options=GeneratorOptions(dialect=dialect),
+                          options=GeneratorOptions(dialect=args.dialect),
                           do_shrink=not args.no_shrink,
                           progress=(print if args.verbose else None))
     stats = result.stats
@@ -781,16 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Annotation-based inlining for interprocedural "
                     "parallelization (ICPP 2011 reproduction)")
-    parser.add_argument("--log-level", default=None,
-                        choices=("debug", "info", "warning", "error"),
-                        help="structured-log threshold (format from "
-                             "$REPRO_LOG=json|text; default warning, or "
-                             "info when REPRO_LOG is set)")
-    parser.add_argument("--backend", default=None,
-                        choices=("tree", "compiled"),
-                        help="runtime execution backend: the reference "
-                             "tree-walker or the compiled closure backend "
-                             "(default from $REPRO_BACKEND, else compiled)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_files(p, annotations=True):
@@ -965,11 +949,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "tests/fuzz/corpus)")
     p.add_argument("--no-shrink", action="store_true",
                    help="skip delta-debugging of failures")
-    p.add_argument("--dialect", default=None,
+    p.add_argument("--dialect", default="core",
                    choices=("core", "extended"),
-                   help="generator dialect: core, or extended with "
-                        "computed-GOTO and DATA productions (default "
-                        "$REPRO_FUZZ_DIALECT, else core)")
+                   help="generator dialect: core (default), or extended "
+                        "with computed-GOTO and DATA productions")
     p.add_argument("--verbose", "-v", action="store_true",
                    help="print per-batch progress and shrunk repros")
     p.set_defaults(fn=cmd_fuzz)
@@ -1205,19 +1188,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    import os
     from repro.errors import ReproError
     from repro.obs import logging as obs_logging
     args = build_parser().parse_args(argv)
-    if args.log_level:
-        # export so spawned worker processes (and the service's pool)
-        # inherit the threshold without re-plumbing the flag
-        os.environ["REPRO_LOG_LEVEL"] = args.log_level
-    if args.backend:
-        # same trick: one env var reaches every make_interpreter call,
-        # including worker processes
-        os.environ["REPRO_BACKEND"] = args.backend
-    obs_logging.configure(level=args.log_level)
+    obs_logging.configure()
     with obs_logging.log_context(run_id=obs_logging.new_run_id()):
         try:
             return args.fn(args)

@@ -28,7 +28,6 @@ from repro.experiments.reporting import text_table
 from repro.experiments.table2 import Table2Task, run_config_task
 from repro.perfect import all_benchmarks
 from repro.perfect.suite import Benchmark
-from repro.polaris import PolarisOptions
 from repro.trace import Tracer
 
 
@@ -55,14 +54,13 @@ class AblationRow:
         return len(self.origins["inferred"] & self.origins["hand"]) / hand
 
 
-def ablation_rows(polaris: Optional[PolarisOptions] = None,
-                  jobs: Optional[int] = None,
+def ablation_rows(jobs: Optional[int] = None,
                   benchmarks: Optional[List[Benchmark]] = None,
                   tracer: Optional[Tracer] = None) -> List[AblationRow]:
     benchmarks = benchmarks if benchmarks is not None else all_benchmarks()
     trace = tracer is not None and tracer.enabled
     # a Table II work unit per value of the annotations axis
-    tasks = [Table2Task(b, "annotation", polaris, trace, mode)
+    tasks = [Table2Task(b, "annotation", trace, mode)
              for b in benchmarks for mode in ANNOTATION_MODES]
     outcomes = run_tasks(run_config_task, tasks, jobs=jobs,
                          tracer=tracer, label="ablation")

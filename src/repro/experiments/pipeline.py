@@ -25,7 +25,6 @@ from repro.obs import metrics as obs_metrics
 from repro.perfect.suite import Benchmark
 from repro.pipeline import (CONFIGS, Config, PipelineResult,  # noqa: F401
                             _reachable_units, parallelize_program)
-from repro.polaris import PolarisOptions
 from repro.polaris.report import merge_timings
 from repro.program import Program
 from repro.trace import NULL_TRACER, Tracer
@@ -139,17 +138,15 @@ def summarize_result(result: PipelineResult) -> Dict[str, object]:
 
 
 def run_all_configs(benchmark: Benchmark,
-                    polaris: Optional[PolarisOptions] = None,
                     tracer: Optional[Tracer] = None,
                     ) -> Dict[str, PipelineResult]:
     parse: Dict[str, float] = {}
     with (tracer or NULL_TRACER).phase("parse", parse,
                                        benchmark=benchmark.name):
         base = prepare_base(benchmark)
-    polaris = polaris or PolarisOptions()
     out: Dict[str, PipelineResult] = {}
     for kind in CONFIGS:
-        out[kind] = run_config(benchmark, Config(kind, polaris), base,
+        out[kind] = run_config(benchmark, Config(kind), base,
                                tracer=tracer)
     # the shared parse is real work one of the runs must account for,
     # or --profile would silently drop the phase on this path

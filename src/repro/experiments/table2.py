@@ -30,7 +30,6 @@ from repro.experiments.reporting import text_table
 from repro.obs.profile import merge_test_stats
 from repro.perfect import all_benchmarks
 from repro.perfect.suite import Benchmark
-from repro.polaris import PolarisOptions
 from repro.polaris.report import ConfigComparison, merge_timings
 from repro.trace import Tracer
 
@@ -53,7 +52,6 @@ class Table2Task:
 
     benchmark: Benchmark
     kind: str
-    polaris: Optional[PolarisOptions] = None
     #: record a worker-local trace and ship it back with the outcome
     trace: bool = False
     #: the annotations axis for ``annotation`` runs (hand/inferred/demand)
@@ -75,12 +73,10 @@ class ConfigOutcome:
 
 
 def run_config_task(task: Table2Task) -> ConfigOutcome:
-    polaris = task.polaris if task.polaris is not None else PolarisOptions()
     tracer = Tracer(label=f"table2 {task.benchmark.name}/{task.kind}") \
         if task.trace else None
     result = run_config(task.benchmark,
-                        Config(task.kind, polaris,
-                               annotations=task.annotations),
+                        Config(task.kind, annotations=task.annotations),
                         tracer=tracer)
     return ConfigOutcome(task.kind, frozenset(result.parallel_origins()),
                          result.code_lines, dict(result.report.timings),
@@ -103,20 +99,17 @@ def _assemble_row(name: str, outcomes: List[ConfigOutcome]) -> Table2Row:
 
 
 def table2_row(benchmark: Benchmark,
-               polaris: Optional[PolarisOptions] = None,
                tracer: Optional[Tracer] = None,
                annotations: str = "hand") -> Table2Row:
     trace = tracer is not None and tracer.enabled
-    outcomes = [run_config_task(Table2Task(benchmark, kind, polaris,
-                                           trace=trace,
+    outcomes = [run_config_task(Table2Task(benchmark, kind, trace=trace,
                                            annotations=annotations))
                 for kind in CONFIGS]
     merge_task_traces(tracer, [o.trace for o in outcomes])
     return _assemble_row(benchmark.name, outcomes)
 
 
-def table2_outcomes(polaris: Optional[PolarisOptions] = None,
-                    jobs: Optional[int] = None,
+def table2_outcomes(jobs: Optional[int] = None,
                     benchmarks: Optional[List[Benchmark]] = None,
                     tracer: Optional[Tracer] = None,
                     annotations: str = "hand",
@@ -129,7 +122,7 @@ def table2_outcomes(polaris: Optional[PolarisOptions] = None,
     """
     benchmarks = benchmarks if benchmarks is not None else all_benchmarks()
     trace = tracer is not None and tracer.enabled
-    tasks = [Table2Task(b, kind, polaris, trace=trace,
+    tasks = [Table2Task(b, kind, trace=trace,
                         annotations=annotations)
              for b in benchmarks for kind in CONFIGS]
     outcomes = run_tasks(run_config_task, tasks, jobs=jobs,
@@ -141,12 +134,11 @@ def table2_outcomes(polaris: Optional[PolarisOptions] = None,
     return rows, outcomes
 
 
-def table2_rows(polaris: Optional[PolarisOptions] = None,
-                jobs: Optional[int] = None,
+def table2_rows(jobs: Optional[int] = None,
                 benchmarks: Optional[List[Benchmark]] = None,
                 tracer: Optional[Tracer] = None,
                 annotations: str = "hand") -> List[Table2Row]:
-    rows, _outcomes = table2_outcomes(polaris, jobs, benchmarks, tracer,
+    rows, _outcomes = table2_outcomes(jobs, benchmarks, tracer,
                                       annotations=annotations)
     return rows
 

@@ -33,6 +33,9 @@ from repro.runtime.backend import make_interpreter
 from repro.runtime.interpreter import number_omp_sites
 from repro.runtime.machine import MachineModel, RegionProfile, Site, price
 
+#: bound on the greedy disabling rounds of :func:`decide`
+MAX_ROUNDS = 4
+
 
 @dataclass
 class TuningResult:
@@ -80,7 +83,7 @@ def record_profile(program: Program,
 
 
 def decide(program: Program, machine: MachineModel,
-           inputs: Sequence[float] = (), max_rounds: int = 4,
+           inputs: Sequence[float] = (),
            profile: Optional[RegionProfile] = None
            ) -> Tuple[TuningResult, Set[Site]]:
     """The tuning protocol's decision, leaving ``program`` as it is: its
@@ -111,7 +114,7 @@ def decide(program: Program, machine: MachineModel,
     initial, stats = price(profile, machine, off)
     best = initial
     disabled: List[str] = []
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         harmful = {site for site, (s_cost, p_cost) in stats.items()
                    if p_cost >= s_cost} - off
         if not harmful:
@@ -124,11 +127,11 @@ def decide(program: Program, machine: MachineModel,
 
 
 def tune(program: Program, machine: MachineModel,
-         inputs: Sequence[float] = (), max_rounds: int = 4,
+         inputs: Sequence[float] = (),
          profile: Optional[RegionProfile] = None) -> TuningResult:
     """Disable harmful directives in place: :func:`decide`, then replace
     each directive it names by its loop."""
-    result, off = decide(program, machine, inputs, max_rounds, profile)
+    result, off = decide(program, machine, inputs, profile)
     site_of = number_omp_sites(program)
     for body, idx, omp in _directive_sites(program):
         if site_of[id(omp)] in off:

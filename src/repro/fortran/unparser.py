@@ -132,24 +132,28 @@ class _Writer:
             self.lines.append("     &" + chunk)
 
 
-def unparse(node, indent_step: int = 2) -> str:
+#: columns each nesting level indents a statement
+_INDENT = 2
+
+
+def unparse(node) -> str:
     """Unparse a SourceFile, ProgramUnit, or statement list to source text."""
     w = _Writer()
     if isinstance(node, ast.SourceFile):
         for u in node.units:
-            _unit(w, u, indent_step)
+            _unit(w, u)
     elif isinstance(node, ast.ProgramUnit):
-        _unit(w, node, indent_step)
+        _unit(w, node)
     elif isinstance(node, list):
-        _body(w, node, 0, indent_step)
+        _body(w, node, 0)
     elif isinstance(node, ast.Stmt):
-        _body(w, [node], 0, indent_step)
+        _body(w, [node], 0)
     else:
         raise TypeError(f"cannot unparse {type(node).__name__}")
     return "\n".join(w.lines) + "\n"
 
 
-def _unit(w: _Writer, u: ast.ProgramUnit, step: int) -> None:
+def _unit(w: _Writer, u: ast.ProgramUnit) -> None:
     header = u.kind
     if u.kind == "FUNCTION" and u.result_type:
         header = f"{u.result_type} FUNCTION"
@@ -158,8 +162,8 @@ def _unit(w: _Writer, u: ast.ProgramUnit, step: int) -> None:
         text += "(" + ",".join(u.params) + ")"
     w.stmt(text)
     for d in u.decls:
-        _decl(w, d, step)
-    _body(w, u.body, step, step)
+        _decl(w, d, _INDENT)
+    _body(w, u.body, _INDENT)
     w.stmt("END")
 
 
@@ -219,10 +223,9 @@ def _decl(w: _Writer, d: ast.Decl, indent: int) -> None:
         raise TypeError(f"cannot unparse declaration {d!r}")
 
 
-def _body(w: _Writer, body: Sequence[ast.Stmt], indent: int,
-          step: int) -> None:
+def _body(w: _Writer, body: Sequence[ast.Stmt], indent: int) -> None:
     for s in body:
-        _stmt(w, s, indent, step)
+        _stmt(w, s, indent)
 
 
 def _is_simple(s: ast.Stmt) -> bool:
@@ -233,14 +236,14 @@ def _is_simple(s: ast.Stmt) -> bool:
                           ast.LabelAssign))
 
 
-def _stmt(w: _Writer, s: ast.Stmt, indent: int, step: int) -> None:
+def _stmt(w: _Writer, s: ast.Stmt, indent: int) -> None:
     if isinstance(s, ast.Assign):
         w.stmt(f"{expr_to_str(s.target)} = {expr_to_str(s.value)}",
                s.label, indent)
     elif isinstance(s, ast.IfBlock):
-        _if(w, s, indent, step)
+        _if(w, s, indent)
     elif isinstance(s, ast.DoLoop):
-        _do(w, s, indent, step)
+        _do(w, s, indent)
     elif isinstance(s, ast.CallStmt):
         args = ",".join(expr_to_str(a) for a in s.args)
         w.stmt(f"CALL {s.name}({args})", s.label, indent)
@@ -287,24 +290,24 @@ def _stmt(w: _Writer, s: ast.Stmt, indent: int, step: int) -> None:
                 text += f" {items}"
         w.stmt(text, s.label, indent)
     elif isinstance(s, ast.OmpParallelDo):
-        _omp(w, s, indent, step)
+        _omp(w, s, indent)
     elif isinstance(s, ast.TaggedBlock):
         actuals = "|".join(expr_to_str(a) for a in s.actuals)
         w.comment(f"C@INLINE BEGIN {s.callee} {s.site_id} {actuals}".rstrip())
-        _body(w, s.body, indent, step)
+        _body(w, s.body, indent)
         w.comment(f"C@INLINE END {s.site_id}")
     else:
         raise TypeError(f"cannot unparse statement {s!r}")
 
 
-def _if(w: _Writer, s: ast.IfBlock, indent: int, step: int) -> None:
+def _if(w: _Writer, s: ast.IfBlock, indent: int) -> None:
     first_cond, first_body = s.arms[0]
     if (len(s.arms) == 1 and len(first_body) == 1
             and _is_simple(first_body[0]) and first_body[0].label is None
             and first_cond is not None):
         # logical IF
         inner = _Writer()
-        _stmt(inner, first_body[0], 0, step)
+        _stmt(inner, first_body[0], 0)
         text = inner.lines[0][6:].strip()
         if len(inner.lines) == 1:
             w.stmt(f"IF ({expr_to_str(first_cond)}) {text}", s.label, indent)
@@ -316,7 +319,7 @@ def _if(w: _Writer, s: ast.IfBlock, indent: int, step: int) -> None:
             w.stmt(f"ELSE IF ({expr_to_str(cond)}) THEN", None, indent)
         else:
             w.stmt("ELSE", None, indent)
-        _body(w, body, indent + step, step)
+        _body(w, body, indent + _INDENT)
     w.stmt("END IF", None, indent)
 
 
@@ -342,19 +345,19 @@ def _terminates(body: Sequence[ast.Stmt], label: int) -> bool:
     return False
 
 
-def _do(w: _Writer, s: ast.DoLoop, indent: int, step: int) -> None:
+def _do(w: _Writer, s: ast.DoLoop, indent: int) -> None:
     if s.term_label is not None and _terminates(s.body, s.term_label):
         w.stmt(f"DO {s.term_label} {_do_header_text(s)}", s.label, indent)
         # the labelled terminator is unparsed as part of the body; nested
         # loops sharing the terminator emit it exactly once (innermost)
-        _body(w, s.body, indent + step, step)
+        _body(w, s.body, indent + _INDENT)
     else:
         w.stmt(f"DO {_do_header_text(s)}", s.label, indent)
-        _body(w, s.body, indent + step, step)
+        _body(w, s.body, indent + _INDENT)
         w.stmt("END DO", None, indent)
 
 
-def _omp(w: _Writer, s: ast.OmpParallelDo, indent: int, step: int) -> None:
+def _omp(w: _Writer, s: ast.OmpParallelDo, indent: int) -> None:
     clauses = " DEFAULT(SHARED)"
     if s.private:
         clauses += f" PRIVATE({','.join(s.private)})"
@@ -363,5 +366,5 @@ def _omp(w: _Writer, s: ast.OmpParallelDo, indent: int, step: int) -> None:
     if s.schedule:
         clauses += f" SCHEDULE({s.schedule})"
     w.comment(f"!$OMP PARALLEL DO{clauses}")
-    _stmt(w, s.loop, indent, step)
+    _stmt(w, s.loop, indent)
     w.comment("!$OMP END PARALLEL DO")

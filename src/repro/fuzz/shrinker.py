@@ -28,6 +28,9 @@ from repro.program import Program
 from repro.fuzz.generator import derive_annotations
 from repro.fuzz.oracle import OracleResult, run_oracle
 
+#: bound on reduction rounds (each round tries every reduction once)
+MAX_ROUNDS = 8
+
 
 @dataclass
 class ShrinkResult:
@@ -75,20 +78,17 @@ class Shrinker:
     """Shrinks one failing program.  Single-use: construct, call
     :meth:`run`, read the result."""
 
-    def __init__(self, sources: Dict[str, str], annotations: str = "",
-                 max_rounds: int = 8,
-                 rederive: Optional[bool] = None):
+    def __init__(self, sources: Dict[str, str], annotations: str = ""):
         self.sources = dict(sources)
         self.annotations = annotations
-        self.max_rounds = max_rounds
         self.oracle_runs = 0
         self.steps = 0
         #: re-derive annotations from each mutated candidate (right for
         #: generator output, whose annotations ARE the derived ones) or
         #: keep the provided text fixed (right when the annotations
-        #: themselves are the suspect, e.g. hand-written ones).  None =
-        #: auto-detect by comparing against the derived text.
-        self.rederive = rederive
+        #: themselves are the suspect, e.g. hand-written ones); :meth:`run`
+        #: decides by comparing them against the derived text
+        self.rederive = False
 
     # -- predicate ----------------------------------------------------
 
@@ -216,16 +216,15 @@ class Shrinker:
         if signature is None:
             return None
         program = Program.from_sources(dict(self.sources), "shrink")
-        if self.rederive is None:
-            try:
-                derived = derive_annotations(
-                    Program.from_sources(dict(self.sources), "shrink"))
-            except Exception:
-                derived = ""
-            self.rederive = derived.strip() == self.annotations.strip()
+        try:
+            derived = derive_annotations(
+                Program.from_sources(dict(self.sources), "shrink"))
+        except Exception:
+            derived = ""
+        self.rederive = derived.strip() == self.annotations.strip()
 
         rounds = 0
-        for rounds in range(1, self.max_rounds + 1):
+        for rounds in range(1, MAX_ROUNDS + 1):
             changed = self._round_stmts(program, signature)
             changed = self._round_units(program, signature) or changed
             changed = self._round_decls(program, signature) or changed
@@ -240,8 +239,7 @@ class Shrinker:
                             rounds=rounds, oracle_runs=self.oracle_runs)
 
 
-def shrink(sources: Dict[str, str], annotations: str = "",
-           max_rounds: int = 8,
-           rederive: Optional[bool] = None) -> Optional[ShrinkResult]:
+def shrink(sources: Dict[str, str],
+           annotations: str = "") -> Optional[ShrinkResult]:
     """Convenience wrapper: shrink ``sources`` to a minimal repro."""
-    return Shrinker(sources, annotations, max_rounds, rederive).run()
+    return Shrinker(sources, annotations).run()

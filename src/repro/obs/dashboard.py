@@ -126,8 +126,7 @@ def _cache_counts(name: str) -> Dict[str, object]:
 def collect(benchmarks: Optional[List[str]] = None,
             jobs: Optional[int] = None,
             include_figure20: bool = False,
-            history_path: str = HISTORY_FILE,
-            fuzz_path: Optional[str] = None) -> DashboardData:
+            history_path: str = HISTORY_FILE) -> DashboardData:
     """Run the evaluation (traced) and gather every dashboard input."""
     from repro.perfect import get_benchmark
     bench_objs = ([get_benchmark(b) for b in benchmarks]
@@ -156,7 +155,7 @@ def collect(benchmarks: Optional[List[str]] = None,
         base_cache=_cache_counts("repro_base_cache_total"),
         metrics_text=obs_metrics.get_registry().to_prometheus(),
         bench_history=bench_history,
-        fuzz_stats=read_fuzz_stats(fuzz_path),
+        fuzz_stats=read_fuzz_stats(),
         figure20=figure20,
         slo=latest_slo(bench_history),
     )

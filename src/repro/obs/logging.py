@@ -8,14 +8,12 @@ and costs startup time on the hot path):
   ``REPRO_LOG=text`` emits a human ``TIME LEVEL logger event k=v`` line.
 * Default level is ``warning`` so plain CLI runs stay quiet (the bench
   gate holds warm table2 within 5% of baseline); setting ``REPRO_LOG``
-  raises it to ``info``; ``REPRO_LOG_LEVEL`` / ``--log-level`` override.
+  raises it to ``info``; ``REPRO_LOG_LEVEL`` overrides.
 * ``REPRO_LOG_FILE=/path`` sends records to a file instead of stderr,
-  through :class:`RotatingFileSink`: every record is one atomic
+  through :class:`AppendFileSink`: every record is one atomic
   ``O_APPEND`` write (concurrent pool workers/cluster nodes on the same
-  file never interleave mid-line), and when ``REPRO_LOG_MAX_BYTES`` is
-  set the file rotates by atomic rename (``file.1`` … ``file.N``,
-  ``REPRO_LOG_KEEP`` generations) — a bounded footprint under loadtest
-  instead of an unbounded growth.
+  file never interleave mid-line), and a writer reopens the path when
+  a log rotator has renamed the file.
 * Correlation IDs (``run_id``, ``job_id``, ``benchmark``, ``config``)
   travel in a :mod:`contextvars` context — :func:`log_context` pushes
   them, every record stamps the current set, and the executor/service
@@ -58,38 +56,31 @@ class _Config:
 _config = _Config()
 
 
-class RotatingFileSink:
-    """Append-only log file with size-based keep-N rotation.
+class AppendFileSink:
+    """Append-only log file that follows a rotation done elsewhere.
 
     Safe for concurrent writers.  Threads sharing one sink serialise on
     its lock, which guards the fd state (``_fd``/``_ino``): without it
-    one thread's rotation could ``os.close()`` the fd another is about to
+    one thread's reopen could ``os.close()`` the fd another is about to
     ``os.write()`` — ``EBADF`` at best, at worst the fd number has been
     reused and the line lands in a socket.  Processes sharing a path
     (pool workers, cluster nodes) need no cross-process lock:
 
     * each record is a single ``os.write`` on an ``O_APPEND`` fd — the
       kernel makes the append atomic, so lines never interleave;
-    * rotation is ``file.N-1 → file.N`` shifts ending in one atomic
-      ``os.replace(file, file.1)`` — a writer holds either the old or
-      the new inode, never a torn middle;
     * before writing, each writer re-stats the path and reopens when
-      its fd no longer matches the inode on disk (someone else
-      rotated), so late writers land in the fresh file instead of the
+      its fd no longer matches the inode on disk (a log rotator renamed
+      the file), so late writers land in the fresh file instead of the
       renamed one forever.
-
-    ``max_bytes <= 0`` disables rotation (plain bounded-risk append).
     """
 
-    def __init__(self, path: str, max_bytes: int = 0, keep: int = 3):
+    def __init__(self, path: str):
         self.path = path
-        self.max_bytes = int(max_bytes)
-        self.keep = max(1, int(keep))
         self._lock = threading.Lock()
         self._fd: Optional[int] = None
         self._ino: Optional[int] = None
 
-    # _open/_current_fd/_rotate run with self._lock held
+    # _open/_current_fd run with self._lock held
     def _open(self) -> int:
         fd = os.open(self.path,
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
@@ -108,7 +99,7 @@ class RotatingFileSink:
         except OSError:
             on_disk = None
         if on_disk != self._ino:
-            # another process rotated under us: follow it to the new file
+            # the file was rotated under us: follow it to the new file
             try:
                 os.close(self._fd)
             except OSError:
@@ -116,42 +107,10 @@ class RotatingFileSink:
             return self._open()
         return self._fd
 
-    def _rotate(self) -> None:
-        # shift older generations first so .1 is free, then the atomic
-        # live-file rename; a concurrent writer that loses this race
-        # sees the inode change and reopens instead of double-rotating
-        for i in range(self.keep - 1, 0, -1):
-            src = f"{self.path}.{i}"
-            if os.path.exists(src):
-                try:
-                    os.replace(src, f"{self.path}.{i + 1}")
-                except OSError:
-                    pass
-        try:
-            os.replace(self.path, f"{self.path}.1")
-        except OSError:
-            pass
-        if self._fd is not None:
-            try:
-                os.close(self._fd)
-            except OSError:
-                pass
-            self._fd = None
-        self._open()
-
     def write(self, text: str) -> None:
         data = text.encode("utf-8", "replace")
         with self._lock:
-            fd = self._current_fd()
-            if self.max_bytes > 0:
-                try:
-                    size = os.fstat(fd).st_size
-                except OSError:
-                    size = 0
-                if size > 0 and size + len(data) > self.max_bytes:
-                    self._rotate()
-                    fd = self._fd  # type: ignore[assignment]
-            os.write(fd, data)
+            os.write(self._current_fd(), data)
 
     def flush(self) -> None:  # O_APPEND writes are unbuffered
         pass
@@ -165,25 +124,6 @@ class RotatingFileSink:
                     pass
                 self._fd = None
 
-    def generations(self) -> List[str]:
-        """Existing files, newest first (live file, then .1, .2, ...)."""
-        out = [self.path] if os.path.exists(self.path) else []
-        for i in range(1, self.keep + 1):
-            path = f"{self.path}.{i}"
-            if os.path.exists(path):
-                out.append(path)
-        return out
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
 
 def configure(mode: Optional[str] = None, level: Optional[str] = None,
               stream=None) -> None:
@@ -193,9 +133,7 @@ def configure(mode: Optional[str] = None, level: Optional[str] = None,
     ``REPRO_LOG`` (text), ``level`` to ``REPRO_LOG_LEVEL`` (warning
     normally, info when ``REPRO_LOG`` is set — opting into structured
     logs means wanting to see them).  With no explicit ``stream``,
-    ``REPRO_LOG_FILE`` selects a :class:`RotatingFileSink` bounded by
-    ``REPRO_LOG_MAX_BYTES`` (0 = unbounded) keeping ``REPRO_LOG_KEEP``
-    rotated generations (default 3).
+    ``REPRO_LOG_FILE`` selects an :class:`AppendFileSink`.
     """
     env_mode = os.environ.get("REPRO_LOG", "").strip().lower()
     mode = (mode or env_mode or "text").lower()
@@ -208,12 +146,9 @@ def configure(mode: Optional[str] = None, level: Optional[str] = None,
     log_file = os.environ.get("REPRO_LOG_FILE", "").strip()
     if stream is None and log_file:
         current = _config.stream
-        if not (isinstance(current, RotatingFileSink)
+        if not (isinstance(current, AppendFileSink)
                 and current.path == log_file):
-            stream = RotatingFileSink(
-                log_file,
-                max_bytes=_env_int("REPRO_LOG_MAX_BYTES", 0),
-                keep=_env_int("REPRO_LOG_KEEP", 3))
+            stream = AppendFileSink(log_file)
         else:
             stream = current
     _config.stream = stream
@@ -234,7 +169,7 @@ def _unlock_sink_after_fork() -> None:
     # a pool worker forked while another thread was mid-write inherits
     # the sink's lock held by a thread that does not exist in the child
     stream = _config.stream
-    if isinstance(stream, RotatingFileSink):
+    if isinstance(stream, AppendFileSink):
         stream._lock = threading.Lock()
 
 

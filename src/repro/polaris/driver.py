@@ -56,13 +56,9 @@ def _stats_delta(before: tuple, after: tuple) -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class PolarisOptions:
-    normalize: bool = True
     use_banerjee: bool = True
     #: also run the joint Fourier-Motzkin test (coupled subscripts)
     use_exact: bool = False
-    parallelize_nested: bool = True
-    #: origins the empirical tuning pass decided to keep serial (Figure 20)
-    disabled_origins: frozenset = frozenset()
 
 
 class _UnitState:
@@ -109,9 +105,8 @@ class Polaris:
             for unit in program.units:
                 assign_origins(unit)
             program.invalidate()
-            if self.options.normalize:
-                for unit in program.units:
-                    normalize_unit(unit, program.symtab(unit))
+            for unit in program.units:
+                normalize_unit(unit, program.symtab(unit))
         with tracer.phase("summaries", report.timings,
                           units=len(program.units)):
             summaries = compute_summaries(program)
@@ -200,10 +195,6 @@ class Polaris:
                 info = LoopInfo(loop, list(enclosing))
                 acc = collect_accesses(loop.body, state.table)
                 decision = state.analyzer.analyze(info, acc)
-        if decision.parallelized \
-                and info.origin in self.options.disabled_origins:
-            decision.parallelized = False
-            decision.reason = "tuning-disabled"
         if decision.parallelized:
             if profitable(loop, acc):
                 decision.profitability = "profitable"
@@ -216,11 +207,9 @@ class Polaris:
         report.add(decision)
         tracer.decision(decision)
 
-        inner_body = (process(loop.body, enclosing + [loop])
-                      if self.options.parallelize_nested
-                      else loop.body)
         new_loop = ast.copy_loop_meta(loop, ast.DoLoop(
-            loop.var, loop.start, loop.stop, loop.step, inner_body,
+            loop.var, loop.start, loop.stop, loop.step,
+            process(loop.body, enclosing + [loop]),
             loop.label, loop.term_label))
         if not decision.parallelized:
             return new_loop

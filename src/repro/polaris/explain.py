@@ -27,7 +27,6 @@ _TEXT = {
                   "(or has no computable last value)",
     "unprofitable": "unprofitable (too few iterations or no memory "
                     "traffic)",
-    "tuning-disabled": "kept serial by empirical tuning",
 }
 
 

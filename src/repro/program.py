@@ -59,9 +59,6 @@ class Program:
                 return u
         raise KeyError(name)
 
-    def has_unit(self, name: str) -> bool:
-        return any(u.name == name.upper() for u in self.units)
-
     @property
     def procedures(self) -> Dict[str, ast.ProgramUnit]:
         return {u.name: u for u in self.units

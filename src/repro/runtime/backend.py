@@ -12,7 +12,7 @@ machine is :func:`repro.runtime.machine.price` of the recorded tree:
   programs Figure 20 executes; see docs/runtime.md).
 
 The process-wide default comes from the ``REPRO_BACKEND`` environment
-variable (also settable via the CLI's global ``--backend`` flag); code
+variable; code
 paths that construct interpreters go through :func:`make_interpreter` so
 one switch covers the experiments, the service, the fuzzer and the CLI.
 """

@@ -108,7 +108,7 @@ def _run_pipeline(benchmark, config_kind: str, trace: bool = False,
                   annotations_mode: str = "hand") -> Dict[str, Any]:
     from repro.experiments.pipeline import (Config, run_config,
                                             summarize_result)
-    from repro.runtime.backend import BACKEND_ENV, BACKENDS, default_backend
+    from repro.runtime.backend import BACKENDS, default_backend
     config = Config(config_kind, annotations=annotations_mode)
     if backend is not None and backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; "
@@ -117,21 +117,9 @@ def _run_pipeline(benchmark, config_kind: str, trace: bool = False,
     if trace:
         from repro.trace import Tracer
         tracer = Tracer(label=f"service {benchmark.name}/{config_kind}")
-    saved = os.environ.get(BACKEND_ENV)
-    if backend is not None:
-        # scope the requested backend to this job: anything in the
-        # pipeline that executes programs goes through make_interpreter,
-        # which reads the env at construction time
-        os.environ[BACKEND_ENV] = backend
-    try:
-        summary = summarize_result(run_config(benchmark, config,
-                                              tracer=tracer))
-    finally:
-        if backend is not None:
-            if saved is None:
-                os.environ.pop(BACKEND_ENV, None)
-            else:
-                os.environ[BACKEND_ENV] = saved
+    # the pipeline executes no program, so ``backend`` selects nothing
+    # here; it is validated and echoed to keep the wire format
+    summary = summarize_result(run_config(benchmark, config, tracer=tracer))
     summary["backend"] = backend or default_backend()
     if tracer is not None:
         summary["trace"] = tracer.export()

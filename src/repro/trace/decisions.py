@@ -39,7 +39,7 @@ class LoopDecision:
     detail: str = ""                   # offending symbol/procedure
     #: every legality blocker, ``(reason, detail, witness)``, in check
     #: order (``blockers[0][:2] == (reason, detail)``); empty for a legal
-    #: loop, even one kept serial as unprofitable or tuning-disabled.
+    #: loop, even one kept serial as unprofitable.
     #: ``witness`` is the dependent reference pair for ``array-dep``
     #: (``"flow A(I) -> A(I-1)"``), ``""`` otherwise
     blockers: Tuple[Tuple[str, str, str], ...] = ()

@@ -1,67 +1,37 @@
-"""Size-based log rotation: atomic keep-N generations, no interleave."""
+"""The log file sink: atomic appends that follow an outside rotation."""
 
+import glob
 import os
 import sys
 import threading
 
-from repro.obs.logging import RotatingFileSink
+from repro.obs.logging import AppendFileSink
 
 
 class TestRotatingFileSink:
     def test_plain_append_without_max_bytes(self, tmp_path):
         path = str(tmp_path / "repro.log")
-        sink = RotatingFileSink(path)
+        sink = AppendFileSink(path)
         sink.write("one\n")
         sink.write("two\n")
         sink.close()
         with open(path) as fh:
             assert fh.read() == "one\ntwo\n"
-        assert sink.generations() == [path]
-
-    def test_rotates_at_size_and_keeps_n(self, tmp_path):
-        path = str(tmp_path / "repro.log")
-        sink = RotatingFileSink(path, max_bytes=40, keep=2)
-        for i in range(12):
-            sink.write(f"record-{i:04d} xxxxxxxxxx\n")  # ~23 bytes each
-        sink.close()
-        files = sink.generations()
-        assert files[0] == path
-        assert all(os.path.exists(f) for f in files)
-        # bounded: live file + at most `keep` rotated generations
-        assert len(files) <= 3
-        assert not os.path.exists(f"{path}.3")
-        for f in files:
-            assert os.path.getsize(f) <= 40 + 23  # one record of slack
-
-    def test_rotation_preserves_newest_records_in_live_file(self, tmp_path):
-        path = str(tmp_path / "repro.log")
-        sink = RotatingFileSink(path, max_bytes=30, keep=3)
-        for i in range(6):
-            sink.write(f"rec-{i}\n")
-        sink.close()
-        with open(path) as fh:
-            live = fh.read()
-        with open(f"{path}.1") as fh:
-            rotated = fh.read()
-        assert "rec-5" in live
-        # every rotated record is older than every live record
-        assert max(rotated.split()) < min(live.split())
 
     def test_no_interleaved_lines_across_threads(self, tmp_path):
         """Threads sharing one sink: no write fails, no record is lost.
 
-        ``max_bytes`` below two records makes every other write rotate,
-        the barrier releases all writers into that at once, and a short
-        switch interval preempts them mid-``write`` — so without the
-        sink's lock a rotation closes the fd another thread is about to
-        write (``EBADF``) or two rotations shift each other's
-        generations away.  ``keep`` covers every rotation, so with the
-        lock each record must survive exactly once.
+        Before each write a writer renames the live file away, standing
+        in for a log rotator, so every write reopens the path; the
+        barrier releases all writers at once and a short switch interval
+        preempts them mid-``write`` — so without the sink's lock one
+        thread's reopen closes the fd another is about to write
+        (``EBADF``) or has just opened.  With the lock each record must
+        survive exactly once, in the live file or a renamed one.
         """
         path = str(tmp_path / "repro.log")
-        tags, per_thread = ("aa", "bb", "cc", "dd"), 60
-        sink = RotatingFileSink(path, max_bytes=40,
-                                keep=len(tags) * per_thread)
+        tags, per_thread = tuple(f"t{k:02d}" for k in range(16)), 100
+        sink = AppendFileSink(path)
         barrier = threading.Barrier(len(tags))
         errors = []
 
@@ -69,6 +39,10 @@ class TestRotatingFileSink:
             try:
                 barrier.wait(timeout=10)
                 for i in range(per_thread):
+                    try:
+                        os.replace(path, f"{path}.{tag}.{i}")
+                    except FileNotFoundError:
+                        pass
                     sink.write(f"{tag}:{i:03d}:" + "payload" * 3 + "\n")
             except Exception as exc:  # surfaced by the assert below
                 errors.append(f"{tag}: {type(exc).__name__}: {exc}")
@@ -88,7 +62,7 @@ class TestRotatingFileSink:
         sink.close()
         assert errors == []
         seen = []
-        for f in sink.generations():
+        for f in glob.glob(path + "*"):
             with open(f) as fh:
                 for line in fh:
                     assert line.endswith("\n")
@@ -100,7 +74,7 @@ class TestRotatingFileSink:
 
     def test_follows_external_rotation(self, tmp_path):
         path = str(tmp_path / "repro.log")
-        sink = RotatingFileSink(path)
+        sink = AppendFileSink(path)
         sink.write("before\n")
         os.replace(path, path + ".1")  # another process rotates
         sink.write("after\n")
@@ -111,12 +85,11 @@ class TestRotatingFileSink:
             assert fh.read() == "before\n"
 
     def test_env_wiring(self, tmp_path, monkeypatch):
-        """REPRO_LOG_FILE + REPRO_LOG_MAX_BYTES build a rotating sink."""
+        """REPRO_LOG_FILE builds a file sink."""
         from repro.obs import logging as obs_logging
         path = str(tmp_path / "wired.log")
         monkeypatch.setenv("REPRO_LOG", "json")
         monkeypatch.setenv("REPRO_LOG_FILE", path)
-        monkeypatch.setenv("REPRO_LOG_MAX_BYTES", "100000")
         obs_logging.configure()
         try:
             obs_logging.get_logger("test.rotation").warning(
@@ -125,6 +98,5 @@ class TestRotatingFileSink:
                 assert "rotation-smoke" in fh.read()
         finally:
             monkeypatch.delenv("REPRO_LOG_FILE")
-            monkeypatch.delenv("REPRO_LOG_MAX_BYTES")
             monkeypatch.delenv("REPRO_LOG")
             obs_logging.configure(stream=None)

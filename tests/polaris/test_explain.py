@@ -165,7 +165,7 @@ class TestDiagnoseAgreesWithDriver:
 
 
 def check_record(d):
-    if d.parallelized or d.reason in ("unprofitable", "tuning-disabled"):
+    if d.parallelized or d.reason == "unprofitable":
         assert d.blockers == (), d.describe()
     else:
         assert d.blockers and d.blockers[0][:2] == (d.reason, d.detail), \

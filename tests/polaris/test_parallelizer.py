@@ -253,18 +253,6 @@ class TestDriverBehaviour:
             "      END\n")
         assert count_directives(prog) == 2
 
-    def test_nested_disabled(self):
-        prog, report = run(
-            "      SUBROUTINE S(A)\n"
-            "      DIMENSION A(64,64)\n"
-            "      DO 10 I = 1, 64\n"
-            "        DO 20 J = 1, 64\n"
-            "          A(J,I) = 0.0\n"
-            "   20   CONTINUE\n"
-            "   10 CONTINUE\n"
-            "      END\n", parallelize_nested=False)
-        assert count_directives(prog) == 1
-
     def test_unprofitable_small_trip(self):
         prog, report = run(
             "      SUBROUTINE S(A)\n"
@@ -275,19 +263,6 @@ class TestDriverBehaviour:
             "      END\n")
         assert parallel_vars(prog) == []
         assert report.verdicts[0].reason == "unprofitable"
-
-    def test_tuning_disable(self):
-        src = ("      SUBROUTINE S(A, N)\n"
-               "      DIMENSION A(*)\n"
-               "      DO 10 I = 1, N\n"
-               "        A(I) = 0.0\n"
-               "   10 CONTINUE\n"
-               "      END\n")
-        prog, report = run(src)
-        origin = next(iter(report.parallel_origins()))
-        prog2, report2 = run(src, disabled_origins=frozenset({origin}))
-        assert parallel_vars(prog2) == []
-        assert report2.verdicts[0].reason == "tuning-disabled"
 
     def test_report_origins_stable_across_runs(self):
         src = ("      SUBROUTINE S(A, N)\n"

@@ -7,6 +7,7 @@ that need real worker processes use the process pool and skip if the
 sandbox cannot start one.
 """
 
+import os
 import sys
 import threading
 import time
@@ -136,6 +137,27 @@ class TestExecutePayload:
         with pytest.raises(ValueError, match="config"):
             execute_payload({"kind": "benchmark", "benchmark": "adm",
                              "config": "bogus"})
+
+    def test_backend_key_leaves_the_environment_alone(self, monkeypatch):
+        """A job's ``backend`` is echoed, never written into the
+        process-wide ``REPRO_BACKEND``: in-thread workers share it."""
+        from repro.experiments import pipeline
+        real, seen = pipeline.run_config, []
+
+        def recording(*args, **kwargs):
+            seen.append(os.environ.get("REPRO_BACKEND"))
+            return real(*args, **kwargs)
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.setattr(pipeline, "run_config", recording)
+        payload = _sources_payload()
+        payload["backend"] = "tree"
+        result = execute_payload(payload)
+        assert seen == [None]
+        assert result["backend"] == "tree"
+        payload["backend"] = "bogus"
+        with pytest.raises(ValueError, match="unknown backend"):
+            execute_payload(payload)
 
 
 class TestParallelizePayload:

@@ -100,6 +100,16 @@ class TestParallelize:
         err = capsys.readouterr().err
         assert "PARALLEL" in err
 
+    def test_profile_top_prints_phases_and_cprofile(self, files, capsys):
+        src, ann = files
+        assert main(["parallelize", "--profile-top", "5", src,
+                     "--annotations", ann]) == 0
+        err = capsys.readouterr().err
+        assert "phase timings" in err
+        for phase in ("parse", "normalize", "dependence", "reverse"):
+            assert phase in err, phase
+        assert "cProfile top 5 (cumulative)" in err
+
 
 DIALECT_SOURCE = """      PROGRAM MIX
       COMMON /R/ A(8)
@@ -181,10 +191,11 @@ class TestParallelizeTolerant:
 
 
 class TestFuzzDialect:
-    def test_unknown_dialect_env_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FUZZ_DIALECT", "bogus")
-        assert main(["fuzz", "--count", "1"]) == 2
-        assert "unknown dialect" in capsys.readouterr().err
+    def test_unknown_dialect_env_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--count", "1", "--dialect", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestReportRunVerify:
