@@ -16,19 +16,35 @@ inlining lose parallelism in Section II-A of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.symbolic import Poly, from_expr, is_atom
 from repro.fortran import ast
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AffineForm:
-    """``sum(coeffs[v] * v) + remainder`` with remainder index-free."""
+    """``sum(coeffs[v] * v) + remainder`` with remainder index-free.
+
+    Immutable by contract: no field is assigned after construction (a
+    frozen dataclass would pay for ``object.__setattr__`` on every one of
+    the thousands built a pass); :meth:`key` fills its memo slot once."""
 
     coeffs: Dict[str, int]
     remainder: Poly
+    _key: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    def key(self) -> tuple:
+        """Hashable identity of the form as the dependence tests see it:
+        the index coefficients and the remainder polynomial's terms (every
+        test decision flows from coefficient lookups and remainder
+        differences).  Computed once per form."""
+        if self._key is None:
+            self._key = (tuple(sorted(self.coeffs.items())),
+                         tuple(sorted(self.remainder.terms.items())))
+        return self._key
 
     def coeff(self, var: str) -> int:
         return self.coeffs.get(var.upper(), 0)

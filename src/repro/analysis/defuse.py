@@ -85,14 +85,18 @@ def _is_substring(e: ast.ArrayRef, table: SymbolTable) -> bool:
 
 def _expr_reads(e: ast.Expr, table: SymbolTable, acc: AccessSet,
                 inner: Tuple[ast.DoLoop, ...]) -> None:
-    if isinstance(e, ast.Var):
+    cls = e.__class__
+    if cls is ast.Var:
         if table.is_array(e.name):
             # whole-array reference (argument positions); record as an
             # unsubscripted read
             _array(acc, e.name, (), False, inner)
         else:
             acc.scalar_reads.add(e.name.upper())
-    elif isinstance(e, ast.ArrayRef):
+    elif cls is ast.BinOp:
+        _expr_reads(e.left, table, acc, inner)
+        _expr_reads(e.right, table, acc, inner)
+    elif cls is ast.ArrayRef:
         if _is_substring(e, table):
             # a parenthesized reference to a declared non-array name that
             # survived call resolution is a CHARACTER substring: model it
@@ -104,17 +108,14 @@ def _expr_reads(e: ast.Expr, table: SymbolTable, acc: AccessSet,
             _array(acc, e.name, e.subs, False, inner)
         for s in e.subs:
             _expr_reads(s, table, acc, inner)
-    elif isinstance(e, ast.FuncRef):
+    elif cls is ast.FuncRef:
         if not is_intrinsic(e.name):
             acc.funcs.append(e.name.upper())
         for a in e.args:
             _expr_reads(a, table, acc, inner)
-    elif isinstance(e, ast.BinOp):
-        _expr_reads(e.left, table, acc, inner)
-        _expr_reads(e.right, table, acc, inner)
-    elif isinstance(e, ast.UnOp):
+    elif cls is ast.UnOp:
         _expr_reads(e.operand, table, acc, inner)
-    elif isinstance(e, ast.RangeExpr):
+    elif cls is ast.RangeExpr:
         for part in (e.lo, e.hi, e.step):
             if part is not None:
                 _expr_reads(part, table, acc, inner)
@@ -145,7 +146,8 @@ def collect_accesses(body: Sequence[ast.Stmt],
 def _walk(body: Sequence[ast.Stmt], table: SymbolTable, acc: AccessSet,
           inner: Tuple[ast.DoLoop, ...]) -> None:
     for s in body:
-        if isinstance(s, ast.IfBlock):
+        cls = s.__class__
+        if cls is ast.IfBlock:
             # each condition's accesses before its block, but every
             # condition's function references before the blocks' (the
             # statement's own expressions come first)
@@ -158,7 +160,7 @@ def _walk(body: Sequence[ast.Stmt], table: SymbolTable, acc: AccessSet,
                     del acc.funcs[start:]
                 _walk(arm, table, acc, inner)
             acc.funcs[mark:mark] = conds
-        elif isinstance(s, ast.DoLoop):
+        elif cls is ast.DoLoop:
             acc.scalar_writes.add(s.var.upper())
             acc.do_vars.add(s.var.upper())
             _expr_reads(s.start, table, acc, inner)
@@ -166,9 +168,9 @@ def _walk(body: Sequence[ast.Stmt], table: SymbolTable, acc: AccessSet,
             if s.step is not None:
                 _expr_reads(s.step, table, acc, inner)
             _walk(s.body, table, acc, inner + (s,))
-        elif isinstance(s, ast.OmpParallelDo):
+        elif cls is ast.OmpParallelDo:
             _walk([s.loop], table, acc, inner)
-        elif isinstance(s, ast.TaggedBlock):
+        elif cls is ast.TaggedBlock:
             acc.funcs += _func_names(s.actuals)
             _walk(s.body, table, acc, inner)
         else:
@@ -178,11 +180,12 @@ def _walk(body: Sequence[ast.Stmt], table: SymbolTable, acc: AccessSet,
 def _stmt_accesses(s: ast.Stmt, table: SymbolTable, acc: AccessSet,
                    inner: Tuple[ast.DoLoop, ...]) -> None:
     """The accesses of a statement without nested statements."""
-    if isinstance(s, ast.Assign):
+    cls = s.__class__
+    if cls is ast.Assign:
         mark = len(acc.funcs)
         _expr_reads(s.value, table, acc, inner)
         split = len(acc.funcs)
-        if isinstance(s.target, ast.Var):
+        if s.target.__class__ is ast.Var:
             if table.is_array(s.target.name):
                 _array(acc, s.target.name, (), True, inner)
             else:
@@ -201,10 +204,10 @@ def _stmt_accesses(s: ast.Stmt, table: SymbolTable, acc: AccessSet,
         if mark < split < len(acc.funcs):
             # the target's function references precede the value's
             acc.funcs[mark:] = acc.funcs[split:] + acc.funcs[mark:split]
-    elif isinstance(s, ast.CallStmt):
+    elif cls is ast.CallStmt:
         acc.calls.append(s)
         for a in s.args:
-            if isinstance(a, ast.AltReturn):
+            if a.__class__ is ast.AltReturn:
                 # the callee may RETURN n straight to a labelled statement
                 # in this unit: unstructured control flow at the call site
                 acc.has_goto = True
@@ -213,14 +216,15 @@ def _stmt_accesses(s: ast.Stmt, table: SymbolTable, acc: AccessSet,
             root = _root_name(a)
             if root:
                 acc.call_args.add(root)
-    elif isinstance(s, ast.IoStmt):
+    elif cls is ast.IoStmt:
         acc.has_io = True
         for item in s.items:
             if s.kind == "READ":
                 # READ writes its item list
-                if isinstance(item, ast.Var) and not table.is_array(item.name):
+                if item.__class__ is ast.Var \
+                        and not table.is_array(item.name):
                     acc.scalar_writes.add(item.name.upper())
-                elif isinstance(item, ast.ArrayRef):
+                elif item.__class__ is ast.ArrayRef:
                     for sub in item.subs:
                         _expr_reads(sub, table, acc, inner)
                     _array(acc, item.name, item.subs, True, inner)
@@ -228,24 +232,24 @@ def _stmt_accesses(s: ast.Stmt, table: SymbolTable, acc: AccessSet,
                     _expr_reads(item, table, acc, inner)
             else:
                 _expr_reads(item, table, acc, inner)
-    elif isinstance(s, ast.Return):
+    elif cls is ast.Return:
         acc.has_return = True
         if s.alt is not None:
             acc.has_alt_return = True
             acc.funcs += _func_names([s.alt])
-    elif isinstance(s, ast.Stop):
+    elif cls is ast.Stop:
         acc.has_stop = True
-    elif isinstance(s, ast.Goto):
+    elif cls is ast.Goto:
         acc.has_goto = True
-    elif isinstance(s, ast.ComputedGoto):
+    elif cls is ast.ComputedGoto:
         acc.has_goto = True
         _expr_reads(s.index, table, acc, inner)
-    elif isinstance(s, ast.AssignedGoto):
+    elif cls is ast.AssignedGoto:
         acc.has_goto = True
         acc.scalar_reads.add(s.var.upper())
-    elif isinstance(s, ast.LabelAssign):
+    elif cls is ast.LabelAssign:
         acc.scalar_writes.add(s.var.upper())
-    elif isinstance(s, (ast.EntryStmt, ast.Opaque)):
+    elif cls is ast.EntryStmt or cls is ast.Opaque:
         acc.has_opaque = True
     # Continue carries no accesses
 

@@ -221,22 +221,12 @@ class DependenceTester:
 # query canonicalization for the memo table
 # ---------------------------------------------------------------------------
 
-def _affine_key(f: Optional[AffineForm]) -> Optional[tuple]:
-    """Hashable identity of an affine form as the tests see it: the index
-    coefficients and the remainder polynomial's terms (every test decision
-    flows from coefficient lookups and remainder differences)."""
-    if f is None:
-        return None
-    return (tuple(sorted(f.coeffs.items())),
-            tuple(sorted(f.remainder.terms.items())))
-
-
 def _query_key(subs_a: Sequence[Optional[AffineForm]],
                subs_b: Sequence[Optional[AffineForm]],
                loops: Sequence[LoopCtx],
                dirs: Dict[str, str]) -> tuple:
-    return (tuple(_affine_key(f) for f in subs_a),
-            tuple(_affine_key(f) for f in subs_b),
+    return (tuple([None if f is None else f.key() for f in subs_a]),
+            tuple([None if f is None else f.key() for f in subs_b]),
             tuple((lp.var, lp.lower, lp.upper) for lp in loops),
             tuple(sorted(dirs.items())))
 

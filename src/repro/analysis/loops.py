@@ -63,9 +63,9 @@ def iter_loops(body: List[ast.Stmt],
 def assign_origins(unit: ast.ProgramUnit) -> None:
     """Stamp every loop in ``unit`` with a stable origin id ``UNIT:n``.
 
-    Origins survive :func:`repro.fortran.ast.clone` (it copies a node's
-    whole ``__dict__``, fields or not) and every structural rebuild
-    (:func:`repro.fortran.ast.copy_loop_meta`), which is how inlined
+    Origins survive :func:`repro.fortran.ast.clone` (it copies a
+    statement's whole ``__dict__``, fields or not) and every structural
+    rebuild (:func:`repro.fortran.ast.copy_loop_meta`), which is how inlined
     copies of a loop remain attributable to the original — the counting
     rule Table II uses.
     """

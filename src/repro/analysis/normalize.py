@@ -59,7 +59,7 @@ def propagate_parameters(unit: ast.ProgramUnit, table: SymbolTable) -> None:
 
     def rewrite(e: ast.Expr) -> Optional[ast.Expr]:
         if isinstance(e, ast.Var) and e.name.upper() in values:
-            return ast.clone(values[e.name.upper()])
+            return values[e.name.upper()]
         return None
 
     unit.body = ast.map_stmt_exprs(unit.body, rewrite)
@@ -149,10 +149,10 @@ def substitute_inductions(loop: ast.DoLoop,
 
     # iteration number expression: (i - start); uses before the increment
     # see V + c*(i - start), uses at/after see V + c*(i - start + 1)
-    base = ast.BinOp("-", ast.Var(loop.var), ast.clone(loop.start))
+    base = ast.BinOp("-", ast.Var(loop.var), loop.start)
 
     def closed_form(extra: int) -> ast.Expr:
-        count: ast.Expr = ast.clone(base)
+        count: ast.Expr = base
         if extra:
             count = ast.BinOp("+", count, ast.IntLit(extra))
         scaled: ast.Expr = count if inc.amount == 1 else ast.BinOp(
@@ -172,16 +172,15 @@ def substitute_inductions(loop: ast.DoLoop,
     new_loop = ast.DoLoop(loop.var, loop.start, loop.stop, loop.step,
                           before + after, loop.label, None)
     ast.copy_loop_meta(loop, new_loop)
-    trip = ast.BinOp("+", ast.BinOp("-", ast.clone(loop.stop),
-                                    ast.clone(loop.start)), ast.IntLit(1))
+    trip = ast.BinOp("+", ast.BinOp("-", loop.stop, loop.start),
+                     ast.IntLit(1))
     total: ast.Expr = trip if abs(inc.amount) == 1 else ast.BinOp(
         "*", ast.IntLit(abs(inc.amount)), trip)
     final = ast.Assign(ast.Var(v), ast.BinOp(
         "+" if inc.amount > 0 else "-", ast.Var(v), total))
     # guard the final assignment against zero-trip loops: V must keep its
     # entry value when the loop body never runs
-    guard = ast.IfBlock([(ast.BinOp(">=", ast.clone(loop.stop),
-                                    ast.clone(loop.start)), [final])])
+    guard = ast.IfBlock([(ast.BinOp(">=", loop.stop, loop.start), [final])])
     return [new_loop, guard]
 
 
@@ -221,11 +220,17 @@ def _forward(body: List[ast.Stmt], table: SymbolTable,
             # path, so no binding survives it
             env.clear()
         body[i] = s = _subst_into(s, env, table)
-        _update_env(s, env, table)
+        if s.__class__ is not ast.IfBlock and s.__class__ is not ast.DoLoop:
+            # a block's bindings were invalidated by its own walk in
+            # _subst_into
+            _update_env(s, env, table)
 
 
 def _subst_into(s: ast.Stmt, env: Dict[str, ast.Expr],
                 table: SymbolTable) -> ast.Stmt:
+    """``s`` with the bindings of ``env`` substituted (``s`` itself when
+    none applies); nested blocks are rewritten in place.  For an IF or
+    DO block this also drops the bindings the block may invalidate."""
     if not env:
         # every rewrite is the identity and every invalidation a no-op;
         # nested blocks are still entered: an assignment inside may open
@@ -239,37 +244,41 @@ def _subst_into(s: ast.Stmt, env: Dict[str, ast.Expr],
 
     def rewrite(e: ast.Expr) -> Optional[ast.Expr]:
         if isinstance(e, ast.Var) and e.name.upper() in env:
-            return ast.clone(env[e.name.upper()])
+            return env[e.name.upper()]
         return None
 
     if isinstance(s, ast.Assign):
         tgt = s.target
         if isinstance(tgt, ast.ArrayRef):
-            tgt = ast.ArrayRef(tgt.name,
-                               tuple(ast.map_expr(x, rewrite)
-                                     for x in tgt.subs))
-        return ast.Assign(tgt, ast.map_expr(s.value, rewrite), s.label)
+            tgt = ast.map_expr(tgt, rewrite)
+        value = ast.map_expr(s.value, rewrite)
+        if tgt is s.target and value is s.value:
+            return s
+        return ast.Assign(tgt, value, s.label)
     if isinstance(s, ast.CallStmt):
         # only substitute inside non-lvalue argument positions is unsafe to
         # decide here; leave call arguments untouched (by-reference)
         return s
     if isinstance(s, ast.IfBlock):
-        arms = []
+        conds = []
         for cond, arm in s.arms:
-            new_cond = ast.map_expr(cond, rewrite) if cond is not None else None
+            conds.append(ast.map_expr(cond, rewrite)
+                         if cond is not None else None)
             arm_env = dict(env)
             _forward(arm, table, arm_env)
-            arms.append((new_cond, arm))
         # conservatively drop every binding written in any arm
         written: Set[str] = set()
         for _, arm in s.arms:
             acc = collect_accesses(arm, table)
             written |= acc.scalar_writes
             written |= {a for a, _, w in acc.array_accesses if w}
-            if acc.has_call or acc.has_io:
+            if acc.has_call or acc.has_io or acc.has_opaque:
                 env.clear()
         _invalidate(env, written)
-        return ast.IfBlock(arms, s.label)
+        if all(new is old for new, (old, _) in zip(conds, s.arms)):
+            return s
+        return ast.IfBlock([(c, arm) for c, (_, arm) in zip(conds, s.arms)],
+                           s.label)
     if isinstance(s, ast.DoLoop):
         start = ast.map_expr(s.start, rewrite)
         stop = ast.map_expr(s.stop, rewrite)
@@ -282,6 +291,13 @@ def _subst_into(s: ast.Stmt, env: Dict[str, ast.Expr],
         _invalidate(env, written)
         inner_env = dict(env)
         _forward(s.body, table, inner_env)
+        if acc.has_opaque:
+            # an opaque/ENTRY statement may write anything; cleared only
+            # after the body's own substitution, which still saw the
+            # outer bindings
+            env.clear()
+        if start is s.start and stop is s.stop and step is s.step:
+            return s
         return ast.copy_loop_meta(s, ast.DoLoop(
             s.var, start, stop, step, s.body, s.label, s.term_label))
     if isinstance(s, ast.TaggedBlock):
@@ -289,9 +305,10 @@ def _subst_into(s: ast.Stmt, env: Dict[str, ast.Expr],
         _forward(s.body, table, inner_env)
         return s
     if isinstance(s, ast.IoStmt) and s.kind != "READ":
-        return ast.IoStmt(s.kind, s.control,
-                          tuple(ast.map_expr(x, rewrite) for x in s.items),
-                          s.label)
+        items = ast.map_exprs(s.items, rewrite)
+        if items is s.items:
+            return s
+        return ast.IoStmt(s.kind, s.control, items, s.label)
     return s
 
 

@@ -190,7 +190,8 @@ class _Walk:
         if e is None:
             return
         for n in ast.walk_expr(e):
-            if isinstance(n, ast.Var):
+            cls = n.__class__
+            if cls is ast.Var:
                 name = n.name.upper()
                 if name != owner:
                     self.touched.add(name)
@@ -198,16 +199,17 @@ class _Walk:
                     self.events.append((name, False, None, cond, inner))
                 else:
                     self.read(name, states)
-            elif isinstance(n, ast.ArrayRef):
+            elif cls is ast.ArrayRef:
                 self.events.append((n.name.upper(), False, n.subs, cond,
                                     inner))
 
     def body(self, body: Sequence[ast.Stmt], states: Dict[str, _State],
              cond: bool, inner: Tuple[ast.DoLoop, ...]) -> None:
         for s in body:
-            if isinstance(s, ast.Assign):
+            cls = s.__class__
+            if cls is ast.Assign:
                 self.assign(s, states, cond, inner)
-            elif isinstance(s, ast.IfBlock):
+            elif cls is ast.IfBlock:
                 # every condition is read before any arm runs, but each
                 # condition's array accesses precede its own arm's
                 arm_events = []
@@ -224,7 +226,7 @@ class _Walk:
                 if s.arms[-1][0] is not None:
                     paths.append(states)  # the fall-through path
                 _merge(states, paths)
-            elif isinstance(s, ast.DoLoop):
+            elif cls is ast.DoLoop:
                 for e in (s.start, s.stop, s.step):
                     self.expr(e, states, cond, inner)
                 self.touched.add(s.var.upper())  # an index is no reduction
@@ -233,7 +235,7 @@ class _Walk:
                 path = dict(states)
                 self.body(s.body, path, cond, inner + (s,))
                 _merge(states, [states, path])
-            elif isinstance(s, ast.CallStmt):
+            elif cls is ast.CallStmt:
                 # the call's effects come from the side-effect summaries;
                 # here its arguments are reads, and an array passed to it
                 # is a read of the whole array (unknown use)
@@ -242,7 +244,7 @@ class _Walk:
                     if isinstance(a, (ast.Var, ast.ArrayRef)):
                         self.events.append((a.name.upper(), False, None,
                                             cond, inner))
-            elif isinstance(s, ast.IoStmt):
+            elif cls is ast.IoStmt:
                 for item in s.items:
                     if s.kind == "READ" and isinstance(item, ast.Var) \
                             and not self.table.is_array(item.name):
@@ -250,7 +252,7 @@ class _Walk:
                         self.write(item.name.upper(), states)
                     else:
                         self.expr(item, states, cond, inner)
-            elif isinstance(s, ast.OmpParallelDo):
+            elif cls is ast.OmpParallelDo:
                 self.body([s.loop], states, cond, inner)
             else:
                 # a tagged block's actuals, a computed-GOTO index, an

@@ -46,12 +46,17 @@ def is_atom(token: VarToken) -> bool:
     return token.startswith(_ATOM_PREFIX)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Poly:
-    """A multivariate polynomial with integer coefficients (canonical,
-    immutable).  ``terms`` maps monomials to nonzero coefficients; the empty
-    monomial ``()`` holds the constant term.  ``atom_names`` maps each atom
-    token to the scalar names mentioned inside it."""
+    """A multivariate polynomial with integer coefficients (canonical).
+    ``terms`` maps monomials to nonzero coefficients; the empty monomial
+    ``()`` holds the constant term.  ``atom_names`` maps each atom token
+    to the scalar names mentioned inside it.
+
+    Immutable by contract: every operation returns a new polynomial and
+    nothing assigns a field (or edits ``terms``) after construction.  It
+    is not a frozen dataclass because a frozen ``__init__`` goes through
+    ``object.__setattr__``, about three times the cost of a plain one."""
 
     terms: Mapping[Monomial, int]
     atom_names: Mapping[VarToken, FrozenSet[str]]

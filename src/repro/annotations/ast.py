@@ -22,12 +22,12 @@ from typing import List, Optional, Tuple
 from repro.fortran import ast as fast
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Unknown(fast.Expr):
     args: Tuple[fast.Expr, ...]
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Unique(fast.Expr):
     args: Tuple[fast.Expr, ...]
 
@@ -113,7 +113,7 @@ def walk_ann_exprs(stmts: List[AnnStmt]):
             yield from fast.walk_expr(s.value)
 
 
-# register the extra expression nodes with the Fortran walker so generic
-# traversals (walk_expr / map_expr) see their children
+# register the extra expression nodes with the Fortran walker so
+# walk_expr sees their children (map_expr does not descend into them)
 fast._EXPR_CHILD_FIELDS[Unknown] = ("args",)
 fast._EXPR_CHILD_FIELDS[Unique] = ("args",)

@@ -145,7 +145,7 @@ def generate_annotation(program: Program,
                 None, f"write region of {n} is not expressible", omitted)
         stmts.append(aast.AAssign(
             (fast.ArrayRef(n, subs),),
-            aast.Unknown(tuple(fast.clone(r) for r in reads))))
+            aast.Unknown(tuple(reads))))
 
     # visible scalar writes
     for n in sorted(acc.scalar_writes):
@@ -153,7 +153,7 @@ def generate_annotation(program: Program,
             continue
         stmts.append(aast.AAssign(
             (fast.Var(n),),
-            aast.Unknown(tuple(fast.clone(r) for r in reads))))
+            aast.Unknown(tuple(reads))))
 
     if not stmts:
         return GenerationResult(None, "no visible side effects to "
@@ -255,7 +255,7 @@ def _annotation_dims(region: Region, info) -> Tuple[fast.Dim, ...]:
     out: List[fast.Dim] = []
     for k, d in enumerate(info.dims):
         if d.upper is not None:
-            out.append(fast.Dim(fast.clone(d.lower), fast.clone(d.upper)))
+            out.append(fast.Dim(d.lower, d.upper))
         elif region.dims[k].hi is not None:
             out.append(fast.Dim(fast.IntLit(1),
                                 region.dims[k].hi.to_expr()))

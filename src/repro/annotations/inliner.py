@@ -117,7 +117,7 @@ class AnnotationInliner:
         result.sites.append(AnnotationSite(
             caller.name, call.name.upper(), site_id, True))
         return ast.TaggedBlock(call.name.upper(), site_id,
-                               ast.clone(call.args), translation.stmts,
+                               call.args, translation.stmts,
                                call.label)
 
     def _merge_callee_commons(self, program: Program,

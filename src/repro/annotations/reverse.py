@@ -202,7 +202,7 @@ class ReverseInliner:
             if derived is not None and rec is not None \
                     and not _actuals_agree(derived, rec):
                 agrees = False
-            out.append(ast.clone(rec) if rec is not None else derived)
+            out.append(rec if rec is not None else derived)
         return tuple(out), agrees
 
 
@@ -241,8 +241,7 @@ def _array_actual(m: _ArrayMatch) -> ast.Expr:
     if m.base is None or (not m.trailing and all(
             b == ast.IntLit(1) for b in m.base)):
         return ast.Var(m.name)
-    return ast.ArrayRef(m.name, tuple(ast.clone(b) for b in m.base)
-                        + tuple(ast.clone(t) for t in m.trailing))
+    return ast.ArrayRef(m.name, m.base + m.trailing)
 
 
 def _actuals_agree(derived: ast.Expr, recorded: ast.Expr) -> bool:
@@ -344,7 +343,7 @@ class _Matcher:
             bound = env.scalars.get(formal)
             if bound is not None:
                 return exprs_equivalent(bound, o)
-            env.scalars[formal] = ast.clone(o)
+            env.scalars[formal] = o
             return True
         if isinstance(t, ast.ArrayRef) and t.name.upper().startswith(
                 PATTERN_PREFIX):
@@ -401,10 +400,10 @@ class _Matcher:
                 bound = env.scalars.get(
                     e.name.upper()[len(PATTERN_PREFIX):])
                 if bound is not None:
-                    return ast.clone(bound)
+                    return bound
             return None
 
-        return ast.map_expr(ast.clone(t), rewrite)
+        return ast.map_expr(t, rewrite)
 
     def _match_unfolding(self, t: ast.Expr, o: ast.Expr, env: _Env,
                          depth: int) -> bool:
@@ -419,10 +418,10 @@ class _Matcher:
                 name = e.name.upper()
                 if is_generated_name(name) and name in self.defs:
                     unfolded[0] = True
-                    return ast.clone(self.defs[name])
+                    return self.defs[name]
             return None
 
-        t2 = ast.map_expr(ast.clone(t), rewrite)
+        t2 = ast.map_expr(t, rewrite)
         if not unfolded[0]:
             return False
         return self.match_expr(t2, o, env, depth + 1)
@@ -468,7 +467,7 @@ class _Matcher:
                 return False  # offset varies with a generated loop var
             base_poly = diff + from_expr(ast.IntLit(1))
             base.append(base_poly.to_expr())
-        trailing = tuple(ast.clone(x) for x in o.subs[r:])
+        trailing = o.subs[r:]
         if m is None:
             env.arrays[formal] = _ArrayMatch(o.name.upper(), tuple(base),
                                              trailing)

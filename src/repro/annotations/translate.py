@@ -109,7 +109,7 @@ class _Translator:
             if p in self.ann_dims:
                 self.array_bind[p] = self._array_binding(p, actual)
             else:
-                self.scalar_bind[p] = fast.clone(actual)
+                self.scalar_bind[p] = actual
 
     def _array_binding(self, formal: str, actual: fast.Expr) -> ArrayBinding:
         rank = len(self.ann_dims[formal])
@@ -251,7 +251,7 @@ class _Translator:
             size = self._capture_size(value.name)
             idx = (t_index % size) + 1
             return fast.ArrayRef(value.name, (fast.IntLit(idx),))
-        return fast.clone(value)
+        return value
 
     def _capture_size(self, name: str) -> int:
         for d in self.decls:
@@ -320,7 +320,7 @@ class _Translator:
         if rhs_raw is not None:
             value = self._expr(rhs_raw, pre)
         else:
-            value = fast.clone(value_translated)
+            value = value_translated
         mapped = self._map_array_ref(name, tuple(point_subs), pre)
         stmt: fast.Stmt = fast.Assign(mapped, value)
         for var, lo, hi in reversed(loops):
@@ -334,13 +334,13 @@ class _Translator:
         if rhs_raw is not None:
             value = self._expr(rhs_raw, pre)
         else:
-            value = fast.clone(value_translated)
+            value = value_translated
         if isinstance(target, fast.Var):
             name = target.name.upper()
             if name in self.scalar_bind:
                 bound = self.scalar_bind[name]
                 if isinstance(bound, (fast.Var, fast.ArrayRef)):
-                    return pre + [fast.Assign(fast.clone(bound), value)]
+                    return pre + [fast.Assign(bound, value)]
                 raise AnnotationError(
                     f"{self.ann.name}: cannot assign through formal "
                     f"{name} bound to an expression")
@@ -407,7 +407,7 @@ class _Translator:
         reference produced under the generated loops maps through the
         binding offsets afterwards."""
         if sub.lo is not None and sub.hi is not None:
-            return fast.clone(sub.lo), fast.clone(sub.hi)
+            return sub.lo, sub.hi
         dims = self._declared_dims(name)
         if dims is None or dim_index >= len(dims) \
                 or dims[dim_index].upper is None:
@@ -415,8 +415,8 @@ class _Translator:
                 f"{self.ann.name}: cannot determine the extent of "
                 f"dimension {dim_index + 1} of {name}")
         d = dims[dim_index]
-        lo = fast.clone(sub.lo) if sub.lo is not None else fast.clone(d.lower)
-        hi = fast.clone(sub.hi) if sub.hi is not None else fast.clone(d.upper)
+        lo = sub.lo if sub.lo is not None else d.lower
+        hi = sub.hi if sub.hi is not None else d.upper
         return lo, hi
 
     def _declared_dims(self, name: str):
@@ -451,7 +451,7 @@ class _Translator:
         if isinstance(e, fast.Var):
             name = e.name.upper()
             if name in self.scalar_bind:
-                return fast.clone(self.scalar_bind[name])
+                return self.scalar_bind[name]
             if name in self.array_bind:
                 return fast.Var(self.array_bind[name].name)
             return fast.Var(self.local_rename.get(name, name))
@@ -469,7 +469,7 @@ class _Translator:
             lo = self._expr(e.lo, pre) if e.lo is not None else None
             hi = self._expr(e.hi, pre) if e.hi is not None else None
             return fast.RangeExpr(lo, hi)
-        return fast.clone(e)  # literals
+        return e  # literals
 
     def _map_array_ref(self, name: str, subs: Tuple[fast.Expr, ...],
                        pre: List[fast.Stmt]) -> fast.Expr:
@@ -492,7 +492,7 @@ class _Translator:
                 b = binding.base[k]
                 mapped.append(self._offset_binding_sub(name, fdims, k,
                                                        sub, b))
-            mapped.extend(fast.clone(t) for t in binding.trailing)
+            mapped.extend(binding.trailing)
             return fast.ArrayRef(binding.name, tuple(mapped))
         if name in self.scalar_bind:
             raise AnnotationError(
@@ -506,7 +506,7 @@ class _Translator:
             if b == fast.IntLit(1):
                 return e
             return fast.BinOp("+", e, fast.BinOp(
-                "-", fast.clone(b), fast.IntLit(1)))
+                "-", b, fast.IntLit(1)))
 
         if isinstance(sub, fast.RangeExpr):
             lo = sub.lo
@@ -515,13 +515,13 @@ class _Translator:
             # translating them into caller terms (they usually mention
             # other formals, e.g. dimension M1[L,M])
             if lo is None:
-                lo = self._expr(fast.clone(fdims[k].lower), [])
+                lo = self._expr(fdims[k].lower, [])
             if hi is None:
                 if fdims[k].upper is None:
                     raise AnnotationError(
                         f"{self.ann.name}: region on assumed-size "
                         f"dimension of formal {formal}")
-                hi = self._expr(fast.clone(fdims[k].upper), [])
+                hi = self._expr(fdims[k].upper, [])
             return fast.RangeExpr(offset(lo), offset(hi))
         return offset(sub)
 

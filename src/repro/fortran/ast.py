@@ -1,15 +1,23 @@
 """Typed AST for the Fortran 77 subset.
 
-All nodes are frozen-free dataclasses with structural equality, which the
-reverse inliner's pattern matcher and the dependence analyzer's expression
-comparisons rely on.  :func:`clone` is the one cloning mechanism: a
-structural copy that shares atoms (``str``/``int``/``float``/``bool``/
-``None``) and rebuilds every ``list``, ``tuple`` and node, carrying each
-node's whole instance ``__dict__`` — so non-field metadata (a loop's
-``origin``) and ``compare=False`` fields (``RealLit.text``) travel with it.
-Aliasing is *not* preserved: a node referenced twice in the original is
-two nodes in the copy, the safe side for passes that mutate in place (an
-edit through one reference can never show through another).
+All nodes are dataclasses with structural equality, which the reverse
+inliner's pattern matcher and the dependence analyzer's expression
+comparisons rely on.  Expressions are immutable values: every
+:class:`Expr` class is slotted (no per-node ``__dict__``) and no field of
+an expression is assigned after construction, so one expression object
+may appear in many places — in a statement and its clone, in a callee and
+its inlined copy — and a rewrite replaces a node instead of editing it.
+Statements, declarations and units stay mutable (inliners edit them in
+place, and a loop's ``origin`` is a stamp that is not a field).
+
+:func:`clone` is the one cloning mechanism: it copies every statement,
+declaration, unit and ``list``, carrying each one's whole instance
+``__dict__`` — so non-field metadata (a loop's ``origin``) travels with
+it — and shares every expression, atom (``str``/``int``/``float``/
+``bool``/``None``) and tuple of shared items.  :func:`map_expr`,
+:func:`map_stmt_exprs` and :func:`map_stmts` copy on change: a node or
+statement list nothing under which changed comes back as the same object,
+and only the path above a replacement is rebuilt.
 
 Expression references to a name with an argument list are parsed as
 :class:`ArrayRef`; the resolution pass in :mod:`repro.fortran.symbols`
@@ -34,12 +42,12 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class RealLit(Expr):
     value: float
     #: 'REAL' or 'DOUBLE' — controls the D/E exponent letter when unparsing
@@ -49,34 +57,34 @@ class RealLit(Expr):
     text: Optional[str] = field(default=None, compare=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class StringLit(Expr):
     value: str
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class LogicalLit(Expr):
     value: bool
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class ArrayRef(Expr):
     name: str
     subs: Tuple[Expr, ...]
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class FuncRef(Expr):
     name: str
     args: Tuple[Expr, ...]
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class BinOp(Expr):
     """Binary operation.  ``op`` uses canonical spellings:
     ``+ - * / ** // == /= < <= > >= .AND. .OR. .EQV. .NEQV.``"""
@@ -86,7 +94,7 @@ class BinOp(Expr):
     right: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class UnOp(Expr):
     """Unary operation: ``-``, ``+`` or ``.NOT.``."""
 
@@ -94,7 +102,7 @@ class UnOp(Expr):
     operand: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class AltReturn(Expr):
     """An alternate-return actual argument ``*label`` in a CALL.
 
@@ -106,7 +114,7 @@ class AltReturn(Expr):
     target: int
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class RangeExpr(Expr):
     """An array-section triplet ``lo:hi[:step]``.
 
@@ -121,7 +129,8 @@ class RangeExpr(Expr):
     step: Optional[Expr] = None
 
 
-#: expression node types whose children are themselves expressions
+#: expression node types whose children are themselves expressions (the
+#: annotation language registers its own operators here)
 _EXPR_CHILD_FIELDS = {
     ArrayRef: ("subs",),
     FuncRef: ("args",),
@@ -132,44 +141,73 @@ _EXPR_CHILD_FIELDS = {
 
 
 def walk_expr(e: Expr) -> Iterator[Expr]:
-    """Yield ``e`` and every sub-expression, preorder."""
-    yield e
-    fields = _EXPR_CHILD_FIELDS.get(type(e))
-    if not fields:
-        return
-    for name in fields:
-        child = getattr(e, name)
-        if child is None:
-            continue
-        if isinstance(child, tuple):
-            for sub in child:
-                yield from walk_expr(sub)
-        else:
-            yield from walk_expr(child)
+    """Yield ``e`` and every sub-expression, preorder (one frame, however
+    deep the tree)."""
+    stack = [e]
+    pop, push = stack.pop, stack.append
+    while stack:
+        e = pop()
+        yield e
+        cls = e.__class__
+        if cls is BinOp:
+            push(e.right)
+            push(e.left)
+        elif cls is ArrayRef:
+            stack.extend(reversed(e.subs))
+        elif cls is FuncRef:
+            stack.extend(reversed(e.args))
+        elif cls is UnOp:
+            push(e.operand)
+        elif cls in _EXPR_CHILD_FIELDS:
+            for name in reversed(_EXPR_CHILD_FIELDS[cls]):
+                child = getattr(e, name)
+                if child.__class__ is tuple:
+                    stack.extend(reversed(child))
+                elif child is not None:
+                    push(child)
+
+
+def map_exprs(items: Tuple[Expr, ...],
+              fn: Callable[[Expr], Optional[Expr]]) -> Tuple[Expr, ...]:
+    """``items`` mapped by :func:`map_expr`; ``items`` itself when no
+    item changed."""
+    mapped = [map_expr(x, fn) for x in items]
+    for old, new in zip(items, mapped):
+        if old is not new:
+            return tuple(mapped)
+    return items
 
 
 def map_expr(e: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
-    """Rebuild ``e`` bottom-up, replacing nodes for which ``fn`` returns
+    """Rewrite ``e`` bottom-up, replacing nodes for which ``fn`` returns
     a non-None expression.  ``fn`` is applied to each node *after* its
-    children have been rewritten."""
-    if isinstance(e, ArrayRef):
-        rebuilt: Expr = ArrayRef(e.name, tuple(map_expr(s, fn) for s in e.subs))
-    elif isinstance(e, FuncRef):
-        rebuilt = FuncRef(e.name, tuple(map_expr(a, fn) for a in e.args))
-    elif isinstance(e, BinOp):
-        rebuilt = BinOp(e.op, map_expr(e.left, fn), map_expr(e.right, fn))
-    elif isinstance(e, UnOp):
-        rebuilt = UnOp(e.op, map_expr(e.operand, fn))
-    elif isinstance(e, RangeExpr):
-        rebuilt = RangeExpr(
-            map_expr(e.lo, fn) if e.lo is not None else None,
-            map_expr(e.hi, fn) if e.hi is not None else None,
-            map_expr(e.step, fn) if e.step is not None else None,
-        )
-    else:
-        rebuilt = e
-    out = fn(rebuilt)
-    return rebuilt if out is None else out
+    children have been rewritten; a node none of whose children changed
+    is passed (and, when ``fn`` keeps it, returned) as the same object."""
+    cls = e.__class__
+    if cls is BinOp:
+        left, right = map_expr(e.left, fn), map_expr(e.right, fn)
+        if left is not e.left or right is not e.right:
+            e = BinOp(e.op, left, right)
+    elif cls is ArrayRef:
+        subs = map_exprs(e.subs, fn)
+        if subs is not e.subs:
+            e = ArrayRef(e.name, subs)
+    elif cls is FuncRef:
+        args = map_exprs(e.args, fn)
+        if args is not e.args:
+            e = FuncRef(e.name, args)
+    elif cls is UnOp:
+        operand = map_expr(e.operand, fn)
+        if operand is not e.operand:
+            e = UnOp(e.op, operand)
+    elif cls is RangeExpr:
+        lo = map_expr(e.lo, fn) if e.lo is not None else None
+        hi = map_expr(e.hi, fn) if e.hi is not None else None
+        step = map_expr(e.step, fn) if e.step is not None else None
+        if lo is not e.lo or hi is not e.hi or step is not e.step:
+            e = RangeExpr(lo, hi, step)
+    out = fn(e)
+    return e if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -543,89 +581,123 @@ def walk_all_exprs(body: Sequence[Stmt]) -> Iterator[Expr]:
 def map_stmts(body: List[Stmt],
               fn: Callable[[Stmt], Optional[List[Stmt]]]) -> List[Stmt]:
     """Rebuild a statement list, replacing statements for which ``fn``
-    returns a replacement list (None keeps the statement).  ``fn`` is
-    applied after children have been rewritten; the callback may expand a
-    statement into several or delete it (empty list)."""
+    returns a replacement list (None, or ``[s]`` itself, keeps the
+    statement).  ``fn`` is applied after children have been rewritten;
+    the callback may expand a statement into several or delete it (empty
+    list).  A block none of whose statements changed is kept as the same
+    object, and so is ``body`` itself when nothing in it changed."""
     out: List[Stmt] = []
-    for s in body:
-        if isinstance(s, DoLoop):
-            old = s
-            s = DoLoop(s.var, s.start, s.stop, s.step,
-                       map_stmts(s.body, fn), s.label, s.term_label)
-            copy_loop_meta(old, s)
-        elif isinstance(s, IfBlock):
-            s = IfBlock([(c, map_stmts(b, fn)) for c, b in s.arms], s.label)
-        elif isinstance(s, OmpParallelDo):
+    changed = False
+    for orig in body:
+        s = orig
+        cls = s.__class__
+        if cls is DoLoop:
+            inner = map_stmts(s.body, fn)
+            if inner is not s.body:
+                s = copy_loop_meta(s, DoLoop(s.var, s.start, s.stop, s.step,
+                                             inner, s.label, s.term_label))
+        elif cls is IfBlock:
+            arms = [(c, map_stmts(b, fn)) for c, b in s.arms]
+            if any(b is not old for (_, b), (_, old) in zip(arms, s.arms)):
+                s = IfBlock(arms, s.label)
+        elif cls is OmpParallelDo:
             inner = map_stmts([s.loop], fn)
-            if len(inner) == 1 and isinstance(inner[0], DoLoop):
+            if len(inner) != 1 or inner[0].__class__ is not DoLoop:
+                out.extend(inner)
+                changed = True
+                continue
+            if inner[0] is not s.loop:
                 s = OmpParallelDo(inner[0], s.private, s.reductions,
                                   s.schedule, s.label)
-            else:
-                out.extend(inner)
-                continue
-        elif isinstance(s, TaggedBlock):
-            s = TaggedBlock(s.callee, s.site_id, s.actuals,
-                            map_stmts(s.body, fn), s.label)
+        elif cls is TaggedBlock:
+            inner = map_stmts(s.body, fn)
+            if inner is not s.body:
+                s = TaggedBlock(s.callee, s.site_id, s.actuals, inner,
+                                s.label)
         replaced = fn(s)
-        if replaced is None:
+        if replaced is None or (len(replaced) == 1 and replaced[0] is s):
             out.append(s)
+            changed = changed or s is not orig
         else:
             out.extend(replaced)
-    return out
+            changed = True
+    return out if changed else body
 
 
 def map_stmt_exprs(body: List[Stmt],
                    fn: Callable[[Expr], Optional[Expr]]) -> List[Stmt]:
-    """Rewrite every expression in ``body`` with :func:`map_expr`."""
+    """Rewrite every expression in ``body`` with :func:`map_expr`; a
+    statement none of whose expressions changed is kept."""
 
     def rewrite(s: Stmt) -> Optional[List[Stmt]]:
-        if isinstance(s, Assign):
+        cls = s.__class__
+        if cls is Assign:
             tgt = map_expr(s.target, fn)
-            if not isinstance(tgt, (Var, ArrayRef)):
+            if tgt.__class__ is not Var and tgt.__class__ is not ArrayRef:
                 tgt = s.target  # refuse to rewrite targets into non-lvalues
-            return [Assign(tgt, map_expr(s.value, fn), s.label)]
-        if isinstance(s, IfBlock):
-            return [IfBlock(
-                [(map_expr(c, fn) if c is not None else None, b)
-                 for c, b in s.arms], s.label)]
-        if isinstance(s, DoLoop):
-            rebuilt = DoLoop(s.var, map_expr(s.start, fn),
-                             map_expr(s.stop, fn),
-                             map_expr(s.step, fn) if s.step is not None
-                             else None,
-                             s.body, s.label, s.term_label)
-            return [copy_loop_meta(s, rebuilt)]
-        if isinstance(s, CallStmt):
-            return [CallStmt(s.name, tuple(map_expr(a, fn) for a in s.args),
-                             s.label)]
-        if isinstance(s, IoStmt):
-            return [IoStmt(s.kind, s.control,
-                           tuple(map_expr(i, fn) for i in s.items), s.label)]
-        if isinstance(s, ComputedGoto):
-            return [ComputedGoto(s.targets, map_expr(s.index, fn), s.label)]
+            value = map_expr(s.value, fn)
+            if tgt is s.target and value is s.value:
+                return None
+            return [Assign(tgt, value, s.label)]
+        if cls is IfBlock:
+            arms = [(map_expr(c, fn) if c is not None else None, b)
+                    for c, b in s.arms]
+            if all(c is old for (c, _), (old, _) in zip(arms, s.arms)):
+                return None
+            return [IfBlock(arms, s.label)]
+        if cls is DoLoop:
+            start, stop = map_expr(s.start, fn), map_expr(s.stop, fn)
+            step = map_expr(s.step, fn) if s.step is not None else None
+            if start is s.start and stop is s.stop and step is s.step:
+                return None
+            return [copy_loop_meta(s, DoLoop(s.var, start, stop, step,
+                                             s.body, s.label, s.term_label))]
+        if cls is CallStmt:
+            args = map_exprs(s.args, fn)
+            return None if args is s.args else [
+                CallStmt(s.name, args, s.label)]
+        if cls is IoStmt:
+            items = map_exprs(s.items, fn)
+            return None if items is s.items else [
+                IoStmt(s.kind, s.control, items, s.label)]
+        if cls is ComputedGoto:
+            index = map_expr(s.index, fn)
+            return None if index is s.index else [
+                ComputedGoto(s.targets, index, s.label)]
         return None
 
     return map_stmts(body, rewrite)
 
 
 _ATOMS = frozenset((str, int, float, bool, type(None)))
+#: what :func:`clone` hands back as it is: atoms and expressions
+_SHARED = _ATOMS | frozenset((IntLit, RealLit, StringLit, LogicalLit, Var,
+                              ArrayRef, FuncRef, BinOp, UnOp, AltReturn,
+                              RangeExpr))
 
 
 def clone(node):
-    """Structurally copy an AST node (or list/tuple of nodes): atoms are
-    shared, everything else is rebuilt (see the module docstring).  One
-    Python frame per tree level, so any tree the parser builds clones."""
+    """Copy an AST node (or list/tuple of nodes): statements,
+    declarations, units and lists are rebuilt, expressions and atoms are
+    shared (see the module docstring).  One Python frame per statement
+    nesting level; an expression costs none."""
     cls = node.__class__
-    if cls in _ATOMS:
+    if cls in _SHARED:
         return node
     if cls is list:
         return [clone(x) for x in node]
     if cls is tuple:
-        return tuple([clone(x) for x in node])
+        items = [clone(x) for x in node]
+        for old, new in zip(node, items):
+            if old is not new:
+                return tuple(items)
+        return node
+    if isinstance(node, Expr):
+        return node  # an expression class defined outside this module
     new = cls.__new__(cls)
     fields = new.__dict__
     for name, value in node.__dict__.items():
-        fields[name] = value if value.__class__ in _ATOMS else clone(value)
+        fields[name] = value if value.__class__ in _SHARED else clone(value)
     return new
 
 

@@ -730,7 +730,7 @@ class _StatementClassifier:
                     rep = int(m.group(1))
                     _spend(budget, rep, loc, j)
                     val = _expr(m.group(2), loc)
-                    values.extend([ast.clone(val) for _ in range(rep)])
+                    values.extend([val] * rep)
                 else:
                     values.append(_expr(v, loc))
             i = k + 1

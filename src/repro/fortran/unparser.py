@@ -41,41 +41,10 @@ def expr_to_str(e: ast.Expr) -> str:
 
 
 def _expr(e: ast.Expr, parent_prec: int) -> str:
-    if isinstance(e, ast.IntLit):
-        return str(e.value)
-    if isinstance(e, ast.RealLit):
-        return _real_text(e)
-    if isinstance(e, ast.StringLit):
-        return _quoted(e.value)
-    if isinstance(e, ast.LogicalLit):
-        return ".TRUE." if e.value else ".FALSE."
-    if isinstance(e, ast.Var):
+    cls = e.__class__
+    if cls is ast.Var:
         return e.name
-    if isinstance(e, ast.AltReturn):
-        return f"*{e.target}"
-    if isinstance(e, (ast.ArrayRef, ast.FuncRef)):
-        args = e.subs if isinstance(e, ast.ArrayRef) else e.args
-        inner = ",".join(_expr(a, 0) for a in args)
-        return f"{e.name}({inner})"
-    if isinstance(e, ast.RangeExpr):
-        lo = _expr(e.lo, 0) if e.lo is not None else ""
-        hi = _expr(e.hi, 0) if e.hi is not None else "*" if e.lo is None else ""
-        text = f"{lo}:{hi}" if (e.lo is not None or e.hi is not None) else "*"
-        if e.step is not None:
-            text += f":{_expr(e.step, 0)}"
-        return text
-    if isinstance(e, ast.UnOp):
-        if e.op == ".NOT.":
-            inner = _expr(e.operand, 4)
-            text = f".NOT.{inner}"
-            return f"({text})" if parent_prec > 4 else text
-        inner = _expr(e.operand, 8)  # sign binds between +- and */
-        text = f"{e.op}{inner}"
-        # a leading sign is legal at the start of an additive chain
-        # (parent_prec <= 7); multiplicative/power contexts and right
-        # operands of +/- (which pass prec 8) need parentheses
-        return f"({text})" if parent_prec >= 8 else text
-    if isinstance(e, ast.BinOp):
+    if cls is ast.BinOp:
         prec = _PREC[e.op]
         op = _F77_OPS.get(e.op, e.op)
         if e.op == "**":
@@ -88,6 +57,38 @@ def _expr(e: ast.Expr, parent_prec: int) -> str:
             right = _expr(e.right, prec + 1)
         text = f"{left}{op}{right}"
         return f"({text})" if prec < parent_prec else text
+    if cls is ast.IntLit:
+        return str(e.value)
+    if cls is ast.ArrayRef or cls is ast.FuncRef:
+        args = e.subs if cls is ast.ArrayRef else e.args
+        inner = ",".join([_expr(a, 0) for a in args])
+        return f"{e.name}({inner})"
+    if cls is ast.RealLit:
+        return _real_text(e)
+    if cls is ast.UnOp:
+        if e.op == ".NOT.":
+            inner = _expr(e.operand, 4)
+            text = f".NOT.{inner}"
+            return f"({text})" if parent_prec > 4 else text
+        inner = _expr(e.operand, 8)  # sign binds between +- and */
+        text = f"{e.op}{inner}"
+        # a leading sign is legal at the start of an additive chain
+        # (parent_prec <= 7); multiplicative/power contexts and right
+        # operands of +/- (which pass prec 8) need parentheses
+        return f"({text})" if parent_prec >= 8 else text
+    if cls is ast.StringLit:
+        return _quoted(e.value)
+    if cls is ast.LogicalLit:
+        return ".TRUE." if e.value else ".FALSE."
+    if cls is ast.AltReturn:
+        return f"*{e.target}"
+    if cls is ast.RangeExpr:
+        lo = _expr(e.lo, 0) if e.lo is not None else ""
+        hi = _expr(e.hi, 0) if e.hi is not None else "*" if e.lo is None else ""
+        text = f"{lo}:{hi}" if (e.lo is not None or e.hi is not None) else "*"
+        if e.step is not None:
+            text += f":{_expr(e.step, 0)}"
+        return text
     raise TypeError(f"cannot unparse expression {e!r}")
 
 

@@ -75,17 +75,16 @@ def element_offset(subs: Sequence[ast.Expr],
     total: Optional[ast.Expr] = None
     stride: Optional[ast.Expr] = None
     for sub, dim in zip(subs, dims):
-        delta: ast.Expr = ast.BinOp("-", ast.clone(sub),
-                                    ast.clone(dim.lower))
+        delta: ast.Expr = ast.BinOp("-", sub, dim.lower)
         term = delta if stride is None else ast.BinOp(
-            "*", delta, ast.clone(stride))
+            "*", delta, stride)
         total = term if total is None else ast.BinOp("+", total, term)
         extent = _extent(dim)
         if extent is None:
             stride = None  # assumed-size: only legal for the last dim
         else:
             stride = extent if stride is None else ast.BinOp(
-                "*", ast.clone(stride), extent)
+                "*", stride, extent)
     assert total is not None
     return total
 
@@ -100,9 +99,9 @@ def _extent(dim: ast.Dim) -> Optional[ast.Expr]:
     if dim.upper is None:
         return None
     if dim.lower == ast.IntLit(1):
-        return ast.clone(dim.upper)
-    return ast.BinOp("+", ast.BinOp("-", ast.clone(dim.upper),
-                                    ast.clone(dim.lower)), ast.IntLit(1))
+        return dim.upper
+    return ast.BinOp("+", ast.BinOp("-", dim.upper, dim.lower),
+                     ast.IntLit(1))
 
 
 def total_size(dims: Sequence[ast.Dim]) -> Optional[ast.Expr]:
@@ -166,7 +165,7 @@ def plan_bindings(callee_name: str,
             if isinstance(n, ast.Var):
                 u = n.name.upper()
                 if u in scalar_formal_map:
-                    return ast.clone(scalar_formal_map[u])
+                    return scalar_formal_map[u]
                 if u in rename:
                     return ast.Var(rename[u])
             elif isinstance(n, (ast.ArrayRef, ast.FuncRef)) \
@@ -174,7 +173,7 @@ def plan_bindings(callee_name: str,
                 args = n.subs if isinstance(n, ast.ArrayRef) else n.args
                 return ast.ArrayRef(rename[n.name.upper()], args)
             return None
-        return ast.map_expr(ast.clone(e), rewrite)
+        return ast.map_expr(e, rewrite)
 
     # second pass: arrays
     for formal, actual in zip(formals, actuals):
@@ -208,7 +207,7 @@ def _bind_scalar(plan: BindingPlan, formal: str, finfo: VarInfo,
     # expression actual: copy into a temp (no copy-out: writing to an
     # expression argument is non-conforming Fortran anyway)
     tmp = f"{formal}$A{site_id}"
-    plan.pre.append(ast.Assign(ast.Var(tmp), ast.clone(actual)))
+    plan.pre.append(ast.Assign(ast.Var(tmp), actual))
     plan.scalar_map[formal] = ast.Var(tmp)
     plan.temp_decls.append(ast.TypeDecl(finfo.typename,
                                         [ast.Entity(tmp)]))
@@ -224,8 +223,8 @@ def _bind_array(plan: BindingPlan, formal: str, fdims: Tuple[ast.Dim, ...],
                 f"array formal {formal} bound to scalar {actual.name}")
         adims = ainfo.dims
         if len(fdims) == len(adims) and _dims_congruent(fdims, adims):
-            base = tuple(ast.clone(d.lower) for d in adims)
-            lowers = tuple(ast.clone(d.lower) for d in fdims)
+            base = tuple(d.lower for d in adims)
+            lowers = tuple(d.lower for d in fdims)
             plan.array_direct[formal] = (ainfo.name, base, lowers)
             return
         plan.array_linear[formal] = LinearBinding(
@@ -245,16 +244,15 @@ def _bind_array(plan: BindingPlan, formal: str, fdims: Tuple[ast.Dim, ...],
                 f"declared rank {len(adims)}")
         if len(fdims) == len(adims) == 1:
             # 1-D view into 1-D array: pure offset binding (Figure 2-3)
-            plan.array_direct[formal] = (ainfo.name, (ast.clone(subs[0]),),
-                                         (ast.clone(fdims[0].lower),))
+            plan.array_direct[formal] = (ainfo.name, (subs[0],),
+                                         (fdims[0].lower,))
             return
         if len(fdims) == len(adims) and _dims_congruent(fdims, adims) \
                 and all(exprs_equivalent(s, d.lower)
                         for s, d in zip(subs[:-1], adims[:-1])):
             # congruent leading dims, offset applies to the last dim only
-            base = tuple(ast.clone(d.lower) for d in adims[:-1]) \
-                + (ast.clone(subs[-1]),)
-            lowers = tuple(ast.clone(d.lower) for d in fdims)
+            base = tuple(d.lower for d in adims[:-1]) + (subs[-1],)
+            lowers = tuple(d.lower for d in fdims)
             plan.array_direct[formal] = (ainfo.name, base, lowers)
             return
         plan.array_linear[formal] = LinearBinding(

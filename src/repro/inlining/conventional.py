@@ -191,7 +191,7 @@ class ConventionalInliner:
             if isinstance(e, ast.Var):
                 u = e.name.upper()
                 if u in plan.scalar_map:
-                    return ast.clone(plan.scalar_map[u])
+                    return plan.scalar_map[u]
                 if u in plan.array_direct:
                     name, base, _ = plan.array_direct[u]
                     return ast.Var(name)  # whole-array reference
@@ -212,7 +212,7 @@ class ConventionalInliner:
                     lb = plan.array_linear[u]
                     lin = linear_index(e.subs, lb.formal_dims)
                     if lb.base_offset != ast.IntLit(0):
-                        lin = ast.BinOp("+", ast.clone(lb.base_offset), lin)
+                        lin = ast.BinOp("+", lb.base_offset, lin)
                     return ast.ArrayRef(lb.actual_name, (lin,))
                 if u in plan.scalar_map:
                     raise InlineError(
@@ -305,7 +305,7 @@ class ConventionalInliner:
             caller.decls.append(ast.TypeDecl(info.typename, [entity]))
         # PARAMETER constants used by the callee body
         for d in callee.find_decls(ast.ParameterDecl):
-            pairs = [(rename.get(n.upper(), n.upper()), ast.clone(e))
+            pairs = [(rename.get(n.upper(), n.upper()), e)
                      for n, e in d.assignments]
             caller.decls.append(ast.ParameterDecl(pairs))
         for d in callee.find_decls(ast.DataDecl):
@@ -318,10 +318,10 @@ class ConventionalInliner:
                             and e.name.upper() in rename:
                         return ast.ArrayRef(rename[e.name.upper()], e.subs)
                     return None
-                targets.append(ast.map_expr(ast.clone(t), rw))
+                targets.append(ast.map_expr(t, rw))
             if targets:
                 caller.decls.append(ast.DataDecl(targets,
-                                                 ast.clone(d.values)))
+                                                 list(d.values)))
         caller.decls.extend(plan.temp_decls)
 
     # ------------------------------------------------------------------
@@ -372,6 +372,5 @@ class ConventionalInliner:
 def _offset_sub(sub: ast.Expr, base: ast.Expr, lower: ast.Expr) -> ast.Expr:
     """``base + (sub - lower)``, simplified when base == lower."""
     if base == lower:
-        return ast.clone(sub)
-    return ast.BinOp("+", ast.clone(base),
-                     ast.BinOp("-", ast.clone(sub), ast.clone(lower)))
+        return sub
+    return ast.BinOp("+", base, ast.BinOp("-", sub, lower))

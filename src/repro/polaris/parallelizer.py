@@ -56,6 +56,12 @@ class LegalityAnalyzer:
     table: SymbolTable
     summaries: Dict[str, Summary]
     tester: DependenceTester = field(default_factory=DependenceTester)
+    #: ``id(loop) -> (loop, its LoopCtx)`` for every loop seen so far:
+    #: a loop is an enclosing or inner loop of many others, and its
+    #: bounds do not change while its unit is analyzed (holding the loop
+    #: keeps its id from being reused)
+    _ctxs: Dict[int, Tuple[ast.DoLoop, LoopCtx]] = field(
+        default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     def analyze(self, info: LoopInfo, acc: AccessSet) -> LoopDecision:
@@ -125,7 +131,7 @@ class LegalityAnalyzer:
             if self.table.is_array(name):
                 sites.setdefault(name, []).append(
                     _ArrayRefSite(subs, is_write, inner))
-        loops_ctx = [loop_ctx(lp) for lp in info.enclosing] + [loop_ctx(loop)]
+        loops_ctx = [self._loop_ctx(lp) for lp in info.enclosing + [loop]]
         for array, refs in sorted(sites.items()):
             if not any(r.is_write for r in refs):
                 continue
@@ -182,13 +188,20 @@ class LegalityAnalyzer:
                     if id(lp) not in seen_ids:
                         seen_ids.add(id(lp))
                         inner_unique.append(lp)
-                all_loops = loops_ctx + [loop_ctx(lp) for lp in inner_unique]
+                all_loops = loops_ctx + [self._loop_ctx(lp)
+                                         for lp in inner_unique]
                 if self.tester.may_depend(forms[i], forms[j], all_loops, dirs):
                     return _witness(array, refs[i], refs[j])
                 if i != j and self.tester.may_depend(
                         forms[j], forms[i], all_loops, dirs):
                     return _witness(array, refs[j], refs[i])
         return ""
+
+    def _loop_ctx(self, loop: ast.DoLoop) -> LoopCtx:
+        seen = self._ctxs.get(id(loop))
+        if seen is None:
+            seen = self._ctxs[id(loop)] = (loop, loop_ctx(loop))
+        return seen[1]
 
     def _declared_rank(self, array: str) -> int:
         infov = self.table.info(array)

@@ -804,13 +804,16 @@ def _vec_once(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict, banned):
     if pure is None:
         return None
     own = {rec.var for rec in scope}
-    cells, covered = [], set()
+    cells, skip = [], 0
     for n in ast.walk_expr(e):
-        if id(n) in covered:
+        if skip:
+            skip -= 1
             continue
         if isinstance(n, ast.ArrayRef):
-            # the resolver records what the element's subscripts read
-            covered.update(map(id, ast.walk_expr(n)))
+            # the resolver records what the element's subscripts read, so
+            # the walk skips them: by count, the preorder places them next
+            # (not by identity: one node may occur twice in a tree)
+            skip = sum(1 for _ in ast.walk_expr(n)) - 1
             acc = _vec_access_factory(n, scope, cc, vst)
             if acc is None:
                 return None

@@ -174,7 +174,11 @@ class Interpreter:
         #: buffers are fixed for the program's lifetime, so the views are
         #: shareable across frames)
         self._unit_statics: Dict[int, tuple] = {}
-        self._intdiv_cache: Dict[int, bool] = {}
+        #: (unit, ``/`` node) -> integer division?  Keyed by unit too:
+        #: expressions are shared values, and a callee and its inlined
+        #: copy may hold one node whose operands the two units type
+        #: differently
+        self._intdiv_cache: Dict[Tuple[int, int], bool] = {}
         #: the region tree of this run, and directive identity -> site
         self._regions = RegionRecorder()
         self._sites: Optional[Dict[int, Site]] = None
@@ -237,7 +241,7 @@ class Interpreter:
                 if info is not None and info.parameter_value is not None:
                     return info.parameter_value
             return None
-        c = from_expr(ast.map_expr(ast.clone(e), subst)).constant_value()
+        c = from_expr(ast.map_expr(e, subst)).constant_value()
         return c
 
     # ------------------------------------------------------------------
@@ -762,12 +766,13 @@ class Interpreter:
         if op == "/":
             if b == 0:
                 raise InterpreterError("division by zero")
-            is_int = self._intdiv_cache.get(id(e))
+            key = (id(frame.unit), id(e))
+            is_int = self._intdiv_cache.get(key)
             if is_int is None:
                 from repro.fortran.symbols import expr_type
                 is_int = (expr_type(e.left, frame.table) == "INTEGER"
                           and expr_type(e.right, frame.table) == "INTEGER")
-                self._intdiv_cache[id(e)] = is_int
+                self._intdiv_cache[key] = is_int
             if is_int:
                 ia, ib = int(a), int(b)
                 q = abs(ia) // abs(ib)

@@ -1,9 +1,14 @@
-"""``ast.clone`` and the passes around it, held to two contracts.
+"""``ast.clone`` and the passes around it, held to three contracts.
 
-* the clone contract: an equal tree that shares nothing mutable with
-  the original, carries every node's whole ``__dict__`` (loop origins,
-  literal spellings), pickles to the same compile-cache digest, and
-  survives any tree the parser builds;
+* the clone contract: an equal tree that shares no statement,
+  declaration, unit or list with the original, carries every copied
+  node's whole ``__dict__`` (loop origins), shares every expression
+  (literal spellings travel with them), pickles to the same
+  compile-cache digest, and survives any tree the parser builds;
+* expressions are immutable values: no expression class has a
+  ``__dict__``, and nothing assigns an expression's field after
+  construction anywhere in Table II's pipelines, the ingestion path or
+  an execution on either backend;
 * the no-op contract: a pass that changes nothing hands back the
   objects it was given;
 * the kernel cannot regrow a second implementation.
@@ -16,16 +21,21 @@ from hypothesis import given, settings
 
 from repro.analysis.loops import assign_origins
 from repro.analysis.normalize import normalize_unit
+from repro.annotations import ast as aast
 from repro.annotations.inliner import AnnotationInliner
 from repro.annotations.registry import AnnotationRegistry
 from repro.annotations.reverse import ReverseInliner
 from repro.errors import ReproError
-from repro.fortran import ast
+from repro.experiments.pipeline import (CONFIGS, Config, prepare_base,
+                                        run_config)
+from repro.fortran import ast, symbols
+from repro.fortran.fixedform.pipeline import parallelize_source
 from repro.fuzz import GeneratorOptions, generate
 from repro.inlining.conventional import ConventionalInliner
 from repro.inlining.heuristics import InlinePolicy
 from repro.perfect import all_benchmarks, get_benchmark
 from repro.program import Program
+from repro.runtime.backend import make_interpreter
 from repro.runtime.compiler import _unit_digest
 from tests.fortran.test_frontend_properties import CORPUS, _modules
 from tests.strategies import exprs
@@ -33,52 +43,53 @@ from tests.strategies import exprs
 ATOMS = (str, int, float, bool, type(None))
 
 
-def _children(x):
-    return x if isinstance(x, (list, tuple)) else vars(x).values()
-
-
-def _reachable(root):
-    """``{id: object}`` of every list and node under ``root`` — what a
-    holder of the tree could mutate (tuples are looked through)."""
-    seen = {}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, ATOMS):
-            continue
-        if not isinstance(x, tuple):
-            seen[id(x)] = x
-        stack.extend(_children(x))
-    return seen
-
-
-def _assert_same_shape(a, b):
-    """Node for node: same type, same ``__dict__`` keys (so a loop's
-    ``origin`` is there or absent on both sides), atoms shared."""
+def _walk_pairs(a, b):
+    """``(x, y)`` for every position of two same-shaped trees, down to
+    the expressions (which are not entered)."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
-        assert type(x) is type(y), (x, y)
-        if isinstance(x, ATOMS):
-            assert x is y or x == y, (x, y)
+        yield x, y
+        if isinstance(x, ATOMS) or isinstance(x, ast.Expr):
             continue
-        if not isinstance(x, (list, tuple)):
-            assert list(vars(x)) == list(vars(y)), (x, y)
-        xs, ys = list(_children(x)), list(_children(y))
+        if isinstance(x, (list, tuple)):
+            xs, ys = list(x), list(y)
+        else:
+            xs, ys = list(vars(x).values()), list(vars(y).values())
         assert len(xs) == len(ys), (x, y)
         stack.extend(zip(xs, ys))
 
 
+def _mutable(root):
+    """``{id: object}`` of every list and non-expression node under
+    ``root`` — what a holder of the tree could mutate (tuples are looked
+    through, expressions hold nothing mutable)."""
+    return {id(x): x for x, _ in _walk_pairs(root, root)
+            if not isinstance(x, ATOMS + (tuple, ast.Expr))}
+
+
 def check_clone_contract(program):
+    """Clone ``program`` and check the contract; returns the copied
+    nodes and the shared expressions (the roots a statement holds)."""
     for unit in program.units:
         assign_origins(unit)
     before = program.unparse()
     copy = program.clone()
     assert copy.files == program.files
-    theirs, ours = _reachable(program.files), _reachable(copy.files)
+    theirs, ours = _mutable(program.files), _mutable(copy.files)
     assert len(theirs) == len(ours)
     assert not set(theirs) & set(ours)
-    _assert_same_shape(program.files, copy.files)
+    shared = []
+    for x, y in _walk_pairs(program.files, copy.files):
+        assert type(x) is type(y), (x, y)
+        if isinstance(x, ast.Expr):
+            assert x is y, (x, y)
+            shared.append(x)
+        elif isinstance(x, ATOMS):
+            assert x is y or x == y, (x, y)
+        elif not isinstance(x, (list, tuple)):
+            # a loop's ``origin`` is there or absent on both sides
+            assert list(vars(x)) == list(vars(y)), (x, y)
     for unit, twin in zip(program.units, copy.units):
         assert _unit_digest(unit) == _unit_digest(twin), unit.name
     # the copy is the callers' to ruin
@@ -89,7 +100,7 @@ def check_clone_contract(program):
         twin.body.clear()
         twin.decls.clear()
     assert program.unparse() == before
-    return theirs
+    return theirs, shared
 
 
 def _strict_corpus():
@@ -104,11 +115,14 @@ class TestCloneContract:
     def test_perfect_programs(self):
         origins = spellings = 0
         for b in all_benchmarks():
-            for node in check_clone_contract(b.program()).values():
+            copied, shared = check_clone_contract(b.program())
+            for node in copied.values():
                 origins += isinstance(node, ast.DoLoop) \
                     and hasattr(node, "origin")
-                spellings += isinstance(node, ast.RealLit) \
-                    and node.text is not None
+            for root in shared:
+                spellings += sum(isinstance(n, ast.RealLit)
+                                 and n.text is not None
+                                 for n in ast.walk_expr(root))
         # the non-field stamp and the compare=False field were on trial
         assert origins >= 100 and spellings >= 100, (origins, spellings)
 
@@ -130,26 +144,40 @@ class TestCloneContract:
     @given(exprs())
     @settings(max_examples=100, deadline=None)
     def test_expressions(self, e):
-        twin = ast.clone(e)
-        assert twin == e
-        assert not set(_reachable(e)) & set(_reachable(twin))
-        _assert_same_shape(e, twin)
+        assert ast.clone(e) is e
+        twin = ast.clone(ast.Assign(ast.Var("X"), e))
+        assert twin.value is e
 
     def test_atoms_and_containers(self):
         for atom in ("X", 3, 2.5, True, None):
             assert ast.clone(atom) is atom
         assert ast.clone(()) == () and ast.clone([]) == []
+        empty = []
+        assert ast.clone(empty) is not empty
         loop = ast.DoLoop("I", ast.IntLit(1), ast.Var("N"), None, [])
         loop.origin = "S:0"
         real = ast.RealLit(1.0, "DOUBLE", "1.0D0")
-        twins = ast.clone([loop, (real, None)])
+        pair = (real, None)
+        twins = ast.clone([loop, pair])
         assert twins[0].origin == "S:0" and twins[0] is not loop
-        assert twins[1][0].text == "1.0D0" and twins[1][0] is not real
+        assert twins[0].body is not loop.body
+        assert twins[0].stop is loop.stop
+        # a tuple of shared items is itself shared
+        assert twins[1] is pair and twins[1][0].text == "1.0D0"
+        arm = (None, [ast.Continue()])
+        twin_arm = ast.clone(arm)
+        assert twin_arm is not arm and twin_arm[1] is not arm[1]
 
     def test_aliasing_is_not_preserved(self):
+        # a statement referenced twice is two statements in the copy; an
+        # expression referenced twice stays one value
+        stmt = ast.Assign(ast.Var("X"), ast.IntLit(1))
+        twins = ast.clone([stmt, stmt])
+        assert twins[0] is not twins[1] and twins[0] == twins[1]
+        assert stmt is not twins[0] and stmt is not twins[1]
         shared = ast.Var("X")
         twin = ast.clone(ast.BinOp("+", shared, shared))
-        assert twin.left == twin.right and twin.left is not twin.right
+        assert twin.left is twin.right is shared
 
 
 class TestDeepTrees:
@@ -159,12 +187,20 @@ class TestDeepTrees:
         e = ast.Var("B")
         for _ in range(900):
             e = ast.BinOp("+", e, ast.Var("B"))
-        twin = ast.clone(e)
-        depth = 0
-        while isinstance(twin, ast.BinOp):
-            assert twin is not e and twin.right == ast.Var("B")
-            twin, e, depth = twin.left, e.left, depth + 1
-        assert depth == 900 and twin == ast.Var("B")
+        stmt = ast.Assign(ast.Var("A"), e)
+        twin = ast.clone(stmt)
+        assert twin is not stmt and twin.value is e
+
+    def test_walk_expr_3000_deep_chain(self):
+        e = ast.Var("B")
+        for k in range(3000):
+            e = ast.BinOp("+", e, ast.IntLit(k))
+        nodes = list(ast.walk_expr(e))
+        # preorder: the 3000 operators, the leftmost leaf, then the
+        # right operands from the innermost out
+        assert len(nodes) == 6001 and nodes[0] is e
+        assert nodes[3000] == ast.Var("B")
+        assert nodes[3001:] == [ast.IntLit(k) for k in range(3000)]
 
     def test_400_operand_statement(self):
         cards = ["      PROGRAM P", "      A = B"]
@@ -176,6 +212,55 @@ class TestDeepTrees:
         value = twin.main.body[0].value
         assert sum(isinstance(n, ast.Var)
                    for n in ast.walk_expr(value)) == 400
+
+
+# ---------------------------------------------------------------------------
+# expressions are immutable values
+# ---------------------------------------------------------------------------
+
+def _expr_classes():
+    todo, out = [ast.Expr], []
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            out.append(sub)
+            todo.append(sub)
+    return out
+
+
+def _assign_once(self, name, value):
+    try:
+        getattr(self, name)
+    except AttributeError:  # an empty slot: construction
+        object.__setattr__(self, name, value)
+        return
+    raise AssertionError(f"{type(self).__name__}.{name} assigned again")
+
+
+class TestImmutableExpressions:
+    def test_no_expression_class_has_a_dict(self):
+        classes = _expr_classes()
+        assert aast.Unknown in classes and aast.Unique in classes
+        assert len(classes) == 13  # 11 Fortran, 2 annotation operators
+        for cls in classes:
+            assert "__dict__" not in dir(cls), cls
+            assert cls.__subclasses__() == [], cls
+
+    def test_nothing_assigns_an_expression_twice(self, monkeypatch):
+        for cls in _expr_classes():
+            monkeypatch.setattr(cls, "__setattr__", _assign_once)
+        with pytest.raises(AssertionError, match="Var.name"):
+            ast.Var("X").name = "Y"
+        for b in all_benchmarks():
+            base = prepare_base(b)
+            for kind in CONFIGS:
+                run_config(b, Config(kind), base).program.unparse()
+        for name, text in CORPUS.items():
+            parallelize_source({name: text})
+        program = run_config(get_benchmark("trfd"), Config("annotation"),
+                             prepare_base(get_benchmark("trfd"))).program
+        for backend in ("tree", "compiled"):
+            make_interpreter(program, backend,
+                             inputs=get_benchmark("trfd").inputs).run()
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +357,18 @@ class TestNoOpPasses:
         assert result.reversed_count > 0
         assert _rebuilt(before, _expressions(program)) == {"STEP"}
 
-    def test_resolve_without_arguments_means_everything(self):
+    def test_resolve_without_arguments_means_everything(self, monkeypatch):
         program = get_benchmark("arc2d").program()
-        before = _expressions(program)
+        resolved = []
+        build = symbols.build_symbol_table
+
+        def counting(unit):
+            resolved.append(unit.name)
+            return build(unit)
+
+        monkeypatch.setattr(symbols, "build_symbol_table", counting)
         program.resolve()
-        assert _rebuilt(before, _expressions(program)) == set(before)
+        assert sorted(resolved) == sorted(u.name for u in program.units)
 
 
 # ---------------------------------------------------------------------------

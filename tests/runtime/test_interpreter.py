@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import InterpreterError
+from repro.fortran import ast
 from repro.program import Program
 from repro.runtime import Interpreter
+from repro.runtime.backend import make_interpreter
 from repro.runtime.values import ArrayView, ScalarRef
 
 
@@ -67,6 +69,32 @@ class TestBasics:
                 "      END\n")
         assert common(r, "R")[0] == 3.0
         assert common(r, "R")[1] == -3.0
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_shared_division_is_typed_per_unit(self, backend):
+        # expressions are shared values: a callee and its inlined copy
+        # may hold one ``A/B`` node whose operands the units type
+        # differently (INTEGER in P, REAL in S), and each unit must get
+        # its own quotient
+        prog = Program.from_source(
+            "      PROGRAM P\n"
+            "      COMMON /R/ X, Y\n"
+            "      INTEGER IA, IB\n"
+            "      IA = 7\n"
+            "      IB = 2\n"
+            "      X = IA/IB\n"
+            "      CALL S(Y)\n"
+            "      END\n"
+            "      SUBROUTINE S(Z)\n"
+            "      REAL IA, IB\n"
+            "      IA = 7.0\n"
+            "      IB = 2.0\n"
+            "      Z = 0.0\n"
+            "      END\n")
+        quotient = prog.unit("P").body[2].value
+        prog.unit("S").body[2] = ast.Assign(ast.Var("Z"), quotient)
+        r = make_interpreter(prog, backend).run()
+        assert list(common(r, "R")) == [3.0, 3.5]
 
     def test_power(self):
         r = run("      PROGRAM P\n"
