@@ -81,7 +81,7 @@ class SymbolTable:
 
     def is_array(self, name: str) -> bool:
         v = self.variables.get(name.upper())
-        return v is not None and v.dims is not None
+        return v is not None and v.is_array
 
 
 def build_symbol_table(unit: ast.ProgramUnit) -> SymbolTable:

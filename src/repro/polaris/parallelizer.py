@@ -61,7 +61,7 @@ class LegalityAnalyzer:
     #: bounds do not change while its unit is analyzed (holding the loop
     #: keeps its id from being reused)
     _ctxs: Dict[int, Tuple[ast.DoLoop, LoopCtx]] = field(
-        default_factory=dict, repr=False)
+        default_factory=dict, init=False, repr=False)
 
     # ------------------------------------------------------------------
     def analyze(self, info: LoopInfo, acc: AccessSet) -> LoopDecision:

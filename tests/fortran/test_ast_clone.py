@@ -19,8 +19,10 @@ import ast as pyast
 import pytest
 from hypothesis import given, settings
 
+from repro.analysis.affine import AffineForm
 from repro.analysis.loops import assign_origins
 from repro.analysis.normalize import normalize_unit
+from repro.analysis.symbolic import Poly
 from repro.annotations import ast as aast
 from repro.annotations.inliner import AnnotationInliner
 from repro.annotations.registry import AnnotationRegistry
@@ -236,6 +238,14 @@ def _assign_once(self, name, value):
     raise AssertionError(f"{type(self).__name__}.{name} assigned again")
 
 
+def _fill_key_once(self, name, value):
+    """An affine form's one later assignment: its memo key, from None."""
+    if name == "_key" and getattr(self, "_key", None) is None:
+        object.__setattr__(self, name, value)
+        return
+    _assign_once(self, name, value)
+
+
 class TestImmutableExpressions:
     def test_no_expression_class_has_a_dict(self):
         classes = _expr_classes()
@@ -246,10 +256,19 @@ class TestImmutableExpressions:
             assert cls.__subclasses__() == [], cls
 
     def test_nothing_assigns_an_expression_twice(self, monkeypatch):
-        for cls in _expr_classes():
+        for cls in _expr_classes() + [Poly]:
             monkeypatch.setattr(cls, "__setattr__", _assign_once)
+        monkeypatch.setattr(AffineForm, "__setattr__", _fill_key_once)
         with pytest.raises(AssertionError, match="Var.name"):
             ast.Var("X").name = "Y"
+        with pytest.raises(AssertionError, match="Poly.terms"):
+            Poly.const(1).terms = {}
+        form = AffineForm({"I": 1}, Poly.const(0))
+        assert form.key() == ((("I", 1),), ())
+        with pytest.raises(AssertionError, match="AffineForm._key"):
+            form._key = None
+        with pytest.raises(AssertionError, match="AffineForm.coeffs"):
+            form.coeffs = {}
         for b in all_benchmarks():
             base = prepare_base(b)
             for kind in CONFIGS:
@@ -291,6 +310,22 @@ def _expressions(program):
     return {u.name: list(ast.walk_all_exprs(u.body)) for u in program.units}
 
 
+def _resolved_by(monkeypatch, inliner, program):
+    """Run ``inliner`` over ``program``; return its result and the names
+    of the units whose calls it resolved again, one entry a resolution."""
+    resolved = []
+    build = symbols.build_symbol_table
+
+    def counting(unit):
+        resolved.append(unit.name)
+        return build(unit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symbols, "build_symbol_table", counting)
+        result = inliner.run(program)
+    return result, resolved
+
+
 def _rebuilt(before, after):
     """Names of the units whose expression objects are not, one for one,
     the ones that went in."""
@@ -326,7 +361,7 @@ class TestNoOpPasses:
             "A", (ast.BinOp("+", ast.Var("I"), ast.IntLit(1)),))
 
     @pytest.mark.parametrize("name", ["arc2d", "dyfesm", "trfd"])
-    def test_inliners_with_no_qualifying_site(self, name):
+    def test_inliners_with_no_qualifying_site(self, name, monkeypatch):
         benchmark = get_benchmark(name)
         nobody = InlinePolicy(
             unavailable=frozenset(benchmark.program().procedures))
@@ -337,11 +372,12 @@ class TestNoOpPasses:
                 (ReverseInliner(empty), "reversed_count")):
             program = benchmark.program()
             before = _expressions(program)
-            result = inliner.run(program)
+            result, resolved = _resolved_by(monkeypatch, inliner, program)
             assert getattr(result, count) == 0
+            assert resolved == []
             assert _rebuilt(before, _expressions(program)) == set()
 
-    def test_only_the_touched_unit_is_resolved_again(self):
+    def test_only_the_touched_unit_is_resolved_again(self, monkeypatch):
         benchmark = get_benchmark("arc2d")
         for inliner in (
                 ConventionalInliner(
@@ -349,12 +385,16 @@ class TestNoOpPasses:
                 AnnotationInliner(benchmark.registry())):
             program = benchmark.program()
             before = _expressions(program)
-            assert inliner.run(program).inlined_count > 0
+            result, resolved = _resolved_by(monkeypatch, inliner, program)
+            assert result.inlined_count > 0
+            assert resolved == ["STEP"]
             assert _rebuilt(before, _expressions(program)) == {"STEP"}
         # reversal: STEP's blocks become calls again, nobody else moves
         before = _expressions(program)
-        result = ReverseInliner(benchmark.registry()).run(program)
+        result, resolved = _resolved_by(
+            monkeypatch, ReverseInliner(benchmark.registry()), program)
         assert result.reversed_count > 0
+        assert resolved == ["STEP"]
         assert _rebuilt(before, _expressions(program)) == {"STEP"}
 
     def test_resolve_without_arguments_means_everything(self, monkeypatch):
