@@ -9,7 +9,7 @@ Run:  python examples/fsmp_opaque.py
 
 from repro.experiments.pipeline import run_all_configs
 from repro.perfect import get_benchmark
-from repro.runtime import diff_test
+from repro.runtime.difftest import diff_test
 
 
 def main() -> None:

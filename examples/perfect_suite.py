@@ -13,7 +13,7 @@ import sys
 from repro.experiments.figure20 import figure20_cells, render_figure20
 from repro.experiments.table2 import render_table2, table2_row
 from repro.perfect import benchmark_names, get_benchmark
-from repro.runtime import diff_test
+from repro.runtime.difftest import diff_test
 from repro.experiments.pipeline import run_all_configs
 
 

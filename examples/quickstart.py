@@ -19,7 +19,9 @@ from repro.annotations import (AnnotationInliner, AnnotationRegistry,
 from repro.fortran.unparser import unparse
 from repro.polaris import Polaris
 from repro.program import Program
-from repro.runtime import INTEL_MAC, Interpreter, diff_test
+from repro.runtime.difftest import diff_test
+from repro.runtime.interpreter import Interpreter
+from repro.runtime.machine import INTEL_MAC
 from repro.runtime.machine import price
 
 SOURCE = """

@@ -22,7 +22,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SUITES = ("figure20", "table2")
+SUITES = ("figure20", "service", "table2")
 #: the trajectory the ``repro report`` dashboard charts, one line a suite
 DEFAULT_HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 

@@ -286,16 +286,13 @@ def _subst_into(s: ast.Stmt, env: Dict[str, ast.Expr],
         acc = collect_accesses(s.body, table)
         written = set(acc.scalar_writes) | {s.var.upper()} | {
             a for a, _, w in acc.array_accesses if w}
-        if acc.has_call or acc.has_io:
+        if acc.has_call or acc.has_io or acc.has_opaque:
+            # a CALL, I/O or opaque/ENTRY statement may write anything,
+            # and the next iteration's statements ahead of it see that
             env.clear()
         _invalidate(env, written)
         inner_env = dict(env)
         _forward(s.body, table, inner_env)
-        if acc.has_opaque:
-            # an opaque/ENTRY statement may write anything; cleared only
-            # after the body's own substitution, which still saw the
-            # outer bindings
-            env.clear()
         if start is s.start and stop is s.stop and step is s.step:
             return s
         return ast.copy_loop_meta(s, ast.DoLoop(

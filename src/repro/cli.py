@@ -214,7 +214,7 @@ def _cmd_report_dashboard(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.runtime import make_interpreter
+    from repro.runtime.backend import make_interpreter
     from repro.runtime.machine import price
     program = _load_program(args.files)
     machine = _machine(args.machine)
@@ -234,7 +234,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from repro.runtime import diff_test
+    from repro.runtime.difftest import diff_test
     run, _, _ = _parallelize_files(args)
     result = diff_test(run.program, inputs=[float(x) for x in args.inputs])
     print(f"{run.report.parallel_count()} loops parallelized; "

@@ -14,7 +14,7 @@ CLI, the experiments and the daemon run, not a copy of it — checks:
     serial execution of the transformed program equals the baseline —
     inlining, normalization and reverse inlining preserve meaning;
 ``parallel-divergence``
-    :func:`repro.runtime.diff_test` passes — every loop the driver
+    :func:`repro.runtime.difftest.diff_test` passes — every loop the driver
     marked parallel computes the same state when its iterations run
     in-order-parallel and in a **permuted** schedule;
 ``backend-divergence``
@@ -53,14 +53,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Counter as CounterType
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.annotations import AnnotationRegistry
 from repro.fortran import ast
 from repro.pipeline import Config, parallelize_program
 from repro.program import Program
-from repro.runtime.difftest import backend_equivalence, diff_test
-from repro.runtime.interpreter import ExecutionResult, Interpreter
+
+# the runtime (and numpy with it) is imported at the three execution
+# sites below, so importing the fuzz package to generate programs does
+# not load it
+if TYPE_CHECKING:
+    from repro.runtime.interpreter import ExecutionResult
 
 CONFIG_KINDS = ("none", "conventional", "annotation")
 
@@ -108,6 +112,7 @@ class OracleResult:
 
 
 def _serial(program: Program) -> ExecutionResult:
+    from repro.runtime.interpreter import Interpreter
     return Interpreter(program, honor_directives=False).run()
 
 
@@ -188,6 +193,7 @@ def run_oracle(sources: Dict[str, str], annotations: str = "",
         # (b') backend equivalence: tree-walker vs compiled closures must
         # agree exactly (output, cost, COMMON bits, stop/error messages)
         # in every execution mode
+        from repro.runtime.difftest import backend_equivalence
         divergence = backend_equivalence(work)
         if divergence is not None:
             result.mismatches.append(Mismatch(
@@ -284,6 +290,7 @@ def _check_execution(work: Program, baseline: ExecutionResult,
             "config-semantics", label,
             "serial execution of the transformed program diverges "
             "from the baseline")
+    from repro.runtime.difftest import diff_test
     try:
         diff = diff_test(work)
     except Exception as exc:

@@ -15,9 +15,7 @@ renders (via :func:`render_profile_report`):
 
 from __future__ import annotations
 
-import cProfile
 import io
-import pstats
 from typing import Callable, Dict, Optional, Tuple
 
 # NOTE: repro.experiments.reporting is imported inside the render
@@ -91,6 +89,10 @@ def profile_call(fn: Callable, *args,
                  top: int = 20, **kwargs) -> Tuple[object, str]:
     """Run ``fn(*args, **kwargs)`` under cProfile; returns
     ``(result, top-N text)`` sorted by cumulative time."""
+    # imported here, their only user: the Polaris driver imports this
+    # module, and a run without ``--profile-top`` needs no profiler
+    import cProfile
+    import pstats
     profiler = cProfile.Profile()
     profiler.enable()
     try:

@@ -3,10 +3,3 @@ argument passing, COMMON-block sequence association, and a simulated
 OpenMP execution model used to produce Figure 20's speedups and to
 runtime-verify parallelized programs (the paper's "runtime testers").
 """
-
-from repro.runtime.interpreter import ExecutionResult, Interpreter  # noqa: F401
-from repro.runtime.machine import AMD_OPTERON, INTEL_MAC, MachineModel  # noqa: F401
-from repro.runtime.difftest import backend_equivalence, diff_test  # noqa: F401
-from repro.runtime.compiler import CompiledInterpreter  # noqa: F401
-from repro.runtime.backend import (BACKENDS, DEFAULT_BACKEND,  # noqa: F401
-                                   default_backend, make_interpreter)

@@ -20,11 +20,15 @@ one switch covers the experiments, the service, the fuzzer and the CLI.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.program import Program
-from repro.runtime.compiler import CompiledInterpreter
-from repro.runtime.interpreter import Interpreter
+
+# the backends (and numpy with them) are imported inside
+# :func:`make_interpreter`, so a process that only validates a backend
+# name does not load them
+if TYPE_CHECKING:
+    from repro.runtime.interpreter import Interpreter
 
 BACKEND_ENV = "REPRO_BACKEND"
 BACKENDS = ("tree", "compiled")
@@ -74,5 +78,7 @@ def make_interpreter(program: Program, backend: Optional[str] = None,
                          f"{', '.join(BACKENDS)})")
     _get_metrics().inc(backend=name)
     if name == "compiled":
+        from repro.runtime.compiler import CompiledInterpreter
         return CompiledInterpreter(program, **kwargs)
+    from repro.runtime.interpreter import Interpreter
     return Interpreter(program, **kwargs)

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.program import Program
+from repro.runtime.backend import make_interpreter
 from repro.runtime.interpreter import (ORDER_PERMUTED, ORDER_SEQUENTIAL,
                                        ExecutionResult, outputs_equal)
 
@@ -105,7 +106,6 @@ def diff_test(program: Program,
     ``backend`` picks the execution backend (tree-walker or compiled
     closures); ``None`` follows the process default (``REPRO_BACKEND``).
     """
-    from repro.runtime.backend import make_interpreter
     serial = make_interpreter(program, backend, honor_directives=False,
                               inputs=list(inputs or [])).run()
     parallel = make_interpreter(program, backend, honor_directives=True,
@@ -118,8 +118,6 @@ def diff_test(program: Program,
 
 
 def _run_both(program: Program, inputs, **kwargs):
-    from repro.runtime.backend import make_interpreter
-
     def attempt(backend):
         try:
             return make_interpreter(program, backend, inputs=list(inputs),

@@ -218,6 +218,31 @@ class TestForwardSubstitution:
         # the boxed statement may write anything, N included
         assert unit.body[-1].target.subs[0] == pe("N")
 
+    def test_opaque_statement_in_a_do_body_clears_env(self):
+        # ENCODE writes N in every iteration, and the next iteration's
+        # A(K) runs after it: substituting K = N + 1 into the body (as
+        # the body's own pass would with the outer bindings) stores
+        # through the wrong element
+        from repro.fortran.fixedform import parse_source_tolerant
+
+        def loop_target(body):
+            sf, _ = parse_source_tolerant(
+                "      PROGRAM P\n"
+                "      REAL A(10), X\n"
+                "      READ (5, *) N\n"
+                "      K = N + 1\n"
+                "      DO 10 I = 1, 3\n"
+                f"{body}"
+                "   10 CONTINUE\n"
+                "      END\n")
+            unit = sf.units[0]
+            forward_substitute_block(unit.body, build_symbol_table(unit))
+            return next(iter_loops(unit.body)).loop.body[0].target.subs[0]
+
+        assert loop_target("        A(K) = 0.0\n") == pe("N+1")
+        assert loop_target("        A(K) = 0.0\n"
+                           "        ENCODE (4, 20, N) X\n") == pe("K")
+
     def test_real_scalar_not_substituted(self):
         unit = parse_source(
             "      SUBROUTINE S\n"

@@ -12,7 +12,7 @@ from repro.annotations.soundness import check_registry, check_soundness
 from repro.perfect import get_benchmark
 from repro.polaris import Polaris
 from repro.program import Program
-from repro.runtime import diff_test
+from repro.runtime.difftest import diff_test
 
 
 class TestGeneration:

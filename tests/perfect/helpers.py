@@ -2,7 +2,8 @@
 
 from repro.experiments.pipeline import run_all_configs
 from repro.polaris.report import ConfigComparison
-from repro.runtime import Interpreter, diff_test
+from repro.runtime.difftest import diff_test
+from repro.runtime.interpreter import Interpreter
 
 
 def executes(benchmark):

@@ -327,6 +327,6 @@ class TestExactOption:
                "   20   CONTINUE\n"
                "   10 CONTINUE\n"
                "      END\n")
-        from repro.runtime import diff_test
+        from repro.runtime.difftest import diff_test
         prog, _ = run(src, use_exact=True)
         assert diff_test(prog).passed

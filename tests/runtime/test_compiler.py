@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from repro.errors import InterpreterError
 from repro.perfect import all_benchmarks, get_benchmark
 from repro.program import Program
-from repro.runtime import CompiledInterpreter, Interpreter, compiler
+from repro.runtime import compiler
+from repro.runtime.compiler import CompiledInterpreter
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.backend import (BACKEND_ENV, BACKENDS, default_backend,
                                    make_interpreter)
 from repro.runtime.compiler import clear_compile_cache, compile_cache_info

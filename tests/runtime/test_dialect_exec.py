@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import InterpreterError
 from repro.program import Program
-from repro.runtime import CompiledInterpreter, Interpreter
+from repro.runtime.compiler import CompiledInterpreter
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.difftest import backend_equivalence
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import InterpreterError
 from repro.fortran import ast
 from repro.program import Program
-from repro.runtime import Interpreter
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.backend import make_interpreter
 from repro.runtime.values import ArrayView, ScalarRef
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import InterpreterError
 from repro.program import Program
-from repro.runtime import Interpreter
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.interpreter import outputs_equal
 
 

@@ -4,7 +4,9 @@ reductions, lastprivate peeling, permuted validation) and the cost model."""
 import pytest
 
 from repro.program import Program
-from repro.runtime import AMD_OPTERON, INTEL_MAC, Interpreter, diff_test
+from repro.runtime.difftest import diff_test
+from repro.runtime.interpreter import Interpreter
+from repro.runtime.machine import AMD_OPTERON, INTEL_MAC
 from repro.runtime.interpreter import ORDER_PERMUTED
 from repro.runtime.machine import MachineModel, price
 from repro.polaris import Polaris, PolarisOptions

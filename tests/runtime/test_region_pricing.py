@@ -26,7 +26,8 @@ from repro.fuzz import generate
 from repro.perfect import all_benchmarks, get_benchmark
 from repro.pipeline import parallelize_program
 from repro.program import Program
-from repro.runtime import CompiledInterpreter, Interpreter
+from repro.runtime.compiler import CompiledInterpreter
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.backend import BACKENDS, make_interpreter
 from repro.runtime.difftest import backend_equivalence
 from repro.runtime.interpreter import (collect_omp_sites,

@@ -132,3 +132,13 @@ def test_run_bench_reads_the_result_file(monkeypatch):
 def test_the_gate_imports_nothing_from_repro():
     text = SCRIPT.read_text()
     assert "import repro" not in text and "from repro" not in text
+
+
+def test_every_suite_has_a_committed_baseline():
+    """``--check`` exits without a baseline, so a suite the gate offers
+    needs its ``BENCH_<suite>.json``, recorded on that workload."""
+    module = _load()
+    for suite in module.SUITES:
+        path = Path(module.ROOT, f"BENCH_{suite}.json")
+        assert path.exists(), path
+        assert json.loads(path.read_text())["header"]["workload"] == suite

@@ -430,47 +430,70 @@ def _closed_port():
         return sock.getsockname()[1]
 
 
+def _cli(argv):
+    """Code that runs ``repro argv...`` in-process."""
+    return ("from repro.cli import main\n"
+            "try:\n"
+            f"    main({argv!r})\n"
+            "except SystemExit:\n"
+            "    pass\n")
+
+
+#: one payload of each kind a service worker runs
+SERVICE_PAYLOADS = [
+    {"kind": "benchmark", "benchmark": "adm", "config": "annotation"},
+    {"kind": "sources", "sources": {"carried.f": CARRIED.read_text()},
+     "config": "conventional"},
+    {"kind": "parallelize", "sources": {"carried.f": CARRIED.read_text()}},
+    {"kind": "probe", "probe": "echo", "value": 1},
+]
+
+
 class TestColdStart:
     """What each command loads in a fresh process: a forbidden name (or
     any submodule of it) must stay out of ``sys.modules`` unless the
     case allows that module by name."""
 
     CASES = {
-        "help": (["--help"], (
+        "help": (_cli(["--help"]), (
             "repro.fortran", "repro.analysis", "repro.annotations",
             "repro.inlining", "repro.polaris", "repro.pipeline",
             "repro.experiments", "repro.perfect", "repro.runtime",
             "repro.service", "repro.cluster", "repro.fuzz",
             "multiprocessing", "socket", "numpy"), ()),
-        "parallelize": (["parallelize", str(CARRIED)], (
+        "parallelize": (_cli(["parallelize", str(CARRIED)]), (
             "repro.experiments", "repro.perfect", "repro.runtime",
             "repro.service", "repro.cluster", "repro.fuzz",
             "repro.obs.slo", "repro.obs.telemetry", "repro.obs.distributed",
-            "multiprocessing", "asyncio", "socket", "numpy", "concurrent"),
-            ()),
-        "svc-status": (["svc-status", "--port", str(_closed_port())],
+            "multiprocessing", "asyncio", "socket", "numpy", "concurrent",
+            "cProfile", "pstats"), ()),
+        "svc-status": (_cli(["svc-status", "--port", str(_closed_port())]),
                        _repro_except("cli", "errors", "obs", "service")
                        + ("multiprocessing", "numpy"), ()),
         # the compiled backend's vectorizer reads affine subscripts
         # through repro.analysis.affine; nothing else of the analyzer
-        "run": (["run", str(CARRIED)], (
+        "run": (_cli(["run", str(CARRIED)]), (
             "repro.analysis", "repro.annotations", "repro.polaris",
             "repro.experiments"),
             ("repro.analysis", "repro.analysis.affine",
              "repro.analysis.symbolic")),
+        # a pool worker runs analysis only: the ``backend`` a job names
+        # is validated, and no program is executed or profiled
+        "service-jobs": (
+            "from repro.service.execution import execute_payload\n"
+            f"for payload in {SERVICE_PAYLOADS!r}:\n"
+            "    execute_payload(payload)\n",
+            ("repro.runtime", "numpy", "cProfile", "pstats"),
+            ("repro.runtime", "repro.runtime.backend")),
+        "fuzz-generate": ("from repro.fuzz import generate\n",
+                          ("repro.runtime", "numpy"), ()),
     }
 
     @pytest.mark.parametrize("command", list(CASES))
     def test_loads_only_what_it_runs(self, command):
-        argv, forbidden, allowed = self.CASES[command]
-        code = ("import sys\n"
-                "from repro.cli import main\n"
-                "try:\n"
-                f"    main({argv!r})\n"
-                "except SystemExit:\n"
-                "    pass\n"
-                "print(' '.join(sorted(sys.modules)))\n")
-        proc = _python("-c", code)
+        code, forbidden, allowed = self.CASES[command]
+        proc = _python("-c", "import sys\n" + code
+                       + "print(' '.join(sorted(sys.modules)))\n")
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.splitlines()[-1].split()
         leaked = [m for m in loaded if m not in allowed

@@ -24,7 +24,8 @@ from repro.fortran.unparser import unparse
 from repro.inlining import ConventionalInliner
 from repro.polaris import Polaris
 from repro.program import Program
-from repro.runtime import Interpreter, diff_test
+from repro.runtime.difftest import diff_test
+from repro.runtime.interpreter import Interpreter
 from tests.strategies import callee_programs, programs
 
 
