@@ -485,7 +485,8 @@ class TestColdStart:
             "    execute_payload(payload)\n",
             ("repro.runtime", "numpy", "cProfile", "pstats"),
             ("repro.runtime", "repro.runtime.backend")),
-        "fuzz-generate": ("from repro.fuzz import generate\n",
+        "fuzz-generate": ("from repro.fuzz import generate\n"
+                          "generate(1)\n",
                           ("repro.runtime", "numpy"), ()),
     }
 
