@@ -157,34 +157,3 @@ class TestOverheadSensitivity:
         emit(out_dir, "ablation_overhead.txt", text_table(
             ["fork overhead", "#disabled", "tuned speedup"], rows,
             title="ABLATION: machine fork/join overhead vs tuning (BDNA)"))
-
-
-class TestExactTestAblation:
-    COUPLED = ("      SUBROUTINE S(A)\n"
-               "      DIMENSION A(64,64)\n"
-               "      DO 10 I = 1, 30\n"
-               "        DO 20 J = 1, 30\n"
-               "          A(I+J, I-J+31) = A(I+J, I-J+31)*0.5\n"
-               "   20   CONTINUE\n"
-               "   10 CONTINUE\n"
-               "      END\n")
-
-    def test_exact_vs_per_dimension(self, out_dir, benchmark):
-        from repro.polaris import Polaris
-        from repro.program import Program
-
-        def run_exact():
-            prog = Program.from_source(self.COUPLED)
-            return Polaris(PolarisOptions(use_exact=True)).run(prog)
-
-        report = benchmark(run_exact)
-        n_exact = report.parallel_count()
-        prog = Program.from_source(self.COUPLED)
-        n_coarse = Polaris(PolarisOptions(use_exact=False)) \
-            .run(prog).parallel_count()
-        rows = [["per-dimension (paper-era)", n_coarse],
-                ["joint Fourier-Motzkin", n_exact]]
-        emit(out_dir, "ablation_exact.txt", text_table(
-            ["dependence tests", "#par (coupled-subscript kernel)"], rows,
-            title="ABLATION: per-dimension vs joint exact testing"))
-        assert n_exact > n_coarse

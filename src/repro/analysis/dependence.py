@@ -62,37 +62,32 @@ class TestStats:
     ziv_independent: int = 0
     gcd_independent: int = 0
     banerjee_independent: int = 0
-    exact_independent: int = 0
     assumed_dependent: int = 0
     #: repeated queries answered from the per-tester memo table
     cache_hits: int = 0
     # attempt counters: how many times each test family *ran* (per
-    # subscript dimension for ZIV/GCD/Banerjee, per query for exact) —
-    # kills/attempts is the family's kill rate in the --profile report
+    # subscript dimension) — kills/attempts is the family's kill rate in
+    # the --profile report
     ziv_attempts: int = 0
     gcd_attempts: int = 0
     banerjee_attempts: int = 0
-    exact_attempts: int = 0
 
     def unique_queries(self) -> int:
         return (self.ziv_independent + self.gcd_independent
-                + self.banerjee_independent + self.exact_independent
-                + self.assumed_dependent)
+                + self.banerjee_independent + self.assumed_dependent)
 
 
 @dataclass
 class DependenceTester:
     """Configurable dependence tester.
 
-    ``use_banerjee`` exists for the ablation study (GCD-only mode);
-    ``use_exact`` additionally runs the joint Fourier-Motzkin system of
-    :mod:`repro.analysis.exact` when the per-dimension tests cannot
-    disprove — it is the only test that sees *coupling* between
-    subscript positions.
+    ``use_banerjee`` exists for the ablation study (GCD-only mode).
+    Each family is one method (:meth:`_ziv`, :meth:`_gcd`,
+    :meth:`_banerjee`) answering ``False`` when it disproves the
+    dimension's dependence.
     """
 
     use_banerjee: bool = True
-    use_exact: bool = False
     stats: TestStats = field(default_factory=TestStats)
     #: canonicalized query -> answer; the parallelizer asks the same
     #: question for every pair of references to the same array in a nest,
@@ -131,22 +126,13 @@ class DependenceTester:
         if len(subs_a) != len(subs_b):
             self.stats.assumed_dependent += 1
             return True
-        disproved = False
         for fa, fb in zip(subs_a, subs_b):
-            if fa is None or fb is None:
-                continue  # non-affine dimension: no information
-            if not self._dimension_dep(fa, fb, loops, dirs):
-                disproved = True
-                break
-        if not disproved and self.use_exact:
-            from repro.analysis.exact import ExactTester
-            self.stats.exact_attempts += 1
-            if not ExactTester().may_depend(subs_a, subs_b, loops, dirs):
-                self.stats.exact_independent += 1
-                disproved = True
-        if not disproved:
-            self.stats.assumed_dependent += 1
-        return not disproved
+            # a non-affine dimension (None) carries no information
+            if fa is not None and fb is not None \
+                    and not self._dimension_dep(fa, fb, loops, dirs):
+                return False
+        self.stats.assumed_dependent += 1
+        return True
 
     # ------------------------------------------------------------------
     def _dimension_dep(self, fa: AffineForm, fb: AffineForm,
@@ -176,14 +162,24 @@ class DependenceTester:
             involved.append((LoopCtx(v, None, None), a, b, "*"))
 
         if not involved:
-            # ZIV
-            self.stats.ziv_attempts += 1
-            if dc != 0:
-                self.stats.ziv_independent += 1
-                return False
+            return self._ziv(dc)
+        if not self._gcd(involved, dc):
+            return False
+        if not self.use_banerjee:
             return True
+        return self._banerjee(involved, dc)
 
-        # GCD test
+    def _ziv(self, dc: int) -> bool:
+        """Both subscripts loop-invariant: dependent iff they are equal."""
+        self.stats.ziv_attempts += 1
+        if dc != 0:
+            self.stats.ziv_independent += 1
+            return False
+        return True
+
+    def _gcd(self, involved: List[Tuple[LoopCtx, int, int, str]],
+             dc: int) -> bool:
+        """The gcd of the index coefficients must divide ``dc``."""
         self.stats.gcd_attempts += 1
         g = 0
         for lp, a, b, d in involved:
@@ -200,11 +196,12 @@ class DependenceTester:
             self.stats.ziv_attempts += 1
             self.stats.ziv_independent += 1
             return False
+        return True
 
-        if not self.use_banerjee:
-            return True
-
-        # Banerjee bounds via polytope vertices
+    def _banerjee(self, involved: List[Tuple[LoopCtx, int, int, str]],
+                  dc: int) -> bool:
+        """Banerjee bounds via polytope vertices: ``dc`` must lie within
+        the extremes of the subscript difference."""
         self.stats.banerjee_attempts += 1
         lo_total, hi_total = 0.0, 0.0
         for lp, a, b, d in involved:

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Set
 from repro.analysis.defuse import collect_accesses
 from repro.analysis.symbolic import from_expr
 from repro.fortran import ast
+from repro.fortran.intrinsics import is_intrinsic
 from repro.fortran.symbols import SymbolTable, build_symbol_table
 
 
@@ -325,6 +326,12 @@ def _update_env(s: ast.Stmt, env: Dict[str, ast.Expr],
         return
     if not env:
         return  # nothing to invalidate
+    if isinstance(s, ast.Assign) and isinstance(s.target, ast.ArrayRef) \
+            and table.is_array(s.target.name) \
+            and not _calls_user_function(s):
+        # an element store writes only its array
+        _invalidate(env, {s.target.name.upper()})
+        return
     acc = collect_accesses([s], table)
     if acc.has_call or acc.has_opaque:
         # calls and opaque/ENTRY statements may write anything
@@ -333,6 +340,11 @@ def _update_env(s: ast.Stmt, env: Dict[str, ast.Expr],
     written = set(acc.scalar_writes) | {
         a for a, _, w in acc.array_accesses if w}
     _invalidate(env, written)
+
+
+def _calls_user_function(s: ast.Assign) -> bool:
+    return any(n.__class__ is ast.FuncRef and not is_intrinsic(n.name)
+               for e in (s.target, s.value) for n in ast.walk_expr(e))
 
 
 def _invalidate(env: Dict[str, ast.Expr], written: Set[str]) -> None:

@@ -305,6 +305,16 @@ class Continue(Stmt):
 
 
 @dataclass(eq=True)
+class Format(Continue):
+    """``FORMAT spec``: non-executable, kept only so the labelled format
+    an I/O statement names survives to the output.  ``spec`` is the
+    condensed text after the keyword, re-emitted verbatim; every analysis
+    and both backends see a CONTINUE."""
+
+    spec: str = ""
+
+
+@dataclass(eq=True)
 class Return(Stmt):
     label: Optional[int] = None
     #: alternate-return selector expression (``RETURN n``), None for a

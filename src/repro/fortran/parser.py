@@ -569,6 +569,11 @@ class _StatementClassifier:
         return ast.Stop(msg, label)
 
     def _read_write(self, kw, rest, label, loc):
+        if kw == "READ" and rest and not rest.startswith("("):
+            # ``READ f, list`` reads the default unit: ``READ (*, f) list``
+            parts = _split_toplevel(rest, ",")
+            items = tuple(_expr(p, loc) for p in parts[1:])
+            return ast.IoStmt("READ", "*," + parts[0], items, label)
         control, rest = _balanced_paren(rest, loc)
         items = tuple(_expr(p, loc) for p in _split_toplevel(rest, ",") if p)
         return ast.IoStmt(kw, control, items, label)
@@ -579,7 +584,7 @@ class _StatementClassifier:
         return ast.IoStmt("PRINT", parts[0], items, label)
 
     def _format(self, kw, rest, label, loc):
-        return None  # formats carry no dependence information
+        return ast.Format(label, rest)
 
     # -- declarations ---------------------------------------------------
     def _implicit(self, kw, rest, label, loc):

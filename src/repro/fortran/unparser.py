@@ -267,6 +267,8 @@ def _stmt(w: _Writer, s: ast.Stmt, indent: int) -> None:
         w.stmt(text, s.label, indent)
     elif isinstance(s, ast.Opaque):
         w.stmt(s.text, s.label, indent)
+    elif isinstance(s, ast.Format):
+        w.stmt(f"FORMAT {s.spec}", s.label, indent)
     elif isinstance(s, ast.Continue):
         w.stmt("CONTINUE", s.label, indent)
     elif isinstance(s, ast.Return):

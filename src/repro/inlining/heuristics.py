@@ -7,13 +7,14 @@ Section II-B1: "Conventional inlining typically leaves out subroutines
 that make additional non-trivial procedure calls".
 
 Additional hard requirements of the transformation itself (not tunable):
-no recursion, no mid-body RETURN, no SAVE'd locals, source available.
+no mid-body RETURN, no SAVE'd locals, source available.  A recursive
+procedure calls one, so it is refused with every other caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Iterator, Optional
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.defuse import collect_accesses
@@ -32,41 +33,46 @@ class InlinePolicy:
                          callee_name: str,
                          in_loop: bool) -> Optional[str]:
         """None when the site should be inlined, else a reason string."""
+        return next(self.refusals(program, graph, callee_name, in_loop),
+                    None)
+
+    def refusals(self, program: Program, graph: CallGraph,
+                 callee_name: str, in_loop: bool) -> Iterator[str]:
+        """Every reason not to inline the site, in check order (lazily:
+        a caller taking the first pays for no later check)."""
         callee_name = callee_name.upper()
         if callee_name in self.unavailable:
-            return "no-source"
+            yield "no-source"
         if not in_loop:
-            return "not-in-loop"
+            yield "not-in-loop"
         callee = program.procedures.get(callee_name)
         if callee is None:
-            return "no-source"  # external library: the paper's key gap
+            yield "no-source"  # external library: the paper's key gap
+            return
         if callee.kind != "SUBROUTINE":
-            return "function"
-        if graph.is_recursive(callee_name):
-            return "recursive"
+            yield "function"
         if ast.count_statements(callee.body) > self.max_statements:
-            return "too-large"
+            yield "too-large"
         acc = collect_accesses(callee.body, program.symtab(callee))
         if acc.callees:
-            return "makes-calls"
+            yield "makes-calls"
         if acc.has_io:
-            return "io"
+            yield "io"
         if _has_mid_return(callee.body):
-            return "mid-return"
+            yield "mid-return"
         if any(isinstance(d, ast.SaveDecl) for d in callee.decls):
-            return "save"
+            yield "save"
         if acc.has_goto:
-            return "goto"
+            yield "goto"
         if acc.has_opaque:
             # ENTRY points (multiple entries cannot be spliced) or
             # unlowered tolerant-frontend statements
-            return "unanalyzable"
+            yield "unanalyzable"
         if any(isinstance(d, ast.EquivalenceDecl) for d in callee.decls):
             # splicing renames locals, which breaks storage association
-            return "equivalence"
+            yield "equivalence"
         if acc.has_alt_return:
-            return "alternate-return"
-        return None
+            yield "alternate-return"
 
 
 def _has_mid_return(body: list) -> bool:

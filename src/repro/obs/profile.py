@@ -6,7 +6,7 @@ renders (via :func:`render_profile_report`):
 
 * per-phase wall-clock in the pipeline's canonical order;
 * a dependence-test family table — how many times each test in the
-  ZIV/GCD/Banerjee/exact family *ran* (attempts) vs *disproved* a
+  ZIV/GCD/Banerjee family *ran* (attempts) vs *disproved* a
   dependence (kills), plus memo-table hits — the numbers that explain
   where analysis time goes and which test earns its keep;
 * with ``--profile-top N``, a cProfile table of the N most expensive
@@ -27,7 +27,6 @@ FAMILIES = (
     ("ZIV", "ziv_attempts", "ziv_independent"),
     ("GCD", "gcd_attempts", "gcd_independent"),
     ("Banerjee", "banerjee_attempts", "banerjee_independent"),
-    ("exact", "exact_attempts", "exact_independent"),
 )
 
 
@@ -35,9 +34,9 @@ def accumulate_test_stats(into: Dict[str, int], stats) -> Dict[str, int]:
     """Fold one :class:`~repro.analysis.dependence.TestStats` (one unit's
     tester) into an accumulated dict (in place; returned)."""
     for field in ("ziv_attempts", "gcd_attempts", "banerjee_attempts",
-                  "exact_attempts", "ziv_independent", "gcd_independent",
-                  "banerjee_independent", "exact_independent",
-                  "assumed_dependent", "cache_hits"):
+                  "ziv_independent", "gcd_independent",
+                  "banerjee_independent", "assumed_dependent",
+                  "cache_hits"):
         into[field] = into.get(field, 0) + getattr(stats, field, 0)
     return into
 

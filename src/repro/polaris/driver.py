@@ -42,8 +42,7 @@ from repro.trace import NULL_TRACER, Tracer
 
 #: TestStats counters recorded as per-loop dependence-test deltas
 _STAT_FIELDS = ("ziv_independent", "gcd_independent",
-                "banerjee_independent", "exact_independent",
-                "assumed_dependent", "cache_hits")
+                "banerjee_independent", "assumed_dependent", "cache_hits")
 
 #: ``_stats_snapshot(stats)``: the _STAT_FIELDS counters, as a tuple
 _stats_snapshot = attrgetter(*_STAT_FIELDS)
@@ -57,8 +56,6 @@ def _stats_delta(before: tuple, after: tuple) -> Dict[str, int]:
 @dataclass(frozen=True)
 class PolarisOptions:
     use_banerjee: bool = True
-    #: also run the joint Fourier-Motzkin test (coupled subscripts)
-    use_exact: bool = False
 
 
 class _UnitState:
@@ -74,8 +71,7 @@ class _UnitState:
         self.program = program
         self.unit = unit
         self.summaries = summaries
-        self.tester = DependenceTester(use_banerjee=options.use_banerjee,
-                                       use_exact=options.use_exact)
+        self.tester = DependenceTester(use_banerjee=options.use_banerjee)
         self.refresh()
 
     def refresh(self) -> None:

@@ -169,6 +169,13 @@ class Interpreter:
         self.steps = 0
         self.output: List[str] = []
         self._tables: Dict[int, SymbolTable] = {}
+        #: what the program fixes for every CALL, computed once: the
+        #: callable units, each unit's DATA statements, and each declared
+        #: array's constant dimension bounds (``id(VarInfo)`` -> per
+        #: dimension ``(dim, lower, upper)``, None where adjustable)
+        self._procedures = program.procedures
+        self._data: Dict[int, List[ast.DataDecl]] = {}
+        self._dim_bounds: Dict[int, tuple] = {}
         self.commons: Dict[str, np.ndarray] = {}
         #: per-unit cache of COMMON views and PARAMETER values (the
         #: buffers are fixed for the program's lifetime, so the views are
@@ -290,17 +297,22 @@ class Interpreter:
 
     def _shape(self, info: VarInfo, frame: _Frame, table: SymbolTable
                ) -> Tuple[List[int], List[Optional[int]]]:
+        bounds = self._dim_bounds.get(id(info))
+        if bounds is None:
+            bounds = self._dim_bounds[id(info)] = tuple(
+                (d, self._const_value(d.lower, table),
+                 None if d.upper is None
+                 else self._const_value(d.upper, table))
+                for d in info.dims or ())
         lowers: List[int] = []
         extents: List[Optional[int]] = []
-        for d in info.dims or ():
-            lo = self._const_value(d.lower, table)
+        for d, lo, hi in bounds:
             if lo is None:
                 lo = int(self._eval(d.lower, frame))
             lowers.append(lo)
             if d.upper is None:
                 extents.append(None)
             else:
-                hi = self._const_value(d.upper, table)
                 if hi is None:
                     hi = int(self._eval(d.upper, frame))
                 extents.append(hi - lo + 1)
@@ -329,7 +341,11 @@ class Interpreter:
         return ref
 
     def _apply_data(self, frame: _Frame) -> None:
-        for d in frame.unit.find_decls(ast.DataDecl):
+        data = self._data.get(id(frame.unit))
+        if data is None:
+            data = self._data[id(frame.unit)] = list(
+                frame.unit.find_decls(ast.DataDecl))
+        for d in data:
             values = [self._eval(v, frame) for v in d.values]
             idx = 0
             for target in d.targets:
@@ -556,7 +572,7 @@ class Interpreter:
     def _call(self, name: str, args: Sequence[ast.Expr],
               frame: _Frame) -> Optional[float]:
         name = name.upper()
-        unit = self.program.procedures.get(name)
+        unit = self._procedures.get(name)
         if unit is None:
             raise InterpreterError(
                 f"procedure {name} is not defined in the program (external "

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ParseError
 from repro.fortran import ast
 from repro.fortran.parser import parse_expression, parse_source
+from repro.fortran.unparser import unparse
 
 
 def parse_body(stmts: str):
@@ -148,9 +149,24 @@ class TestStatements:
         body = parse_body("      PRINT *, X\n")
         assert body[0].kind == "PRINT"
 
-    def test_format_dropped(self):
+    def test_format_kept(self):
         body = parse_body("  900 FORMAT(1X,I5)\n      X = 1\n")
-        assert len(body) == 1
+        assert body[0] == ast.Format(900, "(1X,I5)")
+        assert len(body) == 2
+
+    def test_format_label_survives_the_round_trip(self):
+        src = ("      PROGRAM P\n      REAL X\n      X = 1.5\n"
+               "      WRITE (6, 20) X\n   20 FORMAT (F4.1)\n      END\n")
+        out = unparse(parse_source(src))
+        assert "   20" in out and "FORMAT (F4.1)" in out
+        assert parse_source(out).units == parse_source(src).units
+
+    @pytest.mark.parametrize("form, control", [("*", "*,*"),
+                                               ("10", "*,10")])
+    def test_read_short_form(self, form, control):
+        body = parse_body(f"      READ {form}, N, X\n")
+        assert body[0] == ast.IoStmt("READ", control,
+                                     (ast.Var("N"), ast.Var("X")))
 
     def test_stop_plain(self):
         body = parse_body("      STOP\n")

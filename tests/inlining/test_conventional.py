@@ -44,7 +44,8 @@ class TestHeuristics:
         src = ("      SUBROUTINE R(N)\n"
                "      IF (N.GT.0) CALL R(N-1)\n"
                "      END\n")
-        assert self.check(src, "R") == "recursive"
+        # recursion is a call: refused with every other caller
+        assert self.check(src, "R") == "makes-calls"
 
     def test_rejects_io(self):
         src = ("      SUBROUTINE NOISY(I)\n"

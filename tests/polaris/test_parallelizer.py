@@ -294,39 +294,3 @@ class TestDriverBehaviour:
         assert not by_unit["MAIN"].parallelized
         assert by_unit["MAIN"].reason == "call"
         assert by_unit["PCINIT"].parallelized
-
-
-class TestExactOption:
-    COUPLED = ("      SUBROUTINE S(A)\n"
-               "      DIMENSION A(64,64)\n"
-               "      DO 10 I = 1, 30\n"
-               "        DO 20 J = 1, 30\n"
-               "          A(I+J, I-J+31) = A(I+J, I-J+31)*0.5\n"
-               "   20   CONTINUE\n"
-               "   10 CONTINUE\n"
-               "      END\n")
-
-    def test_coupled_subscripts_need_exact(self):
-        # per-dimension tests cannot separate the coupled pair, the joint
-        # Fourier-Motzkin system can
-        _, coarse = run(self.COUPLED)
-        assert "I" not in parallel_vars(_)
-        prog, report = run(self.COUPLED, use_exact=True)
-        assert set(parallel_vars(prog)) == {"I", "J"}
-
-    def test_exact_result_is_sound(self):
-        src = ("      PROGRAM P\n"
-               "      COMMON /D/ A(64,64)\n"
-               "      DO 5 J = 1, 64\n"
-               "        DO 5 I = 1, 64\n"
-               "          A(I,J) = I + J*0.5\n"
-               "    5 CONTINUE\n"
-               "      DO 10 I = 1, 30\n"
-               "        DO 20 J = 1, 30\n"
-               "          A(I+J, I-J+31) = A(I+J, I-J+31)*0.5\n"
-               "   20   CONTINUE\n"
-               "   10 CONTINUE\n"
-               "      END\n")
-        from repro.runtime.difftest import diff_test
-        prog, _ = run(src, use_exact=True)
-        assert diff_test(prog).passed

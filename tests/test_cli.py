@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.fortran import ast
 
 ROOT = Path(__file__).resolve().parents[1]
 CARRIED = ROOT / "tests" / "fortran" / "corpus" / "carried_dependence.f"
@@ -188,6 +189,48 @@ class TestParallelizeTolerant:
         result = json_mod.loads(capsys.readouterr().out)
         assert result["annotations_mode"] == "inferred"
         assert result["diagnostics"] == []
+
+
+FORMAT_SOURCE = """      PROGRAM FMT
+      REAL X
+      X = 1.5
+      WRITE (6, 20) X
+   20 FORMAT (F4.1)
+      END
+"""
+
+LIST_READ_SOURCE = """      PROGRAM LREAD
+      READ *, N
+      PRINT *, N
+      END
+"""
+
+
+class TestEmittedProgram:
+    """The output keeps every statement it needs and re-parses."""
+
+    def test_format_label_survives_parallelize(self, tmp_path, capsys):
+        from repro.fortran.parser import parse_source
+        src = tmp_path / "fmt.f"
+        src.write_text(FORMAT_SOURCE)
+        assert main(["parallelize", str(src)]) == 0
+        out = capsys.readouterr().out
+        assert "WRITE(6,20) X" in out
+        body = parse_source(out).units[0].body
+        assert any(isinstance(s, ast.Format) and s.label == 20
+                   for s in body)
+
+    def test_list_directed_read_parses_in_both_modes(self, tmp_path,
+                                                     capsys):
+        import json as json_mod
+        src = tmp_path / "lread.f"
+        src.write_text(LIST_READ_SOURCE)
+        assert main(["parallelize", str(src)]) == 0
+        assert "READ(*,*) N" in capsys.readouterr().out
+        assert main(["parallelize", "--tolerant", "--json", str(src)]) == 0
+        assert json_mod.loads(capsys.readouterr().out)["diagnostics"] == []
+        assert main(["run", str(src), "--inputs", "4"]) == 0
+        assert capsys.readouterr().out.split() == ["4.0"]
 
 
 class TestFuzzDialect:
