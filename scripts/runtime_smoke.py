@@ -29,7 +29,10 @@ tree-walker:
 7. the recorder hash-conses: SPEC77 ``none`` and DYFESM ``annotation``
    record the distinct nodes of ``NODE_COUNTS`` for their region
    executions, and ``decide`` on both machines gives the same result
-   over the shared profile as over the same tree rebuilt node by node.
+   over the shared profile as over the same tree rebuilt node by node;
+8. DATA-initialised and SAVE-listed locals keep their values between
+   calls: ``SAVED_LOCALS`` prints 1 2 1 2 under both backends, bit for
+   bit alike.
 
 Usage:
   PYTHONPATH=src python scripts/runtime_smoke.py [BENCHMARK]
@@ -78,6 +81,24 @@ KERNEL_STEPS = {"sequential": 6 * 32 + 144, "permuted": 6 * 16}
 KERNEL_COUNTS = [("BDNA", "conventional", (36_800, 38_851, 10, 0)),
                  ("SPEC77", "none", (258_304, 262_272, 27, 0)),
                  ("DYFESM", "annotation", (58_964, 67_158, 127, 1))]
+
+
+#: S's DATA-initialised K and T's SAVE-listed M, each bumped per call
+SAVED_LOCALS = "\n".join([
+    "      PROGRAM KEPT",
+    "      CALL S", "      CALL S", "      CALL T", "      CALL T",
+    "      END",
+    "      SUBROUTINE S",
+    "      INTEGER K",
+    "      DATA K /0/",
+    "      K = K + 1",
+    "      PRINT *, K",
+    "      END",
+    "      SUBROUTINE T",
+    "      SAVE M",
+    "      M = M + 1",
+    "      PRINT *, M",
+    "      END", ""])
 
 
 #: (benchmark, configuration) -> (distinct region nodes, region
@@ -240,6 +261,18 @@ def main(argv=None) -> int:
                   f"{bname} {config} on {machine.name}: decide over the "
                   f"shared profile equals decide over the rebuilt tree "
                   f"({len(shared[1])} disabled)")
+
+    # 8. DATA and SAVE locals outlive their activation
+    program = Program.from_sources({"kept.f": SAVED_LOCALS}, "kept")
+    divergence = backend_equivalence(program)
+    check(divergence is None,
+          "DATA/SAVE program: backend_equivalence"
+          + (f" — {divergence}" if divergence else ""))
+    for backend in ("tree", "compiled"):
+        output = make_interpreter(program, backend).run().output
+        check([float(x) for x in output] == [1.0, 2.0, 1.0, 2.0],
+              f"{backend}: DATA and SAVE locals print {' '.join(output)} "
+              f"(expected 1 2 1 2)")
 
     if FAILURES:
         print(f"\nruntime smoke FAILED ({len(FAILURES)} checks):")

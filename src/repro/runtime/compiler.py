@@ -432,6 +432,38 @@ def _compile_arrayref(e: ast.ArrayRef, cc: _Ctx):
                 if view.typename == "INTEGER":
                     return float(int(buf[off]))
                 return float(buf[off])
+        elif len(sub_pures) == 2:
+            (n0, p0), (n1, p1) = ((_plain_scalar_var(x, cc), p)
+                                  for x, p in zip(e.subs, sub_pures))
+
+            def pure(ex, fr):
+                view = fr.vars.get(name)
+                if view is None:
+                    view = ex._local(name, fr)
+                if isinstance(view, ScalarRef):
+                    raise InterpreterError(
+                        f"{raw} subscripted but declared scalar")
+                # fused subscript reads, as on the rank-1 path
+                sref = None
+                if n0 is not None:
+                    sref = fr.vars.get(n0)
+                    if sref is None:
+                        sref = ex._local(n0, fr)
+                sub0 = int(sref.buffer[sref.offset]) \
+                    if sref.__class__ is ScalarRef else int(p0(ex, fr))
+                sref = None
+                if n1 is not None:
+                    sref = fr.vars.get(n1)
+                    if sref is None:
+                        sref = ex._local(n1, fr)
+                sub1 = int(sref.buffer[sref.offset]) \
+                    if sref.__class__ is ScalarRef else int(p1(ex, fr))
+                off = _offset2(view, sub0, sub1)
+                if off is None:
+                    return view.get((sub0, sub1))  # exact rank-mismatch error
+                if view.typename == "INTEGER":
+                    return float(int(view.buffer[off]))
+                return float(view.buffer[off])
         else:
             sub_specs = tuple((_plain_scalar_var(x, cc), p)
                               for x, p in zip(e.subs, sub_pures))
@@ -485,6 +517,33 @@ def _compile_arrayref(e: ast.ArrayRef, cc: _Ctx):
             raise InterpreterError(f"{raw} subscripted but declared scalar")
         return view.get([int(c(ex, fr)) for c in sub_chargeds])
     return None, charged, count
+
+
+def _offset2(view: ArrayView, sub0: int, sub1: int) -> Optional[int]:
+    """``view.flat_offset((sub0, sub1))`` inlined for a rank-2 view —
+    each dimension's bounds, then storage, with its messages — or None
+    for a view of another rank."""
+    extents = view.extents
+    if len(extents) != 2:
+        return None
+    lowers = view.lowers
+    lower, ext = lowers[0], extents[0]
+    rel = sub0 - lower
+    if rel < 0 or (ext is not None and rel >= ext):
+        raise InterpreterError(
+            f"subscript {sub0} out of bounds for dimension of "
+            f"{view.name} ({lower}:{lower + (ext or 0) - 1})")
+    off = view.offset + rel
+    lower, ext = lowers[1], extents[1]
+    rel = sub1 - lower
+    if rel < 0 or (ext is not None and rel >= ext):
+        raise InterpreterError(
+            f"subscript {sub1} out of bounds for dimension of "
+            f"{view.name} ({lower}:{lower + (ext or 0) - 1})")
+    off += rel * view.strides[1]
+    if off < 0 or off >= len(view.buffer):
+        raise InterpreterError(f"reference beyond storage of {view.name}")
+    return off
 
 
 def _compile_funcref(e: ast.FuncRef, cc: _Ctx):
@@ -975,21 +1034,25 @@ def _vec_value(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict):
         vst["accesses"].append((False, key, forms))
 
         def vfn(kc):
+            # a key's gather is memoised for the launch: a store under
+            # the key replaces it with the stored temporary, and nothing
+            # else changes what it reads before the commit
             tmp = kc.temps.get(key)
             if tmp is not None:
                 return tmp
             view, offsets, strides, lo, hi = resolve(kc)
             kc.reads.append((view.buffer, lo, hi, key))
             if not any(strides):
-                v = float(view.buffer[offsets])
+                g = float(view.buffer[offsets])
                 if view.typename == "INTEGER":
-                    v = float(int(v))
-                return v
-            g = view.buffer[offsets]
-            if view.typename == "INTEGER":
-                if not np.isfinite(g).all():
-                    raise _VectorBail
-                g = np.trunc(g) + 0.0
+                    g = float(int(g))
+            else:
+                g = view.buffer[offsets]
+                if view.typename == "INTEGER":
+                    if not np.isfinite(g).all():
+                        raise _VectorBail
+                    g = np.trunc(g) + 0.0
+            kc.temps[key] = g
             return g
         return vfn
     if isinstance(e, ast.UnOp):
@@ -1374,9 +1437,11 @@ def _vec_replay(ex: Interpreter, kc: _KernelCtx, rec: _VecLoop) -> None:
                 _vec_replay(ex, kc, kid)
         return
     per_iter = kc.charge[rec.k][0]
-    # with regions inside, the live list's length places each region in
-    # its iteration
-    costs = [] if rec.sited else [per_iter] * trips
+    if not rec.sited:
+        ex._regions.uniform(rec.site, per_iter, trips)
+        return
+    # the live list's length places each region inside in its iteration
+    costs = []
     ex._regions.enter(rec.site, costs)
     while len(costs) < trips:
         for kid in rec.sited:
@@ -1688,6 +1753,31 @@ def _emit_assign(cc: _Ctx, reg: _Region, s: ast.Assign) -> None:
                     raise InterpreterError(
                         f"reference beyond storage of {view.name}")
                 buf[off] = value
+                return nxt
+        elif len(sub_evals) == 2:
+            s0, s1 = sub_evals
+
+            def instr(ex, fr, ls):
+                _stmt_charge(ex, amt)
+                v = veval(ex, fr)
+                view = fr.vars.get(tname)
+                if view is None:
+                    view = ex._local(tname, fr)
+                if isinstance(view, ScalarRef):
+                    raise InterpreterError(
+                        f"{raw} subscripted but declared scalar")
+                sub0 = int(s0(ex, fr))
+                sub1 = int(s1(ex, fr))
+                # inlined rank-2 set: float(v), INTEGER truncation, then
+                # the bounds of each dimension and the storage
+                value = float(v)
+                if view.typename == "INTEGER":
+                    value = float(int(value))
+                off = _offset2(view, sub0, sub1)
+                if off is None:
+                    view.set((sub0, sub1), value)  # exact rank-mismatch error
+                else:
+                    view.buffer[off] = value
                 return nxt
         else:
             def instr(ex, fr, ls):

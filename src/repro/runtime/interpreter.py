@@ -30,7 +30,7 @@ any set of disabled directives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -133,12 +133,51 @@ class ExecutionResult:
         return outputs_equal(self.output, other.output, rtol)
 
 
-@dataclass
 class _Frame:
-    unit: ast.ProgramUnit
-    table: SymbolTable
-    vars: Dict[str, Union[ScalarRef, ArrayView]] = field(default_factory=dict)
-    parameters: Dict[str, float] = field(default_factory=dict)
+    """One activation of a unit: its name bindings.  ``parameters`` is
+    the unit's PARAMETER values, shared by all its frames."""
+
+    __slots__ = ("unit", "table", "vars", "parameters")
+
+    def __init__(self, unit: ast.ProgramUnit, table: SymbolTable,
+                 vars: Dict[str, Union[ScalarRef, ArrayView]],
+                 parameters: Dict[str, float]):
+        self.unit = unit
+        self.table = table
+        self.vars = vars
+        self.parameters = parameters
+
+
+class _UnitState:
+    """What one interpreter keeps for one unit across its activations.
+
+    ``statics`` are the unit's COMMON views (the buffers live as long as
+    the program).  ``saved`` holds the locals that keep their values
+    between activations — SAVE-listed names, every local under a bare
+    ``SAVE``, every DATA target — each created once and never zeroed.
+    ``layout`` is the activation layout: the fresh locals the first
+    completed activation created, as views into one float64 ``slab``,
+    which every later activation zeroes and binds instead of creating
+    them; an activation of a unit already on the call stack (``depth``)
+    creates its own lazily, as the first one did."""
+
+    __slots__ = ("table", "statics", "parameters", "fixed", "keep",
+                 "keep_all", "saved", "slab", "layout", "depth", "started")
+
+    def __init__(self, table: SymbolTable):
+        self.table = table
+        self.statics: Dict[str, Union[ScalarRef, ArrayView]] = {}
+        self.parameters: Dict[str, float] = {}
+        #: names never laid out or saved: formals, COMMON, PARAMETERs and
+        #: a FUNCTION's own result, which every activation must set
+        self.fixed: set = set()
+        self.keep: set = set()
+        self.keep_all = False
+        self.saved: Dict[str, Union[ScalarRef, ArrayView]] = {}
+        self.slab: Optional[np.ndarray] = None
+        self.layout: Optional[Dict[str, Union[ScalarRef, ArrayView]]] = None
+        self.depth = 0
+        self.started = False
 
 
 #: iteration-order policies for parallel loops
@@ -170,17 +209,13 @@ class Interpreter:
         self.output: List[str] = []
         self._tables: Dict[int, SymbolTable] = {}
         #: what the program fixes for every CALL, computed once: the
-        #: callable units, each unit's DATA statements, and each declared
-        #: array's constant dimension bounds (``id(VarInfo)`` -> per
-        #: dimension ``(dim, lower, upper)``, None where adjustable)
+        #: callable units, and each declared array's constant dimension
+        #: bounds (``id(VarInfo)`` -> per dimension ``(dim, lower,
+        #: upper)``, None where adjustable)
         self._procedures = program.procedures
-        self._data: Dict[int, List[ast.DataDecl]] = {}
         self._dim_bounds: Dict[int, tuple] = {}
         self.commons: Dict[str, np.ndarray] = {}
-        #: per-unit cache of COMMON views and PARAMETER values (the
-        #: buffers are fixed for the program's lifetime, so the views are
-        #: shareable across frames)
-        self._unit_statics: Dict[int, tuple] = {}
+        self._units: Dict[int, _UnitState] = {}
         #: (unit, ``/`` node) -> integer division?  Keyed by unit too:
         #: expressions are shared values, and a callee and its inlined
         #: copy may hold one node whose operands the two units type
@@ -255,38 +290,45 @@ class Interpreter:
     # frames
     # ------------------------------------------------------------------
     def _new_frame(self, unit: ast.ProgramUnit) -> _Frame:
+        st = self._units.get(id(unit))
+        if st is None:
+            st = self._unit_state(unit)
+        return _Frame(unit, st.table, dict(st.statics), st.parameters)
+
+    def _unit_state(self, unit: ast.ProgramUnit) -> _UnitState:
         table = self._table(unit)
-        key = id(unit)
-        cached = self._unit_statics.get(key)
-        if cached is None:
-            frame = _Frame(unit, table)
-            for name, info in table.variables.items():
-                if info.parameter_value is not None:
-                    v = self._const_value(info.parameter_value, table)
-                    frame.parameters[name] = float(v) if v is not None \
-                        else self._eval_literal(info.parameter_value)
-            for block, names in table.common_blocks.items():
-                buf = self.commons[block]
-                offset = 0
-                for name in names:
-                    info = table.variables[name]
-                    size = self._static_size(info, table)
-                    if info.dims is None:
-                        frame.vars[name] = ScalarRef(buf, offset,
-                                                     info.typename)
-                    else:
-                        lowers, extents = self._shape(info, frame, table)
-                        frame.vars[name] = ArrayView(buf, offset, lowers,
-                                                     extents, info.typename,
-                                                     name)
-                    offset += size
-            cached = (dict(frame.vars), dict(frame.parameters))
-            self._unit_statics[key] = cached
-        common_vars, parameters = cached
-        frame = _Frame(unit, table)
-        frame.vars.update(common_vars)
-        frame.parameters.update(parameters)
-        return frame
+        st = self._units[id(unit)] = _UnitState(table)
+        frame = _Frame(unit, table, st.statics, st.parameters)
+        for name, info in table.variables.items():
+            if info.parameter_value is not None:
+                v = self._const_value(info.parameter_value, table)
+                st.parameters[name] = float(v) if v is not None \
+                    else self._eval_literal(info.parameter_value)
+        for block, names in table.common_blocks.items():
+            buf = self.commons[block]
+            offset = 0
+            for name in names:
+                info = table.variables[name]
+                size = self._static_size(info, table)
+                if info.dims is None:
+                    st.statics[name] = ScalarRef(buf, offset, info.typename)
+                else:
+                    lowers, extents = self._shape(info, frame, table)
+                    st.statics[name] = ArrayView(buf, offset, lowers,
+                                                 extents, info.typename, name)
+                offset += size
+        st.fixed.update(st.statics, st.parameters,
+                        (p.upper() for p in unit.params))
+        if unit.kind == "FUNCTION":
+            st.fixed.add(unit.name.upper())
+        for d in unit.find_decls(ast.SaveDecl):
+            st.keep_all = st.keep_all or not d.names
+            st.keep.update(n.upper() for n in d.names
+                           if not n.startswith("/"))
+        for d in unit.find_decls(ast.DataDecl):
+            st.keep.update(t.name.upper() for t in d.targets
+                           if isinstance(t, (ast.Var, ast.ArrayRef)))
+        return st
 
     def _eval_literal(self, e: ast.Expr) -> float:
         if isinstance(e, ast.RealLit):
@@ -323,6 +365,12 @@ class Interpreter:
         ref = frame.vars.get(name)
         if ref is not None:
             return ref
+        st = self._units[id(frame.unit)]
+        ref = st.saved.get(name)
+        if ref is not None:
+            # created by an activation of the unit still on the stack
+            frame.vars[name] = ref
+            return ref
         info = frame.table.info(name)
         if info.dims is None:
             ref = ScalarRef(np.zeros(1, dtype=np.float64), 0, info.typename)
@@ -338,14 +386,61 @@ class Interpreter:
             ref = ArrayView(np.zeros(total, dtype=np.float64), 0, lowers,
                             extents, info.typename, name)
         frame.vars[name] = ref
+        if (st.keep_all or name in st.keep) and name not in st.fixed:
+            st.saved[name] = ref
         return ref
 
+    def _activate(self, frame: _Frame) -> None:
+        """Run one activation of ``frame.unit``, its formals bound: bind
+        the saved locals, apply DATA at the unit's first activation, and
+        bind the zeroed activation layout — or, without one yet or while
+        the unit is already active, let locals be created as they are
+        first touched and lay out, once such an activation completes,
+        the fresh ones it created."""
+        unit = frame.unit
+        st = self._units[id(unit)]
+        frame.vars.update(st.saved)
+        lazy = st.layout is None or st.depth > 0
+        if not lazy:
+            st.slab.fill(0.0)
+            frame.vars.update(st.layout)
+        if not st.started:
+            st.started = True
+            self._apply_data(frame)
+        st.depth += 1
+        try:
+            self._run_body(unit, frame)
+        except _ReturnSignal:
+            if unit is self.program.main:
+                raise
+        except _GotoSignal as g:
+            raise InterpreterError(
+                f"GOTO {g.label} has no target in {unit.name}")
+        finally:
+            st.depth -= 1
+        if lazy and st.layout is None:
+            self._lay_out(st, frame)
+
+    @staticmethod
+    def _lay_out(st: _UnitState, frame: _Frame) -> None:
+        fresh = [(name, ref) for name, ref in frame.vars.items()
+                 if name not in st.fixed and name not in st.saved]
+        sizes = [len(ref.buffer) for _name, ref in fresh]
+        st.slab = slab = np.zeros(sum(sizes), dtype=np.float64)
+        st.layout = layout = {}
+        offset = 0
+        for (name, ref), size in zip(fresh, sizes):
+            # a view of its own length per local: an assumed-size formal
+            # bound to it still ends where the local does
+            cells = slab[offset:offset + size]
+            layout[name] = ScalarRef(cells, 0, ref.typename) \
+                if isinstance(ref, ScalarRef) else \
+                ArrayView(cells, 0, ref.lowers, ref.extents, ref.typename,
+                          ref.name)
+            offset += size
+
     def _apply_data(self, frame: _Frame) -> None:
-        data = self._data.get(id(frame.unit))
-        if data is None:
-            data = self._data[id(frame.unit)] = list(
-                frame.unit.find_decls(ast.DataDecl))
-        for d in data:
+        for d in frame.unit.find_decls(ast.DataDecl):
             values = [self._eval(v, frame) for v in d.values]
             idx = 0
             for target in d.targets:
@@ -372,7 +467,7 @@ class Interpreter:
         main = self.program.main
         stop_message: Optional[str] = None
         try:
-            self._exec_unit(main)
+            self._activate(self._new_frame(main))
         except FortranStop as stop:
             stop_message = stop.message or ""
         return self._result(stop_message)
@@ -382,15 +477,6 @@ class Interpreter:
         return ExecutionResult(self.output, self.cost,
                                {k: v.copy() for k, v in self.commons.items()},
                                stop_message, regions)
-
-    def _exec_unit(self, unit: ast.ProgramUnit) -> None:
-        frame = self._new_frame(unit)
-        self._apply_data(frame)
-        try:
-            self._run_body(unit, frame)
-        except _GotoSignal as g:
-            raise InterpreterError(
-                f"GOTO {g.label} has no target in {unit.name}")
 
     def _run_body(self, unit: ast.ProgramUnit, frame: _Frame) -> None:
         """Execute the statements of ``unit`` in ``frame`` — the one step
@@ -602,14 +688,7 @@ class Interpreter:
             view = self._as_array_view(ref, lowers, extents, finfo.typename,
                                        fname)
             callee_frame.vars[fname] = view
-        self._apply_data(callee_frame)
-        try:
-            self._run_body(unit, callee_frame)
-        except _ReturnSignal:
-            pass
-        except _GotoSignal as g:
-            raise InterpreterError(
-                f"GOTO {g.label} has no target in {unit.name}")
+        self._activate(callee_frame)
         if unit.kind == "FUNCTION":
             result = callee_frame.vars.get(unit.name.upper())
             if not isinstance(result, ScalarRef):

@@ -119,24 +119,43 @@ class RegionRecorder:
         self._open: List[RegionNode] = []
         self._vectors: Dict[bytes, array] = {}
         self._nodes: Dict[tuple, RegionNode] = {}
+        #: (site, per-iteration cost, trips) -> its interned leaf
+        self._uniform: Dict[tuple, RegionNode] = {}
 
     def enter(self, site: Site, iteration_costs: List[float]) -> None:
         """A region execution begins; ``iteration_costs`` is the live
         list the interpreter appends each finished iteration's cost to
         (its length is the position of the iteration in progress)."""
         node = RegionNode(site, iteration_costs, [])
+        self._place(node)
+        self._open.append(node)
+
+    def _place(self, node: RegionNode) -> None:
         if self._open:
             parent = self._open[-1]
             parent.children.append((len(parent.costs), node))
         else:
             self._roots.append(node)
-        self._open.append(node)
 
-    def leave(self, completed: bool) -> None:
+    def uniform(self, site: Site, per_iter: float, trips: int) -> None:
+        """A completed region execution with no region inside, whose
+        ``trips`` iterations each cost ``per_iter``: the first one of a
+        kind is recorded by ``enter``/``leave``, every later one is the
+        node that recorded."""
+        key = (site, per_iter, trips)
+        node = self._uniform.get(key)
+        if node is not None:
+            self._place(node)
+            return
+        self.enter(site, [per_iter] * trips)
+        self._uniform[key] = self.leave(True)
+
+    def leave(self, completed: bool) -> RegionNode:
         """The innermost region ends: pack and intern its iteration
         costs, or mark it never priced when control left it early, and
         put the first node recorded equal to it in its place (its vector
-        and children are already shared, so compared by object)."""
+        and children are already shared, so compared by object); return
+        that node."""
         node = self._open.pop()
         node.children = tuple(node.children)
         if completed:
@@ -152,6 +171,7 @@ class RegionRecorder:
             siblings[-1] = (siblings[-1][0], node)
         else:
             self._roots[-1] = node
+        return node
 
     def profile(self, work: float) -> RegionProfile:
         return RegionProfile(work, tuple(self._roots))

@@ -124,18 +124,3 @@ class ArrayView:
 
     def fill(self, value: float) -> None:
         self.buffer[self.offset:self.offset + self.size()] = value
-
-    def snapshot(self) -> np.ndarray:
-        return self.buffer[self.offset:self.offset + self.size()].copy()
-
-
-@dataclass
-class CommonBlock:
-    """One COMMON block's storage plus its declared layout registry."""
-
-    name: str
-    buffer: np.ndarray
-
-    @staticmethod
-    def allocate(name: str, size: int) -> "CommonBlock":
-        return CommonBlock(name, np.zeros(size, dtype=np.float64))

@@ -30,8 +30,9 @@ from repro.runtime.difftest import backend_equivalence, diff_test
 from repro.runtime.interpreter import (ORDER_PERMUTED, ORDER_SEQUENTIAL,
                                        collect_omp_sites, number_omp_sites,
                                        outputs_equal)
-from repro.runtime.machine import AMD_OPTERON, INTEL_MAC
-from tests.runtime.test_region_pricing import END, OMP, check, source
+from repro.runtime.machine import AMD_OPTERON, INTEL_MAC, RegionProfile
+from tests.runtime.test_region_pricing import (END, OMP, _nodes, _rebuilt,
+                                              check, record, source)
 
 CONFIGS = ("none", "conventional", "annotation")
 
@@ -1639,3 +1640,299 @@ def test_bdna_none_kernel_takes_invariant_operands():
     interp = make_interpreter(program, "compiled", inputs=list(bench.inputs))
     interp.run()
     assert interp.kernel_steps > 0.94 * interp.steps
+
+
+# ---------------------------------------------------------------------------
+# what an activation pays once: the locals layout, uniform regions,
+# rank-2 element access
+# ---------------------------------------------------------------------------
+
+def _equiv_steps(src):
+    """``_equiv``, and the two backends' steps in all three modes."""
+    _equiv(src)
+    for kwargs in (dict(honor_directives=False),
+                   dict(iteration_order=ORDER_SEQUENTIAL),
+                   dict(iteration_order=ORDER_PERMUTED)):
+        steps = []
+        for cls in (Interpreter, CompiledInterpreter):
+            interp = cls(_program(src), **kwargs)
+            try:
+                interp.run()
+            except Exception:  # noqa: BLE001 - errors are part of the contract
+                pass
+            steps.append(interp.steps)
+        assert steps[0] == steps[1], (kwargs, steps)
+
+
+def _outputs(src):
+    return [make_interpreter(_program(src), backend).run().output
+            for backend in BACKENDS]
+
+
+class TestActivationLayout:
+    """From its second activation a unit binds the locals its first one
+    created, laid out in one zeroed slab; the programs here are where
+    that could show."""
+
+    def test_fresh_locals_read_zero_on_every_activation(self):
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /R/ OUT(3)",
+            "      DO 10 I = 1, 3",
+            "        CALL F(I)",
+            "   10 CONTINUE",
+            "      WRITE(*,*) OUT(1), OUT(2), OUT(3)",
+            "      END",
+            "      SUBROUTINE F(I)",
+            "      COMMON /R/ OUT(3)",
+            "      DIMENSION W(4)",
+            "      INTEGER J",
+            "      OUT(I) = X + W(2) + J",
+            "      X = I*1.5",
+            "      W(2) = 7.0",
+            "      J = 3",
+            "      END")
+        _equiv_steps(src)
+        assert _outputs(src) == [["0.0 0.0 0.0"]] * 2
+
+    def test_reentered_unit_gets_its_own_locals(self):
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /R/ OUT(3)",
+            "      CALL R(3)",
+            "      CALL R(3)",
+            "      WRITE(*,*) OUT(1), OUT(2), OUT(3)",
+            "      END",
+            "      SUBROUTINE R(N)",
+            "      COMMON /R/ OUT(3)",
+            "      X = N",
+            "      IF (N.GT.1) CALL R(N-1)",
+            "      OUT(N) = OUT(N) + X + Y",
+            "      Y = 100.0",
+            "      END")
+        _equiv_steps(src)
+        assert _outputs(src) == [["2.0 4.0 6.0"]] * 2
+
+    @pytest.mark.parametrize("last", ["4", "5"])
+    def test_laid_out_local_array_ends_where_it_did(self, last):
+        # its second activation passes a laid-out W to an assumed-size
+        # formal: storage still ends at W(4)
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /R/ OUT",
+            "      CALL F(1)",
+            f"      CALL F({last})",
+            "      WRITE(*,*) OUT",
+            "      END",
+            "      SUBROUTINE F(N)",
+            "      COMMON /R/ OUT",
+            "      DIMENSION W(4)",
+            "      W(1) = 2.0",
+            "      X = 5.0",
+            "      CALL G(W, N)",
+            "      OUT = OUT + X",
+            "      END",
+            "      SUBROUTINE G(V, N)",
+            "      COMMON /R/ OUT",
+            "      DIMENSION V(*)",
+            "      OUT = OUT + V(N)",
+            "      END")
+        _equiv_steps(src)
+        for backend in BACKENDS:
+            interp = make_interpreter(_program(src), backend)
+            if last == "4":
+                assert interp.run().output == ["12.0"]
+                continue
+            with pytest.raises(InterpreterError,
+                               match="reference beyond storage of V"):
+                interp.run()
+
+    def test_laid_out_empty_local_array_has_no_storage(self):
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /R/ OUT",
+            "      CALL F(0)",
+            "      CALL F(1)",
+            "      END",
+            "      SUBROUTINE F(N)",
+            "      DIMENSION W(0)",
+            "      CALL G(W, N)",
+            "      END",
+            "      SUBROUTINE G(V, N)",
+            "      COMMON /R/ OUT",
+            "      DIMENSION V(*)",
+            "      IF (N.GT.0) OUT = V(N)",
+            "      END")
+        _equiv_steps(src)
+        for backend in BACKENDS:
+            with pytest.raises(InterpreterError,
+                               match="reference beyond storage of V"):
+                make_interpreter(_program(src), backend).run()
+
+    def test_function_skipping_its_result_raises_on_second_call(self):
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /R/ X",
+            "      X = F(1.0)",
+            "      X = F(-1.0)",
+            "      END",
+            "      REAL FUNCTION F(A)",
+            "      IF (A.GT.0.0) F = A",
+            "      END")
+        _equiv_steps(src)
+        for backend in BACKENDS:
+            with pytest.raises(InterpreterError,
+                               match="function F never set its result"):
+                make_interpreter(_program(src), backend).run()
+
+    @pytest.mark.parametrize("body", [
+        # the kernel's shape: T written before it is read
+        ("        T = A(I) + K", "        A(I) = T*0.5"),
+        # the scalar path's: a branch keeps the kernel out
+        ("        IF (I.GT.K) T = A(I) + K",
+         "        A(I) = T*0.5")])
+    def test_private_local_of_a_directive_in_a_called_unit(self, body):
+        src = source(
+            "      PROGRAM P",
+            "      COMMON /D/ A(12)",
+            "      DO 5 K = 1, 3",
+            "        CALL G(K)",
+            "    5 CONTINUE",
+            "      WRITE(*,*) A(1), A(12)",
+            "      END",
+            "      SUBROUTINE G(K)",
+            "      COMMON /D/ A(12)",
+            "      T = 9.0",
+            omp("PRIVATE(I,T)"),
+            "      DO 10 I = 1, 12",
+            *body,
+            "   10 CONTINUE",
+            END,
+            "      WRITE(*,*) T, I",
+            "      END")
+        _equiv_steps(src)
+
+
+#: a (3, 2) REAL array, an INTEGER one, and a rank-3 one, in COMMON
+_RANK2 = ("      PROGRAM P",
+          "      COMMON /D/ A(3, 2), B(2, 2, 2), X",
+          "      INTEGER K(3, 2)",
+          "      COMMON /E/ K",
+          "      A(3, 2) = 4.5",
+          "      K(3, 1) = 7.9")
+
+
+class TestRank2Access:
+    """The fused rank-2 read and store keep ``ArrayView.get``/``set``'s
+    messages and their order: subscripts, ``float(v)``, the INTEGER
+    truncation, each dimension's bounds, then storage."""
+
+    @pytest.mark.parametrize("stmt", [
+        "X = A(3, 2) + K(3, 1)",
+        "X = A(4, 1)", "X = A(0, 1)", "X = A(1, 3)", "X = A(1, 0)",
+        "A(4, 1) = 1.0", "A(1, 3) = 1.0", "A(0, 0) = 1.0",
+        "X = B(1, 1)", "B(1, 1) = 2.0",
+        "K(2, 2) = -2.5", "X = K(3, 1)*1.5", "K(4, 1) = 1.0",
+        "K(4, 1) = 1.0E200*1.0E200", "A(4, 1) = 'A'"])
+    def test_element_access(self, stmt):
+        _equiv_steps(source(*_RANK2, "      " + stmt,
+                            "      WRITE(*,*) X, A(3, 2), K(2, 2), K(3, 1)",
+                            "      END"))
+
+    @pytest.mark.parametrize("stmt", ["X2(2, 3) = 1.5", "X2(1, 4) = 1.5",
+                                      "Y = X2(2, 3)", "Y = X2(1, 4)"])
+    def test_assumed_size_formal(self, stmt):
+        _equiv_steps(source(
+            "      PROGRAM P",
+            "      COMMON /D/ A(6), Y",
+            "      CALL H(A)",
+            "      WRITE(*,*) A(6), Y",
+            "      END",
+            "      SUBROUTINE H(X2)",
+            "      COMMON /D/ A(6), Y",
+            "      DIMENSION X2(2, *)",
+            "      " + stmt,
+            "      END"))
+
+
+def test_uniform_leaf_replays_at_one_site_with_two_shapes():
+    """One directive's kernel replays a leaf region whose per-iteration
+    cost and trip count differ between calls, and repeats: the compiled
+    profile shares the repeats, equals the tree backend's, and equals
+    itself built node by node."""
+    src = source(
+        "      PROGRAM P",
+        "      COMMON /D/ A(6, 5)",
+        "      CALL W(4, 4)",
+        "      CALL W(6, 4)",
+        "      CALL W(4, 5)",
+        "      CALL W(4, 4)",
+        "      CALL W(6, 4)",
+        "      WRITE(*,*) A(1, 1), A(6, 4), A(4, 5)",
+        "      END",
+        "      SUBROUTINE W(N, M)",
+        "      COMMON /D/ A(6, 5)",
+        omp("PRIVATE(J)"),
+        "      DO 10 I = 1, N",
+        "        DO 20 J = 1, M",
+        "          A(I, J) = A(I, J) + I + J*0.5",
+        "   20   CONTINUE",
+        "   10 CONTINUE",
+        END,
+        "      END")
+    _nest_equiv(src)
+    program = _program(src)
+    profile = record(program, "compiled")
+    assert profile == record(program, "tree")
+    assert RegionProfile(profile.work, tuple(
+        _rebuilt(node) for node in profile.roots)) == profile
+    executions, distinct = _nodes(profile)
+    assert (executions, len(distinct)) == (5, 3)
+    assert len({tuple(node.costs) for node in distinct}) == 3
+    interp, _ = _compiled(src)
+    assert (interp.kernel_launches, interp.kernel_bails) == (5, 0)
+
+
+def test_mdg_creates_locals_only_in_first_activations(monkeypatch):
+    """MDG's one execution a Figure 20 pass: a unit's locals are created
+    in its first activation only (a FUNCTION's result apart, which each
+    call must set), and later activations bind its layout — 361 locals
+    a pass where there were 55 966."""
+    from collections import Counter
+    from repro.experiments.pipeline import Config, run_config
+    bench = get_benchmark("MDG")
+    program = run_config(bench, Config("annotation")).program
+    activations, stack, created = Counter(), [], []
+    real_activate, real_local = Interpreter._activate, Interpreter._local
+
+    def activate(self, frame):
+        stack.append(activations[frame.unit.name])
+        activations[frame.unit.name] += 1
+        try:
+            return real_activate(self, frame)
+        finally:
+            stack.pop()
+
+    def local(self, name, frame):
+        if name.upper() not in frame.vars:
+            created.append((frame.unit.name, name.upper(), stack[-1]))
+        return real_local(self, name, frame)
+
+    monkeypatch.setattr(Interpreter, "_activate", activate)
+    monkeypatch.setattr(Interpreter, "_local", local)
+    make_interpreter(program, "compiled", inputs=list(bench.inputs)).run()
+    functions = {u.name for u in program.units if u.kind == "FUNCTION"}
+    late = [c for c in created if c[2] and c[0] not in functions]
+    assert late == []
+    assert activations["INTERF"] > 300 and len(created) < 400
+
+
+def test_gathered_read_yields_to_a_store_under_its_key():
+    """A launch gathers ``A(I)`` once; the store under the same key then
+    replaces it, so the read after the store sees the stored values."""
+    src = _loop("B(I) = A(I)", "A(I) = A(I) + 1.5", "K(I) = A(I)*2",
+                after=("      WRITE(*,*) B(12), A(12), K(12)",))
+    _equiv_steps(src)
+    interp, error = _compiled(src)
+    assert error is None and interp.kernel_launches == 2
+    assert interp.output == ["6.0 7.5 15.0"]

@@ -325,3 +325,87 @@ class TestProcedures:
                  "   10 CONTINUE\n"
                  "      END\n")
         assert r2.cost > r1.cost * 20
+
+
+def _calls(n, name, *unit):
+    """A main program calling ``name`` ``n`` times, then ``unit``."""
+    return ("      PROGRAM P\n"
+            + f"      CALL {name}\n" * n
+            + "      END\n"
+            + "".join(line + "\n" for line in unit))
+
+
+@pytest.mark.parametrize("backend", ["tree", "compiled"])
+class TestSavedLocals:
+    """DATA targets, SAVE-listed names and every local under a bare SAVE
+    keep their values between calls (F77 leaves them undefined, and
+    every compiler keeps them); any other local reads 0.0 on entry."""
+
+    def output(self, src, backend):
+        return make_interpreter(Program.from_source(src), backend).run().output
+
+    def test_data_and_save_list(self, backend):
+        src = ("      PROGRAM P\n"
+               "      CALL S\n      CALL S\n      CALL T\n      CALL T\n"
+               "      END\n"
+               "      SUBROUTINE S\n"
+               "      INTEGER K\n"
+               "      DATA K /0/\n"
+               "      K = K + 1\n"
+               "      PRINT *, K\n"
+               "      END\n"
+               "      SUBROUTINE T\n"
+               "      SAVE M\n"
+               "      M = M + 1\n"
+               "      L = L + 1\n"
+               "      PRINT *, M, L\n"
+               "      END\n")
+        assert self.output(src, backend) == ["1.0", "2.0", "1.0 1.0",
+                                             "2.0 1.0"]
+
+    def test_data_applies_once(self, backend):
+        src = _calls(3, "S",
+                     "      SUBROUTINE S",
+                     "      DIMENSION W(3)",
+                     "      DATA K /5/, W /3*1.0/",
+                     "      K = K + 1",
+                     "      W(2) = W(2) + K",
+                     "      PRINT *, K, W(1), W(2)",
+                     "      END")
+        assert self.output(src, backend) == ["6.0 1.0 7.0", "7.0 1.0 14.0",
+                                             "8.0 1.0 22.0"]
+
+    def test_bare_save_keeps_every_local(self, backend):
+        src = _calls(3, "U",
+                     "      SUBROUTINE U",
+                     "      SAVE",
+                     "      DIMENSION V(2)",
+                     "      N = N + 1",
+                     "      V(2) = V(2) + 0.5",
+                     "      PRINT *, N, V(2)",
+                     "      END")
+        assert self.output(src, backend) == ["1.0 0.5", "2.0 1.0", "3.0 1.5"]
+
+    def test_saved_local_is_one_cell_under_recursion(self, backend):
+        src = ("      PROGRAM P\n"
+               "      CALL R(3)\n"
+               "      END\n"
+               "      SUBROUTINE R(N)\n"
+               "      SAVE K\n"
+               "      K = K + 1\n"
+               "      IF (N.GT.1) CALL R(N-1)\n"
+               "      PRINT *, K\n"
+               "      END\n")
+        assert self.output(src, backend) == ["3.0"] * 3
+
+    def test_saved_function_result_still_required(self, backend):
+        src = ("      PROGRAM P\n"
+               "      X = F(1.0)\n"
+               "      X = F(-1.0)\n"
+               "      END\n"
+               "      REAL FUNCTION F(A)\n"
+               "      SAVE\n"
+               "      IF (A.GT.0.0) F = A\n"
+               "      END\n")
+        with pytest.raises(InterpreterError, match="never set its result"):
+            self.output(src, backend)

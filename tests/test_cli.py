@@ -205,6 +205,26 @@ LIST_READ_SOURCE = """      PROGRAM LREAD
       END
 """
 
+#: a DATA-initialised local and a SAVE-listed one, each bumped per call
+SAVED_LOCALS_SOURCE = """      PROGRAM KEPT
+      CALL S
+      CALL S
+      CALL T
+      CALL T
+      END
+      SUBROUTINE S
+      INTEGER K
+      DATA K /0/
+      K = K + 1
+      PRINT *, K
+      END
+      SUBROUTINE T
+      SAVE M
+      M = M + 1
+      PRINT *, M
+      END
+"""
+
 
 class TestEmittedProgram:
     """The output keeps every statement it needs and re-parses."""
@@ -231,6 +251,17 @@ class TestEmittedProgram:
         assert json_mod.loads(capsys.readouterr().out)["diagnostics"] == []
         assert main(["run", str(src), "--inputs", "4"]) == 0
         assert capsys.readouterr().out.split() == ["4.0"]
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_data_and_save_locals_keep_their_values(self, tmp_path, capsys,
+                                                    monkeypatch, backend):
+        from repro.runtime.backend import BACKEND_ENV
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        src = tmp_path / "kept.f"
+        src.write_text(SAVED_LOCALS_SOURCE)
+        assert main(["run", str(src)]) == 0
+        assert capsys.readouterr().out.split() == ["1.0", "2.0", "1.0",
+                                                   "2.0"]
 
 
 class TestFuzzDialect:
