@@ -133,19 +133,15 @@ class ExecutionResult:
         return outputs_equal(self.output, other.output, rtol)
 
 
+@dataclass(slots=True)
 class _Frame:
     """One activation of a unit: its name bindings.  ``parameters`` is
     the unit's PARAMETER values, shared by all its frames."""
 
-    __slots__ = ("unit", "table", "vars", "parameters")
-
-    def __init__(self, unit: ast.ProgramUnit, table: SymbolTable,
-                 vars: Dict[str, Union[ScalarRef, ArrayView]],
-                 parameters: Dict[str, float]):
-        self.unit = unit
-        self.table = table
-        self.vars = vars
-        self.parameters = parameters
+    unit: ast.ProgramUnit
+    table: SymbolTable
+    vars: Dict[str, Union[ScalarRef, ArrayView]]
+    parameters: Dict[str, float]
 
 
 class _UnitState:
