@@ -13,10 +13,10 @@ tree-walker:
    benchmark after the annotation pipeline has parallelized it;
 3. the compile-template cache actually serves repeat constructions;
 4. a hand-written directive program (a private scalar temporary, and a
-   kernel loop nested in a region whose private row buffer keeps it on
-   the per-iteration path) agrees in all three modes, region trees
-   included, with the honoured directive loops committed by the vector
-   kernel in program order and by no kernel under the permuted schedule;
+   nest whose private row buffer the launch copies per lane) agrees in
+   all three modes, region trees included, with the honoured directive
+   loops committed by the vector kernel in program order and by no
+   kernel under the permuted schedule;
 5. BDNA under ``conventional`` — the ``TSTEP**2`` operand and the
    ``T(IX(7)+...)`` subscript, both admitted to the kernel by invariance,
    in one program —, SPEC77 under ``none`` — ``SYNTH``'s row reduction,
@@ -32,7 +32,11 @@ tree-walker:
    over the shared profile as over the same tree rebuilt node by node;
 8. DATA-initialised and SAVE-listed locals keep their values between
    calls: ``SAVED_LOCALS`` prints 1 2 1 2 under both backends, bit for
-   bit alike.
+   bit alike;
+9. one program per shape a launch took from Figure 20's per-iteration
+   loops — ADM's carried inner loop, stepped; FLO52Q's MAX reduction;
+   BDNA's left-associated chain; MDG's private row buffer — agrees in
+   all three modes and commits in the launches of ``SHAPES``.
 
 Usage:
   PYTHONPATH=src python scripts/runtime_smoke.py [BENCHMARK]
@@ -70,15 +74,17 @@ DIRECTIVE_KERNELS = "\n".join([
     "!$OMP END PARALLEL DO",
     "      WRITE(*,*) T, B(6, 8), C(48)",
     "      END", ""])
-#: statement steps per mode: loop 10 and loop 20 run 2 x 8 six times,
-#: loop 40 runs 3 x 48; permuted runs keep only directive-free loop 20
-KERNEL_STEPS = {"sequential": 6 * 32 + 144, "permuted": 6 * 16}
+#: statement steps per mode: loop 30 is one launch of 6 x (2 x 8 twice,
+#: two headers and a CONTINUE), loop 40 runs 3 x 48; permuted runs keep
+#: only directive-free loop 20
+KERNEL_STEPS = {"sequential": 6 * 35 + 144, "permuted": 6 * 16}
 
 
 #: (benchmark, configuration, (kernel steps, steps, launches, refusals))
-#: with directives honoured; DYFESM's refusal is the interval check's
-#: false positive on the interleaved XYG(1,ID) / XYG(2,ID) stores
-KERNEL_COUNTS = [("BDNA", "conventional", (36_800, 38_851, 10, 0)),
+#: with directives honoured (BDNA's energy chain is its 11th launch);
+#: DYFESM's refusal is the interval check's false positive on the
+#: interleaved XYG(1,ID) / XYG(2,ID) stores
+KERNEL_COUNTS = [("BDNA", "conventional", (38_800, 38_851, 11, 0)),
                  ("SPEC77", "none", (258_304, 262_272, 27, 0)),
                  ("DYFESM", "annotation", (58_964, 67_158, 127, 1))]
 
@@ -99,6 +105,57 @@ SAVED_LOCALS = "\n".join([
     "      M = M + 1",
     "      PRINT *, M",
     "      END", ""])
+
+
+def _shape(*lines):
+    return "\n".join(["      PROGRAM SHAPE", *lines, "      END", ""])
+
+
+#: one program per shape -> (its launches, refusals): a fill launch and
+#: the loop Figure 20 used to run per iteration, now one launch
+SHAPES = {
+    "stepped carried inner loop (ADM)": (_shape(
+        "      COMMON /D/ C(12, 8)",
+        "      I = 0", "      K = 0",
+        "      DO 5 K = 1, 8", "        DO 5 I = 1, 12",
+        "          C(I, K) = I*0.01 + K*0.002", "    5 CONTINUE",
+        OMP + " PRIVATE(I)",
+        "      DO 44 K = 1, 8", "        DO 43 I = 2, 11",
+        "          C(I,K) = C(I,K) + (C(I-1,K) - 2.0*C(I,K) + C(I+1,K))*0.1",
+        "   43   CONTINUE", "   44 CONTINUE", "!$OMP END PARALLEL DO",
+        "      WRITE(*,*) C(2, 1), C(11, 8)"), (2, 0)),
+    "MAX reduction (FLO52Q)": (_shape(
+        "      COMMON /D/ Q(12, 8), R",
+        "      J = 0", "      K = 0",
+        "      DO 5 K = 1, 8", "        DO 5 J = 1, 12",
+        "          Q(J, K) = J*0.5 - K", "    5 CONTINUE",
+        "      R = 0.0",
+        OMP + " PRIVATE(J) REDUCTION(MAX:R)",
+        "      DO 30 K = 1, 8", "        DO 28 J = 1, 12",
+        "          R = MAX(R, ABS(Q(J,K) - 0.25))",
+        "   28   CONTINUE", "   30 CONTINUE", "!$OMP END PARALLEL DO",
+        "      WRITE(*,*) R"), (2, 0)),
+    "left-associated chain (BDNA)": (_shape(
+        "      COMMON /D/ FX(40), FY(40), E",
+        "      DO 5 I = 1, 40", "        FX(I) = I*0.01",
+        "        FY(I) = I*0.02 - 0.3", "    5 CONTINUE",
+        "      E = 0.0",
+        OMP + " REDUCTION(+:E)",
+        "      DO 25 I = 1, 40", "        E = E+FX(I)*FX(I)-FY(I)*FY(I)",
+        "   25 CONTINUE", "!$OMP END PARALLEL DO",
+        "      WRITE(*,*) E"), (2, 0)),
+    "private row buffer (MDG)": (_shape(
+        "      COMMON /D/ X(20), F(20)",
+        "      DIMENSION ROW(9)",
+        "      DO 5 I = 1, 20", "        X(I) = I*0.01", "    5 CONTINUE",
+        OMP + " PRIVATE(J,ROW)",
+        "      DO 44 I = 1, 20",
+        OMP, "        DO 42 J = 1, 9", "          ROW(J) = X(I)*0.1 + J",
+        "   42   CONTINUE", "!$OMP END PARALLEL DO",
+        "        F(I) = F(I) + ROW(5)*0.001",
+        "   44 CONTINUE", "!$OMP END PARALLEL DO",
+        "      WRITE(*,*) F(1), F(20), ROW(5)"), (2, 0)),
+}
 
 
 #: (benchmark, configuration) -> (distinct region nodes, region
@@ -273,6 +330,18 @@ def main(argv=None) -> int:
         check([float(x) for x in output] == [1.0, 2.0, 1.0, 2.0],
               f"{backend}: DATA and SAVE locals print {' '.join(output)} "
               f"(expected 1 2 1 2)")
+
+    # 9. Figure 20's per-iteration shapes, each one launch
+    for label, (text, expected) in SHAPES.items():
+        program = Program.from_sources({"shape.f": text}, "shape")
+        divergence = backend_equivalence(program)
+        check(divergence is None, f"{label}: backend_equivalence"
+              + (f" — {divergence}" if divergence else ""))
+        interp = make_interpreter(program, "compiled")
+        interp.run()
+        seen = (interp.kernel_launches, interp.kernel_bails)
+        check(seen == expected, "{}: {} launches, {} refused".format(
+            label, *seen) + " (expected {}, {})".format(*expected))
 
     if FAILURES:
         print(f"\nruntime smoke FAILED ({len(FAILURES)} checks):")

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import build_callgraph
 from repro.annotations.inliner import (AnnotationInlineResult,
                                        AnnotationInliner)
 from repro.annotations.registry import AnnotationRegistry
@@ -138,8 +137,7 @@ class DemandInliner:
     def _resolve_body(self, program: Program, unit: ast.ProgramUnit,
                       loop: ast.DoLoop, callee: str, tracer) -> bool:
         infer_reason = self._infer_reason(callee)
-        graph = build_callgraph(program)
-        rejection = self.policy.rejection_reason(program, graph, callee,
+        rejection = self.policy.rejection_reason(program, None, callee,
                                                  in_loop=True)
         if rejection is not None:
             self._record(tracer, unit, callee, 0, "fallback",

@@ -29,14 +29,15 @@ class InlinePolicy:
     #: program holds it (a benchmark's external-library units)
     unavailable: FrozenSet[str] = frozenset()
 
-    def rejection_reason(self, program: Program, graph: CallGraph,
+    def rejection_reason(self, program: Program, graph: Optional[CallGraph],
                          callee_name: str,
                          in_loop: bool) -> Optional[str]:
-        """None when the site should be inlined, else a reason string."""
+        """None when the site should be inlined, else a reason string.
+        No refusal reads ``graph``; it stays for subclasses' signature."""
         return next(self.refusals(program, graph, callee_name, in_loop),
                     None)
 
-    def refusals(self, program: Program, graph: CallGraph,
+    def refusals(self, program: Program, graph: Optional[CallGraph],
                  callee_name: str, in_loop: bool) -> Iterator[str]:
         """Every reason not to inline the site, in check order (lazily:
         a caller taking the first pays for no later check)."""

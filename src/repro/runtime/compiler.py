@@ -8,7 +8,8 @@ index bump instead of exception unwinding — and, where the subscript
 analysis proves a rectangular loop nest affine, branch-free and
 call-free, emits one NumPy gather/compute/scatter kernel instead of
 per-iteration closures: for plain DO loops and, in program order and where
-privatisation cannot be observed, for the loops of honoured directives.
+privatisation is modelled or cannot be observed, for the loops of honoured
+directives.
 
 The cost-accounting contract of the tree-walker is preserved *exactly*:
 
@@ -793,7 +794,10 @@ def _compile_binop(e: ast.BinOp, cc: _Ctx):
 # hoisted subscripts read and a refusal restores; any doubt, and any
 # exception at all, refuses and the scalar instruction path replays the
 # loop with exact tree-walker semantics, including whatever error the
-# tree-walker would have raised, at the same program state.  The
+# tree-walker would have raised, at the same program state.  A launch
+# that steps a carried inner loop (_vec_steps) stores as it goes and
+# puts the saved stored ranges back when it refuses; the root's private
+# arrays live in a copy per lane (_vec_lane) until the commit.  The
 # committed charge is trips * (what the tree-walker charges per
 # iteration, inner headers and iterations included) — bit-exact, because
 # all charges are multiples of 0.5 — and a committed nest records the
@@ -806,6 +810,8 @@ _VEC_SQRT = {"SQRT", "DSQRT"}
 _VEC_MAX = {"MAX", "AMAX1", "DMAX1"}
 _VEC_MIN = {"MIN", "AMIN1", "DMIN1"}
 _TWO53 = float(2 ** 53)
+#: cells one private array's lane copies may hold in one launch (8 MiB)
+_VEC_LANE_CELLS = 1 << 20
 
 
 class _VecLoop:
@@ -831,7 +837,8 @@ class _VecLoop:
 
 class _KernelCtx:
     __slots__ = ("ex", "fr", "axes", "charge", "temps", "reads", "writes",
-                 "pending", "saved")
+                 "pending", "saved", "once", "lanes", "rows", "step",
+                 "backup")
 
     def __init__(self, ex, fr):
         self.ex = ex
@@ -847,6 +854,17 @@ class _KernelCtx:
         self.pending: List[tuple] = []
         #: DO-variable cells as the launch found them, for a refusal
         self.saved: List[tuple] = []
+        #: hoisted evaluator -> its value, once per launch
+        self.once: Dict[Callable, float] = {}
+        #: private array -> (its launch-local copy, one row per lane of
+        #: the root axis, viewed with the array's shape; the row size)
+        self.lanes: Dict[str, tuple] = {}
+        #: a stepped launch: access key -> (view, its offsets over the
+        #: rectangle, stepped axis first), the step, and the stored
+        #: ranges as they were before the first step
+        self.rows: Optional[Dict[tuple, tuple]] = None
+        self.step = 0
+        self.backup: List[tuple] = []
 
 
 def _vec_once(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict, banned):
@@ -883,6 +901,9 @@ def _vec_once(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict, banned):
     vst["names"].update(c for c in cells if c.__class__ is str)
 
     def once(kc):
+        value = kc.once.get(once)
+        if value is not None:
+            return value
         for cell in cells:
             if cell.__class__ is str:
                 ref = kc.fr.vars.get(cell)
@@ -895,6 +916,7 @@ def _vec_once(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict, banned):
         value = pure(kc.ex, kc.fr)
         if not isinstance(value, float):
             raise _VectorBail
+        kc.once[once] = value
         return value
     return once
 
@@ -957,9 +979,14 @@ def _vec_access_factory(e: ast.ArrayRef, scope: tuple, cc: _Ctx, vst: dict):
         forms.append(form)
     vst["names"].add(name)
     numbers = tuple(rec.k for rec in scope)
+    lane = name in vst["private"]
 
     def resolve(kc):
-        view = kc.fr.vars.get(name)
+        if lane:
+            # the lane's own row of the copy: one more stride, on the root
+            view, size = kc.lanes[name]
+        else:
+            view, size = kc.fr.vars.get(name), 0
         if not isinstance(view, ArrayView):
             raise _VectorBail
         if len(specs) != view.rank:
@@ -988,6 +1015,7 @@ def _vec_access_factory(e: ast.ArrayRef, scope: tuple, cc: _Ctx, vst: dict):
             if rel_lo < 0 or (ext is not None and rel_hi >= ext):
                 raise _VectorBail
             off0 += rel0 * stride
+        strides[0] += size
         lo = hi = offsets = off0
         for s, axis in zip(strides, axes):
             if s:
@@ -1031,28 +1059,38 @@ def _vec_value(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict):
         if acc is None:
             return None
         resolve, key, forms = acc
-        vst["accesses"].append((False, key, forms))
+        _vec_access(vst, scope, False, key, forms, resolve)
+        # a private array's copy takes its stores at once: no memo
+        memo = e.name.upper() not in vst["private"]
 
         def vfn(kc):
             # a key's gather is memoised for the launch: a store under
             # the key replaces it with the stored temporary, and nothing
-            # else changes what it reads before the commit
-            tmp = kc.temps.get(key)
-            if tmp is not None:
-                return tmp
-            view, offsets, strides, lo, hi = resolve(kc)
-            kc.reads.append((view.buffer, lo, hi, key))
-            if not any(strides):
-                g = float(view.buffer[offsets])
-                if view.typename == "INTEGER":
-                    g = float(int(g))
+            # else changes what it reads before the commit.  A stepped
+            # launch gathers its step's row of offsets resolved once
+            if kc.rows is not None:
+                view, rows = kc.rows[key]
+                g = view.buffer[rows[kc.step]]
             else:
+                tmp = kc.temps.get(key)
+                if tmp is not None:
+                    return tmp
+                view, offsets, strides, lo, hi = resolve(kc)
+                if memo:
+                    kc.reads.append((view.buffer, lo, hi, key))
+                if not any(strides):
+                    g = float(view.buffer[offsets])
+                    if view.typename == "INTEGER":
+                        g = float(int(g))
+                    kc.temps[key] = g
+                    return g
                 g = view.buffer[offsets]
-                if view.typename == "INTEGER":
-                    if not np.isfinite(g).all():
-                        raise _VectorBail
-                    g = np.trunc(g) + 0.0
-            kc.temps[key] = g
+            if view.typename == "INTEGER":
+                if not np.isfinite(g).all():
+                    raise _VectorBail
+                g = np.trunc(g) + 0.0
+            if memo and kc.rows is None:
+                kc.temps[key] = g
             return g
         return vfn
     if isinstance(e, ast.UnOp):
@@ -1149,30 +1187,75 @@ def _vec_value(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict):
 
 
 def _match_reduction(e: ast.Expr, tname: str, occurs: int):
-    """Match ``S = S + t`` / ``S = t + S`` / ``S = S - t`` / ``S = S * t``
-    / ``S = t * S`` and return (accumulating ufunc, the t expression).
-    ``+`` and ``*`` are bitwise-commutative for non-NaN doubles, so both
-    operand orders map onto ufunc.accumulate's carry-op-element order."""
-    if occurs != 1 or not isinstance(e, ast.BinOp):
+    """Match a reduction of ``S`` and return (accumulating ufunc, its
+    terms as (expression, negated) in fold order): ``S = S + t``, ``S =
+    t + S``, ``S = S * t``, ``S = t * S``; a chain with ``S`` its leftmost
+    leaf, ``S = ((S ± t1) ± t2) ...`` (``a - b`` is ``a + (-b)`` exactly
+    in IEEE) or ``((S * t1) * t2) ...``, whose terms interleave per
+    iteration; and ``S = MAX(S, t)``, ``MAX(t, S)`` and the ``MIN``
+    forms.  ``+`` and ``*`` are bitwise-commutative for non-NaN doubles,
+    so both operand orders map onto ufunc.accumulate's carry-op-element
+    order."""
+    if occurs != 1:
         return None
 
     def is_t(x):
         return isinstance(x, ast.Var) and x.name.upper() == tname
 
-    if e.op == "+":
-        if is_t(e.left):
-            return np.add, e.right
-        if is_t(e.right):
-            return np.add, e.left
-    elif e.op == "-":
-        if is_t(e.left):
-            return np.subtract, e.right
-    elif e.op == "*":
-        if is_t(e.left):
-            return np.multiply, e.right
-        if is_t(e.right):
-            return np.multiply, e.left
-    return None
+    if isinstance(e, ast.FuncRef) and len(e.args) == 2 \
+            and (is_t(e.args[0]) or is_t(e.args[1])):
+        name = e.name.upper()
+        ufunc = np.maximum if name in _VEC_MAX else \
+            np.minimum if name in _VEC_MIN else None
+        other = e.args[1] if is_t(e.args[0]) else e.args[0]
+        return None if ufunc is None else (ufunc, [(other, False)])
+    if isinstance(e, ast.BinOp) and e.op in ("+", "*") and is_t(e.right):
+        return (np.add if e.op == "+" else np.multiply), [(e.left, False)]
+    ops = ("*",) if isinstance(e, ast.BinOp) and e.op == "*" else ("+", "-")
+    terms = []
+    while isinstance(e, ast.BinOp) and e.op in ops:
+        terms.append((e.right, e.op == "-"))
+        e = e.left
+    if not terms or not is_t(e):
+        return None
+    return (np.multiply if ops == ("*",) else np.add), terms[::-1]
+
+
+def _vec_terms(fns, negs):
+    """The evaluator of a reduction's terms, each ``-t`` negated."""
+    def terms(kc):
+        vals = []
+        for fn, neg in zip(fns, negs):
+            v = fn(kc)
+            if neg:
+                if np.isnan(v).any():
+                    # a - NaN keeps the NaN's sign, a + (-NaN) flips it
+                    raise _VectorBail
+                v = -v
+            vals.append(v)
+        return vals
+    return terms
+
+
+def _vec_fold(ufunc, arr, axis=0):
+    """``ufunc.accumulate`` along ``axis``: the sequential fold, bit for
+    bit.  Python's ``max``/``min`` keep the earlier operand on a tie and
+    a NaN only when it comes first, where ``np.maximum`` takes the second
+    zero of a tie and propagates NaN: without NaN and without zeros of
+    both signs the two agree, and anything else refuses."""
+    if ufunc is np.maximum or ufunc is np.minimum:
+        zeros = np.signbit(arr[arr == 0.0])
+        if np.isnan(arr).any() or zeros.any() and not zeros.all():
+            raise _VectorBail
+    return ufunc.accumulate(arr, axis=axis)
+
+
+def _vec_access(vst: dict, scope: tuple, stored: bool, key: tuple, forms,
+                resolve) -> None:
+    """Note an array access for the static checks and a stepped launch:
+    (stored, key, affine forms, the loops in scope, resolver)."""
+    vst["accesses"].append((stored, key, forms,
+                            frozenset(rec.k for rec in scope), resolve))
 
 
 def _vec_nested(stmt: ast.Stmt, cc: _Ctx):
@@ -1270,11 +1353,12 @@ def _vec_lower(s: ast.DoLoop, scope: tuple, cc: _Ctx, vst: dict, site,
                 row = len(scope) > 1 and t in scope[-2].written
                 if red is None or not (row or vst["count"][t] == 1):
                     return None
-                ufunc, rest = red
-                rest_fn = _vec_value(rest, scope, cc, vst)
-                if rest_fn is None:
+                ufunc, terms = red
+                fns = [_vec_value(x, scope, cc, vst) for x, _neg in terms]
+                if None in fns:
                     return None
-                rec.plans.append(("red", rest_fn, t, (ufunc, row)))
+                rec.plans.append(("red", _vec_terms(
+                    fns, [neg for _x, neg in terms]), t, (ufunc, row)))
                 vst["reduced"].add(t)
                 rec.first.setdefault(t, "red")
             else:
@@ -1291,34 +1375,40 @@ def _vec_lower(s: ast.DoLoop, scope: tuple, cc: _Ctx, vst: dict, site,
         if value_fn is None or not acc:
             return None
         resolve, key, forms = acc
-        vst["accesses"].append((True, key, forms))
+        _vec_access(vst, scope, True, key, forms, resolve)
         rec.plans.append(("arr", value_fn, resolve, key))
     if not rec.plans or not all(n.upper() == rec.var
                                 or rec.first.get(n.upper()) == "sca"
+                                or not scope[:-1] and n.upper() in vst["private"]
                                 for n in private):
-        # privatisation could be observed: a private array, a private
-        # name the body only reads or never mentions (it may overlay a
-        # cell the body reads) and a privatised reduction all see the
-        # per-iteration zeroing and the last-iteration peel, and the
-        # kernel does neither
+        # privatisation could be observed: a private name the body only
+        # reads or never mentions (it may overlay a cell the body reads)
+        # and a privatised reduction see the per-iteration zeroing and
+        # the last-iteration peel, and so does an array private to an
+        # inner loop.  The root's private arrays get a copy per lane
         return None
     return rec
 
 
-def _vec_carried(accesses) -> bool:
-    """Is there a store and another access of the same array, under
+def _vec_carried(accesses, private) -> List[set]:
+    """The pairs of a store and another access of the same array, under
     different keys, with identical coefficients on the DO variables and
     subscripts that differ only by integer constants smaller than
-    ``_VEC_MIN_TRIPS`` in dimensions a DO variable moves?  Such a pair
-    is a dependence carried by a loop that outruns the constant — the
-    root always does — and the overlap check is certain to refuse it at
-    every launch: the scalar path may as well own the loop."""
+    ``_VEC_MIN_TRIPS`` in dimensions a DO variable moves: for each, the
+    DO variables moving the dimensions where they differ.  Such a pair is
+    a dependence carried by a loop that outruns the constant — the root
+    always does —, and the overlap check is certain to refuse it at every
+    launch; only a stepped launch (:func:`_vec_stepped`) can take it.  A
+    private array is left out: each lane of the root has its own copy."""
     def moving(form):
         return {v: c for v, c in form.coeffs.items() if c}
 
-    for stored, skey, sforms in accesses:
-        for _stored, okey, oforms in accesses:
-            if stored and okey != skey and okey[0] == skey[0] \
+    carriers = []
+    for stored, skey, sforms, _loops, _resolve in accesses:
+        if not stored or skey[0] in private:
+            continue
+        for _stored, okey, oforms, _loops, _resolve in accesses:
+            if okey != skey and okey[0] == skey[0] \
                     and len(oforms) == len(sforms):
                 deltas = [(f.remainder - g.remainder).constant_value()
                           if moving(f) == moving(g) else None
@@ -1326,8 +1416,46 @@ def _vec_carried(accesses) -> bool:
                 if None not in deltas and any(deltas) and all(
                         d == 0 or moving(f) and abs(d) < _VEC_MIN_TRIPS
                         for d, f in zip(deltas, sforms)):
-                    return True
-    return False
+                    carriers.append({v for d, f in zip(deltas, sforms)
+                                     if d for v in moving(f)})
+    return carriers
+
+
+def _vec_stepped(root: _VecLoop, carriers) -> Optional[_VecLoop]:
+    """The loop a launch may step when only it carries dependences: the
+    root's one loop, plain, its body array assignments, and the one DO
+    variable moving every carried pair's differing dimensions — so the
+    axes left to vectorise carry nothing.  None when there is none."""
+    if len(root.plans) != 1 or root.plans[0][0] != "loop":
+        return None
+    kid = root.plans[0][2]
+    if kid.site is not None or any(plan[0] != "arr" for plan in kid.plans) \
+            or any(c != {kid.var} for c in carriers):
+        return None
+    return kid
+
+
+def _vec_lanes_apart(accesses) -> bool:
+    """Do the lanes of the root axis keep apart in every buffer a stepped
+    launch stores to?  ``accesses`` is one (buffer, offsets with the root
+    axis last, stored, lo, hi) per resolved access.  For a store and each
+    access of its buffer whose range meets the store's, the lanes' spans
+    over both — a lane's first to its last cell — must not meet: then no
+    lane reads or writes what another stores, and running the lanes side
+    by side is running them in turn."""
+    spans = []
+    for buf, rows, stored, lo, hi in accesses:
+        flat = rows.reshape(-1, rows.shape[-1])
+        spans.append((buf, stored, lo, hi, flat.min(axis=0), flat.max(axis=0)))
+    for buf, stored, lo, hi, first, last in spans:
+        for obuf, _stored, olo, ohi, ofirst, olast in spans:
+            if stored and obuf is buf and olo <= hi and lo <= ohi:
+                start = np.minimum(first, ofirst)
+                end = np.maximum(last, olast)
+                order = np.argsort(start, kind="stable")
+                if np.any(start[order][1:] <= end[order][:-1]):
+                    return False
+    return True
 
 
 def _vec_axis(kc: _KernelCtx, rec: _VecLoop, ref: ScalarRef, trips: int,
@@ -1380,6 +1508,11 @@ def _vec_run(kc: _KernelCtx, rec: _VecLoop, shape: tuple):
                 if not np.all(np.isfinite(val)):
                     raise _VectorBail
                 val = np.trunc(val) + 0.0
+            if key[0] in kc.lanes:
+                # a private array's copy: stored now, in plan order, for
+                # what later statements and loops read
+                view.buffer[offsets] = val
+                continue
             kc.writes.append((view.buffer, lo, hi, key))
             kc.pending.append((view.buffer, offsets, val))
             kc.temps[key] = val
@@ -1393,24 +1526,27 @@ def _vec_run(kc: _KernelCtx, rec: _VecLoop, shape: tuple):
                 # per-iteration truncation feeds back into the
                 # accumulation; leave it to the scalar path
                 raise _VectorBail
+            # the terms of one iteration are consecutive in the fold
             ufunc, row = key
+            m = len(val)
             if row:
                 carry = kc.temps[skey]
-                tail = np.shape(val)
-                tail = np.broadcast_shapes(
-                    np.shape(carry),
-                    tail[1:] if len(tail) == len(shape) else tail)
-                arr = np.empty((shape[0] + 1,) + (1,) * (
+                tail = np.broadcast_shapes(np.shape(carry), *(
+                    np.shape(v)[1:] if np.ndim(v) == len(shape)
+                    else np.shape(v) for v in val))
+                arr = np.empty((shape[0] * m + 1,) + (1,) * (
                     len(shape) - 1 - len(tail)) + tail)
                 arr[0] = carry
-                arr[1:] = val
-                val = ufunc.accumulate(arr, axis=0)[1:]
+                for j, v in enumerate(val):
+                    arr[1 + j::m] = v
+                val = _vec_fold(ufunc, arr)[m::m]
             else:
                 kc.reads.append((ref.buffer, ref.offset, ref.offset, skey))
-                arr = np.empty(1 + math.prod(shape))
+                arr = np.empty(1 + math.prod(shape) * m)
                 arr[0] = ref.get()
-                arr[1:] = np.broadcast_to(val, shape).ravel(order="F")
-                val = ufunc.accumulate(arr)[1:].reshape(shape, order="F")
+                for j, v in enumerate(val):
+                    arr[1 + j::m] = np.broadcast_to(v, shape).ravel(order="F")
+                val = _vec_fold(ufunc, arr)[m::m].reshape(shape, order="F")
         elif ref.typename == "INTEGER":
             if not np.all(np.isfinite(val)):
                 raise _VectorBail
@@ -1423,6 +1559,76 @@ def _vec_run(kc: _KernelCtx, rec: _VecLoop, shape: tuple):
         kc.temps[skey] = val
     kc.charge[rec.k] = (cost, steps)
     return cost, steps
+
+
+def _vec_lane(kc: _KernelCtx, name: str, trips: int) -> None:
+    """Give the root's private array ``name`` a copy with one row per
+    lane: every row zero but the last, which starts from the storage —
+    the walk's zeroing and last-iteration peel — and which the commit
+    writes back.  The storage joins the overlap check under a key of its
+    own, so any other name reaching it refuses."""
+    view = kc.fr.vars.get(name)
+    if not isinstance(view, ArrayView) or None in view.extents:
+        raise _VectorBail
+    size, off = view.size(), view.offset
+    if off + size > len(view.buffer) or trips * size > _VEC_LANE_CELLS:
+        raise _VectorBail
+    rows = np.zeros((trips, size))
+    rows[-1] = view.buffer[off:off + size]
+    kc.lanes[name] = (ArrayView(rows.reshape(-1), 0, view.lowers,
+                                view.extents, view.typename, view.name), size)
+    kc.writes.append((view.buffer, off, off + size - 1, (name,)))
+    kc.pending.append((view.buffer, slice(off, off + size), rows[-1]))
+
+
+def _vec_steps(kc: _KernelCtx, root: _VecLoop, kid: _VecLoop, shape: tuple,
+               accesses) -> tuple:
+    """A stepped launch: resolve every access once over the rectangle
+    (bounds at its corners), check that the root's lanes keep apart, save
+    the stored ranges, then step loop ``kid`` in order — each step
+    evaluates its body for every lane at once and stores each statement
+    before the next one reads, so each lane runs its own statements in
+    their serial order.  Returns the (cost, steps) of one root
+    iteration."""
+    start, stop, step = (1.0 if fn is None else fn(kc) for fn in kid.bounds)
+    if step == 0:
+        raise _VectorBail
+    trips = int((stop - start + step) // step)
+    ref = kc.fr.vars.get(kid.var)
+    if trips < 1 or not isinstance(ref, ScalarRef):
+        raise _VectorBail
+    _vec_axis(kc, kid, ref, trips, start, step)
+    rows, resolved = {}, {}
+    for stored, key, resolve in accesses:
+        if (key, stored) in resolved:
+            continue
+        view, offsets, _strides, lo, hi = resolve(kc)
+        rows[key] = view, np.broadcast_to(offsets, (trips,) + shape)
+        resolved[key, stored] = (view.buffer, rows[key][1], stored, lo, hi)
+        if stored:
+            kc.writes.append((view.buffer, lo, hi, key))
+            kc.backup.append((view.buffer, lo, view.buffer[lo:hi + 1].copy()))
+        else:
+            kc.reads.append((view.buffer, lo, hi, key))
+    if not _vec_lanes_apart(resolved.values()):
+        raise _VectorBail
+    kc.rows = rows
+    axis = kc.axes[kid.k]
+    for s in range(trips):
+        kc.step = s
+        kc.axes[kid.k] = axis[:3] + (start + s * step,)
+        for _kind, value_fn, _resolve, key in kid.plans:
+            val = value_fn(kc)
+            view, at = rows[key]
+            if view.typename == "INTEGER":
+                if not np.all(np.isfinite(val)):
+                    raise _VectorBail
+                val = np.trunc(val) + 0.0
+            view.buffer[at[s]] = val
+    kc.charge[kid.k] = (kid.fixed, kid.n_stmts)
+    kc.charge[root.k] = charge = (root.fixed + trips * kid.fixed,
+                                  root.n_stmts + trips * kid.n_stmts)
+    return charge
 
 
 def _vec_replay(ex: Interpreter, kc: _KernelCtx, rec: _VecLoop) -> None:
@@ -1459,13 +1665,31 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
                                 if isinstance(x, ast.DoLoop)}
     if not dovars.isdisjoint(targets) or not cc.params.isdisjoint(targets):
         return None
-    vst = {"names": set(), "scalar_targets": frozenset(targets),
-           "variant": frozenset(targets) | dovars,
-           "count": Counter(targets), "loops": 0,
+    lanes = tuple(n for n in private if n not in targets and n not in dovars
+                  and getattr(cc.table.variables.get(n), "dims", None)
+                  is not None)
+    vst = {"names": set(lanes), "scalar_targets": frozenset(targets),
+           "variant": frozenset(targets) | dovars | set(lanes),
+           "count": Counter(targets), "loops": 0, "private": lanes,
            "reduced": set(), "accesses": []}
     root = _vec_lower(s, (), cc, vst, site, private)
-    if root is None or _vec_carried(vst["accesses"]):
+    if root is None:
         return None
+    carriers = _vec_carried(vst["accesses"], lanes)
+    stepped = _vec_stepped(root, carriers) if carriers and not lanes else None
+    if carriers and stepped is None:
+        return None
+    for stored, key, _forms, loops, _resolve in vst["accesses"]:
+        for _other, okey, _forms, oloops, _resolve in vst["accesses"]:
+            if stored and key[0] in lanes and okey[0] == key[0] \
+                    and okey != key and len(loops & oloops) > 1:
+                # a private copy takes its stores at once: another key in
+                # a loop they share, the root apart, could see a later
+                # iteration's store
+                return None
+    # a stepped launch resolves every access up front; no other keeps them
+    accesses = [(stored, key, resolve) for stored, key, _forms, _loops,
+                resolve in vst["accesses"]] if stepped else ()
     all_names = tuple(sorted(vst["names"]))
     directives = site is not None or bool(root.sited)
 
@@ -1484,18 +1708,29 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
             with np.errstate(all="ignore"):
                 _vec_axis(kc, root, var_ref, trips, float(start),
                           float(step))
-                per_iter, n_stmts = _vec_run(kc, root, (trips,))
+                for name in lanes:
+                    _vec_lane(kc, name, trips)
+                if stepped:
+                    per_iter, n_stmts = _vec_steps(kc, root, stepped,
+                                                   (trips,), accesses)
+                else:
+                    per_iter, n_stmts = _vec_run(kc, root, (trips,))
             if ex.steps + trips * n_stmts > ex.max_steps:
                 raise _VectorBail
             others = kc.reads + kc.writes
             for wbuf, wlo, whi, wkey in kc.writes:
                 for obuf, olo, ohi, okey in others:
                     if okey != wkey and obuf is wbuf \
-                            and olo <= whi and wlo <= ohi:
+                            and olo <= whi and wlo <= ohi \
+                            and not (stepped and len(wkey) == 3
+                                     and okey is not None and len(okey) == 3):
+                        # (a stepped launch's own accesses are the lane
+                        # check's, which they passed)
                         raise _VectorBail
         except Exception:  # noqa: BLE001 - whatever it was, nothing was stored
-            for buf, off, old in reversed(kc.saved):
-                buf[off] = old
+            # the stored ranges were saved after the DO variables' cells
+            for buf, off, old in reversed(kc.saved + kc.backup):
+                buf[off:off + np.size(old)] = old
             return False
         for buf, idx, val in kc.pending:
             buf[idx] = val

@@ -407,8 +407,7 @@ class Interpreter:
         try:
             self._run_body(unit, frame)
         except _ReturnSignal:
-            if unit is self.program.main:
-                raise
+            pass  # a RETURN in the main program ends it, as END does
         except _GotoSignal as g:
             raise InterpreterError(
                 f"GOTO {g.label} has no target in {unit.name}")

@@ -78,7 +78,7 @@ class ArrayView:
             return (remaining // head) * head if head else remaining
         total = 1
         for e in self.extents:
-            total *= e or 1
+            total *= 1 if e is None else e
         return total
 
     def flat_offset(self, subs: Sequence[int]) -> int:

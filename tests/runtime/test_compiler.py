@@ -458,18 +458,19 @@ class TestDirectiveKernel:
         # live out: the last iteration's value, and the DO variable
         assert interp.output == ["12.0 13.0"]
 
-    @pytest.mark.parametrize("directive,body", [
+    @pytest.mark.parametrize("directive,body,kernel", [
         # read, never written: iterations but the last see zero
-        ("PRIVATE(T)", ("B(I) = A(I) + T",)),
+        ("PRIVATE(T)", ("B(I) = A(I) + T",), 0),
         # read before it is written
-        ("PRIVATE(T)", ("B(I) = T", "T = A(I)")),
-        # an array: zeroed per iteration, only W(12) survives the peel
-        ("PRIVATE(W)", ("W(I) = A(I)*2", "B(I) = W(I)")),
+        ("PRIVATE(T)", ("B(I) = T", "T = A(I)"), 0),
+        # an array: zeroed per iteration, only W(12) survives the peel —
+        # which the kernel's lane copies model: it takes the loop
+        ("PRIVATE(W)", ("W(I) = A(I)*2", "B(I) = W(I)"), 3 * 12),
         # a reduction: the privatised sum restarts every iteration
-        ("PRIVATE(T)", ("T = T + A(I)",)),
+        ("PRIVATE(T)", ("T = T + A(I)",), 0),
     ], ids=["read-only", "read-before-write", "array", "reduction"])
     def test_observable_privatisation_runs_per_iteration(self, directive,
-                                                         body):
+                                                         body, kernel):
         src = source(
             "      PROGRAM P",
             "      COMMON /D/ A(12), B(12), W(12), T",
@@ -484,9 +485,9 @@ class TestDirectiveKernel:
             "      WRITE(*,*) T, B(1), B(12), W(3), W(12)",
             "      END")
         _equiv(src)
-        assert _kernel_steps(src) == FILL_STEPS
-        # the directive is wrong, and only the per-iteration path shows
-        # it: honouring it must not compute what ignoring it does
+        assert _kernel_steps(src) == FILL_STEPS + kernel
+        # the directive is wrong, and only privatisation shows it:
+        # honouring it must not compute what ignoring it does
         assert not diff_test(_program(src), backend="compiled").passed
 
     def test_unmentioned_private_overlaying_a_read_cell(self):
@@ -581,7 +582,10 @@ class TestDirectiveKernel:
     def test_kernel_inside_a_per_iteration_region(self):
         _equiv(ROW_BUFFER_NEST)
         interp, _ = _compiled(ROW_BUFFER_NEST)
-        assert interp.kernel_steps == 6 * (2 * 8 + 2 * 8)
+        # the private row buffer has a copy per lane: one launch takes
+        # the whole nest, its two loop headers and CONTINUE included
+        assert interp.kernel_steps == 6 * (2 * 8 + 2 * 8 + 3)
+        assert interp.kernel_launches == 1
         outer, = interp._result(None).regions.roots
         assert len(outer.costs) == 6
         assert [pos for pos, _kid in outer.children] == list(range(6))
@@ -1595,19 +1599,23 @@ def test_directive_loops_agree_with_the_tree(loop, header, reduction):
 
 
 #: the share of a benchmark's steps its kernels must keep committing
-KERNEL_SHARE_FLOORS = {"ADM": 0.80, "ARC2D": 0.99, "BDNA": 0.94,
-                       "DYFESM": 0.87, "MG3D": 0.99, "OCEAN": 0.98,
-                       "SPEC77": 0.98, "TRFD": 0.98}
+KERNEL_SHARE_FLOORS = {"ADM": 0.97, "ARC2D": 0.99, "BDNA": 0.99,
+                       "DYFESM": 0.87, "FLO52Q": 0.99, "MDG": 0.29,
+                       "MG3D": 0.99, "OCEAN": 0.98, "SPEC77": 0.98,
+                       "TRFD": 0.98}
 
 
 def test_perfect_kernel_share_is_pinned():
     """The Figure 20 gain as counts: over the 12 PERFECT programs under
-    ``annotation`` with directives honoured, kernels commit 569 388 of
-    the 659 178 statement steps (560 400 while a launch was one inner
-    loop, 521 200 before operands were admitted by invariance, 9 600
-    before honoured directives took the kernel) in 1 086 launches (4 041
-    before a rectangular nest was one launch), and 1 more call refuses
-    (65 before a carried dependence was refused when lowered).  An
+    ``annotation`` with directives honoured, kernels commit 581 713 of
+    the 659 178 statement steps (569 388 before a launch could step a
+    carried inner loop and take MAX/MIN and chained reductions and the
+    root's private arrays, 560 400 while a launch was one inner loop,
+    521 200 before operands were admitted by invariance, 9 600 before
+    honoured directives took the kernel) in 684 launches (1 086 before
+    those four shapes, 4 041 before a rectangular nest was one launch),
+    and 1 more call refuses (65 before a carried dependence was refused
+    when lowered).  An
     eligibility regression moves these numbers, and the obs counters
     report the same totals."""
     from repro.experiments.pipeline import Config, run_config
@@ -1626,7 +1634,7 @@ def test_perfect_kernel_share_is_pinned():
         share = interp.kernel_steps / interp.steps
         assert share >= KERNEL_SHARE_FLOORS.get(bench.name, 0.0), \
             (bench.name, share)
-    assert totals == [659_178, 569_388, 1_086, 1]
+    assert totals == [659_178, 581_713, 684, 1]
     assert [c.total() - b for c, b in zip(reported, before)] == totals
 
 
@@ -1936,3 +1944,414 @@ def test_gathered_read_yields_to_a_store_under_its_key():
     interp, error = _compiled(src)
     assert error is None and interp.kernel_launches == 2
     assert interp.output == ["6.0 7.5 15.0"]
+
+
+# ---------------------------------------------------------------------------
+# the loops Figure 20 ran per iteration: a stepped carried inner loop,
+# MAX/MIN and chained reductions, the root's private arrays
+# ---------------------------------------------------------------------------
+
+def _launch(src, **kwargs):
+    """(launches, refusals, kernel steps, steps) of a compiled run
+    honouring directives."""
+    interp, _error = _compiled(src, **kwargs)
+    return (interp.kernel_launches, interp.kernel_bails, interp.kernel_steps,
+            interp.steps)
+
+
+#: ADM's diffusion sweep: the inner loop carries C(I-1,K) -> C(I,K), the
+#: outer one nothing — a launch steps I and vectorises K
+def _stepped(*body, header="2, 11", outer="1, 8", directive=("PRIVATE(I)",),
+             after=("      WRITE(*,*) C(2, 1), C(11, 8), I, K",)):
+    return source(
+        "      PROGRAM P",
+        "      COMMON /D/ C(12, 8), E(107), PLM(12)",
+        "      I = 0",
+        "      K = 0",
+        "      DO 5 K = 1, 8",
+        "        DO 4 I = 1, 12",
+        "          C(I, K) = I*0.01 + K*0.002",
+        "    4   CONTINUE",
+        "    5 CONTINUE",
+        "      DO 6 I = 1, 107",
+        "        E(I) = I*0.5",
+        "    6 CONTINUE",
+        *([omp(*directive)] if directive is not None else []),
+        f"      DO 44 K = {outer}",
+        f"        DO 43 I = {header}",
+        *("          " + stmt for stmt in body),
+        "   43   CONTINUE",
+        "   44 CONTINUE",
+        *([END] if directive is not None else []),
+        *after,
+        "      END")
+
+
+#: the fill: one two-axis launch (8 x 26 steps) and one of 107 x 2
+STEPPED_FILL = (2, 8 * 26 + 107 * 2)
+ADM_SWEEP = "C(I,K) = C(I,K) + (C(I-1,K) - 2.0*C(I,K) + C(I+1,K))*0.1"
+
+
+class TestSteppedLaunch:
+    """A nest whose inner loop alone carries a dependence: the launch
+    steps that loop and runs every lane of the outer axis at once."""
+
+    def test_adm_sweep_is_one_launch(self):
+        src = _stepped(ADM_SWEEP)
+        _nest_equiv(src)
+        launches, bails, kernel, _steps = _launch(src)
+        # 8 lanes x (the header, 10 x 2 steps, the CONTINUE)
+        assert (launches, bails, kernel) == (
+            STEPPED_FILL[0] + 1, 0, STEPPED_FILL[1] + 8 * 22)
+
+    def test_two_statements_read_each_others_stores(self):
+        # the second statement reads what the first stored this step
+        # under another text, and the first what the second stored one
+        # step before
+        src = _stepped("C(I,K) = C(I-1,K)*0.5 + PLM(I)",
+                       "C(I-1+1,K) = C(I,K) + C(I-2+1,K)*0.25",
+                       header="3, 12")
+        _nest_equiv(src)
+        assert _launch(src)[:2] == (STEPPED_FILL[0] + 1, 0)
+
+    def test_out_of_bounds_at_the_last_step_of_the_last_lane(self):
+        # E(108) is reached at I = 12, K = 8 only: the corners refuse the
+        # launch, and the walk stores every earlier lane and step first
+        src = _stepped("C(I,K) = C(I-1,K) + E(I + 12*K)", header="2, 12")
+        _equiv(src)
+        tree, compiled = _both(src)
+        assert "subscript 108 out of bounds" in tree[0]
+        assert tree[:2] + tree[3:] == compiled[:2] + compiled[3:]
+        assert _launch(src)[:2] == (STEPPED_FILL[0], 1)
+
+    def test_division_by_zero_at_a_middle_step(self):
+        # steps I = 2..5 have stored when I = 6 divides by zero: the
+        # refusal puts back what they stored
+        src = _stepped("C(I,K) = C(I-1,K) + 1.0/(I - 6)")
+        _equiv(src)
+        tree, compiled = _both(src)
+        assert "division by zero" in tree[0]
+        assert tree[:2] + tree[3:] == compiled[:2] + compiled[3:]
+        assert _launch(src)[:2] == (STEPPED_FILL[0], 1)
+
+    @pytest.mark.parametrize("max_steps", [424, 430, 500, 598])
+    def test_step_limit_inside_the_nest(self, max_steps):
+        program = _program(_stepped(ADM_SWEEP))
+        seen = []
+        for cls in (Interpreter, CompiledInterpreter):
+            interp = cls(program, max_steps=max_steps)
+            with pytest.raises(InterpreterError) as caught:
+                interp.run()
+            seen.append((str(caught.value), interp.steps,
+                         interp.commons["D"].tobytes()))
+        assert seen[0] == seen[1]
+        assert seen[0][:2] == ("execution step limit exceeded",
+                               max_steps + 1)
+
+    @pytest.mark.parametrize("directive", [None, ("PRIVATE(I)",)],
+                             ids=["plain", "directive"])
+    def test_overlapping_lanes_refuse(self, directive):
+        # every lane K reads and stores all of PLM: statically only I
+        # carries, and the lane check refuses at run time
+        src = _stepped("PLM(I) = PLM(I-1)*0.5 + C(I,K)",
+                       directive=directive,
+                       after=("      WRITE(*,*) PLM(2), PLM(11)",))
+        _equiv(src)
+        assert _launch(src)[:3] == (STEPPED_FILL[0], 1, STEPPED_FILL[1])
+
+    def test_a_carried_outer_dimension_refuses_when_lowered(self):
+        # C(I,K-1) moves with K, a vector axis: no stepped launch
+        src = _stepped("C(I,K) = C(I-1,K) + C(I,K-1)", outer="2, 8")
+        _equiv(src)
+        assert _launch(src)[:2] == (STEPPED_FILL[0], 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lag=st.integers(1, 3), lead=st.integers(0, 2),
+       first=st.integers(1, 5), last=st.integers(6, 13),
+       outer=st.sampled_from(["1, 8", "8, 1, -1", "2, 7, 2", "1, 3"]),
+       a=st.sampled_from(["0.5", "1.25", "(-0.75)"]),
+       b=st.sampled_from(["0.1", "2.0", "(-3.5)"]),
+       second=st.booleans())
+def test_stepped_launches_agree_with_the_tree(lag, lead, first, last, outer,
+                                              a, b, second):
+    body = [f"C(I,K) = C(I-{lag},K)*{a} + C(I+{lead},K)*{b}"]
+    if second:
+        body.append(f"E(I+12*K-12) = C(I-{lag},K) - E(I+12*K-13)*{a}")
+    src = _stepped(*body, header=f"{first}, {last}", outer=outer)
+    _equiv(src)
+
+
+def _reduction(stmt, init="0.0", decls=(), setup=()):
+    """FLO52Q's residual: a flat reduction over both axes of a nest of
+    two directives."""
+    return source(
+        "      PROGRAM P",
+        *decls,
+        "      COMMON /D/ Q(12, 8), P(12, 8), R",
+        "      J = 0",
+        "      K = 0",
+        "      DO 5 K = 1, 8",
+        "        DO 4 J = 1, 12",
+        "          Q(J, K) = J*0.5 - K",
+        "          P(J, K) = K*0.25",
+        "    4   CONTINUE",
+        "    5 CONTINUE",
+        *("      " + line for line in setup),
+        f"      R = {init}",
+        omp("PRIVATE(J)", "REDUCTION(MAX:R)"),
+        "      DO 30 K = 1, 8",
+        omp("REDUCTION(MAX:R)"),
+        "        DO 28 J = 1, 12",
+        f"          {stmt}",
+        "   28   CONTINUE",
+        END,
+        "   30 CONTINUE",
+        END,
+        "      WRITE(*,*) R",
+        "      END")
+
+
+#: Q(5,3) = inf - inf, a NaN
+NAN_AT_5_3 = ("Q(5, 3) = 1.0D300*1.0D300", "Q(5, 3) = Q(5, 3) - Q(5, 3)")
+MAX_FORMS = ["R = MAX(R, ABS(Q(J,K) - P(J,K)))",
+             "R = MAX(ABS(Q(J,K) - P(J,K)), R)",
+             "R = MIN(R, Q(J,K) - P(J,K))", "R = AMIN1(Q(J,K) - P(J,K), R)"]
+
+
+class TestMaxMinReduction:
+    @pytest.mark.parametrize("stmt", MAX_FORMS)
+    def test_takes_the_kernel(self, stmt):
+        src = _reduction(stmt)
+        _nest_equiv(src)
+        launches, bails, kernel, steps = _launch(src)
+        assert (launches, bails) == (2, 0)
+        # the fill and the nest: all but J = 0, K = 0, the two headers,
+        # R = 0.0 and the WRITE
+        assert steps - kernel == 6
+
+    @pytest.mark.parametrize("stmt", MAX_FORMS)
+    @pytest.mark.parametrize("init,setup", [
+        ("0.0", NAN_AT_5_3),
+        # ties of zeros of both signs: Q(J,K)*0.0 is -0.0 where Q < 0
+        ("0.0", ()), ("-0.0", ()),
+    ], ids=["nan", "zero", "negative-zero"])
+    def test_nan_and_signed_zero_ties_refuse(self, stmt, init, setup):
+        if not setup:
+            stmt = stmt.replace("ABS(Q(J,K) - P(J,K))", "Q(J,K)*0.0") \
+                .replace("Q(J,K) - P(J,K)", "Q(J,K)*0.0")
+        src = _reduction(stmt, init=init, setup=setup)
+        _equiv(src)
+        # the nest refuses, and so does each inner loop the guard meets
+        assert _launch(src)[1] >= 1
+
+    def test_ties_of_equal_values_commit(self):
+        # |Q - P| repeats along K; equal values are equal bits
+        src = _reduction("R = MAX(ABS(Q(J,K) - P(J,K))*0.0 + 1.5, R)")
+        _nest_equiv(src)
+        assert _launch(src)[:2] == (2, 0)
+
+    def test_an_integer_reduction_refuses(self):
+        src = _reduction(MAX_FORMS[0], decls=("      INTEGER R",))
+        _equiv(src)
+        # the nest refuses at run time, and so does each inner loop
+        assert _launch(src)[:2] == (1, 1 + 8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(form=st.sampled_from(MAX_FORMS),
+       scale=st.sampled_from(["1.0", "0.0", "(-2.5)", "1.0D300*1.0D300"]),
+       init=st.sampled_from(["0.0", "-0.0", "-1.0D300*1.0D300", "3.0"]),
+       nan=st.booleans())
+def test_max_min_reductions_agree_with_the_tree(form, scale, init, nan):
+    stmt = form.replace("Q(J,K) - P(J,K)", f"Q(J,K)*{scale} - P(J,K)")
+    assume(len(stmt) <= 62)
+    _equiv(_reduction(stmt, init=init, setup=NAN_AT_5_3 if nan else ()))
+
+
+def _chain(stmt, setup=(), directive=("REDUCTION(+:E)",)):
+    """BDNA's energy: a chain of terms after the accumulator."""
+    return source(
+        "      PROGRAM P",
+        "      COMMON /D/ FX(40), FY(40), E",
+        "      DO 5 I = 1, 40",
+        "        FX(I) = I*0.01",
+        "        FY(I) = I*0.02 - 0.3",
+        "    5 CONTINUE",
+        *("      " + line for line in setup),
+        "      E = 0.5",
+        *([omp(*directive)] if directive is not None else []),
+        "      DO 25 I = 1, 40",
+        f"        {stmt}",
+        "   25 CONTINUE",
+        *([END] if directive is not None else []),
+        "      WRITE(*,*) E",
+        "      END")
+
+
+NAN_AT_7 = ("FX(7) = 1.0D300*1.0D300", "FX(7) = FX(7) - FX(7)")
+
+
+class TestChainedReduction:
+    @pytest.mark.parametrize("stmt,directive", [
+        ("E = E+FX(I)*FX(I)+FY(I)*FY(I)", ("REDUCTION(+:E)",)),
+        ("E = E - FX(I) + FY(I)*3.0 - 0.125", ("REDUCTION(+:E)",)),
+        ("E = E*(1.0 + FX(I))*(1.0 - FY(I)*0.1)", None),
+    ], ids=["bdna", "minus", "product"])
+    def test_takes_the_kernel(self, stmt, directive):
+        src = _chain(stmt, directive=directive)
+        _nest_equiv(src)
+        assert _launch(src)[:3] == (2, 0, 3 * 40 + 2 * 40)
+
+    def test_a_nan_minus_term_refuses(self):
+        # E - NaN keeps the NaN's sign bit; E + (-NaN) would flip it
+        src = _chain("E = E - FX(I) + FY(I)", setup=NAN_AT_7)
+        _equiv(src)
+        assert _launch(src)[:2] == (1, 1)
+
+    def test_a_nan_plus_term_commits(self):
+        src = _chain("E = E + FX(I) + FY(I)", setup=NAN_AT_7)
+        _equiv(src)
+        assert _launch(src)[:2] == (2, 0)
+
+    def test_a_row_chain(self):
+        src = _rect("S = S + X(I, J) - Y(I, J)*0.5 - A(I)",
+                    between=("S = 0.0",), closing=("B(J) = S",),
+                    after=("      WRITE(*,*) S, B(1), B(8)",))
+        _nest_equiv(src)
+        assert _counts(src) == (NEST_STEPS(1) + 8 * 2, 1, 0)
+
+    @pytest.mark.parametrize("stmt", ["E = FX(I) + E + FY(I)",
+                                      "E = E + FX(I) + E*0.0"])
+    def test_the_accumulator_not_leftmost_refuses(self, stmt):
+        src = _chain(stmt)
+        _equiv(src)
+        assert _launch(src)[:2] == (1, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(terms=st.lists(st.tuples(st.sampled_from(["+", "-"]),
+                                st.sampled_from(["FX(I)", "FY(I)*FY(I)",
+                                                 "FX(I)*0.3", "1.0E-3",
+                                                 "FY(I)/7.0"])),
+                      min_size=1, max_size=4),
+       product=st.booleans(), nan=st.booleans())
+def test_chained_reductions_agree_with_the_tree(terms, product, nan):
+    if product:
+        stmt = "E = E" + "".join(f"*(1.0 {op} {t})" for op, t in terms)
+    else:
+        stmt = "E = E" + "".join(f" {op} {t}" for op, t in terms)
+    assume(len(stmt) <= 64)
+    _equiv(_chain(stmt, setup=NAN_AT_7 if nan else ()))
+
+
+def _row_buffer(inner="ROW(J) = X(I)*0.1 + J",
+                closing=("F(I) = F(I) + ROW(5)*0.001",), before=(),
+                private="PRIVATE(J,ROW)", head=(), call=None):
+    """MDG's neighbour table: a private row buffer the inner loop fills
+    and the outer body then reads; ROW(3) holds -7.0 beforehand."""
+    loop = [
+        omp(private),
+        "      DO 44 I = 1, 20",
+        *("        " + stmt for stmt in before),
+        omp(),
+        "        DO 42 J = 1, 9",
+        f"          {inner}",
+        "   42   CONTINUE",
+        END,
+        *("        " + stmt for stmt in closing),
+        "   44 CONTINUE",
+        END]
+    common = "      COMMON /D/ X(20), F(20), G(20), H(3), ROW(9), Y(9, 20)"
+    fill = ["      DO 5 I = 1, 20",
+            "        X(I) = I*0.01",
+            "        F(I) = 1.0",
+            "    5 CONTINUE",
+            "      ROW(3) = -7.0"]
+    out = "      WRITE(*,*) F(1), F(20), G(1), G(20), ROW(3), ROW(9), I, J"
+    if call is None:
+        return source("      PROGRAM P", common, *head, *fill, *loop, out,
+                      "      END")
+    return source("      PROGRAM P", common, *fill, f"      CALL SUB({call})",
+                  out, "      END", "      SUBROUTINE SUB(V)", common, *head,
+                  *loop, "      END")
+
+
+class TestPrivateArrays:
+    def test_mdg_row_buffer_is_one_launch(self):
+        src = _row_buffer()
+        profile = _nest_equiv(src)
+        launches, bails, kernel, _steps = _launch(src)
+        # 20 lanes x (the header, 9 x 2 steps, F(I) and the CONTINUE)
+        assert (launches, bails, kernel) == (2, 0, 20 * 3 + 20 * 21)
+        # the outer region, and one inner region in each iteration
+        outer, = profile.roots
+        assert len(outer.costs) == 20 and len(outer.children) == 20
+
+    def test_read_before_written_sees_zeros_and_the_saved_row(self):
+        src = _row_buffer(before=("G(I) = ROW(3) + ROW(8)",))
+        _nest_equiv(src)
+        assert _launch(src)[:2] == (2, 0)
+        interp, _ = _compiled(src)
+        g1, g20, row3 = interp.output[0].split()[2:5]
+        assert (g1, g20, row3) == ("0.0", "-7.0", "3.02")
+
+    def test_a_sibling_loop_reads_the_stores(self):
+        # FLO52Q's flux sweep: a second inner loop reads what the first
+        # stored, under other keys
+        src = _row_buffer(private="PRIVATE(J,ROW,JJ)", closing=(
+            "DO 43 JJ = 2, 8",
+            "  Y(JJ, I) = ROW(JJ-1) - ROW(JJ+1)*0.5",
+            "43 CONTINUE"))
+        src = src.replace("        43 CONTINUE", "   43   CONTINUE")
+        _nest_equiv(src)
+        assert _launch(src)[:2] == (2, 0)
+
+    @pytest.mark.parametrize("inner", ["ROW(J) = X(I) + ROW(J+1)",
+                                       "ROW(J+1) = X(I) + ROW(J)*0.0"])
+    def test_another_key_in_the_same_loop_refuses(self, inner):
+        # J runs to 8 so that ROW(J+1) stays in bounds
+        src = _row_buffer(inner=inner).replace("DO 42 J = 1, 9",
+                                               "DO 42 J = 1, 8")
+        _equiv(src)
+        # no launch took the nest: its 20 x 19 steps are not all kernel's
+        assert _launch(src)[2] < 20 * 3 + 20 * 19
+
+    @pytest.mark.parametrize("call,head,read", [
+        # an argument: V is ROW
+        ("ROW", ("      DIMENSION V(9)",), "V(5)"),
+        # a COMMON neighbour: V is H, reaching over ROW
+        ("H", ("      DIMENSION V(12)",), "V(8)"),
+    ], ids=["argument", "common-neighbour"])
+    def test_an_overlay_of_the_private_storage_refuses(self, call, head,
+                                                       read):
+        src = _row_buffer(call=call, head=head,
+                          closing=(f"F(I) = F(I) + {read}*0.001",))
+        _equiv(src)
+        # the nest refuses; each inner loop is a launch of its own
+        assert _launch(src)[:2] == (1 + 20, 1)
+
+    def test_a_private_array_of_an_inner_directive_refuses_the_nest(self):
+        # each execution of the inner directive privatises ROW anew: the
+        # nest refuses, and each inner loop, the root of its own launch,
+        # takes its lane copies
+        src = _row_buffer(private="PRIVATE(J)").replace(
+            omp() + "\n        DO 42", omp("PRIVATE(ROW)") + "\n        DO 42")
+        _nest_equiv(src)
+        assert _launch(src)[:2] == (1 + 20, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(outer=st.sampled_from(["1, 20", "20, 1, -1", "2, 19, 3", "4, 7"]),
+       inner=st.sampled_from(["1, 9", "2, 8", "9, 1, -2", "3, 3"]),
+       read=st.integers(1, 9), saved=st.sampled_from(["0.0", "-7.0", "2.5"]),
+       before=st.booleans(), scale=st.sampled_from(["0.1", "(-3.0)"]))
+def test_private_arrays_agree_with_the_tree(outer, inner, read, saved,
+                                            before, scale):
+    src = _row_buffer(inner=f"ROW(J) = X(I)*{scale} + J",
+                      closing=(f"F(I) = F(I) + ROW({read})*0.001",),
+                      before=("G(I) = ROW(3)",) if before else ())
+    src = src.replace("DO 44 I = 1, 20", f"DO 44 I = {outer}").replace(
+        "DO 42 J = 1, 9", f"DO 42 J = {inner}").replace(
+        "ROW(3) = -7.0", f"ROW(3) = {saved}")
+    _equiv(src)

@@ -263,6 +263,32 @@ class TestEmittedProgram:
         assert capsys.readouterr().out.split() == ["1.0", "2.0", "1.0",
                                                    "2.0"]
 
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_return_in_the_main_program_ends_it(self, tmp_path, capsys,
+                                                monkeypatch, backend):
+        from repro.runtime.backend import BACKEND_ENV
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        src = tmp_path / "ret.f"
+        src.write_text("      PROGRAM P\n      X = 1.0\n      PRINT *, X\n"
+                       "      RETURN\n      END\n")
+        assert main(["run", str(src)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.split() == ["1.0"]
+        # X = 1.0 and PRINT charge 1.5 each, the RETURN 1.0
+        assert "[simulated cost: 4 work units (serial)]" in captured.err
+
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_zero_size_common_array_store_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, backend):
+        from repro.runtime.backend import BACKEND_ENV
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        src = tmp_path / "zero.f"
+        src.write_text("      PROGRAM P\n      COMMON /C/ A(0), B\n"
+                       "      B = 2.0\n      A = 5.0\n      PRINT *, B\n"
+                       "      END\n")
+        assert main(["run", str(src)]) == 0
+        assert capsys.readouterr().out.split()[0] == "2.0"
+
 
 class TestFuzzDialect:
     def test_unknown_dialect_env_rejected(self, capsys):
