@@ -1965,7 +1965,7 @@ def _stepped(*body, header="2, 11", outer="1, 8", directive=("PRIVATE(I)",),
              after=("      WRITE(*,*) C(2, 1), C(11, 8), I, K",)):
     return source(
         "      PROGRAM P",
-        "      COMMON /D/ C(12, 8), E(107), PLM(12)",
+        "      COMMON /D/ C(12, 8), E(107), PLM(12), D(12, 8)",
         "      I = 0",
         "      K = 0",
         "      DO 5 K = 1, 8",
@@ -2067,17 +2067,20 @@ class TestSteppedLaunch:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(lag=st.integers(1, 3), lead=st.integers(0, 2),
-       first=st.integers(1, 5), last=st.integers(6, 13),
-       outer=st.sampled_from(["1, 8", "8, 1, -1", "2, 7, 2", "1, 3"]),
+@given(lag=st.integers(1, 3), lead=st.integers(0, 2), slack=st.integers(0, 3),
+       span=st.integers(1, 8), over=st.sampled_from([0, 0, 0, 1]),
+       outer=st.sampled_from(["1, 8", "8, 1, -1", "2, 8, 2", "1, 3"]),
        a=st.sampled_from(["0.5", "1.25", "(-0.75)"]),
        b=st.sampled_from(["0.1", "2.0", "(-3.5)"]),
        second=st.booleans())
-def test_stepped_launches_agree_with_the_tree(lag, lead, first, last, outer,
-                                              a, b, second):
+def test_stepped_launches_agree_with_the_tree(lag, lead, slack, span, over,
+                                              outer, a, b, second):
+    # mostly in bounds (a launch commits), one in four past the last row
+    first = lag + slack
+    last = min(12 - lead, first + span) + over
     body = [f"C(I,K) = C(I-{lag},K)*{a} + C(I+{lead},K)*{b}"]
     if second:
-        body.append(f"E(I+12*K-12) = C(I-{lag},K) - E(I+12*K-13)*{a}")
+        body.append(f"D(I,K) = C(I-{lag},K) - D(I-1,K)*{a}")
     src = _stepped(*body, header=f"{first}, {last}", outer=outer)
     _equiv(src)
 
