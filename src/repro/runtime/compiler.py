@@ -1377,9 +1377,10 @@ def _vec_lower(s: ast.DoLoop, scope: tuple, cc: _Ctx, vst: dict, site,
         resolve, key, forms = acc
         _vec_access(vst, scope, True, key, forms, resolve)
         rec.plans.append(("arr", value_fn, resolve, key))
+    root = len(scope) == 1
     if not rec.plans or not all(n.upper() == rec.var
                                 or rec.first.get(n.upper()) == "sca"
-                                or not scope[:-1] and n.upper() in vst["private"]
+                                or root and n.upper() in vst["private"]
                                 for n in private):
         # privatisation could be observed: a private name the body only
         # reads or never mentions (it may overlay a cell the body reads)
