@@ -36,7 +36,10 @@ tree-walker:
 9. one program per shape a launch took from Figure 20's per-iteration
    loops — ADM's carried inner loop, stepped; FLO52Q's MAX reduction;
    BDNA's left-associated chain; MDG's private row buffer — agrees in
-   all three modes and commits in the launches of ``SHAPES``.
+   all three modes and commits in the launches of ``SHAPES``;
+10. ``WALKED`` — every statement the compiled backend leaves to the
+    tree-walker's ``_exec_stmt`` and every expression it leaves to
+    ``_eval`` — agrees in all three modes and stops with its message.
 
 Usage:
   PYTHONPATH=src python scripts/runtime_smoke.py [BENCHMARK]
@@ -156,6 +159,56 @@ SHAPES = {
         "   44 CONTINUE", "!$OMP END PARALLEL DO",
         "      WRITE(*,*) F(1), F(20), ROW(5)"), (2, 0)),
 }
+
+
+#: what the closures leave to the tree-walker: the statements READ,
+#: ASSIGN, computed and assigned GOTO (out of a directive body too), a
+#: region store, PRINT and STOP, and the expressions a user FUNCTION
+#: reference, an intrinsic and a unary minus over one, .AND., .OR., a
+#: region read, a division only the run can type (in TYPED, never
+#: executed) and a lazily shaped array's element, W(I).  The frontend
+#: leaves a declaration's NF(8) an array reference: main() makes it the
+#: FUNCTION reference that shapes W at its first touch
+WALKED = "\n".join([
+    "      PROGRAM WALKED",
+    "      COMMON /C/ CALLS",
+    "      COMMON /D/ A(8), X, Y, N, L",
+    "      DIMENSION W(NF(8))",
+    "      READ(*,*) X, N",
+    "      ASSIGN 30 TO L",
+    "      W(1) = 2.0",
+    OMP + " PRIVATE(I)",
+    "      DO 20 I = 1, NF(6)",
+    "        A(NF(I)) = -NF(I) + ABS(NF(I) - 3.5) + W(I)",
+    "        IF (A(I) .LT. 0.0 .AND. NF(I) .GT. 2) THEN",
+    "          A(I) = A(I) + A(2:3)",
+    "        ELSE IF (I .EQ. 1 .OR. NF(I) .EQ. 4) THEN",
+    "          A(I) = A(I) - 1.0",
+    "        END IF",
+    "        GOTO (20, 10), MOD(I, 2) + 1",
+    "   10   A(I) = A(I) * 2.0",
+    "   20 CONTINUE",
+    "!$OMP END PARALLEL DO",
+    "      A(7:8) = 1.5",
+    "      GOTO L, (30, 40)",
+    "   30 PRINT *, A(1), A(6), A(8), NF(N), CALLS",
+    "   40 CALL TYPED(N)",
+    "      STOP 'WALKED'",
+    "      END",
+    "      INTEGER FUNCTION NF(K)",
+    "      COMMON /C/ CALLS",
+    "      CALLS = CALLS + 1",
+    "      NF = K",
+    "      END",
+    "      SUBROUTINE TYPED(K)",
+    "      IMPLICIT NONE",
+    "      INTEGER K",
+    "      REAL Z",
+    "      Z = 1.0",
+    "      IF (K .LT. 0) THEN",
+    "        Z = Q / 2",
+    "      END IF",
+    "      END", ""])
 
 
 #: (benchmark, configuration) -> (distinct region nodes, region
@@ -342,6 +395,23 @@ def main(argv=None) -> int:
         seen = (interp.kernel_launches, interp.kernel_bails)
         check(seen == expected, "{}: {} launches, {} refused".format(
             label, *seen) + " (expected {}, {})".format(*expected))
+
+    # 10. the statements and expressions the closures leave cold
+    from repro.fortran import ast
+    program = Program.from_sources({"walked.f": WALKED}, "walked")
+    for decl in program.main.decls:
+        for entity in getattr(decl, "entities", ()):
+            for dim in entity.dims or ():
+                if isinstance(dim.upper, ast.ArrayRef):
+                    dim.upper = ast.FuncRef(dim.upper.name, dim.upper.subs)
+    divergence = backend_equivalence(program, [2.5, 3.0])
+    check(divergence is None, "walked statements and expressions: "
+          "backend_equivalence" + (f" — {divergence}" if divergence else ""))
+    for backend in ("tree", "compiled"):
+        result = make_interpreter(program, backend, inputs=[2.5, 3.0]).run()
+        check(result.stop_message == "WALKED" and len(result.output) == 1,
+              f"{backend}: stops with 'WALKED' after printing "
+              f"{result.output}")
 
     if FAILURES:
         print(f"\nruntime smoke FAILED ({len(FAILURES)} checks):")

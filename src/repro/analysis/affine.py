@@ -49,9 +49,6 @@ class AffineForm:
     def coeff(self, var: str) -> int:
         return self.coeffs.get(var.upper(), 0)
 
-    def is_invariant(self) -> bool:
-        return not any(self.coeffs.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"{c}*{v}" for v, c in sorted(self.coeffs.items()) if c]
         parts.append(repr(self.remainder))

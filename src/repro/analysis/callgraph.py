@@ -32,10 +32,6 @@ class CallGraph:
     def callees(self, name: str) -> Set[str]:
         return self.edges.get(name.upper(), set())
 
-    def callers_of(self, name: str) -> Set[str]:
-        name = name.upper()
-        return {u for u, vs in self.edges.items() if name in vs}
-
     def is_recursive(self, name: str) -> bool:
         """Is ``name`` on a call-graph cycle (including self-recursion)?"""
         name = name.upper()

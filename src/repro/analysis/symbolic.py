@@ -113,10 +113,6 @@ class Poly:
         """Coefficient of the degree-1 monomial of ``token``."""
         return self.terms.get((token.upper(),), 0)
 
-    def degree_in(self, token: VarToken) -> int:
-        token = token.upper()
-        return max((m.count(token) for m in self.terms), default=0)
-
     def without(self, tokens: Iterable[VarToken]) -> "Poly":
         """Drop every monomial that mentions any of ``tokens``."""
         drop = {t.upper() for t in tokens}
@@ -243,16 +239,6 @@ def from_expr(e: ast.Expr) -> Poly:
                     return Poly({m: c // den for m, c in num.terms.items()},
                                 dict(num.atom_names))
     return Poly.atom(e)
-
-
-def simplify_expr(e: ast.Expr) -> ast.Expr:
-    """Normalize an integer expression through the polynomial form.
-
-    Used for canonical comparison of expressions (the reverse inliner's
-    equivalence-modulo-reassociation check): two expressions are equivalent
-    when their polynomial forms are equal.
-    """
-    return from_expr(e).to_expr()
 
 
 def exprs_equivalent(a: ast.Expr, b: ast.Expr) -> bool:

@@ -1,8 +1,8 @@
 """Campaign driver: generate → oracle fan-out → shrink → corpus.
 
 A campaign streams seeded generator/oracle tasks through
-:func:`repro.experiments.run_tasks` (the ``-j`` fan-out over the process
-pool) in batches, honouring either a program ``count``, a wall-clock
+:func:`repro.experiments.executor.run_tasks` (the ``-j`` fan-out over the
+process pool) in batches, honouring either a program ``count``, a wall-clock
 ``time_budget``, or both.  Per-program seeds come from
 :func:`repro.fuzz.generator.derive_seed`, so a campaign is fully
 deterministic for a fixed base seed regardless of worker count or batch

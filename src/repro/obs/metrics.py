@@ -1,9 +1,8 @@
 """Shared metrics: counters, gauges, histograms, and the process-wide
 default registry.
 
-Grown out of ``repro.service.metrics`` (which now re-exports this
-module): a single :class:`MetricsRegistry` owns every metric; accessors
-are get-or-create so instrumentation points never race registration.
+A single :class:`MetricsRegistry` owns every metric; accessors are
+get-or-create so instrumentation points never race registration.
 Re-registering a name with a *conflicting* ``help`` text or histogram
 ``buckets`` raises :class:`ValueError` — two call sites that disagree
 about what a metric means are a bug, not a race.

@@ -22,10 +22,14 @@ The cost-accounting contract of the tree-walker is preserved *exactly*:
   bit-for-bit what the tree-walker accumulates, at every boundary where
   cost is observable (statement granularity, parallel-loop iteration
   deltas, and FORTRAN ``STOP``);
-* expressions containing user calls or short-circuit operators keep
-  per-node charging closures in tree-walker order, so a ``STOP`` (or a
-  cost delta measured around a parallel iteration) sees the identical
-  running total.
+* the closures lower only that strict core and the statements a run
+  executes often — assignments to a scalar or an element, IF, DO,
+  directive loops, CALL, GOTO, CONTINUE and RETURN.  Any other
+  expression (user calls, short-circuit operators, array regions,
+  lazily shaped arrays) runs on the tree-walker's own ``_eval``, and any
+  other statement on its ``_exec_stmt``, so a ``STOP`` (or a cost delta
+  measured around a parallel iteration) sees the identical running
+  total, and each of those rules exists once.
 
 Because the recorded region tree holds the identical per-iteration
 costs, and :func:`repro.runtime.machine.price` prices nothing else,
@@ -50,15 +54,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import FortranStop, InterpreterError
+from repro.errors import InterpreterError
 from repro.fortran import ast
 from repro.fortran.intrinsics import is_intrinsic
 from repro.fortran.symbols import build_symbol_table, expr_type
 from repro.program import Program
-from repro.runtime.interpreter import (ORDER_PERMUTED, ORDER_SEQUENTIAL,
-                                       ExecutionResult, Interpreter,
-                                       _GotoSignal, _ReturnSignal,
-                                       collect_omp_sites)
+from repro.runtime.interpreter import (ORDER_SEQUENTIAL, ExecutionResult,
+                                       Interpreter, _GotoSignal,
+                                       _ReturnSignal, collect_omp_sites)
 from repro.runtime.intrinsics import call_intrinsic, power
 from repro.runtime.values import ArrayView, ScalarRef
 
@@ -183,10 +186,13 @@ def run_region(ex: Interpreter, region: tuple, fr) -> None:
 # compile_expr returns (pure, charged, count):
 #   * pure(ex, fr)    — evaluate without touching ex.cost; None when the
 #                       subtree is non-strict (user calls, short-circuit
-#                       operators, array regions, or lazily-shaped arrays
-#                       whose dimension expressions contain calls);
+#                       operators, array regions, lazily-shaped arrays
+#                       whose dimension expressions contain calls, or a
+#                       division only the run can type);
 #   * charged(ex, fr) — evaluate charging exactly what the tree-walker
-#                       charges, in the same order;
+#                       charges, in the same order: None for a strict
+#                       subtree, and for a non-strict one the
+#                       tree-walker's own evaluator (_walked);
 #   * count           — tree-walker node visits on normal completion.
 # ---------------------------------------------------------------------------
 
@@ -243,13 +249,6 @@ class _Ctx:
             and _dims_may_call(info)
 
 
-def _resolve(ex, fr, name):
-    ref = fr.vars.get(name)
-    if ref is None:
-        ref = ex._local(name, fr)
-    return ref
-
-
 def compile_expr(e: ast.Expr, cc: _Ctx):
     if isinstance(e, ast.IntLit):
         return _const_closure(float(e.value)), None, 1
@@ -269,12 +268,19 @@ def compile_expr(e: ast.Expr, cc: _Ctx):
         return _compile_unop(e, cc)
     if isinstance(e, ast.BinOp):
         return _compile_binop(e, cc)
-    # tree-walker: charge 0.5, then "cannot evaluate <Type>"
-    tname = type(e).__name__
+    return _walked(e)
 
-    def pure(ex, fr):
-        raise InterpreterError(f"cannot evaluate {tname}")
-    return pure, None, 1
+
+def _walked(e: ast.Expr):
+    """A non-strict subtree, whole, on the tree-walker's ``_eval``: it
+    charges what the walk charges in the order it charges, calls
+    included.  The count is the subtree's node count — the walk's visits
+    when nothing short-circuits, calls or spans a region, as in the one
+    non-strict node a vector kernel takes, a lazily shaped array's
+    element, whose statement the kernel charges by this count."""
+    def charged(ex, fr):
+        return ex._eval(e, fr)
+    return None, charged, sum(1 for _ in ast.walk_expr(e))
 
 
 def _finish(pure, count):
@@ -313,211 +319,121 @@ def _compile_var(e: ast.Var, cc: _Ctx):
         def pure(ex, fr):
             return fr.parameters[name]
         return _finish(pure, 1)
-    lazy_risk = cc.lazy_call_risk(name)
-    info = cc.table.variables.get(name)
+    if cc.lazy_call_risk(name):
+        return _walked(e)
 
-    if info is not None and info.dims is None:
-        if info.typename == "INTEGER":
-            def pure(ex, fr):
-                ref = fr.vars.get(name)
-                if ref is None:
-                    ref = ex._local(name, fr)
+    def pure(ex, fr):
+        ref = fr.vars.get(name)
+        if ref is None:
+            ref = ex._local(name, fr)
+        if ref.__class__ is ScalarRef:
+            # inlined ScalarRef.get (hot path)
+            if ref.typename == "INTEGER":
                 return float(int(ref.buffer[ref.offset]))
-        else:
-            def pure(ex, fr):
-                ref = fr.vars.get(name)
-                if ref is None:
-                    ref = ex._local(name, fr)
-                return float(ref.buffer[ref.offset])
-    else:
-        def pure(ex, fr):
-            ref = fr.vars.get(name)
-            if ref is None:
-                ref = ex._local(name, fr)
-            if ref.__class__ is ScalarRef:
-                # inlined ScalarRef.get (hot path)
-                if ref.typename == "INTEGER":
-                    return float(int(ref.buffer[ref.offset]))
-                return float(ref.buffer[ref.offset])
-            if isinstance(ref, ArrayView):
-                raise InterpreterError(
-                    f"array {name} used where a scalar value is needed")
-            return ref.get()
-    if lazy_risk:
-        # charge the node, then resolve (tree order: 0.5 first, then the
-        # lazy _shape evaluation with its embedded calls)
-        def charged(ex, fr):
-            ex.cost += 0.5
-            return pure(ex, fr)
-        return None, charged, 1
+            return float(ref.buffer[ref.offset])
+        if isinstance(ref, ArrayView):
+            raise InterpreterError(
+                f"array {name} used where a scalar value is needed")
+        return ref.get()
     return _finish(pure, 1)
 
 
 def _compile_arrayref(e: ast.ArrayRef, cc: _Ctx):
     name = e.name.upper()
     raw = e.name
-    lazy_risk = cc.lazy_call_risk(name)
-    if any(isinstance(x, ast.RangeExpr) for x in e.subs):
-        # region read: charged-only path (generated code only)
-        infos = []
-        for sub in e.subs:
-            if isinstance(sub, ast.RangeExpr):
-                lo_c = None if sub.lo is None else \
-                    compiled_parts(compile_expr(sub.lo, cc))[1]
-                infos.append((True, lo_c))
-            else:
-                infos.append((False,
-                              compiled_parts(compile_expr(sub, cc))[1]))
+    if cc.lazy_call_risk(name) \
+            or any(isinstance(x, ast.RangeExpr) for x in e.subs):
+        return _walked(e)
+    sub_triples = [compile_expr(x, cc) for x in e.subs]
+    if any(t[1] is not None for t in sub_triples):
+        return _walked(e)
+    count = 1 + sum(t[2] for t in sub_triples)
+    sub_pures = tuple(t[0] for t in sub_triples)
+    if len(sub_pures) == 1:
+        p0 = sub_pures[0]
+        sname = _plain_scalar_var(e.subs[0], cc)
 
-        def charged(ex, fr):
-            ex.cost += 0.5
-            view = _resolve(ex, fr, name)
+        def pure(ex, fr):
+            view = fr.vars.get(name)
+            if view is None:
+                view = ex._local(name, fr)
             if isinstance(view, ScalarRef):
                 raise InterpreterError(
                     f"{raw} subscripted but declared scalar")
-            subs = []
-            for k, (is_range, fn) in enumerate(infos):
-                if is_range:
-                    subs.append(view.lowers[k] if fn is None
-                                else int(fn(ex, fr)))
-                else:
-                    subs.append(int(fn(ex, fr)))
-            return view.get(subs)
-        return None, charged, 1
-
-    sub_triples = [compile_expr(x, cc) for x in e.subs]
-    count = 1 + sum(t[2] for t in sub_triples)
-    strict = (not lazy_risk) and all(t[1] is None for t in sub_triples)
-    if strict:
-        sub_pures = tuple(t[0] for t in sub_triples)
-        if len(sub_pures) == 1:
-            p0 = sub_pures[0]
-            sname = _plain_scalar_var(e.subs[0], cc)
-
-            def pure(ex, fr):
-                view = fr.vars.get(name)
-                if view is None:
-                    view = ex._local(name, fr)
-                if isinstance(view, ScalarRef):
-                    raise InterpreterError(
-                        f"{raw} subscripted but declared scalar")
-                # fused subscript read: int() of the raw cell equals
-                # int() of the Var closure's float for every typename
-                if sname is not None:
-                    sref = fr.vars.get(sname)
-                    if sref is None:
-                        sref = ex._local(sname, fr)
-                    if sref.__class__ is ScalarRef:
-                        sub = int(sref.buffer[sref.offset])
-                    else:
-                        sub = int(p0(ex, fr))
+            # fused subscript read: int() of the raw cell equals
+            # int() of the Var closure's float for every typename
+            if sname is not None:
+                sref = fr.vars.get(sname)
+                if sref is None:
+                    sref = ex._local(sname, fr)
+                if sref.__class__ is ScalarRef:
+                    sub = int(sref.buffer[sref.offset])
                 else:
                     sub = int(p0(ex, fr))
-                # inlined rank-1 flat_offset + get (hot path); strides[0]
-                # is always 1 and offset/rel are non-negative, so only the
-                # upper storage bound needs checking
-                if len(view.extents) != 1:
-                    return view.get((sub,))
-                lower = view.lowers[0]
-                rel = sub - lower
-                ext = view.extents[0]
-                if rel < 0 or (ext is not None and rel >= ext):
-                    raise InterpreterError(
-                        f"subscript {sub} out of bounds for dimension of "
-                        f"{view.name} ({lower}:{lower + (ext or 0) - 1})")
-                off = view.offset + rel
-                buf = view.buffer
-                if off >= len(buf):
-                    raise InterpreterError(
-                        f"reference beyond storage of {view.name}")
-                if view.typename == "INTEGER":
-                    return float(int(buf[off]))
-                return float(buf[off])
-        elif len(sub_pures) == 2:
-            (n0, p0), (n1, p1) = ((_plain_scalar_var(x, cc), p)
-                                  for x, p in zip(e.subs, sub_pures))
-
-            def pure(ex, fr):
-                view = fr.vars.get(name)
-                if view is None:
-                    view = ex._local(name, fr)
-                if isinstance(view, ScalarRef):
-                    raise InterpreterError(
-                        f"{raw} subscripted but declared scalar")
-                # fused subscript reads, as on the rank-1 path
-                sref = None
-                if n0 is not None:
-                    sref = fr.vars.get(n0)
-                    if sref is None:
-                        sref = ex._local(n0, fr)
-                sub0 = int(sref.buffer[sref.offset]) \
-                    if sref.__class__ is ScalarRef else int(p0(ex, fr))
-                sref = None
-                if n1 is not None:
-                    sref = fr.vars.get(n1)
-                    if sref is None:
-                        sref = ex._local(n1, fr)
-                sub1 = int(sref.buffer[sref.offset]) \
-                    if sref.__class__ is ScalarRef else int(p1(ex, fr))
-                off = _offset2(view, sub0, sub1)
-                if off is None:
-                    return view.get((sub0, sub1))  # exact rank-mismatch error
-                if view.typename == "INTEGER":
-                    return float(int(view.buffer[off]))
-                return float(view.buffer[off])
-        else:
-            sub_specs = tuple((_plain_scalar_var(x, cc), p)
+            else:
+                sub = int(p0(ex, fr))
+            # inlined rank-1 flat_offset + get (hot path); strides[0]
+            # is always 1 and offset/rel are non-negative, so only the
+            # upper storage bound needs checking
+            if len(view.extents) != 1:
+                return view.get((sub,))
+            lower = view.lowers[0]
+            rel = sub - lower
+            ext = view.extents[0]
+            if rel < 0 or (ext is not None and rel >= ext):
+                raise InterpreterError(
+                    f"subscript {sub} out of bounds for dimension of "
+                    f"{view.name} ({lower}:{lower + (ext or 0) - 1})")
+            off = view.offset + rel
+            buf = view.buffer
+            if off >= len(buf):
+                raise InterpreterError(
+                    f"reference beyond storage of {view.name}")
+            if view.typename == "INTEGER":
+                return float(int(buf[off]))
+            return float(buf[off])
+    elif len(sub_pures) == 2:
+        (n0, p0), (n1, p1) = ((_plain_scalar_var(x, cc), p)
                               for x, p in zip(e.subs, sub_pures))
 
-            def pure(ex, fr):
-                view = fr.vars.get(name)
-                if view is None:
-                    view = ex._local(name, fr)
-                if isinstance(view, ScalarRef):
-                    raise InterpreterError(
-                        f"{raw} subscripted but declared scalar")
-                subs = []
-                for sn, p in sub_specs:
-                    if sn is not None:
-                        sref = fr.vars.get(sn)
-                        if sref is None:
-                            sref = ex._local(sn, fr)
-                        if sref.__class__ is ScalarRef:
-                            subs.append(int(sref.buffer[sref.offset]))
-                            continue
-                    subs.append(int(p(ex, fr)))
-                extents = view.extents
-                if len(extents) != len(subs):
-                    return view.get(subs)  # exact rank-mismatch error
-                # inlined flat_offset + get (hot path)
-                off = view.offset
-                for sub, lower, ext, stride in zip(subs, view.lowers,
-                                                   extents, view.strides):
-                    rel = sub - lower
-                    if rel < 0 or (ext is not None and rel >= ext):
-                        raise InterpreterError(
-                            f"subscript {sub} out of bounds for dimension "
-                            f"of {view.name} "
-                            f"({lower}:{lower + (ext or 0) - 1})")
-                    off += rel * stride
-                buf = view.buffer
-                if off >= len(buf):
-                    raise InterpreterError(
-                        f"reference beyond storage of {view.name}")
-                if view.typename == "INTEGER":
-                    return float(int(buf[off]))
-                return float(buf[off])
-        return _finish(pure, count)
-
-    sub_chargeds = tuple(compiled_parts(t)[1] for t in sub_triples)
-
-    def charged(ex, fr):
-        ex.cost += 0.5
-        view = _resolve(ex, fr, name)
-        if isinstance(view, ScalarRef):
-            raise InterpreterError(f"{raw} subscripted but declared scalar")
-        return view.get([int(c(ex, fr)) for c in sub_chargeds])
-    return None, charged, count
+        def pure(ex, fr):
+            view = fr.vars.get(name)
+            if view is None:
+                view = ex._local(name, fr)
+            if isinstance(view, ScalarRef):
+                raise InterpreterError(
+                    f"{raw} subscripted but declared scalar")
+            # fused subscript reads, as on the rank-1 path
+            sref = None
+            if n0 is not None:
+                sref = fr.vars.get(n0)
+                if sref is None:
+                    sref = ex._local(n0, fr)
+            sub0 = int(sref.buffer[sref.offset]) \
+                if sref.__class__ is ScalarRef else int(p0(ex, fr))
+            sref = None
+            if n1 is not None:
+                sref = fr.vars.get(n1)
+                if sref is None:
+                    sref = ex._local(n1, fr)
+            sub1 = int(sref.buffer[sref.offset]) \
+                if sref.__class__ is ScalarRef else int(p1(ex, fr))
+            off = _offset2(view, sub0, sub1)
+            if off is None:
+                return view.get((sub0, sub1))  # exact rank-mismatch error
+            if view.typename == "INTEGER":
+                return float(int(view.buffer[off]))
+            return float(view.buffer[off])
+    else:
+        def pure(ex, fr):
+            view = fr.vars.get(name)
+            if view is None:
+                view = ex._local(name, fr)
+            if isinstance(view, ScalarRef):
+                raise InterpreterError(
+                    f"{raw} subscripted but declared scalar")
+            return view.get([int(p(ex, fr)) for p in sub_pures])
+    return _finish(pure, count)
 
 
 def _offset2(view: ArrayView, sub0: int, sub1: int) -> Optional[int]:
@@ -548,66 +464,40 @@ def _offset2(view: ArrayView, sub0: int, sub1: int) -> Optional[int]:
 
 
 def _compile_funcref(e: ast.FuncRef, cc: _Ctx):
-    if is_intrinsic(e.name):
-        iname = e.name
-        arg_triples = [compile_expr(a, cc) for a in e.args]
-        count = 1 + sum(t[2] for t in arg_triples)
-        if all(t[1] is None for t in arg_triples):
-            arg_pures = tuple(t[0] for t in arg_triples)
+    if not is_intrinsic(e.name):
+        return _walked(e)  # a user FUNCTION: the tree-walker's _call
+    iname = e.name
+    arg_triples = [compile_expr(a, cc) for a in e.args]
+    if any(t[1] is not None for t in arg_triples):
+        return _walked(e)
+    arg_pures = tuple(t[0] for t in arg_triples)
 
-            def pure(ex, fr):
-                return call_intrinsic(iname,
-                                      [p(ex, fr) for p in arg_pures])
-            return _finish(pure, count)
-        arg_chargeds = tuple(compiled_parts(t)[1] for t in arg_triples)
+    def pure(ex, fr):
+        return call_intrinsic(iname, [p(ex, fr) for p in arg_pures])
+    return _finish(pure, 1 + sum(t[2] for t in arg_triples))
 
-        def charged(ex, fr):
-            ex.cost += 0.5
-            return call_intrinsic(iname,
-                                  [c(ex, fr) for c in arg_chargeds])
-        return None, charged, count
 
-    fname, fargs = e.name, e.args
-
-    def charged(ex, fr):
-        ex.cost += 0.5
-        result = ex._call(fname, fargs, fr)
-        if result is None:
-            raise InterpreterError(
-                f"{fname} is a subroutine, not a function")
-        return result
-    return None, charged, 1
+_UNARY = {"-": lambda v: -v,
+          "+": lambda v: v,
+          ".NOT.": lambda v: 0.0 if v != 0.0 else 1.0}
 
 
 def _compile_unop(e: ast.UnOp, cc: _Ctx):
-    op = e.op
-    triple = compile_expr(e.operand, cc)
-    pure, charged, count = triple
-    total = count + 1
-    if op == "-":
-        fn = lambda v: -v               # noqa: E731
-    elif op == "+":
-        fn = lambda v: v                # noqa: E731
-    elif op == ".NOT.":
-        fn = lambda v: 0.0 if v != 0.0 else 1.0  # noqa: E731
-    else:
-        def fn(v):
-            raise InterpreterError(f"unknown unary {op}")
-    if charged is None:
-        def p(ex, fr):
-            return fn(pure(ex, fr))
-        return _finish(p, total)
+    fn = _UNARY.get(e.op)
+    pure, charged, count = compile_expr(e.operand, cc)
+    if fn is None or charged is not None:
+        return _walked(e)
 
-    def c(ex, fr):
-        ex.cost += 0.5
-        return fn(charged(ex, fr))
-    return None, c, total
+    def p(ex, fr):
+        return fn(pure(ex, fr))
+    return _finish(p, count + 1)
 
 
 def _op_kernel(e: ast.BinOp, cc: _Ctx):
-    """Value combiner for a non-short-circuit binary op, replicating the
-    tree-walker's semantics (including the deferred INTEGER-division type
-    query and its SemanticError timing)."""
+    """Value combiner for a strict binary op, replicating the
+    tree-walker's semantics — or None where the tree-walker's own
+    evaluation is the only one: the short-circuit and unknown operators,
+    and a division whose INTEGER typing only the run can tell."""
     op = e.op
     if op == "+":
         return lambda a, b: a + b
@@ -616,26 +506,11 @@ def _op_kernel(e: ast.BinOp, cc: _Ctx):
     if op == "*":
         return lambda a, b: a * b
     if op == "/":
-        left, right = e.left, e.right
         try:
-            known = (expr_type(left, cc.table) == "INTEGER"
-                     and expr_type(right, cc.table) == "INTEGER")
+            known = (expr_type(e.left, cc.table) == "INTEGER"
+                     and expr_type(e.right, cc.table) == "INTEGER")
         except Exception:
-            known = None
-
-        if known is None:
-            def kern(a, b, fr):
-                if b == 0:
-                    raise InterpreterError("division by zero")
-                is_int = (expr_type(left, fr.table) == "INTEGER"
-                          and expr_type(right, fr.table) == "INTEGER")
-                if is_int:
-                    ia, ib = int(a), int(b)
-                    q = abs(ia) // abs(ib)
-                    return float(q if (ia < 0) == (ib < 0) else -q)
-                return a / b
-            kern.needs_frame = True
-            return kern
+            return None
         if known:
             def kern(a, b):
                 if b == 0:
@@ -670,97 +545,62 @@ def _op_kernel(e: ast.BinOp, cc: _Ctx):
         return lambda a, b: 1.0 if (a != 0.0) != (b != 0.0) else 0.0
     if op == "//":
         return lambda a, b: str(a) + str(b)
-
-    def kern(a, b):
-        raise InterpreterError(f"unknown operator {op}")
-    return kern
+    return None
 
 
 def _compile_binop(e: ast.BinOp, cc: _Ctx):
     op = e.op
-    if op in (".AND.", ".OR."):
-        lc = compiled_parts(compile_expr(e.left, cc))[1]
-        rc = compiled_parts(compile_expr(e.right, cc))[1]
-        if op == ".AND.":
-            def charged(ex, fr):
-                ex.cost += 0.5
-                return 1.0 if (lc(ex, fr) != 0.0
-                               and rc(ex, fr) != 0.0) else 0.0
-        else:
-            def charged(ex, fr):
-                ex.cost += 0.5
-                return 1.0 if (lc(ex, fr) != 0.0
-                               or rc(ex, fr) != 0.0) else 0.0
-        return None, charged, 1
+    kern = _op_kernel(e, cc)
+    if kern is None:
+        return _walked(e)
     lt = compile_expr(e.left, cc)
     rt = compile_expr(e.right, cc)
-    kern = _op_kernel(e, cc)
-    needs_frame = getattr(kern, "needs_frame", False)
-    total = 1 + lt[2] + rt[2]
-    if lt[1] is None and rt[1] is None:
-        lp, rp = lt[0], rt[0]
-        if needs_frame:
-            def pure(ex, fr):
-                return kern(lp(ex, fr), rp(ex, fr), fr)
-        else:
-            lname = _plain_scalar_var(e.left, cc)
-            rname = _plain_scalar_var(e.right, cc)
-            # 1=+, 2=-, 3=* are folded inline (their kernels are plain
-            # lambdas); anything else dispatches through kern
-            opc = {"+": 1, "-": 2, "*": 3}.get(op, 0)
+    if lt[1] is not None or rt[1] is not None:
+        return _walked(e)
+    lp, rp = lt[0], rt[0]
+    lname = _plain_scalar_var(e.left, cc)
+    rname = _plain_scalar_var(e.right, cc)
+    # 1=+, 2=-, 3=* are folded inline (their kernels are plain
+    # lambdas); anything else dispatches through kern
+    opc = {"+": 1, "-": 2, "*": 3}.get(op, 0)
 
-            def pure(ex, fr):
-                # fused operand reads (float() keeps Python-float
-                # arithmetic semantics, e.g. power()'s range check)
-                if lname is not None:
-                    ref = fr.vars.get(lname)
-                    if ref is None:
-                        ref = ex._local(lname, fr)
-                    if ref.__class__ is ScalarRef:
-                        if ref.typename == "INTEGER":
-                            a = float(int(ref.buffer[ref.offset]))
-                        else:
-                            a = float(ref.buffer[ref.offset])
-                    else:
-                        a = lp(ex, fr)
+    def pure(ex, fr):
+        # fused operand reads (float() keeps Python-float
+        # arithmetic semantics, e.g. power()'s range check)
+        if lname is not None:
+            ref = fr.vars.get(lname)
+            if ref is None:
+                ref = ex._local(lname, fr)
+            if ref.__class__ is ScalarRef:
+                if ref.typename == "INTEGER":
+                    a = float(int(ref.buffer[ref.offset]))
                 else:
-                    a = lp(ex, fr)
-                if rname is not None:
-                    ref = fr.vars.get(rname)
-                    if ref is None:
-                        ref = ex._local(rname, fr)
-                    if ref.__class__ is ScalarRef:
-                        if ref.typename == "INTEGER":
-                            b = float(int(ref.buffer[ref.offset]))
-                        else:
-                            b = float(ref.buffer[ref.offset])
-                    else:
-                        b = rp(ex, fr)
+                    a = float(ref.buffer[ref.offset])
+            else:
+                a = lp(ex, fr)
+        else:
+            a = lp(ex, fr)
+        if rname is not None:
+            ref = fr.vars.get(rname)
+            if ref is None:
+                ref = ex._local(rname, fr)
+            if ref.__class__ is ScalarRef:
+                if ref.typename == "INTEGER":
+                    b = float(int(ref.buffer[ref.offset]))
                 else:
-                    b = rp(ex, fr)
-                if opc == 1:
-                    return a + b
-                if opc == 2:
-                    return a - b
-                if opc == 3:
-                    return a * b
-                return kern(a, b)
-        return _finish(pure, total)
-    lcg = compiled_parts(lt)[1]
-    rcg = compiled_parts(rt)[1]
-    if needs_frame:
-        def charged(ex, fr):
-            ex.cost += 0.5
-            a = lcg(ex, fr)
-            b = rcg(ex, fr)
-            return kern(a, b, fr)
-    else:
-        def charged(ex, fr):
-            ex.cost += 0.5
-            a = lcg(ex, fr)
-            b = rcg(ex, fr)
-            return kern(a, b)
-    return None, charged, total
+                    b = float(ref.buffer[ref.offset])
+            else:
+                b = rp(ex, fr)
+        else:
+            b = rp(ex, fr)
+        if opc == 1:
+            return a + b
+        if opc == 2:
+            return a - b
+        if opc == 3:
+            return a * b
+        return kern(a, b)
+    return _finish(pure, 1 + lt[2] + rt[2])
 
 
 # ---------------------------------------------------------------------------
@@ -1817,19 +1657,19 @@ def _compile_block(cc: _Ctx, reg: _Region, body: Sequence[ast.Stmt]) -> None:
 
 def _emit_stmt(cc: _Ctx, reg: _Region, s: ast.Stmt) -> None:
     instrs = reg.instrs
-    if isinstance(s, ast.Assign):
+    if isinstance(s, ast.Assign) and _lowered_target(s.target):
         _emit_assign(cc, reg, s)
     elif isinstance(s, ast.IfBlock):
         _emit_if(cc, reg, s)
     elif isinstance(s, ast.DoLoop):
-        _emit_do(cc, reg, s, omp_charge=False)
+        _emit_do(cc, reg, s)
     elif isinstance(s, ast.OmpParallelDo):
         if cc.honor:
             _emit_omp(cc, reg, s)
         else:
             # directives ignored: the plain serial loop, charged at the
             # directive statement exactly like _exec_omp -> _exec_do
-            _emit_do(cc, reg, s.loop, omp_charge=False)
+            _emit_do(cc, reg, s.loop)
     elif isinstance(s, ast.CallStmt):
         cname, cargs = s.name, s.args
         nxt = len(instrs) + 1
@@ -1841,12 +1681,6 @@ def _emit_stmt(cc: _Ctx, reg: _Region, s: ast.Stmt) -> None:
         instrs.append(instr)
     elif isinstance(s, ast.Goto):
         _emit_goto(cc, reg, s)
-    elif isinstance(s, ast.ComputedGoto):
-        _emit_computed_goto(cc, reg, s)
-    elif isinstance(s, ast.LabelAssign):
-        _emit_label_assign(cc, reg, s)
-    elif isinstance(s, ast.AssignedGoto):
-        _emit_assigned_goto(cc, reg, s)
     elif isinstance(s, ast.Continue):
         nxt = len(instrs) + 1
 
@@ -1859,29 +1693,40 @@ def _emit_stmt(cc: _Ctx, reg: _Region, s: ast.Stmt) -> None:
             _stmt_charge(ex, 1.0)
             raise _ReturnSignal()
         instrs.append(instr)
-    elif isinstance(s, ast.Stop):
-        msg = s.message or ""
-
-        def instr(ex, fr, ls):
-            _stmt_charge(ex, 1.0)
-            raise FortranStop(msg)
-        instrs.append(instr)
-    elif isinstance(s, ast.IoStmt):
-        _emit_io(cc, reg, s)
-    elif isinstance(s, ast.TaggedBlock):
-        def instr(ex, fr, ls):
-            _stmt_charge(ex, 1.0)
-            raise InterpreterError(
-                "annotation-inlined code is not executable (it is a "
-                "summary, not an implementation); reverse-inline first")
-        instrs.append(instr)
     else:
-        tname = type(s).__name__
+        _emit_walked(cc, reg, s)
 
-        def instr(ex, fr, ls):
-            _stmt_charge(ex, 1.0)
-            raise InterpreterError(f"cannot execute {tname}")
-        instrs.append(instr)
+
+def _lowered_target(target: ast.Expr) -> bool:
+    """Does ``_emit_assign`` lower a store to ``target``?  A scalar or
+    an element does; a region or anything else is walked."""
+    return isinstance(target, ast.Var) or isinstance(target, ast.ArrayRef) \
+        and not any(isinstance(x, ast.RangeExpr) for x in target.subs)
+
+
+def _emit_walked(cc: _Ctx, reg: _Region, s: ast.Stmt) -> None:
+    """A statement the closures leave to the tree-walker, whose
+    ``_exec_stmt`` runs it and charges it.  A GOTO it raises to one of
+    its labels jumps as a compiled one would: here, or out of the
+    directive bodies in between; a label no enclosing block holds goes
+    on up to the activation's error."""
+    nxt = len(reg.instrs) + 1
+    labels = s.targets \
+        if isinstance(s, (ast.ComputedGoto, ast.AssignedGoto)) else ()
+    jumps = {label: _resolve_label(cc, label) for label in labels}
+
+    def instr(ex, fr, ls):
+        try:
+            ex._exec_stmt(s, fr)
+        except _GotoSignal as g:
+            cell, levels = jumps.get(g.label, (None, 0))
+            if cell is None:
+                raise
+            if levels:
+                raise _CrossGoto(levels, cell) from None
+            return cell[0]
+        return nxt
+    reg.instrs.append(instr)
 
 
 def _emit_assign(cc: _Ctx, reg: _Region, s: ast.Assign) -> None:
@@ -1919,122 +1764,99 @@ def _emit_assign(cc: _Ctx, reg: _Region, s: ast.Assign) -> None:
             return nxt
         instrs.append(instr)
         return
-    if isinstance(target, ast.ArrayRef):
-        tname = target.name.upper()
-        raw = target.name
-        if any(isinstance(x, ast.RangeExpr) for x in target.subs):
-            subs_ast = target.subs
+    tname = target.name.upper()
+    raw = target.name
+    # subscripts charge after the (possibly lazily shaped) view
+    # resolves, preserving tree-walker charge order
+    sub_triples = [compile_expr(x, cc) for x in target.subs]
+    sub_evals = tuple(compiled_parts(t)[1] for t in sub_triples)
+    if len(sub_evals) == 1:
+        s0 = sub_evals[0]
+        t0 = sub_triples[0]
+        sname = _plain_scalar_var(target.subs[0], cc) \
+            if t0[1] is None and t0[2] == 1 else None
 
-            def instr(ex, fr, ls):
-                _stmt_charge(ex, amt)
-                v = veval(ex, fr)
-                view = _resolve(ex, fr, tname)
-                if isinstance(view, ScalarRef):
-                    raise InterpreterError(
-                        f"{raw} subscripted but declared scalar")
-                ex._store_region(view, subs_ast, float(v), fr)
-                return nxt
-            instrs.append(instr)
-            return
-        # subscripts charge after the (possibly lazily shaped) view
-        # resolves, preserving tree-walker charge order
-        sub_triples = [compile_expr(x, cc) for x in target.subs]
-        sub_evals = tuple(compiled_parts(t)[1] for t in sub_triples)
-        if len(sub_evals) == 1:
-            s0 = sub_evals[0]
-            t0 = sub_triples[0]
-            sname = _plain_scalar_var(target.subs[0], cc) \
-                if t0[1] is None and t0[2] == 1 else None
-
-            def instr(ex, fr, ls):
-                _stmt_charge(ex, amt)
-                v = veval(ex, fr)
-                view = fr.vars.get(tname)
-                if view is None:
-                    view = ex._local(tname, fr)
-                if isinstance(view, ScalarRef):
-                    raise InterpreterError(
-                        f"{raw} subscripted but declared scalar")
-                if sname is not None:
-                    # fused charged subscript: 0.5 for the Var node, then
-                    # the raw cell read
-                    ex.cost += 0.5
-                    sref = fr.vars.get(sname)
-                    if sref is None:
-                        sref = ex._local(sname, fr)
-                    if sref.__class__ is ScalarRef:
-                        sub = int(sref.buffer[sref.offset])
-                    else:
-                        sub = int(t0[0](ex, fr))
+        def instr(ex, fr, ls):
+            _stmt_charge(ex, amt)
+            v = veval(ex, fr)
+            view = fr.vars.get(tname)
+            if view is None:
+                view = ex._local(tname, fr)
+            if isinstance(view, ScalarRef):
+                raise InterpreterError(
+                    f"{raw} subscripted but declared scalar")
+            if sname is not None:
+                # fused charged subscript: 0.5 for the Var node, then
+                # the raw cell read
+                ex.cost += 0.5
+                sref = fr.vars.get(sname)
+                if sref is None:
+                    sref = ex._local(sname, fr)
+                if sref.__class__ is ScalarRef:
+                    sub = int(sref.buffer[sref.offset])
                 else:
-                    sub = int(s0(ex, fr))
-                if len(view.extents) != 1:
-                    view.set((sub,), float(v))
-                    return nxt
-                # inlined rank-1 set (hot path); the tree-walker's order
-                # is float(v) -> INTEGER truncation -> bounds checks
-                value = float(v)
-                if view.typename == "INTEGER":
-                    value = float(int(value))
-                lower = view.lowers[0]
-                rel = sub - lower
-                ext = view.extents[0]
-                if rel < 0 or (ext is not None and rel >= ext):
-                    raise InterpreterError(
-                        f"subscript {sub} out of bounds for dimension of "
-                        f"{view.name} ({lower}:{lower + (ext or 0) - 1})")
-                off = view.offset + rel
-                buf = view.buffer
-                if off >= len(buf):
-                    raise InterpreterError(
-                        f"reference beyond storage of {view.name}")
-                buf[off] = value
+                    sub = int(t0[0](ex, fr))
+            else:
+                sub = int(s0(ex, fr))
+            if len(view.extents) != 1:
+                view.set((sub,), float(v))
                 return nxt
-        elif len(sub_evals) == 2:
-            s0, s1 = sub_evals
+            # inlined rank-1 set (hot path); the tree-walker's order
+            # is float(v) -> INTEGER truncation -> bounds checks
+            value = float(v)
+            if view.typename == "INTEGER":
+                value = float(int(value))
+            lower = view.lowers[0]
+            rel = sub - lower
+            ext = view.extents[0]
+            if rel < 0 or (ext is not None and rel >= ext):
+                raise InterpreterError(
+                    f"subscript {sub} out of bounds for dimension of "
+                    f"{view.name} ({lower}:{lower + (ext or 0) - 1})")
+            off = view.offset + rel
+            buf = view.buffer
+            if off >= len(buf):
+                raise InterpreterError(
+                    f"reference beyond storage of {view.name}")
+            buf[off] = value
+            return nxt
+    elif len(sub_evals) == 2:
+        s0, s1 = sub_evals
 
-            def instr(ex, fr, ls):
-                _stmt_charge(ex, amt)
-                v = veval(ex, fr)
-                view = fr.vars.get(tname)
-                if view is None:
-                    view = ex._local(tname, fr)
-                if isinstance(view, ScalarRef):
-                    raise InterpreterError(
-                        f"{raw} subscripted but declared scalar")
-                sub0 = int(s0(ex, fr))
-                sub1 = int(s1(ex, fr))
-                # inlined rank-2 set: float(v), INTEGER truncation, then
-                # the bounds of each dimension and the storage
-                value = float(v)
-                if view.typename == "INTEGER":
-                    value = float(int(value))
-                off = _offset2(view, sub0, sub1)
-                if off is None:
-                    view.set((sub0, sub1), value)  # exact rank-mismatch error
-                else:
-                    view.buffer[off] = value
-                return nxt
-        else:
-            def instr(ex, fr, ls):
-                _stmt_charge(ex, amt)
-                v = veval(ex, fr)
-                view = fr.vars.get(tname)
-                if view is None:
-                    view = ex._local(tname, fr)
-                if isinstance(view, ScalarRef):
-                    raise InterpreterError(
-                        f"{raw} subscripted but declared scalar")
-                view.set([int(f(ex, fr)) for f in sub_evals], float(v))
-                return nxt
-        instrs.append(instr)
-        return
-    trepr = repr(target)
-
-    def instr(ex, fr, ls):
-        _stmt_charge(ex, amt)
-        veval(ex, fr)
-        raise InterpreterError(f"bad assignment target {trepr}")
+        def instr(ex, fr, ls):
+            _stmt_charge(ex, amt)
+            v = veval(ex, fr)
+            view = fr.vars.get(tname)
+            if view is None:
+                view = ex._local(tname, fr)
+            if isinstance(view, ScalarRef):
+                raise InterpreterError(
+                    f"{raw} subscripted but declared scalar")
+            sub0 = int(s0(ex, fr))
+            sub1 = int(s1(ex, fr))
+            # inlined rank-2 set: float(v), INTEGER truncation, then
+            # the bounds of each dimension and the storage
+            value = float(v)
+            if view.typename == "INTEGER":
+                value = float(int(value))
+            off = _offset2(view, sub0, sub1)
+            if off is None:
+                view.set((sub0, sub1), value)  # exact rank-mismatch error
+            else:
+                view.buffer[off] = value
+            return nxt
+    else:
+        def instr(ex, fr, ls):
+            _stmt_charge(ex, amt)
+            v = veval(ex, fr)
+            view = fr.vars.get(tname)
+            if view is None:
+                view = ex._local(tname, fr)
+            if isinstance(view, ScalarRef):
+                raise InterpreterError(
+                    f"{raw} subscripted but declared scalar")
+            view.set([int(f(ex, fr)) for f in sub_evals], float(v))
+            return nxt
     instrs.append(instr)
 
 
@@ -2083,8 +1905,7 @@ def _compile_bounds(loop: ast.DoLoop, cc: _Ctx):
             evals[2] if loop.step is not None else None)
 
 
-def _emit_do(cc: _Ctx, reg: _Region, s: ast.DoLoop,
-             omp_charge: bool) -> None:
+def _emit_do(cc: _Ctx, reg: _Region, s: ast.DoLoop) -> None:
     instrs = reg.instrs
     li = reg.n_loops
     reg.n_loops += 1
@@ -2144,13 +1965,7 @@ def _emit_do(cc: _Ctx, reg: _Region, s: ast.DoLoop,
 def _emit_goto(cc: _Ctx, reg: _Region, s: ast.Goto) -> None:
     instrs = reg.instrs
     target = s.target
-    cell = None
-    levels = 0
-    for labels, depth in reversed(cc.scopes):
-        if target in labels:
-            cell = labels[target]
-            levels = cc.omp_depth - depth
-            break
+    cell, levels = _resolve_label(cc, target)
     if cell is None:
         def instr(ex, fr, ls):
             _stmt_charge(ex, 1.0)
@@ -2175,117 +1990,6 @@ def _resolve_label(cc: _Ctx, target: int):
     return None, 0
 
 
-def _emit_computed_goto(cc: _Ctx, reg: _Region, s: ast.ComputedGoto) -> None:
-    instrs = reg.instrs
-    nxt = len(instrs) + 1
-    pure, charged, count = compile_expr(s.index, cc)
-    if charged is None:
-        amt = 1.0 + 0.5 * count
-        ieval = pure
-    else:
-        amt = 1.0
-        ieval = charged
-    resolved = tuple(
-        (target,) + _resolve_label(cc, target) for target in s.targets)
-    n = len(resolved)
-
-    def instr(ex, fr, ls):
-        _stmt_charge(ex, amt)
-        idx = int(ieval(ex, fr))
-        # F77 semantics: an index outside 1..n falls through
-        if not 1 <= idx <= n:
-            return nxt
-        target, cell, levels = resolved[idx - 1]
-        if cell is None:
-            raise _GotoSignal(target)
-        if levels:
-            raise _CrossGoto(levels, cell)
-        return cell[0]
-    instrs.append(instr)
-
-
-def _emit_label_assign(cc: _Ctx, reg: _Region, s: ast.LabelAssign) -> None:
-    instrs = reg.instrs
-    nxt = len(instrs) + 1
-    vname = s.var.upper()
-    value = float(s.target_label)
-
-    def instr(ex, fr, ls):
-        _stmt_charge(ex, 1.0)
-        ref = fr.vars.get(vname)
-        if ref is None:
-            ref = ex._local(vname, fr)
-        if not isinstance(ref, ScalarRef):
-            raise InterpreterError(f"ASSIGN target {s.var} is an array")
-        ref.set(value)
-        return nxt
-    instrs.append(instr)
-
-
-def _emit_assigned_goto(cc: _Ctx, reg: _Region, s: ast.AssignedGoto) -> None:
-    instrs = reg.instrs
-    if not s.targets:
-        def instr(ex, fr, ls):
-            _stmt_charge(ex, 1.0)
-            raise InterpreterError(
-                "assigned GOTO without a label list is not executable")
-        instrs.append(instr)
-        return
-    pure, charged, count = compile_expr(ast.Var(s.var), cc)
-    if charged is None:
-        amt = 1.0 + 0.5 * count
-        veval = pure
-    else:
-        amt = 1.0
-        veval = charged
-    targets = s.targets
-    resolved = {
-        target: _resolve_label(cc, target) for target in targets}
-
-    def instr(ex, fr, ls):
-        _stmt_charge(ex, amt)
-        idx = int(veval(ex, fr))
-        if idx not in resolved:
-            raise InterpreterError(
-                f"assigned GOTO label {idx} not in its label list")
-        cell, levels = resolved[idx]
-        if cell is None:
-            raise _GotoSignal(idx)
-        if levels:
-            raise _CrossGoto(levels, cell)
-        return cell[0]
-    instrs.append(instr)
-
-
-def _emit_io(cc: _Ctx, reg: _Region, s: ast.IoStmt) -> None:
-    instrs = reg.instrs
-    nxt = len(instrs) + 1
-    if s.kind == "READ":
-        items = s.items
-
-        def instr(ex, fr, ls):
-            _stmt_charge(ex, 1.0)
-            for item in items:
-                if not ex.inputs:
-                    raise InterpreterError("READ beyond provided input")
-                ex._store(item, ex.inputs.pop(0), fr)
-            return nxt
-        instrs.append(instr)
-        return
-    fold, evals = _seq_fold([compile_expr(item, cc) for item in s.items])
-    amt = 1.0 + fold
-
-    def instr(ex, fr, ls):
-        _stmt_charge(ex, amt)
-        parts = []
-        for f in evals:
-            v = f(ex, fr)
-            parts.append(v if isinstance(v, str) else str(v))
-        ex.output.append(" ".join(parts))
-        return nxt
-    instrs.append(instr)
-
-
 def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
     instrs = reg.instrs
     nxt = len(instrs) + 1
@@ -2299,8 +2003,7 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
     cc.omp_depth += 1
     _compile_block(cc, sub, loop.body)
     cc.omp_depth -= 1
-    binstrs, bn_loops = sub.packed()
-    n_bi = len(binstrs)
+    body = sub.packed()
 
     def instr(ex, fr, ls):
         _stmt_charge(ex, amt)
@@ -2313,62 +2016,27 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
         var = fr.vars.get(vname)
         if var is None:
             var = ex._local(vname, fr)
-        # no ScalarRef check here: the tree-walker omits it for the
-        # parallel path (an array DO variable fails in var.set instead)
+        # before the kernel, which refuses to run without every local it
+        # touches: this may create the private ones
         slices = ex._private_storage(private_names, fr)
-        saved = [(buf, off, buf[off:off + size].copy())
-                 for buf, off, size in slices]
-        scalar_var = var.__class__ is ScalarRef
-        if kernel is not None and trips >= _VEC_MIN_TRIPS and scalar_var \
+        # no ScalarRef check for the schedule: the tree-walker omits it
+        # for the parallel path (an array DO variable fails in var.set)
+        if kernel is not None and trips >= _VEC_MIN_TRIPS \
+                and var.__class__ is ScalarRef \
                 and kernel(ex, fr, var, trips, start, step):
             # in program order the kernel is the loop, and has recorded
             # this region and the regions inside it.  Any other schedule,
             # and a kernel that refused (having changed nothing), runs
-            # iteration by iteration below
+            # iteration by iteration
             return nxt
-        order = range(trips)
-        if ex.order == ORDER_PERMUTED and trips > 1:
-            order = list(reversed(range(trips - 1))) + [trips - 1]
-        iteration_costs: List[float] = []
-        ic_append = iteration_costs.append
-        last = trips - 1
-        # inlined ScalarRef.set + run_region for the per-iteration path;
-        # non-ScalarRef DO variables keep the generic set() (same error)
-        if scalar_var:
-            vbuf, voff = var.buffer, var.offset
-            vint = var.typename == "INTEGER"
-        else:
-            vbuf = None
-        ex._regions.enter(site, iteration_costs)
-        completed = False
         try:
-            for k in order:
-                if k == last:
-                    for buf, off, data in saved:
-                        buf[off:off + len(data)] = data
-                else:
-                    for buf, off, size in slices:
-                        buf[off:off + size] = 0.0
-                v = start + k * step
-                if vbuf is not None:
-                    vbuf[voff] = float(int(v)) if vint else v
-                else:
-                    var.set(v)
-                before = ex.cost
-                bls = [None] * bn_loops if bn_loops else None
-                pc = 0
-                while pc < n_bi:
-                    pc = binstrs[pc](ex, fr, bls)
-                ic_append(ex.cost - before)
-            var.set(start + trips * step)
-            completed = True
+            ex._omp_iterations(site, slices, var, start, step, trips,
+                               lambda: run_region(ex, body, fr))
         except _CrossGoto as cg:
             if cg.levels <= 1:
                 return cg.cell[0]
             cg.levels -= 1
             raise
-        finally:
-            ex._regions.leave(completed)
         return nxt
     instrs.append(instr)
 
@@ -2381,10 +2049,11 @@ class CompiledInterpreter(Interpreter):
     """Drop-in :class:`Interpreter` executing compiled closure templates.
 
     Frame construction, COMMON allocation, DATA statements, argument
-    binding, calls and the cost model are the tree-walker's; only
-    statement dispatch and expression evaluation are compiled
-    (:meth:`_run_body`).  Templates are cached process-wide per unit
-    content hash, so constructing many interpreters over the same
+    binding, calls, the directive schedule and the cost model are the
+    tree-walker's, and so is every statement and expression the closures
+    leave cold; only the strict core and the hot statements are
+    compiled (:meth:`_run_body`).  Templates are cached process-wide per
+    unit content hash, so constructing many interpreters over the same
     program only lowers each unit once.
     """
 

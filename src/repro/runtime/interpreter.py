@@ -31,7 +31,7 @@ any set of disabled directives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -601,26 +601,35 @@ class Interpreter:
             raise InterpreterError("DO step is zero")
         trips = max(0, int((stop - start + step) // step))
         var = self._local(loop.var, frame)
-
         private_slices = self._private_storage(s.private, frame)
+        if self._sites is None:
+            self._sites = number_omp_sites(self.program)
+        self._omp_iterations(self._sites[id(s)], private_slices, var, start,
+                             step, trips,
+                             lambda: self._exec_block(loop.body, frame))
+
+    def _omp_iterations(self, site: Site, private_slices, var: ScalarRef,
+                        start: float, step: float, trips: int,
+                        body: Callable[[], None]) -> None:
+        """The schedule of an honoured directive's loop, for both
+        backends: ``trips`` iterations recorded as one region at
+        ``site``, each run by ``body()`` and costing what it charged.
+        Every iteration but the last gets its ``private_slices`` zeroed;
+        the last is peeled onto the storage as the loop found it, and
+        runs last in time under the permuted order too."""
         saved = [(buf, off, buf[off:off + size].copy())
                  for buf, off, size in private_slices]
-
         order = list(range(trips))
         if self.order == ORDER_PERMUTED and trips > 1:
             # any order is legal for an independent loop, but the peeled
             # (original-storage) iteration must still run last in time
             order = list(reversed(range(trips - 1))) + [trips - 1]
-
-        if self._sites is None:
-            self._sites = number_omp_sites(self.program)
         iteration_costs: List[float] = []
-        self._regions.enter(self._sites[id(s)], iteration_costs)
+        self._regions.enter(site, iteration_costs)
         completed = False
         try:
-            for pos, k in enumerate(order):
-                is_peeled = (k == trips - 1)
-                if is_peeled:
+            for k in order:
+                if k == trips - 1:
                     for (buf, off, data) in saved:
                         buf[off:off + len(data)] = data
                 else:
@@ -628,7 +637,7 @@ class Interpreter:
                         buf[off:off + size] = 0.0
                 var.set(start + k * step)
                 before = self.cost
-                self._exec_block(loop.body, frame)
+                body()
                 iteration_costs.append(self.cost - before)
             var.set(start + trips * step)
             completed = True

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InterpreterError
+from repro.fortran import ast
 from repro.perfect import all_benchmarks, get_benchmark
 from repro.program import Program
 from repro.runtime import compiler
@@ -2358,3 +2359,233 @@ def test_private_arrays_agree_with_the_tree(outer, inner, read, saved,
         "DO 42 J = 1, 9", f"DO 42 J = {inner}").replace(
         "ROW(3) = -7.0", f"ROW(3) = {saved}")
     _equiv(src)
+
+
+# ---------------------------------------------------------------------------
+# what the closures leave to the tree-walker: every case through all three
+# modes on both backends, regions included
+# ---------------------------------------------------------------------------
+
+#: a COMMON counter FUNCTION NF bumps, so a skipped or repeated call shows
+COUNTING = ("      INTEGER FUNCTION NF(N)",
+            "      COMMON /C/ CALLS",
+            "      CALLS = CALLS + 1",
+            "      NF = N",
+            "      END")
+
+
+def _exit_from(jump, nested=False):
+    """A directive loop whose iteration ``I = 7, J = 2`` leaves it by
+    ``jump`` for label 20 after the loops (``K`` holds 2 there, and ``L``
+    label 20), out of a second directive loop over ``J`` when
+    ``nested``."""
+    inner = [omp("PRIVATE(I,K,L)"),
+             "      DO 10 I = 1, 12",
+             "        K = 1",
+             "        ASSIGN 10 TO L",
+             "        IF (I*J .EQ. 14) THEN",
+             "          K = 2",
+             "          ASSIGN 20 TO L",
+             "        END IF",
+             "        A(I) = A(I) + I*0.5 + J",
+             f"        {jump}",
+             "   10 CONTINUE",
+             END]
+    if nested:
+        inner = [omp("PRIVATE(J)"), "      DO 30 J = 1, 3", *inner,
+                 "   30 CONTINUE", END]
+    else:
+        inner = ["      J = 2", *inner]
+    return source("      PROGRAM P",
+                  "      COMMON /D/ A(12), N",
+                  *inner,
+                  "   20 N = I*100 + J",
+                  "      WRITE(*,*) A(6), A(7), A(8), N",
+                  "      END")
+
+
+def _lazily_shaped(src):
+    """``src`` with every dimension ``NF(...)`` a FUNCTION reference.  The
+    frontend resolves calls in executable statements only, so it leaves
+    a declaration's ``NF(12)`` an array reference (the walk then fails
+    on it); this is the AST a call in a dimension would give."""
+    program = _program(src)
+    for decl in program.main.decls:
+        for entity in getattr(decl, "entities", ()):
+            for dim in entity.dims or ():
+                if isinstance(dim.upper, ast.ArrayRef):
+                    dim.upper = ast.FuncRef(dim.upper.name, dim.upper.subs)
+    return program
+
+
+class TestWalkedCode:
+    """Cold statements run on ``Interpreter._exec_stmt`` and non-strict
+    expressions on ``Interpreter._eval``: the compiled backend must
+    agree with the tree-walker on all of them — charges, the jumps a
+    walked GOTO takes out of directive bodies, errors and STOP."""
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["one", "two"])
+    @pytest.mark.parametrize("jump", ["GOTO (10, 20), K", "GOTO L, (10, 20)"],
+                             ids=["computed", "assigned"])
+    def test_goto_leaves_directive_bodies(self, jump, nested):
+        src = _exit_from(jump, nested)
+        # bounded first: a jump taken in the wrong region may never end
+        result = CompiledInterpreter(_program(src), max_steps=5_000).run()
+        assert result.output[0].split()[-1] == "702.0"
+        _equiv(src)
+
+    def test_goto_to_a_label_of_an_enclosing_block(self):
+        _equiv(source(
+            "      PROGRAM P",
+            "      COMMON /D/ A(6), N",
+            omp("PRIVATE(I,K)"),
+            "      DO 10 I = 1, 6",
+            "        K = MOD(I, 3) + 1",
+            "        IF (K .GT. 1) THEN",
+            "          GOTO (10, 5, 10), K",
+            "        END IF",
+            "        A(I) = -1.0",
+            "    5   A(I) = A(I) + I",
+            "   10 CONTINUE",
+            END,
+            "      N = I",
+            "      END"))
+
+    def test_goto_to_a_missing_label_fails_alike(self):
+        src = source("      PROGRAM P",
+                     "      K = 2",
+                     "      GOTO (10, 99), K",
+                     "   10 CONTINUE",
+                     "      END")
+        _equiv(src)
+        with pytest.raises(InterpreterError, match="GOTO 99 has no target"):
+            CompiledInterpreter(_program(src)).run()
+
+    def test_assign_to_an_array_fails_alike(self):
+        src = source("      PROGRAM P",
+                     "      DIMENSION L(3)",
+                     "      ASSIGN 10 TO L",
+                     "   10 CONTINUE",
+                     "      END")
+        _equiv(src)
+        with pytest.raises(InterpreterError, match="ASSIGN target L"):
+            CompiledInterpreter(_program(src)).run()
+
+    def test_read_beyond_the_input_fails_alike(self):
+        src = source("      PROGRAM P",
+                     "      COMMON /D/ X, Y",
+                     "      READ(*,*) X",
+                     "      READ(*,*) Y",
+                     "      END")
+        _equiv(src, inputs=[2.5])
+        with pytest.raises(InterpreterError, match="READ beyond"):
+            CompiledInterpreter(_program(src), inputs=[2.5]).run()
+
+    def test_print_with_a_function_item(self):
+        src = source("      PROGRAM P",
+                     "      COMMON /C/ CALLS",
+                     omp("PRIVATE(I)"),
+                     "      DO 10 I = 1, 3",
+                     "        PRINT *, I, NF(I*2), CALLS",
+                     "   10 CONTINUE",
+                     END,
+                     "      END",
+                     *COUNTING)
+        _equiv(src)
+        assert CompiledInterpreter(_program(src)).run().output == [
+            "1.0 2.0 1.0", "2.0 4.0 2.0", "3.0 6.0 3.0"]
+
+    def test_stop_in_a_function_an_and_condition_calls(self):
+        src = source("      PROGRAM P",
+                     "      COMMON /D/ A(8)",
+                     omp("PRIVATE(I)"),
+                     "      DO 10 I = 1, 8",
+                     "        A(I) = I",
+                     "        IF (I .GT. 2 .AND. HALT(A(I)) .GT. 0.0) THEN",
+                     "          A(I) = 0.0",
+                     "        END IF",
+                     "   10 CONTINUE",
+                     END,
+                     "      END",
+                     "      REAL FUNCTION HALT(X)",
+                     "      IF (X .GT. 4.0) THEN",
+                     "        STOP 'HALTED'",
+                     "      END IF",
+                     "      HALT = X",
+                     "      END")
+        _equiv(src)
+        result = CompiledInterpreter(_program(src)).run()
+        assert result.stop_message == "HALTED"
+        assert result.cost == Interpreter(_program(src)).run().cost
+
+    @pytest.mark.parametrize("cond,calls", [
+        ("X .LT. 0.0 .AND. NF(1) .GT. 0", 0),
+        ("X .GT. 0.0 .AND. NF(1) .GT. 0", 1),
+        ("X .GT. 0.0 .OR. NF(1) .GT. 0", 0),
+        ("X .LT. 0.0 .OR. NF(1) .GT. 0", 1)])
+    def test_short_circuits_skip_a_function(self, cond, calls):
+        src = source("      PROGRAM P",
+                     "      COMMON /C/ CALLS",
+                     "      COMMON /D/ X, Y",
+                     "      X = 1.0",
+                     f"      IF ({cond}) THEN",
+                     "        Y = 1.0",
+                     "      END IF",
+                     "      Y = Y + CALLS",
+                     "      END",
+                     *COUNTING)
+        _equiv(src)
+        result = CompiledInterpreter(_program(src)).run()
+        assert result.commons["C"][0] == calls
+
+    def test_function_in_a_do_bound_and_a_store_subscript(self):
+        _equiv(source("      PROGRAM P",
+                      "      COMMON /C/ CALLS",
+                      "      COMMON /D/ A(12)",
+                      omp("PRIVATE(I)"),
+                      "      DO 10 I = 1, NF(6)",
+                      "        A(NF(I) + 6) = I*0.5",
+                      "        A(I) = A(NF(I) + 6) + CALLS",
+                      "   10 CONTINUE",
+                      END,
+                      "      END",
+                      *COUNTING))
+
+    def test_lazily_shaped_array_in_a_kernel_loop(self):
+        # W(I) is walked (its shape calls NF); the kernel takes the loop
+        # anyway and charges its statement by the walked count
+        src = source("      PROGRAM P",
+                     "      COMMON /D/ B(12)",
+                     "      DIMENSION W(NF(12))",
+                     "      W(1) = 1.0",
+                     "      DO 10 I = 1, 12",
+                     "        B(I) = W(I) + 1.0",
+                     "   10 CONTINUE",
+                     "      END",
+                     *COUNTING)
+        value = ast.BinOp("+", ast.ArrayRef("W", [ast.Var("I")]),
+                          ast.RealLit(1.0))
+        cc = compiler._Ctx(_lazily_shaped(src).main, True)
+        assert compiler.compile_expr(value, cc)[::2] == (None, 4)
+        divergence = backend_equivalence(_lazily_shaped(src))
+        assert divergence is None, divergence
+        interp = CompiledInterpreter(_lazily_shaped(src))
+        interp.run()
+        assert (interp.kernel_launches, interp.kernel_steps) == (1, 24)
+
+    def test_private_created_by_the_directive_still_launches(self):
+        # T is first touched by the directive's privatisation, which the
+        # kernel needs done before it runs
+        src = source("      PROGRAM P",
+                     "      COMMON /D/ A(12), B(12)",
+                     *FILL_A,
+                     omp("PRIVATE(I,T)"),
+                     "      DO 10 I = 1, 12",
+                     "        T = A(I)*2",
+                     "        B(I) = T",
+                     "   10 CONTINUE",
+                     END,
+                     "      END")
+        _equiv(src)
+        interp = _compiled(src)[0]
+        assert (interp.kernel_launches, interp.kernel_bails) == (2, 0)

@@ -219,3 +219,84 @@ def test_figure20_speedups_quoted_in_experiments_md_match_the_artefact():
         result, _off = decide(run_config(benchmark, Config(config)).program,
                               INTEL_MAC, benchmark.inputs)
         assert rounds_to(number, result.untuned_speedup), (bench, number)
+
+
+def docstring_references():
+    """``(file, reference)`` pairs: the dotted ``repro.…`` names in the
+    module, class and function docstrings under ``src/repro``."""
+    found = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "repro", "**", "*.py"),
+                          recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                found.update(
+                    (os.path.relpath(path, ROOT), ref) for ref in re.findall(
+                        r"\brepro(?:\.\w+)+",
+                        ast.get_docstring(node, clean=False) or ""))
+    return sorted(found)
+
+
+def module_file(dotted):
+    """The ``src/`` file of module ``dotted``, or None."""
+    base = os.path.join(ROOT, "src", *dotted.split("."))
+    for module in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(module):
+            return module
+    return None
+
+
+def resolves_in(module, dotted, names):
+    """Is ``names`` a chain of definitions in ``module`` (a file of the
+    module named ``dotted``): a function, class, assignment or annotated
+    field, each inside the last — or a name the module imports, followed
+    to where it is defined?"""
+    with open(module, encoding="utf-8") as fh:
+        body = ast.parse(fh.read()).body
+    package = dotted if module.endswith("__init__.py") \
+        else dotted.rpartition(".")[0]
+    for k, name in enumerate(names):
+        found = None
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and node.name == name:
+                found = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and name in {
+                    t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target])
+                    if isinstance(t, ast.Name)}:
+                found = node
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        source = [node.module] if node.module else []
+                        if node.level:  # relative to this package
+                            parts = package.split(".")
+                            source = parts[:len(parts) - node.level + 1] \
+                                + source
+                        return resolves(".".join(
+                            source + [alias.name] + names[k + 1:]))
+        if found is None:
+            return False
+        body = getattr(found, "body", [])
+    return True
+
+
+def resolves(ref):
+    """``repro.pkg.module[.name...]`` resolves when its longest module
+    prefix is a file of ``src/`` and the names after it are defined
+    there (:func:`resolves_in`)."""
+    parts = ref.split(".")
+    for k in range(len(parts), 0, -1):
+        module = module_file(".".join(parts[:k]))
+        if module is not None:
+            return resolves_in(module, ".".join(parts[:k]), parts[k:])
+    return False
+
+
+def test_every_repro_reference_in_a_docstring_resolves():
+    refs = docstring_references()
+    assert len(refs) >= 150  # the walk still reads the docstrings
+    assert [(path, ref) for path, ref in refs if not resolves(ref)] == []
