@@ -34,8 +34,18 @@ from repro.perfect import all_benchmarks  # noqa: E402
 from repro.runtime import compiler  # noqa: E402
 from repro.runtime.interpreter import Interpreter  # noqa: E402
 
-WALKERS = {Interpreter._exec_stmt.__code__: "_emit_walked.<locals>.instr",
-           Interpreter._eval.__code__: "_walked.<locals>.charged"}
+
+
+def nested(function, name):
+    """The code of the function ``name`` defined inside ``function``."""
+    return next(c for c in function.__code__.co_consts
+                if getattr(c, "co_name", None) == name)
+
+
+#: the tree-walker's entry points -> the compiled code that hands it work
+WALKERS = {Interpreter._exec_stmt.__code__: nested(compiler._emit_walked,
+                                                    "instr"),
+           Interpreter._eval.__code__: nested(compiler._walked, "charged")}
 
 
 def kind(node) -> str:
@@ -55,12 +65,9 @@ def trace_pass(cells):
         code = frame.f_code
         if code.co_filename == compiler.__file__:
             closures[code] += 1
-        elif code in WALKERS:
-            caller = frame.f_back.f_code
-            if caller.co_filename == compiler.__file__ \
-                    and caller.co_qualname == WALKERS[code]:
-                node = frame.f_locals["s" if "s" in frame.f_locals else "e"]
-                walked[kind(node)] += 1
+        elif code in WALKERS and frame.f_back.f_code is WALKERS[code]:
+            node = frame.f_locals["s" if "s" in frame.f_locals else "e"]
+            walked[kind(node)] += 1
 
     clear_pipeline_cache()
     compiler.clear_compile_cache()
@@ -82,8 +89,8 @@ def main() -> int:
     print("compiled code, calls in one pass:")
     for code, calls in sorted(closures.items(),
                               key=lambda kv: (-kv[1], kv[0].co_firstlineno)):
-        print(f"  {calls:>9,}  {code.co_qualname} (line "
-              f"{code.co_firstlineno})")
+        name = getattr(code, "co_qualname", code.co_name)  # 3.11+
+        print(f"  {calls:>9,}  {name} (line {code.co_firstlineno})")
     print("walked by the tree-walker, roots in one pass:")
     for name, calls in walked.most_common():
         print(f"  {calls:>9,}  {name}")
