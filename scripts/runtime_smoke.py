@@ -166,9 +166,8 @@ SHAPES = {
 #: region store, PRINT and STOP, and the expressions a user FUNCTION
 #: reference, an intrinsic and a unary minus over one, .AND., .OR., a
 #: region read, a division only the run can type (in TYPED, never
-#: executed) and a lazily shaped array's element, W(I).  The frontend
-#: leaves a declaration's NF(8) an array reference: main() makes it the
-#: FUNCTION reference that shapes W at its first touch
+#: executed) and a lazily shaped array's element, W(I): the declaration's
+#: NF(8) is the FUNCTION reference that shapes W at its first touch
 WALKED = "\n".join([
     "      PROGRAM WALKED",
     "      COMMON /C/ CALLS",
@@ -397,13 +396,7 @@ def main(argv=None) -> int:
             label, *seen) + " (expected {}, {})".format(*expected))
 
     # 10. the statements and expressions the closures leave cold
-    from repro.fortran import ast
     program = Program.from_sources({"walked.f": WALKED}, "walked")
-    for decl in program.main.decls:
-        for entity in getattr(decl, "entities", ()):
-            for dim in entity.dims or ():
-                if isinstance(dim.upper, ast.ArrayRef):
-                    dim.upper = ast.FuncRef(dim.upper.name, dim.upper.subs)
     divergence = backend_equivalence(program, [2.5, 3.0])
     check(divergence is None, "walked statements and expressions: "
           "backend_equivalence" + (f" — {divergence}" if divergence else ""))

@@ -169,7 +169,9 @@ def resolve_calls(source: ast.SourceFile,
                   extra_functions: Optional[Set[str]] = None,
                   units: Optional[Collection[str]] = None) -> ast.SourceFile:
     """Rewrite ``NAME(args)`` references into :class:`FuncRef` in place,
-    in every unit or only in the named ``units``.
+    in every unit or only in the named ``units``: in its executable
+    statements and in the dimension bounds of its DIMENSION, type and
+    COMMON declarations.
 
     A parenthesized name reference is a function call exactly when the name
     is not a declared array in the enclosing unit and is either an
@@ -200,6 +202,15 @@ def resolve_calls(source: ast.SourceFile,
             return None
 
         unit.body = ast.map_stmt_exprs(unit.body, rewrite)
+        # a dimension bound may call a FUNCTION too (``DIMENSION W(NF(12))``)
+        for decl in unit.decls:
+            if isinstance(decl, (ast.DimensionDecl, ast.TypeDecl,
+                                 ast.CommonDecl)):
+                for entity in decl.entities:
+                    for dim in entity.dims or ():
+                        dim.lower = ast.map_expr(dim.lower, rewrite)
+                        if dim.upper is not None:
+                            dim.upper = ast.map_expr(dim.upper, rewrite)
     return source
 
 

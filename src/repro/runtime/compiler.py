@@ -92,7 +92,8 @@ class _VectorBail(Exception):
 # ---------------------------------------------------------------------------
 
 _CACHE_LIMIT = 512
-_TEMPLATE_CACHE: "OrderedDict[tuple, _UnitTemplate]" = OrderedDict()
+#: (unit digest, honour directives) -> the unit's region: its template
+_TEMPLATE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
 _metrics = None
@@ -131,7 +132,7 @@ def _unit_digest(unit: ast.ProgramUnit) -> bytes:
                            digest_size=16).digest()
 
 
-def _template_for(unit: ast.ProgramUnit, honor: bool) -> "_UnitTemplate":
+def _template_for(unit: ast.ProgramUnit, honor: bool) -> tuple:
     key = (_unit_digest(unit), honor)
     tmpl = _TEMPLATE_CACHE.get(key)
     metrics = _get_metrics()
@@ -227,6 +228,9 @@ def _dims_may_call(info) -> bool:
     return False
 
 
+_LITERALS = (ast.IntLit, ast.RealLit, ast.LogicalLit, ast.StringLit)
+
+
 class _Ctx:
     """Per-unit compilation context."""
 
@@ -242,6 +246,20 @@ class _Ctx:
         #: directive identity -> its site, as the recorder names it
         self.omp_site = {id(s): (unit.name, i)
                          for i, s in enumerate(collect_omp_sites(unit.body))}
+        #: lowering key -> (the node, kept alive so its id stays its
+        #: own, and its compile_expr triple)
+        self.lowered: Dict[object, tuple] = {}
+
+    def lower(self, e: ast.Expr):
+        """``compile_expr(e, self)`` once per node (variable: per name;
+        literal: per value): it reads only the node, table and params."""
+        cls = e.__class__
+        key = e.name if cls is ast.Var else \
+            (cls, repr(e.value)) if cls in _LITERALS else id(e)
+        hit = self.lowered.get(key)
+        if hit is None:
+            hit = self.lowered[key] = (e, compile_expr(e, self))
+        return hit[1]
 
     def lazy_call_risk(self, name: str) -> bool:
         info = self.table.variables.get(name.upper())
@@ -344,7 +362,7 @@ def _compile_arrayref(e: ast.ArrayRef, cc: _Ctx):
     if cc.lazy_call_risk(name) \
             or any(isinstance(x, ast.RangeExpr) for x in e.subs):
         return _walked(e)
-    sub_triples = [compile_expr(x, cc) for x in e.subs]
+    sub_triples = [cc.lower(x) for x in e.subs]
     if any(t[1] is not None for t in sub_triples):
         return _walked(e)
     count = 1 + sum(t[2] for t in sub_triples)
@@ -467,7 +485,7 @@ def _compile_funcref(e: ast.FuncRef, cc: _Ctx):
     if not is_intrinsic(e.name):
         return _walked(e)  # a user FUNCTION: the tree-walker's _call
     iname = e.name
-    arg_triples = [compile_expr(a, cc) for a in e.args]
+    arg_triples = [cc.lower(a) for a in e.args]
     if any(t[1] is not None for t in arg_triples):
         return _walked(e)
     arg_pures = tuple(t[0] for t in arg_triples)
@@ -484,7 +502,7 @@ _UNARY = {"-": lambda v: -v,
 
 def _compile_unop(e: ast.UnOp, cc: _Ctx):
     fn = _UNARY.get(e.op)
-    pure, charged, count = compile_expr(e.operand, cc)
+    pure, charged, count = cc.lower(e.operand)
     if fn is None or charged is not None:
         return _walked(e)
 
@@ -553,8 +571,8 @@ def _compile_binop(e: ast.BinOp, cc: _Ctx):
     kern = _op_kernel(e, cc)
     if kern is None:
         return _walked(e)
-    lt = compile_expr(e.left, cc)
-    rt = compile_expr(e.right, cc)
+    lt = cc.lower(e.left)
+    rt = cc.lower(e.right)
     if lt[1] is not None or rt[1] is not None:
         return _walked(e)
     lp, rp = lt[0], rt[0]
@@ -609,38 +627,28 @@ def _compile_binop(e: ast.BinOp, cc: _Ctx):
 # An eligible nest — bodies of assignments, CONTINUE and loops (plain or
 # under an honoured directive) whose bounds nothing in the nest changes,
 # array targets, subscripts affine in the DO variables in scope — lowers
-# to one gather/compute/scatter kernel with one *axis* per loop; a lone
-# inner loop is the nest of depth one.  A value at depth d has shape
-# (trips_d, ..., trips_0), innermost axis first: what an enclosing body
-# computed broadcasts into the bodies inside it, a loop's own axis is
-# axis 0, and Fortran order is program order.  One rule admits operands:
-# a subtree is *invariant* when it mentions neither a DO variable of the
-# nest nor a scalar the nest assigns and compile_expr gives it a pure
-# closure; that closure — the scalar path's own meaning of every
-# operator, intrinsic and array element — evaluates it once per launch
-# (_vec_once).  Only what varies with a loop needs a vector arm.  A
-# scalar is read from the temporary of the statement that wrote it
-# earlier in the same body, or in an enclosing body when no body in
-# between assigns it; when a loop closes, what it wrote collapses to its
-# last element along that loop's axis.  An array store must move on every
-# enclosing axis by strides no two iterations can share (_vec_injective):
-# that makes the deferred scatter, and a read under the same key,
-# element-wise; a key names the loops its subscripts mention, so sibling
-# loops over one variable never share a temporary.  The kernel is
-# *speculative*: it computes everything into temporaries and validates
-# every hazard (bounds at the corners of the rectangle, aliasing —
-# hoisted reads included —, division by zero, non-integral subscripts,
-# ...) before mutating any state but the inner DO variables' cells, which
-# hoisted subscripts read and a refusal restores; any doubt, and any
-# exception at all, refuses and the scalar instruction path replays the
-# loop with exact tree-walker semantics, including whatever error the
-# tree-walker would have raised, at the same program state.  A launch
-# that steps a carried inner loop (_vec_steps) stores as it goes and
-# puts the saved stored ranges back when it refuses; the root's private
-# arrays live in a copy per lane (_vec_lane) until the commit.  The
-# committed charge is trips * (what the tree-walker charges per
-# iteration, inner headers and iterations included) — bit-exact, because
-# all charges are multiples of 0.5 — and a committed nest records the
+# to one gather/compute/scatter kernel with one *axis* per loop.  A value
+# at depth d has shape (trips_d, ..., trips_0), innermost axis first, so
+# what an enclosing body computed broadcasts into the bodies inside it.
+# A subtree that mentions neither a DO variable of the nest nor a scalar
+# it assigns, and has a pure closure, is evaluated once per launch by
+# that closure (_vec_once); only what varies needs a vector arm.  A
+# scalar is read from the temporary of the statement that wrote it; when
+# a loop closes, what it wrote collapses to its last element.  An array
+# store must be injective over the rectangle (_vec_injective), so the
+# deferred scatter and a read under the same key are element-wise; a key
+# names the loops its subscripts mention.  A subscript's base at the
+# first iteration folds from its affine form when lowered (_vec_base).
+# The kernel is *speculative*: it validates every hazard (bounds at the
+# corners of the rectangle, aliasing — hoisted reads included —, division
+# by zero, ...) before mutating any state but the inner DO variables'
+# cells, which a refusal restores; any doubt, and any exception at all,
+# refuses, and the scalar path replays the loop with exact tree-walker
+# semantics.  A stepped launch (_vec_steps) stores as it goes and puts
+# the saved ranges back when it refuses; the root's private arrays live
+# in a copy per lane (_vec_lane) until the commit.  The committed charge
+# is trips * (what the walk charges per iteration) — bit-exact, all
+# charges being multiples of 0.5 — and a committed nest records the
 # region executions the walk would have (_vec_replay).
 # ---------------------------------------------------------------------------
 
@@ -650,6 +658,8 @@ _VEC_SQRT = {"SQRT", "DSQRT"}
 _VEC_MAX = {"MAX", "AMAX1", "DMAX1"}
 _VEC_MIN = {"MIN", "AMIN1", "DMIN1"}
 _TWO53 = float(2 ** 53)
+#: a launch's DO variables stay below this: a folded base is then exact
+_VEC_AXIS_LIMIT = float(2 ** 32)
 #: cells one private array's lane copies may hold in one launch (8 MiB)
 _VEC_LANE_CELLS = 1 << 20
 
@@ -661,7 +671,8 @@ class _VecLoop:
     the nesting depth, ``site`` the honoured directive's site."""
 
     __slots__ = ("k", "level", "var", "site", "bounds", "plans", "fixed",
-                 "n_stmts", "assigned", "written", "first", "sited")
+                 "n_stmts", "assigned", "written", "first", "sited",
+                 "valued")
 
     def __init__(self, k, level, var, site, assigned):
         self.k, self.level, self.var, self.site = k, level, var, site
@@ -673,18 +684,18 @@ class _VecLoop:
         self.written: set = set()   # ... by the statements lowered so far
         self.first: Dict[str, str] = {}   # scalar -> kind of its first write
         self.sited: List["_VecLoop"] = []  # inner loops with regions to record
+        self.valued = False         # does an arm read the DO variable's values
 
 
 class _KernelCtx:
     __slots__ = ("ex", "fr", "axes", "charge", "temps", "reads", "writes",
-                 "pending", "saved", "once", "lanes", "rows", "step",
-                 "backup")
+                 "pending", "saved", "once", "lanes", "rows", "step")
 
     def __init__(self, ex, fr):
         self.ex = ex
         self.fr = fr
-        #: loop number -> (trips, integer step, its arange shaped to
-        #: broadcast on its axis, the DO variable's values likewise)
+        #: loop number -> (trips, integer step, its shared arange and DO
+        #: values, when read, shaped for its axis, integer first value)
         self.axes: Dict[int, tuple] = {}
         #: loop number -> (cost, steps) one iteration of it charges
         self.charge: Dict[int, tuple] = {}
@@ -692,7 +703,8 @@ class _KernelCtx:
         self.reads: List[tuple] = []
         self.writes: List[tuple] = []
         self.pending: List[tuple] = []
-        #: DO-variable cells as the launch found them, for a refusal
+        #: DO-variable cells as the launch found them, then a stepped
+        #: launch's stored ranges before its first step: for a refusal
         self.saved: List[tuple] = []
         #: hoisted evaluator -> its value, once per launch
         self.once: Dict[Callable, float] = {}
@@ -700,11 +712,9 @@ class _KernelCtx:
         #: the root axis, viewed with the array's shape; the row size)
         self.lanes: Dict[str, tuple] = {}
         #: a stepped launch: access key -> (view, its offsets over the
-        #: rectangle, stepped axis first), the step, and the stored
-        #: ranges as they were before the first step
+        #: rectangle, stepped axis first), and the step
         self.rows: Optional[Dict[tuple, tuple]] = None
         self.step = 0
-        self.backup: List[tuple] = []
 
 
 def _vec_once(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict, banned):
@@ -717,7 +727,7 @@ def _vec_once(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict, banned):
     if any(isinstance(n, (ast.Var, ast.ArrayRef)) and n.name.upper() in banned
            for n in ast.walk_expr(e)):
         return None
-    pure = compile_expr(e, cc)[0]
+    pure = cc.lower(e)[0]
     if pure is None:
         return None
     own = {rec.var for rec in scope}
@@ -739,6 +749,9 @@ def _vec_once(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict, banned):
                 and n.name.upper() not in cc.params:
             cells.append(n.name.upper())
     vst["names"].update(c for c in cells if c.__class__ is str)
+    if e.__class__ in (ast.IntLit, ast.RealLit):
+        value = pure(None, None)  # what every launch would compute
+        return lambda kc: value
 
     def once(kc):
         value = kc.once.get(once)
@@ -790,35 +803,60 @@ def _vec_last(value, ndim: int):
     return value[-1] if getattr(value, "ndim", 0) == ndim else value
 
 
+def _vec_base(e: ast.Expr, own) -> Optional[tuple]:
+    """(a, b) bounding each value met evaluating subscript ``e`` by ``a + b
+    * _VEC_AXIS_LIMIT < 2**53`` if it is integer literals and DO variables
+    ``own`` under ``+ - *`` (a variable-free factor), else None."""
+    if isinstance(e, ast.IntLit):
+        return abs(e.value), 0
+    if isinstance(e, ast.Var):
+        return (0, 1) if e.name.upper() in own else None
+    if isinstance(e, ast.UnOp) and e.op in ("+", "-"):
+        return _vec_base(e.operand, own)
+    if not (isinstance(e, ast.BinOp) and e.op in ("+", "-", "*")):
+        return None
+    left, right = _vec_base(e.left, own), _vec_base(e.right, own)
+    if left is None or right is None or e.op == "*" and left[1] and right[1]:
+        return None
+    (la, lb), (ra, rb) = left, right
+    a, b = (la * ra, la * rb + lb * ra) if e.op == "*" else (la + ra, lb + rb)
+    return (a, b) if a + b * _VEC_AXIS_LIMIT < _TWO53 else None
+
+
 def _vec_access_factory(e: ast.ArrayRef, scope: tuple, cc: _Ctx, vst: dict):
-    """Compile an array access into (a runtime resolver returning
-    (view, its offset at every iteration, flat stride per loop in scope,
-    lo, hi) for the current frame; its key; its subscripts' affine
-    forms), or None if the
-    subscripts are not affine/simple.  All validation failures at runtime
-    raise _VectorBail (never mutating state)."""
+    """Compile an array access into (a runtime resolver returning (view,
+    its offset at every iteration — an int moving on no axis —, flat
+    stride per loop in scope, lo, hi) for the current frame; its key;
+    its subscripts' affine forms), or None if they are not affine.  A
+    base folds from the affine form and the axes' first values or, with
+    atoms (``ID``, ``IX(7)``), evaluates once per launch.  Runtime
+    failures raise _VectorBail (never mutating state)."""
     from repro.analysis.affine import extract
     name = e.name.upper()
-    if name in vst["scalar_targets"]:
-        return None
-    if any(isinstance(x, ast.RangeExpr) for x in e.subs):
+    if name in vst["scalar_targets"] \
+            or any(isinstance(x, ast.RangeExpr) for x in e.subs):
         return None
     own = [rec.var for rec in scope]
-    specs, forms = [], []
+    numbers = tuple(rec.k for rec in scope)
+    dims, forms = [], []
     for sub in e.subs:
         # affine in the DO variables in scope around atoms the nest
-        # leaves alone: its value at the first iteration of every loop,
-        # and one coefficient per loop
+        # leaves alone: its constant or its evaluator, and (coefficient,
+        # axis position, loop number) for each loop that moves it
         form = extract(sub, own)
         if form is None:
             return None
-        once = _vec_once(sub, scope, cc, vst, vst["variant"] - set(own))
-        if once is None:
-            return None
-        specs.append((once, tuple(form.coeff(v) for v in own)))
+        once = None
+        if _vec_base(sub, own) is None:
+            once = _vec_once(sub, scope, cc, vst, vst["variant"] - set(own))
+            if once is None:
+                return None
+        dims.append((form.remainder.constant_value(), once, tuple(
+            (form.coeff(v), i, numbers[i]) for i, v in enumerate(own)
+            if form.coeff(v))))
         forms.append(form)
     vst["names"].add(name)
-    numbers = tuple(rec.k for rec in scope)
+    rank, n_axes = len(dims), len(numbers)
     lane = name in vst["private"]
 
     def resolve(kc):
@@ -827,40 +865,47 @@ def _vec_access_factory(e: ast.ArrayRef, scope: tuple, cc: _Ctx, vst: dict):
             view, size = kc.lanes[name]
         else:
             view, size = kc.fr.vars.get(name), 0
-        if not isinstance(view, ArrayView):
+        if not isinstance(view, ArrayView) or len(view.extents) != rank:
             raise _VectorBail
-        if len(specs) != view.rank:
-            raise _VectorBail
-        axes = [kc.axes[k] for k in numbers]
+        axes = kc.axes
         off0 = view.offset
-        strides = [0] * len(axes)
-        for (once, coeffs), lower, ext, stride in zip(specs, view.lowers,
-                                                      view.extents,
-                                                      view.strides):
-            base = once(kc)
-            if base != int(base):
-                raise _VectorBail
+        strides = [size] + [0] * (n_axes - 1)
+        for (const, once, pairs), lower, ext, stride in zip(
+                dims, view.lowers, view.extents, view.strides):
+            if once is None:
+                rel_lo = const - lower
+                for c, _i, k in pairs:
+                    rel_lo += c * axes[k][4]
+            else:
+                base = once(kc)
+                if base != int(base):
+                    raise _VectorBail
+                rel_lo = int(base) - lower
+            off0 += rel_lo * stride
             # the dimension's extreme values lie at corners of the
             # iteration rectangle
-            rel0 = rel_lo = rel_hi = int(base) - lower
-            for i, c in enumerate(coeffs):
-                if c:
-                    trips, istep = axes[i][:2]
-                    strides[i] += c * istep * stride
-                    reach = (trips - 1) * c * istep
-                    if reach < 0:
-                        rel_lo += reach
-                    else:
-                        rel_hi += reach
+            rel_hi = rel_lo
+            for c, i, k in pairs:
+                axis = axes[k]
+                c *= axis[1]
+                strides[i] += c * stride
+                if c < 0:
+                    rel_lo += (axis[0] - 1) * c
+                else:
+                    rel_hi += (axis[0] - 1) * c
             if rel_lo < 0 or (ext is not None and rel_hi >= ext):
                 raise _VectorBail
-            off0 += rel0 * stride
-        strides[0] += size
         lo = hi = offsets = off0
-        for s, axis in zip(strides, axes):
+        for s, k in zip(strides, numbers):
             if s:
-                offsets = offsets + s * axis[2]
+                axis = axes[k]
                 reach = (axis[0] - 1) * s
+                if offsets.__class__ is int:
+                    offsets = np.arange(off0, off0 + reach + s, s)
+                    if axis[2].ndim > 1:
+                        offsets = offsets.reshape(axis[2].shape)
+                else:
+                    offsets = offsets + s * axis[2]
                 if reach < 0:
                     lo += reach
                 else:
@@ -884,6 +929,7 @@ def _vec_value(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict):
         for rec in reversed(scope):
             if name == rec.var:
                 k = rec.k
+                rec.valued = True
                 return lambda kc: kc.axes[k][3]
             if name in rec.written:
                 key = (name, None)
@@ -899,7 +945,9 @@ def _vec_value(e: ast.Expr, scope: tuple, cc: _Ctx, vst: dict):
         if acc is None:
             return None
         resolve, key, forms = acc
-        _vec_access(vst, scope, False, key, forms, resolve)
+        # noted for the static checks and a stepped launch
+        vst["accesses"].append((False, key, forms,
+                                frozenset(r.k for r in scope), resolve))
         # a private array's copy takes its stores at once: no memo
         memo = e.name.upper() not in vst["private"]
 
@@ -1090,14 +1138,6 @@ def _vec_fold(ufunc, arr, axis=0):
     return ufunc.accumulate(arr, axis=axis)
 
 
-def _vec_access(vst: dict, scope: tuple, stored: bool, key: tuple, forms,
-                resolve) -> None:
-    """Note an array access for the static checks and a stepped launch:
-    (stored, key, affine forms, the loops in scope, resolver)."""
-    vst["accesses"].append((stored, key, forms,
-                            frozenset(rec.k for rec in scope), resolve))
-
-
 def _vec_nested(stmt: ast.Stmt, cc: _Ctx):
     """(loop, site, PRIVATE names) when ``stmt`` is a loop — a directive
     the run does not honour is its loop — else None."""
@@ -1168,7 +1208,7 @@ def _vec_lower(s: ast.DoLoop, scope: tuple, cc: _Ctx, vst: dict, site,
         # compile_expr's own count of the value and of an array target's
         # subscripts
         rec.fixed += 1.0 + 0.5 * sum(
-            compile_expr(x, cc)[2]
+            cc.lower(x)[2]
             for x in (stmt.value, *getattr(stmt.target, "subs", ())))
         if isinstance(stmt.target, ast.Var):
             t = stmt.target.name.upper()
@@ -1215,7 +1255,8 @@ def _vec_lower(s: ast.DoLoop, scope: tuple, cc: _Ctx, vst: dict, site,
         if value_fn is None or not acc:
             return None
         resolve, key, forms = acc
-        _vec_access(vst, scope, True, key, forms, resolve)
+        vst["accesses"].append((True, key, forms,
+                                frozenset(r.k for r in scope), resolve))
         rec.plans.append(("arr", value_fn, resolve, key))
     root = len(scope) == 1
     if not rec.plans or not all(n.upper() == rec.var
@@ -1299,40 +1340,61 @@ def _vec_lanes_apart(accesses) -> bool:
     return True
 
 
-def _vec_axis(kc: _KernelCtx, rec: _VecLoop, ref: ScalarRef, trips: int,
-              start: float, step: float) -> None:
-    """Open loop ``rec`` as an axis of the launch: its DO variable takes
-    its first value now (hoisted subscripts read the cell) and its exit
-    value at the commit."""
+#: (trips, level) -> the read-only arange every launch shares, shaped to
+#: broadcast on that level's axis (up to 1 024 trips: 8 KiB each)
+_ARANGES: Dict[tuple, np.ndarray] = {}
+
+
+def _vec_arange(trips: int, level: int) -> np.ndarray:
+    arange = _ARANGES.get((trips, level))
+    if arange is None:
+        arange = np.arange(trips)
+        arange.flags.writeable = False
+        arange = arange.reshape((trips,) + (1,) * level)
+        if trips <= 1024:
+            _ARANGES[trips, level] = arange
+    return arange
+
+
+def _vec_axis(kc: _KernelCtx, rec: _VecLoop, ref=None, trips=0,
+              start=1.0, step=1.0) -> int:
+    """Open loop ``rec`` as an axis of the launch — an inner loop from
+    its bounds — and return its trips: its DO variable takes its first
+    value now (hoisted subscripts read the cell) and its exit value at
+    the commit."""
+    if ref is None:
+        start, stop, step = (1.0 if fn is None else fn(kc)
+                             for fn in rec.bounds)
+        if step == 0:
+            raise _VectorBail
+        trips = int((stop - start + step) // step)
+        ref = kc.fr.vars.get(rec.var)
+        if trips < 1 or not isinstance(ref, ScalarRef):
+            raise _VectorBail
     if not (math.isfinite(start) and math.isfinite(step)) \
             or start != int(start) or step != int(step) \
-            or abs(start) + abs(step) * trips >= _TWO53:
+            or abs(start) + abs(step) * trips >= _VEC_AXIS_LIMIT:
         raise _VectorBail
     kc.saved.append((ref.buffer, ref.offset, ref.buffer[ref.offset]))
     ref.set(start)
     kc.writes.append((ref.buffer, ref.offset, ref.offset, (rec.var,)))
     kc.pending.append((ref.buffer, ref.offset, start + trips * step))
-    arange = np.arange(trips).reshape((trips,) + (1,) * rec.level)
-    kc.axes[rec.k] = (trips, int(step), arange, start + step * arange)
+    istart, istep = int(start), int(step)
+    arange = _vec_arange(trips, rec.level)
+    values = np.arange(istart, istart + istep * trips, istep, dtype=float
+                       ).reshape(arange.shape) if rec.valued else None
+    kc.axes[rec.k] = (trips, istep, arange, values, istart)
+    return trips
 
 
 def _vec_run(kc: _KernelCtx, rec: _VecLoop, shape: tuple):
     """Evaluate the body of ``rec`` for every iteration of ``shape`` —
     its own axis first — into temporaries and pending stores, and return
     the (cost, steps) one iteration of it charges."""
-    frv = kc.fr.vars
     cost, steps = rec.fixed, rec.n_stmts
     for kind, value_fn, where, key in rec.plans:
         if kind == "loop":
-            start, stop, step = (1.0 if fn is None else fn(kc)
-                                 for fn in where.bounds)
-            if step == 0:
-                raise _VectorBail
-            trips = int((stop - start + step) // step)
-            ref = frv.get(where.var)
-            if trips < 1 or not isinstance(ref, ScalarRef):
-                raise _VectorBail
-            _vec_axis(kc, where, ref, trips, start, step)
+            trips = _vec_axis(kc, where)
             inner_cost, inner_steps = _vec_run(kc, where, (trips,) + shape)
             cost += trips * inner_cost
             steps += trips * inner_steps
@@ -1343,7 +1405,8 @@ def _vec_run(kc: _KernelCtx, rec: _VecLoop, shape: tuple):
         val = value_fn(kc)
         if kind == "arr":
             view, offsets, strides, lo, hi = where(kc)
-            if not _vec_injective(zip(strides, shape[::-1])):
+            if (len(strides) > 1 or not strides[0]) \
+                    and not _vec_injective(zip(strides, shape[::-1])):
                 raise _VectorBail
             if view.typename == "INTEGER":
                 if not np.all(np.isfinite(val)):
@@ -1358,7 +1421,7 @@ def _vec_run(kc: _KernelCtx, rec: _VecLoop, shape: tuple):
             kc.pending.append((view.buffer, offsets, val))
             kc.temps[key] = val
             continue
-        ref = frv.get(where)
+        ref = kc.fr.vars.get(where)
         if not isinstance(ref, ScalarRef):
             raise _VectorBail
         skey = (where, None)
@@ -1426,19 +1489,12 @@ def _vec_steps(kc: _KernelCtx, root: _VecLoop, kid: _VecLoop, shape: tuple,
                accesses) -> tuple:
     """A stepped launch: resolve every access once over the rectangle
     (bounds at its corners), check that the root's lanes keep apart, save
-    the stored ranges, then step loop ``kid`` in order — each step
-    evaluates its body for every lane at once and stores each statement
-    before the next one reads, so each lane runs its own statements in
-    their serial order.  Returns the (cost, steps) of one root
-    iteration."""
-    start, stop, step = (1.0 if fn is None else fn(kc) for fn in kid.bounds)
-    if step == 0:
-        raise _VectorBail
-    trips = int((stop - start + step) // step)
-    ref = kc.fr.vars.get(kid.var)
-    if trips < 1 or not isinstance(ref, ScalarRef):
-        raise _VectorBail
-    _vec_axis(kc, kid, ref, trips, start, step)
+    the stored ranges after the DO variables' cells, then step loop
+    ``kid`` in order — each step evaluates its body for every lane at
+    once and stores each statement before the next one reads, so each
+    lane runs its own statements in their serial order.  Returns the
+    (cost, steps) of one root iteration."""
+    trips = _vec_axis(kc, kid)
     rows, resolved = {}, {}
     for stored, key, resolve in accesses:
         if (key, stored) in resolved:
@@ -1448,7 +1504,7 @@ def _vec_steps(kc: _KernelCtx, root: _VecLoop, kid: _VecLoop, shape: tuple,
         resolved[key, stored] = (view.buffer, rows[key][1], stored, lo, hi)
         if stored:
             kc.writes.append((view.buffer, lo, hi, key))
-            kc.backup.append((view.buffer, lo, view.buffer[lo:hi + 1].copy()))
+            kc.saved.append((view.buffer, lo, view.buffer[lo:hi + 1].copy()))
         else:
             kc.reads.append((view.buffer, lo, hi, key))
     if not _vec_lanes_apart(resolved.values()):
@@ -1457,7 +1513,8 @@ def _vec_steps(kc: _KernelCtx, root: _VecLoop, kid: _VecLoop, shape: tuple,
     axis = kc.axes[kid.k]
     for s in range(trips):
         kc.step = s
-        kc.axes[kid.k] = axis[:3] + (start + s * step,)
+        kc.axes[kid.k] = axis[:3] + (float(axis[4] + s * axis[1]),) \
+            + axis[4:]
         for _kind, value_fn, _resolve, key in kid.plans:
             val = value_fn(kc)
             view, at = rows[key]
@@ -1531,7 +1588,7 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
     # a stepped launch resolves every access up front; no other keeps them
     accesses = [(stored, key, resolve) for stored, key, _forms, _loops,
                 resolve in vst["accesses"]] if stepped else ()
-    all_names = tuple(sorted(vst["names"]))
+    all_names = frozenset(vst["names"])
     directives = site is not None or bool(root.sited)
 
     def kernel(ex, fr, var_ref, trips, start, step):
@@ -1540,22 +1597,18 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
             # iteration: it is the oracle for wrongly parallel loops
             return False
         ex.kernel_bails += 1  # a call is a refusal until it commits
-        frv = fr.vars
-        for nm in all_names:
-            if nm not in frv:
-                return False
+        if not all_names <= fr.vars.keys():
+            return False
         kc = _KernelCtx(ex, fr)
         try:
-            with np.errstate(all="ignore"):
-                _vec_axis(kc, root, var_ref, trips, float(start),
-                          float(step))
-                for name in lanes:
-                    _vec_lane(kc, name, trips)
-                if stepped:
-                    per_iter, n_stmts = _vec_steps(kc, root, stepped,
-                                                   (trips,), accesses)
-                else:
-                    per_iter, n_stmts = _vec_run(kc, root, (trips,))
+            _vec_axis(kc, root, var_ref, trips, float(start), float(step))
+            for name in lanes:
+                _vec_lane(kc, name, trips)
+            if stepped:
+                per_iter, n_stmts = _vec_steps(kc, root, stepped, (trips,),
+                                               accesses)
+            else:
+                per_iter, n_stmts = _vec_run(kc, root, (trips,))
             if ex.steps + trips * n_stmts > ex.max_steps:
                 raise _VectorBail
             others = kc.reads + kc.writes
@@ -1570,7 +1623,7 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
                         raise _VectorBail
         except Exception:  # noqa: BLE001 - whatever it was, nothing was stored
             # the stored ranges were saved after the DO variables' cells
-            for buf, off, old in reversed(kc.saved + kc.backup):
+            for buf, off, old in reversed(kc.saved):
                 buf[off:off + np.size(old)] = old
             return False
         for buf, idx, val in kc.pending:
@@ -1585,6 +1638,16 @@ def _try_vectorize(s: ast.DoLoop, cc: _Ctx, site=None, private=()):
         return True
 
     return kernel
+
+
+def _kernel_slot(s: ast.DoLoop, cc: _Ctx, site=None, private=()) -> list:
+    """[the kernel of the nest at ``s``], lowered by _try_vectorize when
+    a run first offers it enough trips; a nest without one refuses."""
+    def first(*args):
+        slot[0] = _try_vectorize(s, cc, site, private) or (lambda *_: False)
+        return slot[0](*args)
+    slot = [first]
+    return slot
 
 
 # ---------------------------------------------------------------------------
@@ -1606,13 +1669,6 @@ class _Region:
         return (self.instrs, self.n_loops)
 
 
-class _UnitTemplate:
-    __slots__ = ("region",)
-
-    def __init__(self, region: tuple):
-        self.region = region
-
-
 def _seq_fold(triples):
     """Fold the longest strict prefix of an evaluation sequence into one
     upfront constant; later expressions keep their charging closures (a
@@ -1631,11 +1687,11 @@ def _seq_fold(triples):
     return fold, tuple(evals)
 
 
-def _compile_unit(unit: ast.ProgramUnit, honor: bool) -> _UnitTemplate:
+def _compile_unit(unit: ast.ProgramUnit, honor: bool) -> tuple:
     cc = _Ctx(unit, honor)
     reg = _Region()
     _compile_block(cc, reg, unit.body)
-    return _UnitTemplate(reg.packed())
+    return reg.packed()
 
 
 def _compile_block(cc: _Ctx, reg: _Region, body: Sequence[ast.Stmt]) -> None:
@@ -1732,7 +1788,7 @@ def _emit_walked(cc: _Ctx, reg: _Region, s: ast.Stmt) -> None:
 def _emit_assign(cc: _Ctx, reg: _Region, s: ast.Assign) -> None:
     instrs = reg.instrs
     nxt = len(instrs) + 1
-    vtriple = compile_expr(s.value, cc)
+    vtriple = cc.lower(s.value)
     vpure, vcharged, vcount = vtriple
     if vcharged is None:
         amt = 1.0 + 0.5 * vcount
@@ -1768,7 +1824,7 @@ def _emit_assign(cc: _Ctx, reg: _Region, s: ast.Assign) -> None:
     raw = target.name
     # subscripts charge after the (possibly lazily shaped) view
     # resolves, preserving tree-walker charge order
-    sub_triples = [compile_expr(x, cc) for x in target.subs]
+    sub_triples = [cc.lower(x) for x in target.subs]
     sub_evals = tuple(compiled_parts(t)[1] for t in sub_triples)
     if len(sub_evals) == 1:
         s0 = sub_evals[0]
@@ -1869,7 +1925,7 @@ def _emit_if(cc: _Ctx, reg: _Region, s: ast.IfBlock) -> None:
     arm_cells = []
     for cond, _arm in s.arms:
         ceval = None if cond is None else \
-            compiled_parts(compile_expr(cond, cc))[1]
+            compiled_parts(cc.lower(cond))[1]
         cell = [None]
         arm_cells.append(cell)
         pairs.append((ceval, cell))
@@ -1897,9 +1953,9 @@ def _compile_bounds(loop: ast.DoLoop, cc: _Ctx):
     """A DO header, plain or under a directive: the statement's charge
     (the strict prefix of the bounds folded in) and the evaluators of
     start, stop and step (``None`` without one)."""
-    bounds = [compile_expr(loop.start, cc), compile_expr(loop.stop, cc)]
+    bounds = [cc.lower(loop.start), cc.lower(loop.stop)]
     if loop.step is not None:
-        bounds.append(compile_expr(loop.step, cc))
+        bounds.append(cc.lower(loop.step))
     fold, evals = _seq_fold(bounds)
     return (1.0 + fold, evals[0], evals[1],
             evals[2] if loop.step is not None else None)
@@ -1912,7 +1968,7 @@ def _emit_do(cc: _Ctx, reg: _Region, s: ast.DoLoop) -> None:
     amt, sev, tev, pev = _compile_bounds(s, cc)
     rawvar = s.var
     vname = s.var.upper()
-    kernel = _try_vectorize(s, cc)
+    kernel = _kernel_slot(s, cc)
     init_pc = len(instrs)
     body_pc = init_pc + 1
     exit_cell = [None]
@@ -1930,8 +1986,8 @@ def _emit_do(cc: _Ctx, reg: _Region, s: ast.DoLoop) -> None:
             var = ex._local(vname, fr)
         if not isinstance(var, ScalarRef):
             raise InterpreterError(f"DO variable {rawvar} is an array")
-        if kernel is not None and trips >= _VEC_MIN_TRIPS \
-                and kernel(ex, fr, var, trips, start, step):
+        if trips >= _VEC_MIN_TRIPS \
+                and kernel[0](ex, fr, var, trips, start, step):
             return exit_cell[0]
         if trips <= 0:
             var.set(start)
@@ -1998,7 +2054,7 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
     vname = loop.var.upper()
     private_names = tuple(n.upper() for n in s.private)
     site = cc.omp_site[id(s)]
-    kernel = _try_vectorize(loop, cc, site, private_names)
+    kernel = _kernel_slot(loop, cc, site, private_names)
     sub = _Region()
     cc.omp_depth += 1
     _compile_block(cc, sub, loop.body)
@@ -2021,9 +2077,9 @@ def _emit_omp(cc: _Ctx, reg: _Region, s: ast.OmpParallelDo) -> None:
         slices = ex._private_storage(private_names, fr)
         # no ScalarRef check for the schedule: the tree-walker omits it
         # for the parallel path (an array DO variable fails in var.set)
-        if kernel is not None and trips >= _VEC_MIN_TRIPS \
+        if trips >= _VEC_MIN_TRIPS \
                 and var.__class__ is ScalarRef \
-                and kernel(ex, fr, var, trips, start, step):
+                and kernel[0](ex, fr, var, trips, start, step):
             # in program order the kernel is the loop, and has recorded
             # this region and the regions inside it.  Any other schedule,
             # and a kernel that refused (having changed nothing), runs
@@ -2062,9 +2118,9 @@ class CompiledInterpreter(Interpreter):
         #: the share of ``steps`` that vector kernels committed, the
         #: kernel calls that committed and the calls that refused
         self.kernel_steps = self.kernel_launches = self.kernel_bails = 0
-        self._templates: Dict[int, _UnitTemplate] = {}
+        self._templates: Dict[int, tuple] = {}
 
-    def _template(self, unit: ast.ProgramUnit) -> _UnitTemplate:
+    def _template(self, unit: ast.ProgramUnit) -> tuple:
         tmpl = self._templates.get(id(unit))
         if tmpl is None:
             tmpl = _template_for(unit, self.honor)
@@ -2072,11 +2128,15 @@ class CompiledInterpreter(Interpreter):
         return tmpl
 
     def _run_body(self, unit: ast.ProgramUnit, frame) -> None:
-        run_region(self, self._template(unit).region, frame)
+        run_region(self, self._template(unit), frame)
 
     def run(self) -> ExecutionResult:
         try:
-            return super().run()
+            # silent numpy errors for every kernel of the run at once
+            # (one np.errstate a launch cost 3 µs): the scalar path
+            # computes on Python floats, which it does not touch
+            with np.errstate(all="ignore"):
+                return super().run()
         finally:
             metrics = _get_metrics()
             for name in ("steps", "kernel_steps", "kernel_launches",

@@ -11,8 +11,13 @@ from repro.fortran import ast
 from repro.fortran.parser import parse_expression as pe
 from repro.fortran.unparser import unparse
 from repro.polaris import Polaris, PolarisOptions
-from repro.polaris.openmp import parallel_loops
 from repro.program import Program
+
+
+def parallel_loops(body):
+    """The directive loops of ``body``, in program order."""
+    return (s for s in ast.walk_stmts(body)
+            if isinstance(s, ast.OmpParallelDo))
 
 # --------------------------------------------------------------------------
 # Figure 7 scenario: opaque compositional subroutine FSMP

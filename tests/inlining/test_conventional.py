@@ -7,8 +7,13 @@ from repro.fortran import ast
 from repro.fortran.unparser import unparse
 from repro.inlining import ConventionalInliner, InlinePolicy
 from repro.polaris import Polaris
-from repro.polaris.openmp import parallel_loops
 from repro.program import Program
+
+
+def parallel_loops(body):
+    """The directive loops of ``body``, in program order."""
+    return (s for s in ast.walk_stmts(body)
+            if isinstance(s, ast.OmpParallelDo))
 
 
 def inline(src, **policy):

@@ -5,8 +5,13 @@ Each test encodes one legality rule or one of the paper's scenarios.
 
 from repro.fortran import ast
 from repro.polaris import Polaris, PolarisOptions
-from repro.polaris.openmp import parallel_loops
 from repro.program import Program
+
+
+def parallel_loops(body):
+    """The directive loops of ``body``, in program order."""
+    return (s for s in ast.walk_stmts(body)
+            if isinstance(s, ast.OmpParallelDo))
 
 
 def run(src, **opts):

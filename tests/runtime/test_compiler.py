@@ -2404,11 +2404,23 @@ def _exit_from(jump, nested=False):
                   "      END")
 
 
+#: a local array shaped by a FUNCTION, read in a loop the kernel takes
+LAZILY_SHAPED = source("      PROGRAM P",
+                       "      COMMON /D/ B(12)",
+                       "      DIMENSION W(NF(12))",
+                       "      W(1) = 1.0",
+                       "      DO 10 I = 1, 12",
+                       "        B(I) = W(I) + 1.0",
+                       "   10 CONTINUE",
+                       "      END",
+                       *COUNTING)
+
+
 def _lazily_shaped(src):
-    """``src`` with every dimension ``NF(...)`` a FUNCTION reference.  The
-    frontend resolves calls in executable statements only, so it leaves
-    a declaration's ``NF(12)`` an array reference (the walk then fails
-    on it); this is the AST a call in a dimension would give."""
+    """``src`` with every dimension ``NF(...)`` made a FUNCTION reference
+    by hand: the AST a call in a dimension gives, whatever the frontend
+    makes of the declaration (``test_lazily_shaped_array_parsed`` takes
+    the frontend's)."""
     program = _program(src)
     for decl in program.main.decls:
         for entity in getattr(decl, "entities", ()):
@@ -2554,15 +2566,7 @@ class TestWalkedCode:
     def test_lazily_shaped_array_in_a_kernel_loop(self):
         # W(I) is walked (its shape calls NF); the kernel takes the loop
         # anyway and charges its statement by the walked count
-        src = source("      PROGRAM P",
-                     "      COMMON /D/ B(12)",
-                     "      DIMENSION W(NF(12))",
-                     "      W(1) = 1.0",
-                     "      DO 10 I = 1, 12",
-                     "        B(I) = W(I) + 1.0",
-                     "   10 CONTINUE",
-                     "      END",
-                     *COUNTING)
+        src = LAZILY_SHAPED
         value = ast.BinOp("+", ast.ArrayRef("W", [ast.Var("I")]),
                           ast.RealLit(1.0))
         cc = compiler._Ctx(_lazily_shaped(src).main, True)
@@ -2570,6 +2574,19 @@ class TestWalkedCode:
         divergence = backend_equivalence(_lazily_shaped(src))
         assert divergence is None, divergence
         interp = CompiledInterpreter(_lazily_shaped(src))
+        interp.run()
+        assert (interp.kernel_launches, interp.kernel_steps) == (1, 24)
+
+    def test_lazily_shaped_array_parsed(self):
+        # the frontend resolves the declaration's NF(12) to a call, as it
+        # does in executable statements: the parsed program is the one
+        # built by hand above
+        program = _program(LAZILY_SHAPED)
+        (dim,) = program.main.decls[-1].entities[0].dims
+        assert isinstance(dim.upper, ast.FuncRef)
+        assert compiler._Ctx(program.main, True).lazy_call_risk("W")
+        _equiv(LAZILY_SHAPED)
+        interp = CompiledInterpreter(_program(LAZILY_SHAPED))
         interp.run()
         assert (interp.kernel_launches, interp.kernel_steps) == (1, 24)
 
@@ -2589,3 +2606,218 @@ class TestWalkedCode:
         _equiv(src)
         interp = _compiled(src)[0]
         assert (interp.kernel_launches, interp.kernel_bails) == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# lean launches: a subscript's base folded when it is lowered, one shared
+# read-only arange per trip count, and one lowering per node of a unit
+# ---------------------------------------------------------------------------
+
+#: A and B behind a pad of three cells, K INTEGER, T of rank 3; ID holds
+#: 2 and IX(N) holds N.  The fill binds J and L (no launch creates a
+#: frame local) and commits in 3 launches
+_LEAN_COMMON = ("      COMMON /D/ PAD(3), A(20), B(20), K(20), T(3, 4, 5), "
+                "ID, IX(9)")
+_LEAN_FILL = ("      J = 0",
+              "      L = 0",
+              "      DO 1 I = 1, 20",
+              "        A(I) = I*0.5",
+              "        B(I) = 21 - I",
+              "        K(I) = I*3",
+              "    1 CONTINUE",
+              "      DO 2 I = 1, 9",
+              "        IX(I) = I",
+              "    2 CONTINUE",
+              "      DO 4 M = 1, 4",
+              "        DO 3 L = 1, 3",
+              "          T(L, M, 5) = L + M*0.25",
+              "    3   CONTINUE",
+              "    4 CONTINUE",
+              "      ID = 2")
+
+
+def _lean(*body, header="1, 12", loop=None, subs=()):
+    """``body`` in ``DO 10 I = header`` (or the lines ``loop``) after the
+    fill, then every array's ends and I; ``subs`` are more units."""
+    if loop is None:
+        loop = (f"      DO 10 I = {header}",
+                *("        " + stmt for stmt in body),
+                "   10 CONTINUE")
+    return source("      PROGRAM P", _LEAN_COMMON, *_LEAN_FILL, *loop,
+                  "      WRITE(*,*) A(1), A(12), A(20), B(3), K(1), K(20)",
+                  "      WRITE(*,*) T(1, 1, 1), T(3, 4, 5), PAD(2), I",
+                  "      END", *subs)
+
+
+def _lean_launch(src):
+    """(launches, refusals) of ``src`` beyond the fill's 3 launches, on
+    a run that must agree with the tree-walker's, steps included."""
+    _equiv_steps(src)
+    launches, bails, _kernel, _steps = _launch(src)
+    return launches - 3, bails
+
+
+class TestLeanLaunch:
+    def test_a_view_at_an_offset(self):
+        assert _lean_launch(_lean("A(I) = B(I)*2.0 + I")) == (1, 0)
+
+    def test_an_assumed_size_formal_bound_to_an_element(self):
+        # DYFESM's FORMP(PE(1,IDE)): the formal's view starts at the
+        # element, and only the storage bounds its last dimension
+        src = _lean(loop=("      CALL FORMP(T(1, 2, ID))",
+                          "      CALL FORMP(IX(5))"),
+                    subs=("      SUBROUTINE FORMP(PC)",
+                          "      DIMENSION PC(*)",
+                          _LEAN_COMMON,
+                          "      DO 10 J = 1, 8",
+                          "        PC(J) = A(J) + A(J+8)*0.5",
+                          "   10 CONTINUE",
+                          "      END"))
+        # the second call runs past the end of /D/: the storage check
+        # refuses that launch, and the walk stores up to its error
+        assert _lean_launch(src) == (1, 1)
+
+    def test_a_rank_3_access(self):
+        assert _lean_launch(_lean("A(I) = T(3, 4, I) + T(1, 1, I)*0.5",
+                                  header="1, 5")) == (1, 0)
+        # a nest storing a rank-3 element on both axes
+        src = _lean(loop=("      DO 10 J = 1, 4",
+                          "        DO 9 L = 1, 3",
+                          "          T(L, J, 2) = A(L + 3*J) - J",
+                          "    9   CONTINUE",
+                          "   10 CONTINUE"))
+        assert _lean_launch(src) == (1, 0)
+
+    def test_a_negative_step(self):
+        assert _lean_launch(_lean("A(I) = B(13 - I) + I",
+                                  "K(2*I - 1) = A(I)*4.0",
+                                  header="10, 1, -1")) == (1, 0)
+
+    def test_a_base_with_a_hoisted_atom(self):
+        # I + ID and I + IX(3) evaluate once per launch: a base that
+        # dropped the atom would read and store two and three cells off
+        src = _lean("A(I + ID) = B(I + IX(3))*3.0", "K(I + IX(2)) = ID + I")
+        assert _lean_launch(src) == (1, 0)
+        interp, _ = _compiled(src)
+        assert interp.output[0].split()[:2] == ["0.5", "24.0"]
+
+    def test_an_integer_array(self):
+        # the stored values truncate, and the read sees the stored ones
+        assert _lean_launch(_lean("K(I) = B(I)*1.5 - I",
+                                  "A(I) = K(I)*0.5 + K(20)")) == (1, 0)
+
+    @pytest.mark.parametrize("stmt,header,message", [
+        ("A(I + 1) = 2.0*I", "1, 20", "subscript 21 out of bounds"),
+        ("A(I) = T(3, I + 1, 1)", "1, 4", "subscript 5 out of bounds"),
+        ("T(2, 4 - I/4, I) = A(I)", "1, 5", None)],
+        ids=["store", "read", "none"])
+    def test_out_of_bounds_only_at_the_last_corner(self, stmt, header,
+                                                   message):
+        # A(21) is B(1) and T(3,5,1) is T(2,1,2) in storage, and nothing
+        # else the loop touches is there: only the dimension's corner
+        # check tells them from an element
+        src = _lean(stmt, header=header)
+        if message is None:
+            # I/4 is not affine: the loop is no kernel's
+            assert _lean_launch(src) == (0, 0)
+            return
+        assert _lean_launch(src) == (0, 1)
+        tree, compiled = _both(src)
+        assert message in tree[0]
+        assert tree == compiled
+
+    def test_a_lane_copy(self):
+        # ROW lives at an offset in /D/, and Y's base folds per lane
+        src = _row_buffer(inner="ROW(J) = X(I)*0.1 + Y(J, I) + J")
+        _nest_equiv(src)
+        assert _launch(src)[:2] == (2, 0)
+
+    def test_a_stepped_launch(self):
+        # D lies behind C, E and PLM in /D/
+        src = _stepped("D(I,K) = D(I-1,K)*0.5 + C(I+1,K)",
+                       after=("      WRITE(*,*) D(2, 1), D(11, 8), I, K",))
+        _nest_equiv(src)
+        assert _launch(src)[:2] == (STEPPED_FILL[0] + 1, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(header=st.sampled_from(["1, 8", "8, 1, -1", "2, 12, 3", "3, 10",
+                               "0, 7", "9, 2, -2"]),
+       target=st.sampled_from(["A(I)", "A(2*I + 1)", "A(I + ID)", "K(I)",
+                               "T(1, 2, I - 3)", "A(14 - I)", "B(IX(4) + I)"]),
+       value=st.sampled_from(["B(I)*0.5", "B(I + 1) + T(2, 2, I/I)",
+                              "K(I) + B(IX(3))", "I*0.25 - B(ID + I)",
+                              "T(3, 1, 5) + A(-I + 15)", "-B(3*I - 2)"]),
+       second=st.booleans())
+def test_lean_launches_agree_with_the_tree(header, target, value, second):
+    # in and out of bounds, at offsets, folded and hoisted bases, both
+    # signs of step: commit or refuse, the run is the walk's
+    body = [f"{target} = {value}"]
+    if second:
+        body.append("PAD(2) = PAD(2) + I")
+    _equiv_steps(_lean(*body, header=header))
+
+
+def test_shared_aranges_are_read_only():
+    """Every launch of a trip count shares one arange: none may write
+    into it, or a launch could change another's offsets."""
+    _equiv(_lean("A(I) = B(I)*2.0 + I"))
+    assert compiler._ARANGES
+    for arange in compiler._ARANGES.values():
+        with pytest.raises(ValueError):
+            arange[...] = 0
+
+
+def test_a_lowering_lives_with_its_context():
+    """The lowering memo belongs to one unit's context: the same node
+    object means what each unit's declarations make of it."""
+    lazy = _lazily_shaped(LAZILY_SHAPED).main
+    plain = _program(LAZILY_SHAPED.replace("W(NF(12))", "W(12)")).main
+    node = ast.ArrayRef("W", (ast.Var("I"),))
+    for unit, strict in ((lazy, False), (plain, True), (lazy, False)):
+        cc = compiler._Ctx(unit, True)
+        assert (cc.lower(node)[0] is not None) is strict
+        assert cc.lower(node) is cc.lower(node)
+    param = _program(source("      SUBROUTINE S", "      PARAMETER (N = 3)",
+                            "      END")).units[0]
+    for unit, value in ((param, 3.0), (plain, None)):
+        pure = compiler._Ctx(unit, True).lower(ast.Var("N"))[0]
+        frame = mock.Mock(parameters={"N": 3.0}, vars={})
+        ex = mock.Mock(_local=mock.Mock(side_effect=LookupError))
+        if value is None:
+            with pytest.raises(LookupError):
+                pure(ex, frame)
+        else:
+            assert pure(ex, frame) == value
+
+
+def test_each_unit_lowers_each_node_once(monkeypatch):
+    """One lowering per node and context over the units of the 12
+    PERFECT programs under the three configurations, directives honoured
+    and not: the scalar path, the kernels, their hoisted operands and
+    node counts share it (every kernel lowered too, as a run would)."""
+    from repro.experiments.pipeline import Config, run_config
+    lowered = []
+    real = compiler.compile_expr
+
+    def counting(e, cc):
+        lowered.append((id(cc), id(e)))
+        return real(e, cc)
+    monkeypatch.setattr(compiler, "compile_expr", counting)
+    units = {}
+    for bench in all_benchmarks():
+        for config in CONFIGS:
+            for unit in run_config(bench, Config(config)).program.units:
+                for honor in (True, False):
+                    units.setdefault((compiler._unit_digest(unit), honor),
+                                     (unit, honor))
+    kernels, contexts = 0, []  # kept alive: a context's id is its own
+    for unit, honor in units.values():
+        cc = compiler._Ctx(unit, honor)
+        contexts.append(cc)
+        compiler._compile_block(cc, compiler._Region(), unit.body)
+        for s in ast.walk_stmts(unit.body):
+            if isinstance(s, ast.DoLoop):
+                kernels += compiler._try_vectorize(s, cc) is not None
+    assert len(lowered) == len(set(lowered))
+    assert (len(units), len(lowered), kernels) == (104, 4202, 376)

@@ -289,6 +289,22 @@ class TestEmittedProgram:
         assert main(["run", str(src)]) == 0
         assert capsys.readouterr().out.split()[0] == "2.0"
 
+    @pytest.mark.parametrize("backend", ["tree", "compiled"])
+    def test_function_in_a_dimension_bound(self, tmp_path, capsys,
+                                           monkeypatch, backend):
+        # NF(12) in the declaration is a call, as in an executable
+        # statement: W is a local of 12 elements, shaped when first used
+        from repro.runtime.backend import BACKEND_ENV
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        src = tmp_path / "lazy.f"
+        src.write_text("      PROGRAM P\n      CALL S\n      END\n"
+                       "      SUBROUTINE S\n      DIMENSION W(NF(12))\n"
+                       "      W(3) = 2.0\n      PRINT *, W(3)\n      END\n"
+                       "      INTEGER FUNCTION NF(N)\n      NF = N\n"
+                       "      END\n")
+        assert main(["run", str(src)]) == 0
+        assert capsys.readouterr().out.split() == ["2.0"]
+
 
 class TestFuzzDialect:
     def test_unknown_dialect_env_rejected(self, capsys):
