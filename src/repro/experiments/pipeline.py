@@ -13,6 +13,15 @@ its copies in an *execution-reachable* unit received a directive.  A
 procedure whose every call site was inlined away is dead code — its
 still-parallelizable original no longer executes, which is exactly how
 conventional inlining manifests ``#par-loss``.
+
+The cached base carries a :class:`~repro.polaris.driver.AnalysisMemo`
+that every clone passes to the driver.  Its key is a unit equal (``==``)
+to the base unit of its name, plus each direct callee's
+``Summary.pure`` (or its absence) and the ``PolarisOptions``; a hit
+replays the analyzed body (a copy), the decision records (copies: they
+are stamped below) and the TestStats into the report, the tracer and
+the metrics.  It lives as long as the base: :func:`clear_base_cache`
+frees it.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from repro.obs import metrics as obs_metrics
 from repro.perfect.suite import Benchmark
 from repro.pipeline import (CONFIGS, Config, PipelineResult,  # noqa: F401
                             _reachable_units, parallelize_program)
+from repro.polaris.driver import AnalysisMemo
 from repro.polaris.report import merge_timings
 from repro.program import Program
 from repro.trace import NULL_TRACER, Tracer
@@ -53,6 +63,7 @@ def prepare_base(benchmark: Benchmark) -> Program:
         base = benchmark.program()
         for unit in base.units:
             assign_origins(unit)
+        base.memo = AnalysisMemo(base)
         _BASE_CACHE[digest] = base
     else:
         lookups.inc(outcome="memory_hit")

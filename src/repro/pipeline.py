@@ -24,7 +24,7 @@ The three configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Callable, Dict, FrozenSet, Optional, Set
 
 from repro.analysis.callgraph import build_callgraph
 from repro.annotations.infer import ANNOTATION_MODES, infer_annotations
@@ -91,8 +91,23 @@ class PipelineResult:
     _reachable: Optional[Set[str]] = field(default=None, repr=False)
 
     def reachable_units(self) -> Set[str]:
+        """Units reachable from the PROGRAM units: over the driver's call
+        graph plus each call the reverse inliner restored, or over a
+        rebuilt one when demand inlining changed calls after the driver
+        built its graph or an annotation run records no reversal."""
         if self._reachable is None:
-            self._reachable = _reachable_units(self.program)
+            edges = self.report.edges
+            if edges is None or (self.config == "annotation"
+                                 and self.reverse_result is None):
+                self._reachable = _reachable_units(self.program)
+            else:
+                restored: Dict[str, Set[str]] = {}
+                for site in (self.reverse_result.sites
+                             if self.reverse_result else ()):
+                    restored.setdefault(site.caller, set()).add(site.callee)
+                self._reachable = _reachable(
+                    self.program, lambda name: edges.get(name, set())
+                    | restored.get(name, set()))
         return self._reachable
 
     def parallel_origins(self) -> Set[str]:
@@ -104,13 +119,17 @@ class PipelineResult:
 
 
 def _reachable_units(program: Program) -> Set[str]:
-    graph = build_callgraph(program)
+    return _reachable(program, build_callgraph(program).callees)
+
+
+def _reachable(program: Program,
+               callees: Callable[[str], Set[str]]) -> Set[str]:
     roots = [u.name for u in program.units if u.kind == "PROGRAM"]
     seen: Set[str] = set(roots)
     stack = list(roots)
     while stack:
         name = stack.pop()
-        for callee in graph.callees(name):
+        for callee in callees(name):
             if callee not in seen:
                 seen.add(callee)
                 stack.append(callee)

@@ -16,15 +16,21 @@ Runs the full source-to-source automatic parallelization pipeline on a
 5. OpenMP directive insertion (:class:`~repro.fortran.ast.OmpParallelDo`).
 
 The driver mutates the program in place and returns a
-:class:`~repro.polaris.report.Report`.
+:class:`~repro.polaris.report.Report`.  A program cloned from a stamped
+base carries the base's :class:`AnalysisMemo`: a unit its inliner left
+equal to the base unit reuses the normalized body, and the analyzed body,
+decision records and TestStats too when its direct callees' purity and
+the options match (Way & Pollock's rule: re-optimize only what inlining
+changed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.callgraph import build_callgraph
 from repro.analysis.defuse import collect_accesses
 from repro.analysis.dependence import DependenceTester
 from repro.analysis.loops import assign_origins
@@ -39,6 +45,7 @@ from repro.polaris.profitability import profitable
 from repro.polaris.report import Report
 from repro.program import Program
 from repro.trace import NULL_TRACER, Tracer
+from repro.trace.decisions import LoopDecision
 
 #: TestStats counters recorded as per-loop dependence-test deltas
 _STAT_FIELDS = ("ziv_independent", "gcd_independent",
@@ -80,6 +87,29 @@ class _UnitState:
                                          self.tester)
 
 
+class AnalysisMemo:
+    """Per-unit analysis results over the clones of one never-mutated
+    stamped base, which owns the memo and frees it with itself.
+
+    ``normalized`` maps a unit name to the normalized body of the base
+    unit; ``analyzed`` maps ``(name, options, ((callee, pure or None),
+    ...))`` — each direct callee's ``Summary.pure``, None when it has no
+    summary — to the analyzed body, its decision records and its
+    TestStats.  Only a unit ``==`` its base unit looks either up.  The
+    memo keeps bodies no program holds and hands out copies, so nothing
+    a caller does to a returned program reaches it."""
+
+    def __init__(self, base: Program):
+        self.base = {u.name: u for u in base.units}
+        self.normalized: Dict[str, List[ast.Stmt]] = {}
+        self.analyzed: Dict[tuple, Tuple[List[ast.Stmt],
+                                         List[LoopDecision], object]] = {}
+
+
+def _copy_decision(d: LoopDecision) -> LoopDecision:
+    return replace(d, dep_tests=dict(d.dep_tests))
+
+
 #: bound on demand-resolution retries per loop (each retry resolves one
 #: distinct callee; real loops have a handful of calls)
 _MAX_DEMAND_RETRIES = 16
@@ -97,23 +127,73 @@ class Polaris:
             tracer: Optional[Tracer] = None) -> Report:
         tracer = tracer or NULL_TRACER
         report = Report()
-        with tracer.phase("normalize", report.timings):
-            for unit in program.units:
-                assign_origins(unit)
-            program.invalidate()
-            for unit in program.units:
-                normalize_unit(unit, program.symtab(unit))
-        with tracer.phase("summaries", report.timings,
-                          units=len(program.units)):
-            summaries = compute_summaries(program)
-        with tracer.phase("dependence", report.timings):
-            for unit in program.units:
-                with tracer.span(f"unit {unit.name}", cat="unit"):
-                    self._parallelize_unit(program, unit, summaries,
-                                           report, tracer)
-            program.invalidate()
+        units = program.units
+        # a DemandInliner rewrites units mid-analysis: no memo then
+        memo = program.memo if self.demand is None else None
+        same = [memo is not None and memo.base.get(u.name) == u
+                for u in units]
+        try:
+            with tracer.phase("normalize", report.timings):
+                # an equal unit's body is the memo's normalized one
+                # until the dependence phase replaces it by a copy
+                for unit, equal in zip(units, same):
+                    assign_origins(unit)
+                    if equal and unit.name in memo.normalized:
+                        unit.body = memo.normalized[unit.name]
+                        continue
+                    normalize_unit(unit, program.symtab(unit))
+                    if equal:
+                        memo.normalized[unit.name] = unit.body
+            with tracer.phase("summaries", report.timings, units=len(units)):
+                graph = build_callgraph(program)
+                summaries = compute_summaries(program, graph)
+            if self.demand is None:
+                report.edges = graph.edges
+            with tracer.phase("dependence", report.timings):
+                for unit, equal in zip(units, same):
+                    with tracer.span(f"unit {unit.name}", cat="unit"):
+                        key = (unit.name, self.options, tuple(
+                            (c, getattr(summaries.get(c), "pure", None))
+                            for c in sorted(graph.edges[unit.name]))
+                        ) if equal else None
+                        self._analyze_unit(program, unit, memo, key,
+                                           summaries, report, tracer)
+        finally:
+            for unit, equal in zip(units, same):
+                if equal and unit.body is memo.normalized.get(unit.name):
+                    unit.body = ast.clone(unit.body)
         self._observe(report)
         return report
+
+    def _analyze_unit(self, program: Program, unit: ast.ProgramUnit,
+                      memo: Optional[AnalysisMemo], key: Optional[tuple],
+                      summaries: Dict[str, Summary], report: Report,
+                      tracer: Tracer) -> None:
+        """Analyze ``unit``, or replay the memo's result for ``key`` into
+        the report, the tracer and the metrics as an analysis emits it."""
+        hit = memo.analyzed.get(key) if key is not None else None
+        if memo is not None:
+            obs_metrics.counter(
+                "repro_analysis_memo_total",
+                "per-unit analysis memo lookups by outcome").inc(
+                    outcome="miss" if hit is None else "hit")
+        if hit is not None:
+            body, decisions, stats = hit
+            unit.body = ast.clone(body)
+            for decision in map(_copy_decision, decisions):
+                report.add(decision)
+                tracer.decision(decision)
+        else:
+            if key is not None:
+                unit.body = ast.clone(unit.body)
+            first = len(report.verdicts)
+            stats = self._parallelize_unit(program, unit, summaries,
+                                           report, tracer)
+            if key is not None:
+                memo.analyzed[key] = (ast.clone(unit.body), [
+                    _copy_decision(d) for d in report.verdicts[first:]],
+                    stats)
+        accumulate_test_stats(report.test_stats, stats)
 
     @staticmethod
     def _observe(report: Report) -> None:
@@ -148,7 +228,8 @@ class Polaris:
     def _parallelize_unit(self, program: Program, unit: ast.ProgramUnit,
                           summaries: Dict[str, Summary],
                           report: Report,
-                          tracer: Tracer = NULL_TRACER) -> None:
+                          tracer: Tracer = NULL_TRACER):
+        """Analyze ``unit`` in place; its tester's TestStats."""
         state = _UnitState(program, unit, summaries, self.options)
 
         def process(body: List[ast.Stmt],
@@ -171,7 +252,7 @@ class Polaris:
             return out
 
         unit.body = process(unit.body, [])
-        accumulate_test_stats(report.test_stats, state.tester.stats)
+        return state.tester.stats
 
     def _try_loop(self, loop: ast.DoLoop, enclosing: List[ast.DoLoop],
                   state: _UnitState, report: Report, process,

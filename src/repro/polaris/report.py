@@ -12,7 +12,7 @@ by inlining counts once no matter how many copies were parallelized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.trace.decisions import LoopDecision
 
@@ -39,6 +39,9 @@ class Report:
     #: dependence-test family counters accumulated over every unit's
     #: tester (TestStats field -> count), shown by --profile
     test_stats: Dict[str, int] = field(default_factory=dict)
+    #: caller -> callees of the call graph the driver built for the
+    #: summaries; None when demand inlining rewrote calls after it
+    edges: Optional[Dict[str, Set[str]]] = None
 
     def add(self, v: LoopDecision) -> None:
         self.verdicts.append(v)

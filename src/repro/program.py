@@ -9,7 +9,7 @@ parallelization, reverse inlining) operate on a Program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.errors import SemanticError
 from repro.fortran import ast
@@ -25,7 +25,14 @@ class Program:
     files: List[ast.SourceFile] = field(default_factory=list)
     name: str = "program"
 
-    _tables: Dict[int, SymbolTable] = field(default_factory=dict, repr=False)
+    #: the analysis memo of the stamped base this program was cloned from
+    #: (:class:`repro.polaris.driver.AnalysisMemo`); None for a fresh parse
+    memo: Optional[object] = field(default=None, repr=False, compare=False)
+
+    #: ``id(unit) -> (unit, its table)``: holding the unit keeps its id
+    #: from being reused while the entry lives
+    _tables: Dict[int, Tuple[ast.ProgramUnit, SymbolTable]] = field(
+        default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -67,21 +74,27 @@ class Program:
     # ------------------------------------------------------------------
     def resolve(self, units: Optional[Collection[str]] = None) -> None:
         """Run function-reference resolution with the global function set
-        (cross-file) and invalidate cached symbol tables.  A pass that
-        knows which units it rewrote names them in ``units``; resolution
-        is idempotent on the rest (no pass adds or removes a FUNCTION)."""
+        (cross-file) and invalidate the cached symbol tables of the units
+        it rewrote.  A pass that knows which units it rewrote names them
+        in ``units``; resolution is idempotent on the rest (no pass adds
+        or removes a FUNCTION), so their tables stay."""
         funcs = set()
         for f in self.files:
             funcs |= function_names(f)
         for f in self.files:
             resolve_calls(f, funcs, units)
-        self._tables.clear()
+        if units is None:
+            self._tables.clear()
+            return
+        for key in [key for key, (unit, _) in self._tables.items()
+                    if unit.name in units]:
+            del self._tables[key]
 
     def symtab(self, unit: ast.ProgramUnit) -> SymbolTable:
-        key = id(unit)
-        if key not in self._tables:
-            self._tables[key] = build_symbol_table(unit)
-        return self._tables[key]
+        entry = self._tables.get(id(unit))
+        if entry is None:
+            entry = self._tables[id(unit)] = (unit, build_symbol_table(unit))
+        return entry[1]
 
     def invalidate(self, unit: Optional[ast.ProgramUnit] = None) -> None:
         """Drop cached symbol tables after a transformation mutated
@@ -104,4 +117,5 @@ class Program:
         return sum(text.count("\n") for text in self.unparse().values())
 
     def clone(self) -> "Program":
-        return Program([ast.clone(f) for f in self.files], self.name)
+        return Program([ast.clone(f) for f in self.files], self.name,
+                       self.memo)

@@ -1,16 +1,23 @@
 """Unit tests for the evaluation harness itself: reporting, the
 three-configuration pipeline, reachability-based counting, and tuning."""
 
+import glob
+import os
+
 import pytest
 
-from repro.experiments.pipeline import (Config, prepare_base, run_all_configs,
-                                        run_config, _reachable_units)
+from repro.annotations.registry import AnnotationRegistry
+from repro.errors import ReproError
+from repro.experiments.pipeline import (CONFIGS, Config, prepare_base,
+                                        run_all_configs, run_config,
+                                        _reachable_units)
 from repro.experiments.reporting import bar_chart, text_table
 from repro.experiments.table1 import render_table1, table1_rows
 from repro.experiments.tuning import tune
-from repro.perfect import get_benchmark
+from repro.perfect import all_benchmarks, get_benchmark
 from repro.perfect.suite import Benchmark
 from repro.polaris.report import ConfigComparison
+from repro.pipeline import parallelize_program
 from repro.program import Program
 from repro.runtime.machine import MachineModel
 
@@ -83,6 +90,60 @@ class TestReachability:
         assert any(o.startswith("PCINIT") for o in baseline)
         assert not any(o.startswith("PCINIT")
                        for o in conv.parallel_origins())
+
+
+def _golden_programs():
+    """(name, program factory, annotations) of the golden decision
+    table's corpus and generated groups."""
+    from tests.polaris import test_golden_decisions as golden
+    out = []
+    for path in sorted(glob.glob(os.path.join(golden.CORPUS, "*.f"))):
+        name = os.path.basename(path)
+        with open(path) as f:
+            text = f.read()
+        try:
+            Program.from_sources({name: text}, name)
+        except ReproError:
+            continue
+        out.append((name, lambda name=name, text=text:
+                    Program.from_sources({name: text}, name), ""))
+    for dialect in ("core", "extended"):
+        options = golden.GeneratorOptions(dialect=dialect)
+        for i in range(golden.GENERATED):
+            fuzz = golden.generate(golden.derive_seed(golden.SEED, i),
+                                   options)
+            out.append((f"{dialect}-{i}", fuzz.program, fuzz.annotations))
+    return out
+
+
+class TestReachabilityFromTheDriversGraph:
+    """``reachable_units`` reads the driver's call graph plus the calls
+    the reverse inliner restored; it must equal a call graph rebuilt
+    over the finished program."""
+
+    def _check(self, result):
+        assert result.report.edges is not None
+        assert result.reachable_units() == _reachable_units(result.program)
+
+    def test_perfect(self):
+        for bench in all_benchmarks():
+            for kind in CONFIGS:
+                self._check(run_config(bench, Config(kind)))
+
+    def test_golden_corpus_and_generated_programs(self):
+        programs = _golden_programs()
+        assert len(programs) > 80
+        for name, program_of, annotations in programs:
+            for kind in CONFIGS:
+                self._check(parallelize_program(
+                    program_of(), Config(kind),
+                    AnnotationRegistry.from_text(annotations)))
+
+    def test_demand_inlining_rebuilds_the_graph(self):
+        result = run_config(get_benchmark("dyfesm"),
+                            Config("annotation", annotations="demand"))
+        assert result.report.edges is None
+        assert result.reachable_units() == _reachable_units(result.program)
 
 
 class TestPipeline:
