@@ -14,14 +14,10 @@ procedure whose every call site was inlined away is dead code — its
 still-parallelizable original no longer executes, which is exactly how
 conventional inlining manifests ``#par-loss``.
 
-The cached base carries a :class:`~repro.polaris.driver.AnalysisMemo`
-that every clone passes to the driver.  Its key is a unit equal (``==``)
-to the base unit of its name, plus each direct callee's
-``Summary.pure`` (or its absence) and the ``PolarisOptions``; a hit
-replays the analyzed body (a copy), the decision records (copies: they
-are stamped below) and the TestStats into the report, the tracer and
-the metrics.  It lives as long as the base: :func:`clear_base_cache`
-frees it.
+The cached base carries an :class:`~repro.polaris.driver.AnalysisMemo`:
+keyed on a unit ``==`` its base unit, its callees' purity and the
+options, it replays copies of the analyzed body and decision records
+(stamped below) and the TestStats; :func:`clear_base_cache` frees it.
 """
 
 from __future__ import annotations

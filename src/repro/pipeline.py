@@ -24,7 +24,7 @@ The three configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.analysis.callgraph import build_callgraph
 from repro.annotations.infer import ANNOTATION_MODES, infer_annotations
@@ -91,23 +91,17 @@ class PipelineResult:
     _reachable: Optional[Set[str]] = field(default=None, repr=False)
 
     def reachable_units(self) -> Set[str]:
-        """Units reachable from the PROGRAM units: over the driver's call
-        graph plus each call the reverse inliner restored, or over a
-        rebuilt one when demand inlining changed calls after the driver
-        built its graph or an annotation run records no reversal."""
+        """Over the driver's call graph plus the calls the reverse inliner
+        restored; rebuilt after demand inlining or an unrecorded reversal."""
         if self._reachable is None:
             edges = self.report.edges
-            if edges is None or (self.config == "annotation"
-                                 and self.reverse_result is None):
-                self._reachable = _reachable_units(self.program)
-            else:
-                restored: Dict[str, Set[str]] = {}
-                for site in (self.reverse_result.sites
-                             if self.reverse_result else ()):
-                    restored.setdefault(site.caller, set()).add(site.callee)
-                self._reachable = _reachable(
-                    self.program, lambda name: edges.get(name, set())
-                    | restored.get(name, set()))
+            if self.config == "annotation" and self.reverse_result is None:
+                edges = None
+            elif edges is not None and self.reverse_result is not None:
+                edges = {name: set(c) for name, c in edges.items()}
+                for site in self.reverse_result.sites:
+                    edges.setdefault(site.caller, set()).add(site.callee)
+            self._reachable = _reachable_units(self.program, edges)
         return self._reachable
 
     def parallel_origins(self) -> Set[str]:
@@ -118,18 +112,16 @@ class PipelineResult:
                 and v.unit in reachable}
 
 
-def _reachable_units(program: Program) -> Set[str]:
-    return _reachable(program, build_callgraph(program).callees)
-
-
-def _reachable(program: Program,
-               callees: Callable[[str], Set[str]]) -> Set[str]:
+def _reachable_units(program: Program,
+                     edges: Optional[Dict[str, Set[str]]] = None) -> Set[str]:
+    if edges is None:
+        edges = build_callgraph(program).edges
     roots = [u.name for u in program.units if u.kind == "PROGRAM"]
     seen: Set[str] = set(roots)
     stack = list(roots)
     while stack:
         name = stack.pop()
-        for callee in callees(name):
+        for callee in edges.get(name, ()):
             if callee not in seen:
                 seen.add(callee)
                 stack.append(callee)

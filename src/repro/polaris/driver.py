@@ -16,12 +16,8 @@ Runs the full source-to-source automatic parallelization pipeline on a
 5. OpenMP directive insertion (:class:`~repro.fortran.ast.OmpParallelDo`).
 
 The driver mutates the program in place and returns a
-:class:`~repro.polaris.report.Report`.  A program cloned from a stamped
-base carries the base's :class:`AnalysisMemo`: a unit its inliner left
-equal to the base unit reuses the normalized body, and the analyzed body,
-decision records and TestStats too when its direct callees' purity and
-the options match (Way & Pollock's rule: re-optimize only what inlining
-changed).
+:class:`~repro.polaris.report.Report`.  A clone of a stamped base
+reuses its :class:`AnalysisMemo` for the units inlining left untouched.
 """
 
 from __future__ import annotations
@@ -88,26 +84,17 @@ class _UnitState:
 
 
 class AnalysisMemo:
-    """Per-unit analysis results over the clones of one never-mutated
-    stamped base, which owns the memo and frees it with itself.
-
-    ``normalized`` maps a unit name to the normalized body of the base
-    unit; ``analyzed`` maps ``(name, options, ((callee, pure or None),
-    ...))`` — each direct callee's ``Summary.pure``, None when it has no
-    summary — to the analyzed body, its decision records and its
-    TestStats.  Only a unit ``==`` its base unit looks either up.  The
-    memo keeps bodies no program holds and hands out copies, so nothing
-    a caller does to a returned program reaches it."""
+    """Per-unit results over the clones of one never-mutated base.  Only
+    a unit ``==`` its base unit looks up ``normalized`` (name -> body)
+    and ``analyzed``: ``(name, options, ((callee, Summary.pure or None),
+    ...))`` -> (body, decision records, TestStats).  It keeps bodies no
+    program holds and hands out copies (Way & Pollock's rule)."""
 
     def __init__(self, base: Program):
         self.base = {u.name: u for u in base.units}
         self.normalized: Dict[str, List[ast.Stmt]] = {}
         self.analyzed: Dict[tuple, Tuple[List[ast.Stmt],
                                          List[LoopDecision], object]] = {}
-
-
-def _copy_decision(d: LoopDecision) -> LoopDecision:
-    return replace(d, dep_tests=dict(d.dep_tests))
 
 
 #: bound on demand-resolution retries per loop (each retry resolves one
@@ -134,8 +121,7 @@ class Polaris:
                 for u in units]
         try:
             with tracer.phase("normalize", report.timings):
-                # an equal unit's body is the memo's normalized one
-                # until the dependence phase replaces it by a copy
+                # an equal unit's body is the memo's until it is analyzed
                 for unit, equal in zip(units, same):
                     assign_origins(unit)
                     if equal and unit.name in memo.normalized:
@@ -147,8 +133,7 @@ class Polaris:
             with tracer.phase("summaries", report.timings, units=len(units)):
                 graph = build_callgraph(program)
                 summaries = compute_summaries(program, graph)
-            if self.demand is None:
-                report.edges = graph.edges
+            report.edges = graph.edges if self.demand is None else None
             with tracer.phase("dependence", report.timings):
                 for unit, equal in zip(units, same):
                     with tracer.span(f"unit {unit.name}", cat="unit"):
@@ -173,14 +158,14 @@ class Polaris:
         the report, the tracer and the metrics as an analysis emits it."""
         hit = memo.analyzed.get(key) if key is not None else None
         if memo is not None:
-            obs_metrics.counter(
-                "repro_analysis_memo_total",
-                "per-unit analysis memo lookups by outcome").inc(
-                    outcome="miss" if hit is None else "hit")
+            obs_metrics.counter("repro_analysis_memo_total",
+                                "per-unit analysis memo lookups").inc(
+                outcome="miss" if hit is None else "hit")
         if hit is not None:
             body, decisions, stats = hit
             unit.body = ast.clone(body)
-            for decision in map(_copy_decision, decisions):
+            for d in decisions:
+                decision = replace(d, dep_tests=dict(d.dep_tests))
                 report.add(decision)
                 tracer.decision(decision)
         else:
@@ -191,8 +176,8 @@ class Polaris:
                                            report, tracer)
             if key is not None:
                 memo.analyzed[key] = (ast.clone(unit.body), [
-                    _copy_decision(d) for d in report.verdicts[first:]],
-                    stats)
+                    replace(d, dep_tests=dict(d.dep_tests))
+                    for d in report.verdicts[first:]], stats)
         accumulate_test_stats(report.test_stats, stats)
 
     @staticmethod

@@ -39,8 +39,7 @@ class Report:
     #: dependence-test family counters accumulated over every unit's
     #: tester (TestStats field -> count), shown by --profile
     test_stats: Dict[str, int] = field(default_factory=dict)
-    #: caller -> callees of the call graph the driver built for the
-    #: summaries; None when demand inlining rewrote calls after it
+    #: the driver's call graph (None when demand inlining rewrote it)
     edges: Optional[Dict[str, Set[str]]] = None
 
     def add(self, v: LoopDecision) -> None:

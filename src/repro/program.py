@@ -25,12 +25,10 @@ class Program:
     files: List[ast.SourceFile] = field(default_factory=list)
     name: str = "program"
 
-    #: the analysis memo of the stamped base this program was cloned from
-    #: (:class:`repro.polaris.driver.AnalysisMemo`); None for a fresh parse
+    #: its stamped base's :class:`repro.polaris.driver.AnalysisMemo`
     memo: Optional[object] = field(default=None, repr=False, compare=False)
 
-    #: ``id(unit) -> (unit, its table)``: holding the unit keeps its id
-    #: from being reused while the entry lives
+    #: ``id(unit) -> (unit, table)``: the held unit's id is never reused
     _tables: Dict[int, Tuple[ast.ProgramUnit, SymbolTable]] = field(
         default_factory=dict, repr=False)
 
